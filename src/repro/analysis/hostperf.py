@@ -25,7 +25,13 @@ Every benchmark here exercises real code on deterministic data:
   calibrated by one instrumented run and timed on the bare loop; a
   separate pass records tracemalloc peak heap;
 * ``e2e/bench-quick`` — wall seconds of the full quick benchmark
-  matrix, the number a developer actually waits on.
+  matrix, the number a developer actually waits on;
+* ``e2e/scale-allgather-64`` — wall seconds of the 64-rank point of the
+  scale matrix, the same untraced eager-message path CI's scale-smoke
+  job budgets at 1024 ranks;
+* ``msg/events_per_message`` — scheduler events per point-to-point
+  message on that allgather, traced.  A deterministic count, not a
+  timing: the budget the eager message path is held to.
 
 Engine benchmarks also report ``peak_heap_bytes`` (tracemalloc peak,
 measured in its own untimed pass so instrumentation overhead never
@@ -41,7 +47,7 @@ Snapshot schema (``schema_version`` 1)::
       "reps": <k>,
       "benchmarks": {
         "<name>": {
-          "kind": "codec" | "engine" | "e2e",
+          "kind": "codec" | "engine" | "engine-scale" | "e2e" | "msg",
           "params": {...},
           "metrics": {"<metric>": <number>, ...}
         }
@@ -50,7 +56,8 @@ Snapshot schema (``schema_version`` 1)::
 
 Metric naming carries the comparison direction: ``*_s`` metrics are
 times (bigger is worse), ``*_per_s`` metrics are rates (smaller is
-worse).  :func:`compare` uses exactly that convention.
+worse), ``*_per_message`` metrics are exact counts (bigger is worse, at
+zero tolerance).  :func:`compare` uses exactly that convention.
 
 Wall-clock reads below are pragma'd for the determinism linter: this
 module *is* the sanctioned wall-clock consumer — its measurements never
@@ -127,6 +134,11 @@ def benchmark_matrix(quick: bool = True) -> list[Microbench]:
     out.append(Microbench("engine/scale/1024", "engine-scale",
                           {"ranks": 1024, "rounds": 8}))
     out.append(Microbench("e2e/bench-quick", "e2e", {"only": None}))
+    out.append(Microbench("e2e/scale-allgather-64", "e2e",
+                          {"only": "scale/allgather-64", "scale": True}))
+    out.append(Microbench("msg/events_per_message", "msg",
+                          {"machine": "fat-tree", "nodes": 16, "ppn": 4,
+                           "nbytes": 4096}))
     return out
 
 
@@ -307,14 +319,33 @@ def _run_e2e(params: dict, reps: int) -> dict:
         # The codec cache would turn every repeat into pure hits; clear
         # it so each rep measures the same cold-cache work.
         GLOBAL_CODEC_CACHE.clear()
-        bench.collect(quick=True, label="hostperf", only=params.get("only"))
+        bench.collect(quick=True, label="hostperf", only=params.get("only"),
+                      scale=params.get("scale", False))
 
     t = _time_median(one_run, max(1, reps // 3))
     return {"run_s": _r(t)}
 
 
+def _run_msg(params: dict, reps: int) -> dict:
+    """Scheduler events per message of a traced ring allgather — exact,
+    so one run, whatever ``reps`` says."""
+    from repro.mpi.cluster import Cluster
+
+    def rank_fn(comm):
+        block = np.full(params["nbytes"] // 4, comm.rank, dtype=np.float32)
+        yield from comm.allgather(block)
+
+    res = Cluster(params["machine"], nodes=params["nodes"],
+                  gpus_per_node=params["ppn"]).run(rank_fn)
+    n_events = res.tracer.event_count
+    n_messages = res.tracer.metrics.counter_total("mpi.sends")
+    return {"events_per_message": _r(n_events / n_messages),
+            "n_events": float(n_events), "n_messages": float(n_messages)}
+
+
 _RUNNERS = {"codec": _run_codec, "engine": _run_engine,
-            "engine-scale": _run_engine_scale, "e2e": _run_e2e}
+            "engine-scale": _run_engine_scale, "e2e": _run_e2e,
+            "msg": _run_msg}
 
 
 def collect(quick: bool = True, label: str = "local", reps: int = 5,
@@ -377,14 +408,19 @@ def load(path) -> dict:
 
 # -- comparison --------------------------------------------------------------
 
+#: metrics with this suffix are counts the simulator reproduces exactly;
+#: they gate at zero tolerance instead of the timing threshold
+_EXACT_SUFFIX = "_per_message"
+
+
 #: metrics compared by :func:`compare`; others (ratio, raw seconds of
 #: the codec benches — redundant with the rates) are informational.
 def _direction(metric: str) -> Optional[int]:
-    """+1: bigger is worse (times, memory); -1: smaller is worse
-    (rates); None: not compared."""
+    """+1: bigger is worse (times, memory, counts); -1: smaller is
+    worse (rates); None: not compared."""
     if metric.endswith("_per_s"):
         return -1
-    if metric.endswith("_s") or metric.endswith("_bytes"):
+    if metric.endswith(("_s", "_bytes", _EXACT_SUFFIX)):
         return +1
     return None
 
@@ -454,7 +490,8 @@ def compare(current: dict, baseline: dict,
                 continue
             cmp.checked += 1
             rel = direction * (float(cval) - float(bval)) / abs(float(bval))
-            if abs(rel) > threshold:
+            limit = 0.0 if metric.endswith(_EXACT_SUFFIX) else threshold
+            if abs(rel) > limit:
                 cmp.drifts.append(PerfDrift(
                     benchmark=name, metric=metric, baseline=float(bval),
                     current=float(cval), rel=rel, regression=rel > 0))

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from repro.faults.plan import FaultPlan
+from repro.sim.trace import CURRENT
 from repro.utils.integrity import flip_bit
 
 __all__ = ["FaultInjector", "DROPPED"]
@@ -46,13 +47,14 @@ class FaultInjector:
     def _draw(self, rate: float) -> bool:
         return rate > 0.0 and self._active() and self._rng.random() < rate
 
-    def emit(self, kind: str, rank: Optional[int] = None, **meta) -> None:
+    def emit(self, kind: str, rank: Optional[int] = None, parent=CURRENT,
+             **meta) -> None:
         """Record one fired fault: zero-duration span + counter."""
         tracer = self.sim.tracer
         if tracer is not None:
             now = self.sim.now
             tracer.span(now, now, "faults", kind, rank=rank, track="faults",
-                        **meta)
+                        parent=parent, **meta)
             tracer.metrics.inc("faults.injected", kind=kind)
 
     # -- wire faults ----------------------------------------------------
@@ -77,9 +79,12 @@ class FaultInjector:
             return True
         return any(lbl in self.plan.link_targets for lbl in labels)
 
-    def extra_wire_delay(self, labels, base_duration: float) -> float:
+    def extra_wire_delay(self, labels, base_duration: float,
+                         parent=CURRENT) -> float:
         """Additional seconds a transfer over ``labels`` must hold the
-        link(s): flap outage wait plus degradation stretch."""
+        link(s): flap outage wait plus degradation stretch.  ``parent``
+        is the span the fault records nest under when the transfer is
+        not driven by a process."""
         plan = self.plan
         extra = 0.0
         if not self._active() or not self._targets(labels):
@@ -88,11 +93,13 @@ class FaultInjector:
             into_window = self.sim.now % plan.flap_period
             if into_window < plan.flap_down:
                 wait = plan.flap_down - into_window
-                self.emit("flap_wait", links=tuple(labels), wait=wait)
+                self.emit("flap_wait", parent=parent, links=tuple(labels),
+                          wait=wait)
                 extra += wait
         if self._draw(plan.degrade_rate):
             stretch = base_duration * (plan.degrade_factor - 1.0)
-            self.emit("degrade", links=tuple(labels), extra=stretch)
+            self.emit("degrade", parent=parent, links=tuple(labels),
+                      extra=stretch)
             extra += stretch
         return extra
 

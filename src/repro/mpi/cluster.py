@@ -129,8 +129,9 @@ class Runtime:
             self.failstop.note_send(grank)
 
     def adopt(self, grank: int, proc) -> None:
-        """Register a protocol/helper process under its owning rank so
-        a fail-stop kill can interrupt it."""
+        """Register a protocol/helper process (or an eager operation's
+        handle) under its owning rank so a fail-stop kill can interrupt
+        it."""
         if self.failstop is not None:
             self.failstop.adopt(grank, proc)
 
@@ -347,6 +348,15 @@ class Runtime:
             payload=payload,
         )
         return delivered
+
+    def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
+                       on_done, parent):
+        """:meth:`transfer` of a payload-less message driven by
+        scheduler callbacks instead of a process (see
+        :meth:`~repro.network.topology.Topology.start_transfer`)."""
+        return self.topology.start_transfer(
+            self._gpu_of(src), self._gpu_of(dst), nbytes, label, on_done,
+            parent)
 
     def control_delay(self, src: int, dst: int, nbytes: int):
         """Control packets (RTS/CTS) ride the fabric's latency without

@@ -4,7 +4,8 @@ Point-to-point follows MVAPICH2's two protocols:
 
 **Eager** (below :data:`EAGER_THRESHOLD`): envelope + payload travel
 together; no handshake, no compression (small messages never cross the
-compression threshold anyway).
+compression threshold anyway) — and no simulator process either: see
+:mod:`repro.mpi.eager`.
 
 **Rendezvous** (paper Figures 3-4):
 
@@ -16,7 +17,8 @@ compression threshold anyway).
 5. receiver decompresses into the user buffer and completes.
 
 All primitives are generator subroutines (``yield from comm.send(...)``)
-except ``isend``/``irecv``, which spawn a protocol process and return a
+except ``isend``/``irecv``, which start the operation — an eager state
+machine, or a rendezvous protocol process — and return a
 :class:`~repro.mpi.request.Request`.
 """
 
@@ -40,6 +42,7 @@ from repro.errors import (
 from repro.core.header import CompressionHeader
 from repro.faults import DROPPED
 from repro.mpi import collectives as _coll
+from repro.mpi.eager import SETUP_TIME, EagerSend, Recv
 from repro.mpi.matching import ANY
 from repro.mpi.message import Packet, PacketKind
 from repro.mpi.request import Request
@@ -68,9 +71,6 @@ _AGREE_REPLY_TAG = _AGREE_TAG + 256
 #: eager/rendezvous protocol switch point (MVAPICH2-GDR GPU default scale)
 EAGER_THRESHOLD = 16 * KiB
 
-#: CPU-side software overhead charged per point-to-point operation
-SETUP_TIME = 1.0e-6
-
 #: The rendezvous pipeline's step spans (category ``"pipeline"``), in
 #: protocol order across both sides — Figure 4's seven stages.  Sender
 #: records sender_prepare / rts / wire_transfer / sender_release;
@@ -84,6 +84,13 @@ PIPELINE_STEPS = (
     "receiver_complete",   # step 7: decompression kernels + restore
     "sender_release",      # post-send: return pooled buffers / temporaries
 )
+
+#: request kind, protocol-process name and (sends) eager protocol label
+#: per point-to-point flavour: user data, or a packed wire image
+_SEND_DATA = ("isend->", "isend", "eager")
+_SEND_WIRE = ("isend_wire->", "isendw", "wire_eager")
+_RECV_DATA = ("irecv<-", "irecv")
+_RECV_WIRE = ("irecv_wire<-", "irecvw")
 
 #: transient faults the resilience layer absorbs (retry/fallback); any
 #: other exception still propagates immediately
@@ -182,40 +189,80 @@ class Communicator:
         if not (0 <= peer < self.size):
             raise MpiError(f"{what} rank {peer} out of range [0, {self.size})")
 
-    def _to_global(self, peer: int) -> int:
-        return self._group[peer]
-
-    def _shift_tag(self, tag: int) -> int:
-        return tag if tag == ANY_TAG else tag + self._tag_shift
-
     # -- nonblocking point-to-point ----------------------------------------------
     def isend(self, data: Any, dest: int, tag: int = 0) -> Request:
         """Start a nonblocking send of ``data`` (a numpy array resident
         on this rank's GPU) to local rank ``dest``."""
-        self._check_peer(dest, "destination")
-        rt = self._rt
-        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
-        gdest = self._to_global(dest)
-        req = Request(self.sim, kind=f"isend->{gdest}")
-        proc = self.sim.process(
-            self._send_proc(data, gdest, self._shift_tag(tag), req),
-            name=f"isend{self._grank}->{gdest}")
-        rt.adopt(self._grank, proc)
-        return req
+        return self._start_send(data, self._payload_nbytes(data), dest, tag,
+                                _SEND_DATA, self._send_proc)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive.  The request's value is the
         received array."""
+        return self._start_recv(source, tag, _RECV_DATA, self._recv_proc)
+
+    def _start_send(self, payload, nbytes: int, dest: int, tag: int,
+                    flavour: tuple, rndv) -> Request:
+        """Start a send of ``nbytes``: the eager state machine below the
+        threshold (and to self), else the ``rndv`` protocol process.
+        Either starts after the per-operation software overhead."""
+        self._check_peer(dest, "destination")
+        rt = self._rt
+        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
+        gdest = self._group[dest]
+        kind, name, eager_protocol = flavour
+        req = Request(rt.sim, kind, gdest)
+        if tag != ANY_TAG:
+            tag += self._tag_shift
+        if gdest == self._grank or nbytes < EAGER_THRESHOLD:
+            op = EagerSend(self, payload, nbytes, gdest, tag, req,
+                           eager_protocol)
+        else:
+            op = rt.sim.process(rndv(payload, gdest, tag, req),
+                                name=(name, self._grank, "->", gdest),
+                                delay=SETUP_TIME)
+        rt.adopt(self._grank, op)
+        return req
+
+    def _start_recv(self, source: int, tag: int, flavour: tuple,
+                    rndv) -> Request:
+        """Start a receive: post after the software overhead, complete
+        on an EAGER envelope, continue as ``rndv`` on an RTS."""
         gsource = source
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
-            gsource = self._to_global(source)
-        req = Request(self.sim, kind=f"irecv<-{gsource}")
-        proc = self.sim.process(
-            self._recv_proc(gsource, self._shift_tag(tag), req),
-            name=f"irecv{self._grank}<-{gsource}")
-        self._rt.adopt(self._grank, proc)
+            gsource = self._group[source]
+        kind, name = flavour
+        rt = self._rt
+        req = Request(rt.sim, kind, gsource)
+        if tag != ANY_TAG:
+            tag += self._tag_shift
+        if rt.failstop is not None \
+                and rt.resilience.detect_timeout is not None:
+            # The armed failure detector races the match against the
+            # peer's death event; that wait takes a process.
+            op = rt.sim.process(
+                self._watched_recv(gsource, tag, req, rndv),
+                name=(name, self._grank, "<-", gsource), delay=SETUP_TIME)
+        else:
+            op = Recv(self, gsource, tag, req, rndv, name)
+        rt.adopt(self._grank, op)
         return req
+
+    def _watched_recv(self, source: int, tag: int, req: Request, rndv):
+        """A receive's envelope wait under the failure detector."""
+        rt = self._rt
+        try:
+            match_ev = rt.matching_of(self._grank).post_recv(source, tag)
+            pkt, _ = yield from self._guarded_wait(rt, match_ev, source,
+                                                   "envelope")
+        except BaseException as exc:  # surfaced via the request
+            req.fail(exc)
+            return
+        if pkt.kind is PacketKind.EAGER:
+            req.complete(pkt.payload)
+        else:
+            yield from rndv(pkt, tag, req)
 
     # -- blocking wrappers ------------------------------------------------------
     def send(self, data: Any, dest: int, tag: int = 0):
@@ -250,31 +297,11 @@ class Communicator:
             tracer.metrics.inc("mpi.sends", protocol=protocol)
 
     def _send_proc(self, data: Any, dest: int, tag: int, req: Request):
+        """Rendezvous send with on-the-fly compression."""
         rt = self._rt
         try:
-            yield self.sim.timeout(SETUP_TIME)
             seq = rt.next_seq()
             nbytes = self._payload_nbytes(data)
-            if dest == self._grank:
-                # Self-send: no wire, deliver the envelope directly.
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=data, wire_nbytes=nbytes)
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("self")
-                req.complete()
-                return
-
-            if nbytes < EAGER_THRESHOLD:
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=data, wire_nbytes=nbytes)
-                yield from rt.transfer(self._grank, dest, nbytes + pkt.control_bytes(),
-                                       label="eager")
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("eager")
-                req.complete()
-                return
-
-            # Rendezvous with on-the-fly compression.
             engine = rt.engine_of(self._grank)
             resil = rt.resilience
             breaker = None
@@ -561,16 +588,10 @@ class Communicator:
         )
         req.complete(data)
 
-    def _recv_proc(self, source: int, tag: int, req: Request):
+    def _recv_proc(self, pkt, tag: int, req: Request):
+        """Rendezvous receive, from the matched RTS ``pkt`` onwards."""
         rt = self._rt
         try:
-            yield self.sim.timeout(SETUP_TIME)
-            match_ev = rt.matching_of(self._grank).post_recv(source, tag)
-            pkt, _ = yield from self._guarded_wait(rt, match_ev, source,
-                                                   "envelope")
-            if pkt.kind == PacketKind.EAGER:
-                req.complete(pkt.payload)
-                return
             if pkt.kind != PacketKind.RTS:
                 raise MpiError(f"unexpected envelope {pkt!r}")
             if pkt.header is not None and pkt.header.pipelined:
@@ -835,30 +856,14 @@ class Communicator:
 
     def isend_wire(self, wire: WireImage, dest: int, tag: int = 0) -> Request:
         """Nonblocking relay of an already-packed wire image."""
-        self._check_peer(dest, "destination")
-        rt = self._rt
-        rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
-        gdest = self._to_global(dest)
-        req = Request(self.sim, kind=f"isend_wire->{gdest}")
-        proc = self.sim.process(
-            self._send_wire_proc(wire, gdest, self._shift_tag(tag), req),
-            name=f"isendw{self._grank}->{gdest}")
-        rt.adopt(self._grank, proc)
-        return req
+        return self._start_send(wire, wire.wire_nbytes, dest, tag,
+                                _SEND_WIRE, self._send_wire_proc)
 
     def irecv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive of a wire image; the request's value is
         the :class:`WireImage` (not decoded — pass it on or unpack)."""
-        gsource = source
-        if source != ANY_SOURCE:
-            self._check_peer(source, "source")
-            gsource = self._to_global(source)
-        req = Request(self.sim, kind=f"irecv_wire<-{gsource}")
-        proc = self.sim.process(
-            self._recv_wire_proc(gsource, self._shift_tag(tag), req),
-            name=f"irecvw{self._grank}<-{gsource}")
-        self._rt.adopt(self._grank, proc)
-        return req
+        return self._start_recv(source, tag, _RECV_WIRE,
+                                self._recv_wire_proc)
 
     def send_wire(self, wire: WireImage, dest: int, tag: int = 0):
         req = self.isend_wire(wire, dest, tag)
@@ -880,29 +885,11 @@ class Communicator:
 
     def _send_wire_proc(self, wire: WireImage, dest: int, tag: int,
                         req: Request):
+        """Rendezvous relay: the RTS re-piggybacks the *original*
+        header; no sender_prepare — the image is already packed."""
         rt = self._rt
         try:
-            yield self.sim.timeout(SETUP_TIME)
             seq = rt.next_seq()
-            if dest == self._grank:
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=wire, wire_nbytes=wire.wire_nbytes)
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("self")
-                req.complete()
-                return
-            if wire.wire_nbytes < EAGER_THRESHOLD:
-                pkt = Packet(PacketKind.EAGER, self._grank, dest, tag, seq,
-                             payload=wire, wire_nbytes=wire.wire_nbytes)
-                yield from rt.transfer(self._grank, dest,
-                                       wire.wire_nbytes + pkt.control_bytes(),
-                                       label="eager")
-                rt.matching_of(dest).deliver_envelope(pkt)
-                self._count_send("wire_eager")
-                req.complete()
-                return
-            # Rendezvous relay: the RTS re-piggybacks the *original*
-            # header; no sender_prepare — the image is already packed.
             rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
                          header=wire.header, wire_nbytes=wire.wire_nbytes,
                          crc=wire.crc, wire_crc=wire.wire_crc,
@@ -938,16 +925,11 @@ class Communicator:
         except BaseException as exc:
             req.fail(exc)
 
-    def _recv_wire_proc(self, source: int, tag: int, req: Request):
+    def _recv_wire_proc(self, pkt, tag: int, req: Request):
+        """Rendezvous receive of a relayed image, from the matched RTS
+        ``pkt`` onwards."""
         rt = self._rt
         try:
-            yield self.sim.timeout(SETUP_TIME)
-            match_ev = rt.matching_of(self._grank).post_recv(source, tag)
-            pkt, _ = yield from self._guarded_wait(rt, match_ev, source,
-                                                   "envelope")
-            if pkt.kind == PacketKind.EAGER:
-                req.complete(pkt.payload)  # the WireImage itself
-                return
             if pkt.kind != PacketKind.RTS:
                 raise MpiError(f"unexpected envelope {pkt!r}")
             engine = rt.engine_of(self._grank)

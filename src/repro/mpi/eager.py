@@ -1,0 +1,159 @@
+"""The eager protocol and the front half of every receive, as callback
+state machines.
+
+A message below the eager threshold (and any self-send) is untouched by
+the compression framework, so it must cost the host next to nothing:
+no :class:`~repro.sim.engine.Process`, no generator, no timeout or
+link-request object while its links are free.  Each operation is one
+small object whose methods are scheduled with
+:meth:`~repro.sim.engine.Simulator.call_later`:
+
+* :class:`EagerSend` — software overhead, then the wire
+  (:meth:`~repro.network.topology.Topology.start_transfer`), then the
+  envelope is handed to the receiver's matching engine and the send
+  request completes;
+* :class:`Recv` — software overhead, then the receive is posted with a
+  callback.  An EAGER envelope completes the request one scheduler hop
+  after the match; an RTS spawns the communicator's rendezvous generator
+  from that point (its first resume is that same hop).
+
+**Ordering.**  Same-instant events run in insertion order, and that
+order decides who wins a shared link, so each step below is scheduled
+from the same place in the order as the generator protocol it replaced:
+when a message lands, the sender's waiter is woken one hop after the
+wire event and the receiver's waiter two hops after it (wire -> match ->
+waiter).  Completing the receive straight from the wire callback would
+wake the receiver first and moves contended runs by a microsecond; the
+match hop stays.  See ``docs/performance.md``, "Message path".
+
+Both are what :meth:`FailStopManager.adopt
+<repro.mpi.failstop.FailStopManager.adopt>` calls a handle: ``is_alive``
+and ``interrupt(cause)``, which withdraws whatever is scheduled or
+queued on a link and fails the request with the kill.
+"""
+
+from __future__ import annotations
+
+from repro.mpi.message import CONTROL_PACKET_BYTES, Packet, PacketKind
+from repro.sim import Interrupt
+
+__all__ = ["EagerSend", "Recv", "SETUP_TIME"]
+
+#: CPU-side software overhead charged per point-to-point operation
+SETUP_TIME = 1.0e-6
+
+# Both operations run once per message, so they read the communicator's
+# and runtime's fields directly instead of through their accessors.
+
+
+class _Operation:
+    """What the two operations share: the issuing rank's context, the
+    delayed first step, and the handle a fail-stop kill needs."""
+
+    __slots__ = ("_comm", "_req", "_parent", "_pending")
+
+    def __init__(self, comm, req, first_step):
+        self._comm = comm
+        #: ``None`` once something else owns the request
+        self._req = req
+        sim = comm._rt.sim
+        tracer = sim.tracer
+        #: the span the issuing rank has open now: the parent of what
+        #: the callbacks record later, outside any process
+        self._parent = tracer.current_span() if tracer is not None else None
+        #: the one thing scheduled or in flight — a micro-event or a
+        #: transfer, either way with ``cancel()`` — for a kill to withdraw
+        self._pending = sim.call_later(SETUP_TIME, first_step)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._req is not None and not self._req.done
+
+    def interrupt(self, cause) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.cancel()
+        self._req.fail(Interrupt(cause))
+
+
+class EagerSend(_Operation):
+    """One eager (or self) send: ``payload`` is user data or a
+    :class:`~repro.mpi.wire.WireImage`, delivered as it is."""
+
+    __slots__ = ("_payload", "_nbytes", "_dest", "_tag", "_protocol", "_pkt")
+
+    def __init__(self, comm, payload, nbytes: int, dest: int, tag: int, req,
+                 protocol: str):
+        self._payload = payload
+        self._nbytes = nbytes
+        self._dest = dest
+        self._tag = tag
+        self._protocol = "self" if dest == comm._grank else protocol
+        super().__init__(comm, req, self._start)
+
+    def _start(self, _event) -> None:
+        comm = self._comm
+        rt = comm._rt
+        src = comm._grank
+        self._pkt = Packet(PacketKind.EAGER, src, self._dest, self._tag,
+                           rt.next_seq(), payload=self._payload,
+                           wire_nbytes=self._nbytes)
+        if self._dest == src:
+            self._arrived()  # no wire: deliver the envelope directly
+        else:
+            # An EAGER packet piggybacks no compression header.
+            self._pending = rt.start_transfer(
+                src, self._dest, self._nbytes + CONTROL_PACKET_BYTES, "eager",
+                self._arrived, self._parent)
+
+    def _arrived(self) -> None:
+        self._pending = None
+        comm = self._comm
+        comm._rt.matching_of(self._dest).deliver_envelope(self._pkt,
+                                                          self._parent)
+        comm._count_send(self._protocol)
+        # Before anything the match hop triggers: the sender is woken
+        # one hop after the wire, the receiver two.
+        self._req.complete()
+
+
+class Recv(_Operation):
+    """One receive up to its envelope match.  ``rndv(pkt, tag, req)`` is
+    the generator that takes a matched RTS from there."""
+
+    __slots__ = ("_source", "_tag", "_rndv", "_name")
+
+    def __init__(self, comm, source: int, tag: int, req, rndv, name: str):
+        self._source = source
+        self._tag = tag
+        self._rndv = rndv
+        self._name = name
+        super().__init__(comm, req, self._post)
+
+    def _post(self, _event) -> None:
+        self._pending = None
+        comm = self._comm
+        comm._rt.matching_of(comm._grank).post(self._source, self._tag,
+                                               self._matched, self._parent)
+
+    def _matched(self, pkt) -> None:
+        req = self._req
+        if req is None or req.done:
+            # Killed while posted: the post stays in the queue and
+            # swallows the envelope, as a dead rank's receive does.
+            return
+        comm = self._comm
+        sim = comm._rt.sim
+        if pkt.kind is PacketKind.EAGER:
+            self._pending = sim.call_later(0.0, self._complete, pkt)
+            return
+        self._req = None  # the rendezvous process owns the request now
+        proc = sim.process(self._rndv(pkt, self._tag, req),
+                           name=(self._name, comm._grank, "<-", self._source))
+        if sim.tracer is not None:
+            sim.tracer.reparent(proc, self._parent)
+        comm._rt.adopt(comm._grank, proc)
+
+    def _complete(self, event) -> None:
+        self._pending = None
+        self._req.complete(event.value.payload)

@@ -18,7 +18,8 @@ The manager owns the liveness ground truth:
   communicator stays revoked; recovery derives a fresh communicator
   (fresh id) over the survivors via ``Comm.shrink()``.
 
-Kill mechanics: every simulated process is registered under its
+Kill mechanics: every simulated process — and every eager operation,
+which runs as scheduler callbacks without one — is registered under its
 (global) rank.  ``at_time`` kills run off a timebomb process; on
 ``after_sends`` kills the dying rank raises :class:`RankKilled` in its
 own frame (a running process cannot interrupt itself).  Either way all
@@ -31,6 +32,8 @@ sentinel return value so the run completes normally on the survivors.
 """
 
 from __future__ import annotations
+
+from repro.sim import Process
 
 __all__ = ["FailStopManager", "KillCause", "RevokeCause", "RankKilled",
            "KILLED", "KilledRank"]
@@ -108,7 +111,7 @@ class FailStopManager:
         #: global rank -> pending kill specs (after_sends countdowns)
         self._send_bombs: dict[int, object] = {}
         self._send_counts: dict[int, int] = {}
-        #: global rank -> list of live Process objects owned by it
+        #: global rank -> processes and operation handles owned by it
         self._procs: dict[int, list] = {r: [] for r in range(n_ranks)}
         #: (global rank, comm id) -> main Process inside a collective
         self._in_collective: dict[tuple, object] = {}
@@ -152,7 +155,12 @@ class FailStopManager:
     # -- process registry -----------------------------------------------
     def adopt(self, rank: int, proc) -> None:
         """Register a process as belonging to ``rank`` so a kill can
-        interrupt it.  Dead ranks spawn nothing."""
+        interrupt it.  Dead ranks spawn nothing.
+
+        Anything with ``is_alive`` and ``interrupt(cause)`` is accepted:
+        an operation that runs without a process (:mod:`repro.mpi.eager`)
+        hands in a handle whose ``interrupt`` cancels what it has
+        scheduled and fails its request."""
         self._procs.setdefault(rank, []).append(proc)
 
     def enter_collective(self, rank: int, comm_id: int, proc) -> None:
@@ -189,10 +197,12 @@ class FailStopManager:
         for proc in self._procs.get(rank, ()):
             if proc.is_alive and proc is not active:
                 proc.interrupt(cause)
-                # A helper with no try/except dies with the Interrupt;
-                # that is the kill working as intended, not a stray
-                # failure for the simulator to re-raise at end of run.
-                proc.defuse()
+                if isinstance(proc, Process):
+                    # A helper with no try/except dies with the
+                    # Interrupt; that is the kill working as intended,
+                    # not a stray failure for the simulator to re-raise
+                    # at end of run.
+                    proc.defuse()
         ev = self._death_events.get(rank)
         if ev is None:
             ev = self.sim.event()

@@ -11,21 +11,24 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import MpiError
 from repro.mpi.message import Packet
 from repro.sim import Event, Simulator
+from repro.sim.trace import CURRENT
 
 __all__ = ["MatchingEngine", "ANY"]
 
 ANY = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     source: int
     tag: int
-    event: Event
+    #: called with the matching envelope, at match time
+    on_match: Callable[[Packet], None]
 
 
 def _matches(post_src: int, post_tag: int, pkt: Packet) -> bool:
@@ -49,57 +52,63 @@ class MatchingEngine:
         #: packet — the failure detector's last-heard bookkeeping.
         self._on_deliver = on_deliver
 
-    def _metrics(self):
-        tracer = self.sim.tracer
-        return tracer.metrics if tracer is not None else None
-
-    def _note_wildcard_match(self, post_src: int, post_tag: int,
-                             pkt: Packet) -> None:
-        """Record an instantaneous ``wildcard_match`` span when a
-        wildcard-source post matched — the anchor the happens-before
+    def _note_wildcard_match(self, post_tag: int, pkt: Packet,
+                             parent) -> None:
+        """Record an instantaneous ``wildcard_match`` span for a match
+        of a wildcard-source post — the anchor the happens-before
         message-race detector keys on.  Exact-source matches are fully
-        determined by MPI ordering and are not recorded."""
-        if post_src != ANY:
-            return
+        determined by MPI ordering; callers do not report them."""
         tracer = self.sim.tracer
         if tracer is None:
             return
         now = self.sim.now
         tracer.span(now, now, "matching", "wildcard_match", rank=self.rank,
-                    track="main", seq=pkt.seq, src=pkt.src, tag=pkt.tag,
-                    posted_tag=post_tag)
+                    track="main", parent=parent, seq=pkt.seq, src=pkt.src,
+                    tag=pkt.tag, posted_tag=post_tag)
 
     # -- envelope path ------------------------------------------------------
     def post_recv(self, source: int, tag: int) -> Event:
         """Post a receive; the returned event fires with the matching
         envelope packet (EAGER or RTS)."""
+        ev = self.sim.event()
+        self.post(source, tag, ev.succeed)
+        return ev
+
+    def post(self, source: int, tag: int, on_match: Callable[[Packet], None],
+             parent=CURRENT) -> None:
+        """Post a receive that calls ``on_match(envelope)`` at match
+        time — now, if the envelope already sits in the unexpected
+        queue.  ``parent`` is the span a ``wildcard_match`` recorded for
+        this post nests under when the poster is not a process."""
         for i, pkt in enumerate(self._unexpected):
             if _matches(source, tag, pkt):
                 del self._unexpected[i]
-                self._note_wildcard_match(source, tag, pkt)
-                ev = self.sim.event()
-                ev.succeed(pkt)
-                return ev
-        ev = self.sim.event()
-        self._posted.append(_PostedRecv(source, tag, ev))
-        m = self._metrics()
-        if m is not None:
-            m.observe("matching.posted_depth", len(self._posted), rank=self.rank)
-        return ev
+                if source == ANY:
+                    self._note_wildcard_match(tag, pkt, parent)
+                on_match(pkt)
+                return
+        self._posted.append(_PostedRecv(source, tag, on_match))
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.metrics.observe("matching.posted_depth", len(self._posted),
+                                   rank=self.rank)
 
-    def deliver_envelope(self, pkt: Packet) -> None:
-        """An EAGER or RTS packet arrived."""
+    def deliver_envelope(self, pkt: Packet, parent=CURRENT) -> None:
+        """An EAGER or RTS packet arrived.  ``parent``: as for
+        :meth:`post`, for a sender that is not a process."""
         if self._on_deliver is not None:
             self._on_deliver(pkt)
         for i, post in enumerate(self._posted):
             if _matches(post.source, post.tag, pkt):
                 del self._posted[i]
-                self._note_wildcard_match(post.source, post.tag, pkt)
-                post.event.succeed(pkt)
+                if post.source == ANY:
+                    self._note_wildcard_match(post.tag, pkt, parent)
+                post.on_match(pkt)
                 return
         self._unexpected.append(pkt)
-        m = self._metrics()
-        if m is not None:
+        tracer = self.sim.tracer
+        if tracer is not None:
+            m = tracer.metrics
             m.inc("matching.unexpected", rank=self.rank)
             m.observe("matching.unexpected_depth", len(self._unexpected),
                       rank=self.rank)

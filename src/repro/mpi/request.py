@@ -16,15 +16,33 @@ __all__ = ["Request", "waitall"]
 
 
 class Request:
-    """Completion handle for a nonblocking operation."""
+    """Completion handle for a nonblocking operation.
 
-    def __init__(self, sim: Simulator, kind: str = ""):
+    ``kind`` names the operation in diagnostics; with a ``peer`` it
+    reads ``f"{kind}{peer}"`` (``"isend->3"``), formatted only when
+    asked for — one request is made per message.
+    """
+
+    __slots__ = ("sim", "_kind", "_peer", "data", "_done", "_failed",
+                 "_waiters")
+
+    def __init__(self, sim: Simulator, kind: str = "", peer: Any = None):
         self.sim = sim
-        self.kind = kind
+        self._kind = kind
+        self._peer = peer
         self.data: Any = None
         self._done = False
         self._failed: BaseException | None = None
         self._waiters: list = []
+
+    @property
+    def kind(self) -> str:
+        return self._kind if self._peer is None else f"{self._kind}{self._peer}"
+
+    def __repr__(self) -> str:
+        state = ("failed" if self._failed is not None
+                 else "done" if self._done else "pending")
+        return f"<Request {self.kind} {state}>"
 
     @property
     def done(self) -> bool:
@@ -35,9 +53,11 @@ class Request:
             raise MpiError(f"request {self.kind!r} completed twice")
         self._done = True
         self.data = data
-        for ev in self._waiters:
-            ev.succeed(data)
-        self._waiters.clear()
+        waiters = self._waiters
+        if waiters:
+            for ev in waiters:
+                ev.succeed(data)
+            waiters.clear()
 
     def fail(self, exc: BaseException) -> None:
         if self._done:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError, NetworkError
 from repro.sim import Resource, Simulator
+from repro.sim.trace import CURRENT
 
-__all__ = ["LinkSpec", "Link"]
+__all__ = ["LinkSpec", "Link", "Transfer"]
 
 
 @dataclass(frozen=True)
@@ -74,36 +75,163 @@ class Link:
         Queues behind in-flight transfers, then holds the link for the
         serialization time.
         """
-        if nbytes < 0:
-            raise NetworkError(f"negative transfer size: {nbytes}")
-        req = self._res.request()
-        t0 = self.sim.now
-        try:
-            yield req
-            t0 = self.sim.now
-            duration = self.spec.serialization_time(nbytes)
-            faults = self.sim.faults
-            if faults is not None:
-                # Flap outages and degradation stretch the time the
-                # transfer holds the link (queueing everything behind it).
-                duration += faults.extra_wire_delay((self.label,), duration)
-            yield self.sim.timeout(duration)
-        finally:
-            # cancel() == release() once the slot was granted, and also
-            # covers unwinding while still queued (an interrupted
-            # process must not strand a slot other ranks share).
-            self._res.cancel(req)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.span(
-                t0, self.sim.now, "network", label or self.label,
-                track=f"link:{self.label}",
-                nbytes=nbytes, link=self.label, links=(self.label,),
-            )
-            m = tracer.metrics
-            m.inc("wire.bytes", nbytes, link=self.label)
-            m.inc("wire.transfers", 1, link=self.label)
-            m.inc("wire.busy_seconds", self.sim.now - t0, link=self.label)
+        yield from Transfer(self.sim, (self,), nbytes,
+                            self.spec.serialization_time(nbytes), label).run()
 
     def __repr__(self) -> str:
         return f"<Link {self.label} {self.spec.bandwidth / 1e9:.1f}GB/s>"
+
+
+class Transfer:
+    """One message holding every link of a route for its wire time.
+
+    A free link is taken on the spot; only a busy one queues a request
+    event, so an uncontended transfer is a single scheduler entry.  Once
+    every link is held the fault plane is asked for extra hold time
+    (flap outages, degradation — which queue everything behind), the
+    wire timer runs, the links are released and the ``network`` span and
+    ``wire.*`` metrics are recorded.
+
+    Two drivers share those steps: :meth:`run` is the generator a
+    protocol process delegates to, :meth:`start` drives them from
+    scheduler callbacks and calls ``on_done()`` — no process, no
+    generator frame.  ``duration`` is the route's total latency plus
+    serialization at its bottleneck; ``src``/``dst`` label a multi-link
+    route's span.
+    """
+
+    __slots__ = ("sim", "links", "nbytes", "duration", "label", "src", "dst",
+                 "parent", "t0", "_reqs", "_waiting", "_timer", "_on_done")
+
+    def __init__(self, sim: Simulator, links, nbytes: int, duration: float,
+                 label: str = "", src=None, dst=None, parent=CURRENT):
+        if nbytes < 0:
+            raise NetworkError(f"negative transfer size: {nbytes}")
+        self.sim = sim
+        self.links = links
+        self.nbytes = nbytes
+        self.duration = duration
+        self.label = label
+        self.src = src
+        self.dst = dst
+        self.parent = parent
+        self._reqs = None
+        self._timer = None
+        self._on_done = None
+
+    # -- shared steps ---------------------------------------------------
+    def _acquire(self):
+        """Take every free link now and queue for the busy ones; the
+        requests still to wait for, per link (``None`` = held), or
+        ``None`` when the whole route is held."""
+        reqs = None
+        for i, link in enumerate(self.links):
+            res = link._res
+            if not res.try_acquire():
+                if reqs is None:
+                    reqs = [None] * len(self.links)
+                reqs[i] = res.request()
+        self._reqs = reqs
+        return reqs
+
+    def _hold_time(self) -> float:
+        """Every link is held: stamp the span start, consult the fault
+        plane (one seeded draw per transfer, at grant time)."""
+        self.t0 = self.sim._now
+        duration = self.duration
+        faults = self.sim.faults
+        if faults is not None:
+            duration += faults.extra_wire_delay(
+                tuple(l.label for l in self.links), duration, self.parent)
+        return duration
+
+    def _release(self) -> None:
+        """Free held links and withdraw queued requests, so an unwound
+        (killed) sender cannot strand a link survivors share."""
+        reqs = self._reqs
+        if reqs is None:
+            for link in self.links:
+                link._res.release()
+            return
+        for link, req in zip(self.links, reqs):
+            if req is None:
+                link._res.release()
+            else:
+                link._res.cancel(req)
+
+    def _record(self, tracer) -> None:
+        now = self.sim._now
+        labels = tuple(l.label for l in self.links)
+        if len(labels) == 1:
+            name = labels[0]
+            tracer.span(self.t0, now, "network", self.label or name,
+                        track=f"link:{name}", parent=self.parent,
+                        nbytes=self.nbytes, link=name, links=labels)
+        else:
+            route = "+".join(labels)
+            tracer.span(self.t0, now, "network",
+                        self.label or f"{self.src}->{self.dst}",
+                        track=f"link:{route}", parent=self.parent,
+                        nbytes=self.nbytes, src=self.src, dst=self.dst,
+                        link=route, links=labels)
+        m = tracer.metrics
+        busy = now - self.t0
+        for name in labels:
+            m.inc("wire.bytes", self.nbytes, link=name)
+            m.inc("wire.transfers", 1, link=name)
+            m.inc("wire.busy_seconds", busy, link=name)
+
+    # -- generator driver -----------------------------------------------
+    def run(self):
+        try:
+            reqs = self._acquire()
+            if reqs is not None:
+                for req in reqs:
+                    if req is not None:
+                        yield req
+            yield self.sim.timeout(self._hold_time())
+        finally:
+            self._release()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._record(tracer)
+
+    # -- callback driver ------------------------------------------------
+    def start(self, on_done) -> None:
+        self._on_done = on_done
+        reqs = self._acquire()
+        if reqs is None:
+            self._begin()
+            return
+        waiting = [req for req in reqs if req is not None]
+        self._waiting = len(waiting)
+        for req in waiting:
+            req.add_callback(self._granted)
+
+    def _granted(self, _event) -> None:
+        if self._on_done is None:
+            return  # cancelled while this grant was in the schedule
+        self._waiting -= 1
+        if not self._waiting:
+            self._begin()
+
+    def _begin(self) -> None:
+        self._timer = self.sim.call_later(self._hold_time(), self._finish)
+
+    def _finish(self, _event) -> None:
+        self._timer = None
+        self._release()
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._record(tracer)
+        on_done, self._on_done = self._on_done, None
+        on_done()
+
+    def cancel(self) -> None:
+        """Abandon a started transfer: ``on_done`` is never called, the
+        links are freed now."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._on_done = None
+        self._release()

@@ -28,14 +28,14 @@ on overflow, which keeps behaviour deterministic.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import NetworkError
 from repro.faults.injector import DROPPED
-from repro.network.links import Link
+from repro.network.links import Link, Transfer
 from repro.network.presets import MachinePreset
 from repro.sim import Simulator
+from repro.sim.trace import CURRENT
 
 __all__ = ["Topology"]
 
@@ -223,48 +223,29 @@ class Topology:
         """
         links = self.route(src, dst)
         if links:
-            if len(links) == 1:
-                yield from links[0].transfer(nbytes, label=label)
-            else:
-                yield from self._cut_through(links, src, dst, nbytes, label)
+            yield from self._new_transfer(links, src, dst, nbytes, label).run()
         return self._deliver(src, dst, nbytes, payload)
 
-    def _cut_through(self, links, src: int, dst: int, nbytes: int, label: str):
+    def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
+                       on_done, parent=CURRENT) -> Transfer:
+        """:meth:`transfer` without a process: same route, same time,
+        same span and metrics, driven by scheduler callbacks; calls
+        ``on_done()`` when the bytes have arrived.  Carries no payload,
+        so nothing is dropped or corrupted (the eager protocol's
+        messages).  ``parent`` is the span the ``network`` span nests
+        under; the returned transfer has a ``cancel()``."""
+        xfer = self._new_transfer(self.route(src, dst), src, dst, nbytes,
+                                  label, parent)
+        xfer.start(on_done)
+        return xfer
+
+    def _new_transfer(self, links, src: int, dst: int, nbytes: int,
+                      label: str, parent=CURRENT) -> Transfer:
         # Cut-through across the whole route: hold every link together
         # for total-latency + bottleneck-serialization.
         bw, lat = self._path(src, dst)
-        reqs = [l._res.request() for l in links]
-        t0 = self.sim.now
-        try:
-            for r in reqs:
-                yield r
-            t0 = self.sim.now
-            duration = lat + nbytes / bw
-            faults = self.sim.faults
-            if faults is not None:
-                duration += faults.extra_wire_delay(
-                    tuple(l.label for l in links), duration)
-            yield self.sim.timeout(duration)
-        finally:
-            # cancel() == release() for granted slots and withdraws
-            # still-queued requests, so an interrupted (killed) sender
-            # cannot strand the HCA links survivors share.
-            for l, r in zip(links, reqs):
-                l._res.cancel(r)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            route = "+".join(l.label for l in links)
-            tracer.span(
-                t0, self.sim.now, "network", label or f"{src}->{dst}",
-                track=f"link:{route}",
-                nbytes=nbytes, src=src, dst=dst,
-                link=route, links=tuple(l.label for l in links),
-            )
-            m = tracer.metrics
-            for l in links:
-                m.inc("wire.bytes", nbytes, link=l.label)
-                m.inc("wire.transfers", 1, link=l.label)
-                m.inc("wire.busy_seconds", self.sim.now - t0, link=l.label)
+        return Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
+                        src, dst, parent)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):
         """Apply wire faults to a payload at its delivery point."""
@@ -289,6 +270,10 @@ class Topology:
         per-group leaf switches under a ``spine``; dragonfly adds
         per-group routers with direct group-to-group edges.
         """
+        # Imported here: networkx is a third of a launch's import time
+        # and only this inspection method uses it.
+        import networkx as nx
+
         g = nx.DiGraph()
         if self.kind == "flat":
             switch_of = {n: "switch" for n in range(self.nodes)}

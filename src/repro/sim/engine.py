@@ -9,6 +9,10 @@ resumes; the event's value is sent into the generator (or its exception
 is thrown in).  A process is itself an :class:`Event` that triggers when
 the generator returns, carrying the return value.
 
+Work that is one step per wake-up needs no generator:
+:meth:`Simulator.call_later` schedules a plain callback on a pooled
+event, in the same insertion order as everything else.
+
 Scheduling is a **calendar of per-instant buckets**: every distinct
 timestamp owns a plain list of events in insertion order, and a small
 heap orders only the distinct timestamps.  Popping therefore costs one
@@ -177,14 +181,14 @@ class Event:
 
 
 class _MicroEvent(Event):
-    """A pooled event for the init/poke one-shot wakeups that every
-    process spawn and interrupt allocates.
+    """A pooled event for the one-shot wakeups of process spawns,
+    interrupts and :meth:`Simulator.call_later`.
 
-    Micro events are never exposed to user code: exactly one callback is
-    attached before scheduling, nothing else ever holds a reference, and
-    the run loop returns each one to the simulator's freelist right
-    after dispatch.  The next spawn/interrupt reuses the object instead
-    of paying allocation plus slot initialisation.
+    Exactly one callback is attached before scheduling and the run loop
+    returns each one to the simulator's freelist right after dispatch;
+    the next spawn/interrupt/call reuses the object instead of paying
+    allocation plus slot initialisation.  Only ``call_later`` hands one
+    out, under the rule that the holder drops it once it has fired.
     """
 
     __slots__ = ()
@@ -227,9 +231,13 @@ class Process(Event):
     the generator fail the process event, propagating to any waiter.
     """
 
-    __slots__ = ("gen", "name", "_target", "_resume_cb")
+    __slots__ = ("gen", "_name", "_target", "_resume_cb", "__weakref__")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: Generator, name: Any = "",
+                 delay: float = 0.0):
+        """``name`` is a string, or a tuple of parts that :attr:`name`
+        joins on demand (so a hot spawn site formats nothing).  The
+        first resume runs ``delay`` seconds from now."""
         if not hasattr(gen, "send"):
             raise SimulationError(
                 f"Process needs a generator, got {type(gen).__name__}; "
@@ -247,13 +255,14 @@ class Process(Event):
         self._cancelled = False
         self._processed = False
         self.gen = gen
-        self.name = name or getattr(gen, "__name__", "process")
+        self._name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None
         # One bound method for the process's lifetime instead of a
-        # fresh allocation at every yield.
+        # fresh allocation at every yield.  It makes a reference cycle
+        # with the process, which _finish() breaks.
         self._resume_cb = rc = self._resume
-        # Kick off on the next scheduling round at the current time,
-        # reusing a pooled micro event when one is available.
+        # Kick off on a scheduling round ``delay`` from now, reusing a
+        # pooled micro event when one is available.
         free = sim._micro_free
         if free:
             init = free.pop()
@@ -265,13 +274,18 @@ class Process(Event):
         init._ok = True
         init._value = None
         init._cb1 = rc
-        t = sim._now
+        t = sim._now + delay
         bucket = sim._buckets.get(t)
         if bucket is None:
             sim._buckets[t] = [init]
             heapq.heappush(sim._times, t)
         else:
             bucket.append(init)
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        return "".join(map(str, name)) if isinstance(name, tuple) else name
 
     @property
     def is_alive(self) -> bool:
@@ -330,10 +344,20 @@ class Process(Event):
                 target = self.gen.throw(event._value)
         except StopIteration as stop:
             sim._active_process = None
-            self.succeed(stop.value)
+            self._finish()
+            if self._cb1 is None and self.callbacks is None:
+                # Nobody waits on this process: it is done without a
+                # schedule entry (a later waiter sees a processed event
+                # and runs at once).
+                self._ok = True
+                self._value = stop.value
+                self._processed = True
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:
             sim._active_process = None
+            self._finish()
             self.fail(exc)
             return
         sim._active_process = None
@@ -345,6 +369,14 @@ class Process(Event):
             raise SimulationError("yielded event belongs to a different Simulator")
         self._target = target
         target.add_callback(self._resume_cb)
+
+    def _finish(self) -> None:
+        """Drop the generator, the last target and the cached bound
+        method, so a finished process is freed by reference counting
+        instead of waiting for the cycle collector.  A stale wake-up
+        still reaches :meth:`_resume` through the waker's own
+        reference and returns at the guard."""
+        self.gen = self._target = self._resume_cb = None
 
 
 class _Condition(Event):
@@ -491,14 +523,48 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, gen: Generator, name: str = "") -> Process:
-        proc = Process(self, gen, name=name)
+    def process(self, gen: Generator, name: Any = "",
+                delay: float = 0.0) -> Process:
+        """Spawn a process whose first resume runs ``delay`` from now."""
+        proc = Process(self, gen, name, delay)
         if self.tracer is not None:
             # Spawned work inherits the spawner's open span as its
             # parent, keeping kernel/partition workers inside the
             # pipeline step that launched them.
             self.tracer._on_process_spawn(proc)
         return proc
+
+    def call_later(self, delay: float, fn: Callable[[Event], None],
+                   value: Any = None) -> Event:
+        """Run ``fn(event)`` ``delay`` seconds from now; ``event.value``
+        is ``value``.  The cheap alternative to a process for work that
+        is one step per wake-up.
+
+        The returned event is pooled: it may be cancelled
+        (:meth:`Event.cancel`) while pending, and the caller must drop
+        its reference once ``fn`` has run, because the next
+        ``call_later`` or spawn reuses the object."""
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay: {delay}")
+        free = self._micro_free
+        if free:
+            ev = free.pop()
+            ev._processed = False
+            ev._defused = False
+            ev._cancelled = False
+        else:
+            ev = _MicroEvent(self)
+        ev._ok = True
+        ev._value = value
+        ev._cb1 = fn
+        t = self._now + delay
+        bucket = self._buckets.get(t)
+        if bucket is None:
+            self._buckets[t] = [ev]
+            heapq.heappush(self._times, t)
+        else:
+            bucket.append(ev)
+        return ev
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

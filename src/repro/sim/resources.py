@@ -3,7 +3,8 @@
 :class:`Resource`
     A counted resource (capacity *n*): link lanes, DMA engines, SM
     quota.  ``request()`` returns an event that triggers when a slot is
-    granted; ``release()`` frees it.
+    granted; ``try_acquire()`` takes a free slot without an event;
+    ``release()`` frees it.
 
 :class:`Store`
     An unbounded (or bounded) FIFO of Python objects with blocking
@@ -69,6 +70,15 @@ class Resource:
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return len(self._queue)
+
+    def try_acquire(self) -> bool:
+        """Take a free slot now, with no request event; False when the
+        resource is full (then :meth:`request` queues).  The holder
+        frees the slot with a bare :meth:`release`."""
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
 
     def request(self) -> _Request:
         req = _Request(self.sim)

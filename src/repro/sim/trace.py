@@ -44,7 +44,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = ["TraceRecord", "Tracer", "SpanHandle", "trace_scope",
-           "group_lanes", "group_by_seq"]
+           "group_lanes", "group_by_seq", "CURRENT"]
+
+#: default ``parent=`` of :meth:`Tracer.span`: the innermost span open
+#: in the active process.  Work recorded from a scheduler callback runs
+#: in no process, so it passes the handle its rank had open when the
+#: operation was issued (``tracer.current_span()`` at that time).
+CURRENT = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +140,15 @@ class Tracer:
         if parent is not None:
             self._inherited[proc] = parent
 
+    def reparent(self, proc, parent: Optional[SpanHandle]) -> None:
+        """Make ``parent`` the base parent of ``proc`` in place of the
+        spawner's open span — for a process spawned on behalf of a rank
+        from outside that rank's own processes."""
+        if parent is not None:
+            self._inherited[proc] = parent
+        else:
+            self._inherited.pop(proc, None)
+
     def _time(self, t: Optional[float]) -> float:
         if t is not None:
             return t
@@ -217,12 +232,16 @@ class Tracer:
 
     def span(self, t_start: float, t_end: float, category: str, label: str = "",
              *, rank: Optional[int] = None, track: Optional[str] = None,
-             **meta) -> TraceRecord:
+             parent: Any = CURRENT, **meta) -> TraceRecord:
         """Record a closed interval (leaf span).  The parent is the
-        innermost span still open in the current process."""
+        innermost span still open in the current process, or the given
+        ``parent`` handle if that is still open."""
         if t_end < t_start:
             raise ValueError(f"span ends before it starts: [{t_start}, {t_end}]")
-        parent = self.current_span()
+        if parent is CURRENT:
+            parent = self.current_span()
+        elif parent is not None and not parent.open:
+            parent = None
         rec = TraceRecord(t_start, t_end, category, label, meta, rank, track,
                           next(self._ids), parent.span_id if parent else None)
         self.records.append(rec)

@@ -1,0 +1,317 @@
+"""The process-free eager message path (``repro.mpi.eager``).
+
+Every simulated time, span count and trace fingerprint pinned here was
+captured from the generator-based protocol this path replaced, *before*
+the replacement, so the tests hold the new path to the old timeline bit
+for bit — including under contention, where same-instant event order
+decides who wins a shared link.  Event counts are the new path's own:
+they are what the change is for.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.check.sanitize import TraceSanitizer
+from repro.core.header import CompressionHeader
+from repro.errors import RankFailedError
+from repro.faults import FaultPlan
+from repro.faults.plan import RankFailure
+from repro.mpi import ANY_SOURCE
+from repro.mpi.cluster import Cluster
+from repro.mpi.failstop import KillCause, KilledRank
+from repro.mpi.request import waitall
+from repro.mpi.resilience import ResilienceConfig
+from repro.mpi.wire import WireImage
+from repro.sim import Interrupt, Process, Timeout
+from repro.sim.resources import _Request
+from repro.sim.trace import trace_scope
+
+
+def block(rank, n=1024):
+    """A 4 KiB (by default) eager payload naming its sender."""
+    return np.full(n, rank, dtype=np.float32)
+
+
+def fingerprint(tracer) -> str:
+    """Digest of every span's full identity: times, ids, parents, meta."""
+    h = hashlib.sha256()
+    for r in tracer.records:
+        h.update(repr(r.key()).encode())
+    return h.hexdigest()[:16]
+
+
+def shared_bus_cluster():
+    """2 nodes x 4 GPUs behind one PCIe bus and one HCA per node: every
+    message contends."""
+    return Cluster("frontera-liquid", nodes=2, gpus_per_node=4)
+
+
+# -- contended eager traffic ---------------------------------------------------
+
+def barrier_then_allgather(comm):
+    yield from comm.barrier()
+    got = yield from comm.allgather(block(comm.rank))
+    assert all((g == i).all() for i, g in enumerate(got))
+    return comm.now
+
+
+#: per-rank completion times of the generator protocol (parent commit)
+CONTENDED_TIMES = [
+    0.00011289713235294123, 0.00011617870098039222,
+    0.00012052536764705889, 0.00012052536764705889,
+    0.00011289713235294123, 0.00011617870098039222,
+    0.00012052536764705889, 0.00012052536764705889,
+]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_contended_times_match_generator_protocol(trace):
+    res = shared_bus_cluster().run(barrier_then_allgather, trace=trace)
+    assert res.values == CONTENDED_TIMES
+    assert res.elapsed == 0.00012052536764705889
+
+
+def test_contended_trace_is_span_for_span_the_generator_protocols():
+    res = shared_bus_cluster().run(barrier_then_allgather, trace=True)
+    assert len(res.tracer.records) == 96
+    # ids, parents (the collective span each rank had open at isend
+    # time), link tracks and metadata of all 96 spans
+    assert fingerprint(res.tracer) == "a5355723f71786f8"
+    # 882 events before: this is where a reordering would show first
+    assert res.tracer.event_count == 514
+
+
+def test_events_per_message_budget():
+    def allgather(comm):
+        yield from comm.allgather(block(comm.rank))
+
+    res = Cluster("fat-tree", nodes=4, gpus_per_node=4).run(allgather)
+    sends = res.tracer.metrics.counter_total("mpi.sends")
+    assert sends == 240
+    assert res.tracer.event_count / sends <= 6.5  # 10.6 before
+
+
+# -- no process, timeout or request object on the uncontended path ------------------
+
+def test_uncontended_eager_message_constructs_no_process_timeout_or_request(
+        monkeypatch):
+    made = {Process: 0, Timeout: 0, _Request: 0}
+    for cls in made:
+        init = cls.__init__
+
+        def counting(self, *a, _cls=cls, _init=init, **kw):
+            made[_cls] += 1
+            _init(self, *a, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def pingpong(comm):
+        for i in range(20):
+            if comm.rank == 0:
+                yield from comm.send(block(0), 1, tag=i)
+                yield from comm.recv(1, tag=i)
+            else:
+                yield from comm.recv(0, tag=i)
+                yield from comm.send(block(1), 0, tag=i)
+
+    Cluster("longhorn", nodes=2, gpus_per_node=1).run(pingpong, trace=False)
+    # the two rank processes are all there is: 40 messages made nothing
+    assert made == {Process: 2, Timeout: 0, _Request: 0}
+
+
+# -- link faults ------------------------------------------------------------------
+
+FLAKY_LINKS = FaultPlan(seed=7, degrade_rate=0.3, degrade_factor=3.0,
+                        flap_period=40e-6, flap_down=5e-6)
+
+#: per-rank completion times of the generator protocol under FLAKY_LINKS
+FLAKY_TIMES = [
+    0.000200838431372549, 0.00019019999999999993,
+    0.00018585333333333328, 0.00018585333333333328,
+    0.0001997733333333333, 0.00020411999999999996,
+    0.00021804000000000002, 0.00021804000000000002,
+]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_eager_under_link_faults_keeps_times_and_draw_sequence(trace):
+    """Degradation draws from the seeded injector at grant time; equal
+    times mean the draws still happen in the same order."""
+    res = shared_bus_cluster().run(barrier_then_allgather, trace=trace,
+                                   faults=FLAKY_LINKS)
+    assert res.values == FLAKY_TIMES
+    if trace:
+        assert len(res.tracer.records) == 129
+        assert fingerprint(res.tracer) == "cbd31db089160a64"
+
+
+# -- fail-stop ---------------------------------------------------------------------
+
+def test_kill_with_eager_sends_queued_on_a_shared_hca():
+    """Ranks 0-3 each queue six eager sends on node 0's uplink; rank 1
+    dies with all six of its own still waiting for the link."""
+    requests = {}
+
+    def storm(comm):
+        peer = (comm.rank + 4) % 8
+        if comm.rank < 4:
+            reqs = requests[comm.rank] = [
+                comm.isend(block(comm.rank), peer, tag=i) for i in range(6)]
+            yield from waitall(reqs)
+        else:
+            try:
+                for i in range(6):
+                    yield from comm.recv(peer, tag=i)
+            except RankFailedError as exc:
+                return exc.failed_rank
+        return comm.now
+
+    plan = FaultPlan(seed=1, rank_failures=(RankFailure(rank=1, at_time=4e-6),))
+    res = shared_bus_cluster().run(storm, faults=plan)
+
+    # the survivors' later transfers over that uplink complete, at the
+    # generator protocol's times: nothing of rank 1's holds a slot
+    assert [res.values[r] for r in (0, 2, 3)] == [
+        2.7470588235294116e-05, 5.394117647058823e-05, 8.041176470588234e-05]
+    assert [res.values[r] for r in (4, 6, 7)] == [
+        2.7470588235294116e-05, 5.394117647058823e-05, 8.041176470588234e-05]
+    assert isinstance(res.values[1], KilledRank)
+    assert res.values[5] == 1  # rank 5 detected its dead peer
+    # the victim's requests failed with the kill
+    for req in requests[1]:
+        assert req.done
+        with pytest.raises(Interrupt) as err:
+            req.test()
+        assert isinstance(err.value.cause, KillCause) and err.value.cause.rank == 1
+    assert all(r.test() for r in requests[0] + requests[2] + requests[3])
+    assert TraceSanitizer.from_tracer(res.tracer).check_liveness() == []
+    assert fingerprint(res.tracer) == "f675feff474679f5"
+
+
+def test_kill_withdraws_a_posted_receive_without_the_detector():
+    """Fail-stop plan, failure detector off: receives stay on the
+    callback path and are adopted as handles.  The dead rank's posted
+    receive swallows a late envelope, as its generator's post did."""
+    requests = {}
+
+    def fn(comm):
+        if comm.rank == 1:
+            requests["recv"] = comm.irecv(0, tag=5)
+            yield from requests["recv"].wait()
+        elif comm.rank == 0:
+            yield comm.sim.timeout(20e-6)
+            requests["send"] = comm.isend(block(0), 1, tag=5)
+            yield from requests["send"].wait()
+        return comm.now
+
+    plan = FaultPlan(seed=1, rank_failures=(RankFailure(rank=1, at_time=10e-6),))
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        fn, faults=plan, resilience=ResilienceConfig())
+    assert isinstance(res.values[1], KilledRank)
+    with pytest.raises(Interrupt):
+        requests["recv"].test()
+    assert requests["send"].test()
+    assert res.values[0] == pytest.approx(20e-6 + 1e-6 + 2 * 1.5e-6
+                                          + (4096 + 64) / 12.5e9)
+    assert res.runtime.matching_of(1).unexpected_count == 0
+
+
+# -- self-send, wildcard match, envelope before post: plain and wire payloads ---------
+
+def wire_of(arr):
+    return WireImage(header=CompressionHeader.uncompressed(arr.nbytes),
+                     payload=arr, wire_nbytes=arr.nbytes)
+
+
+def small_cases(comm, use_wire):
+    x = block(comm.rank, 256)
+    if use_wire:
+        def isend(data, dest, tag):
+            return comm.isend_wire(wire_of(data), dest, tag)
+
+        recv, unwrap = comm.recv_wire, (lambda w: w.payload)
+    else:
+        isend, recv, unwrap = comm.isend, comm.recv, (lambda a: a)
+    log = []
+    # self-send
+    sreq = isend(x, comm.rank, 3)
+    got = yield from recv(comm.rank, tag=3)
+    yield from sreq.wait()
+    assert (unwrap(got) == comm.rank).all()
+    log.append(comm.now)
+    yield from comm.barrier()
+    # ANY_SOURCE: three staggered senders, one wildcard receiver
+    if comm.rank == 0:
+        with trace_scope(comm.sim, "app", "drain", rank=0):
+            srcs = []
+            for _ in range(comm.size - 1):
+                got = yield from recv(ANY_SOURCE, tag=9)
+                srcs.append(int(unwrap(got)[0]))
+        log.append(srcs)
+    else:
+        yield comm.sim.timeout(comm.rank * 0.7e-6)
+        yield from isend(x, 0, 9).wait()
+    log.append(comm.now)
+    yield from comm.barrier()
+    # the envelope arrives long before the receive is posted
+    if comm.rank == 1:
+        yield from isend(x, 2, 11).wait()
+    elif comm.rank == 2:
+        yield comm.sim.timeout(50e-6)
+        got = yield from recv(1, tag=11)
+        assert (unwrap(got) == 1).all()
+    log.append(comm.now)
+    return log
+
+
+@pytest.mark.parametrize("use_wire", [False, True])
+def test_self_send_wildcard_and_early_envelope(use_wire):
+    res = Cluster("longhorn", nodes=2, gpus_per_node=2).run(
+        small_cases, args=(use_wire,))
+    # times of the generator protocol, identical for both payload kinds
+    assert res.values == [
+        [1e-06, [1, 3, 2], 1.828448e-05, 2.8295746666666666e-05],
+        [1e-06, 1.2724906666666667e-05, 3.2382786666666666e-05],
+        [1e-06, 1.828448e-05, 7.929574666666667e-05],
+        [1e-06, 1.519744e-05, 2.8295746666666666e-05],
+    ]
+    m = res.tracer.metrics
+    assert m.counter("mpi.sends", protocol="self") == 4
+    # the two barriers' 16 tokens are plain eager sends either way
+    assert m.counter("mpi.sends", protocol="eager") == (16 if use_wire else 20)
+    assert m.counter("mpi.sends", protocol="wire_eager") == (4 if use_wire else 0)
+    assert m.counter_total("matching.unexpected") == 7
+    by_id = res.tracer.by_id()
+    wild = [r for r in res.tracer.records if r.label == "wildcard_match"]
+    assert [(r.rank, r.meta["src"], r.t_start) for r in wild] == [
+        (0, 1, 1.30156e-05), (0, 3, 1.519744e-05), (0, 2, 1.828448e-05)]
+    # the first envelope beat its post (recorded under the receiver's
+    # open span); the other two matched a waiting post from the
+    # sender's side, where no span was open
+    assert [by_id[r.parent_id].label if r.parent_id else None
+            for r in wild] == ["drain", None, None]
+    # the payload kind changes a counter label and nothing in the trace
+    assert fingerprint(res.tracer) == "b174ad4a1b6011d6"
+
+
+def test_network_span_nests_under_the_span_open_at_isend_time():
+    def fn(comm):
+        if comm.rank == 0:
+            with trace_scope(comm.sim, "app", "phase", rank=0):
+                req = comm.isend(block(0), 1)
+                yield from req.wait()
+            # issued under a span that has closed by wire time: no parent
+            with trace_scope(comm.sim, "app", "brief", rank=0):
+                req = comm.isend(block(0), 1)
+            yield from req.wait()
+        else:
+            yield from comm.recv(0)
+            yield from comm.recv(0)
+
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(fn)
+    by_id = res.tracer.by_id()
+    net = [r for r in res.tracer.records if r.category == "network"]
+    assert [by_id[r.parent_id].label if r.parent_id else None
+            for r in net] == ["phase", None]

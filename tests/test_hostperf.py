@@ -214,3 +214,35 @@ def test_compare_heap_growth_is_a_regression():
     cmp = hostperf.compare(_snap(peak_heap_bytes=1 << 20),
                            _snap(peak_heap_bytes=4 << 20), threshold=0.30)
     assert cmp.ok
+
+
+# -- message-path points --------------------------------------------------------
+
+def test_matrix_includes_message_path_points():
+    for quick in (True, False):
+        names = [mb.name for mb in hostperf.benchmark_matrix(quick=quick)]
+        assert "e2e/scale-allgather-64" in names
+        assert "msg/events_per_message" in names
+
+
+def test_events_per_message_point_is_exact_and_within_budget():
+    a = hostperf.collect(quick=True, reps=1, only="msg/")
+    b = hostperf.collect(quick=True, reps=1, only="msg/")
+    m = a["benchmarks"]["msg/events_per_message"]["metrics"]
+    assert m == b["benchmarks"]["msg/events_per_message"]["metrics"]
+    assert m["n_messages"] == 64 * 63
+    assert m["events_per_message"] <= 6.5
+
+
+def test_scale_allgather_point_collects():
+    doc = hostperf.collect(quick=True, reps=1, only="e2e/scale-allgather-64")
+    assert doc["benchmarks"]["e2e/scale-allgather-64"]["metrics"]["run_s"] > 0
+
+
+def test_compare_gates_exact_counts_at_zero_tolerance():
+    base = _snap(events_per_message=5.0)
+    assert hostperf.compare(_snap(events_per_message=5.0), base).ok
+    worse = hostperf.compare(_snap(events_per_message=5.01), base)
+    assert not worse.ok  # far inside the 30% timing threshold, still gated
+    better = hostperf.compare(_snap(events_per_message=4.0), base)
+    assert better.ok and len(better.drifts) == 1

@@ -250,3 +250,28 @@ def test_cluster_determinism(two_node_cluster):
     e1 = two_node_cluster.run(rank_fn, config=CompressionConfig.mpc_opt()).elapsed
     e2 = two_node_cluster.run(rank_fn, config=CompressionConfig.mpc_opt()).elapsed
     assert e1 == e2
+
+
+def test_request_kind_is_rendered_from_parts(sim):
+    req = Request(sim, "isend->", 3)
+    assert req.kind == "isend->3"
+    assert repr(req) == "<Request isend->3 pending>"
+    req.complete()
+    assert repr(req) == "<Request isend->3 done>"
+    with pytest.raises(MpiError, match=r"request 'isend->3' completed twice"):
+        req.complete()
+    assert Request(sim, "irecv<-", ANY).kind == "irecv<--1"
+    assert Request(sim).kind == ""
+
+
+def test_post_calls_back_at_match_time(sim):
+    m = MatchingEngine(sim, rank=1)
+    got = []
+    m.post(0, 7, got.append)
+    assert m.pending_recvs == 1 and not got
+    m.deliver_envelope(pkt(src=0, tag=7, seq=4))
+    assert [p.seq for p in got] == [4] and m.pending_recvs == 0
+    # an envelope already waiting matches inside post()
+    m.deliver_envelope(pkt(src=2, tag=9, seq=5))
+    m.post(ANY, 9, got.append)
+    assert [p.seq for p in got] == [4, 5] and m.idle

@@ -346,3 +346,81 @@ def test_cross_group_transfer_slower_than_in_group():
     in_group = timed(18, 0, 1)
     cross_group = timed(18, 0, 17)
     assert cross_group > in_group  # two extra trunk hops of latency
+
+
+# -- callback-driven transfers ----------------------------------------------------
+
+def test_start_transfer_matches_generator_transfer_time_span_and_metrics():
+    def record(run):
+        sim, topo = _topo("fat-tree", nodes=32, gpn=2)
+        run(sim, topo)
+        sim.run()
+        rec = sim.tracer.records[0]
+        return (sim.now, rec.key(),
+                sim.tracer.metrics.counter_total("wire.bytes"))
+
+    def generator(sim, topo):
+        sim.process(topo.transfer(0, 63, 4096, label="eager"))
+
+    def callback(sim, topo):
+        topo.start_transfer(0, 63, 4096, "eager", lambda: None)
+
+    # cross-group: uplink, two trunks, downlink held together
+    assert record(generator) == record(callback)
+
+
+def test_start_transfer_on_free_links_is_one_scheduler_entry():
+    sim, topo = _topo()
+    done = []
+    topo.start_transfer(0, 2, 4096, "eager", lambda: done.append(sim.now))
+    sim.run()
+    assert done == [pytest.approx(2 * IB_EDR.latency + 4096 / IB_EDR.bandwidth)]
+    assert sim.tracer.event_count == 1
+
+
+def test_start_transfer_queues_behind_a_busy_link_in_request_order():
+    sim, topo = _topo()
+    done = []
+    for name in "abc":
+        topo.start_transfer(0, 2, 1 * MiB, "eager",
+                            lambda name=name: done.append((name, sim.now)))
+    sim.run()
+    one = 2 * IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth
+    assert [n for n, _ in done] == ["a", "b", "c"]
+    assert [t for _, t in done] == pytest.approx([one, 2 * one, 3 * one])
+
+
+@pytest.mark.parametrize("when", ["queued", "on the wire"])
+def test_cancelled_transfer_frees_its_links_and_never_completes(when):
+    sim, topo = _topo()
+    done = []
+    first = topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("first"))
+    second = topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("second"))
+    (second if when == "queued" else first).cancel()
+    topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("third"))
+    sim.run()
+    survivor = "first" if when == "queued" else "second"
+    assert done == [survivor, "third"]
+    assert all(l._res.count == 0 and l.queued == 0 for l in topo.route(0, 2))
+    one = 2 * IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth
+    assert sim.now == pytest.approx(2 * one)
+
+
+def test_cluster_run_never_imports_networkx():
+    """networkx is a third of a launch's import time; only graph() needs it."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from repro.mpi.cluster import Cluster\n"
+        "def fn(comm):\n"
+        "    yield from comm.barrier()\n"
+        "Cluster('fat-tree', nodes=2, gpus_per_node=2).run(fn)\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "from repro.network import Topology, machine_preset\n"
+        "from repro.sim import Simulator\n"
+        "g = Topology(Simulator(), machine_preset('fat-tree'), 2, 2).graph()\n"
+        "assert 'networkx' in sys.modules and g.number_of_nodes() == 8\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

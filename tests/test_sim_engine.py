@@ -543,3 +543,133 @@ def test_storm_bare_matches_instrumented_and_repeats():
     assert now1 == now2 == now3
     assert len(bare1) == 1024
     assert tracer.event_count > 0
+
+
+# -- call_later, delayed spawn, silent finish, cycle-free processes ------------
+
+def test_call_later_runs_callback_with_value_and_recycles_the_event(sim):
+    seen = []
+    ev = sim.call_later(2.0, lambda e: seen.append((sim.now, e.value)), "v")
+    sim.call_later(1.0, lambda e: seen.append((sim.now, e.value)))
+    sim.run()
+    assert seen == [(1.0, None), (2.0, "v")]
+    assert ev in sim._micro_free  # pooled: the holder must have dropped it
+    with pytest.raises(SimulationError):
+        sim.call_later(-1.0, seen.append)
+
+
+def test_call_later_cancel_never_advances_the_clock(sim):
+    fired = []
+    sim.call_later(5.0, fired.append).cancel()
+    sim.call_later(1.0, fired.append)
+    sim.run()
+    assert len(fired) == 1 and sim.now == 1.0
+
+
+def test_call_later_keeps_insertion_order_within_an_instant(sim):
+    order = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        order.append("timeout")
+
+    sim.call_later(1.0, lambda e: order.append("first"))
+    sim.process(proc(sim))  # its timeout is scheduled at t=0, after "first"
+    sim.call_later(1.0, lambda e: order.append("second"))
+    sim.run()
+    assert order == ["first", "second", "timeout"]
+
+
+def test_process_delay_starts_later_without_extra_events():
+    from repro.sim import Tracer
+
+    sim = Simulator()
+    tracer = Tracer(sim)
+    started = []
+
+    def proc(sim):
+        started.append(sim.now)
+        yield sim.timeout(1.0)
+
+    sim.process(proc(sim), delay=0.5)
+    sim.run()
+    assert started == [0.5] and sim.now == 1.5
+    # the delayed start and the timeout; the finish has no waiter
+    assert tracer.event_count == 2
+
+
+def test_finished_process_with_no_waiter_schedules_nothing(sim):
+    def child(sim):
+        yield sim.timeout(1.0)
+        return "c"
+
+    def late_waiter(sim, p):
+        yield sim.timeout(2.0)
+        return (yield p)  # finished long ago: resumes at once
+
+    p = sim.process(child(sim))
+    w = sim.process(late_waiter(sim, p))
+    sim.run()
+    assert p.processed and p.value == "c"
+    assert w.value == "c" and sim.now == 2.0
+
+
+def test_finished_process_with_a_waiter_still_wakes_it(sim):
+    def child(sim):
+        yield sim.timeout(1.0)
+        return 7
+
+    def parent(sim):
+        return (yield sim.process(child(sim))) + 1
+
+    assert sim.run_process(parent(sim)) == 8
+
+
+def test_process_name_parts_are_joined_on_demand(sim):
+    def noop(sim):
+        return
+        yield  # pragma: no cover
+
+    p = sim.process(noop(sim), name=("isend", 3, "->", 4))
+    q = sim.process(noop(sim))
+    sim.run()
+    assert p.name == "isend3->4"
+    assert q.name == "noop"  # the generator's name, kept past its release
+
+
+def test_finished_processes_are_freed_without_the_cycle_collector(monkeypatch):
+    """A process used to hold a bound method of itself for life, so only
+    the cycle collector could free it.  16 ranks, rendezvous included."""
+    import gc
+    import weakref
+
+    import numpy as np
+
+    from repro.mpi.cluster import Cluster
+    from repro.sim import Process
+
+    refs = []
+    init = Process.__init__
+
+    def tracking(self, *a, **kw):
+        init(self, *a, **kw)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(Process, "__init__", tracking)
+
+    def fn(comm):
+        small = np.full(1024, comm.rank, dtype=np.float32)
+        big = np.full(1 << 16, comm.rank, dtype=np.float32)  # rendezvous
+        yield from comm.allgather(small)
+        yield from comm.allgather(big)
+
+    gc.collect()
+    gc.disable()
+    try:
+        res = Cluster("fat-tree", nodes=4, gpus_per_node=4).run(fn, trace=False)
+        del res
+        alive = [r() for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 16 + 2 * 240  # ranks + a process per rendezvous side
+    assert alive == []

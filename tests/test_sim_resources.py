@@ -214,3 +214,13 @@ def test_tokenpool_models_concurrent_kernels(sim):
     assert by_label["k0"] == (0.0, 1.0)
     assert by_label["k1"] == (0.0, 1.0)
     assert by_label["k2"] == (1.0, 2.0)
+
+
+def test_try_acquire_takes_a_free_slot_without_an_event(sim):
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire() and res.count == 1
+    assert not res.try_acquire()  # full: the caller falls back to request()
+    queued = res.request()
+    assert not queued.triggered and res.queued == 1
+    res.release()  # a slot taken by try_acquire is freed by a bare release
+    assert queued.triggered and res.count == 1

@@ -191,3 +191,36 @@ def test_dag_accessors():
     anc = tr.ancestors_of(recs["leaf"].span_id)
     assert [r.label for r in anc] == ["b", "a"]  # innermost first
     assert tr.ancestors_of(recs["root2"].span_id) == []
+
+
+def test_span_explicit_parent_outside_any_process():
+    sim = Simulator()
+    tr = Tracer(sim)
+    outer = tr.begin("app", "outer")
+    brief = tr.begin("app", "brief")
+    tr.end(brief)
+    a = tr.span(0.0, 0.0, "network", "a", parent=outer)
+    b = tr.span(0.0, 0.0, "network", "b", parent=brief)  # closed by now
+    c = tr.span(0.0, 0.0, "network", "c", parent=None)
+    assert (a.parent_id, b.parent_id, c.parent_id) == (outer.span_id, None, None)
+
+
+def test_reparent_overrides_the_spawners_open_span():
+    sim = Simulator()
+    tr = Tracer(sim)
+    receiver_side = tr.begin("collective", "allgather", rank=1)
+
+    def rendezvous(sim):
+        yield sim.timeout(1.0)
+        tr.span(sim.now, sim.now, "pipeline", "cts", rank=1)
+
+    def sender(sim):
+        with tr.open_span("pipeline", "rts", rank=0):
+            proc = sim.process(rendezvous(sim))  # would inherit "rts"
+            tr.reparent(proc, receiver_side)
+            yield sim.timeout(2.0)
+
+    sim.process(sender(sim))
+    sim.run()
+    cts = next(r for r in tr.records if r.label == "cts")
+    assert cts.parent_id == receiver_side.span_id
