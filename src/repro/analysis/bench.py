@@ -445,10 +445,13 @@ class Drift:
             return f"[{tag}] {self.scenario}: {self.metric} missing from baseline"
         if self.current is None:
             return f"[{tag}] {self.scenario}: {self.metric} missing from current"
+        moved = f"{self.baseline!r} -> {self.current!r}"
+        if isinstance(self.baseline, str) or isinstance(self.current, str):
+            # header fields (mode, schema) drift as labels, not numbers
+            return f"[{tag}] {self.scenario}: {self.metric} {moved}"
         delta = self.current - self.baseline
         rel = 100.0 * delta / self.baseline if self.baseline else float("inf")
-        return (f"[{tag}] {self.scenario}: {self.metric} "
-                f"{self.baseline} -> {self.current} ({rel:+.2f}%)")
+        return f"[{tag}] {self.scenario}: {self.metric} {moved} ({rel:+.2f}%)"
 
 
 @dataclass

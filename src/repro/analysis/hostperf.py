@@ -32,6 +32,15 @@ Every benchmark here exercises real code on deterministic data:
 * ``msg/events_per_message`` — scheduler events per point-to-point
   message on that allgather, traced.  A deterministic count, not a
   timing: the budget the eager message path is held to.
+* ``e2e/coll-relay-16`` — wall seconds of the three keep-compressed
+  collectives of perfbench's ``coll-relay-16`` workload (16 ranks,
+  ``mpc-opt``: allgather 512 KiB, ring allreduce 2 MiB, bcast 2 MiB of
+  ``msg_sppm``), untraced, cold codec cache;
+* ``coll/codec_decodes_per_message`` — real ``decompress`` executions
+  per point-to-point message of an 8-rank ``mpc-opt`` ring allreduce.
+  A deterministic count: the data plane's budget is one decode per
+  arrival plus one per distinct final chunk, and none of a buffer the
+  rank already holds.
 
 Engine benchmarks also report ``peak_heap_bytes`` (tracemalloc peak,
 measured in its own untimed pass so instrumentation overhead never
@@ -47,7 +56,8 @@ Snapshot schema (``schema_version`` 1)::
       "reps": <k>,
       "benchmarks": {
         "<name>": {
-          "kind": "codec" | "engine" | "engine-scale" | "e2e" | "msg",
+          "kind": "codec" | "engine" | "engine-scale" | "e2e" | "msg"
+                  | "coll-relay" | "coll-decodes",
           "params": {...},
           "metrics": {"<metric>": <number>, ...}
         }
@@ -139,6 +149,13 @@ def benchmark_matrix(quick: bool = True) -> list[Microbench]:
     out.append(Microbench("msg/events_per_message", "msg",
                           {"machine": "fat-tree", "nodes": 16, "ppn": 4,
                            "nbytes": 4096}))
+    out.append(Microbench("e2e/coll-relay-16", "coll-relay",
+                          {"machine": "frontera-liquid", "nodes": 8, "ppn": 2,
+                           "gather_nbytes": 512 * KiB,
+                           "reduce_nbytes": 2 * MiB, "bcast_nbytes": 2 * MiB}))
+    out.append(Microbench("coll/codec_decodes_per_message", "coll-decodes",
+                          {"machine": "frontera-liquid", "nodes": 4, "ppn": 2,
+                           "nbytes": 1 * MiB}))
     return out
 
 
@@ -343,9 +360,68 @@ def _run_msg(params: dict, reps: int) -> dict:
             "n_events": float(n_events), "n_messages": float(n_messages)}
 
 
+def _sppm_blocks(n: int, nbytes: int, salt: int) -> list:
+    """``n`` distinct ``msg_sppm`` payloads (one per rank)."""
+    from repro.omb.payload import make_payload
+
+    return [make_payload("dataset:msg_sppm", nbytes, seed=salt + r)
+            for r in range(n)]
+
+
+def _run_coll_relay(params: dict, reps: int) -> dict:
+    """The three keep-compressed collectives perfbench's
+    ``coll-relay-16`` times, as one untraced run."""
+    from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.core.config import CompressionConfig
+    from repro.mpi.cluster import Cluster
+
+    n = params["nodes"] * params["ppn"]
+    gather = _sppm_blocks(n, params["gather_nbytes"], 0)
+    reduce = _sppm_blocks(n, params["reduce_nbytes"], 100)
+    bcast = _sppm_blocks(1, params["bcast_nbytes"], 200)[0]
+    cluster = Cluster(params["machine"], nodes=params["nodes"],
+                      gpus_per_node=params["ppn"])
+    config = CompressionConfig.mpc_opt()
+
+    def rank_fn(comm):
+        yield from comm.allgather(gather[comm.rank])
+        yield from comm.allreduce(reduce[comm.rank], algorithm="ring")
+        yield from comm.bcast(bcast if comm.rank == 0 else None, root=0)
+
+    def one_run() -> None:
+        GLOBAL_CODEC_CACHE.clear()  # every rep does the same cold-cache work
+        cluster.run(rank_fn, config=config, trace=False)
+
+    return {"run_s": _r(_time_median(one_run, max(1, reps // 3)))}
+
+
+def _run_coll_decodes(params: dict, reps: int) -> dict:
+    """Real decode executions per message of a traced ring allreduce —
+    exact, so one run, whatever ``reps`` says."""
+    from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.core.config import CompressionConfig
+    from repro.mpi.cluster import Cluster
+
+    n = params["nodes"] * params["ppn"]
+    blocks = _sppm_blocks(n, params["nbytes"], 0)
+
+    def rank_fn(comm):
+        yield from comm.allreduce(blocks[comm.rank], algorithm="ring")
+
+    GLOBAL_CODEC_CACHE.clear()
+    res = Cluster(params["machine"], nodes=params["nodes"],
+                  gpus_per_node=params["ppn"]).run(
+        rank_fn, config=CompressionConfig.mpc_opt())
+    n_decodes = GLOBAL_CODEC_CACHE.stats()["decompress_execs"]
+    n_messages = res.tracer.metrics.counter_total("mpi.sends")
+    return {"codec_decodes_per_message": _r(n_decodes / n_messages),
+            "n_decodes": float(n_decodes), "n_messages": float(n_messages)}
+
+
 _RUNNERS = {"codec": _run_codec, "engine": _run_engine,
             "engine-scale": _run_engine_scale, "e2e": _run_e2e,
-            "msg": _run_msg}
+            "msg": _run_msg, "coll-relay": _run_coll_relay,
+            "coll-decodes": _run_coll_decodes}
 
 
 def collect(quick: bool = True, label: str = "local", reps: int = 5,

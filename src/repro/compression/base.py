@@ -164,6 +164,16 @@ class Compressor(ABC):
             )
         return self.compress(op(self.decompress(a), self.decompress(b)))
 
+    def cache_params(self) -> tuple:
+        """Everything besides :attr:`name` that determines this
+        instance's output, as a hashable tuple — its part of a
+        memoization key.  Codecs keep their constructor parameters as
+        public instance attributes (``dimensionality``, ``rate``,
+        ``error_bound``), so the default covers a new codec or a new
+        parameter without the cache having to know its name."""
+        return tuple(sorted(
+            (k, v) for k, v in vars(self).items() if not k.startswith("_")))
+
     def expected_compressed_bytes(self, n_elements: int, itemsize: int) -> int | None:
         """For fixed-rate codecs, the exact compressed size; ``None``
         when the size is data-dependent (the paper exploits this: ZFP's

@@ -8,13 +8,38 @@ time for every (de)compression regardless; this cache only removes the
 the simulation, never its results.
 
 Lookups are keyed by a CRC-32 fingerprint of the raw bytes plus the
-codec identity, then confirmed by an exact byte comparison against a
-reference copy stored with the entry, so a fingerprint collision can
-only ever cause a spurious miss — never a wrong result.  CRC-32 runs
-at memory speed (hardware CLMUL), which matters because the compress
-side hashes every outgoing send buffer.  Entries are LRU-bounded by
-total byte size (reference copies included).  ``decompress`` hits
-return a fresh copy — callers are allowed to mutate received arrays.
+codec identity — its name and *every* parameter it declares through
+:meth:`~repro.compression.base.Compressor.cache_params`, so two
+instances that differ in any constructor argument never share an
+entry — then confirmed by an exact byte comparison against a reference
+copy stored with the entry, so a fingerprint collision can only ever
+cause a spurious miss — never a wrong result.  CRC-32 runs at memory
+speed (hardware CLMUL), which matters because the compress side hashes
+every outgoing send buffer.  Entries are LRU-bounded by total byte size
+(reference copies included).
+
+The decode memo works at **message granularity**: one entry per
+received wire payload — all its partitions — not one per partition.
+:meth:`CodecCache.decode` takes the fingerprint the receive path has
+already computed (the wire CRC it just verified) instead of hashing the
+bytes again, does one byte compare and hands out one fresh copy
+(callers are allowed to mutate received arrays; entries are never
+handed out by reference).  Each entry also memoizes the CRC-32 of its
+*decoded* bytes, so the integrity check of a hit compares two integers
+instead of rehashing the buffer; a miss stores the array it decoded
+(the caller gets the copy) together with the CRC the integrity check
+computes anyway.  :meth:`CodecCache.decompress` is the one-partition
+case of the same memo, so a sender-side expected-value decode and the
+receiver's decode of the same bytes share an entry.
+
+Fault-wrapped codecs (``cache_unsafe``) bypass every memo: they decode
+for real and their output is hashed for real on every call.
+
+Every real codec execution of the data plane goes through
+:meth:`CodecCache.run_compress` / :meth:`CodecCache.run_decompress`
+(the memoized paths call them on a miss), which is where the
+``compress_execs`` / ``decompress_execs`` counters of :meth:`stats`
+are taken.
 """
 
 from __future__ import annotations
@@ -36,35 +61,53 @@ def _raw_view(payload: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(payload).view(np.uint8).reshape(-1)
 
 
+class _Entry:
+    """One memoized result with its LRU weight and the reference byte
+    image a lookup is confirmed against.  ``crc`` (decode entries) is
+    the CRC-32 of ``value``'s bytes, filled in the first time an
+    integrity check asks for it — a pure function of ``value``, which
+    never leaves the cache by reference."""
+
+    __slots__ = ("value", "nbytes", "ref", "crc")
+
+    def __init__(self, value, nbytes: int, ref: np.ndarray):
+        self.value = value
+        self.nbytes = nbytes
+        self.ref = ref
+        self.crc: Optional[int] = None
+
+
 class CodecCache:
-    """LRU cache over compress/decompress results."""
+    """LRU cache over compress/decode results."""
 
     def __init__(self, max_bytes: int = 512 << 20):
         self.max_bytes = max_bytes
-        # key -> (value, entry_bytes, reference_byte_image)
-        self._store: OrderedDict[tuple, tuple] = OrderedDict()
+        self._store: OrderedDict[tuple, _Entry] = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.bytes_saved = 0
+        self.compress_execs = 0
+        self.decompress_execs = 0
 
-    def _key(self, op: str, codec: Compressor, params: tuple, crc: int,
+    def _key(self, op: str, codec: Compressor, shape: tuple, crc: int,
              nbytes: int) -> tuple:
-        return (op, codec.name, params, crc, nbytes)
+        return (op, codec.name, codec.cache_params(), shape, crc, nbytes)
 
-    def _put(self, key: tuple, value, nbytes: int, ref: np.ndarray) -> None:
+    def _put(self, key: tuple, value, nbytes: int, ref: np.ndarray) -> _Entry:
         prev = self._store.pop(key, None)
         if prev is not None:
-            self._bytes -= prev[1]
-        self._store[key] = (value, nbytes, ref)
+            self._bytes -= prev.nbytes
+        entry = self._store[key] = _Entry(value, nbytes, ref)
         self._bytes += nbytes
         while self._bytes > self.max_bytes and self._store:
-            _, (_, freed, _) = self._store.popitem(last=False)
-            self._bytes -= freed
+            _, evicted = self._store.popitem(last=False)
+            self._bytes -= evicted.nbytes
+        return entry
 
-    def _get(self, key: tuple, raw: np.ndarray):
+    def _get(self, key: tuple, raw: np.ndarray) -> Optional[_Entry]:
         hit = self._store.get(key)
-        if hit is None or not np.array_equal(hit[2], raw):
+        if hit is None or not np.array_equal(hit.ref, raw):
             # A mismatched byte image under a matching fingerprint is a
             # CRC collision: treat as a miss (the put will replace it).
             self.misses += 1
@@ -72,32 +115,38 @@ class CodecCache:
         self._store.move_to_end(key)
         self.hits += 1
         self.bytes_saved += raw.nbytes
-        return hit[0]
+        return hit
 
-    @staticmethod
-    def _codec_params(codec: Compressor) -> tuple:
-        params = []
-        for attr in ("dimensionality", "rate"):
-            if hasattr(codec, attr):
-                params.append((attr, getattr(codec, attr)))
-        return tuple(params)
+    # -- real executions (counted, never memoized) --------------------------
+    def run_compress(self, codec: Compressor, data: np.ndarray) -> CompressedData:
+        """Execute ``codec.compress(data)`` for real."""
+        self.compress_execs += 1
+        return codec.compress(data)
 
+    def run_decompress(self, codec: Compressor, comp: CompressedData) -> np.ndarray:
+        """Execute ``codec.decompress(comp)`` for real."""
+        self.decompress_execs += 1
+        return codec.decompress(comp)
+
+    def _decode_parts(self, codec: Compressor, comps) -> np.ndarray:
+        outs = [self.run_decompress(codec, c) for c in comps]
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+    # -- memoized paths -----------------------------------------------------
     def compress(self, codec: Compressor, data: np.ndarray) -> CompressedData:
         """Memoized ``codec.compress(data)``."""
         if getattr(codec, "cache_unsafe", False):
             # Fault-wrapped codecs are intentionally non-deterministic
             # per call; memoizing them would both skip injected faults
             # and poison the cache for clean codecs of the same name.
-            return codec.compress(data)
+            return self.run_compress(codec, data)
         raw = _raw_view(data)
         crc = zlib.crc32(raw)
-        key = self._key("c", codec,
-                        self._codec_params(codec) + (data.dtype.char,), crc,
-                        raw.nbytes)
+        key = self._key("c", codec, (data.dtype.char,), crc, raw.nbytes)
         cached = self._get(key, raw)
         if cached is not None:
-            return cached
-        comp = codec.compress(data)
+            return cached.value
+        comp = self.run_compress(codec, data)
         # The fingerprint doubles as the integrity checksum of the
         # source bytes, so the send path can reuse it instead of
         # re-hashing the same buffer (see CompressionEngine._plan_crc).
@@ -109,37 +158,63 @@ class CodecCache:
         self._put(key, comp, comp.nbytes + raw.nbytes + 64, raw.copy())
         return comp
 
-    def decompress(self, codec: Compressor, comp: CompressedData) -> np.ndarray:
-        """Memoized ``codec.decompress(comp)`` (returns a fresh copy)."""
+    def decode(self, codec: Compressor, payload: np.ndarray, comps,
+               fingerprint: Optional[int] = None,
+               want_crc: bool = False) -> tuple:
+        """Memoized decode of one received message.
+
+        ``payload`` is the message's wire bytes and ``comps`` its
+        partitions in order (views into ``payload``).  ``fingerprint``
+        is the CRC-32 of ``payload`` when the caller already has it (a
+        wire CRC it verified); otherwise it is computed here.  Returns
+        ``(data, crc)``: ``data`` is a fresh array the caller owns,
+        ``crc`` the CRC-32 of its bytes when ``want_crc`` (memoized
+        with the entry, so only the first request hashes).
+        """
         if getattr(codec, "cache_unsafe", False):
-            return codec.decompress(comp)
-        raw = _raw_view(comp.payload)
-        key = self._key(
-            "d", codec,
-            self._codec_params(codec) + (comp.n_elements, comp.dtype.char),
-            zlib.crc32(raw), raw.nbytes,
-        )
-        cached = self._get(key, raw)
-        if cached is not None:
-            return cached.copy()
-        out = codec.decompress(comp)
-        self._put(key, out, out.nbytes + raw.nbytes + 64, raw.copy())
-        return out.copy()
+            out = self._decode_parts(codec, comps)
+            return out, (zlib.crc32(_raw_view(out)) if want_crc else None)
+        raw = _raw_view(payload)
+        if fingerprint is None:
+            fingerprint = zlib.crc32(raw)
+        shape = (comps[0].dtype.char,) + tuple(
+            (c.n_elements, c.nbytes) for c in comps)
+        key = self._key("d", codec, shape, fingerprint, raw.nbytes)
+        entry = self._get(key, raw)
+        if entry is None:
+            # Keep the decoded array itself and hand the caller the
+            # copy: a miss costs no pass a hit would not also cost.
+            out = self._decode_parts(codec, comps)
+            out.flags.writeable = False
+            entry = self._put(key, out, out.nbytes + raw.nbytes + 64,
+                              raw.copy())
+        if want_crc and entry.crc is None:
+            entry.crc = zlib.crc32(_raw_view(entry.value))
+        return entry.value.copy(), entry.crc
+
+    def decompress(self, codec: Compressor, comp: CompressedData) -> np.ndarray:
+        """Memoized ``codec.decompress(comp)`` (returns a fresh copy):
+        the one-partition case of :meth:`decode`."""
+        return self.decode(codec, comp.payload, (comp,))[0]
 
     def stats(self) -> dict:
-        """Counter snapshot: cache effectiveness for profiling reports."""
+        """Counter snapshot: cache effectiveness for profiling reports,
+        plus the real codec executions behind it."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "bytes_saved": self.bytes_saved,
             "entries": len(self._store),
             "bytes": self._bytes,
+            "compress_execs": self.compress_execs,
+            "decompress_execs": self.decompress_execs,
         }
 
     def clear(self) -> None:
         self._store.clear()
         self._bytes = 0
         self.hits = self.misses = self.bytes_saved = 0
+        self.compress_execs = self.decompress_execs = 0
 
 
 #: process-wide cache shared by every CompressionEngine

@@ -160,7 +160,10 @@ class CompressionEngine:
         if len(comps) == 1:
             crc = comps[0].meta.get("out_crc32")
             if crc is None:
-                crc = payload_crc32(GLOBAL_CODEC_CACHE.decompress(clean, comps[0]))
+                # Hashed once, inside the decode memo: the receiver's
+                # lookup of these wire bytes finds the CRC with the entry.
+                _, crc = GLOBAL_CODEC_CACHE.decode(
+                    clean, comps[0].payload, comps, want_crc=True)
                 # Decompression is deterministic, so the expected-value
                 # CRC can ride on the (cache-shared) comp for re-sends.
                 comps[0].meta["out_crc32"] = crc
@@ -421,8 +424,12 @@ class CompressionEngine:
     def _generic_codec(self):
         cfg = self.config
         if cfg.algorithm == "sz":
-            return self._codec("sz", error_bound=cfg.sz_error_bound), \
-                CompressionHeader.encode_sz_bound(cfg.sz_error_bound)
+            # Compress with the bound as the header carries it (a
+            # float32), so both ends run the same codec and the
+            # sender's expected-value decode is the receiver's.
+            param = CompressionHeader.encode_sz_bound(cfg.sz_error_bound)
+            bound = CompressionHeader.decode_sz_bound(param)
+            return self._codec("sz", error_bound=bound), param
         return self._codec(cfg.algorithm), 0
 
     def _send_generic(self, data: np.ndarray):
@@ -600,47 +607,57 @@ class CompressionEngine:
             return self._codec("mpc", dimensionality=cfg.mpc_dimensionality)
         if cfg.algorithm == "zfp":
             return self._codec("zfp", rate=cfg.zfp_rate)
-        if cfg.algorithm == "sz":
-            return self._codec("sz", error_bound=cfg.sz_error_bound)
-        return self._codec(cfg.algorithm)
+        return self._generic_codec()[0]
 
-    def reduce_wire_payload(self, header_a: CompressionHeader, payload_a,
-                            header_b: CompressionHeader, payload_b,
+    def reduce_wire_payload(self, header: CompressionHeader, local: np.ndarray,
+                            other_header: CompressionHeader, other_payload,
                             want_crc: bool = False):
-        """Combine two compressed wire payloads without decoding either
-        to full precision (generator subroutine).
+        """Add a received compressed image onto an operand this rank
+        holds raw (generator subroutine).
 
-        Both operands must be compressed images of the same shape (same
-        codec, element count and partitioning — which reduction
-        collectives guarantee because every rank packs the same chunk
-        geometry).  One fused partial-decode + add + re-encode kernel is
-        charged per partition; the result's bits are exactly
-        ``compress(add(decompress(a), decompress(b)))`` per the
+        ``header`` is the header of the image this rank packed from (or
+        reduced into) ``local``; ``other_header``/``other_payload`` are
+        the image that arrived.  Both must be compressed images of the
+        same shape (same codec, element count and partitioning — which
+        reduction collectives guarantee because every rank packs the
+        same chunk geometry).  One fused partial-decode + add +
+        re-encode kernel is charged per partition.
+
+        On the host only the operand that *arrived* is decoded: the
+        rank's own operand is lossless-round-trip equal to ``local``,
+        so per partition the result's bits are exactly
+        ``compress(add(decompress(a), decompress(b)))`` — the
         :meth:`~repro.compression.base.Compressor.reduce_compressed`
-        contract.
+        contract, operand order preserved — and the post-decode stamp
+        of that result is the CRC of the sum itself.
 
-        Returns ``(header, payload, crc)`` for the combined image —
-        falling back to an uncompressed header + raw array when the
-        partial sums stop compressing.  ``crc`` (the post-decode stamp)
-        is computed only when ``want_crc`` — integrity checking is the
-        only consumer.
+        Returns ``(header, payload, crc, total)`` for the combined
+        image — an uncompressed header with ``total`` as the payload
+        when the partial sums stop compressing.  ``total`` is the raw
+        sum, for the caller to hold as its next ``local``; ``crc`` (the
+        post-decode stamp) is computed only when ``want_crc`` —
+        integrity checking is the only consumer.
         """
-        if not (header_a.compressed and header_b.compressed):
+        if not (header.compressed and other_header.compressed):
             raise CompressionError("reduce_wire_payload needs two compressed operands")
-        if (header_a.algorithm != header_b.algorithm
-                or header_a.n_elements != header_b.n_elements
-                or header_a.n_partitions != header_b.n_partitions
-                or header_a.dtype_name != header_b.dtype_name):
+        if (header.algorithm != other_header.algorithm
+                or header.n_elements != other_header.n_elements
+                or header.n_partitions != other_header.n_partitions
+                or header.dtype_name != other_header.dtype_name):
             raise CompressionError(
-                f"wire reduction operand mismatch: {header_a!r} vs {header_b!r}"
+                f"wire reduction operand mismatch: {header!r} vs {other_header!r}"
+            )
+        dtype = np.dtype(header.dtype_name)
+        if local.dtype != dtype or local.shape != (header.n_elements,):
+            raise CompressionError(
+                f"local operand {local.shape}x{local.dtype} does not match {header!r}"
             )
         spec = self.device.spec
-        model = kernel_cost_model_for(header_a.algorithm)
-        codec = self._codec(header_a.algorithm, **header_a.codec_params())
+        model = kernel_cost_model_for(header.algorithm)
+        codec = self._codec(header.algorithm, **header.codec_params())
         clean = getattr(codec, "inner", codec)
-        dtype = np.dtype(header_a.dtype_name)
-        parts = header_a.n_partitions
-        counts = _partition_counts(header_a.n_elements, parts)
+        parts = header.n_partitions
+        counts = _partition_counts(header.n_elements, parts)
 
         # Fused kernels, one per partition, like the decode path.
         blocks = max(1, spec.sm_count // parts)
@@ -648,55 +665,37 @@ class CompressionEngine:
             model.reduce_time(c * dtype.itemsize, blocks, spec.sm_count)
             for c in counts
         ]
-        self._observe_kernels("reduce", header_a.algorithm, durations)
+        self._observe_kernels("reduce", header.algorithm, durations)
         yield from self._run_partition_kernels(durations, blocks, "reduction_kernel")
 
-        def _split(header, payload):
-            payload = np.ascontiguousarray(payload, dtype=np.uint8)
-            pieces, offset = [], 0
-            for size in header.partition_sizes:
-                pieces.append(payload[offset:offset + size])
-                offset += size
-            if offset != payload.nbytes:
-                raise CompressionError(
-                    f"payload has {payload.nbytes} bytes but partitions account for {offset}"
-                )
-            return pieces
-
-        params = header_a.codec_params()
+        total = np.empty(header.n_elements, dtype=dtype)
         reduced = []
-        for count, pa, pb in zip(counts, _split(header_a, payload_a),
-                                 _split(header_b, payload_b)):
-            comp_a = CompressedData(algorithm=header_a.algorithm, payload=pa,
-                                    n_elements=count, dtype=dtype, params=params)
-            comp_b = CompressedData(algorithm=header_a.algorithm, payload=pb,
-                                    n_elements=count, dtype=dtype, params=params)
-            reduced.append(clean.reduce_compressed(comp_a, comp_b))
+        start = 0
+        for comp in self._partition_comps(other_header, other_payload):
+            stop = start + comp.n_elements
+            np.add(local[start:stop],
+                   GLOBAL_CODEC_CACHE.run_decompress(clean, comp),
+                   out=total[start:stop])
+            reduced.append(GLOBAL_CODEC_CACHE.run_compress(clean, total[start:stop]))
+            start = stop
         sizes = [c.nbytes for c in reduced]
+        crc = payload_crc32(total) if want_crc else None
 
-        raw_nbytes = header_a.n_elements * dtype.itemsize
+        raw_nbytes = total.nbytes
         if sum(sizes) >= raw_nbytes:
-            # Partial sums stopped compressing: decode once and degrade
-            # this accumulator to a raw image.
-            out = np.concatenate([clean.decompress(c) for c in reduced]) \
-                if parts > 1 else clean.decompress(reduced[0])
-            self._record_compression(header_a.algorithm, raw_nbytes,
+            # Partial sums stopped compressing: degrade this
+            # accumulator to a raw image.
+            self._record_compression(header.algorithm, raw_nbytes,
                                      sum(sizes), fallback=True)
-            return (CompressionHeader.uncompressed(raw_nbytes), out,
-                    payload_crc32(out) if want_crc else None)
+            return CompressionHeader.uncompressed(raw_nbytes), total, crc, total
 
-        self._record_compression(header_a.algorithm, raw_nbytes, sum(sizes))
+        self._record_compression(header.algorithm, raw_nbytes, sum(sizes))
         payload = np.concatenate([c.payload for c in reduced]) \
             if parts > 1 else reduced[0].payload
-        header = CompressionHeader.for_message(
-            header_a.algorithm, dtype, header_a.n_elements,
-            header_a.param, sizes,
+        out_header = CompressionHeader.for_message(
+            header.algorithm, dtype, header.n_elements, header.param, sizes,
         )
-        crc = None
-        if want_crc:
-            outs = [GLOBAL_CODEC_CACHE.decompress(clean, c) for c in reduced]
-            crc = payload_crc32(np.concatenate(outs) if parts > 1 else outs[0])
-        return header, payload, crc
+        return out_header, payload, crc, total
 
     # -- receiver -----------------------------------------------------------
     def receiver_prepare(self, header: CompressionHeader):
@@ -716,10 +715,42 @@ class CompressionEngine:
             raise
         return resources
 
-    def receiver_complete(self, header: CompressionHeader, payload, resources: list):
-        """After the data lands: decompress and restore the original."""
+    @staticmethod
+    def _partition_comps(header: CompressionHeader, payload) -> list:
+        """The partitions of a compressed wire payload, in order, as
+        :class:`CompressedData` views into it."""
+        payload = np.ascontiguousarray(payload, dtype=np.uint8)
+        dtype = np.dtype(header.dtype_name)
+        params = header.codec_params()
+        counts = _partition_counts(header.n_elements, header.n_partitions)
+        comps, offset = [], 0
+        for count, size in zip(counts, header.partition_sizes):
+            comps.append(CompressedData(
+                algorithm=header.algorithm, payload=payload[offset:offset + size],
+                n_elements=count, dtype=dtype, params=params,
+            ))
+            offset += size
+        if offset != payload.nbytes:
+            raise CompressionError(
+                f"payload has {payload.nbytes} bytes but partitions account for {offset}"
+            )
+        return comps
+
+    def receiver_complete(self, header: CompressionHeader, payload, resources: list,
+                          fingerprint: Optional[int] = None,
+                          want_crc: bool = False):
+        """After the data lands: decompress and restore the original.
+
+        Returns ``(data, crc)``; ``crc`` is the CRC32 of ``data``'s
+        bytes when ``want_crc`` (else ``None``) — served from the decode
+        memo when these wire bytes were decoded before, so the caller's
+        integrity check does not hash a buffer the cache already
+        vouches for.  ``fingerprint`` is the CRC32 of ``payload`` when
+        the caller has already verified one (the relay check's wire
+        CRC); it keys the memo lookup instead of a second hash.
+        """
         if not header.compressed:
-            return payload
+            return payload, (payload_crc32(payload) if want_crc else None)
         spec = self.device.spec
         model = kernel_cost_model_for(header.algorithm)
         codec = self._codec(header.algorithm, **header.codec_params())
@@ -739,23 +770,12 @@ class CompressionEngine:
         self._observe_kernels("decompress", header.algorithm, durations)
         yield from self._run_partition_kernels(durations, blocks, "decompression_kernel")
 
-        # Real decompression, partition by partition.
-        out_parts = []
-        offset = 0
-        payload = np.ascontiguousarray(payload, dtype=np.uint8)
-        for count, size in zip(counts, header.partition_sizes):
-            piece = payload[offset:offset + size]
-            offset += size
-            comp = CompressedData(
-                algorithm=header.algorithm, payload=piece, n_elements=count,
-                dtype=dtype, params=header.codec_params(),
-            )
-            out_parts.append(GLOBAL_CODEC_CACHE.decompress(codec, comp))
-        if offset != payload.nbytes:
-            raise CompressionError(
-                f"payload has {payload.nbytes} bytes but partitions account for {offset}"
-            )
-        result = np.concatenate(out_parts) if parts > 1 else out_parts[0]
+        # Real decompression: one memo lookup for the whole message,
+        # partition by partition on a miss.
+        result, crc = GLOBAL_CODEC_CACHE.decode(
+            codec, payload, self._partition_comps(header, payload),
+            fingerprint=fingerprint, want_crc=want_crc,
+        )
 
         yield from self._release(resources)
-        return result
+        return result, crc

@@ -145,13 +145,16 @@ class CompressionHeader:
         if self.algorithm == "zfp":
             return {"rate": self.param}
         if self.algorithm == "sz":
-            # the u32 param carries the float32 bit pattern of the bound
-            return {"error_bound": float(
-                np.frombuffer(struct.pack("<I", self.param), dtype=np.float32)[0]
-            )}
+            return {"error_bound": self.decode_sz_bound(self.param)}
         return {}
 
     @staticmethod
     def encode_sz_bound(error_bound: float) -> int:
         """Pack an SZ error bound into the u32 header param field."""
         return struct.unpack("<I", np.float32(error_bound).tobytes())[0]
+
+    @staticmethod
+    def decode_sz_bound(param: int) -> float:
+        """The bound a u32 header param carries (its float32 bit
+        pattern) — what the receiver's codec is built with."""
+        return float(np.frombuffer(struct.pack("<I", param), dtype=np.float32)[0])

@@ -366,14 +366,17 @@ def _allreduce_rdouble(comm, data: Any, op: Callable):
     kernel instead of a decompress + add + recompress sequence."""
     size, rank = comm.size, comm.rank
     if comm.keep_compressed_active(data) and comm.wire_reduce_capable(op):
-        acc = yield from comm.pack_wire(np.asarray(data).reshape(-1))
+        total = np.asarray(data).reshape(-1)
+        acc = yield from comm.pack_wire(total)
         mask = 1
         while mask < size:
             peer = rank ^ mask
             received = yield from comm.sendrecv_wire(
                 acc, peer, peer, _T_REDUCE, _T_REDUCE
             )
-            acc = yield from comm.reduce_wires(acc, received, op)
+            # ``total`` is the running sum ``acc`` encodes: only the
+            # arrival is decoded.
+            acc, total = yield from comm.reduce_wires(acc, total, received, op)
             mask <<= 1
         result = yield from comm.unpack_wire(acc)
         return result.reshape(np.asarray(data).shape)
@@ -424,8 +427,10 @@ def _allreduce_ring(comm, data: Any, op: Callable):
             received = yield from comm.sendrecv_wire(
                 state[rs_walk[s]], right, left, _T_RING_RS, _T_RING_RS
             )
-            state[recv_idx] = yield from comm.reduce_wires(
-                state[recv_idx], received, op
+            # Each index is reduced once per rank, onto the chunk this
+            # rank packed itself — it holds that operand raw.
+            state[recv_idx], _ = yield from comm.reduce_wires(
+                state[recv_idx], chunks[recv_idx], received, op
             )
         # Walk the reduced chunks around the ring keep-compressed.
         for s in range(size - 1):

@@ -680,17 +680,18 @@ class Communicator:
                                      rank=self._grank, seq=seq, src=pkt.src,
                                      wire_nbytes=data_pkt.wire_nbytes,
                                      **extra):
+                        crc = data_pkt.crc if resil.integrity else None
                         try:
-                            data = yield from engine.receiver_complete(
-                                header, data_pkt.payload, resources
+                            data, got_crc = yield from engine.receiver_complete(
+                                header, data_pkt.payload, resources,
+                                want_crc=crc is not None,
                             )
                         except _DECODE_ERRORS as exc:
                             failure = "decode_error"
                             last_exc = exc
                     if failure is None:
                         resources = []  # released by receiver_complete
-                        crc = data_pkt.crc if resil.integrity else None
-                        if crc is not None and payload_crc32(data) != crc:
+                        if got_crc != crc:
                             failure = "crc_mismatch"
                         else:
                             rt.retire(seq, True)
@@ -794,26 +795,34 @@ class Communicator:
                          nbytes=wire.wire_nbytes, origin_seq=wire.origin_seq):
             resources = yield from engine.receiver_prepare(wire.header)
             try:
-                data = yield from engine.receiver_complete(
-                    wire.header, wire.payload, resources
+                data, got_crc = yield from engine.receiver_complete(
+                    wire.header, wire.payload, resources,
+                    fingerprint=wire.wire_crc, want_crc=wire.crc is not None,
                 )
             except BaseException:
                 if resources:
                     yield from engine._release(resources)
                 raise
-        if wire.crc is not None and payload_crc32(data) != wire.crc:
+        if got_crc != wire.crc:
             raise IntegrityError(
                 f"rank {self._grank}: wire image origin_seq={wire.origin_seq} "
                 f"failed its post-decode CRC"
             )
         return data
 
-    def reduce_wires(self, acc: WireImage, other: WireImage, op=None):
-        """Combine two wire images into a new one (generator
-        subroutine): the hZCCL-style fused partial-decode + op +
-        re-encode when both operands are compressed, a decode-and-raw-
-        accumulate fallback otherwise.  The result is a fresh image
-        with its own ``origin_seq``."""
+    def reduce_wires(self, acc: WireImage, local, other: WireImage, op=None):
+        """Combine the image this rank holds with one that arrived
+        (generator subroutine): the hZCCL-style fused partial-decode +
+        op + re-encode when both are compressed, a decode-and-raw-
+        accumulate fallback otherwise.
+
+        ``local`` is the raw array ``acc`` was packed from (or reduced
+        into) *on this rank* — the fused step adds the decoded arrival
+        onto it instead of decoding ``acc`` again.  It never travels:
+        only ``acc``/``other`` and the returned image are wire
+        currency.  Returns ``(wire, total)``: a fresh image with its
+        own ``origin_seq``, and the raw result to pass as ``local`` of
+        the next step."""
         rt = self._rt
         engine = rt.engine_of(self._grank)
         op = np.add if op is None else op
@@ -827,16 +836,18 @@ class Communicator:
             with trace_scope(self.sim, "pipeline", "reduce_wire",
                              rank=self._grank, nbytes=acc.wire_nbytes,
                              origin_seq=origin_seq, fused=True):
-                header, payload, crc = yield from engine.reduce_wire_payload(
-                    acc.header, acc.payload, other.header, other.payload,
+                header, payload, crc, total = yield from engine.reduce_wire_payload(
+                    acc.header, local, other.header, other.payload,
                     want_crc=integrity,
                 )
+            wire_crc = crc  # raw image: the wire bytes are the data
+            if integrity and header.compressed:
+                wire_crc = payload_crc32(payload)
             return WireImage(
                 header=header, payload=payload,
                 wire_nbytes=int(header.wire_bytes), crc=crc,
-                wire_crc=payload_crc32(payload) if integrity else None,
-                origin_seq=origin_seq,
-            )
+                wire_crc=wire_crc, origin_seq=origin_seq,
+            ), total
         # Mixed / uncompressed / non-sum: decode what needs decoding and
         # keep this accumulator raw from here on.
         with trace_scope(self.sim, "pipeline", "reduce_wire",
@@ -846,13 +857,12 @@ class Communicator:
             b = other.payload if not other.compressed else (yield from self.unpack_wire(other))
             out = op(a, b)
             nbytes = self._payload_nbytes(out)
+        crc = payload_crc32(out) if integrity else None
         return WireImage(
             header=CompressionHeader.uncompressed(nbytes), payload=out,
-            wire_nbytes=nbytes,
-            crc=payload_crc32(out) if integrity else None,
-            wire_crc=payload_crc32(out) if integrity else None,
+            wire_nbytes=nbytes, crc=crc, wire_crc=crc,
             origin_seq=origin_seq,
-        )
+        ), out
 
     def isend_wire(self, wire: WireImage, dest: int, tag: int = 0) -> Request:
         """Nonblocking relay of an already-packed wire image."""

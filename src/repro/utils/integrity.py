@@ -28,7 +28,10 @@ def payload_crc32(payload: Any) -> int:
         # zlib consumes the buffer directly; a contiguous uint8 view
         # avoids materializing a bytes copy of the whole payload.
         return zlib.crc32(np.ascontiguousarray(payload).view(np.uint8)) & 0xFFFFFFFF
-    return zlib.crc32(bytes(payload)) & 0xFFFFFFFF
+    try:
+        return zlib.crc32(payload) & 0xFFFFFFFF  # bytes-likes hash in place
+    except (TypeError, BufferError):  # an int sequence, a strided view
+        return zlib.crc32(bytes(payload)) & 0xFFFFFFFF
 
 
 def flip_bit(payload: Any, bit_index: int):

@@ -181,6 +181,27 @@ def test_cli_bench_compare_fails_on_slowdown(tmp_path, monkeypatch, capsys):
     assert "DRIFT" in capsys.readouterr().out
 
 
+def test_mode_mismatch_is_a_drift_line_not_a_traceback(tmp_path, capsys):
+    """``bench --compare tests/data/BENCH_baseline.json`` without
+    ``--quick`` compares a full-mode run to the quick baseline: the
+    header drift is two strings, which ``describe`` used to subtract."""
+    quick = tmp_path / "BENCH_quick.json"
+    assert _main(["bench", "--quick", "--scenario", "pt2pt/naive-mpc",
+                  "--out", str(quick)]) == 0
+    doc = bench.load(quick)
+    doc["mode"] = "full"  # what a run without --quick records
+    full = tmp_path / "BENCH_full.json"
+    bench.write(doc, full)
+    cmp = bench.compare(bench.load(full), bench.load(quick))
+    assert not cmp.ok
+    assert "[DRIFT] <header>: mode 'quick' -> 'full'" in cmp.report()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _main(["bench", "--against", str(full), "--compare", str(quick)])
+    assert exc.value.code == 1
+    assert "[DRIFT] <header>: mode 'quick' -> 'full'" in capsys.readouterr().out
+
+
 def test_committed_baseline_matches(capsys):
     """The checked-in CI baseline must match a fresh run bit-for-bit —
     regenerate tests/data/BENCH_baseline.json when the performance

@@ -1,10 +1,16 @@
 """Codec memoization cache."""
 
+import inspect
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.compression import MpcCompressor, ZfpCompressor
+from repro.compression import MpcCompressor, ZfpCompressor, available, get_compressor
+from repro.compression.base import CompressedData
 from repro.compression.cache import CodecCache
+from repro.compression.registry import _REGISTRY
+from repro.errors import CompressionError
 
 
 def test_compress_hit_on_equal_bytes(rng):
@@ -74,3 +80,169 @@ def test_cache_correctness_under_mpc_roundtrip(rng):
     comp = cache.compress(codec, x)
     y = cache.decompress(codec, comp)
     assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
+# -- parameter-complete keys ---------------------------------------------------
+
+#: two values per constructor parameter any registered codec declares
+_PARAM_VALUES = {"dimensionality": (1, 2), "rate": (8, 12),
+                 "error_bound": (1e-1, 1e-5)}
+
+
+def _codec_variants():
+    """Every registered codec x every constructor parameter: a pair of
+    instances that differ in that parameter only."""
+    for name in available():
+        for param in inspect.signature(_REGISTRY[name]).parameters:
+            lo, hi = _PARAM_VALUES[param]  # KeyError: teach this table the new knob
+            yield pytest.param(name, param, lo, hi, id=f"{name}-{param}")
+
+
+def _input_for(codec, rng):
+    x = np.cumsum(rng.standard_normal(4096)).astype(codec.supported_dtypes[0])
+    return x.reshape(64, 64) if codec.name == "zfp2d" else x
+
+
+def test_every_registered_codec_parameter_is_covered():
+    assert {p.values[0] for p in _codec_variants()} == {"mpc", "zfp", "zfp2d", "sz"}
+
+
+@pytest.mark.parametrize("name,param,lo,hi", list(_codec_variants()))
+def test_instances_differing_in_a_parameter_never_share_entries(
+        rng, name, param, lo, hi):
+    cache = CodecCache()
+    a, b = get_compressor(name, **{param: lo}), get_compressor(name, **{param: hi})
+    x = _input_for(a, rng)
+    comp_a = cache.compress(a, x)
+    comp_b = cache.compress(b, x)
+    assert comp_a is not comp_b
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert comp_b.payload.tobytes() == b.compress(x).payload.tobytes()
+    # the same wire bytes, decoded by a differently-built codec: a miss
+    cache.decompress(a, comp_a)
+    try:
+        cache.decompress(b, comp_a)
+    except CompressionError:
+        pass  # a rate the stream was not written at; still no hit
+    assert cache.hits == 0
+
+
+def test_sz_bounds_do_not_collide(rng):
+    """The reported case: 1e-1 then 1e-5 on the same data returned the
+    coarse stream for the fine bound."""
+    cache = CodecCache()
+    x = np.cumsum(rng.standard_normal(5000)).astype(np.float32)
+    cache.compress(get_compressor("sz", error_bound=1e-1), x)
+    fine = get_compressor("sz", error_bound=1e-5)
+    comp = cache.compress(fine, x)
+    assert np.abs(fine.decompress(comp) - x).max() <= 1e-5
+
+
+# -- message-granularity decode memo -------------------------------------------
+
+def _message(rng, parts=3, n=3001):
+    """A compressed message the way the engine lays it out: partitions
+    compressed one by one, payloads concatenated."""
+    codec = MpcCompressor(1)
+    x = np.cumsum(rng.standard_normal(n)).astype(np.float32)
+    pieces = [codec.compress(p) for p in np.array_split(x, parts)]
+    payload = np.concatenate([c.payload for c in pieces])
+    comps, offset = [], 0
+    for c in pieces:
+        comps.append(CompressedData("mpc", payload[offset:offset + c.nbytes],
+                                    c.n_elements, c.dtype, c.params))
+        offset += c.nbytes
+    return codec, x, payload, comps
+
+
+def test_decode_is_one_entry_per_message_with_a_memoized_crc(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    out, crc = cache.decode(codec, payload, comps, want_crc=True)
+    assert out.tobytes() == x.tobytes() and crc == zlib.crc32(x.view(np.uint8))
+    assert cache.stats()["entries"] == 1
+    assert cache.stats()["decompress_execs"] == len(comps)
+    again, crc2 = cache.decode(codec, payload.copy(), comps, want_crc=True,
+                               fingerprint=zlib.crc32(payload))
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert again.tobytes() == x.tobytes() and crc2 == crc
+    assert cache.stats()["decompress_execs"] == len(comps)
+
+
+def test_decode_hit_does_not_rehash(rng, monkeypatch):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    fingerprint = zlib.crc32(payload)
+    cache.decode(codec, payload, comps, fingerprint=fingerprint, want_crc=True)
+    hashed = []
+    real = zlib.crc32
+    monkeypatch.setattr(zlib, "crc32",
+                        lambda data, *a: hashed.append(len(data)) or real(data, *a))
+    _, crc = cache.decode(codec, payload, comps, fingerprint=fingerprint,
+                          want_crc=True)
+    assert hashed == [] and crc == real(x.view(np.uint8))
+
+
+def test_crc_is_filled_in_by_the_first_check_that_wants_it(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    assert cache.decode(codec, payload, comps)[1] is None
+    assert cache.decode(codec, payload, comps, want_crc=True)[1] \
+        == zlib.crc32(x.view(np.uint8))
+
+
+def test_mutating_a_hit_does_not_change_the_next_one(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    first, _ = cache.decode(codec, payload, comps)      # the miss's copy
+    first[:] = -1.0
+    second, crc = cache.decode(codec, payload, comps, want_crc=True)
+    second[:] = -2.0
+    third, crc3 = cache.decode(codec, payload, comps, want_crc=True)
+    assert third.tobytes() == x.tobytes()
+    assert crc == crc3 == zlib.crc32(x.view(np.uint8))
+
+
+def test_fingerprint_collision_with_different_bytes_is_a_miss(rng):
+    cache = CodecCache()
+    codec = get_compressor("null")  # equal-length streams for any input
+    x, y = (rng.standard_normal(500).astype(np.float32) for _ in range(2))
+    cx, cy = codec.compress(x), codec.compress(y)
+    cache.decode(codec, cx.payload, (cx,), fingerprint=7)
+    out, crc = cache.decode(codec, cy.payload, (cy,), fingerprint=7, want_crc=True)
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert out.tobytes() == y.tobytes() and crc == zlib.crc32(y.view(np.uint8))
+    # the colliding entry was replaced, not left beside the new one
+    assert cache.stats()["entries"] == 1
+
+
+def test_lru_accounting_equals_the_live_entries(rng):
+    cache = CodecCache(max_bytes=60_000)
+    codec = MpcCompressor(1)
+    for seed in range(12):  # mixed compress / decode traffic, with evictions
+        r = np.random.default_rng(seed)
+        x = np.cumsum(r.standard_normal(1500)).astype(np.float32)
+        comp = cache.compress(codec, x)
+        cache.decompress(codec, comp)
+        _, _, payload, comps = _message(r, parts=2, n=1999)
+        cache.decode(codec, payload, comps, want_crc=seed % 2 == 0)
+        cache.decode(codec, payload, comps)
+        live = sum(e.nbytes for e in cache._store.values())
+        assert cache.stats()["bytes"] == live <= 60_000
+        assert cache.stats()["entries"] == len(cache._store)
+    assert cache.stats()["entries"] < 36  # something was evicted
+
+
+def test_stats_keeps_its_keys_and_adds_execution_counts(rng):
+    cache = CodecCache()
+    codec = MpcCompressor(1)
+    x = np.cumsum(rng.standard_normal(1000)).astype(np.float32)
+    comp = cache.compress(codec, x)
+    cache.compress(codec, x)
+    cache.decompress(codec, comp)
+    cache.run_decompress(codec, comp)  # counted, not memoized
+    assert cache.stats() == {
+        "hits": 1, "misses": 2, "bytes_saved": x.nbytes,
+        "entries": 2, "bytes": cache._bytes,
+        "compress_execs": 1, "decompress_execs": 2,
+    }

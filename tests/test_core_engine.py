@@ -31,7 +31,7 @@ def full_roundtrip(config, data):
     def proc():
         plan = yield from eng_s.sender_prepare(data)
         res = yield from eng_r.receiver_prepare(plan.header)
-        out = yield from eng_r.receiver_complete(plan.header, plan.payload, res)
+        out, _ = yield from eng_r.receiver_complete(plan.header, plan.payload, res)
         yield from eng_s.sender_release(plan)
         return plan, out
 

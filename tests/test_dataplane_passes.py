@@ -1,0 +1,430 @@
+"""The single-pass keep-compressed data plane (ISSUE 13).
+
+Per hop a buffer is decoded at most once, hashed at most once and
+copied at most once — and not at all when the rank already holds the
+answer.  These tests hold the fast path to the behaviour of the slow
+one: the fused reduction against ``Compressor.reduce_compressed`` (the
+oracle), the collectives against values captured at the parent commit,
+the codec-execution budget at the point the kernels are invoked, and
+every integrity check under a fault plan.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.compression import MpcCompressor
+from repro.compression.base import CompressedData
+from repro.compression.cache import GLOBAL_CODEC_CACHE, CodecCache
+from repro.core import CompressionConfig, CompressionEngine
+from repro.errors import CompressionError, IntegrityError
+from repro.faults import FaultPlan
+from repro.faults.codec import FlakyCompressor
+from repro.gpu.device import Device
+from repro.gpu.spec import V100
+from repro.mpi.cluster import Cluster
+from repro.mpi.collectives import _T_RING_RS
+from repro.omb.payload import make_payload
+from repro.sim import Simulator, Tracer
+from repro.utils.integrity import flip_bit, payload_crc32
+
+from tests.conftest import smooth_f32
+
+MPC = CompressionConfig.mpc_opt()
+
+
+def _crc(arr) -> int:
+    return zlib.crc32(np.ascontiguousarray(arr).view(np.uint8))
+
+
+# -- (a) the fused step against the reduce_compressed oracle -------------------
+
+_SPECIALS = {
+    np.float32: np.array([np.nan, np.inf, -np.inf, -0.0, 1e-45, -3e-42],
+                         dtype=np.float32),
+    np.float64: np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, -1e-310],
+                         dtype=np.float64),
+}
+
+
+def _operand(rng, n, dtype, n_specials):
+    x = np.cumsum(rng.standard_normal(n) * 1e-3).astype(dtype)
+    if n_specials:
+        at = rng.choice(n, size=n_specials, replace=False)
+        x[at] = rng.choice(_SPECIALS[dtype], size=n_specials)
+    return x
+
+
+def _engine(parts):
+    sim = Simulator()
+    Tracer(sim)
+    cfg = CompressionConfig.mpc_opt(threshold=0).with_(partitions=parts)
+    return sim, CompressionEngine(sim, Device(sim, V100, 0), cfg)
+
+
+def _split(header, payload):
+    pieces, offset = [], 0
+    for size in header.partition_sizes:
+        pieces.append(payload[offset:offset + size])
+        offset += size
+    return pieces
+
+
+def _oracle(header_a, payload_a, header_b, payload_b):
+    """``reduce_compressed`` per partition, then the stamp the slow way:
+    decode the result and hash it."""
+    codec = MpcCompressor(**header_a.codec_params())
+    dtype = np.dtype(header_a.dtype_name)
+    counts = [len(p) for p in
+              np.array_split(np.empty(header_a.n_elements), header_a.n_partitions)]
+    reduced = []
+    for count, pa, pb in zip(counts, _split(header_a, payload_a),
+                             _split(header_b, payload_b)):
+        a, b = (CompressedData("mpc", p, count, dtype, header_a.codec_params())
+                for p in (pa, pb))
+        reduced.append(codec.reduce_compressed(a, b))
+    decoded = np.concatenate([codec.decompress(c) for c in reduced])
+    return ([c.nbytes for c in reduced],
+            np.concatenate([c.payload for c in reduced]), decoded)
+
+
+def _pack(a, b, parts):
+    sim, eng = _engine(parts)
+
+    def pack():
+        plan_a = yield from eng.sender_prepare(a)
+        plan_b = yield from eng.sender_prepare(b)
+        return plan_a, plan_b
+
+    return sim, eng, sim.run_process(pack())
+
+
+def _check_fused(sim, eng, a, plan_a, plan_b):
+    assert plan_a.header.n_partitions == plan_b.header.n_partitions
+    header, payload, crc, total = sim.run_process(eng.reduce_wire_payload(
+        plan_a.header, a, plan_b.header, plan_b.payload, want_crc=True))
+    sizes, want_payload, want_decoded = _oracle(
+        plan_a.header, plan_a.payload, plan_b.header, plan_b.payload)
+    assert total.tobytes() == want_decoded.tobytes()
+    assert crc == _crc(want_decoded)
+    if sum(sizes) >= a.nbytes:  # the sums stopped compressing
+        assert not header.compressed
+        assert payload.tobytes() == want_decoded.tobytes()
+    else:
+        assert header.partition_sizes == tuple(sizes)
+        assert header.param == plan_a.header.param
+        assert payload.tobytes() == want_payload.tobytes()
+    return header
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    parts=st.integers(1, 4),
+    # lengths that are multiples of neither the partition count nor
+    # MPC's 32-word block, and some that are
+    n=st.integers(4 * 64, 3000),
+    n_specials=st.integers(0, 12),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_fused_step_equals_reduce_compressed(dtype, parts, n, n_specials, seed):
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, n, dtype, n_specials)
+    b = _operand(rng, n, dtype, n_specials)
+    sim, eng, (plan_a, plan_b) = _pack(a, b, parts)
+    assume(plan_a.compressed and plan_b.compressed)
+    assert plan_a.header.n_partitions == parts
+    _check_fused(sim, eng, a, plan_a, plan_b)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add")
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_step_incompressible_fallback(dtype, parts):
+    """Two half-empty operands compress; their sum is all noise and
+    does not: the step degrades to a raw image of that same sum."""
+    n = 4099
+    noise = np.random.default_rng(5).integers(
+        0, 256, size=n * np.dtype(dtype).itemsize, dtype=np.uint8).view(dtype)
+    a, b = noise.copy(), noise.copy()
+    a[n // 2:] = 0
+    b[:n // 2] = 0
+    sim, eng, (plan_a, plan_b) = _pack(a, b, parts)
+    assert plan_a.compressed and plan_b.compressed
+    assert not _check_fused(sim, eng, a, plan_a, plan_b).compressed
+
+
+def test_fused_step_rejects_a_local_operand_of_the_wrong_shape():
+    sim, eng = _engine(1)
+    a = np.linspace(0, 1, 1000, dtype=np.float32)
+
+    def proc():
+        plan = yield from eng.sender_prepare(a)
+        yield from eng.reduce_wire_payload(
+            plan.header, a[:-1], plan.header, plan.payload)
+
+    with pytest.raises(CompressionError, match="local operand"):
+        sim.run_process(proc())
+
+
+# -- (b) collectives pinned to the parent commit ------------------------------
+
+def _allreduce(algorithm, nprocs, nbytes, seed0, faults=None, config=MPC,
+               payloads=None):
+    if payloads is None:
+        payloads = [make_payload("dataset:msg_sppm", nbytes, seed=seed0 + r)
+                    for r in range(nprocs)]
+
+    def rank_fn(comm):
+        out = yield from comm.allreduce(payloads[comm.rank], algorithm=algorithm)
+        return comm.now, out
+
+    GLOBAL_CODEC_CACHE.clear()
+    res = Cluster("frontera-liquid", nodes=nprocs // 2, gpus_per_node=2).run(
+        rank_fn, config=config, faults=faults, max_time=60.0)
+    return res, payloads
+
+
+#: (algorithm, ranks) -> per-rank completion times, CRC of every rank's
+#: result, traced event count, sends, spans — captured at commit 1da878c
+#: (1 MiB of msg_sppm per rank, seeds 10.., frontera-liquid n/2 x 2)
+_PARENT = {
+    ("ring", 4): (
+        [0.0004939697755339584, 0.0004929872559261154,
+         0.0004935279485031461, 0.0004930351347776559],
+        1631114163, 1006, 24, 536),
+    ("ring", 6): (
+        [0.0006860862427142705, 0.0006863833701652509, 0.0006863752731764553,
+         0.0006853888043389204, 0.0006861531747870996, 0.0006864600669439624],
+        3741818740, 2378, 60, 1272),
+    ("recursive_doubling", 4): (
+        [0.00043417244640355174, 0.00041135244640355163,
+         0.00043416839108142286, 0.000411349567552011],
+        3438108114, 348, 8, 172),
+    ("recursive_doubling", 8): (
+        [0.0005928345477490864, 0.000570027488925557, 0.0005890342536314393,
+         0.0005928429469087503, 0.0005918345477490864, 0.000569027488925557,
+         0.0005900342536314393, 0.0005918429469087503],
+        1678226092, 910, 24, 448),
+}
+
+
+@pytest.mark.parametrize("algorithm,nprocs", list(_PARENT))
+def test_allreduce_pinned_to_parent(algorithm, nprocs):
+    times, crc, events, sends, spans = _PARENT[(algorithm, nprocs)]
+    res, payloads = _allreduce(algorithm, nprocs, 1 << 20, 10)
+    assert [t for t, _ in res.values] == times
+    assert [_crc(out) for _, out in res.values] == [crc] * nprocs
+    assert res.tracer.event_count == events
+    assert res.tracer.metrics.counter_total("mpi.sends") == sends
+    assert len(res.tracer.records) == spans
+    # and against a run that never compresses: same bits
+    ref, _ = _allreduce(algorithm, nprocs, 1 << 20, 10,
+                        config=CompressionConfig.disabled())
+    assert _crc(ref.values[0][1]) == crc
+
+
+# -- (c) the codec-execution budget --------------------------------------------
+
+class _KernelCounter:
+    """Counts real MPC executions where the kernels are invoked (the
+    codec's own methods) and remembers what was decoded."""
+
+    def __init__(self, monkeypatch):
+        self.decoded, self.compressed = [], 0
+        real_dec, real_enc = MpcCompressor.decompress, MpcCompressor.compress
+        counter = self
+
+        def decompress(codec, comp):
+            counter.decoded.append(comp.payload.tobytes())
+            return real_dec(codec, comp)
+
+        def compress(codec, data):
+            counter.compressed += 1
+            return real_enc(codec, data)
+
+        monkeypatch.setattr(MpcCompressor, "decompress", decompress)
+        monkeypatch.setattr(MpcCompressor, "compress", compress)
+
+
+@pytest.mark.parametrize("nbytes,parts", [(1 << 19, 1), (1 << 20, 2)])
+def test_ring_allreduce_codec_budget(monkeypatch, nbytes, parts):
+    size = 4
+    # distinct smooth data: no two chunks anywhere share their bytes,
+    # so a decode is attributable to the one image it came from
+    payloads = [smooth_f32(nbytes // 4, seed=30 + r) for r in range(size)]
+    counter = _KernelCounter(monkeypatch)
+    _allreduce("ring", size, nbytes, 0, payloads=payloads)
+    arrivals = size * (size - 1) * parts      # one decode per partition that arrived
+    final_misses = size * parts               # each reduced chunk decoded once, by
+    #                                           whichever rank unpacks it first
+    assert len(counter.decoded) == arrivals + final_misses
+    # packs (size chunks per rank) + one re-encode per reduce step
+    assert counter.compressed == (size * size + size * (size - 1)) * parts
+    stats = GLOBAL_CODEC_CACHE.stats()
+    assert stats["decompress_execs"] == len(counter.decoded)
+    assert stats["compress_execs"] == counter.compressed
+    # Rank r sends the image of its chunk r (the neighbour decodes that
+    # arrival) and holds every other chunk it packed as the raw operand
+    # of exactly one reduce step: none of those images is ever decoded.
+    codec = MpcCompressor(MPC.mpc_dimensionality)
+    decoded = set(counter.decoded)
+    for rank, data in enumerate(payloads):
+        for i, chunk in enumerate(np.array_split(data, size)):
+            for piece in np.array_split(chunk, parts):
+                image = codec.compress(piece).payload.tobytes()
+                assert (image in decoded) == (i == rank)
+
+
+# -- (d) integrity under a fault plan -----------------------------------------
+
+#: 4-rank ring allreduce, 512 KiB of msg_sppm per rank (seeds 20..):
+#: clean CRC and, per fault plan, what the parent commit recorded
+_CLEAN_CRC = 1572163979
+
+
+def _resilience(res):
+    m = res.tracer.metrics
+    return {k: m.counter_total("resilience." + k)
+            for k in ("wire_crc_mismatch", "crc_mismatch", "data_timeout",
+                      "retransmit", "recovered")}
+
+
+def _retransmitted_reduce_scatter_seqs(res):
+    tags = {r.meta["seq"]: r.meta.get("tag")
+            for r in res.tracer.records if r.label == "rts"}
+    return sorted({r.meta["seq"] for r in res.tracer.records
+                   if r.label == "wire_transfer" and r.meta.get("attempt")
+                   and tags.get(r.meta["seq"]) == _T_RING_RS})
+
+
+def test_corrupted_partial_sum_is_nacked_and_retransmitted():
+    res, _ = _allreduce("ring", 4, 1 << 19, 20,
+                        faults=FaultPlan(seed=3, corrupt_rate=0.2))
+    assert [_crc(out) for _, out in res.values] == [_CLEAN_CRC] * 4
+    assert res.elapsed == 0.0005893831508322344
+    assert _resilience(res) == {"wire_crc_mismatch": 4, "crc_mismatch": 0,
+                                "data_timeout": 0, "retransmit": 4,
+                                "recovered": 3}
+    # seq 27 and 35 carry partial sums (the second and third ring step)
+    assert _retransmitted_reduce_scatter_seqs(res) == [19, 27, 35]
+
+
+def test_drop_in_the_middle_of_a_ring_step_recovers():
+    res, _ = _allreduce("ring", 4, 1 << 19, 20,
+                        faults=FaultPlan(seed=3, drop_rate=0.15))
+    assert [_crc(out) for _, out in res.values] == [_CLEAN_CRC] * 4
+    assert res.elapsed == 0.7505552241752802
+    assert _resilience(res) == {"wire_crc_mismatch": 0, "crc_mismatch": 0,
+                                "data_timeout": 3, "retransmit": 3,
+                                "recovered": 3}
+    assert _retransmitted_reduce_scatter_seqs(res) == [19, 30]
+
+
+@pytest.mark.parametrize("seed,failing", [
+    (1, "rank 2: wire image origin_seq=39"),
+    (5, "rank 3: wire image origin_seq=40"),
+    (6, "rank 1: wire image origin_seq=37"),
+])
+def test_silent_decompress_fault_in_unpack_wire_raises(seed, failing):
+    """The final unpack decodes through the fault-wrapped codec for
+    real and hashes what came out: the same image fails as on the
+    parent (same RNG draws, so same victim)."""
+    with pytest.raises(IntegrityError, match=failing):
+        _allreduce("ring", 4, 1 << 19, 20,
+                   faults=FaultPlan(seed=seed, decompress_corrupt_rate=0.05))
+
+
+def test_silent_decompress_plan_leaves_reduce_steps_alone():
+    """The fused step decodes arrivals with the unwrapped codec (the
+    wire CRC already vouched for those bytes), as the parent's did: a
+    plan whose draws all miss finishes at the fault-free time."""
+    res, _ = _allreduce("ring", 4, 1 << 19, 20,
+                        faults=FaultPlan(seed=2, decompress_corrupt_rate=0.05))
+    assert [_crc(out) for _, out in res.values] == [_CLEAN_CRC] * 4
+    assert res.elapsed == 0.0004734959263006197
+    assert res.tracer.metrics.counter("faults.injected",
+                                      kind="decompress_corrupt") == 0
+
+
+def test_silent_decompress_fault_in_rendezvous_recovers():
+    """Plain rendezvous: the corrupted decode fails the post-decode
+    CRC, is NACKed, and the retransmission delivers."""
+    x = make_payload("dataset:msg_sppm", 1 << 18, seed=1)
+
+    def rank_fn(comm):
+        if comm.rank == 0:
+            for i in range(6):
+                yield from comm.send(x, 1, tag=i)
+            return None
+        got = []
+        for i in range(6):
+            got.append((yield from comm.recv(0, tag=i)))
+        return got
+
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rank_fn, config=MPC, max_time=60.0,
+        faults=FaultPlan(seed=4, decompress_corrupt_rate=0.3))
+    assert all(g.tobytes() == x.tobytes() for g in res.values[1])
+    m = res.tracer.metrics
+    assert m.counter("faults.injected", kind="decompress_corrupt") > 0
+    assert m.counter_total("resilience.crc_mismatch") > 0
+    assert m.counter_total("resilience.recovered") > 0
+
+
+class _AlwaysCorrupt:
+    """Injector stub: every decode comes back with one bit flipped."""
+
+    def should_fail_compress(self, name):
+        return False
+
+    def maybe_corrupt_decompressed(self, name, out):
+        return flip_bit(out, 7)
+
+
+def test_memo_hit_is_never_taken_for_a_cache_unsafe_codec():
+    cache = CodecCache()
+    clean = MpcCompressor(1)
+    x = np.linspace(0, 1, 5000, dtype=np.float32)
+    comp = clean.compress(x)
+    good, good_crc = cache.decode(clean, comp.payload, (comp,), want_crc=True)
+    assert good_crc == payload_crc32(x)
+    before = cache.stats()
+    flaky = FlakyCompressor(clean, _AlwaysCorrupt())
+    bad, bad_crc = cache.decode(flaky, comp.payload, (comp,),
+                                fingerprint=payload_crc32(comp.payload),
+                                want_crc=True)
+    after = cache.stats()
+    # decoded for real, hashed for real, nothing looked up or stored
+    assert after["decompress_execs"] == before["decompress_execs"] + 1
+    assert (after["hits"], after["misses"], after["entries"]) == (
+        before["hits"], before["misses"], before["entries"])
+    assert bad.tobytes() != x.tobytes()
+    assert bad_crc == payload_crc32(bad) != good_crc
+    # and the clean entry is untouched by it
+    again, again_crc = cache.decode(clean, comp.payload, (comp,), want_crc=True)
+    assert again.tobytes() == x.tobytes() and again_crc == good_crc
+
+
+def test_sz_survives_a_fault_plan():
+    """The receiver rebuilds SZ from the header's float32 bound; the
+    sender's expected-value stamp must be computed with that same
+    codec, not hidden behind a shared cache entry (it used to fail
+    every integrity check as soon as a fault plan bypassed the cache)."""
+    cfg = CompressionConfig(enabled=True, algorithm="sz", threshold=2048)
+    x = np.cumsum(np.random.default_rng(0).standard_normal(60000)).astype(np.float32)
+
+    def rank_fn(comm):
+        if comm.rank == 0:
+            yield from comm.send(x, 1)
+            return None
+        return (yield from comm.recv(0))
+
+    GLOBAL_CODEC_CACHE.clear()
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rank_fn, config=cfg, max_time=10.0,
+        faults=FaultPlan(seed=1, decompress_corrupt_rate=1e-9))
+    assert float(np.abs(res.values[1] - x).max()) <= 1.001 * cfg.sz_error_bound

@@ -84,7 +84,7 @@ def test_engine_rejects_partition_sum_mismatch():
 
     def proc():
         res = yield from eng.receiver_prepare(tampered)
-        out = yield from eng.receiver_complete(tampered, plan.payload, res)
+        out, _ = yield from eng.receiver_complete(tampered, plan.payload, res)
         return out
 
     with pytest.raises(ReproError):

@@ -246,3 +246,35 @@ def test_compare_gates_exact_counts_at_zero_tolerance():
     assert not worse.ok  # far inside the 30% timing threshold, still gated
     better = hostperf.compare(_snap(events_per_message=4.0), base)
     assert better.ok and len(better.drifts) == 1
+
+
+# -- data-plane points -----------------------------------------------------------
+
+def test_matrix_includes_data_plane_points():
+    for quick in (True, False):
+        names = [mb.name for mb in hostperf.benchmark_matrix(quick=quick)]
+        assert "e2e/coll-relay-16" in names
+        assert "coll/codec_decodes_per_message" in names
+
+
+def test_codec_decodes_per_message_point_is_exact_and_on_budget():
+    a = hostperf.collect(quick=True, reps=1, only="coll/")
+    b = hostperf.collect(quick=True, reps=1, only="coll/")
+    m = a["benchmarks"]["coll/codec_decodes_per_message"]["metrics"]
+    assert m == b["benchmarks"]["coll/codec_decodes_per_message"]["metrics"]
+    # 8-rank ring allreduce: 2 * 8 * 7 messages; one decode per arrival
+    # of the reduce-scatter (8 * 7) and one per distinct final chunk (8)
+    assert m["n_messages"] == 112
+    assert m["n_decodes"] == 8 * 7 + 8
+    # ...and the committed baseline gates exactly that, at zero tolerance
+    base = hostperf.load("tests/data/HOSTPERF_baseline.json")
+    assert base["benchmarks"]["coll/codec_decodes_per_message"]["metrics"] == m
+    worse = {"schema_version": hostperf.SCHEMA_VERSION, "benchmarks": {
+        "coll/codec_decodes_per_message": {"metrics": {
+            "codec_decodes_per_message": m["codec_decodes_per_message"] + 0.01}}}}
+    assert not hostperf.compare(worse, base).ok
+
+
+def test_coll_relay_point_collects():
+    doc = hostperf.collect(quick=True, reps=1, only="e2e/coll-relay-16")
+    assert doc["benchmarks"]["e2e/coll-relay-16"]["metrics"]["run_s"] > 0
