@@ -21,8 +21,8 @@ Every benchmark here exercises real code on deterministic data:
 * ``engine/scale/*`` — collective-shaped event loops at 256 and 1024
   ranks (lockstep rounds with same-instant wakeups, spawn churn,
   fan-in gates and interrupt storms), the workload the calendar
-  scheduler and micro-event freelist exist for.  Events/sec is
-  calibrated by one instrumented run and timed on the bare loop; a
+  scheduler and micro-event freelist exist for.  Events/sec divides
+  the simulator's own dispatched-event count by the timed run; a
   separate pass records tracemalloc peak heap;
 * ``e2e/bench-quick`` — wall seconds of the full quick benchmark
   matrix, the number a developer actually waits on;
@@ -304,23 +304,17 @@ def _scale_workload(sim, ranks: int, rounds: int) -> None:
 
 
 def _run_engine_scale(params: dict, reps: int) -> dict:
-    from repro.sim import Simulator, Tracer
+    from repro.sim import Simulator
 
     ranks, rounds = params["ranks"], params["rounds"]
-
-    # Calibrate the exact event count with one instrumented run — the
-    # bare loop deliberately counts nothing.  (The two loop variants
-    # dispatch identically; tests assert that equivalence.)
-    sim = Simulator()
-    tracer = Tracer(sim)
-    _scale_workload(sim, ranks, rounds)
-    sim.run()
-    n_events = tracer.event_count
+    n_events = 0
 
     def one_run() -> None:
+        nonlocal n_events
         sim = Simulator()
         _scale_workload(sim, ranks, rounds)
         sim.run()
+        n_events = sim.event_count  # the same on every run
 
     t = _time_median(one_run, reps)
     return {"run_s": _r(t), "events_per_s": _r(n_events / t, 0),

@@ -194,7 +194,7 @@ class CompressionEngine:
             else:
                 yield from self.device.free(buf)
 
-    def sender_release(self, plan: SendPlan):
+    def sender_release(self, plan: "SendPlan | PipelinedSendPlan"):
         """Return the send-side buffers (after the data has left)."""
         yield from self._release(plan.resources)
         plan.resources = []
@@ -558,10 +558,6 @@ class CompressionEngine:
             header=header, comps=comps, resources=resources, kernel_run=kernel_run,
             crc=self._plan_crc(codec, data, comps),
         )
-
-    def pipelined_release(self, plan: PipelinedSendPlan):
-        yield from self._release(plan.resources)
-        plan.resources = []
 
     def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
         """Decompress one arrived partition (generator subroutine)."""

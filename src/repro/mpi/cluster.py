@@ -46,6 +46,7 @@ from repro.mpi.failstop import (FailStopManager, KillCause, KilledRank,
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import Packet, PacketKind
 from repro.mpi.resilience import CircuitBreaker, ResilienceConfig
+from repro.mpi.wire import WireImage
 from repro.network.presets import MachinePreset, machine_preset
 from repro.network.topology import Topology
 from repro.sim import Interrupt, Simulator, Tracer
@@ -62,15 +63,7 @@ class _RetransmitEntry:
     src: int
     dst: int
     tag: int
-    header: Any
-    payload: Any
-    wire_nbytes: int
-    crc: Optional[int]
-    compressed: bool
-    #: wire-level CRC for relayed (keep-compressed) hops
-    wire_crc: Optional[int] = None
-    #: originating pack seq for relayed hops
-    origin_seq: Optional[int] = None
+    image: WireImage
 
 
 class Runtime:
@@ -243,20 +236,13 @@ class Runtime:
         return br
 
     def register_retransmit(self, seq: int, src: int, dst: int, tag: int,
-                            header, payload, wire_nbytes: int,
-                            crc: Optional[int], compressed: bool,
-                            wire_crc: Optional[int] = None,
-                            origin_seq: Optional[int] = None) -> bool:
-        """Retain sender-side wire bytes for possible retransmission.
+                            image: WireImage) -> bool:
+        """Retain the sender's wire image for possible retransmission.
         Only active under a fault plane — in a fault-free run nothing is
         retained and :meth:`retire` is a silent no-op."""
         if self.sim.faults is None or self.resilience.max_retries <= 0:
             return False
-        self._retransmit[seq] = _RetransmitEntry(
-            src=src, dst=dst, tag=tag, header=header, payload=payload,
-            wire_nbytes=wire_nbytes, crc=crc, compressed=compressed,
-            wire_crc=wire_crc, origin_seq=origin_seq,
-        )
+        self._retransmit[seq] = _RetransmitEntry(src, dst, tag, image)
         return True
 
     def retransmit_entry(self, seq: int) -> Optional[_RetransmitEntry]:
@@ -268,7 +254,7 @@ class Runtime:
         entry = self._retransmit.pop(seq, None)
         if entry is None:
             return
-        if entry.compressed:
+        if entry.image.compressed:
             br = self.breaker_of(entry.src, entry.dst)
             if success:
                 br.record_success(self.sim.now)
@@ -279,41 +265,50 @@ class Runtime:
         """A NACK reached the sender: count it against the breaker when
         the rejected payload was compressed."""
         entry = self._retransmit.get(seq)
-        if entry is not None and entry.compressed:
+        if entry is not None and entry.image.compressed:
             self.breaker_of(entry.src, entry.dst).record_failure(self.sim.now)
 
+    def _push_image(self, seq: int, src: int, dst: int, tag: int,
+                   image: WireImage, attempt: int = 0):
+        """Push ``image`` across the wire as message ``seq`` and hand
+        the receiver its DATA packet: attempt 0 inside the sender's
+        protocol process, attempt *k* as a retransmission.  The packet
+        is keyed by ``attempt`` so stale deliveries cannot satisfy a
+        retry's waiter."""
+        extra = {"attempt": attempt} if attempt else {}
+        if image.origin_seq is not None:
+            extra["origin_seq"] = image.origin_seq
+        with trace_scope(self.sim, "pipeline", "wire_transfer", rank=src,
+                         seq=seq, nbytes=image.wire_nbytes, dst=dst, **extra):
+            delivered = yield from self.transfer(
+                src, dst, image.wire_nbytes,
+                label="rndv_retry" if attempt else "rndv_data",
+                payload=image.payload,
+            )
+        if attempt:
+            self.resilience_event("retransmit", rank=src, seq=seq, dst=dst,
+                                  attempt=attempt)
+        if delivered is DROPPED:
+            return  # the receiver's data timeout will fire (again)
+        self.matching_of(dst).deliver_data(
+            Packet(PacketKind.DATA, src, dst, tag, seq, payload=delivered,
+                   wire_nbytes=image.wire_nbytes, crc=image.crc,
+                   attempt=attempt, wire_crc=image.wire_crc,
+                   origin_seq=image.origin_seq)
+        )
+
     def spawn_retransmit(self, seq: int, attempt: int) -> bool:
-        """Push a retained payload across the wire again (async sender-
-        side process); the DATA packet is keyed by ``attempt`` so stale
-        deliveries cannot satisfy the retry's waiter."""
+        """Push a retained image across the wire again (async sender-
+        side process)."""
         entry = self._retransmit.get(seq)
         if entry is None:
             return False
         if self.is_dead(entry.src):
             return False  # dead senders retransmit nothing
-
-        def proc():
-            extra = ({"origin_seq": entry.origin_seq}
-                     if entry.origin_seq is not None else {})
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=entry.src, seq=seq, nbytes=entry.wire_nbytes,
-                             dst=entry.dst, attempt=attempt, **extra):
-                delivered = yield from self.transfer(
-                    entry.src, entry.dst, entry.wire_nbytes,
-                    label="rndv_retry", payload=entry.payload,
-                )
-            self.resilience_event("retransmit", rank=entry.src, seq=seq,
-                                  dst=entry.dst, attempt=attempt)
-            if delivered is DROPPED:
-                return  # the receiver's data timeout will fire again
-            self.matching_of(entry.dst).deliver_data(
-                Packet(PacketKind.DATA, entry.src, entry.dst, entry.tag, seq,
-                       payload=delivered, wire_nbytes=entry.wire_nbytes,
-                       crc=entry.crc, attempt=attempt,
-                       wire_crc=entry.wire_crc, origin_seq=entry.origin_seq)
-            )
-
-        p = self.sim.process(proc(), name=f"retransmit{seq}.{attempt}")
+        p = self.sim.process(
+            self._push_image(seq, entry.src, entry.dst, entry.tag, entry.image,
+                            attempt),
+            name=f"retransmit{seq}.{attempt}")
         self.adopt(entry.src, p)
         return True
 
@@ -470,9 +465,8 @@ class Cluster:
             ``comm.should_checkpoint(step)`` (0 = never); the
             checkpoint store itself lives on the :class:`Runtime`.
         trace:
-            Record spans/metrics (default).  ``trace=False`` leaves the
-            simulator uninstrumented so the engine takes its bare run
-            loop — the mode that makes 1k+ rank runs affordable (a
+            Record spans/metrics (default).  ``trace=False`` attaches
+            no tracer — the mode that makes 1k+ rank runs affordable (a
             traced 1024-rank allgather would allocate millions of span
             records).  The returned :attr:`ClusterResult.tracer` is
             then a detached, empty tracer.

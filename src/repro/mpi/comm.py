@@ -16,6 +16,14 @@ compression threshold anyway) — and no simulator process either: see
 4. sender pushes the (compressed) payload across the topology;
 5. receiver decompresses into the user buffer and completes.
 
+One path carries every rendezvous message, as a
+:class:`~repro.mpi.wire.WireImage`: a plain send packs one in step 1, a
+relay (``isend_wire``) enters with the image it holds and skips that
+step.  The receive flavour picks what step 5 verifies — decode and
+compare the post-decode CRC, or compare the wire CRC and hand the image
+on — inside the one NACK/retransmit loop.  Pipelining pushes more than
+one part, each decoded on arrival, between steps 3 and 5.
+
 All primitives are generator subroutines (``yield from comm.send(...)``)
 except ``isend``/``irecv``, which start the operation — an eager state
 machine, or a rendezvous protocol process — and return a
@@ -85,12 +93,13 @@ PIPELINE_STEPS = (
     "sender_release",      # post-send: return pooled buffers / temporaries
 )
 
-#: request kind, protocol-process name and (sends) eager protocol label
-#: per point-to-point flavour: user data, or a packed wire image
+#: per point-to-point flavour (user data, or a packed wire image): the
+#: request kind, the protocol-process name and, for a send, its eager
+#: protocol label; for a receive, whether the arrived image is decoded
 _SEND_DATA = ("isend->", "isend", "eager")
 _SEND_WIRE = ("isend_wire->", "isendw", "wire_eager")
-_RECV_DATA = ("irecv<-", "irecv")
-_RECV_WIRE = ("irecv_wire<-", "irecvw")
+_RECV_DATA = ("irecv<-", "irecv", True)
+_RECV_WIRE = ("irecv_wire<-", "irecvw", False)
 
 #: transient faults the resilience layer absorbs (retry/fallback); any
 #: other exception still propagates immediately
@@ -194,17 +203,17 @@ class Communicator:
         """Start a nonblocking send of ``data`` (a numpy array resident
         on this rank's GPU) to local rank ``dest``."""
         return self._start_send(data, self._payload_nbytes(data), dest, tag,
-                                _SEND_DATA, self._send_proc)
+                                _SEND_DATA)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Start a nonblocking receive.  The request's value is the
         received array."""
-        return self._start_recv(source, tag, _RECV_DATA, self._recv_proc)
+        return self._start_recv(source, tag, _RECV_DATA)
 
     def _start_send(self, payload, nbytes: int, dest: int, tag: int,
-                    flavour: tuple, rndv) -> Request:
+                    flavour: tuple) -> Request:
         """Start a send of ``nbytes``: the eager state machine below the
-        threshold (and to self), else the ``rndv`` protocol process.
+        threshold (and to self), else the rendezvous protocol process.
         Either starts after the per-operation software overhead."""
         self._check_peer(dest, "destination")
         rt = self._rt
@@ -218,21 +227,20 @@ class Communicator:
             op = EagerSend(self, payload, nbytes, gdest, tag, req,
                            eager_protocol)
         else:
-            op = rt.sim.process(rndv(payload, gdest, tag, req),
+            op = rt.sim.process(self._send_proc(payload, gdest, tag, req),
                                 name=(name, self._grank, "->", gdest),
                                 delay=SETUP_TIME)
         rt.adopt(self._grank, op)
         return req
 
-    def _start_recv(self, source: int, tag: int, flavour: tuple,
-                    rndv) -> Request:
+    def _start_recv(self, source: int, tag: int, flavour: tuple) -> Request:
         """Start a receive: post after the software overhead, complete
-        on an EAGER envelope, continue as ``rndv`` on an RTS."""
+        on an EAGER envelope, continue as :meth:`_recv_proc` on an RTS."""
         gsource = source
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
             gsource = self._group[source]
-        kind, name = flavour
+        kind, name, decode = flavour
         rt = self._rt
         req = Request(rt.sim, kind, gsource)
         if tag != ANY_TAG:
@@ -242,14 +250,14 @@ class Communicator:
             # The armed failure detector races the match against the
             # peer's death event; that wait takes a process.
             op = rt.sim.process(
-                self._watched_recv(gsource, tag, req, rndv),
+                self._watched_recv(gsource, tag, req, decode),
                 name=(name, self._grank, "<-", gsource), delay=SETUP_TIME)
         else:
-            op = Recv(self, gsource, tag, req, rndv, name)
+            op = Recv(self, gsource, tag, req, decode, name)
         rt.adopt(self._grank, op)
         return req
 
-    def _watched_recv(self, source: int, tag: int, req: Request, rndv):
+    def _watched_recv(self, source: int, tag: int, req: Request, decode):
         """A receive's envelope wait under the failure detector."""
         rt = self._rt
         try:
@@ -262,7 +270,7 @@ class Communicator:
         if pkt.kind is PacketKind.EAGER:
             req.complete(pkt.payload)
         else:
-            yield from rndv(pkt, tag, req)
+            yield from self._recv_proc(pkt, req, decode)
 
     # -- blocking wrappers ------------------------------------------------------
     def send(self, data: Any, dest: int, tag: int = 0):
@@ -296,85 +304,101 @@ class Communicator:
         if tracer is not None:
             tracer.metrics.inc("mpi.sends", protocol=protocol)
 
-    def _send_proc(self, data: Any, dest: int, tag: int, req: Request):
-        """Rendezvous send with on-the-fly compression."""
+    def _send_proc(self, payload: Any, dest: int, tag: int, req: Request):
+        """Rendezvous send: pack -> send the image -> release.  An
+        already-packed :class:`WireImage` skips the pack — its RTS
+        re-piggybacks the *original* header — and holds no device
+        buffer to release."""
         rt = self._rt
         try:
             seq = rt.next_seq()
-            nbytes = self._payload_nbytes(data)
-            engine = rt.engine_of(self._grank)
-            resil = rt.resilience
-            breaker = None
-            force_uncompressed = False
-            if engine.config.enabled:
-                breaker = rt.breaker_of(self._grank, dest)
-                if not breaker.allow(self.now):
-                    force_uncompressed = True
-                    rt.resilience_event("breaker_veto", rank=self._grank,
-                                        dst=dest, seq=seq)
-            if engine.config.enabled and engine.config.pipeline \
-                    and not force_uncompressed:
-                pplan = None
-                with trace_scope(self.sim, "pipeline", "sender_prepare",
-                                 rank=self._grank, nbytes=nbytes, seq=seq,
-                                 dst=dest):
-                    try:
-                        pplan = yield from engine.sender_prepare_pipelined(
-                            data, path_bandwidth=rt.path_bandwidth(self._grank, dest)
-                        )
-                    except _TRANSIENT as exc:
-                        self._compression_failed(rt, breaker, dest, seq, exc)
-                        force_uncompressed = True
-                if pplan is not None:
-                    yield from self._send_pipelined(rt, dest, tag, seq, pplan)
-                    self._count_send("rndv_pipelined")
-                    req.complete()
-                    return
-            with trace_scope(self.sim, "pipeline", "sender_prepare",
-                             rank=self._grank, nbytes=nbytes, seq=seq,
-                             dst=dest):
-                try:
-                    plan = yield from engine.sender_prepare(
-                        data, path_bandwidth=rt.path_bandwidth(self._grank, dest),
-                        force_uncompressed=force_uncompressed,
-                    )
-                except _TRANSIENT as exc:
-                    self._compression_failed(rt, breaker, dest, seq, exc)
-                    plan = yield from engine.sender_prepare(
-                        data, force_uncompressed=True
-                    )
-            crc = plan.crc if resil.integrity else None
+            plan = None
+            if isinstance(payload, WireImage):
+                image, protocol = payload, "rndv_wire"
+            else:
+                plan, image = yield from self._pack(rt, payload, dest, seq)
+                protocol = ("rndv_pipelined" if image.header.pipelined
+                            else "rndv")
+            extra = ({} if image.origin_seq is None
+                     else {"origin_seq": image.origin_seq})
             rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                         header=plan.header, wire_nbytes=plan.wire_nbytes,
-                         crc=crc)
+                         header=image.header, wire_nbytes=image.wire_nbytes,
+                         crc=image.crc, wire_crc=image.wire_crc,
+                         origin_seq=image.origin_seq)
             with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                             seq=seq, dst=dest, tag=tag):
+                             seq=seq, dst=dest, tag=tag, **extra):
                 yield from rt.control_delay(self._grank, dest, rts.control_bytes())
                 cts_ev = rt.matching_of(self._grank).expect_cts(seq)
                 rt.matching_of(dest).deliver_envelope(rts)
             yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(seq, self._grank, dest, tag, plan.header,
-                                   plan.payload, plan.wire_nbytes, crc,
-                                   plan.compressed)
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=self._grank, seq=seq,
-                             nbytes=plan.wire_nbytes, dst=dest):
-                delivered = yield from rt.transfer(
-                    self._grank, dest, plan.wire_nbytes,
-                    label="rndv_data", payload=plan.payload,
-                )
-            if delivered is not DROPPED:
-                data_pkt = Packet(PacketKind.DATA, self._grank, dest, tag, seq,
-                                  payload=delivered,
-                                  wire_nbytes=plan.wire_nbytes, crc=crc)
-                rt.matching_of(dest).deliver_data(data_pkt)
-            with trace_scope(self.sim, "pipeline", "sender_release",
-                             rank=self._grank, seq=seq, dst=dest):
-                yield from engine.sender_release(plan)
-            self._count_send("rndv")
+            rt.register_retransmit(seq, self._grank, dest, tag, image)
+            if image.header.pipelined:
+                yield from self._push_parts(rt, dest, tag, seq, plan)
+            else:
+                yield from rt._push_image(seq, self._grank, dest, tag, image)
+            if plan is not None:
+                with trace_scope(self.sim, "pipeline", "sender_release",
+                                 rank=self._grank, seq=seq, dst=dest):
+                    yield from rt.engine_of(self._grank).sender_release(plan)
+            self._count_send(protocol)
             req.complete()
         except BaseException as exc:  # surfaced via the request
             req.fail(exc)
+
+    def _pack(self, rt, data, dest: int, seq: int):
+        """The pack step of a plain send: on-the-fly compression under
+        the peer's circuit breaker.  Returns ``(plan, image)`` — the
+        plan owns the device buffers until the release step, the image
+        is what the protocol ships (never relayed: no ``wire_crc``, no
+        ``origin_seq``)."""
+        engine = rt.engine_of(self._grank)
+        nbytes = self._payload_nbytes(data)
+        integrity = rt.resilience.integrity
+        breaker = None
+        force_uncompressed = False
+        if engine.config.enabled:
+            breaker = rt.breaker_of(self._grank, dest)
+            if not breaker.allow(self.now):
+                force_uncompressed = True
+                rt.resilience_event("breaker_veto", rank=self._grank,
+                                    dst=dest, seq=seq)
+        if engine.config.enabled and engine.config.pipeline \
+                and not force_uncompressed:
+            pplan = None
+            with trace_scope(self.sim, "pipeline", "sender_prepare",
+                             rank=self._grank, nbytes=nbytes, seq=seq,
+                             dst=dest):
+                try:
+                    pplan = yield from engine.sender_prepare_pipelined(
+                        data, path_bandwidth=rt.path_bandwidth(self._grank, dest)
+                    )
+                except _TRANSIENT as exc:
+                    self._compression_failed(rt, breaker, dest, seq, exc)
+                    force_uncompressed = True
+            if pplan is not None:
+                # Kept whole for retransmission only — a NACKed message is
+                # resent as one un-pipelined DATA packet (the header's
+                # partition table still applies): needs a fault plane.
+                whole = (np.concatenate([c.payload for c in pplan.comps])
+                         if rt.faults is not None else None)
+                return pplan, WireImage(pplan.header, whole,
+                                        pplan.header.wire_bytes,
+                                        pplan.crc if integrity else None)
+        with trace_scope(self.sim, "pipeline", "sender_prepare",
+                         rank=self._grank, nbytes=nbytes, seq=seq,
+                         dst=dest):
+            try:
+                plan = yield from engine.sender_prepare(
+                    data, path_bandwidth=rt.path_bandwidth(self._grank, dest),
+                    force_uncompressed=force_uncompressed,
+                )
+            except _TRANSIENT as exc:
+                self._compression_failed(rt, breaker, dest, seq, exc)
+                plan = yield from engine.sender_prepare(
+                    data, force_uncompressed=True
+                )
+        return plan, WireImage(plan.header, plan.payload, plan.wire_nbytes,
+                               plan.crc if integrity else None)
 
     def _compression_failed(self, rt, breaker, dest: int, seq: int, exc) -> None:
         """Host-side bookkeeping for a transient sender-side compression
@@ -468,28 +492,9 @@ class Communicator:
                 diagnostic=rt.matching_report(),
             )
 
-    def _send_pipelined(self, rt, dest: int, tag: int, seq: int, pplan):
-        """Stream each partition as its compression kernel completes."""
-        engine = rt.engine_of(self._grank)
-        crc = pplan.crc if rt.resilience.integrity else None
-        total = pplan.header.wire_bytes
-        rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                     header=pplan.header, wire_nbytes=total, crc=crc)
-        with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                         seq=seq, dst=dest, tag=tag):
-            yield from rt.control_delay(self._grank, dest, rts.control_bytes())
-            cts_ev = rt.matching_of(self._grank).expect_cts(seq)
-            rt.matching_of(dest).deliver_envelope(rts)
-        yield from self._await_cts(rt, cts_ev, dest, seq)
-        if rt.faults is not None:
-            # Retain the full concatenated wire image: a NACKed
-            # pipelined message is retransmitted as one un-pipelined
-            # DATA packet (the header's partition table still applies).
-            rt.register_retransmit(
-                seq, self._grank, dest, tag, pplan.header,
-                np.concatenate([c.payload for c in pplan.comps]),
-                total, crc, True,
-            )
+    def _push_parts(self, rt, dest: int, tag: int, seq: int, pplan):
+        """The n_parts > 1 push: stream each partition as its
+        compression kernel completes."""
 
         def part_sender(i):
             yield from pplan.kernel_run(i)
@@ -515,33 +520,14 @@ class Communicator:
         for p in procs:
             rt.adopt(self._grank, p)
         yield self.sim.all_of(procs)
-        with trace_scope(self.sim, "pipeline", "sender_release",
-                         rank=self._grank, seq=seq, dst=dest):
-            yield from engine.pipelined_release(pplan)
 
-    def _recv_pipelined(self, rt, pkt, req: Request):
-        """Decompress each partition as it lands.
-
-        A failed partition (timeout, decode error) or a whole-message
-        CRC mismatch falls back to the un-pipelined recovery loop: one
-        NACK, one full retransmission of the concatenated wire image.
-        """
-        engine = rt.engine_of(self._grank)
-        resil = rt.resilience
+    def _arrive_parts(self, rt, engine, pkt, data_evs):
+        """The n_parts > 1 arrival: decompress each partition as it
+        lands.  Returns ``(data, failure, cause)``; a failed partition
+        (timeout, decode error) or a whole-message CRC mismatch is left
+        to the recovery loop: one NACK, one full retransmission of the
+        concatenated wire image."""
         header = pkt.header
-        resources = yield from self._receiver_prepare_resilient(
-            rt, engine, header, pkt.seq, pkt.src
-        )
-        data_evs = [
-            rt.matching_of(self._grank).expect_data(pkt.seq, part=i)
-            for i in range(header.n_partitions)
-        ]
-        cts = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, pkt.seq)
-        with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
-                         seq=pkt.seq, dst=pkt.src):
-            yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
-            rt.matching_of(pkt.src).deliver_cts(cts)
-
         failures: list = []
 
         def part_receiver(i):
@@ -558,8 +544,6 @@ class Communicator:
                         header, i, data_pkt.payload
                     )
                 except _DECODE_ERRORS as exc:
-                    if rt.retransmit_entry(pkt.seq) is None:
-                        raise
                     failures.append(("decode_error", exc))
                     return None
             return out
@@ -571,48 +555,53 @@ class Communicator:
         for p in procs:
             rt.adopt(self._grank, p)
         results = yield self.sim.all_of(procs)
-        if not failures:
-            parts = [results[i] for i in range(header.n_partitions)]
-            data = np.concatenate(parts)
-            crc = pkt.crc if resil.integrity else None
-            if crc is None or payload_crc32(data) == crc:
-                yield from engine._release(resources)
-                rt.retire(pkt.seq, True)
-                req.complete(data)
-                return
-            failures.append(("crc_mismatch", None))
-        kind, exc = failures[0]
-        data = yield from self._complete_with_retries(
-            rt, engine, pkt, None, resources,
-            initial_failure=kind, initial_exc=exc,
-        )
-        req.complete(data)
+        if failures:
+            return (None,) + failures[0]
+        data = np.concatenate([results[i] for i in range(header.n_partitions)])
+        crc = pkt.crc if rt.resilience.integrity else None
+        if crc is not None and payload_crc32(data) != crc:
+            return None, "crc_mismatch", None
+        return data, None, None
 
-    def _recv_proc(self, pkt, tag: int, req: Request):
-        """Rendezvous receive, from the matched RTS ``pkt`` onwards."""
+    def _recv_proc(self, pkt, req: Request, decode: bool):
+        """Rendezvous receive, from the matched RTS ``pkt`` onwards.
+        ``decode`` is the receive flavour: the request completes with
+        the decoded user data, or with the arrived :class:`WireImage`
+        (verified, not decoded — pass it on or unpack)."""
         rt = self._rt
         try:
             if pkt.kind != PacketKind.RTS:
                 raise MpiError(f"unexpected envelope {pkt!r}")
-            if pkt.header is not None and pkt.header.pipelined:
-                yield from self._recv_pipelined(rt, pkt, req)
-                return
             engine = rt.engine_of(self._grank)
+            header = pkt.header
             resources = yield from self._receiver_prepare_resilient(
-                rt, engine, pkt.header, pkt.seq, pkt.src
+                rt, engine, header, pkt.seq, pkt.src
             )
-            data_ev = rt.matching_of(self._grank).expect_data(pkt.seq)
-            cts = Packet(PacketKind.CTS, self._grank, pkt.src, tag, pkt.seq)
+            data_evs = [
+                rt.matching_of(self._grank).expect_data(pkt.seq, part=i)
+                for i in range(header.n_partitions if header.pipelined else 1)
+            ]
+            cts = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, pkt.seq)
             with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
                              seq=pkt.seq, dst=pkt.src):
                 yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
                 rt.matching_of(pkt.src).deliver_cts(cts)
-            data_pkt = yield from self._await_data(rt, data_ev,
-                                                   src=pkt.src, seq=pkt.seq)
-            data = yield from self._complete_with_retries(
-                rt, engine, pkt, data_pkt, resources
+            data_pkt = failure = cause = None
+            if header.pipelined:
+                data, failure, cause = yield from self._arrive_parts(
+                    rt, engine, pkt, data_evs)
+                if failure is None:
+                    yield from engine._release(resources)
+                    rt.retire(pkt.seq, True)
+                    req.complete(data)
+                    return
+            else:
+                data_pkt = yield from self._await_data(rt, data_evs[0],
+                                                       src=pkt.src, seq=pkt.seq)
+            value = yield from self._complete_with_retries(
+                rt, engine, pkt, data_pkt, resources, decode, failure, cause
             )
-            req.complete(data)
+            req.complete(value)
         except BaseException as exc:
             req.fail(exc)
 
@@ -659,46 +648,65 @@ class Communicator:
         return None if timed_out else pkt
 
     def _complete_with_retries(self, rt, engine, pkt, data_pkt, resources,
-                               initial_failure: Optional[str] = None,
-                               initial_exc: Optional[BaseException] = None):
-        """Decompress + integrity-check, NACKing for retransmission on
-        failure (CRC mismatch, decode error, or delivery timeout) until
-        the message survives or the retry budget is spent."""
+                               decode: bool, failure: Optional[str] = None,
+                               last_exc: Optional[BaseException] = None):
+        """Verify the arrived image, NACKing the immediate upstream for
+        retransmission on failure (CRC mismatch, decode error, delivery
+        timeout) until it survives or the retry budget is spent.  The
+        ``decode`` flavour decompresses and compares the post-decode
+        CRC; a relay compares the wire CRC *without decompressing* and
+        hands the image on.  ``failure``/``last_exc``: what the
+        pipelined arrival already found."""
         resil = rt.resilience
         header = pkt.header
         seq = pkt.seq
         attempt = 0
-        last_exc = initial_exc
-        failure = initial_failure
         while True:
             if failure is None:
                 if data_pkt is None:
                     failure = "data_timeout"
                 else:
                     extra = {"attempt": attempt} if attempt else {}
+                    if pkt.origin_seq is not None:
+                        extra["origin_seq"] = pkt.origin_seq
                     with trace_scope(self.sim, "pipeline", "receiver_complete",
                                      rank=self._grank, seq=seq, src=pkt.src,
                                      wire_nbytes=data_pkt.wire_nbytes,
                                      **extra):
-                        crc = data_pkt.crc if resil.integrity else None
-                        try:
-                            data, got_crc = yield from engine.receiver_complete(
-                                header, data_pkt.payload, resources,
-                                want_crc=crc is not None,
-                            )
-                        except _DECODE_ERRORS as exc:
-                            failure = "decode_error"
-                            last_exc = exc
-                    if failure is None:
-                        resources = []  # released by receiver_complete
-                        if got_crc != crc:
-                            failure = "crc_mismatch"
+                        if decode:
+                            crc = data_pkt.crc if resil.integrity else None
+                            try:
+                                value, got_crc = yield from engine.receiver_complete(
+                                    header, data_pkt.payload, resources,
+                                    want_crc=crc is not None,
+                                )
+                                resources = []  # released by receiver_complete
+                                if got_crc != crc:
+                                    failure = "crc_mismatch"
+                            except _DECODE_ERRORS as exc:
+                                failure = "decode_error"
+                                last_exc = exc
                         else:
-                            rt.retire(seq, True)
-                            if attempt:
-                                rt.resilience_event("recovered", rank=self._grank,
-                                                    seq=seq, attempts=attempt)
-                            return data
+                            crc = data_pkt.wire_crc if resil.integrity else None
+                            if crc is not None \
+                                    and payload_crc32(data_pkt.payload) != crc:
+                                failure = "wire_crc_mismatch"
+                            else:
+                                value = WireImage(
+                                    header=header, payload=data_pkt.payload,
+                                    wire_nbytes=data_pkt.wire_nbytes,
+                                    crc=data_pkt.crc,
+                                    wire_crc=data_pkt.wire_crc,
+                                    origin_seq=pkt.origin_seq,
+                                )
+                    if failure is None:
+                        if resources:  # a relay's, held until the check passed
+                            yield from engine._release(resources)
+                        rt.retire(seq, True)
+                        if attempt:
+                            rt.resilience_event("recovered", rank=self._grank,
+                                                seq=seq, attempts=attempt)
+                        return value
             attempt += 1
             if rt.is_dead(pkt.src):
                 # No point NACKing a dead sender; surface the failure
@@ -715,7 +723,8 @@ class Communicator:
                 if resources:
                     yield from engine._release(resources)
                 retries = attempt - 1
-                msg = (f"rank {self._grank}: message seq {seq} from rank "
+                what = "message" if decode else "wire image"
+                msg = (f"rank {self._grank}: {what} seq {seq} from rank "
                        f"{pkt.src} failed ({failure}) after {retries} "
                        f"retransmission(s)")
                 if failure == "data_timeout":
@@ -723,7 +732,7 @@ class Communicator:
                         msg, diagnostic=rt.matching_report())
                 if entry is None and last_exc is not None:
                     raise last_exc  # no resilience active: original error
-                if failure == "crc_mismatch":
+                if failure.endswith("crc_mismatch"):
                     raise IntegrityError(msg)
                 raise RetryExhaustedError(msg) from last_exc
             yield from self._backoff(rt, attempt, seq, failure)
@@ -866,14 +875,12 @@ class Communicator:
 
     def isend_wire(self, wire: WireImage, dest: int, tag: int = 0) -> Request:
         """Nonblocking relay of an already-packed wire image."""
-        return self._start_send(wire, wire.wire_nbytes, dest, tag,
-                                _SEND_WIRE, self._send_wire_proc)
+        return self._start_send(wire, wire.wire_nbytes, dest, tag, _SEND_WIRE)
 
     def irecv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive of a wire image; the request's value is
         the :class:`WireImage` (not decoded — pass it on or unpack)."""
-        return self._start_recv(source, tag, _RECV_WIRE,
-                                self._recv_wire_proc)
+        return self._start_recv(source, tag, _RECV_WIRE)
 
     def send_wire(self, wire: WireImage, dest: int, tag: int = 0):
         req = self.isend_wire(wire, dest, tag)
@@ -892,149 +899,6 @@ class Communicator:
         received = yield from rreq.wait()
         yield from sreq.wait()
         return received
-
-    def _send_wire_proc(self, wire: WireImage, dest: int, tag: int,
-                        req: Request):
-        """Rendezvous relay: the RTS re-piggybacks the *original*
-        header; no sender_prepare — the image is already packed."""
-        rt = self._rt
-        try:
-            seq = rt.next_seq()
-            rts = Packet(PacketKind.RTS, self._grank, dest, tag, seq,
-                         header=wire.header, wire_nbytes=wire.wire_nbytes,
-                         crc=wire.crc, wire_crc=wire.wire_crc,
-                         origin_seq=wire.origin_seq)
-            with trace_scope(self.sim, "pipeline", "rts", rank=self._grank,
-                             seq=seq, dst=dest, tag=tag,
-                             origin_seq=wire.origin_seq):
-                yield from rt.control_delay(self._grank, dest, rts.control_bytes())
-                cts_ev = rt.matching_of(self._grank).expect_cts(seq)
-                rt.matching_of(dest).deliver_envelope(rts)
-            yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(seq, self._grank, dest, tag, wire.header,
-                                   wire.payload, wire.wire_nbytes, wire.crc,
-                                   wire.compressed, wire_crc=wire.wire_crc,
-                                   origin_seq=wire.origin_seq)
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=self._grank, seq=seq,
-                             nbytes=wire.wire_nbytes, dst=dest,
-                             origin_seq=wire.origin_seq):
-                delivered = yield from rt.transfer(
-                    self._grank, dest, wire.wire_nbytes,
-                    label="rndv_data", payload=wire.payload,
-                )
-            if delivered is not DROPPED:
-                data_pkt = Packet(PacketKind.DATA, self._grank, dest, tag, seq,
-                                  payload=delivered,
-                                  wire_nbytes=wire.wire_nbytes, crc=wire.crc,
-                                  wire_crc=wire.wire_crc,
-                                  origin_seq=wire.origin_seq)
-                rt.matching_of(dest).deliver_data(data_pkt)
-            self._count_send("rndv_wire")
-            req.complete()
-        except BaseException as exc:
-            req.fail(exc)
-
-    def _recv_wire_proc(self, pkt, tag: int, req: Request):
-        """Rendezvous receive of a relayed image, from the matched RTS
-        ``pkt`` onwards."""
-        rt = self._rt
-        try:
-            if pkt.kind != PacketKind.RTS:
-                raise MpiError(f"unexpected envelope {pkt!r}")
-            engine = rt.engine_of(self._grank)
-            resources = yield from self._receiver_prepare_resilient(
-                rt, engine, pkt.header, pkt.seq, pkt.src
-            )
-            data_ev = rt.matching_of(self._grank).expect_data(pkt.seq)
-            cts = Packet(PacketKind.CTS, self._grank, pkt.src, tag, pkt.seq)
-            with trace_scope(self.sim, "pipeline", "cts", rank=self._grank,
-                             seq=pkt.seq, dst=pkt.src):
-                yield from rt.control_delay(self._grank, pkt.src, cts.control_bytes())
-                rt.matching_of(pkt.src).deliver_cts(cts)
-            data_pkt = yield from self._await_data(rt, data_ev,
-                                                   src=pkt.src, seq=pkt.seq)
-            wire = yield from self._wire_complete_with_retries(
-                rt, engine, pkt, data_pkt, resources
-            )
-            req.complete(wire)
-        except BaseException as exc:
-            req.fail(exc)
-
-    def _wire_complete_with_retries(self, rt, engine, pkt, data_pkt,
-                                    resources):
-        """The relay-side recovery loop: verify the wire CRC of the
-        arrived image *without decompressing*, NACKing the immediate
-        upstream hop for retransmission on mismatch or timeout."""
-        resil = rt.resilience
-        seq = pkt.seq
-        attempt = 0
-        failure: Optional[str] = None
-        while True:
-            if failure is None:
-                if data_pkt is None:
-                    failure = "data_timeout"
-                else:
-                    extra = {"attempt": attempt} if attempt else {}
-                    if pkt.origin_seq is not None:
-                        extra["origin_seq"] = pkt.origin_seq
-                    with trace_scope(self.sim, "pipeline", "receiver_complete",
-                                     rank=self._grank, seq=seq, src=pkt.src,
-                                     wire_nbytes=data_pkt.wire_nbytes,
-                                     **extra):
-                        wcrc = data_pkt.wire_crc if resil.integrity else None
-                        ok = wcrc is None \
-                            or payload_crc32(data_pkt.payload) == wcrc
-                    if ok:
-                        if resources:
-                            yield from engine._release(resources)
-                        rt.retire(seq, True)
-                        if attempt:
-                            rt.resilience_event("recovered", rank=self._grank,
-                                                seq=seq, attempts=attempt)
-                        return WireImage(
-                            header=pkt.header, payload=data_pkt.payload,
-                            wire_nbytes=data_pkt.wire_nbytes,
-                            crc=data_pkt.crc, wire_crc=data_pkt.wire_crc,
-                            origin_seq=pkt.origin_seq or 0,
-                        )
-                    failure = "wire_crc_mismatch"
-            attempt += 1
-            if rt.is_dead(pkt.src):
-                # No point NACKing a dead sender; surface the failure
-                # instead of burning the retry budget.
-                rt.retire(seq, False)
-                if resources:
-                    yield from engine._release(resources)
-                self._raise_rank_failed(rt, pkt.src, failure, seq)
-            entry = rt.retransmit_entry(seq)
-            rt.resilience_event(failure, rank=self._grank, seq=seq,
-                                src=pkt.src, attempt=attempt)
-            if entry is None or attempt > resil.max_retries:
-                rt.retire(seq, False)
-                if resources:
-                    yield from engine._release(resources)
-                retries = attempt - 1
-                msg = (f"rank {self._grank}: wire image seq {seq} from rank "
-                       f"{pkt.src} failed ({failure}) after {retries} "
-                       f"retransmission(s)")
-                if failure == "data_timeout":
-                    raise RendezvousTimeoutError(
-                        msg, diagnostic=rt.matching_report())
-                raise IntegrityError(msg)
-            yield from self._backoff(rt, attempt, seq, failure)
-            nack = Packet(PacketKind.CTS, self._grank, pkt.src, pkt.tag, seq)
-            with trace_scope(self.sim, "resilience", "nack", rank=self._grank,
-                             track="faults", seq=seq, dst=pkt.src,
-                             attempt=attempt):
-                yield from rt.control_delay(self._grank, pkt.src,
-                                            nack.control_bytes())
-            rt.notify_nack(seq)
-            data_ev = rt.matching_of(self._grank).expect_data(seq, 0, attempt)
-            rt.spawn_retransmit(seq, attempt)
-            data_pkt = yield from self._await_data(rt, data_ev,
-                                                   src=pkt.src, seq=pkt.seq)
-            failure = None
 
     def keep_compressed_active(self, data=None) -> bool:
         """True when collectives should route ``data`` through the

@@ -14,7 +14,7 @@ small object whose methods are scheduled with
   request completes;
 * :class:`Recv` — software overhead, then the receive is posted with a
   callback.  An EAGER envelope completes the request one scheduler hop
-  after the match; an RTS spawns the communicator's rendezvous generator
+  after the match; an RTS spawns the communicator's rendezvous receive
   from that point (its first resume is that same hop).
 
 **Ordering.**  Same-instant events run in insertion order, and that
@@ -118,15 +118,17 @@ class EagerSend(_Operation):
 
 
 class Recv(_Operation):
-    """One receive up to its envelope match.  ``rndv(pkt, tag, req)`` is
-    the generator that takes a matched RTS from there."""
+    """One receive up to its envelope match;
+    ``comm._recv_proc(pkt, req, decode)`` takes a matched RTS from
+    there."""
 
-    __slots__ = ("_source", "_tag", "_rndv", "_name")
+    __slots__ = ("_source", "_tag", "_decode", "_name")
 
-    def __init__(self, comm, source: int, tag: int, req, rndv, name: str):
+    def __init__(self, comm, source: int, tag: int, req, decode: bool,
+                 name: str):
         self._source = source
         self._tag = tag
-        self._rndv = rndv
+        self._decode = decode
         self._name = name
         super().__init__(comm, req, self._post)
 
@@ -148,7 +150,7 @@ class Recv(_Operation):
             self._pending = sim.call_later(0.0, self._complete, pkt)
             return
         self._req = None  # the rendezvous process owns the request now
-        proc = sim.process(self._rndv(pkt, self._tag, req),
+        proc = sim.process(comm._recv_proc(pkt, req, self._decode),
                            name=(self._name, comm._grank, "<-", self._source))
         if sim.tracer is not None:
             sim.tracer.reparent(proc, self._parent)

@@ -20,6 +20,12 @@ Two CRCs travel with the image:
 ``origin_seq`` is the protocol sequence number assigned when the image
 was packed; every relayed hop carries it in its trace spans so the
 trace sanitizer can tie the hop back to the originating compression.
+
+A :class:`WireImage` is also the only thing the rendezvous protocol
+ships: a plain ``send`` packs its data into one for the length of that
+message.  Such an image is never relayed, so it has no ``wire_crc`` and
+its ``origin_seq`` is ``None`` — which is what keeps ``origin_seq`` out
+of a plain message's spans.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ class WireImage:
     crc: Optional[int] = None
     #: CRC32 of ``payload``'s bytes as they ride the wire
     wire_crc: Optional[int] = None
-    #: seq assigned at pack time at the originating rank
-    origin_seq: int = 0
+    #: seq assigned at pack time at the originating rank; ``None`` for
+    #: the image of a plain send, which is never relayed
+    origin_seq: Optional[int] = None
 
     @property
     def compressed(self) -> bool:

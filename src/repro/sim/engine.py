@@ -22,10 +22,12 @@ followed by a flat list sweep.  The documented tie-break (insertion
 order within one timestamp) is exactly the append order of the bucket,
 so traces are byte-identical to the classic single-heap scheduler.
 
-``run()`` selects one of two loop variants at entry: a *bare* loop when
-``tracer``/``faults``/``asan``/``failstop`` are all ``None``, and the
-*instrumented* loop otherwise.  Instrumentation must be attached before
-``run()`` is entered; both variants dispatch events identically.
+There is one run loop and it carries no instrumentation hook: the
+tracer, fault, sanitizer and fail-stop planes hook the layers above
+(spans, transfers, buffers, processes), never the dispatch of an event.
+What observers want from the loop — how many events it dispatched — the
+simulator counts itself, per swept batch, not per event
+(:attr:`Simulator.event_count`).
 """
 
 from __future__ import annotations
@@ -500,6 +502,7 @@ class Simulator:
         self._micro_free: list[_MicroEvent] = []
         self._active_process: Optional[Process] = None
         self._failed_events: list[Event] = []
+        self._event_count = 0
         self.tracer = None  # attached by repro.sim.trace.Tracer
         self.faults = None  # attached by repro.faults.FaultInjector
         self.asan = None  # attached by repro.check.asan.BufferSanitizer
@@ -515,6 +518,13 @@ class Simulator:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
+
+    @property
+    def event_count(self) -> int:
+        """Events dispatched so far (cancelled ones never are).  Inside
+        :meth:`run` the count is published when a batch ends, so a
+        callback reads the total up to the current instant's batch."""
+        return self._event_count
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
@@ -637,8 +647,7 @@ class Simulator:
         self._active_pos += 1
         self._now = self._active_t
         event._processed = True
-        if self.tracer is not None:
-            self.tracer._on_event(self._now, event)
+        self._event_count += 1
         cb = event._cb1
         if cb is not None:
             event._cb1 = None
@@ -654,61 +663,52 @@ class Simulator:
 
         Raises any un-defused failure once the loop exits, so a crashed
         process cannot be silently dropped.
-
-        The loop body is selected here, once per call: the bare variant
-        carries no instrumentation checks at all, so a run with no
-        tracer/faults/asan/failstop attached pays zero per-event cost
-        for the ability to attach them.
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
-        if (self.tracer is None and self.faults is None
-                and self.asan is None and self.failstop is None):
-            self._run_bare(until)
-        else:
-            self._run_instrumented(until)
-        for ev in self._failed_events:
-            if not ev._defused:
-                raise ev._value
-        self._failed_events.clear()
-
-    def _run_bare(self, until: Optional[float]) -> None:
         # Inlined hot loop: this processes every event of a run, so the
         # per-event attribute and function-call overhead is paid
         # millions of times in a long simulation.  The batch cursor
         # lives in locals; the finally block re-publishes it so an
         # exception escaping a callback leaves the schedule resumable.
+        # Dispatched events are counted per batch, swept minus cancelled
+        # (``start`` steps over those): no counter on the per-event path.
         buckets = self._buckets
         times = self._times
         pop_time = heapq.heappop
         micro_free = self._micro_free
         batch = self._active_batch
-        pos = self._active_pos
+        pos = start = self._active_pos
         self._active_batch = None
         try:
             while True:
-                while batch is None:
-                    if not times:
-                        return
-                    t = pop_time(times)
-                    cand = buckets.pop(t)
-                    for i in range(len(cand)):
-                        if not cand[i]._cancelled:
-                            batch = cand
-                            pos = i
-                            self._active_t = t
-                            break
-                    # else: every event at t was cancelled — drop the
-                    # bucket without advancing the clock.
+                if batch is None:
+                    while times:
+                        t = pop_time(times)
+                        cand = buckets.pop(t)
+                        for i in range(len(cand)):
+                            if not cand[i]._cancelled:
+                                break
+                        else:
+                            # Every event at t was cancelled — drop the
+                            # bucket without advancing the clock.
+                            continue
+                        batch = cand
+                        pos = start = i
+                        self._active_t = t
+                        break
+                    else:
+                        break  # the schedule is exhausted
                 if until is not None and self._active_t > until:
                     self._now = until
-                    return
+                    break
                 self._now = self._active_t
                 n = len(batch)
                 while pos < n:
                     event = batch[pos]
                     pos += 1
                     if event._cancelled:
+                        start += 1
                         continue
                     event._processed = True
                     cb = event._cb1
@@ -726,70 +726,17 @@ class Simulator:
                     # Callbacks may have scheduled at the current
                     # instant, growing the live batch.
                     n = len(batch)
+                self._event_count += n - start
                 batch = None
         finally:
             if batch is not None:
+                self._event_count += pos - start
                 self._active_batch = batch
                 self._active_pos = pos
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        # Identical dispatch to _run_bare plus the tracer hook.  The
-        # tracer is re-read per event because fault machinery may swap
-        # it mid-run; the other planes (faults/asan/failstop) hook the
-        # MPI/buffer layers, not the loop, so their mere presence only
-        # selects this variant.
-        buckets = self._buckets
-        times = self._times
-        pop_time = heapq.heappop
-        micro_free = self._micro_free
-        batch = self._active_batch
-        pos = self._active_pos
-        self._active_batch = None
-        try:
-            while True:
-                while batch is None:
-                    if not times:
-                        return
-                    t = pop_time(times)
-                    cand = buckets.pop(t)
-                    for i in range(len(cand)):
-                        if not cand[i]._cancelled:
-                            batch = cand
-                            pos = i
-                            self._active_t = t
-                            break
-                if until is not None and self._active_t > until:
-                    self._now = until
-                    return
-                self._now = self._active_t
-                n = len(batch)
-                while pos < n:
-                    event = batch[pos]
-                    pos += 1
-                    if event._cancelled:
-                        continue
-                    event._processed = True
-                    tracer = self.tracer
-                    if tracer is not None:
-                        tracer._on_event(self._now, event)
-                    cb = event._cb1
-                    if cb is not None:
-                        event._cb1 = None
-                        cb(event)
-                    elif event.callbacks is not None:
-                        callbacks, event.callbacks = event.callbacks, None
-                        for cb in callbacks:
-                            if cb is not None:
-                                cb(event)
-                    if event.__class__ is _MicroEvent:
-                        if len(micro_free) < _MICRO_POOL_MAX:
-                            micro_free.append(event)
-                    n = len(batch)
-                batch = None
-        finally:
-            if batch is not None:
-                self._active_batch = batch
-                self._active_pos = pos
+        for ev in self._failed_events:
+            if not ev._defused:
+                raise ev._value
+        self._failed_events.clear()
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Convenience: spawn a process, run to completion, return its value.

@@ -105,21 +105,23 @@ class Tracer:
 
         self.records: list[TraceRecord] = []
         self.metrics = MetricsRegistry()
-        self._event_count = 0
         self._sim = sim
+        #: the simulator's event count when this tracer attached (or
+        #: was last cleared)
+        self._events_base = sim.event_count if sim is not None else 0
         self._ids = itertools.count(1)
         self._stacks: dict[Any, list[SpanHandle]] = {}
         self._inherited: dict[Any, SpanHandle] = {}
         if sim is not None:
             sim.tracer = self
 
-    # Called by Simulator.step for every processed event.
-    def _on_event(self, t: float, event: Any) -> None:
-        self._event_count += 1
-
     @property
     def event_count(self) -> int:
-        return self._event_count
+        """Events the simulator dispatched since this tracer attached
+        or was cleared (0 for a detached tracer)."""
+        if self._sim is None:
+            return 0
+        return self._sim.event_count - self._events_base
 
     # -- hierarchy machinery ------------------------------------------------
     def _ctx(self):
@@ -343,7 +345,8 @@ class Tracer:
 
     def clear(self) -> None:
         self.records.clear()
-        self._event_count = 0
+        if self._sim is not None:
+            self._events_base = self._sim.event_count
         self._stacks.clear()
         self._inherited.clear()
         self.metrics.clear()

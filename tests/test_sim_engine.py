@@ -531,18 +531,71 @@ def _storm(sim, n_procs=1024):
     return values, sim.now
 
 
-def test_storm_bare_matches_instrumented_and_repeats():
+# -- the one run loop counts what it dispatches --------------------------------
+
+def test_storm_same_order_and_count_with_and_without_tracer():
     from repro.sim.trace import Tracer
 
-    bare1, now1 = _storm(Simulator())
-    bare2, now2 = _storm(Simulator())
-    s3 = Simulator()
+    s1, s2, s3 = Simulator(), Simulator(), Simulator()
     tracer = Tracer(s3)
-    inst, now3 = _storm(s3)
-    assert bare1 == bare2 == inst
+    (plain1, now1), (plain2, now2), (traced, now3) = (
+        _storm(s1), _storm(s2), _storm(s3))
+    # dict order is completion order: the dispatch order of the storm
+    assert list(plain1.items()) == list(plain2.items()) == list(traced.items())
     assert now1 == now2 == now3
-    assert len(bare1) == 1024
-    assert tracer.event_count > 0
+    assert len(plain1) == 1024
+    assert s1.event_count == s2.event_count == s3.event_count > 1024
+    assert tracer.event_count == s3.event_count
+
+
+def test_event_count_skips_cancelled_events(sim):
+    fired = []
+    sim.call_later(1.0, fired.append)
+    sim.call_later(1.0, fired.append).cancel()  # mid-batch
+    sim.call_later(1.0, fired.append)
+    sim.call_later(2.0, fired.append).cancel()  # a cancelled-only instant
+    sim.call_later(3.0, fired.append).cancel()  # leading, then a live one
+    sim.call_later(3.0, fired.append)
+    sim.run(until=2.5)
+    assert (len(fired), sim.event_count) == (2, 2)
+    assert sim.now == 2.5 and sim.peek() == 3.0  # t=2.0 was never observed
+    sim.run()
+    assert (len(fired), sim.event_count, sim.now) == (3, 3, 3.0)
+
+
+def test_event_count_exact_when_a_callback_raises_mid_batch(sim):
+    seen = []
+
+    def boom(event):
+        raise RuntimeError("boom")
+
+    sim.call_later(1.0, seen.append)
+    sim.call_later(1.0, seen.append).cancel()
+    sim.call_later(1.0, boom)
+    sim.call_later(1.0, seen.append)
+    sim.call_later(2.0, seen.append)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert (len(seen), sim.event_count) == (1, 2)  # boom was dispatched
+    sim.run()  # the schedule resumes behind the event that raised
+    assert (len(seen), sim.event_count, sim.now) == (3, 4, 2.0)
+
+
+def test_step_counts_one_and_tracer_rebases():
+    from repro.sim.trace import Tracer
+
+    sim = Simulator()
+    for _ in range(3):
+        sim.call_later(1.0, lambda e: None)
+    sim.step()
+    assert sim.event_count == 1
+    tracer = Tracer(sim)  # attached late: counts from here
+    sim.step()
+    assert (sim.event_count, tracer.event_count) == (2, 1)
+    tracer.clear()
+    sim.run()
+    assert (sim.event_count, tracer.event_count) == (3, 1)
+    assert Tracer().event_count == 0  # detached: nothing to count
 
 
 # -- call_later, delayed spawn, silent finish, cycle-free processes ------------
