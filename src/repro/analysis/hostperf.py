@@ -36,6 +36,11 @@ Every benchmark here exercises real code on deterministic data:
   collectives of perfbench's ``coll-relay-16`` workload (16 ranks,
   ``mpc-opt``: allgather 512 KiB, ring allreduce 2 MiB, bcast 2 MiB of
   ``msg_sppm``), untraced, cold codec cache;
+* ``e2e/codec-stream`` — wall seconds of perfbench's ``codec-stream``
+  workload (2 ranks, four distinct ``wave`` payloads of 256 KiB - 16 MiB
+  point to point, once each under ``mpc-opt``, ``zfp8`` and
+  ``zfp8-pipe``), untraced, cold codec cache: the large-message kernel
+  regime, which the quick codec matrix (<= 2 MiB) stops short of;
 * ``coll/codec_decodes_per_message`` — real ``decompress`` executions
   per point-to-point message of an 8-rank ``mpc-opt`` ring allreduce.
   A deterministic count: the data plane's budget is one decode per
@@ -57,7 +62,7 @@ Snapshot schema (``schema_version`` 1)::
       "benchmarks": {
         "<name>": {
           "kind": "codec" | "engine" | "engine-scale" | "e2e" | "msg"
-                  | "coll-relay" | "coll-decodes",
+                  | "coll-relay" | "coll-decodes" | "codec-stream",
           "params": {...},
           "metrics": {"<metric>": <number>, ...}
         }
@@ -153,6 +158,9 @@ def benchmark_matrix(quick: bool = True) -> list[Microbench]:
                           {"machine": "frontera-liquid", "nodes": 8, "ppn": 2,
                            "gather_nbytes": 512 * KiB,
                            "reduce_nbytes": 2 * MiB, "bcast_nbytes": 2 * MiB}))
+    out.append(Microbench("e2e/codec-stream", "codec-stream",
+                          {"machine": "longhorn", "nodes": 2, "ppn": 1,
+                           "sizes": [256 * KiB, MiB, 4 * MiB, 16 * MiB]}))
     out.append(Microbench("coll/codec_decodes_per_message", "coll-decodes",
                           {"machine": "frontera-liquid", "nodes": 4, "ppn": 2,
                            "nbytes": 1 * MiB}))
@@ -389,6 +397,40 @@ def _run_coll_relay(params: dict, reps: int) -> dict:
     return {"run_s": _r(_time_median(one_run, max(1, reps // 3)))}
 
 
+def _run_codec_stream(params: dict, reps: int) -> dict:
+    """The point-to-point stream perfbench's ``codec-stream`` times, as
+    one untraced run per Fig 9 configuration."""
+    from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.core.config import CompressionConfig
+    from repro.mpi.cluster import Cluster
+    from repro.omb.payload import make_payload
+
+    payloads = [make_payload("wave", nbytes, seed=i)
+                for i, nbytes in enumerate(params["sizes"])]
+    cluster = Cluster(params["machine"], nodes=params["nodes"],
+                      gpus_per_node=params["ppn"])
+    zfp8 = CompressionConfig.zfp_opt(8)
+    configs = [CompressionConfig.mpc_opt(), zfp8,
+               zfp8.with_(pipeline=True, partitions=8)]
+
+    def rank_fn(comm):
+        for i, data in enumerate(payloads):
+            if comm.rank == 0:
+                yield from comm.send(data, 1, tag=10 + i)
+                yield from comm.recv(1, tag=50 + i)
+            else:
+                got = yield from comm.recv(0, tag=10 + i)
+                yield from comm.send(got[:1], 0, tag=50 + i)
+
+    def one_run() -> None:
+        for config in configs:
+            # zfp8 and zfp8-pipe share a codec: start each config cold
+            GLOBAL_CODEC_CACHE.clear()
+            cluster.run(rank_fn, config=config, trace=False)
+
+    return {"run_s": _r(_time_median(one_run, max(1, reps // 3)))}
+
+
 def _run_coll_decodes(params: dict, reps: int) -> dict:
     """Real decode executions per message of a traced ring allreduce —
     exact, so one run, whatever ``reps`` says."""
@@ -415,7 +457,8 @@ def _run_coll_decodes(params: dict, reps: int) -> dict:
 _RUNNERS = {"codec": _run_codec, "engine": _run_engine,
             "engine-scale": _run_engine_scale, "e2e": _run_e2e,
             "msg": _run_msg, "coll-relay": _run_coll_relay,
-            "coll-decodes": _run_coll_decodes}
+            "coll-decodes": _run_coll_decodes,
+            "codec-stream": _run_codec_stream}
 
 
 def collect(quick: bool = True, label: str = "local", reps: int = 5,

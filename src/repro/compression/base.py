@@ -134,6 +134,14 @@ class Compressor(ABC):
             raise CompressionError(
                 f"payload was produced by {comp.algorithm!r}, not {self.name!r}"
             )
+        if comp.n_elements < 0:
+            raise CompressionError(
+                f"{self.name}: negative element count {comp.n_elements}")
+        if comp.dtype.type not in self.supported_dtypes:
+            raise CompressionError(
+                f"{self.name}: unsupported dtype {comp.dtype}; "
+                f"supported: {[np.dtype(t).name for t in self.supported_dtypes]}"
+            )
 
     def reduce_compressed(
         self, a: CompressedData, b: CompressedData, op: Any = np.add

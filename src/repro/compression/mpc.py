@@ -19,10 +19,22 @@ codec:
 3. **Zero elimination**: emit a bitmap marking non-zero transposed
    words followed by only the non-zero words.
 
-All three stages are numpy-vectorized (the bit transpose uses
-``unpackbits``/``packbits`` over big-endian views) and the codec is
-bit-for-bit lossless — including NaNs, infinities, negative zeros and
-denormals, since it only ever manipulates raw bit patterns.
+The codec is bit-for-bit lossless — including NaNs, infinities,
+negative zeros and denormals, since it only ever manipulates raw bit
+patterns.
+
+**Kernel shape.**  Both directions run the three stages as one loop
+over *tiles* of ``_TILE_BYTES`` of input (a whole number of w-word
+blocks): every stage is a numpy pass over a tile that stays in cache,
+through scratch buffers allocated once per call.  The encoder writes
+each tile's bitmap bytes and surviving words straight into a payload
+allocated at the worst-case size and shrunk in place at the end; the
+decoder reads each tile's words from a running offset and carries the
+LNV prefix sums across tiles through the output itself.  Nothing
+message-sized exists besides the input and the output.
+:func:`bit_transpose` tiles the same way behind its whole-array
+signature — the butterfly passes of a whole 16 MiB message run at
+memory speed, those of a tile at cache speed (docs/performance.md).
 
 Payload layout (little-endian):
 
@@ -46,16 +58,79 @@ from repro.errors import CompressionError
 __all__ = ["MpcCompressor", "bit_transpose"]
 
 
+#: Input bytes one tile covers (2 Ki blocks of 32 uint32 words, 512
+#: blocks of 64 uint64 words).  Chosen from the sweep in
+#: docs/performance.md ("Codec kernels"): 256 KiB - 1 MiB is a flat
+#: optimum, where a tile's scratch stays in L2.
+_TILE_BYTES = 256 * 1024
+
+
+def _tile_blocks(udtype, nblocks: int) -> int:
+    """Blocks per tile for words of ``udtype``, capped at ``nblocks``
+    (at least 1, so an empty message still has a step)."""
+    itemsize = np.dtype(udtype).itemsize
+    return min(_TILE_BYTES // (8 * itemsize * itemsize), nblocks) or 1
+
+
+def _tile_scratch(udtype, tile: int, count: int) -> np.ndarray:
+    """``count`` word arrays one tile long, as the rows of a single
+    allocation.  Separate buffers, freed together, add up past malloc's
+    trim threshold, and the next call then page-faults its scratch back
+    in; one block is one hole the next call reuses."""
+    return np.empty((count, tile * np.dtype(udtype).itemsize * 8), dtype=udtype)
+
+
+def _transpose_tile(src: np.ndarray, dst: np.ndarray,
+                    rows: np.ndarray, tmp: np.ndarray) -> None:
+    """``dst`` <- the bit transpose of every block of ``src``.
+
+    ``src`` and ``dst`` are ``(nb, w)`` views (they may be the same
+    memory); ``rows`` and ``tmp`` are flat scratch of at least
+    ``nb * w`` and ``nb * w / 2`` words.
+
+    The mask-and-shift "delta swap" transpose (Hacker's Delight, 7-3)
+    across all blocks of the tile at once: log2(w) passes, each a
+    handful of elementwise ops, with no 8x bit-expansion.
+    """
+    nb, w = src.shape
+    # Bit-row-major layout: a[r] holds bit-row r of every block, one
+    # contiguous row.  Pairing rows r and r+j then slices whole
+    # contiguous chunks (even at j == 1), where the block-major layout
+    # would degrade to stride-j element access and defeat SIMD.
+    a = rows[: nb * w].reshape(w, nb)
+    a[...] = src.T
+    dt = a.dtype.type
+    full = (1 << w) - 1
+    m = full >> (w // 2)  # 0x0000FFFF for w=32
+    j = w // 2
+    while j:
+        jj = dt(j)
+        # Rows with (row & j) == 0 pair with row + j; reshaping makes
+        # both groups plain slices (views), so the swap is in place.
+        b = a.reshape(w // (2 * j), 2, j, nb)
+        lo = b[:, 0]
+        hi = b[:, 1]
+        t = tmp[: nb * w // 2].reshape(lo.shape)
+        np.right_shift(hi, jj, out=t)
+        t ^= lo
+        t &= dt(m)
+        lo ^= t
+        t <<= jj
+        hi ^= t
+        j >>= 1
+        if j:
+            m = (m ^ (m << j)) & full
+    dst[...] = a.T
+
+
 def bit_transpose(words: np.ndarray) -> np.ndarray:
     """Transpose the bit matrix of each block of *w* *w*-bit words.
 
     ``words`` must be a 1-D uint32 or uint64 array whose length is a
     multiple of the word width (32 or 64).  The transform is an
-    involution: applying it twice restores the input.
-
-    Implemented as the mask-and-shift "delta swap" transpose (Hacker's
-    Delight, 7-3) vectorized across all blocks at once: log2(w) passes,
-    each a handful of elementwise ops, with no 8x bit-expansion.
+    involution: applying it twice restores the input.  Blocks are
+    independent, so the work runs tile by tile (see
+    :func:`_transpose_tile`).
     """
     if words.dtype == np.uint32:
         w = 32
@@ -66,32 +141,14 @@ def bit_transpose(words: np.ndarray) -> np.ndarray:
     if words.size % w:
         raise CompressionError(f"length {words.size} is not a multiple of the word width {w}")
     nblocks = words.size // w
-    if nblocks == 0:
-        return words.copy()
-    # Bit-row-major layout: a[r] holds bit-row r of every block, one
-    # long contiguous row.  Pairing rows r and r+j then slices whole
-    # contiguous chunks (even at j == 1), where the block-major layout
-    # would degrade to stride-j element access and defeat SIMD.
-    a = np.ascontiguousarray(words.reshape(nblocks, w).T)
-    dt = words.dtype.type
-    full = (1 << w) - 1
-    m = full >> (w // 2)  # 0x0000FFFF for w=32
-    j = w // 2
-    while j:
-        mm = dt(m)
-        jj = dt(j)
-        # Rows with (row & j) == 0 pair with row + j; reshaping makes
-        # both groups plain slices (views), so the swap is in place.
-        b = a.reshape(w // (2 * j), 2, j, nblocks)
-        lo = b[:, 0]
-        hi = b[:, 1]
-        t = (lo ^ (hi >> jj)) & mm
-        lo ^= t
-        hi ^= t << jj
-        j >>= 1
-        if j:
-            m = (m ^ (m << j)) & full
-    return np.ascontiguousarray(a.T).reshape(-1)
+    out = np.empty(words.size, dtype=words.dtype)
+    tile = _tile_blocks(words.dtype, nblocks)
+    rows, tmp = _tile_scratch(words.dtype, tile, 2)
+    src = words.reshape(nblocks, w)
+    dst = out.reshape(nblocks, w)
+    for s in range(0, nblocks, tile):
+        _transpose_tile(src[s:s + tile], dst[s:s + tile], rows, tmp)
+    return out
 
 
 class MpcCompressor(Compressor):
@@ -123,124 +180,141 @@ class MpcCompressor(Compressor):
             raise CompressionError(f"dimensionality must be >= 1, got {dimensionality}")
         self.dimensionality = int(dimensionality)
 
-    # -- helpers ---------------------------------------------------------
-    @staticmethod
-    def _uint_dtype(dtype: np.dtype):
-        return np.uint32 if dtype.itemsize == 4 else np.uint64
-
-    def _predict(self, words: np.ndarray) -> np.ndarray:
-        """Forward LNV residual, zigzag encoded.
-
-        r[i] = zigzag(w[i] - w[i-dim] mod 2^w); zigzag maps signed
-        residuals to unsigned with small magnitudes staying small.
-        """
-        d = self.dimensionality
-        r = words.copy()
-        if words.size > d:
-            r[d:] -= words[:-d]
-        w_bits = words.dtype.itemsize * 8
-        # zigzag = (r << 1) ^ (r >>> (w-1) arithmetic); the arithmetic
-        # shift through a signed view yields the all-ones/zero extension
-        # in one pass.
-        sdt = np.int32 if w_bits == 32 else np.int64
-        ext = (r.view(sdt) >> (w_bits - 1)).view(r.dtype)
-        r <<= r.dtype.type(1)
-        r ^= ext
-        return r
-
-    def _unpredict(self, residuals: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_predict`: un-zigzag then per-phase
-        modular cumsum.
-
-        All ``d`` phase cumsums run as one axis-0 cumsum over a
-        ``(m, d)`` reshape (zero-padded tail), instead of ``d`` strided
-        passes — the zero padding leaves the in-range prefix sums
-        untouched.
-        """
-        one = residuals.dtype.type(1)
-        w_bits = residuals.dtype.itemsize * 8
-        sdt = np.int32 if w_bits == 32 else np.int64
-        # un-zigzag = (x >> 1) ^ -(x & 1); the sign extension comes from
-        # parking the low bit in the sign position and arithmetic-shifting
-        # it back down.
-        ext = residuals << residuals.dtype.type(w_bits - 1)
-        sext = ext.view(sdt)
-        sext >>= w_bits - 1
-        r = residuals >> one
-        r ^= ext
-        d = self.dimensionality
-        if d == 1:
-            return np.cumsum(r, dtype=r.dtype)
-        n = r.size
-        m = -(-n // d)
-        buf = np.zeros(m * d, dtype=r.dtype)
-        buf[:n] = r
-        return np.cumsum(
-            buf.reshape(m, d), axis=0, dtype=r.dtype).reshape(-1)[:n]
-
     # -- API --------------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedData:
         data = self._check_input(data)
-        udtype = self._uint_dtype(data.dtype)
-        w = data.dtype.itemsize * 8
+        w = data.itemsize * 8
+        word_bytes = data.itemsize
+        udtype, sdtype = (np.uint32, np.int32) if w == 32 else (np.uint64, np.int64)
+        d = self.dimensionality
         words = data.view(udtype)
-        residuals = self._predict(words)
-        # Pad to a whole number of w-word blocks with zero residuals.
-        pad = (-residuals.size) % w
-        if pad:
-            buf = np.zeros(residuals.size + pad, dtype=udtype)
-            buf[:residuals.size] = residuals
-            residuals = buf
-        transposed = bit_transpose(residuals)
-        nonzero = transposed != 0
-        bitmap = np.packbits(nonzero)
-        payload = np.concatenate(
-            [bitmap,
-             transposed[nonzero].astype(f"<u{w // 8}", copy=False).view(np.uint8)]
-        )
+        n = words.size
+        nblocks = -(-n // w)  # the last block is padded with zero residuals
+        bitmap_bytes = nblocks * word_bytes  # one bit per padded word
+        # Worst case: every transposed word survives.  Only what is
+        # written gets touched; the tail is given back at the end.
+        payload = np.empty(bitmap_bytes + nblocks * w * word_bytes, dtype=np.uint8)
+        kept_words = payload[bitmap_bytes:].view(f"<u{word_bytes}")
+        n_kept = 0
+        tile = _tile_blocks(udtype, nblocks)
+        # trans: the residuals' sign words, then their transpose
+        resid, trans, rows, tmp = _tile_scratch(udtype, tile, 4)
+        nonzero = np.empty(tile * w, dtype=np.bool_)
+        for s in range(0, nblocks, tile):
+            e = min(s + tile, nblocks)
+            nb = e - s
+            first, last = s * w, min(e * w, n)  # the tile's words
+            count = last - first
+            r = resid[: nb * w]
+            # LNV residual r[i] = w[i] - w[i-d] mod 2^w; the message's
+            # first d words have no predecessor and pass through.
+            lo = min(max(first, d), last)
+            r[: lo - first] = words[first:lo]
+            np.subtract(words[lo:last], words[lo - d: last - d],
+                        out=r[lo - first: count])
+            r[count:] = 0
+            # zigzag = (r << 1) ^ (r >> (w-1) arithmetic): small signed
+            # residuals become small unsigned ones.  The arithmetic
+            # shift through a signed view yields the all-ones/zero
+            # extension in one pass.
+            t = trans[: nb * w]
+            np.right_shift(r.view(sdtype), w - 1, out=t.view(sdtype))
+            r <<= udtype(1)
+            r ^= t
+
+            _transpose_tile(r.reshape(nb, w), t.reshape(nb, w), rows, tmp)
+
+            # Zero elimination: a bitmap of the non-zero transposed
+            # words, then only those words.
+            nz = np.not_equal(t, 0, out=nonzero[: nb * w])
+            payload[s * word_bytes: e * word_bytes] = np.packbits(nz)
+            kept = t[nz]
+            kept_words[n_kept: n_kept + kept.size] = kept
+            n_kept += kept.size
+        del kept_words  # no view may outlive the in-place shrink
+        payload.resize(bitmap_bytes + n_kept * word_bytes, refcheck=False)
         return CompressedData(
             algorithm=self.name,
             payload=payload,
-            n_elements=data.size,
+            n_elements=n,
             dtype=data.dtype,
-            params={"dimensionality": self.dimensionality},
+            params={"dimensionality": d},
             meta={"compressed_bytes": int(payload.nbytes)},
         )
 
     def decompress(self, comp: CompressedData) -> np.ndarray:
         self._check_payload(comp)
-        dim = int(comp.params.get("dimensionality", self.dimensionality))
-        if dim != self.dimensionality:
+        d = int(comp.params.get("dimensionality", self.dimensionality))
+        if d != self.dimensionality:
             # Decompress with the stride it was compressed with.
-            return MpcCompressor(dim).decompress(comp)
+            return MpcCompressor(d).decompress(comp)
         n = comp.n_elements
         dtype = comp.dtype
-        udtype = self._uint_dtype(dtype)
         w = dtype.itemsize * 8
-        if n == 0:
-            return np.empty(0, dtype=dtype)
-        n_padded = -(-n // w) * w
-        bitmap_bytes = -(-n_padded // 8)
+        word_bytes = dtype.itemsize
+        udtype, sdtype = (np.uint32, np.int32) if w == 32 else (np.uint64, np.int64)
+        nblocks = -(-n // w)
+        bitmap_bytes = nblocks * word_bytes
         payload = comp.payload
         if payload.size < bitmap_bytes:
             raise CompressionError(
                 f"mpc payload truncated: need >= {bitmap_bytes} bitmap bytes, have {payload.size}"
             )
-        nonzero = np.unpackbits(payload[:bitmap_bytes])[:n_padded].view(np.bool_)
-        nnz = int(np.count_nonzero(nonzero))
-        word_bytes = w // 8
-        expect = bitmap_bytes + nnz * word_bytes
+        bitmap = payload[:bitmap_bytes]
+        expect = bitmap_bytes + int(np.count_nonzero(np.unpackbits(bitmap))) * word_bytes
         if payload.size != expect:
             raise CompressionError(
                 f"mpc payload size mismatch: expected {expect} bytes, have {payload.size}"
             )
-        transposed = np.zeros(n_padded, dtype=udtype)
-        transposed[nonzero] = (
-            payload[bitmap_bytes:].view(f"<u{word_bytes}").astype(udtype, copy=False)
-        )
-        residuals = bit_transpose(transposed)[:n]
-        words = self._unpredict(residuals)
-        return words.view(dtype).copy()
+        kept_words = payload[bitmap_bytes:].view(f"<u{word_bytes}")
+        n_taken = 0
+        out = np.empty(n, dtype=dtype)
+        words = out.view(udtype)
+        tile = _tile_blocks(udtype, nblocks)
+        trans, sign, rows, tmp = _tile_scratch(udtype, tile, 4)
+        for s in range(0, nblocks, tile):
+            e = min(s + tile, nblocks)
+            nb = e - s
+            first, last = s * w, min(e * w, n)
+            count = last - first
+            # Undo zero elimination, then the transpose (an involution).
+            nz = np.unpackbits(bitmap[s * word_bytes: e * word_bytes]).view(np.bool_)
+            k = int(np.count_nonzero(nz))
+            t = trans[: nb * w]
+            t.fill(0)
+            t[nz] = kept_words[n_taken: n_taken + k]
+            n_taken += k
+            blocks = t.reshape(nb, w)
+            _transpose_tile(blocks, blocks, rows, tmp)
+
+            # un-zigzag = (x >> 1) ^ -(x & 1), straight into the output;
+            # the sign extension comes from parking the low bit in the
+            # sign position and arithmetic-shifting it back down.
+            z = t[:count]
+            ext = np.left_shift(z, udtype(w - 1), out=sign[:count])
+            sext = ext.view(sdtype)
+            sext >>= w - 1
+            r = np.right_shift(z, udtype(1), out=words[first:last])
+            r ^= ext
+
+            # Undo the LNV subtraction: a modular cumsum per phase
+            # (i mod d).  The tile's first d residuals take the sums
+            # carried by the d words before it; the rest is local.
+            lo, hi = max(first, d), min(last, first + d)
+            if lo < hi:
+                words[lo:hi] += words[lo - d: hi - d]
+            if d == 1:
+                np.cumsum(r, dtype=udtype, out=r)
+            elif d < count:
+                # All d phases as one axis-0 cumsum over an (m, d)
+                # reshape; the zero-padded tail leaves the in-range
+                # prefix sums untouched.
+                m = -(-count // d)
+                buf = np.zeros(m * d, dtype=udtype)
+                buf[:count] = r
+                r[...] = np.cumsum(buf.reshape(m, d), axis=0,
+                                   dtype=udtype).reshape(-1)[:count]
+        return out
 
     def ratio_for(self, data: np.ndarray) -> float:
         """Convenience: the compression ratio achieved on ``data``."""

@@ -186,11 +186,15 @@ class SzCompressor(Compressor):
             zz[sel] = vals.reshape(m, _BLOCK)
         q = ((zz >> np.uint64(1)).astype(np.int64)) ^ -(zz & np.uint64(1)).astype(np.int64)
 
-        first = endpoints[:, 0].astype(np.float64)
-        last = endpoints[:, 1].astype(np.float64)
-        t = np.linspace(0.0, 1.0, _BLOCK)
-        line = first[:, None] + (last - first)[:, None] * t[None, :]
-        vals = (line + q.astype(np.float64) * 2.0 * eb).reshape(-1)[:n].astype(dtype)
+        # A corrupted stream can carry NaN/inf endpoints and absurd
+        # codes; let them flow through silently — the integrity check
+        # rejects the result (as in ZFP's decode).
+        with np.errstate(invalid="ignore", over="ignore"):
+            first = endpoints[:, 0].astype(np.float64)
+            last = endpoints[:, 1].astype(np.float64)
+            t = np.linspace(0.0, 1.0, _BLOCK)
+            line = first[:, None] + (last - first)[:, None] * t[None, :]
+            vals = (line + q.astype(np.float64) * 2.0 * eb).reshape(-1)[:n].astype(dtype)
 
         bm_len = -(-n // 8)
         out_bitmap = np.unpackbits(payload[pos:pos + bm_len])[:n].astype(bool)

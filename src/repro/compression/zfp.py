@@ -5,11 +5,12 @@ Reimplementation of the CUDA-enabled fixed-rate mode of ZFP (Lindstrom,
 paper integrates: the 1-D array type, where every 4-value block is
 compressed to exactly ``4 * rate`` bits.
 
-Per-block pipeline (all stages numpy-vectorized across blocks):
+Per-block pipeline:
 
 1. **Shared exponent**: the block's maximum binary exponent ``emax`` is
    stored in a 12-bit biased field (bias 2048; field value 0 flags an
-   all-zero block).
+   all-zero block).  It is the exponent of the block's largest
+   magnitude: one ``frexp`` per block, not one per value.
 2. **Fixed-point conversion**: values are scaled by ``2^(30 - emax)``
    (``2^(62 - emax)`` for doubles) and rounded to integers.
 3. **Decorrelating lifting transform** — zfp's 4-point integer
@@ -26,6 +27,23 @@ Per-block pipeline (all stages numpy-vectorized across blocks):
    per-block variable-length code that does not vectorize; the skew
    favours the low-frequency coefficients the same way the embedded
    stream does on smooth data).
+
+**Kernel shape.**  Both directions run as one loop over *tiles* of
+``_TILE_BYTES`` of input: every stage is a numpy pass over a tile that
+stays in cache, through scratch buffers allocated once per call, and
+each tile's stream is written straight into (read straight out of) its
+slice of the payload — a tile is a multiple of 8 blocks, so tile
+streams are byte-aligned at every rate.  Nothing message-sized exists
+besides the input and the output.
+
+Encode works at the data's own width: float32 stays
+float32/int32/uint32 end to end (the scaled values are integers below
+``2^30``, exact in float32, and the forward lift cannot leave int32 —
+upstream zfp's two-guard-bit argument; see docs/performance.md).
+Decode keeps a 64-bit inverse lift and a float64 ``ldexp`` for both
+precisions: truncated coefficients can push the reconstruction past
+``2^31`` and the inverse's ``>> 1`` steps are not ring operations, so
+an int32 inverse lift would change decoded values.
 
 Compressed size is **exactly predictable** from the element count —
 the property the paper's framework exploits to skip the device-to-host
@@ -44,6 +62,32 @@ __all__ = ["ZfpCompressor", "forward_lift", "inverse_lift", "plan_bit_allocation
 _EXP_BITS = 12
 _EXP_BIAS = 2048  # covers float32 and float64 frexp exponent ranges
 
+#: Input bytes one tile of the compress/decompress loops covers (16 Ki
+#: float32 blocks, 8 Ki float64 blocks — a multiple of 8 blocks, so a
+#: tile's stream starts and ends on a byte at every rate).  Chosen from
+#: the sweep in docs/performance.md ("Codec kernels"): 256 KiB - 1 MiB
+#: is a flat optimum, where a tile's scratch stays in L2.
+_TILE_BYTES = 256 * 1024
+
+
+def _tile_blocks(itemsize: int, nblocks: int) -> int:
+    """Blocks per tile of 4 ``itemsize``-byte values, capped at
+    ``nblocks`` (at least 1, so an empty message still has a step)."""
+    return min(_TILE_BYTES // (4 * itemsize), nblocks) or 1
+
+
+def _tile_scratch(tile: int, *dtypes) -> list[np.ndarray]:
+    """One ``(4, tile)`` scratch array per dtype (widest first), carved
+    from a single allocation.  Separate buffers, freed together, add
+    up past malloc's trim threshold, and the next call then page-faults
+    its scratch back in; one block is one hole the next call reuses."""
+    sizes = [4 * tile * np.dtype(dt).itemsize for dt in dtypes]
+    arena = np.empty(sum(sizes), dtype=np.uint8)
+    offsets = np.cumsum([0] + sizes)
+    return [arena[o: o + size].view(dt).reshape(4, tile)
+            for o, size, dt in zip(offsets, sizes, dtypes)]
+
+
 def _lane_params(block_bits: int):
     """Lane word size for a block: 32-bit lanes when a block fits one
     (halves the memory traffic of every lane op), 64-bit otherwise."""
@@ -52,7 +96,8 @@ def _lane_params(block_bits: int):
     return 64, np.uint64, ">u8"
 
 
-def pack_block_fields(fields, widths, block_bits: int) -> np.ndarray:
+def pack_block_fields(fields, widths, block_bits: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Concatenate per-block bit fields into one MSB-first byte stream.
 
     ``fields[i]`` is a ``(nblocks,)`` unsigned array holding the
@@ -67,6 +112,10 @@ def pack_block_fields(fields, widths, block_bits: int) -> np.ndarray:
     a field lands in one lane — or two, when it straddles a lane
     boundary — via shifts.  Byte-aligned block sizes never touch
     ``unpackbits`` at all.
+
+    With ``out`` (a contiguous uint8 array of exactly the stream's
+    size) the stream is written there instead of into a new array.
+    A zero-width field is never read and may be ``None``.
     """
     nblocks = fields[0].shape[0]
     W, ldt, bedt = _lane_params(block_bits)
@@ -88,18 +137,23 @@ def pack_block_fields(fields, widths, block_bits: int) -> np.ndarray:
                 lanes[:, l0 + 1] |= v << ldt(2 * W - e0)
         off += k
     lane_bytes = nlanes * (W // 8)
+    if out is None:
+        out = np.empty(-(-nblocks * block_bits // 8), dtype=np.uint8)
     if block_bits == nlanes * W:
         # Lanes exactly cover the block: the byteswapped lanes ARE the
         # stream, no per-block slicing needed.
-        return lanes.astype(bedt).view(np.uint8).reshape(-1)
+        out.view(bedt).reshape(nblocks, nlanes)[...] = lanes
+        return out
     per_block = lanes.astype(bedt).view(np.uint8).reshape(nblocks, lane_bytes)
     if block_bits % 8 == 0:
-        return np.ascontiguousarray(per_block[:, : block_bits // 8]).reshape(-1)
+        out.reshape(nblocks, block_bits // 8)[...] = per_block[:, : block_bits // 8]
+        return out
     nbytes = -(-block_bits // 8)
     bits = np.unpackbits(
         np.ascontiguousarray(per_block[:, :nbytes]), axis=1
     )[:, :block_bits]
-    return np.packbits(bits.reshape(-1))
+    out[...] = np.packbits(bits.reshape(-1))
+    return out
 
 
 def unpack_block_fields(payload: np.ndarray, widths, block_bits: int,
@@ -140,41 +194,6 @@ def unpack_block_fields(payload: np.ndarray, widths, block_bits: int,
                      | (lanes[:, l0 + 1] >> ldt(2 * W - e0))) & mask
         else:
             v = np.zeros(nblocks, dtype=ldt)
-        fields.append(v)
-        off += k
-    return fields
-
-
-def _pack_block_fields_reference(fields, widths, block_bits: int) -> np.ndarray:
-    """Plain bit-matrix packer — the pre-rewrite formulation, kept as the
-    oracle for the fast/reference bit-identity property test."""
-    nblocks = fields[0].shape[0]
-    out_bits = np.zeros((nblocks, block_bits), dtype=np.uint8)
-    off = 0
-    for v, k in zip(fields, widths):
-        if k:
-            fb = np.unpackbits(
-                v.astype(">u8").view(np.uint8).reshape(nblocks, 8), axis=1)
-            out_bits[:, off:off + k] = fb[:, 64 - k:]
-        off += k
-    return np.packbits(out_bits.reshape(-1))
-
-
-def _unpack_block_fields_reference(payload, widths, block_bits: int,
-                                   nblocks: int) -> list[np.ndarray]:
-    """Bit-matrix mirror of :func:`_pack_block_fields_reference`."""
-    total_bits = nblocks * block_bits
-    bits = np.unpackbits(payload[: -(-total_bits // 8)])[:total_bits].reshape(
-        nblocks, block_bits)
-    fields: list[np.ndarray] = []
-    off = 0
-    for k in widths:
-        if k:
-            fb = np.zeros((nblocks, 64), dtype=np.uint8)
-            fb[:, 64 - k:] = bits[:, off:off + k]
-            v = np.packbits(fb, axis=1).view(">u8").reshape(-1).astype(np.uint64)
-        else:
-            v = np.zeros(nblocks, dtype=np.uint64)
         fields.append(v)
         off += k
     return fields
@@ -284,21 +303,6 @@ class ZfpCompressor(Compressor):
     high_throughput = True
     mpi_support = False  # the naive library; ZFP-OPT flips this
 
-    #: bit-assembly backend: "fast" (uint64 lanes) or "reference"
-    #: (bit-matrix oracle).  Both must produce identical streams; the
-    #: property test in tests/test_compression_zfp.py flips this.
-    _bit_path = "fast"
-
-    def _pack(self, fields, widths, block_bits):
-        if self._bit_path == "fast":
-            return pack_block_fields(fields, widths, block_bits)
-        return _pack_block_fields_reference(fields, widths, block_bits)
-
-    def _unpack(self, payload, widths, block_bits, nblocks):
-        if self._bit_path == "fast":
-            return unpack_block_fields(payload, widths, block_bits, nblocks)
-        return _unpack_block_fields_reference(payload, widths, block_bits, nblocks)
-
     def __init__(self, rate: int = 16):
         rate = int(rate)
         if rate < 3 or rate > 64:
@@ -319,75 +323,76 @@ class ZfpCompressor(Compressor):
     def compress(self, data: np.ndarray) -> CompressedData:
         data = self._check_input(data)
         width = self._width_for(data.dtype)
-        if self.rate > width:
-            raise CompressionError(f"rate {self.rate} exceeds word width {width}")
-        if data.size and not np.isfinite(data).all():
-            raise CompressionError("zfp fixed-rate mode requires finite values")
+        rate = self.rate
+        if rate > width:
+            raise CompressionError(f"rate {rate} exceeds word width {width}")
         n = data.size
-        nblocks = -(-n // 4) if n else 0
-        if nblocks == 0:
-            return CompressedData(
-                algorithm=self.name, payload=np.empty(0, np.uint8), n_elements=0,
-                dtype=data.dtype, params={"rate": self.rate},
-                meta={"compressed_bytes": 0},
-            )
-        # Transposed (coefficient-major) layout: vals[c] is the c-th
-        # value of every block, a contiguous row — every later stage is
-        # a whole-row op with no strided column access.  The strided
-        # assignment casts to float64 as it gathers.
-        vals = np.empty((4, nblocks), dtype=np.float64)
+        nblocks = -(-n // 4)
         nfull = n // 4
-        if nfull:
-            vals[:, :nfull] = data[: nfull * 4].reshape(nfull, 4).T
-        if nfull != nblocks:
-            vals[:, nfull] = 0.0
-            tail = data[nfull * 4:]
-            vals[: tail.size, nfull] = tail
+        block_bits = 4 * rate
+        payload = np.empty(self.expected_compressed_bytes(n, data.itemsize),
+                           dtype=np.uint8)
+        kept = plan_bit_allocation(rate, width)
+        widths = [_EXP_BITS] + kept
+        # Everything at the data's own width: float32 -> int32 -> uint32.
+        idt, udt = (np.int32, np.uint32) if width == 32 else (np.int64, np.uint64)
+        negabinary = udt(0xAAAAAAAAAAAAAAAA >> (64 - width))
+        drop = [udt(width - k) for k in kept]
+        headroom = np.int32(width - 2)  # 30 for singles, 62 for doubles
+        # Tile scratch, allocated once.  Coefficient-major layout:
+        # vals[c] is the c-th value of every block of the tile, a
+        # contiguous row, so every stage is a whole-row op.
+        tile = _tile_blocks(data.itemsize, nblocks)
+        vals, mags, ints, flds = _tile_scratch(tile, data.dtype, data.dtype, idt, udt)
+        for s in range(0, nblocks, tile):
+            e = min(s + tile, nblocks)
+            nb = e - s
+            v = vals[:, :nb]
+            whole = min(e, nfull) - s  # blocks of the tile with all 4 values
+            blocks = data[4 * s: 4 * (s + whole)].reshape(whole, 4)
+            for c in range(4):  # row by row: twice as fast as one .T copy
+                v[c, :whole] = blocks[:, c]
+            if whole != nb:  # the ragged last block, zero-padded
+                v[:, whole] = 0.0
+                v[: n - 4 * nfull, whole] = data[4 * nfull:]
 
-        _, exps = np.frexp(vals)
-        nz = vals != 0.0
-        nonzero_block = np.any(nz, axis=0)
-        emax = np.where(
-            nonzero_block,
-            np.max(np.where(nz, exps, np.int32(-(1 << 20))), axis=0),
-            np.int32(0))
+            # Block maximum magnitude -> the shared exponent.  NaN and
+            # inf propagate through the maxima, so this is also the
+            # finiteness check.
+            a = np.abs(v, out=mags[:, :nb])
+            m = np.maximum(a[0], a[1], out=a[0])
+            np.maximum(m, a[2], out=m)
+            np.maximum(m, a[3], out=m)
+            if not np.isfinite(m.max()):
+                raise CompressionError("zfp fixed-rate mode requires finite values")
+            _, emax = np.frexp(m)  # frexp(0) has exponent 0
 
-        headroom = width - 2  # 30 for singles, 62 for doubles
-        np.ldexp(vals, (headroom - emax)[None, :], out=vals)
-        np.rint(vals, out=vals)
-        q = vals.astype(np.int64)
-        _lift4_fwd(q[0], q[1], q[2], q[3])
+            np.ldexp(v, (headroom - emax)[None, :], out=v)
+            np.rint(v, out=v)
+            q = ints[:, :nb]
+            np.copyto(q, v, casting="unsafe")  # integers below 2^headroom: exact
+            _lift4_fwd(q[0], q[1], q[2], q[3])
 
-        # Negabinary, in place, at the native word width: addition wraps
-        # mod 2^width, which IS the mask step.
-        if width == 32:
-            u = q.astype(np.uint32)  # truncating cast
-            nb = np.uint32(0xAAAAAAAA)
-        else:
-            u = q.view(np.uint64)
-            nb = np.uint64(0xAAAAAAAAAAAAAAAA)
-        u += nb
-        u ^= nb
-        wdt = u.dtype.type
+            # Negabinary in place on the unsigned view: addition wraps
+            # mod 2^width, which IS the mask step.
+            u = q.view(udt)
+            u += negabinary
+            u ^= negabinary
 
-        kept = plan_bit_allocation(self.rate, width)
-        block_bits = 4 * self.rate
-        exp_field = np.where(nonzero_block, emax + _EXP_BIAS, 0)
-
-        fields = [exp_field.astype(np.uint32, copy=False)]
-        widths = [_EXP_BITS]
-        for c in range(4):
-            k = kept[c]
-            fields.append(u[c] >> wdt(width - k) if k
-                          else np.zeros(nblocks, dtype=u.dtype))
-            widths.append(k)
-        payload = self._pack(fields, widths, block_bits)
+            emax += _EXP_BIAS
+            emax[m == 0] = 0  # field value 0 flags an all-zero block
+            fields = [emax] + [
+                np.right_shift(u[c], drop[c], out=flds[c, :nb]) if kept[c] else None
+                for c in range(4)]
+            pack_block_fields(fields, widths, block_bits,
+                              out=payload[s * block_bits // 8:
+                                          -(-e * block_bits // 8)])
         return CompressedData(
             algorithm=self.name,
             payload=payload,
             n_elements=n,
             dtype=data.dtype,
-            params={"rate": self.rate},
+            params={"rate": rate},
             meta={"compressed_bytes": int(payload.nbytes)},
         )
 
@@ -398,63 +403,74 @@ class ZfpCompressor(Compressor):
             return ZfpCompressor(rate).decompress(comp)
         n = comp.n_elements
         dtype = comp.dtype
-        if n == 0:
-            return np.empty(0, dtype=dtype)
+        need = self.expected_compressed_bytes(n, dtype.itemsize)
+        if comp.payload.size != need:
+            raise CompressionError(
+                f"zfp payload size mismatch: expected {need} bytes, "
+                f"have {comp.payload.size}"
+            )
         width = self._width_for(dtype)
         nblocks = -(-n // 4)
-        block_bits = 4 * self.rate
-        total_bits = nblocks * block_bits
-        need = -(-total_bits // 8)
-        if comp.payload.size < need:
-            raise CompressionError(
-                f"zfp payload truncated: need {need} bytes, have {comp.payload.size}"
-            )
-        kept = plan_bit_allocation(self.rate, width)
-
-        widths = [_EXP_BITS] + list(kept)
-        decoded = self._unpack(comp.payload, widths, block_bits, nblocks)
-        exp_field = decoded[0].astype(np.int32)
-        # Coefficient-major (4, nblocks) layout at the native word
-        # width, as in compress.
-        if width == 32:
-            u = np.zeros((4, nblocks), dtype=np.uint32)
-            nb = np.uint32(0xAAAAAAAA)
+        nfull = n // 4
+        block_bits = 4 * rate
+        kept = plan_bit_allocation(rate, width)
+        widths = [_EXP_BITS] + kept
+        udt = np.uint32 if width == 32 else np.uint64
+        negabinary = udt(0xAAAAAAAAAAAAAAAA >> (64 - width))
+        shift = _EXP_BIAS + width - 2  # exponent bias + fixed-point headroom
+        out = np.empty(n, dtype=dtype)
+        # Tile scratch, coefficient-major as in compress.  The inverse
+        # lift and the rescale stay 64-bit for both precisions (see the
+        # module docstring); for doubles the lanes are int64 already.
+        tile = _tile_blocks(dtype.itemsize, nblocks)
+        if width == 64:
+            reals, wide = _tile_scratch(tile, np.float64, np.int64)
+            lanes = wide.view(udt)
         else:
-            u = np.zeros((4, nblocks), dtype=np.uint64)
-            nb = np.uint64(0xAAAAAAAAAAAAAAAA)
-        wdt = u.dtype.type
-        for c in range(4):
-            k = kept[c]
-            if k:
-                f = decoded[1 + c]
-                if f.dtype != u.dtype:
-                    f = f.astype(u.dtype, copy=False)
-                u[c] = f << wdt(width - k)
-        nonzero_block = exp_field != 0
-        emax = np.where(nonzero_block, exp_field - _EXP_BIAS, np.int32(0))
-
-        # Negabinary decode in place; subtraction wraps mod 2^width, so
-        # no mask pass is needed, and the signed view of the word-width
-        # lanes is already sign-extended two's complement.
-        u ^= nb
-        u -= nb
-        coeffs = u.view(np.int32 if width == 32 else np.int64)
-
-        if width == 32:
-            coeffs = coeffs.astype(np.int64)
-        _lift4_inv(coeffs[0], coeffs[1], coeffs[2], coeffs[3])
-        headroom = width - 2
+            reals, wide, lanes = _tile_scratch(tile, np.float64, np.int64, udt)
         # A corrupted stream can carry absurd exponents; let them
         # saturate to inf silently — the integrity check rejects them.
         with np.errstate(over="ignore"):
-            vals = np.ldexp(coeffs.astype(np.float64), (emax - headroom)[None, :])
-            vals[:, ~nonzero_block] = 0.0
-            out = np.empty(n, dtype=dtype)
-            nfull = n // 4
-            if nfull:
-                out[: nfull * 4].reshape(nfull, 4)[:] = vals[:, :nfull].T
-            if nfull != nblocks:
-                out[nfull * 4:] = vals[: n - nfull * 4, nfull]
+            for s in range(0, nblocks, tile):
+                e = min(s + tile, nblocks)
+                nb = e - s
+                decoded = unpack_block_fields(
+                    comp.payload[s * block_bits // 8: -(-e * block_bits // 8)],
+                    widths, block_bits, nb)
+                u = lanes[:, :nb]
+                for c in range(4):
+                    k = kept[c]
+                    if k:  # fields come as uint32 or uint64 lanes
+                        np.left_shift(decoded[1 + c], udt(width - k),
+                                      out=u[c], dtype=udt)
+                    else:
+                        u[c] = 0
+
+                # Negabinary decode in place; subtraction wraps mod
+                # 2^width, so no mask pass is needed, and the signed
+                # view of the word-width lanes is already sign-extended
+                # two's complement.
+                u ^= negabinary
+                u -= negabinary
+                coeffs = wide[:, :nb]
+                if width == 32:
+                    np.copyto(coeffs, u.view(np.int32))
+                _lift4_inv(coeffs[0], coeffs[1], coeffs[2], coeffs[3])
+
+                vals = reals[:, :nb]
+                np.copyto(vals, coeffs)
+                exp_field = decoded[0].astype(np.int32)
+                np.ldexp(vals, (exp_field - shift)[None, :], out=vals)
+                zero_block = exp_field == 0
+                if zero_block.any():
+                    vals[:, zero_block] = 0.0
+
+                whole = min(e, nfull) - s
+                blocks = out[4 * s: 4 * (s + whole)].reshape(whole, 4)
+                for c in range(4):  # row by row, rounding to dtype
+                    blocks[:, c] = vals[c, :whole]
+                if whole != nb:
+                    out[4 * nfull:] = vals[: n - 4 * nfull, whole]
         return out
 
     def max_abs_error_bound(self, data: np.ndarray) -> float:

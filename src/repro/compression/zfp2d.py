@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.compression.base import CompressedData, Compressor
 from repro.compression.zfp import (
-    _lift4_fwd, _lift4_inv, _pack_block_fields_reference,
-    _unpack_block_fields_reference, pack_block_fields, unpack_block_fields,
+    _lift4_fwd, _lift4_inv, pack_block_fields, unpack_block_fields,
 )
 from repro.errors import CompressionError
 
@@ -101,19 +100,6 @@ class Zfp2dCompressor(Compressor):
     mpi_support = False
     supported_dtypes = (np.float32,)
 
-    #: bit-assembly backend, same contract as ZfpCompressor._bit_path.
-    _bit_path = "fast"
-
-    def _pack(self, fields, widths, block_bits):
-        if self._bit_path == "fast":
-            return pack_block_fields(fields, widths, block_bits)
-        return _pack_block_fields_reference(fields, widths, block_bits)
-
-    def _unpack(self, payload, widths, block_bits, nblocks):
-        if self._bit_path == "fast":
-            return unpack_block_fields(payload, widths, block_bits, nblocks)
-        return _unpack_block_fields_reference(payload, widths, block_bits, nblocks)
-
     def __init__(self, rate: int = 8):
         rate = int(rate)
         if rate < 1 or rate > 32:
@@ -181,7 +167,7 @@ class Zfp2dCompressor(Compressor):
             fields.append(ut[c] >> np.uint32(_W - k) if k
                           else np.zeros(nblocks, dtype=np.uint32))
             widths.append(k)
-        payload = self._pack(fields, widths, block_bits)
+        payload = pack_block_fields(fields, widths, block_bits)
         return CompressedData(
             algorithm=self.name, payload=payload, n_elements=rows * cols,
             dtype=np.float32,
@@ -205,7 +191,7 @@ class Zfp2dCompressor(Compressor):
             raise CompressionError("zfp2d payload truncated")
         kept = plan_bit_allocation_2d(rate)
         widths = [_EXP_BITS] + [int(k) for k in kept]
-        decoded = self._unpack(comp.payload, widths, block_bits, nblocks)
+        decoded = unpack_block_fields(comp.payload, widths, block_bits, nblocks)
         exp_field = decoded[0].astype(np.int32)
         nonzero = exp_field != 0
         emax = np.where(nonzero, exp_field - _EXP_BIAS, np.int32(0))

@@ -240,7 +240,7 @@ def _failstop_rank_fn(op, n, steps):
     return rank_fn
 
 
-def _failstop_reference_fn(op, n, steps, restarts):
+def _failstop_replay_fn(op, n, steps, restarts):
     """Fault-free replay of a recovered run's final composition.
 
     ``restarts`` is the chronological ``(resume_step, group)`` history
@@ -380,7 +380,7 @@ def _run_failstop_size(cluster, workload, nbytes, steps, config, plan,
     survivors = {r: v for r, v in enumerate(faulty.values)
                  if isinstance(v, dict)}
     restarts = next(iter(survivors.values()))["restarts"] if survivors else ()
-    ref_fn = _failstop_reference_fn(workload, n, steps, restarts)
+    ref_fn = _failstop_replay_fn(workload, n, steps, restarts)
     clean = cluster.run(ref_fn, config=config, max_time=max_time, asan=asan,
                         checkpoint_every=checkpoint_every)
     mismatches = 0

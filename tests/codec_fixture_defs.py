@@ -155,3 +155,81 @@ def build_fixtures() -> dict:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return doc
+
+
+# -- multi-tile digests --------------------------------------------------------
+#
+# Every case above is <= 2,048 elements: smaller than one tile of the
+# cache-blocked kernels.  The cases below span several tiles and pin the
+# stream and the decoded array by (nbytes, crc32) — the arrays are too
+# big to commit.  The digests were captured on the commit *before* the
+# kernels were tiled and narrowed to native width.
+
+MULTITILE_PATH = FIXTURE_DIR / "multitile_digests.json"
+
+#: element counts: a whole number of tiles for every tile size on the
+#: plateau (256 KiB - 1 MiB of float32 or float64 input), one element
+#: either side of it, a ragged size on no boundary at all, and 4 Mi
+MULTITILE_SIZES = (262144, 262143, 262145, 200003, 4 * 1024 * 1024)
+
+
+def make_multitile_data(kind: str, n: int, dtype: str) -> np.ndarray:
+    """Seeded data built from integer draws and exact power-of-two
+    scaling only (no transcendental ufuncs), so it is the same on every
+    numpy build.
+
+    ``mixed``: full-mantissa values whose exponent wanders over +-60
+    within and across tiles, with runs of exact zeros (all-zero blocks
+    between non-zero ones).  ``walk``: a smooth random walk, the shape
+    MPC compresses."""
+    rng = np.random.default_rng(_seed_for(f"multitile/{kind}/{n}/{dtype}"))
+    if kind == "walk":
+        steps = rng.integers(-1000, 1001, n)
+        return (np.cumsum(steps) * 2.0 ** -10 + 42.0).astype(dtype)
+    mant = rng.integers(-(1 << 23), 1 << 23, n).astype(np.float64)
+    exp = np.clip(np.cumsum(rng.integers(-1, 2, n)) // 8, -60, 60)
+    data = np.ldexp(mant, exp.astype(np.int32))
+    starts = rng.integers(0, n, max(1, n // 64))
+    zero_idx = (starts[:, None] + np.arange(8)[None, :]).reshape(-1)
+    data[zero_idx[zero_idx < n]] = 0.0
+    return data.astype(dtype)
+
+
+def multitile_cases() -> list[dict]:
+    out: list[dict] = []
+    for n in MULTITILE_SIZES:
+        for rate in (3, 4, 8, 13, 32):
+            out.append({"codec": "zfp", "params": {"rate": rate},
+                        "kind": "mixed", "n": n, "dtype": "float32"})
+        for rate in (4, 16, 64):
+            out.append({"codec": "zfp", "params": {"rate": rate},
+                        "kind": "mixed", "n": n, "dtype": "float64"})
+        for dim in (1, 3):
+            for dtype in ("float32", "float64"):
+                out.append({"codec": "mpc", "params": {"dimensionality": dim},
+                            "kind": "walk", "n": n, "dtype": dtype})
+    return out
+
+
+def _digest(arr: np.ndarray) -> list[int]:
+    arr = np.ascontiguousarray(arr)
+    return [int(arr.nbytes), zlib.crc32(arr.view(np.uint8))]
+
+
+def run_multitile_case(case: dict) -> dict:
+    """``{"stream": [nbytes, crc32], "decoded": [nbytes, crc32]}`` for
+    one case, using the live code."""
+    data = make_multitile_data(case["kind"], case["n"], case["dtype"])
+    codec = _codec_for(case["codec"], case["params"])
+    comp = codec.compress(data)
+    out = codec.decompress(comp)
+    assert out.dtype == data.dtype and out.shape == data.shape
+    return {"stream": _digest(comp.payload), "decoded": _digest(out)}
+
+
+def build_multitile_digests() -> dict:
+    doc = {case_desc(c): run_multitile_case(c) for c in multitile_cases()}
+    with open(MULTITILE_PATH, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return doc

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from tests.codec_fixture_defs import (
-    LOSSY, MANIFEST_PATH, NPZ_PATH, case_desc, cases, run_case,
+    LOSSY, MANIFEST_PATH, MULTITILE_PATH, NPZ_PATH, case_desc, cases,
+    multitile_cases, run_case, run_multitile_case,
 )
 
 
@@ -56,3 +57,25 @@ def test_stream_bit_identical(index, case, fixture_arrays):
         assert out.shape == exp_out.shape
         assert np.ascontiguousarray(out).tobytes() == exp_out.tobytes(), (
             f"{case_desc(case)}: decoded array changed")
+
+
+# -- multi-tile digests --------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def multitile_digests():
+    with open(MULTITILE_PATH) as fh:
+        return json.load(fh)
+
+
+def test_multitile_digests_match_case_table(multitile_digests):
+    assert sorted(multitile_digests) == sorted(
+        case_desc(c) for c in multitile_cases())
+
+
+@pytest.mark.parametrize(
+    "case", multitile_cases(), ids=[case_desc(c) for c in multitile_cases()])
+def test_multitile_digest(case, multitile_digests):
+    """Streams and decoded arrays spanning several kernel tiles (whole
+    tiles, one element either side, ragged, 4 Mi elements) keep the
+    size and CRC32 they had before the kernels were tiled."""
+    assert run_multitile_case(case) == multitile_digests[case_desc(case)]

@@ -254,6 +254,7 @@ def test_matrix_includes_data_plane_points():
     for quick in (True, False):
         names = [mb.name for mb in hostperf.benchmark_matrix(quick=quick)]
         assert "e2e/coll-relay-16" in names
+        assert "e2e/codec-stream" in names
         assert "coll/codec_decodes_per_message" in names
 
 
@@ -278,3 +279,10 @@ def test_codec_decodes_per_message_point_is_exact_and_on_budget():
 def test_coll_relay_point_collects():
     doc = hostperf.collect(quick=True, reps=1, only="e2e/coll-relay-16")
     assert doc["benchmarks"]["e2e/coll-relay-16"]["metrics"]["run_s"] > 0
+
+
+def test_codec_stream_point_collects():
+    doc = hostperf.collect(quick=True, reps=1, only="e2e/codec-stream")
+    assert doc["benchmarks"]["e2e/codec-stream"]["metrics"]["run_s"] > 0
+    base = hostperf.load("tests/data/HOSTPERF_baseline.json")
+    assert "e2e/codec-stream" in base["benchmarks"]
