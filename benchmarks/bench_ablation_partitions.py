@@ -9,12 +9,31 @@ from _common import emit, once
 
 from repro.compression.perfmodel import MPC_V100
 from repro.core import CompressionConfig, partitions_for_message
-from repro.core.tuning import sweep_partitions
 from repro.omb import osu_latency
 from repro.utils.units import KiB, MiB, fmt_bytes
 
 SIZES = [256 * KiB, 2 * MiB, 8 * MiB]
 PARTS = [1, 2, 4, 8]
+
+
+def sweep_partitions(model, nbytes: int, sm_count: int, candidates=(1, 2, 4, 8, 16)) -> dict:
+    """Model-predicted compression wall time per candidate partition
+    count — the tuning experiment behind the engine's schedule.
+
+    ``model`` is a :class:`repro.compression.perfmodel.KernelCostModel`.
+    Partition kernels run concurrently with ``sm_count // p`` blocks
+    each, but their *launches* serialize on the CPU, and the partition
+    outputs must be merged — which is why small messages prefer a
+    single kernel and large ones prefer many.
+    """
+    out = {}
+    for p in candidates:
+        blocks = max(1, sm_count // p)
+        per_kernel = model.compress_time(-(-nbytes // p), blocks, sm_count)
+        serial_launches = (p - 1) * model.launch_overhead
+        combine = 0.0 if p == 1 else model.launch_overhead + nbytes / 400e9
+        out[p] = serial_launches + per_kernel + combine
+    return out
 
 
 def build_measured():

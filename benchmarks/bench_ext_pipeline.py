@@ -12,7 +12,7 @@ For MPC on OMB dummy data (ratio ~31) the wire is already negligible
 and the transfer is *kernel*-bound: sequential half-device chunks
 forfeit MPC-OPT's concurrent-kernel aggregate speedup, so the combined
 scheme stays faster.  The right policy is per-message, based on the
-expected ratio — exactly the kind of decision the adaptive monitor
+expected ratio — exactly the kind of decision an adaptive monitor
 (Sec IX future work) should make.
 """
 

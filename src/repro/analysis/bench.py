@@ -102,7 +102,6 @@ def _named_configs() -> dict[str, Callable]:
         "zfp4": lambda: CompressionConfig.zfp_opt(4),
         "zfp8-pipe": lambda: CompressionConfig.zfp_opt(8).with_(
             pipeline=True, partitions=8),
-        "adaptive": lambda: CompressionConfig.mpc_opt().with_(adaptive=True),
     }
 
 

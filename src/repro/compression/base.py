@@ -107,6 +107,26 @@ class Compressor(ABC):
     #: dtypes accepted by compress()
     supported_dtypes: ClassVar[tuple] = (np.float32, np.float64)
 
+    # -- transport capabilities --------------------------------------------
+    # What the codec costs around its kernel when it is the on-the-fly
+    # transport compressor.  CompressionEngine's one send-plan builder
+    # and the receiver read these and nothing else about the codec
+    # (docs/protocol.md has the codec x capability table).
+    #: the whole-message plan is decomposed into concurrent kernels, one
+    #: per partition, whose outputs are combined (MPC-OPT, Section IV)
+    multi_kernel: ClassVar[bool] = False
+    #: partitions decode independently, so a pipelined send may put each
+    #: on the wire as its kernel completes
+    streamable: ClassVar[bool] = False
+    #: kernels need the per-SM ``d_off`` offsets array, on both ends
+    needs_offsets: ClassVar[bool] = False
+    #: host-side stream/field construction and a grid-dimension query
+    #: precede every kernel launch, on both ends (ZFP, Section V)
+    host_setup: ClassVar[bool] = False
+    #: name of the one constructor parameter the header's u32 ``param``
+    #: carries (control parameter ``A``); ``None`` when there is none
+    header_field: ClassVar[str | None] = None
+
     @abstractmethod
     def compress(self, data: np.ndarray) -> CompressedData:
         """Compress a 1-D floating-point array into a payload."""
@@ -185,8 +205,24 @@ class Compressor(ABC):
     def expected_compressed_bytes(self, n_elements: int, itemsize: int) -> int | None:
         """For fixed-rate codecs, the exact compressed size; ``None``
         when the size is data-dependent (the paper exploits this: ZFP's
-        predictable size avoids a device->host size copy)."""
+        predictable size needs no worst-case staging buffer and no
+        device->host size copy)."""
         return None
+
+    def staging_bytes(self, nbytes: int) -> int:
+        """Worst-case compressed size of ``nbytes`` of input — the
+        device buffer a data-dependent-size codec compresses into."""
+        return nbytes + nbytes // 4 + 8192
+
+    def header_param(self) -> int:
+        """This instance's :attr:`header_field` as the header's u32."""
+        return int(getattr(self, self.header_field)) if self.header_field else 0
+
+    @classmethod
+    def params_from_header(cls, param: int) -> dict:
+        """Constructor kwargs a received header ``param`` stands for:
+        the inverse of :meth:`header_param`."""
+        return {cls.header_field: param} if cls.header_field else {}
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -174,11 +174,20 @@ class MpcCompressor(Compressor):
     #: (undo zero-elimination + bit transpose, add, re-encode — fused
     #: hZCCL-style) reproduces compress(add(dec(a), dec(b))) exactly.
     reduce_supported = True
+    # MPC-OPT (Section IV): kernel decomposition; each partition resets
+    # the LNV predictor, so partitions also decode independently.
+    multi_kernel = True
+    streamable = True
+    needs_offsets = True
+    header_field = "dimensionality"
 
     def __init__(self, dimensionality: int = 1):
         if dimensionality < 1:
             raise CompressionError(f"dimensionality must be >= 1, got {dimensionality}")
         self.dimensionality = int(dimensionality)
+
+    def staging_bytes(self, nbytes: int) -> int:
+        return nbytes + nbytes // 16 + 4096  # worst-case MPC expansion
 
     # -- API --------------------------------------------------------------
     def compress(self, data: np.ndarray) -> CompressedData:

@@ -157,17 +157,15 @@ SZ_V100 = KernelCostModel(
     launch_overhead=us(5.0), sync_per_block=0.0, saturation_blocks=8.0,
 )
 
-_MODELS = {
-    "mpc": MPC_V100, "zfp": ZFP_V100, "fpc": FPC_CPU,
-    "gfc": GFC_V100, "sz": SZ_V100, "null": NULL_MODEL,
-}
+#: registry name -> cost model; filled by ``registry.register``
+MODELS: dict = {}
 
 
 def kernel_cost_model_for(algorithm: str) -> KernelCostModel:
     """Cost model for a codec by registry name."""
     try:
-        return _MODELS[algorithm]
+        return MODELS[algorithm]
     except KeyError:
         raise ConfigError(
-            f"no kernel cost model for {algorithm!r}; known: {sorted(_MODELS)}"
+            f"no kernel cost model for {algorithm!r}; known: {sorted(MODELS)}"
         ) from None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+from repro.compression import perfmodel
 from repro.compression.base import Compressor
 from repro.compression.fpc import FpcCompressor
 from repro.compression.gfc import GfcCompressor
@@ -21,19 +22,41 @@ from repro.compression.zfp import ZfpCompressor
 from repro.compression.zfp2d import Zfp2dCompressor
 from repro.errors import CompressionError
 
-__all__ = ["register", "get_compressor", "available", "feature_table",
+__all__ = ["register", "get_compressor", "codec_class", "available",
+           "WIRE_CODES", "WIRE_NAMES", "feature_table",
            "TABLE1_ROWS", "install_fault_wrapper", "uninstall_fault_wrapper"]
 
 _REGISTRY: Dict[str, Callable[..., Compressor]] = {}
+#: registry name <-> header u8 of the codecs admitted as transport
+WIRE_CODES: Dict[str, int] = {}
+WIRE_NAMES: Dict[int, str] = {}
 
 #: optional hook applied to every constructed codec — the fault plane
 #: installs :class:`repro.faults.codec.FlakyCompressor` through this
 _FAULT_WRAPPER: Callable[[Compressor], Compressor] | None = None
 
 
-def register(name: str, factory: Callable[..., Compressor]) -> None:
+def register(name: str, factory: Callable[..., Compressor],
+             wire_code: int | None = None,
+             cost_model: perfmodel.KernelCostModel | None = None) -> None:
     """Register a codec factory under ``name`` (overwrites allowed so
-    applications can swap in custom codecs)."""
+    applications can swap in custom codecs).
+
+    ``wire_code`` — the u8 that names the codec in the compression
+    header — admits it as an on-the-fly *transport* codec
+    (``CompressionConfig.algorithm``); that also takes a ``cost_model``
+    for its kernels and a :class:`Compressor` subclass as the factory,
+    whose transport capabilities the engine reads.
+    """
+    if wire_code is not None:
+        if WIRE_NAMES.get(wire_code, name) != name or not 0 <= wire_code <= 0xFF:
+            raise CompressionError(
+                f"header wire code {wire_code} for {name!r} is out of range "
+                f"or taken: {WIRE_NAMES}")
+        WIRE_NAMES[wire_code] = name
+        WIRE_CODES[name] = wire_code
+    if cost_model is not None:
+        perfmodel.MODELS[name] = cost_model
     _REGISTRY[name] = factory
 
 
@@ -51,15 +74,19 @@ def uninstall_fault_wrapper() -> None:
     _FAULT_WRAPPER = None
 
 
-def get_compressor(name: str, **params) -> Compressor:
-    """Instantiate a registered codec, passing ``params`` through."""
+def codec_class(name: str) -> Callable[..., Compressor]:
+    """The factory registered under ``name``."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise CompressionError(
             f"unknown compressor {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    codec = factory(**params)
+
+
+def get_compressor(name: str, **params) -> Compressor:
+    """Instantiate a registered codec, passing ``params`` through."""
+    codec = codec_class(name)(**params)
     if _FAULT_WRAPPER is not None:
         codec = _FAULT_WRAPPER(codec)
     return codec
@@ -69,13 +96,13 @@ def available() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register("mpc", MpcCompressor)
-register("zfp", ZfpCompressor)
-register("fpc", FpcCompressor)
-register("gfc", GfcCompressor)
-register("sz", SzCompressor)
-register("zfp2d", Zfp2dCompressor)
-register("null", NullCompressor)
+register("mpc", MpcCompressor, 1, perfmodel.MPC_V100)
+register("zfp", ZfpCompressor, 2, perfmodel.ZFP_V100)
+register("sz", SzCompressor, 5, perfmodel.SZ_V100)
+register("gfc", GfcCompressor, 4, perfmodel.GFC_V100)
+register("fpc", FpcCompressor, 3, perfmodel.FPC_CPU)
+register("null", NullCompressor, 0, perfmodel.NULL_MODEL)
+register("zfp2d", Zfp2dCompressor)  # 2-D input only: not a transport codec
 
 
 # The full Table I of the paper.  Columns: (lossless, lossy, gpu,

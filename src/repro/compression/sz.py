@@ -29,6 +29,8 @@ values.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.compression.base import CompressedData, Compressor
@@ -58,11 +60,20 @@ class SzCompressor(Compressor):
     double_precision = True
     high_throughput = True
     mpi_support = False
+    header_field = "error_bound"
 
     def __init__(self, error_bound: float = 1e-3):
         if not (error_bound > 0) or not np.isfinite(error_bound):
             raise CompressionError(f"error_bound must be finite and > 0, got {error_bound}")
         self.error_bound = float(error_bound)
+
+    def header_param(self) -> int:
+        """The bound's float32 bit pattern."""
+        return struct.unpack("<I", struct.pack("<f", self.error_bound))[0]
+
+    @classmethod
+    def params_from_header(cls, param: int) -> dict:
+        return {"error_bound": struct.unpack("<f", struct.pack("<I", param))[0]}
 
     def compress(self, data: np.ndarray) -> CompressedData:
         data = self._check_input(data)

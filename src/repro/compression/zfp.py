@@ -302,6 +302,9 @@ class ZfpCompressor(Compressor):
     double_precision = True
     high_throughput = True
     mpi_support = False  # the naive library; ZFP-OPT flips this
+    streamable = True  # partitions are independent 4-value block groups
+    host_setup = True  # zfp_stream / zfp_field + get_max_grid_dims
+    header_field = "rate"
 
     def __init__(self, rate: int = 16):
         rate = int(rate)

@@ -14,19 +14,15 @@ schemes of Sections IV (MPC-OPT) and V (ZFP-OPT):
   exchange.
 * :mod:`repro.core.engine` — the sender/receiver pipelines (the
   paper's seven steps, Algorithms 1-3), charging modelled GPU/driver
-  costs while running the *real* codecs on the payload.
-* :mod:`repro.core.tuning` — the per-message-size partition-count
-  table for MPC-OPT's kernel decomposition.
-* :mod:`repro.core.adaptive` — the paper's stated future work: an
-  online monitor that enables/disables compression per destination
-  based on observed costs.
+  costs while running the *real* codecs on the payload: one send-plan
+  builder driven by the codec's declared capabilities, plus the
+  per-message-size partition-count table for MPC-OPT's kernel
+  decomposition.
 """
 
 from repro.core.config import CompressionConfig
 from repro.core.header import CompressionHeader
-from repro.core.engine import CompressionEngine, SendPlan
-from repro.core.tuning import partitions_for_message
-from repro.core.adaptive import AdaptivePolicy
+from repro.core.engine import CompressionEngine, SendPlan, partitions_for_message
 
 __all__ = [
     "CompressionConfig",
@@ -34,5 +30,4 @@ __all__ = [
     "CompressionEngine",
     "SendPlan",
     "partitions_for_message",
-    "AdaptivePolicy",
 ]

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from repro.compression.registry import WIRE_CODES
 from repro.errors import ConfigError
 from repro.utils.units import KiB
 
 __all__ = ["CompressionConfig"]
-
-_ALGORITHMS = ("mpc", "zfp", "sz", "gfc", "fpc", "null")
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class CompressionConfig:
     enabled:
         Master switch; when False every other field is ignored.
     algorithm:
-        Registry name of the codec ("mpc" or "zfp" in the paper).
+        Registry name of the transport codec ("mpc" or "zfp" in the
+        paper) — any codec registered with a header wire code.
     threshold:
         Minimum message size (bytes) for compression to engage — the
         paper's "pre-defined threshold" in step 1.
@@ -58,9 +60,6 @@ class CompressionConfig:
         ZFP-OPT optimization: query the max grid dimensions once via
         ``cudaDeviceGetAttribute`` and cache, instead of calling
         ``cudaGetDeviceProperties`` per message.
-    adaptive:
-        Enable the future-work online policy
-        (:class:`repro.core.adaptive.AdaptivePolicy`).
     keep_compressed:
         gZCCL/ZCCL-style collective forwarding: intermediate ranks of a
         collective relay the originating rank's compressed wire image
@@ -75,7 +74,9 @@ class CompressionConfig:
         MVAPICH2-GDR pipelines large messages.  The paper's design
         combines partitions before sending; this flag implements the
         natural next step and is benchmarked as an extension
-        (bench_ext_pipeline.py).
+        (bench_ext_pipeline.py).  Only codecs that declare
+        ``streamable`` partitions (mpc, zfp) stream; any other codec
+        takes the whole-message plan.
     """
 
     enabled: bool = False
@@ -88,13 +89,13 @@ class CompressionConfig:
     use_gdrcopy: bool = True
     partitions: int = 0
     cache_device_attrs: bool = True
-    adaptive: bool = False
     pipeline: bool = False
     keep_compressed: bool = True
 
     def __post_init__(self):
-        if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; known: {_ALGORITHMS}")
+        if self.algorithm not in WIRE_CODES:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}; known: {tuple(WIRE_CODES)}")
         if self.threshold < 0:
             raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
         if self.partitions < 0:
@@ -152,6 +153,18 @@ class CompressionConfig:
             use_buffer_pool=True, use_gdrcopy=True, partitions=1,
             cache_device_attrs=True,
         )
+
+    def codec_params(self) -> dict:
+        """Constructor kwargs of the configured transport codec — the
+        one place config fields map to codec parameters."""
+        return {
+            "mpc": {"dimensionality": self.mpc_dimensionality},
+            "zfp": {"rate": self.zfp_rate},
+            # The bound as the header carries it (a float32), so both
+            # ends run the same codec and the sender's expected-value
+            # decode is the receiver's.
+            "sz": {"error_bound": float(np.float32(self.sz_error_bound))},
+        }.get(self.algorithm, {})
 
     def with_(self, **changes) -> "CompressionConfig":
         """A copy with fields replaced (for ablation sweeps)."""

@@ -5,8 +5,9 @@ pre-allocated buffer pools and CUDA streams, and exposes four
 generator subroutines the MPI protocol layer calls:
 
 ``sender_prepare``
-    Steps 1-3 of Figure 4: decide whether to compress, obtain device
-    buffers (pool vs. ``cudaMalloc``), launch the compression
+    Steps 1-3 of Figure 4, and the only place a compressed
+    :class:`SendPlan` is built: decide whether to compress, obtain
+    device buffers (pool vs. ``cudaMalloc``), launch the compression
     kernel(s), retrieve the compressed size (GDRCopy vs.
     ``cudaMemcpy``), combine partitions, and build the header that the
     protocol layer piggybacks on the RTS packet.
@@ -18,6 +19,13 @@ generator subroutines the MPI protocol layer calls:
 ``receiver_complete``
     Steps 6-7: launch the decompression kernel(s) and restore the
     original data.
+
+The framework is codec-agnostic: what a codec costs around its kernel
+it declares as *capabilities* on its
+:class:`~repro.compression.base.Compressor` class, and both ends read
+those — on the real codec behind any fault wrapper — never the codec's
+name, so :func:`repro.compression.register` alone admits a codec.
+``docs/protocol.md`` tabulates codec x capability and the step order.
 
 Real numpy codecs run on the actual payload (compression ratios are
 measured, not assumed); kernel durations come from the calibrated
@@ -37,60 +45,60 @@ import numpy as np
 from repro.compression import get_compressor, kernel_cost_model_for
 from repro.compression.base import CompressedData
 from repro.compression.cache import GLOBAL_CODEC_CACHE
-from repro.core.adaptive import AdaptivePolicy
 from repro.core.config import CompressionConfig
 from repro.core.header import CompressionHeader
-from repro.core.tuning import partitions_for_message
 from repro.errors import CompressionError
 from repro.gpu.device import Device
 from repro.gpu.pool import BufferPool, SizeClassBufferPool
 from repro.utils.integrity import payload_crc32
 from repro.utils.units import KiB, MiB
 
-__all__ = ["CompressionEngine", "SendPlan"]
+__all__ = ["CompressionEngine", "SendPlan", "partitions_for_message"]
 
 _MAX_STREAMS = 16
 #: ZFP's zfp_stream / zfp_field construction cost (paper Sec. V: ~9us)
-_ZFP_STREAM_FIELD_TIME = 9e-6
+_STREAM_FIELD_TIME = 9e-6
+
+#: (max message bytes, partitions) — first matching row wins.  Section
+#: IV fine-tunes the partition count per message size experimentally;
+#: this is that schedule for the modelled V100/RTX parts (tuned against
+#: bench_ablation_partitions.py): small messages cannot amortize extra
+#: kernel launches, large ones gain from more concurrent kernels with
+#: fewer thread blocks each (less busy-wait synchronization).
+_SCHEDULE = ((128 * KiB, 1), (1 * MiB, 2), (4 * MiB, 4), (float("inf"), 8))
+
+
+def partitions_for_message(nbytes: int) -> int:
+    """Tuned partition count for one message size."""
+    return next(parts for limit, parts in _SCHEDULE if nbytes <= limit)
 
 
 @dataclass
 class SendPlan:
-    """Everything the protocol layer needs to ship one message."""
+    """Everything the protocol layer needs to ship one message.
+
+    A *streamed* plan (``header.pipelined``) has no combined
+    ``payload``: the protocol layer runs ``kernel_run(i)`` (a generator
+    subroutine) for each partition — charging that partition's
+    compression kernel and size retrieval — and puts
+    ``comps[i].payload`` on the wire as soon as it returns, overlapping
+    compression with transfer.
+    """
 
     header: CompressionHeader
-    payload: np.ndarray  # bytes that go on the wire (or the raw array)
+    payload: Optional[np.ndarray]  # bytes that go on the wire (or the raw array)
     wire_nbytes: int
     resources: list = field(default_factory=list)
     #: CRC32 of the data the receiver should reconstruct (the clean
     #: decompression round-trip for compressed sends, the raw bytes
     #: otherwise); piggybacked on RTS/DATA for integrity checking
     crc: Optional[int] = None
+    comps: list = field(default_factory=list)  # streamed: the partitions
+    kernel_run: object = None  # streamed: callable(i) -> generator
 
     @property
     def compressed(self) -> bool:
         return self.header.compressed
-
-
-@dataclass
-class PipelinedSendPlan:
-    """A send split into independently-compressed, streamable partitions.
-
-    The protocol layer runs ``kernel_run(i)`` (a generator subroutine)
-    for each partition — charging that partition's compression kernel
-    and size retrieval — and puts ``comps[i].payload`` on the wire as
-    soon as it returns, overlapping compression with transfer.
-    """
-
-    header: CompressionHeader
-    comps: list
-    resources: list = field(default_factory=list)
-    kernel_run: object = None  # callable(i) -> generator
-    crc: Optional[int] = None  # CRC32 of the reassembled decompressed data
-
-    @property
-    def n_parts(self) -> int:
-        return len(self.comps)
 
 
 def _partition_counts(n_elements: int, parts: int) -> list[int]:
@@ -107,19 +115,14 @@ class CompressionEngine:
         self.device = device
         self.config = config
         self._codecs: dict = {}
-        self.adaptive_policy: Optional[AdaptivePolicy] = (
-            AdaptivePolicy() if config.adaptive else None
-        )
         # Pre-allocated pools, built at init (MPI_Init) off the
         # critical path — MPC-OPT optimizations 1 & 2.
+        self.data_pool = self.doff_pool = None
         if config.enabled and config.use_buffer_pool:
             self.data_pool = SizeClassBufferPool(
                 device, min_bytes=64 * KiB, max_bytes=256 * MiB, count_per_class=2
             )
             self.doff_pool = BufferPool(device, 4 * KiB, count=8)
-        else:
-            self.data_pool = None
-            self.doff_pool = None
         self.streams = [device.new_stream() for _ in range(_MAX_STREAMS)]
 
     # -- helpers -----------------------------------------------------------
@@ -129,14 +132,16 @@ class CompressionEngine:
             self._codecs[key] = get_compressor(algorithm, **params)
         return self._codecs[key]
 
-    def _compressible(self, data) -> bool:
-        cfg = self.config
-        return (
-            cfg.enabled
-            and isinstance(data, np.ndarray)
-            and data.dtype.type in (np.float32, np.float64)
-            and data.nbytes >= cfg.threshold
-        )
+    def _transport_codec(self):
+        """The codec the current config would put on the wire."""
+        return self._codec(self.config.algorithm, **self.config.codec_params())
+
+    def _header_codec(self, header: CompressionHeader):
+        """``(codec, caps)`` for a received header: the codec to run and
+        the real codec behind any fault wrapper, whose class carries the
+        transport capabilities (the wrapper has the base defaults)."""
+        codec = self._codec(header.algorithm, **header.codec_params())
+        return codec, getattr(codec, "inner", codec)
 
     def _plan_crc(self, codec, data, comps) -> int:
         """CRC32 of what the receiver must reconstruct.
@@ -171,20 +176,14 @@ class CompressionEngine:
         outs = [GLOBAL_CODEC_CACHE.decompress(clean, c) for c in comps]
         return payload_crc32(np.concatenate(outs))
 
-    def _acquire_data_buffer(self, nbytes: int, label: str):
+    def _acquire(self, pool, nbytes: int, label: str):
         """Pool hit (cheap) or cudaMalloc (the naive path's cost)."""
-        if self.data_pool is not None:
-            buf = yield from self.data_pool.acquire(nbytes, label)
-        else:
-            buf = yield from self.device.malloc(nbytes, label)
-        return buf
+        if pool is not None:
+            return (yield from pool.acquire(nbytes, label))
+        return (yield from self.device.malloc(nbytes, label))
 
-    def _acquire_doff(self, label: str = "d_off"):
-        if self.doff_pool is not None:
-            buf = yield from self.doff_pool.acquire(self.device.spec.sm_count * 4, label)
-        else:
-            buf = yield from self.device.malloc(self.device.spec.sm_count * 4, label)
-        return buf
+    def _acquire_doff(self):
+        return self._acquire(self.doff_pool, self.device.spec.sm_count * 4, "d_off")
 
     def _release(self, resources: list):
         for buf in resources:
@@ -194,38 +193,62 @@ class CompressionEngine:
             else:
                 yield from self.device.free(buf)
 
-    def sender_release(self, plan: "SendPlan | PipelinedSendPlan"):
+    def sender_release(self, plan: SendPlan):
         """Return the send-side buffers (after the data has left)."""
         yield from self._release(plan.resources)
         plan.resources = []
 
-    # -- sender ---------------------------------------------------------------
-    def sender_prepare(self, data, path_bandwidth: float = 0.0,
-                       force_uncompressed: bool = False):
-        """Compress (or not) and produce a :class:`SendPlan`.
+    def _host_setup(self):
+        """What a ``host_setup`` codec does on the CPU before a kernel
+        launch (ZFP, Section V): construct zfp_stream / zfp_field
+        (~9us), then get_max_grid_dims — a per-message
+        cudaGetDeviceProperties in the naive library vs. a cached
+        cudaDeviceGetAttribute in ZFP-OPT."""
+        t0 = self.sim.now
+        yield self.sim.timeout(_STREAM_FIELD_TIME)
+        if self.sim.tracer is not None:
+            self.sim.tracer.span(t0, self.sim.now, "zfp_stream_field", "create",
+                                 rank=self.device.device_id, track="main")
+        if self.config.cache_device_attrs:
+            yield from self.device.get_device_attribute("max_grid_dim_x", cached=True)
+        else:
+            yield from self.device.get_device_properties()
 
-        ``path_bandwidth`` (bytes/s of the route to the destination)
-        feeds the adaptive policy when enabled.  ``force_uncompressed``
-        skips the compression pipeline entirely — the protocol layer
-        uses it when a peer's compression circuit breaker is open.
-        """
-        if not force_uncompressed and self._compressible(data):
-            if self.adaptive_policy is None or self.adaptive_policy.should_compress(
-                data.nbytes, path_bandwidth
-            ):
-                if self.config.algorithm == "mpc":
-                    plan = yield from self._send_mpc(data)
-                elif self.config.algorithm == "zfp":
-                    plan = yield from self._send_zfp(data)
-                else:
-                    plan = yield from self._send_generic(data)
-                return plan
-        nbytes = int(data.nbytes) if isinstance(data, np.ndarray) else len(data)
-        header = CompressionHeader.uncompressed(nbytes)
-        return SendPlan(header=header, payload=data, wire_nbytes=nbytes,
-                        crc=payload_crc32(data))
+    def _size_copy(self, nbytes: int):
+        """Retrieve compressed size(s): GDRCopy (OPT) vs cudaMemcpy (naive)."""
+        if self.config.use_gdrcopy:
+            yield from self.device.gdrcopy(nbytes, "compressed_size")
+        else:
+            yield from self.device.memcpy_d2h(nbytes, "compressed_size")
 
-    def _run_partition_kernels(self, durations: list[float], blocks: int, category: str):
+    def _record_compression(self, codec_name: str, bytes_in: int,
+                            bytes_out: int) -> bool:
+        """Feed the compression-ratio metrics (CR = bytes_in/bytes_out);
+        False when the result did not shrink and the raw bytes ship."""
+        shrank = bytes_out < bytes_in
+        tracer = self.sim.tracer
+        if tracer is not None and shrank:
+            tracer.metrics.inc("compress.bytes_in", bytes_in, codec=codec_name)
+            tracer.metrics.inc("compress.bytes_out", bytes_out, codec=codec_name)
+        elif tracer is not None:
+            tracer.metrics.inc("compress.fallback", codec=codec_name)
+        return shrank
+
+    def _kernel_times(self, kind: str, algorithm: str, sizes, blocks: int) -> list:
+        """Modelled duration of one ``kind`` (compress / decompress /
+        reduce) kernel per entry of ``sizes`` (uncompressed bytes) at
+        ``blocks`` thread blocks, each fed (in microseconds) to the
+        ``{kind}.kernel_us`` histogram."""
+        time_of = getattr(kernel_cost_model_for(algorithm), f"{kind}_time")
+        durations = [time_of(n, blocks, self.device.spec.sm_count) for n in sizes]
+        tracer = self.sim.tracer
+        if tracer is not None:
+            for d in durations:
+                tracer.metrics.observe(f"{kind}.kernel_us", d * 1e6, codec=algorithm)
+        return durations
+
+    def _run_partition_kernels(self, durations: list[float], blocks: int,
+                               category: str, solo_label: str = "p0"):
         """Launch one kernel per partition on separate CUDA streams.
 
         Kernels overlap on the device (bounded by the SM pool), but
@@ -234,7 +257,8 @@ class CompressionEngine:
         loss and motivates the tuned schedule.
         """
         if len(durations) == 1:
-            yield from self.streams[0].run_kernel(durations[0], blocks, category, "p0")
+            yield from self.streams[0].run_kernel(durations[0], blocks, category,
+                                                  solo_label)
             return
         submit = self.device.spec.kernel_launch
         failstop = getattr(self.sim, "failstop", None)
@@ -253,325 +277,151 @@ class CompressionEngine:
             procs.append(p)
         yield self.sim.all_of(procs)
 
-    def _send_mpc(self, data: np.ndarray):
+    # -- sender ---------------------------------------------------------------
+    def _raw_plan(self, data) -> SendPlan:
+        nbytes = int(data.nbytes) if isinstance(data, np.ndarray) else len(data)
+        return SendPlan(header=CompressionHeader.uncompressed(nbytes),
+                        payload=data, wire_nbytes=nbytes, crc=payload_crc32(data))
+
+    def sender_prepare(self, data, force_uncompressed: bool = False,
+                       stream: bool = False):
+        """Compress (or not) and produce a :class:`SendPlan`.
+
+        ``force_uncompressed`` skips the compression pipeline entirely —
+        the protocol layer uses it when a peer's compression circuit
+        breaker is open.  ``stream`` says the caller can put partitions
+        on the wire one by one (a plain send can, a packed wire image
+        cannot); with ``config.pipeline`` and a codec whose partitions
+        are ``streamable`` the plan is then a streamed one.
+
+        One step order for every codec, each step paid only by the
+        codecs that declare it: host set-up -> data buffer -> ``d_off``
+        -> compress -> kernels -> size copy unless fixed-rate ->
+        combine -> fallback / record / header / CRC.  The kernel
+        schedule is the one fork: launch every partition now and
+        combine, or hand the caller a ``kernel_run(i)`` closure.
+        """
         cfg = self.config
+        if (force_uncompressed or not cfg.enabled
+                or not isinstance(data, np.ndarray)
+                or data.dtype.type not in (np.float32, np.float64)
+                or data.nbytes < cfg.threshold):
+            return self._raw_plan(data)
+        codec = self._transport_codec()
+        # Capabilities live on the real codec's class; a fault wrapper
+        # inherits the base-class defaults before its __getattr__ runs.
+        caps = getattr(codec, "inner", codec)
+        if data.dtype.type not in caps.supported_dtypes:
+            return self._raw_plan(data)
         spec = self.device.spec
-        model = kernel_cost_model_for("mpc")
-        codec = self._codec("mpc", dimensionality=cfg.mpc_dimensionality)
+        name = cfg.algorithm
         nbytes = data.nbytes
+
+        def compress(parts: int) -> list:
+            # Real compression, one partition at a time (memoized
+            # host-side; kernel time is charged regardless).
+            return [GLOBAL_CODEC_CACHE.compress(codec, p)
+                    for p in np.array_split(data, parts)]
 
         parts = cfg.partitions or partitions_for_message(nbytes)
         # Never partition below one SM per kernel or 64 elements each.
         parts = max(1, min(parts, spec.sm_count, data.size // 64 or 1))
+        comps = None
+        streamed = stream and cfg.pipeline and caps.streamable and parts >= 2
+        if streamed:
+            # A stream's partition sizes ride the RTS ahead of its
+            # kernels, and data that does not compress is not worth
+            # streaming: it takes the whole-message plan below.
+            comps = compress(parts)
+            streamed = sum(c.nbytes for c in comps) < nbytes
+        if not (streamed or caps.multi_kernel):
+            parts, comps = 1, None
 
-        t_prepare_start = self.sim.now
+        itemsize = data.dtype.itemsize
+        expected = [caps.expected_compressed_bytes(n, itemsize)
+                    for n in _partition_counts(data.size, parts)]
+        fixed_rate = expected[0] is not None
         resources = []
+        kernel_run = None
         try:
-            bound = nbytes + nbytes // 16 + 4096  # worst-case MPC expansion
-            comp_buf = yield from self._acquire_data_buffer(bound, "mpc_compressed")
+            if caps.host_setup:
+                yield from self._host_setup()
+            comp_buf = yield from self._acquire(
+                self.data_pool,
+                sum(expected) if fixed_rate else caps.staging_bytes(nbytes),
+                f"{name}_compressed")
             resources.append(comp_buf)
-            doff = yield from self._acquire_doff()
-            resources.append(doff)
-
-            # Real compression, one partition at a time (memoized host-side;
-            # kernel time is charged below regardless).
-            pieces = np.array_split(data, parts)
-            comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in pieces]
+            if caps.needs_offsets:
+                resources.append((yield from self._acquire_doff()))
+            if comps is None:
+                comps = compress(parts)
             sizes = [c.nbytes for c in comps]
 
-            # Modelled kernel executions (concurrent when partitioned).
-            blocks = max(1, spec.sm_count // parts)
-            durations = [
-                model.compress_time(p.nbytes, blocks, spec.sm_count) for p in pieces
-            ]
-            self._observe_kernels("compress", "mpc", durations)
-            yield from self._run_partition_kernels(durations, blocks, "compression_kernel")
+            if streamed:
+                # Pipelining wants *staggered* completions: chunks run
+                # back to back on one stream at half-device width (the
+                # paper's "half the SMs is roughly the same as using
+                # full GPU"), so chunk 0 is on the wire while chunk 1 is
+                # still compressing.
+                half = max(1, spec.sm_count // 2)
 
-            # Retrieve compressed size(s): GDRCopy (OPT) vs cudaMemcpy (naive).
-            size_bytes = 4 * parts
-            if cfg.use_gdrcopy:
-                yield from self.device.gdrcopy(size_bytes, "compressed_size")
+                def kernel_run(i: int):
+                    duration, = self._kernel_times(
+                        "compress", name, [comps[i].original_nbytes], half)
+                    yield from self.streams[0].run_kernel(
+                        duration, half, "compression_kernel", f"pipe{i}")
+                    if not fixed_rate:
+                        yield from self._size_copy(4)
             else:
-                yield from self.device.memcpy_d2h(size_bytes, "compressed_size")
-
-            # Merge partition outputs into one contiguous buffer (fixed
-            # order, Sec. IV); partition 0 is already in place.
-            if parts > 1:
-                yield from self.device.memcpy_d2d(sum(sizes[1:]), "combine")
-
-            payload = np.concatenate([c.payload for c in comps]) if parts > 1 else comps[0].payload
-            if self.adaptive_policy is not None:
-                blocks_r = max(1, spec.sm_count // parts)
-                est_decompr = max(
-                    model.decompress_time(p.nbytes, blocks_r, spec.sm_count) for p in pieces
-                )
-                self.adaptive_policy.record(
-                    nbytes, nbytes / max(1, payload.nbytes),
-                    self.sim.now - t_prepare_start, est_decompr,
-                )
+                # Modelled kernel executions (concurrent when partitioned).
+                blocks = max(1, spec.sm_count // parts)
+                durations = self._kernel_times(
+                    "compress", name, [c.original_nbytes for c in comps], blocks)
+                # (a lone kernel of an undecomposed codec is labelled by
+                # the codec, as its traces always were)
+                yield from self._run_partition_kernels(
+                    durations, blocks, "compression_kernel",
+                    "p0" if caps.multi_kernel else name)
+                if not fixed_rate:
+                    yield from self._size_copy(4 * parts)
+                # Merge partition outputs into one contiguous buffer
+                # (fixed order, Sec. IV); partition 0 is already in place.
+                if parts > 1:
+                    yield from self.device.memcpy_d2d(sum(sizes[1:]), "combine")
         except BaseException:
             yield from self._release(resources)
             raise
-        if payload.nbytes >= nbytes:
+        wire_nbytes = sum(sizes)
+        if not self._record_compression(name, nbytes, wire_nbytes):
             # Incompressible: fall back to the raw message (the kernel
             # time was still spent — that is the price of trying).
-            self._record_compression("mpc", nbytes, payload.nbytes, fallback=True)
             yield from self._release(resources)
-            return SendPlan(
-                header=CompressionHeader.uncompressed(nbytes),
-                payload=data, wire_nbytes=nbytes, crc=payload_crc32(data),
-            )
-        self._record_compression("mpc", nbytes, payload.nbytes)
-        comp_buf.write(payload)
-        header = CompressionHeader.for_message(
-            "mpc", data.dtype, data.size, cfg.mpc_dimensionality, sizes
-        )
-        return SendPlan(
-            header=header, payload=payload, wire_nbytes=payload.nbytes,
-            resources=resources, crc=self._plan_crc(codec, data, comps),
-        )
-
-    def _zfp_grid_dims(self):
-        """ZFP's get_max_grid_dims: per-message cudaGetDeviceProperties
-        in the naive library vs. a cached cudaDeviceGetAttribute in
-        ZFP-OPT (Section V)."""
-        if self.config.cache_device_attrs:
-            yield from self.device.get_device_attribute("max_grid_dim_x", cached=True)
-        else:
-            yield from self.device.get_device_properties()
-
-    def _zfp_stream_field(self):
-        """Construct zfp_stream / zfp_field (CPU-side, ~9us)."""
-        t0 = self.sim.now
-        yield self.sim.timeout(_ZFP_STREAM_FIELD_TIME)
-        if self.sim.tracer is not None:
-            self.sim.tracer.span(t0, self.sim.now, "zfp_stream_field", "create",
-                                 rank=self.device.device_id, track="main")
-
-    def _record_compression(self, codec_name: str, bytes_in: int,
-                            bytes_out: int, fallback: bool = False) -> None:
-        """Feed the compression-ratio metrics (CR = bytes_in/bytes_out)."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            return
-        if fallback:
-            tracer.metrics.inc("compress.fallback", codec=codec_name)
-        else:
-            tracer.metrics.inc("compress.bytes_in", bytes_in, codec=codec_name)
-            tracer.metrics.inc("compress.bytes_out", bytes_out, codec=codec_name)
-
-    def _observe_kernels(self, kind: str, codec_name: str, durations) -> None:
-        """Feed per-launch kernel durations (microseconds) into the
-        ``compress.kernel_us`` / ``decompress.kernel_us`` histograms."""
-        tracer = self.sim.tracer
-        if tracer is None:
-            return
-        name = f"{kind}.kernel_us"
-        for d in durations:
-            tracer.metrics.observe(name, d * 1e6, codec=codec_name)
-
-    def _send_zfp(self, data: np.ndarray):
-        cfg = self.config
-        spec = self.device.spec
-        model = kernel_cost_model_for("zfp")
-        codec = self._codec("zfp", rate=cfg.zfp_rate)
-        nbytes = data.nbytes
-
-        t_prepare_start = self.sim.now
-        resources = []
-        try:
-            yield from self._zfp_stream_field()
-            yield from self._zfp_grid_dims()
-
-            expected = codec.expected_compressed_bytes(data.size, data.dtype.itemsize)
-            comp_buf = yield from self._acquire_data_buffer(expected, "zfp_compressed")
-            resources.append(comp_buf)
-
-            comp = GLOBAL_CODEC_CACHE.compress(codec, data)  # real compression
-            duration = model.compress_time(nbytes, spec.sm_count, spec.sm_count)
-            self._observe_kernels("compress", "zfp", [duration])
-            yield from self.streams[0].run_kernel(
-                duration, spec.sm_count, "compression_kernel", "zfp"
-            )
-            # No size copy: ZFP's compressed size is predictable (Sec. III).
-            if self.adaptive_policy is not None:
-                est_decompr = model.decompress_time(nbytes, spec.sm_count, spec.sm_count)
-                self.adaptive_policy.record(
-                    nbytes, nbytes / max(1, comp.nbytes),
-                    self.sim.now - t_prepare_start, est_decompr,
-                )
-        except BaseException:
-            yield from self._release(resources)
-            raise
-        if comp.nbytes >= nbytes:
-            # CR < 1 at this rate/size: ship raw rather than expand.
-            self._record_compression("zfp", nbytes, comp.nbytes, fallback=True)
-            yield from self._release(resources)
-            return SendPlan(
-                header=CompressionHeader.uncompressed(nbytes),
-                payload=data, wire_nbytes=nbytes, crc=payload_crc32(data),
-            )
-        self._record_compression("zfp", nbytes, comp.nbytes)
-        comp_buf.write(comp.payload)
-        header = CompressionHeader.for_message(
-            "zfp", data.dtype, data.size, cfg.zfp_rate, (comp.nbytes,)
-        )
-        return SendPlan(
-            header=header, payload=comp.payload, wire_nbytes=comp.nbytes,
-            resources=resources, crc=self._plan_crc(codec, data, [comp]),
-        )
-
-    def _generic_codec(self):
-        cfg = self.config
-        if cfg.algorithm == "sz":
-            # Compress with the bound as the header carries it (a
-            # float32), so both ends run the same codec and the
-            # sender's expected-value decode is the receiver's.
-            param = CompressionHeader.encode_sz_bound(cfg.sz_error_bound)
-            bound = CompressionHeader.decode_sz_bound(param)
-            return self._codec("sz", error_bound=bound), param
-        return self._codec(cfg.algorithm), 0
-
-    def _send_generic(self, data: np.ndarray):
-        """Any other registry codec (sz/gfc/fpc) as the transport
-        compressor: one full-device kernel, size retrieved like MPC's
-        (data-dependent compressed size)."""
-        cfg = self.config
-        spec = self.device.spec
-        model = kernel_cost_model_for(cfg.algorithm)
-        codec, param = self._generic_codec()
-        nbytes = data.nbytes
-        if data.dtype.type not in codec.supported_dtypes:
-            return SendPlan(
-                header=CompressionHeader.uncompressed(nbytes),
-                payload=data, wire_nbytes=nbytes, crc=payload_crc32(data),
-            )
-        resources = []
-        try:
-            bound = nbytes + nbytes // 4 + 8192
-            comp_buf = yield from self._acquire_data_buffer(bound, f"{cfg.algorithm}_compressed")
-            resources.append(comp_buf)
-            comp = GLOBAL_CODEC_CACHE.compress(codec, data)
-            duration = model.compress_time(nbytes, spec.sm_count, spec.sm_count)
-            self._observe_kernels("compress", cfg.algorithm, [duration])
-            yield from self.streams[0].run_kernel(
-                duration, spec.sm_count, "compression_kernel", cfg.algorithm
-            )
-            if cfg.use_gdrcopy:
-                yield from self.device.gdrcopy(4, "compressed_size")
-            else:
-                yield from self.device.memcpy_d2h(4, "compressed_size")
-        except BaseException:
-            yield from self._release(resources)
-            raise
-        if comp.nbytes >= nbytes:
-            self._record_compression(cfg.algorithm, nbytes, comp.nbytes,
-                                     fallback=True)
-            yield from self._release(resources)
-            return SendPlan(
-                header=CompressionHeader.uncompressed(nbytes),
-                payload=data, wire_nbytes=nbytes, crc=payload_crc32(data),
-            )
-        self._record_compression(cfg.algorithm, nbytes, comp.nbytes)
-        comp_buf.write(comp.payload)
-        header = CompressionHeader.for_message(
-            cfg.algorithm, data.dtype, data.size, param, (comp.nbytes,)
-        )
-        return SendPlan(header=header, payload=comp.payload,
-                        wire_nbytes=comp.nbytes, resources=resources,
-                        crc=self._plan_crc(codec, data, [comp]))
-
-    # -- pipelined extension -------------------------------------------------
-    def sender_prepare_pipelined(self, data, path_bandwidth: float = 0.0):
-        """Build a :class:`PipelinedSendPlan`, or return ``None`` when
-        the message should take the ordinary path (not compressible,
-        too small to split, or incompressible data).
-
-        Works for both codecs: ZFP partitions are independent 4-block
-        groups, MPC partitions reset the LNV predictor exactly as in
-        the paper's combined scheme (Section IV notes the ratio impact
-        is negligible).
-        """
-        cfg = self.config
-        if not (cfg.pipeline and self._compressible(data)):
-            return None
-        spec = self.device.spec
-        nbytes = data.nbytes
-        parts = cfg.partitions or partitions_for_message(nbytes)
-        parts = max(1, min(parts, spec.sm_count, data.size // 64 or 1))
-        if parts < 2:
-            return None
-        model = kernel_cost_model_for(cfg.algorithm)
-        if cfg.algorithm == "mpc":
-            codec = self._codec("mpc", dimensionality=cfg.mpc_dimensionality)
-            param = cfg.mpc_dimensionality
-        else:
-            codec = self._codec("zfp", rate=cfg.zfp_rate)
-            param = cfg.zfp_rate
-
-        pieces = np.array_split(data, parts)
-        comps = [GLOBAL_CODEC_CACHE.compress(codec, p) for p in pieces]
-        sizes = [c.nbytes for c in comps]
-        if sum(sizes) >= nbytes:
-            return None  # incompressible: take the raw fallback path
-        self._record_compression(cfg.algorithm, nbytes, sum(sizes))
-
-        resources = []
-        try:
-            bound = nbytes + nbytes // 16 + 4096
-            comp_buf = yield from self._acquire_data_buffer(bound, "pipe_compressed")
-            resources.append(comp_buf)
-            if cfg.algorithm == "mpc":
-                doff = yield from self._acquire_doff()
-                resources.append(doff)
-            else:
-                yield from self._zfp_stream_field()
-                yield from self._zfp_grid_dims()
-        except BaseException:
-            yield from self._release(resources)
-            raise
-
-        # Pipelining wants *staggered* completions: chunks run back to
-        # back on one stream at half-device width (the paper's "half
-        # the SMs is roughly the same as using full GPU"), so chunk 0
-        # is on the wire while chunk 1 is still compressing.
-        blocks = max(1, spec.sm_count // 2)
-        engine = self
-
-        def kernel_run(i: int):
-            duration = model.compress_time(pieces[i].nbytes, blocks, spec.sm_count)
-            engine._observe_kernels("compress", cfg.algorithm, [duration])
-            yield from engine.streams[0].run_kernel(
-                duration, blocks, "compression_kernel", f"pipe{i}"
-            )
-            if cfg.algorithm == "mpc":
-                # per-partition compressed-size retrieval
-                if cfg.use_gdrcopy:
-                    yield from engine.device.gdrcopy(4, "compressed_size")
-                else:
-                    yield from engine.device.memcpy_d2h(4, "compressed_size")
-
-        header = CompressionHeader.for_message(
-            cfg.algorithm, data.dtype, data.size, param, sizes, pipelined=True
-        )
-        return PipelinedSendPlan(
-            header=header, comps=comps, resources=resources, kernel_run=kernel_run,
+            return self._raw_plan(data)
+        plan = SendPlan(
+            header=CompressionHeader.for_message(
+                name, data.dtype, data.size, caps.header_param(), sizes,
+                pipelined=streamed),
+            payload=None, wire_nbytes=wire_nbytes, resources=resources,
             crc=self._plan_crc(codec, data, comps),
         )
+        if streamed:
+            plan.comps, plan.kernel_run = comps, kernel_run
+        else:
+            plan.payload = (np.concatenate([c.payload for c in comps])
+                            if parts > 1 else comps[0].payload)
+            comp_buf.write(plan.payload)
+        return plan
 
     def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
         """Decompress one arrived partition (generator subroutine)."""
-        spec = self.device.spec
-        model = kernel_cost_model_for(header.algorithm)
-        codec = self._codec(header.algorithm, **header.codec_params())
+        codec, _ = self._header_codec(header)
         dtype = np.dtype(header.dtype_name)
         counts = _partition_counts(header.n_elements, header.n_partitions)
         # Half-device kernels: arrivals are already staggered by the
         # wire, adjacent parts may overlap pairwise.
-        blocks = max(1, spec.sm_count // 2)
-        duration = model.decompress_time(counts[part] * dtype.itemsize, blocks,
-                                         spec.sm_count)
-        self._observe_kernels("decompress", header.algorithm, [duration])
+        blocks = max(1, self.device.spec.sm_count // 2)
+        duration, = self._kernel_times(
+            "decompress", header.algorithm, [counts[part] * dtype.itemsize], blocks)
         yield from self.streams[part % _MAX_STREAMS].run_kernel(
             duration, blocks, "decompression_kernel", f"pipe{part}"
         )
@@ -589,21 +439,10 @@ class CompressionEngine:
         decoding at every hop: compression on, the reduction is a plain
         sum, and the configured codec advertises
         :attr:`~repro.compression.base.Compressor.reduce_supported`."""
-        cfg = self.config
-        if not cfg.enabled or op is not np.add:
+        if not self.config.enabled or op is not np.add:
             return False
         codec = self._transport_codec()
-        clean = getattr(codec, "inner", codec)
-        return bool(clean.reduce_supported)
-
-    def _transport_codec(self):
-        """The codec the current config would put on the wire."""
-        cfg = self.config
-        if cfg.algorithm == "mpc":
-            return self._codec("mpc", dimensionality=cfg.mpc_dimensionality)
-        if cfg.algorithm == "zfp":
-            return self._codec("zfp", rate=cfg.zfp_rate)
-        return self._generic_codec()[0]
+        return bool(getattr(codec, "inner", codec).reduce_supported)
 
     def reduce_wire_payload(self, header: CompressionHeader, local: np.ndarray,
                             other_header: CompressionHeader, other_payload,
@@ -636,10 +475,8 @@ class CompressionEngine:
         """
         if not (header.compressed and other_header.compressed):
             raise CompressionError("reduce_wire_payload needs two compressed operands")
-        if (header.algorithm != other_header.algorithm
-                or header.n_elements != other_header.n_elements
-                or header.n_partitions != other_header.n_partitions
-                or header.dtype_name != other_header.dtype_name):
+        same = ("algorithm", "n_elements", "n_partitions", "dtype_name")
+        if any(getattr(header, f) != getattr(other_header, f) for f in same):
             raise CompressionError(
                 f"wire reduction operand mismatch: {header!r} vs {other_header!r}"
             )
@@ -648,20 +485,15 @@ class CompressionEngine:
             raise CompressionError(
                 f"local operand {local.shape}x{local.dtype} does not match {header!r}"
             )
-        spec = self.device.spec
-        model = kernel_cost_model_for(header.algorithm)
-        codec = self._codec(header.algorithm, **header.codec_params())
-        clean = getattr(codec, "inner", codec)
+        _, clean = self._header_codec(header)
         parts = header.n_partitions
-        counts = _partition_counts(header.n_elements, parts)
 
         # Fused kernels, one per partition, like the decode path.
-        blocks = max(1, spec.sm_count // parts)
-        durations = [
-            model.reduce_time(c * dtype.itemsize, blocks, spec.sm_count)
-            for c in counts
-        ]
-        self._observe_kernels("reduce", header.algorithm, durations)
+        blocks = max(1, self.device.spec.sm_count // parts)
+        durations = self._kernel_times(
+            "reduce", header.algorithm,
+            [c * dtype.itemsize for c in _partition_counts(header.n_elements, parts)],
+            blocks)
         yield from self._run_partition_kernels(durations, blocks, "reduction_kernel")
 
         total = np.empty(header.n_elements, dtype=dtype)
@@ -677,15 +509,11 @@ class CompressionEngine:
         sizes = [c.nbytes for c in reduced]
         crc = payload_crc32(total) if want_crc else None
 
-        raw_nbytes = total.nbytes
-        if sum(sizes) >= raw_nbytes:
+        if not self._record_compression(header.algorithm, total.nbytes, sum(sizes)):
             # Partial sums stopped compressing: degrade this
             # accumulator to a raw image.
-            self._record_compression(header.algorithm, raw_nbytes,
-                                     sum(sizes), fallback=True)
-            return CompressionHeader.uncompressed(raw_nbytes), total, crc, total
+            return CompressionHeader.uncompressed(total.nbytes), total, crc, total
 
-        self._record_compression(header.algorithm, raw_nbytes, sum(sizes))
         payload = np.concatenate([c.payload for c in reduced]) \
             if parts > 1 else reduced[0].payload
         out_header = CompressionHeader.for_message(
@@ -696,16 +524,16 @@ class CompressionEngine:
     # -- receiver -----------------------------------------------------------
     def receiver_prepare(self, header: CompressionHeader):
         """Between RTS and CTS: obtain the temporary device buffer (and
-        MPC's d_off) for the incoming compressed payload."""
+        ``d_off``, for a codec that needs it) for the incoming
+        compressed payload."""
         if not header.compressed:
             return []
         resources = []
         try:
-            buf = yield from self._acquire_data_buffer(header.wire_bytes, "recv_compressed")
-            resources.append(buf)
-            if header.algorithm == "mpc":
-                doff = yield from self._acquire_doff()
-                resources.append(doff)
+            resources.append((yield from self._acquire(
+                self.data_pool, header.wire_bytes, "recv_compressed")))
+            if self._header_codec(header)[1].needs_offsets:
+                resources.append((yield from self._acquire_doff()))
         except BaseException:
             yield from self._release(resources)
             raise
@@ -747,23 +575,17 @@ class CompressionEngine:
         """
         if not header.compressed:
             return payload, (payload_crc32(payload) if want_crc else None)
-        spec = self.device.spec
-        model = kernel_cost_model_for(header.algorithm)
-        codec = self._codec(header.algorithm, **header.codec_params())
-        dtype = np.dtype(header.dtype_name)
-
-        if header.algorithm == "zfp":
-            yield from self._zfp_stream_field()
-            yield from self._zfp_grid_dims()
+        codec, caps = self._header_codec(header)
+        if caps.host_setup:
+            yield from self._host_setup()
 
         parts = header.n_partitions
-        counts = _partition_counts(header.n_elements, parts)
-        blocks = max(1, spec.sm_count // parts)
-        durations = [
-            model.decompress_time(c * dtype.itemsize, blocks, spec.sm_count)
-            for c in counts
-        ]
-        self._observe_kernels("decompress", header.algorithm, durations)
+        itemsize = np.dtype(header.dtype_name).itemsize
+        blocks = max(1, self.device.spec.sm_count // parts)
+        durations = self._kernel_times(
+            "decompress", header.algorithm,
+            [c * itemsize for c in _partition_counts(header.n_elements, parts)],
+            blocks)
         yield from self._run_partition_kernels(durations, blocks, "decompression_kernel")
 
         # Real decompression: one memo lookup for the whole message,

@@ -17,10 +17,11 @@ Binary layout (little-endian)::
 
     u8   magic (0xC5)
     u8   flags          bit0: compressed, bit1: pipelined
-    u8   algorithm      0=null 1=mpc 2=zfp 3=fpc
+    u8   algorithm      the codec's wire code (compression.registry)
     u8   dtype          0=float32 1=float64
     u64  n_elements
-    u32  param          (mpc dimensionality | zfp rate)
+    u32  param          the codec's ``header_param`` (mpc dimensionality |
+                        zfp rate | float32 bits of the sz error bound)
     u16  n_partitions
     u32  x n_partitions  compressed bytes per partition
 """
@@ -32,13 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.compression.registry import WIRE_CODES, WIRE_NAMES, codec_class
 from repro.errors import HeaderError
 
 __all__ = ["CompressionHeader"]
 
 _MAGIC = 0xC5
-_ALGO_CODES = {"null": 0, "mpc": 1, "zfp": 2, "fpc": 3, "gfc": 4, "sz": 5}
-_ALGO_NAMES = {v: k for k, v in _ALGO_CODES.items()}
 _DTYPE_CODES = {"float32": 0, "float64": 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 _FIXED = struct.Struct("<BBBBQIH")
@@ -99,7 +99,7 @@ class CompressionHeader:
     # -- wire form ----------------------------------------------------------
     def pack(self) -> bytes:
         try:
-            algo = _ALGO_CODES[self.algorithm]
+            algo = WIRE_CODES[self.algorithm]
             dt = _DTYPE_CODES[self.dtype_name]
         except KeyError as exc:
             raise HeaderError(f"unencodable header field: {exc}") from None
@@ -124,7 +124,7 @@ class CompressionHeader:
             raise HeaderError(f"header truncated: need {need} bytes, have {len(raw)}")
         sizes = struct.unpack_from(f"<{n_part}I", raw, _FIXED.size)
         try:
-            algorithm = _ALGO_NAMES[algo]
+            algorithm = WIRE_NAMES[algo]
             dtype_name = _DTYPE_NAMES[dt]
         except KeyError as exc:
             raise HeaderError(f"undecodable header field: {exc}") from None
@@ -140,21 +140,4 @@ class CompressionHeader:
 
     def codec_params(self) -> dict:
         """Control parameters to reconstruct the codec on the receiver."""
-        if self.algorithm == "mpc":
-            return {"dimensionality": self.param}
-        if self.algorithm == "zfp":
-            return {"rate": self.param}
-        if self.algorithm == "sz":
-            return {"error_bound": self.decode_sz_bound(self.param)}
-        return {}
-
-    @staticmethod
-    def encode_sz_bound(error_bound: float) -> int:
-        """Pack an SZ error bound into the u32 header param field."""
-        return struct.unpack("<I", np.float32(error_bound).tobytes())[0]
-
-    @staticmethod
-    def decode_sz_bound(param: int) -> float:
-        """The bound a u32 header param carries (its float32 bit
-        pattern) — what the receiver's codec is built with."""
-        return float(np.frombuffer(struct.pack("<I", param), dtype=np.float32)[0])
+        return codec_class(self.algorithm).params_from_header(self.param)

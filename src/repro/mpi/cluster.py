@@ -330,9 +330,6 @@ class Runtime:
     def matching_of(self, rank: int) -> MatchingEngine:
         return self._matching[rank]
 
-    def path_bandwidth(self, src: int, dst: int) -> float:
-        return self.topology.path_bandwidth(self._gpu_of(src), self._gpu_of(dst))
-
     def transfer(self, src: int, dst: int, nbytes: int, label: str = "",
                  payload=None):
         """Payload transfer over the contended fabric.  Returns the

@@ -352,8 +352,6 @@ class Communicator:
         is what the protocol ships (never relayed: no ``wire_crc``, no
         ``origin_seq``)."""
         engine = rt.engine_of(self._grank)
-        nbytes = self._payload_nbytes(data)
-        integrity = rt.resilience.integrity
         breaker = None
         force_uncompressed = False
         if engine.config.enabled:
@@ -362,43 +360,25 @@ class Communicator:
                 force_uncompressed = True
                 rt.resilience_event("breaker_veto", rank=self._grank,
                                     dst=dest, seq=seq)
-        if engine.config.enabled and engine.config.pipeline \
-                and not force_uncompressed:
-            pplan = None
-            with trace_scope(self.sim, "pipeline", "sender_prepare",
-                             rank=self._grank, nbytes=nbytes, seq=seq,
-                             dst=dest):
-                try:
-                    pplan = yield from engine.sender_prepare_pipelined(
-                        data, path_bandwidth=rt.path_bandwidth(self._grank, dest)
-                    )
-                except _TRANSIENT as exc:
-                    self._compression_failed(rt, breaker, dest, seq, exc)
-                    force_uncompressed = True
-            if pplan is not None:
-                # Kept whole for retransmission only — a NACKed message is
-                # resent as one un-pipelined DATA packet (the header's
-                # partition table still applies): needs a fault plane.
-                whole = (np.concatenate([c.payload for c in pplan.comps])
-                         if rt.faults is not None else None)
-                return pplan, WireImage(pplan.header, whole,
-                                        pplan.header.wire_bytes,
-                                        pplan.crc if integrity else None)
         with trace_scope(self.sim, "pipeline", "sender_prepare",
-                         rank=self._grank, nbytes=nbytes, seq=seq,
-                         dst=dest):
+                         rank=self._grank, nbytes=self._payload_nbytes(data),
+                         seq=seq, dst=dest):
             try:
                 plan = yield from engine.sender_prepare(
-                    data, path_bandwidth=rt.path_bandwidth(self._grank, dest),
-                    force_uncompressed=force_uncompressed,
-                )
+                    data, force_uncompressed=force_uncompressed, stream=True)
             except _TRANSIENT as exc:
                 self._compression_failed(rt, breaker, dest, seq, exc)
                 plan = yield from engine.sender_prepare(
                     data, force_uncompressed=True
                 )
-        return plan, WireImage(plan.header, plan.payload, plan.wire_nbytes,
-                               plan.crc if integrity else None)
+        payload = plan.payload
+        if plan.header.pipelined and rt.faults is not None:
+            # Kept whole for retransmission only — a NACKed message is
+            # resent as one un-pipelined DATA packet (the header's
+            # partition table still applies): needs a fault plane.
+            payload = np.concatenate([c.payload for c in plan.comps])
+        return plan, WireImage(plan.header, payload, plan.wire_nbytes,
+                               plan.crc if rt.resilience.integrity else None)
 
     def _compression_failed(self, rt, breaker, dest: int, seq: int, exc) -> None:
         """Host-side bookkeeping for a transient sender-side compression
@@ -493,7 +473,7 @@ class Communicator:
             )
 
     def _push_parts(self, rt, dest: int, tag: int, seq: int, pplan):
-        """The n_parts > 1 push: stream each partition as its
+        """The streamed push: put each partition on the wire as its
         compression kernel completes."""
 
         def part_sender(i):
@@ -515,14 +495,14 @@ class Communicator:
 
         procs = [
             self.sim.process(part_sender(i), name=f"pipe-send{i}")
-            for i in range(pplan.n_parts)
+            for i in range(len(pplan.comps))
         ]
         for p in procs:
             rt.adopt(self._grank, p)
         yield self.sim.all_of(procs)
 
     def _arrive_parts(self, rt, engine, pkt, data_evs):
-        """The n_parts > 1 arrival: decompress each partition as it
+        """The streamed arrival: decompress each partition as it
         lands.  Returns ``(data, failure, cause)``; a failed partition
         (timeout, decode error) or a whole-message CRC mismatch is left
         to the recovery loop: one NACK, one full retransmission of the

@@ -1,10 +1,12 @@
 """Unit tests for CompressionConfig and the partition tuner."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 from repro.compression.perfmodel import MPC_V100
 from repro.core import CompressionConfig, partitions_for_message
-from repro.core.tuning import sweep_partitions
 from repro.errors import ConfigError
 from repro.utils.units import KiB, MiB
 
@@ -85,11 +87,19 @@ def test_partition_schedule_boundaries():
     assert partitions_for_message(4 * MiB + 1) == 8
 
 
-def test_sweep_prefers_more_partitions_for_big_messages():
+@pytest.fixture
+def sweep_partitions(monkeypatch):
+    """The tuning sweep lives with its one caller, the partitions
+    ablation benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "benchmarks"))
+    return importlib.import_module("bench_ablation_partitions").sweep_partitions
+
+
+def test_sweep_prefers_more_partitions_for_big_messages(sweep_partitions):
     sweep = sweep_partitions(MPC_V100, 32 * MiB, 80)
     assert sweep[8] < sweep[1]
 
 
-def test_sweep_prefers_fewer_partitions_for_small_messages():
+def test_sweep_prefers_fewer_partitions_for_small_messages(sweep_partitions):
     sweep = sweep_partitions(MPC_V100, 64 * KiB, 80)
     assert sweep[1] < sweep[16]

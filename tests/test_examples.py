@@ -21,7 +21,7 @@ def run_example(name: str, timeout: int = 300) -> str:
 def test_examples_exist():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "awp_weak_scaling.py", "dask_transpose_sum.py",
-            "dataset_compression_survey.py", "adaptive_policy_demo.py", "collectives_on_datasets.py"} <= names
+            "dataset_compression_survey.py", "collectives_on_datasets.py"} <= names
 
 
 def test_quickstart():
@@ -33,11 +33,6 @@ def test_quickstart():
 def test_dataset_survey():
     out = run_example("dataset_compression_survey.py")
     assert "msg_sppm" in out and "CR-MPC" in out
-
-
-def test_adaptive_demo():
-    out = run_example("adaptive_policy_demo.py")
-    assert "adaptive" in out.lower()
 
 
 @pytest.mark.slow
