@@ -259,7 +259,7 @@ def cmd_trace(args) -> None:
             write_chrome_trace(res.tracer, args.out, elapsed=res.elapsed)
     except OSError as exc:
         raise SystemExit(f"cannot write {args.out}: {exc}")
-    n_spans = len(res.tracer.records)
+    n_spans = len(res.tracer.columns)
     extra = (f", {stats['ratio']:.2f}x block compression"
              if fmt == "rprt" else "")
     print(f"wrote {args.out} [{fmt}]: {n_spans} spans, "

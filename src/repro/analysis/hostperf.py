@@ -17,7 +17,8 @@ Every benchmark here exercises real code on deterministic data:
 * ``engine/events`` — raw event-loop throughput (timeout-chain
   processes, no tracer);
 * ``engine/spans`` — the same loop with hierarchical span bookkeeping,
-  isolating tracer overhead;
+  isolating tracer overhead; its ``trace_cost_ratio`` is its ``run_s``
+  over an untraced run timed back to back in the same benchmark;
 * ``engine/scale/*`` — collective-shaped event loops at 256 and 1024
   ranks (lockstep rounds with same-instant wakeups, spawn churn,
   fan-in gates and interrupt storms), the workload the calendar
@@ -70,9 +71,10 @@ Snapshot schema (``schema_version`` 1)::
     }
 
 Metric naming carries the comparison direction: ``*_s`` metrics are
-times (bigger is worse), ``*_per_s`` metrics are rates (smaller is
-worse), ``*_per_message`` metrics are exact counts (bigger is worse, at
-zero tolerance).  :func:`compare` uses exactly that convention.
+times and ``*_ratio`` metrics cost ratios (bigger is worse), ``*_per_s``
+metrics are rates (smaller is worse), ``*_per_message`` metrics are
+exact counts (bigger is worse, at zero tolerance).  :func:`compare`
+uses exactly that convention.
 
 Wall-clock reads below are pragma'd for the determinism linter: this
 module *is* the sanctioned wall-clock consumer — its measurements never
@@ -248,7 +250,7 @@ def _run_engine(params: dict, reps: int) -> dict:
 
     procs, steps, traced = params["procs"], params["steps"], params["traced"]
 
-    def one_run() -> None:
+    def one_run(traced: bool = traced) -> None:
         sim = Simulator()
         tracer = Tracer(sim) if traced else None
 
@@ -267,8 +269,14 @@ def _run_engine(params: dict, reps: int) -> dict:
 
     t = _time_median(one_run, reps)
     n_events = procs * (steps + 1)  # one init event + one per timeout
-    return {"run_s": _r(t), "events_per_s": _r(n_events / t, 0),
-            "peak_heap_bytes": _peak_heap(one_run)}
+    out = {"run_s": _r(t), "events_per_s": _r(n_events / t, 0),
+           "peak_heap_bytes": _peak_heap(one_run)}
+    if traced:
+        # The untraced loop timed back to back, so box drift between
+        # this entry and engine/events cancels out of the ratio.
+        out["trace_cost_ratio"] = _r(
+            t / _time_median(lambda: one_run(False), reps), 3)
+    return out
 
 
 def _scale_workload(sim, ranks: int, rounds: int) -> None:
@@ -529,11 +537,11 @@ _EXACT_SUFFIX = "_per_message"
 #: metrics compared by :func:`compare`; others (ratio, raw seconds of
 #: the codec benches — redundant with the rates) are informational.
 def _direction(metric: str) -> Optional[int]:
-    """+1: bigger is worse (times, memory, counts); -1: smaller is
-    worse (rates); None: not compared."""
+    """+1: bigger is worse (times, memory, cost ratios, counts); -1:
+    smaller is worse (rates); None: not compared."""
     if metric.endswith("_per_s"):
         return -1
-    if metric.endswith(("_s", "_bytes", _EXACT_SUFFIX)):
+    if metric.endswith(("_s", "_bytes", "_ratio", _EXACT_SUFFIX)):
         return +1
     return None
 
@@ -626,6 +634,9 @@ def _synthetic_snapshot() -> dict:
                               "metrics": {"run_s": 0.050,
                                           "events_per_s": 200000.0,
                                           "peak_heap_bytes": 1 << 20}},
+            "engine/spans": {"kind": "engine", "params": {},
+                             "metrics": {"run_s": 0.450,
+                                         "trace_cost_ratio": 9.0}},
         },
     }
 
@@ -636,8 +647,9 @@ def selftest(threshold: float = 0.30) -> list[str]:
     Mirrors ``repro check --selftest``: returns a list of failure
     descriptions (empty == the harness works).  Checks that (1) a clean
     self-comparison passes, (2) an injected slowdown on a time metric
-    gates, (3) an injected throughput drop gates, and (4) a symmetric
-    *improvement* is reported but does not gate.
+    gates, (3) an injected throughput drop gates, as do a memory bloat
+    and a grown ``trace_cost_ratio``, and (4) a symmetric *improvement*
+    is reported but does not gate.
     """
     failures = []
     base = _synthetic_snapshot()
@@ -666,6 +678,13 @@ def selftest(threshold: float = 0.30) -> list[str]:
     c = compare(bloat, base, threshold)
     if c.ok:
         failures.append("injected memory regression was not flagged")
+
+    costly = _synthetic_snapshot()
+    costly["benchmarks"]["engine/spans"]["metrics"]["trace_cost_ratio"] *= (
+        1.0 + 2 * threshold)
+    c = compare(costly, base, threshold)
+    if c.ok:
+        failures.append("injected tracing-cost regression was not flagged")
 
     fast = _synthetic_snapshot()
     fast["benchmarks"]["codec/x/smooth/256K"]["metrics"]["encode_s"] /= 4.0

@@ -64,6 +64,13 @@ def _key(name: str, labels: dict) -> tuple:
     return (name, tuple(sorted(labels.items())))
 
 
+def _series_key(series, labels: dict) -> tuple:
+    """``series`` itself when it is a key already (from
+    :meth:`MetricsRegistry.key`), else the key of that name and
+    ``labels``."""
+    return series if type(series) is tuple else _key(series, labels)
+
+
 @dataclass
 class HistogramStat:
     """Streaming summary of observed values (count/sum/min/max plus
@@ -133,33 +140,44 @@ class HistogramStat:
 
 
 class MetricsRegistry:
-    """Labelled counters, gauges and histograms."""
+    """Labelled counters, gauges and histograms.
+
+    A series is named by ``name`` plus ``**labels``.  A site that
+    updates the same series over and over builds the value :meth:`key`
+    returns for them once and passes it to :meth:`inc`, :meth:`observe`
+    or :meth:`set_max` in place of the name."""
 
     def __init__(self):
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
         self._hists: dict[tuple, HistogramStat] = {}
 
+    @staticmethod
+    def key(name: str, **labels) -> tuple:
+        """The key of series ``name{labels}``, valid in any registry."""
+        return _key(name, labels)
+
     # -- write side ------------------------------------------------------
-    def inc(self, name: str, value: float = 1, **labels) -> None:
+    def inc(self, series, value: float = 1, **labels) -> None:
         """Add ``value`` to a counter (created at zero)."""
+        k = _series_key(series, labels)
         if value < 0:
-            raise ValueError(f"counter {name!r} increment must be >= 0, got {value}")
-        k = _key(name, labels)
+            raise ValueError(
+                f"counter {k[0]!r} increment must be >= 0, got {value}")
         self._counters[k] = self._counters.get(k, 0) + value
 
     def set(self, name: str, value: float, **labels) -> None:
         """Set a gauge to ``value``."""
         self._gauges[_key(name, labels)] = value
 
-    def set_max(self, name: str, value: float, **labels) -> None:
+    def set_max(self, series, value: float, **labels) -> None:
         """Raise a gauge to ``value`` if larger (high-water marks)."""
-        k = _key(name, labels)
+        k = _series_key(series, labels)
         self._gauges[k] = max(self._gauges.get(k, value), value)
 
-    def observe(self, name: str, value: float, **labels) -> None:
+    def observe(self, series, value: float, **labels) -> None:
         """Record one observation into a histogram."""
-        k = _key(name, labels)
+        k = _series_key(series, labels)
         if k not in self._hists:
             self._hists[k] = HistogramStat()
         self._hists[k].observe(value)

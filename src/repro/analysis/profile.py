@@ -134,20 +134,20 @@ class CommProfile:
         RPRT container — streaming events without loading the file.
         Elapsed time and the telemetry metrics come from the trace's
         embedded ``otherData``."""
-        from repro.analysis.traceio import iter_trace_records, read_otherdata
+        from repro.analysis.traceio import open_trace
 
-        other = read_otherdata(path)
-        elapsed = float(other.get("elapsed_seconds") or 0.0)
         horizon = 0.0
 
-        def tracked():
+        def tracked(records):
             nonlocal horizon
-            for rec in iter_trace_records(path):
+            for rec in records:
                 if rec.t_end > horizon:
                     horizon = rec.t_end
                 yield rec
 
-        prof = cls.from_records(tracked(), elapsed)
+        with open_trace(path) as (other, records):
+            elapsed = float(other.get("elapsed_seconds") or 0.0)
+            prof = cls.from_records(tracked(records), elapsed)
         if not prof.elapsed:
             # No recorded elapsed: fall back to the span horizon.
             prof.elapsed = horizon

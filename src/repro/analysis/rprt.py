@@ -60,6 +60,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.sim.trace import SPAN_SCHEMA, records_from_columns
+
 __all__ = [
     "RPRT_MAGIC", "RPRT_VERSION", "SPANS_PER_BLOCK", "RprtError",
     "RprtWriter", "RprtReader", "is_rprt", "write_trace_rprt",
@@ -293,6 +295,9 @@ class RprtReader:
         except (struct.error, IndexError, UnicodeDecodeError) as exc:
             self.close()
             raise RprtError(f"{path}: truncated or corrupt header: {exc}")
+        self._strings: Optional[list[str]] = None
+        #: meta string id -> its parsed dict
+        self._metas: dict[int, dict] = {}
 
     # -- header parsing ----------------------------------------------------
     def _take(self, n: int) -> bytes:
@@ -413,11 +418,13 @@ class RprtReader:
 
     # -- trace-specific access --------------------------------------------
     def strings(self) -> list[str]:
-        """The deduplicated string table."""
-        offsets = self.read("strings/offsets")
-        blob = self.read("strings/blob").tobytes()
-        return [blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-                for i in range(len(offsets) - 1)]
+        """The deduplicated string table (decoded at the first call)."""
+        if self._strings is None:
+            offsets = self.read("strings/offsets").tolist()
+            blob = self.read("strings/blob").tobytes()
+            self._strings = [blob[a:b].decode("utf-8")
+                             for a, b in zip(offsets, offsets[1:])]
+        return self._strings
 
     @property
     def n_spans(self) -> int:
@@ -442,20 +449,28 @@ class RprtReader:
         """All columns of span group ``g`` as numpy arrays."""
         return {col: self.read(f"spans/{g}/{col}") for col in _SPAN_COLUMNS}
 
+    def _decode_group(self, columns) -> list[list]:
+        """The one group decoder: nine column arrays (``_SPAN_COLUMNS``
+        order) become nine lists of Python numbers, and every meta id
+        among them is parsed into ``self._metas`` — once per distinct
+        id, however many rows and groups carry it."""
+        lists = [col.tolist() for col in columns]
+        metas = self._metas
+        new = set(lists[-1]).difference(metas)
+        if new:
+            strings = self.strings()
+            for mi in new:
+                metas[mi] = json.loads(strings[mi]) if strings[mi] else {}
+        return lists
+
     def spans(self, track: Optional[str] = None, rank: Optional[int] = None,
               time_range: Optional[tuple] = None) -> Iterator:
         """Stream :class:`~repro.sim.trace.TraceRecord` objects block by
         block, optionally filtered by ``track`` name, ``rank``, and a
         ``(t0, t1)`` window in simulated seconds.  Groups entirely
-        outside the window are skipped without touching their bytes."""
-        from repro.sim.trace import TraceRecord
-
-        strings = self.strings() if self.n_spans else []
-        meta_cache: dict[int, dict] = {}
-        want_rank = -1 if rank is None else int(rank)
-        track_ids = (np.asarray([i for i, s in enumerate(strings)
-                                 if s == track], dtype=np.int64)
-                     if track is not None else None)
+        outside the window are skipped without touching their bytes.
+        Records with the same meta share one dict."""
+        track_ids = None
         for g in range(self.n_span_groups):
             if time_range is not None:
                 g_min = self.kv(f"spans/{g}/t_min_us", 0.0) / 1e6
@@ -463,33 +478,25 @@ class RprtReader:
                 if g_max < time_range[0] or g_min > time_range[1]:
                     continue
             cols = self.span_group(g)
-            n = len(cols["ts_us"])
-            mask = np.ones(n, dtype=bool)
-            if rank is not None:
-                mask &= cols["rank"] == want_rank
-            if track_ids is not None:
-                mask &= np.isin(cols["track"], track_ids)
             t0 = cols["ts_us"] / 1e6
             t1 = (cols["ts_us"] + cols["dur_us"]) / 1e6
+            columns = [t0, t1] + [cols[c] for c in _SPAN_COLUMNS[2:]]
+            keep = None
+            if rank is not None:
+                keep = cols["rank"] == int(rank)
+            if track is not None:
+                if track_ids is None:
+                    track_ids = [i for i, s in enumerate(self.strings())
+                                 if s == track]
+                hit = np.isin(cols["track"], track_ids)
+                keep = hit if keep is None else keep & hit
             if time_range is not None:
-                mask &= (t1 >= time_range[0]) & (t0 <= time_range[1])
-            for i in np.flatnonzero(mask):
-                mi = int(cols["meta"][i])
-                meta = meta_cache.get(mi)
-                if meta is None:
-                    meta = json.loads(strings[mi]) if strings[mi] else {}
-                    meta_cache[mi] = meta
-                r = int(cols["rank"][i])
-                p = int(cols["parent_id"][i])
-                yield TraceRecord(
-                    t_start=float(t0[i]), t_end=float(t1[i]),
-                    category=strings[int(cols["category"][i])],
-                    label=strings[int(cols["label"][i])],
-                    meta=dict(meta),
-                    rank=None if r < 0 else r,
-                    track=strings[int(cols["track"][i])],
-                    span_id=int(cols["span_id"][i]),
-                    parent_id=None if p < 0 else p)
+                hit = (t1 >= time_range[0]) & (t0 <= time_range[1])
+                keep = hit if keep is None else keep & hit
+            if keep is not None:
+                columns = [col[keep] for col in columns]
+            yield from records_from_columns(*self._decode_group(columns),
+                                            self.strings(), self._metas)
 
     def iter_chrome_events(self) -> Iterator[dict]:
         """Yield Chrome-trace events (metadata first, then X events)
@@ -506,38 +513,35 @@ class RprtReader:
         strings = self.strings() if pairs else []
         pid_track = {}
         for r, t in pairs:
-            rank = None if r < 0 else int(r)
-            pid_track[(r, t)] = pid_of(rank, strings[t])
+            pid_track[(r, t)] = pid_of(None if r < 0 else r, strings[t])
         tids, meta_events = chrome_metadata_events(set(pid_track.values()))
         yield from meta_events
+        metas = self._metas
         for g in range(self.n_span_groups):
             cols = self.span_group(g)
-            for i in range(len(cols["ts_us"])):
-                pid, tname = pid_track[(int(cols["rank"][i]),
-                                        int(cols["track"][i]))]
-                args = {"span_id": int(cols["span_id"][i])}
-                parent = int(cols["parent_id"][i])
+            rows = zip(*self._decode_group([cols[c] for c in _SPAN_COLUMNS]))
+            for ts, dur, span_id, parent, r, c, lb, tr, m in rows:
+                pid, tname = pid_track[(r, tr)]
+                args = {"span_id": span_id}
                 if parent >= 0:
                     args["parent_id"] = parent
-                meta_s = strings[int(cols["meta"][i])]
-                if meta_s:
-                    args.update(json.loads(meta_s))
-                category = strings[int(cols["category"][i])]
-                label = strings[int(cols["label"][i])]
+                args.update(metas[m])
+                category = strings[c]
                 yield {
-                    "name": label or category,
+                    "name": strings[lb] or category,
                     "cat": category,
                     "ph": "X",
                     "pid": pid,
                     "tid": tids[(pid, tname)],
-                    "ts": float(cols["ts_us"][i]),
-                    "dur": float(cols["dur_us"][i]),
+                    "ts": ts,
+                    "dur": dur,
                     "args": args,
                 }
 
 
-_SPAN_COLUMNS = ("ts_us", "dur_us", "span_id", "parent_id", "rank",
-                 "category", "label", "track", "meta")
+#: block name and on-disk dtype of each span column
+_SPAN_COLUMNS = tuple(block for _, block, _, _ in SPAN_SCHEMA)
+_SPAN_DTYPES = tuple(dtype for _, _, _, dtype in SPAN_SCHEMA)
 
 
 class _StringTable:
@@ -560,70 +564,77 @@ class _StringTable:
         return offsets, blob
 
 
-class _SpanColumnBuilder:
-    """Accumulates span rows and flushes them to a writer in
-    :data:`SPANS_PER_BLOCK` groups."""
-
-    def __init__(self, writer: RprtWriter,
-                 spans_per_block: int = SPANS_PER_BLOCK):
-        self._w = writer
-        self._strings = _StringTable()
-        self._strings.add("")  # index 0 is always the empty string
-        self._rows: list[tuple] = []
-        self._group = 0
-        self._count = 0
-        self._per_block = spans_per_block
-
-    def add(self, ts_us: float, dur_us: float, span_id: int,
-            parent_id: Optional[int], rank: Optional[int], category: str,
-            label: str, track: str, meta_json: str) -> None:
-        self._rows.append((
-            ts_us, dur_us, span_id,
-            -1 if parent_id is None else int(parent_id),
-            -1 if rank is None else int(rank),
-            self._strings.add(category), self._strings.add(label),
-            self._strings.add(track), self._strings.add(meta_json)))
-        self._count += 1
-        if len(self._rows) >= self._per_block:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._rows:
-            return
-        g = self._group
-        cols = list(zip(*self._rows))
-        dtypes = ("f8", "f8", "i8", "i8", "i4", "u4", "u4", "u4", "u4")
-        for name, values, dt in zip(_SPAN_COLUMNS, cols, dtypes):
-            self._w.add_block(f"spans/{g}/{name}",
-                              np.asarray(values, dtype=dt))
-        self._w.add_kv(f"spans/{g}/count", len(self._rows))
-        self._w.add_kv(f"spans/{g}/t_min_us", float(min(cols[0])))
-        self._w.add_kv(f"spans/{g}/t_max_us",
-                       float(max(t + d for t, d in zip(cols[0], cols[1]))))
-        self._rows.clear()
-        self._group += 1
-
-    def finish(self) -> None:
-        self._flush()
-        self._w.add_kv("spans/count", self._count)
-        self._w.add_kv("spans/groups", self._group)
-        offsets, blob = self._strings.blocks()
-        self._w.add_block("strings/offsets", offsets)
-        self._w.add_block("strings/blob", blob)
+def _add_span_group(w: RprtWriter, g: int, columns) -> None:
+    """Store one column group (nine arrays, ``_SPAN_COLUMNS`` order) as
+    the blocks and key-values of span group ``g``."""
+    for name, values, dt in zip(_SPAN_COLUMNS, columns, _SPAN_DTYPES):
+        w.add_block(f"spans/{g}/{name}", np.asarray(values, dtype=dt))
+    ts, dur = columns[0], columns[1]
+    w.add_kv(f"spans/{g}/count", len(ts))
+    w.add_kv(f"spans/{g}/t_min_us", float(ts.min()))
+    w.add_kv(f"spans/{g}/t_max_us", float((ts + dur).max()))
 
 
-def _trace_writer(builder_fill, otherdata: dict,
+def _add_spans(w: RprtWriter, ts_us, dur_us, spans, order,
+               spans_per_block: int) -> None:
+    """Write rows ``order`` of a :class:`~repro.sim.trace.SpanColumns`
+    as span groups of ``spans_per_block`` rows plus the string table.
+    ``ts_us``/``dur_us`` are the exported times of those rows, already
+    in file order.
+
+    The string table lists each distinct string at its first
+    appearance, row-major over ``category, label, track, meta`` of the
+    rows *as written* with ``""`` at index 0; ``spans``' own ids are in
+    recording order, so they are renumbered here through the strings'
+    content.  A label equal to its category is what the Chrome exporter
+    collapses the empty label to: it is stored in that canonical empty
+    form, so RPRT and ingested-JSON records are identical.  Each
+    distinct meta is JSON-encoded once."""
+    from repro.analysis.export import json_safe_meta
+
+    def column(name):
+        return np.asarray(getattr(spans, name))[order]
+
+    # Source ids: the store's strings, then one per meta.
+    texts = ["main" if s is None else s for s in spans.strings]
+    n_strings = len(texts)
+    texts += [_canonical_json(json_safe_meta(m)) if m else ""
+              for m in spans.metas]
+    category, label = column("category"), column("label")
+    source = np.stack([category, label, column("track"),
+                       column("meta") + n_strings], axis=1)
+    table = _StringTable()
+    final = np.zeros(len(texts), dtype="u4")
+    distinct, first = np.unique(source.ravel(), return_index=True)
+    empty = table.add("")
+    for i in distinct[np.argsort(first)].tolist():
+        final[i] = table.add(texts[i])
+    ids = final[source]
+    ids[category == label, 1] = empty
+    columns = [np.asarray(ts_us, dtype="f8"), np.asarray(dur_us, dtype="f8"),
+               column("span_id"), column("parent_id"), column("rank"),
+               *ids.T]
+    n = len(order)
+    groups = range(0, n, spans_per_block)
+    for g, lo in enumerate(groups):
+        _add_span_group(w, g, [c[lo:lo + spans_per_block] for c in columns])
+    w.add_kv("spans/count", n)
+    w.add_kv("spans/groups", len(groups))
+    offsets, blob = table.blocks()
+    w.add_block("strings/offsets", offsets)
+    w.add_block("strings/blob", blob)
+
+
+def _trace_writer(ts_us, dur_us, spans, order, otherdata: dict,
                   block_codec: str = DEFAULT_BLOCK_CODEC,
                   spans_per_block: int = SPANS_PER_BLOCK,
                   registry=None) -> tuple[RprtWriter, dict]:
-    """Shared tail of the two trace-writing paths: fill span columns,
-    stamp telemetry metrics (into ``registry`` *and* the embedded
-    metrics dump when the registry is the live one), then add the
-    trailing metadata."""
+    """Shared body of the two trace-writing paths: store the span
+    columns (see :func:`_add_spans`), stamp telemetry metrics (into
+    ``registry`` *and* the embedded metrics dump when the registry is
+    the live one), then add the trailing metadata."""
     w = RprtWriter(block_codec=block_codec)
-    b = _SpanColumnBuilder(w, spans_per_block)
-    builder_fill(b)
-    b.finish()
+    _add_spans(w, ts_us, dur_us, spans, order, spans_per_block)
     stats = w.stats()
     if registry is not None:
         registry.inc("telemetry.rprt_bytes_written", stats["stored_bytes"])
@@ -648,27 +659,21 @@ def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
     serialization, so the file self-describes its compression win.
     Returns the writer statistics dict.
     """
-    from repro.analysis.export import chrome_time, json_safe_meta
+    from repro.analysis.export import chrome_time
 
-    recs = sorted(tracer.records, key=lambda r: (r.t_start, r.t_end, r.span_id))
-
-    def fill(b: _SpanColumnBuilder) -> None:
-        for rec in recs:
-            meta = json_safe_meta(rec.meta)
-            # A label equal to its category is what the Chrome exporter
-            # collapses the empty label to; store the canonical empty
-            # form so RPRT and ingested-JSON records are identical.
-            label = rec.label if rec.label != rec.category else ""
-            b.add(chrome_time(rec.t_start), chrome_time(rec.duration),
-                  rec.span_id, rec.parent_id, rec.rank,
-                  rec.category, label, rec.track or "main",
-                  _canonical_json(meta) if meta else "")
+    spans = tracer.columns
+    t_start, t_end = np.asarray(spans.t_start), np.asarray(spans.t_end)
+    order = np.lexsort((np.asarray(spans.span_id), t_end, t_start))
+    # chrome_time is Python's round(); numpy's differs in the last bit.
+    starts, ends = t_start[order].tolist(), t_end[order].tolist()
+    ts_us = [chrome_time(t) for t in starts]
+    dur_us = [chrome_time(b - a) for a, b in zip(starts, ends)]
 
     other: dict = {"metrics": tracer.metrics.as_dict()}
     if elapsed is not None:
         other["elapsed_seconds"] = elapsed
-    w, stats = _trace_writer(fill, other, block_codec, spans_per_block,
-                             registry=tracer.metrics)
+    w, stats = _trace_writer(ts_us, dur_us, spans, order, other, block_codec,
+                             spans_per_block, registry=tracer.metrics)
     stats.update(w.write(path))
     return stats
 

@@ -24,14 +24,18 @@ pin both).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional
 
+import numpy as np
+
 from repro.analysis.rprt import (DEFAULT_BLOCK_CODEC, RprtError, RprtReader,
-                                 _canonical_json, _trace_writer, is_rprt)
+                                 _trace_writer, is_rprt)
 
 __all__ = ["trace_format", "iter_chrome_file_events", "iter_trace_records",
-           "load_trace_records", "read_otherdata", "convert", "RecordSet"]
+           "open_trace", "load_trace_records", "read_otherdata", "convert",
+           "RecordSet"]
 
 _CHUNK = 1 << 16
 
@@ -197,6 +201,19 @@ def iter_trace_records(path) -> Iterator:
             yield rec
 
 
+@contextmanager
+def open_trace(path):
+    """``with open_trace(path) as (other, records)``: a trace file's
+    ``otherData`` dict and its record stream (as
+    :func:`iter_trace_records`) — an RPRT container is opened, mapped
+    and header-checked once for both."""
+    if is_rprt(path):
+        with RprtReader(path) as r:
+            yield r.otherdata(), r.spans()
+    else:
+        yield read_otherdata(path), iter_trace_records(path)
+
+
 def load_trace_records(path) -> RecordSet:
     """Materialize a trace file as a :class:`RecordSet` (records sorted
     the way live tracers are consumed)."""
@@ -208,24 +225,28 @@ def load_trace_records(path) -> RecordSet:
 # -- conversion --------------------------------------------------------------
 
 def _json_to_rprt(src, dst, block_codec: str) -> dict:
-    parser = _ChromeEventParser()
+    from repro.sim.trace import SpanColumns
 
-    def fill(builder) -> None:
-        for ev in iter_chrome_file_events(src):
-            rec = parser.feed(ev)
-            if rec is None:
-                continue
-            # Timestamps go in as the file spells them (already in the
-            # exporter's microsecond units) — no second rounding pass.
-            builder.add(float(ev["ts"]), float(ev["dur"]), rec.span_id,
-                        rec.parent_id, rec.rank, rec.category, rec.label,
-                        rec.track, _canonical_json(rec.meta)
-                        if rec.meta else "")
+    parser = _ChromeEventParser()
+    spans = SpanColumns()
+    # Timestamps go in as the file spells them (already in the
+    # exporter's microsecond units) — no second rounding pass.
+    ts_us, dur_us = [], []
+    for ev in iter_chrome_file_events(src):
+        rec = parser.feed(ev)
+        if rec is None:
+            continue
+        ts_us.append(float(ev["ts"]))
+        dur_us.append(float(ev["dur"]))
+        spans.append(rec.t_start, rec.t_end, rec.category, rec.label,
+                     rec.meta, rec.rank, rec.track, rec.span_id,
+                     rec.parent_id)
 
     # The converter preserves otherData verbatim (no re-stamping of
     # telemetry metrics) so JSON -> RPRT -> JSON round-trips exactly.
     other = read_otherdata(src)
-    w, stats = _trace_writer(fill, other, block_codec=block_codec)
+    w, stats = _trace_writer(ts_us, dur_us, spans, np.arange(len(spans)),
+                             other, block_codec=block_codec)
     stats.update(w.write(dst))
     return stats
 

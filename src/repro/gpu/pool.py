@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
+from repro.analysis.metrics import MetricsRegistry
 from repro.errors import BufferPoolExhaustedError, ConfigError, GpuError
 from repro.gpu.buffer import DeviceBuffer
 
@@ -58,6 +59,10 @@ class BufferPool:
         self.growable = growable
         self._free: Deque[DeviceBuffer] = deque()
         self._total = 0
+        #: this pool's metric series keys
+        self._k_hit, self._k_miss = (
+            MetricsRegistry.key(name, device=device.device_id)
+            for name in ("pool.hit", "pool.miss"))
         for _ in range(count):
             self._free.append(self._make())
 
@@ -109,7 +114,7 @@ class BufferPool:
                 tracer.span(t0, self.device.sim.now, "pool", "hit",
                             rank=self.device.device_id, track="gpu",
                             nbytes=nbytes, capacity=self.buffer_bytes)
-                tracer.metrics.inc("pool.hit", device=self.device.device_id)
+                tracer.metrics.inc(self._k_hit)
             return buf
         if not self.growable:
             raise BufferPoolExhaustedError(
@@ -117,7 +122,7 @@ class BufferPool:
             )
         # Grow: one cudaMalloc now, reused forever after.
         if tracer is not None:
-            tracer.metrics.inc("pool.miss", device=self.device.device_id)
+            tracer.metrics.inc(self._k_miss)
         buf = yield from self.device.malloc(self.buffer_bytes, label=label)
         buf.pooled = True
         self._total += 1

@@ -47,6 +47,7 @@ from repro.errors import (
     RendezvousTimeoutError,
     RetryExhaustedError,
 )
+from repro.analysis.metrics import MetricsRegistry
 from repro.core.header import CompressionHeader
 from repro.faults import DROPPED
 from repro.mpi import collectives as _coll
@@ -64,6 +65,11 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG", "EAGER_THRESHOLD",
 
 ANY_SOURCE = ANY
 ANY_TAG = ANY
+
+#: send protocol -> its ``mpi.sends`` series key
+_SENDS_KEY = {protocol: MetricsRegistry.key("mpi.sends", protocol=protocol)
+              for protocol in ("self", "eager", "wire_eager", "rndv",
+                               "rndv_pipelined", "rndv_wire")}
 
 #: tag-space stride between communicators: every tag of comm ``c`` is
 #: shifted by ``c * TAG_STRIDE`` at the point-to-point boundary, so
@@ -302,7 +308,7 @@ class Communicator:
     def _count_send(self, protocol: str) -> None:
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.metrics.inc("mpi.sends", protocol=protocol)
+            tracer.metrics.inc(_SENDS_KEY[protocol])
 
     def _send_proc(self, payload: Any, dest: int, tag: int, req: Request):
         """Rendezvous send: pack -> send the image -> release.  An

@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.analysis.metrics import MetricsRegistry
 from repro.errors import MpiError
 from repro.mpi.message import Packet
 from repro.sim import Event, Simulator
@@ -51,6 +52,11 @@ class MatchingEngine:
         #: optional ``fn(pkt)`` observer invoked on every delivered
         #: packet — the failure detector's last-heard bookkeeping.
         self._on_deliver = on_deliver
+        #: this rank's metric series keys
+        self._k_posted_depth, self._k_unexpected, self._k_unexpected_depth = (
+            MetricsRegistry.key(name, rank=rank)
+            for name in ("matching.posted_depth", "matching.unexpected",
+                         "matching.unexpected_depth"))
 
     def _note_wildcard_match(self, post_tag: int, pkt: Packet,
                              parent) -> None:
@@ -90,8 +96,7 @@ class MatchingEngine:
         self._posted.append(_PostedRecv(source, tag, on_match))
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.metrics.observe("matching.posted_depth", len(self._posted),
-                                   rank=self.rank)
+            tracer.metrics.observe(self._k_posted_depth, len(self._posted))
 
     def deliver_envelope(self, pkt: Packet, parent=CURRENT) -> None:
         """An EAGER or RTS packet arrived.  ``parent``: as for
@@ -109,9 +114,8 @@ class MatchingEngine:
         tracer = self.sim.tracer
         if tracer is not None:
             m = tracer.metrics
-            m.inc("matching.unexpected", rank=self.rank)
-            m.observe("matching.unexpected_depth", len(self._unexpected),
-                      rank=self.rank)
+            m.inc(self._k_unexpected)
+            m.observe(self._k_unexpected_depth, len(self._unexpected))
 
     # -- seq-routed path ------------------------------------------------------
     def expect_cts(self, seq: int) -> Event:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.metrics import MetricsRegistry
 from repro.errors import ConfigError, NetworkError
 from repro.sim import Resource, Simulator
 from repro.sim.trace import CURRENT
@@ -64,6 +65,10 @@ class Link:
         self.spec = spec
         self.label = label or spec.name
         self._res = Resource(sim, capacity=spec.lanes)
+        #: this link's metric series keys
+        self._wire_keys = tuple(
+            MetricsRegistry.key(name, link=self.label)
+            for name in ("wire.bytes", "wire.transfers", "wire.busy_seconds"))
 
     @property
     def queued(self) -> int:
@@ -176,10 +181,11 @@ class Transfer:
                         link=route, links=labels)
         m = tracer.metrics
         busy = now - self.t0
-        for name in labels:
-            m.inc("wire.bytes", self.nbytes, link=name)
-            m.inc("wire.transfers", 1, link=name)
-            m.inc("wire.busy_seconds", busy, link=name)
+        for link in self.links:
+            k_bytes, k_transfers, k_busy = link._wire_keys
+            m.inc(k_bytes, self.nbytes)
+            m.inc(k_transfers, 1)
+            m.inc(k_busy, busy)
 
     # -- generator driver -----------------------------------------------
     def run(self):

@@ -377,8 +377,12 @@ class Process(Event):
         method, so a finished process is freed by reference counting
         instead of waiting for the cycle collector.  A stale wake-up
         still reaches :meth:`_resume` through the waker's own
-        reference and returns at the guard."""
+        reference and returns at the guard.  The tracer drops what it
+        kept under this process for the same reason."""
         self.gen = self._target = self._resume_cb = None
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer._on_process_done(self)
 
 
 class _Condition(Event):

@@ -34,17 +34,25 @@ A :class:`~repro.analysis.metrics.MetricsRegistry` rides along on
 ``tracer.metrics``; instrumentation sites update both from the same
 measurements, so metrics are provably consistent with the spans (the
 property tests assert exactly that).
+
+Closed spans are held as **columns** (:class:`SpanColumns`), the layout
+the RPRT container stores: recording a span appends nine numbers, and
+:class:`TraceRecord` objects exist only once somebody reads
+``tracer.records``.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["TraceRecord", "Tracer", "SpanHandle", "trace_scope",
-           "group_lanes", "group_by_seq", "CURRENT"]
+__all__ = ["TraceRecord", "SpanColumns", "Tracer", "SpanHandle",
+           "trace_scope", "group_lanes", "group_by_seq", "CURRENT",
+           "SPAN_SCHEMA", "SPAN_COLUMNS", "records_from_columns"]
 
 #: default ``parent=`` of :meth:`Tracer.span`: the innermost span open
 #: in the active process.  Work recorded from a scheduler callback runs
@@ -53,9 +61,14 @@ __all__ = ["TraceRecord", "Tracer", "SpanHandle", "trace_scope",
 CURRENT = object()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """A closed span on the simulation timeline."""
+    """A closed span on the simulation timeline.
+
+    A value object: records decoded from one column store share the
+    ``meta`` dict of equal metas, so treat it as read-only.  (Not
+    ``frozen``: a frozen dataclass spends five times as long in
+    ``__init__``, and every reader of a trace builds one per span.)"""
 
     t_start: float
     t_end: float
@@ -80,6 +93,176 @@ class TraceRecord:
         )
 
 
+#: the span schema, shared by :class:`SpanColumns` and the RPRT span
+#: groups — per column: its name here, its RPRT block name (the file
+#: stores start and duration in microseconds), the ``array`` typecode
+#: and the on-disk dtype.  ``parent_id`` and ``rank`` spell "none" -1.
+SPAN_SCHEMA = (
+    ("t_start", "ts_us", "d", "f8"),
+    ("t_end", "dur_us", "d", "f8"),
+    ("span_id", "span_id", "q", "i8"),
+    ("parent_id", "parent_id", "q", "i8"),
+    ("rank", "rank", "i", "i4"),
+    ("category", "category", "I", "u4"),  # three string ids ...
+    ("label", "label", "I", "u4"),
+    ("track", "track", "I", "u4"),
+    ("meta", "meta", "I", "u4"),          # ... and a meta id
+)
+SPAN_COLUMNS = tuple(name for name, _, _, _ in SPAN_SCHEMA)
+
+
+def records_from_columns(t_start, t_end, span_id, parent_id, rank, category,
+                         label, track, meta, strings, metas) -> list:
+    """The :class:`TraceRecord` of every row of one column group.
+
+    The nine columns are parallel sequences of Python numbers in
+    :data:`SPAN_COLUMNS` order; ``strings[id]`` and ``metas[id]``
+    resolve the id columns.  Rows with the same meta id share its dict.
+    """
+    return [TraceRecord(t0, t1, strings[c], strings[lb], metas[m],
+                        None if r < 0 else r, strings[tr], sid,
+                        None if p < 0 else p)
+            for t0, t1, sid, p, r, c, lb, tr, m
+            in zip(t_start, t_end, span_id, parent_id, rank, category, label,
+                   track, meta)]
+
+
+#: the value types whose equal-and-same-``marshal``-image instances
+#: export the same JSON (and tuples of them)
+_PLAIN = frozenset({int, float, bool, str, type(None)})
+
+
+def _plain(values: tuple) -> bool:
+    """Is every value of exactly a :data:`_PLAIN` type, or a tuple of
+    such values?  (A plain loop: the fastest spelling at the two to
+    five values a meta has.)"""
+    for v in values:
+        t = type(v)
+        if t not in _PLAIN and not (t is tuple and _plain(v)):
+            return False
+    return True
+
+
+def _meta_key(meta: dict) -> Optional[tuple]:
+    """What two metas must share to share one table entry — the keys in
+    the same order and the same ``marshal`` image of the values — or
+    ``None`` for a meta that gets an entry of its own.
+
+    Equality would merge ``1``, ``1.0`` and ``True`` (equal and
+    hash-equal) or ``0.0`` and ``-0.0``, at any depth of a tuple, though
+    their exported JSON differs; marshal (version 2: no back-references,
+    no interning flags) writes the type of every builtin value and a
+    float's bits, in C.  It writes anything else that has a buffer — a
+    numpy scalar — as untyped raw bytes, so ``np.bool_(True)`` and
+    ``np.uint8(1)`` would share an image and export ``true`` and ``1``:
+    only metas of :data:`_PLAIN` values are keyed.  That also leaves out
+    the unhashable (list, dict, ndarray) and the unmarshallable."""
+    values = tuple(meta.values())
+    if not _plain(values):
+        return None
+    return tuple(meta), marshal.dumps(values, 2)
+
+
+class _Interned(dict):
+    """value -> dense id, assigned at first sight; ``values[id]`` is the
+    inverse."""
+
+    __slots__ = ("values",)
+
+    def __init__(self):
+        self.values: list = []
+
+    def __missing__(self, value) -> int:
+        i = self[value] = len(self.values)
+        self.values.append(value)
+        return i
+
+
+class SpanColumns:
+    """Closed spans as typed columns, one row per span in recording
+    order — :data:`SPAN_COLUMNS`, the layout RPRT stores.
+
+    Each column is an ``array`` of its :data:`SPAN_SCHEMA` typecode.
+    ``category``/``label``/``track`` are ids into :attr:`strings` (a
+    ``None`` track is interned like a string) and ``meta`` is an id
+    into :attr:`metas`, where equal metas share one entry (see
+    :func:`_meta_key`) and entry 0 is the empty meta.
+    """
+
+    __slots__ = SPAN_COLUMNS + ("_string_id", "_meta_id", "metas")
+
+    def __init__(self):
+        for name, _, typecode, _ in SPAN_SCHEMA:
+            setattr(self, name, array(typecode))
+        self._string_id = _Interned()
+        self._meta_id: dict[tuple, int] = {}
+        self.metas: list[dict] = [{}]
+
+    def __len__(self) -> int:
+        return len(self.span_id)
+
+    @property
+    def strings(self) -> list:
+        """id -> string (or ``None``) of the three string columns."""
+        return self._string_id.values
+
+    def append(self, t_start: float, t_end: float, category: str, label: str,
+               meta: dict, rank: Optional[int], track: Optional[str],
+               span_id: int, parent_id: Optional[int]) -> None:
+        """Add one span.  ``meta`` is kept, not copied, when it is the
+        first of its kind."""
+        m = 0
+        if meta:
+            key = _meta_key(meta)
+            m = None if key is None else self._meta_id.get(key)
+            if m is None:
+                m = len(self.metas)
+                self.metas.append(meta)
+                if key is not None:
+                    self._meta_id[key] = m
+        ids = self._string_id
+        self.t_start.append(t_start)
+        self.t_end.append(t_end)
+        self.span_id.append(span_id)
+        self.parent_id.append(-1 if parent_id is None else parent_id)
+        self.rank.append(-1 if rank is None else rank)
+        self.category.append(ids[category])
+        self.label.append(ids[label])
+        self.track.append(ids[track])
+        self.meta.append(m)
+
+    def records(self, start: int = 0, stop: Optional[int] = None) -> list:
+        """Rows ``start:stop`` as :class:`TraceRecord` objects."""
+        rows = slice(start, stop)
+        return records_from_columns(
+            *(getattr(self, name)[rows] for name in SPAN_COLUMNS),
+            self.strings, self.metas)
+
+
+class _RowRecord:
+    """What :meth:`Tracer.span`/:meth:`Tracer.end` return: the record of
+    the row just appended, decoded from the columns when a field is
+    first asked for — instrumentation sites discard it."""
+
+    __slots__ = ("_spans", "_row")
+
+    def __init__(self, spans: SpanColumns, row: int):
+        self._spans = spans
+        self._row = row
+
+    def _record(self) -> TraceRecord:
+        return self._spans.records(self._row, self._row + 1)[0]
+
+    def __getattr__(self, name: str):
+        return getattr(self._record(), name)
+
+    def __eq__(self, other) -> bool:
+        return self._record() == other
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return repr(self._record())
+
+
 class SpanHandle:
     """An open (not yet recorded) span returned by :meth:`Tracer.begin`."""
 
@@ -93,7 +276,7 @@ class SpanHandle:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` spans and aggregates by category.
+    """Collects spans and aggregates by category.
 
     Spans may overlap (e.g. concurrent kernels on different streams);
     :meth:`total` sums raw durations while :meth:`busy` merges
@@ -103,7 +286,9 @@ class Tracer:
     def __init__(self, sim=None):
         from repro.analysis.metrics import MetricsRegistry  # avoid import cycle
 
-        self.records: list[TraceRecord] = []
+        #: the closed spans, in recording order
+        self.columns = SpanColumns()
+        self._records: list[TraceRecord] = []
         self.metrics = MetricsRegistry()
         self._sim = sim
         #: the simulator's event count when this tracer attached (or
@@ -114,6 +299,16 @@ class Tracer:
         self._inherited: dict[Any, SpanHandle] = {}
         if sim is not None:
             sim.tracer = self
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The closed spans as :class:`TraceRecord` objects, in
+        recording order.  Built from :attr:`columns` at the first read
+        and kept; a later read decodes only the rows appended since."""
+        recs = self._records
+        if len(recs) < len(self.columns):
+            recs.extend(self.columns.records(len(recs)))
+        return recs
 
     @property
     def event_count(self) -> int:
@@ -141,6 +336,12 @@ class Tracer:
         parent = self.current_span()
         if parent is not None:
             self._inherited[proc] = parent
+
+    def _on_process_done(self, proc) -> None:
+        """Called by the engine when a process finishes: it is never
+        the active process again, so nothing can look its entries up."""
+        self._inherited.pop(proc, None)
+        self._stacks.pop(proc, None)
 
     def reparent(self, proc, parent: Optional[SpanHandle]) -> None:
         """Make ``parent`` the base parent of ``proc`` in place of the
@@ -194,7 +395,7 @@ class Tracer:
         return h
 
     def end(self, handle: Optional[SpanHandle], t: Optional[float] = None,
-            **extra_meta) -> Optional[TraceRecord]:
+            **extra_meta) -> Optional[_RowRecord]:
         """Close a span opened with :meth:`begin` and record it.
 
         ``None`` handles are accepted and ignored so call sites can stay
@@ -217,16 +418,18 @@ class Tracer:
                 stack.pop()
             elif handle in stack:
                 stack.remove(handle)
+            if not stack:
+                del self._stacks[handle._ctx]
         # The handle owns its meta dict (built fresh in begin()), so the
-        # closed record can take it without a defensive copy.
+        # columns can take it without a defensive copy.
         meta = handle.meta
         if extra_meta:
             meta.update(extra_meta)
-        rec = TraceRecord(handle.t_start, t_end, handle.category, handle.label,
-                          meta, handle.rank, handle.track, handle.span_id,
-                          handle.parent_id)
-        self.records.append(rec)
-        return rec
+        spans = self.columns
+        spans.append(handle.t_start, t_end, handle.category, handle.label,
+                     meta, handle.rank, handle.track, handle.span_id,
+                     handle.parent_id)
+        return _RowRecord(spans, len(spans) - 1)
 
     def open_span(self, category: str, label: str = "", **kw):
         """``with tracer.open_span("pipeline", "rts", rank=0): ...``"""
@@ -234,7 +437,7 @@ class Tracer:
 
     def span(self, t_start: float, t_end: float, category: str, label: str = "",
              *, rank: Optional[int] = None, track: Optional[str] = None,
-             parent: Any = CURRENT, **meta) -> TraceRecord:
+             parent: Any = CURRENT, **meta) -> _RowRecord:
         """Record a closed interval (leaf span).  The parent is the
         innermost span still open in the current process, or the given
         ``parent`` handle if that is still open."""
@@ -244,10 +447,10 @@ class Tracer:
             parent = self.current_span()
         elif parent is not None and not parent.open:
             parent = None
-        rec = TraceRecord(t_start, t_end, category, label, meta, rank, track,
-                          next(self._ids), parent.span_id if parent else None)
-        self.records.append(rec)
-        return rec
+        spans = self.columns
+        spans.append(t_start, t_end, category, label, meta, rank, track,
+                     next(self._ids), parent.span_id if parent else None)
+        return _RowRecord(spans, len(spans) - 1)
 
     # -- aggregation --------------------------------------------------------
     def total(self, category: Optional[str] = None) -> float:
@@ -344,7 +547,10 @@ class Tracer:
         return group_by_seq(self.records)
 
     def clear(self) -> None:
-        self.records.clear()
+        # A new store, not an emptied one: a record :meth:`span` or
+        # :meth:`end` returned earlier keeps reading the rows it named.
+        self.columns = SpanColumns()
+        self._records.clear()
         if self._sim is not None:
             self._events_base = self._sim.event_count
         self._stacks.clear()

@@ -196,6 +196,33 @@ def test_engine_bench_reports_peak_heap():
     assert m["peak_heap_bytes"] > 0
 
 
+def test_span_bench_reports_the_tracing_cost_ratio():
+    doc = hostperf.collect(quick=True, reps=1, only="engine/spans")
+    m = doc["benchmarks"]["engine/spans"]["metrics"]
+    # the traced loop over the untraced one, timed back to back
+    assert m["trace_cost_ratio"] > 1.0
+    assert m["peak_heap_bytes"] <= 1_000_000  # spans are columns
+    events = hostperf.collect(quick=True, reps=1, only="engine/events")
+    assert "trace_cost_ratio" not in \
+        events["benchmarks"]["engine/events"]["metrics"]
+
+
+def test_cost_ratio_gates_as_bigger_is_worse():
+    def snap(ratio):
+        return {"benchmarks": {"engine/spans": {
+            "kind": "engine", "params": {},
+            "metrics": {"trace_cost_ratio": ratio}}}}
+
+    worse = hostperf.compare(snap(12.0), snap(8.0), threshold=0.30)
+    assert [d.metric for d in worse.regressions] == ["trace_cost_ratio"]
+    better = hostperf.compare(snap(4.0), snap(8.0), threshold=0.30)
+    assert better.ok and better.drifts
+    # a codec's compression ``ratio`` stays informational
+    assert hostperf.compare(
+        {"benchmarks": {"c": {"metrics": {"ratio": 1.0}}}},
+        {"benchmarks": {"c": {"metrics": {"ratio": 9.0}}}}).checked == 0
+
+
 def test_scale_bench_collects():
     doc = hostperf.collect(quick=True, reps=1, only="engine/scale/256")
     m = doc["benchmarks"]["engine/scale/256"]["metrics"]
