@@ -300,33 +300,44 @@ def cmd_explain(args) -> None:
     print(CritPathAnalyzer(res.tracer).explain(n=args.top))
 
 
-def cmd_bench(args) -> None:
-    from repro.analysis import bench
+def _snapshot_command(args, kind: str, module, advisory: bool,
+                      **collect_args) -> None:
+    """``bench`` and ``perf`` are one flow over their own matrix and gate
+    policy: collect or load -> write -> compare -> exit."""
+    from repro.analysis import snapshot
 
-    if args.against:
-        current = bench.load(args.against)
-    else:
-        current = bench.collect(quick=args.quick, label=args.label,
-                                only=args.scenario,
-                                record_wall=args.record_wall,
-                                asan=args.asan, scale=args.scale,
-                                progress=lambda name: print(f"  running {name} ..."))
-        out = args.out or f"BENCH_{args.label}.json"
+    try:
+        current, baseline = (snapshot.load(path, kind) if path else None
+                             for path in (args.against, args.compare))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot load snapshot: {exc}")
+    if current is None:
+        current = module.collect(
+            quick=args.quick, label=args.label, only=args.only,
+            progress=lambda name: print(f"  running {name} ..."),
+            **collect_args)
+        out = args.out or f"{kind.upper()}_{args.label}.json"
         try:
-            bench.write(current, out)
+            snapshot.write(current, out)
         except OSError as exc:
             raise SystemExit(f"cannot write {out}: {exc}")
-        print(f"wrote {out}: {len(current['scenarios'])} scenarios "
+        print(f"wrote {out}: {len(snapshot.entries(current))} entries "
               f"[{current['mode']}]")
-    if args.compare:
-        try:
-            baseline = bench.load(args.compare)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}")
-        cmp = bench.compare(current, baseline)
+    if baseline is not None:
+        cmp = snapshot.compare(current, baseline, module.policy,
+                               partial=args.only is not None,
+                               advisory=advisory)
         print(cmp.report())
         if not cmp.ok:
             raise SystemExit(1)
+
+
+def cmd_bench(args) -> None:
+    from repro.analysis import bench
+
+    _snapshot_command(args, "bench", bench, advisory=False,
+                      record_wall=args.record_wall, asan=args.asan,
+                      scale=args.scale)
 
 
 def cmd_perf(args) -> None:
@@ -338,31 +349,11 @@ def cmd_perf(args) -> None:
             for f in failures:
                 print(f"selftest FAILED: {f}")
             raise SystemExit(1)
-        print("hostperf selftest OK: injected regressions gate, "
-              "improvements do not")
+        print("hostperf selftest OK: injected regressions gate (exact counts "
+              "and ratios under --advisory too), improvements do not")
         return
-    if args.against:
-        current = hostperf.load(args.against)
-    else:
-        current = hostperf.collect(quick=args.quick, label=args.label,
-                                   reps=args.reps, only=args.only,
-                                   progress=lambda name: print(f"  timing {name} ..."))
-        out = args.out or f"HOSTPERF_{args.label}.json"
-        try:
-            hostperf.write(current, out)
-        except OSError as exc:
-            raise SystemExit(f"cannot write {out}: {exc}")
-        print(f"wrote {out}: {len(current['benchmarks'])} benchmarks "
-              f"[{current['mode']}, median of {current['reps']}]")
-    if args.compare:
-        try:
-            baseline = hostperf.load(args.compare)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot load baseline: {exc}")
-        cmp = hostperf.compare(current, baseline, threshold=args.threshold)
-        print(cmp.report())
-        if not cmp.ok and not args.advisory:
-            raise SystemExit(1)
+    _snapshot_command(args, "hostperf", hostperf, args.advisory,
+                      reps=args.reps)
 
 
 def cmd_chaos(args) -> None:
@@ -501,18 +492,25 @@ def main(argv=None) -> int:
                         "RPRT) instead of running a workload")
     p.add_argument("--top", type=int, default=5)
 
-    p = sub.add_parser("bench")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized matrix (small sweeps)")
-    p.add_argument("--label", default="local")
-    p.add_argument("--out", default=None,
-                   help="snapshot path (default BENCH_<label>.json)")
-    p.add_argument("--scenario", default=None,
-                   help="only run scenarios whose name contains this")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="diff against a baseline snapshot; exit 1 on drift")
-    p.add_argument("--against", default=None, metavar="CURRENT.json",
-                   help="compare an existing snapshot instead of re-running")
+    # bench and perf are one snapshot flow (_snapshot_command) over
+    # their own matrix: shared options first, then each one's own.
+    snap = {}
+    for name, prefix, only in (("bench", "BENCH", "--scenario"),
+                               ("perf", "HOSTPERF", "--only")):
+        p = snap[name] = sub.add_parser(name)
+        p.add_argument("--quick", action="store_true",
+                       help="CI-sized matrix")
+        p.add_argument("--label", default="local")
+        p.add_argument("--out", default=None,
+                       help=f"snapshot path (default {prefix}_<label>.json)")
+        p.add_argument(only, dest="only", default=None,
+                       help="only run entries whose name contains this; the "
+                            "run is then compared on what it collected")
+        p.add_argument("--compare", default=None, metavar="BASELINE.json",
+                       help="diff against a baseline; exit 1 on a gating drift")
+        p.add_argument("--against", default=None, metavar="CURRENT.json",
+                       help="compare an existing snapshot instead of re-running")
+    p = snap["bench"]
     p.add_argument("--record-wall", action="store_true",
                    help="include advisory host wall-clock (breaks "
                         "byte-identical snapshots)")
@@ -522,26 +520,12 @@ def main(argv=None) -> int:
     p.add_argument("--scale", action="store_true",
                    help="run the 1k+-rank scale matrix instead "
                         "(gate against tests/data/BENCH_scale_baseline.json)")
-
-    p = sub.add_parser("perf")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized matrix (two sizes per codec)")
-    p.add_argument("--label", default="local")
-    p.add_argument("--out", default=None,
-                   help="snapshot path (default HOSTPERF_<label>.json)")
-    p.add_argument("--only", default=None,
-                   help="only run benchmarks whose name contains this")
+    p = snap["perf"]
     p.add_argument("--reps", type=int, default=5,
                    help="median-of-k repetitions per benchmark")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="diff against a baseline; exit 1 past --threshold "
-                        "(unless --advisory)")
-    p.add_argument("--against", default=None, metavar="CURRENT.json",
-                   help="compare an existing snapshot instead of re-running")
-    p.add_argument("--threshold", type=float, default=0.30,
-                   help="relative regression threshold (default 0.30)")
     p.add_argument("--advisory", action="store_true",
-                   help="report regressions but always exit 0")
+                   help="report host-timing drifts without gating on them "
+                        "(exact counts and cost ratios still gate)")
     p.add_argument("--selftest", action="store_true",
                    help="prove the gate flags an injected synthetic regression")
 

@@ -1,18 +1,14 @@
-"""Experiment records, reporting helpers, metrics and INAM-style profiling."""
+"""Snapshots and gates, metrics, trace containers and INAM-style profiling."""
 
 from repro.analysis.critpath import CollectivePath, CritPathAnalyzer, MessagePath
 from repro.analysis.export import to_chrome_trace, write_chrome_trace
 from repro.analysis.metrics import HistogramStat, MetricsRegistry
 from repro.analysis.profile import CommProfile, LinkStats
-from repro.analysis.report import ExperimentRecord, comparison_table, reduction_pct
 from repro.analysis.rprt import (RprtError, RprtReader, RprtWriter, is_rprt,
                                  write_trace_rprt)
 from repro.analysis.traceio import convert, iter_trace_records, load_trace_records
 
 __all__ = [
-    "ExperimentRecord",
-    "comparison_table",
-    "reduction_pct",
     "CommProfile",
     "LinkStats",
     "MetricsRegistry",

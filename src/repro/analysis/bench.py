@@ -17,55 +17,38 @@ Design points:
   (``benchmarks/_common.py``) come from here, so the figures and the
   trajectory measure the same thing.
 * **Byte-identical snapshots** — nothing wall-clock-dependent is
-  written by default: timestamps, hostnames and wall durations are
-  excluded, floats are rounded to fixed precision, keys are sorted.
-  Two same-seed runs of :func:`collect` serialize identically.
-  Wall-clock capture is opt-in (``record_wall=True``) and compared
-  *advisorily* only — a wall drift warns, never gates.
+  collected by default (no timestamps, hostnames or durations) and
+  floats are rounded to fixed precision, so two same-seed runs of
+  :func:`collect` serialise identically.  Wall-clock capture is opt-in
+  (``record_wall=True``) and never gates.
 * **Critical-path attribution rides along** — each pt2pt scenario
   embeds the Fig 10 bucket percentages computed by
   :class:`~repro.analysis.critpath.CritPathAnalyzer`, so a regression
   report shows not just *that* latency moved but *where* the moved
   microseconds sit (kernel vs. wire vs. protocol).
 
-Snapshot schema (``schema_version`` 1)::
-
-    {
-      "schema_version": 1,
-      "label": "<free-form>",
-      "mode": "quick" | "full" | "scale",
-      "scenarios": {
-        "<name>": {
-          "kind": "pt2pt" | "collective" | "awp" | "chaos",
-          "params": {...},          # enough to re-run the scenario
-          "metrics": {"<metric>": <number>, ...},   # simulated, gated
-          "attribution": {...},     # optional, gated
-          "counters": {...},        # metrics-registry extract, gated
-          "wall": {...}             # optional, advisory only
-        }
-      }
-    }
+Each scenario carries ``metrics`` (simulated), optional ``attribution``
+and ``counters`` (a metrics-registry extract) — all gated exactly by
+:func:`policy` — plus a non-gated ``histograms`` dump and the opt-in
+``wall`` section.  Serialisation, loading and comparison are
+:mod:`repro.analysis.snapshot`'s; docs/performance.md, "Snapshots and
+gates", has the rules.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.analysis import snapshot
+from repro.analysis.snapshot import EXACT, TIMING, Entry, Gate, rounded as _r
 from repro.core.envconfig import env_flag
 from repro.utils.units import KiB, MiB
 
 __all__ = [
-    "SCHEMA_VERSION", "Scenario", "scenario_matrix", "scale_matrix",
-    "sweep_sizes",
-    "full_sweep_enabled", "named_config", "CONFIG_NAMES",
-    "collect", "dumps", "write", "compare", "load",
-    "Drift", "Comparison",
+    "scenario_matrix", "scale_matrix", "sweep_sizes", "full_sweep_enabled",
+    "named_config", "CONFIG_NAMES", "collect", "policy",
 ]
-
-SCHEMA_VERSION = 1
 
 #: Fig 5/9/10 message sweep (paper: 256K..32M; default stops at 8M)
 _SWEEP = (256 * KiB, 512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB)
@@ -118,28 +101,19 @@ def named_config(name: str):
             f"unknown config {name!r}; choose from {list(CONFIG_NAMES)}")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One entry of the benchmark matrix."""
-
-    name: str
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def scenario_matrix(quick: bool = True) -> list[Scenario]:
+def scenario_matrix(quick: bool = True) -> list[Entry]:
     """The curated matrix: pt2pt per codec config, two collectives, one
     AWP weak-scaling point, and a chaos-overhead delta."""
     sizes = list(QUICK_SIZES) if quick else sweep_sizes(full=None)
     out = [
-        Scenario(f"pt2pt/{cfg}", "pt2pt",
-                 {"machine": "longhorn", "config": cfg, "sizes": sizes,
-                  "payload": "omb"})
+        Entry(f"pt2pt/{cfg}", "pt2pt",
+              {"machine": "longhorn", "config": cfg, "sizes": sizes,
+               "payload": "omb"})
         for cfg in PT2PT_CONFIGS
     ]
     coll = 256 * KiB if quick else 1 * MiB
     for op in ("bcast", "allgather"):
-        out.append(Scenario(
+        out.append(Entry(
             f"{op}/mpc-opt", "collective",
             {"machine": "frontera-liquid", "op": op, "nodes": 2, "ppn": 2,
              "nbytes": coll, "payload": "dataset:msg_sppm",
@@ -150,7 +124,7 @@ def scenario_matrix(quick: bool = True) -> list[Scenario]:
     for machine in ("frontera-liquid", "longhorn"):
         for op in ("bcast", "allgather"):
             for mode, keep in (("keep", True), ("rehop", False)):
-                out.append(Scenario(
+                out.append(Entry(
                     f"coll-ablation/{op}/{machine}/{mode}", "collective",
                     {"machine": machine, "op": op, "nodes": 2, "ppn": 2,
                      "nbytes": coll, "payload": "dataset:msg_sppm",
@@ -165,17 +139,17 @@ def scenario_matrix(quick: bool = True) -> list[Scenario]:
         ("allreduce/mpc-opt/rdouble", "mpc-opt", "recursive_doubling"),
         ("allreduce/baseline/ring", "baseline", "ring"),
     ):
-        out.append(Scenario(
+        out.append(Entry(
             name, "collective",
             {"machine": "frontera-liquid", "op": "allreduce", "nodes": 2,
              "ppn": 2, "nbytes": 4 * coll, "payload": "dataset:msg_sppm",
              "config": cfg, "algorithm": algo}))
-    out.append(Scenario(
+    out.append(Entry(
         "awp/4gpu-mpc-opt", "awp",
         {"machine": "frontera-liquid", "gpus": 4, "ppn": 2,
          "steps": 2, "local_shape": [16, 16, 64] if quick else [32, 32, 128],
          "config": "mpc-opt"}))
-    out.append(Scenario(
+    out.append(Entry(
         "chaos/mpc-opt-corrupt", "chaos",
         {"machine": "longhorn", "config": "mpc-opt", "sizes": [256 * KiB],
          "iterations": 2, "corrupt_rate": 0.2, "seed": 1,
@@ -183,7 +157,7 @@ def scenario_matrix(quick: bool = True) -> list[Scenario]:
     return out
 
 
-def scale_matrix() -> list[Scenario]:
+def scale_matrix() -> list[Entry]:
     """The large-rank matrix behind ``repro bench --scale`` and CI's
     scale-smoke job: hierarchical-topology runs sized so the whole
     matrix finishes inside a CI wall-clock budget, yet big enough that
@@ -197,17 +171,17 @@ def scale_matrix() -> list[Scenario]:
     can exercise the same code path in milliseconds.
     """
     return [
-        Scenario(
+        Entry(
             "scale/allgather-64/fat-tree", "collective",
             {"machine": "fat-tree", "op": "allgather", "nodes": 16,
              "ppn": 4, "nbytes": 4096, "payload": "omb",
              "config": "baseline", "warmup": 0, "trace": False}),
-        Scenario(
+        Entry(
             "scale/allgather-1024/fat-tree", "collective",
             {"machine": "fat-tree", "op": "allgather", "nodes": 256,
              "ppn": 4, "nbytes": 4096, "payload": "omb",
              "config": "baseline", "warmup": 0, "trace": False}),
-        Scenario(
+        Entry(
             "scale/awp-4096/dragonfly", "awp",
             {"machine": "dragonfly", "gpus": 4096, "ppn": 4, "steps": 2,
              "local_shape": [16, 16, 64], "config": "baseline",
@@ -216,12 +190,6 @@ def scale_matrix() -> list[Scenario]:
 
 
 # -- scenario runners -------------------------------------------------------
-
-def _r(x: float, places: int = 6) -> float:
-    """Fixed-precision rounding for snapshot floats (still exact across
-    same-seed runs; keeps the JSON diffable by humans)."""
-    return round(float(x), places)
-
 
 def _registry_extract(metrics) -> dict:
     """The trajectory-worthy slice of a run's metrics registry."""
@@ -281,7 +249,7 @@ def _run_pt2pt(params: dict) -> dict:
         res = cluster.run(_pingpong, config=config, args=(data, 1, 1))
         metrics[f"latency_us[{nbytes}]"] = _r(res.values[0] * 1e6)
         last = res
-    result = {"kind": "pt2pt", "params": params, "metrics": metrics,
+    result = {"metrics": metrics,
               "counters": _registry_extract(last.tracer.metrics),
               "histograms": _histogram_extract(last.tracer.metrics)}
     attribution = CritPathAnalyzer(last.tracer).aggregate_attribution()
@@ -309,8 +277,7 @@ def _run_collective(params: dict) -> dict:
     row = fn(machine=params["machine"], nodes=params["nodes"],
              ppn=params["ppn"], nbytes=params["nbytes"],
              payload=params["payload"], config=config, **kwargs)
-    return {"kind": "collective", "params": params,
-            "metrics": {"latency_us": _r(row.latency_us)}}
+    return {"metrics": {"latency_us": _r(row.latency_us)}}
 
 
 def _run_awp(params: dict) -> dict:
@@ -322,7 +289,7 @@ def _run_awp(params: dict) -> dict:
                 steps=params["steps"], config=named_config(params["config"]),
                 surrogate=params.get("surrogate", False),
                 trace=params.get("trace", True))
-    return {"kind": "awp", "params": params, "metrics": {
+    return {"metrics": {
         "time_per_step_us": _r(r.time_per_step * 1e6),
         "comm_fraction_pct": _r(100.0 * r.comm_fraction, 4),
         "gflops": _r(r.gflops, 4),
@@ -340,7 +307,7 @@ def _run_chaos(params: dict) -> dict:
                        payload=params["payload"],
                        iterations=params["iterations"])
     res = report.results[0]
-    return {"kind": "chaos", "params": params, "metrics": {
+    return {"metrics": {
         "mismatches": _r(report.total_mismatches, 0),
         "overhead_us": _r(res.overhead * 1e6),
         "faults_injected": _r(sum(res.faults_injected.values()), 0),
@@ -370,146 +337,34 @@ def collect(quick: bool = True, label: str = "local",
     """
     from repro.check.asan import asan_scope
 
-    doc = {"schema_version": SCHEMA_VERSION, "label": label,
-           "mode": "scale" if scale else ("quick" if quick else "full"),
-           "scenarios": {}}
+    def run(sc: Entry) -> dict:
+        # Advisory host wall-clock only; never enters gated snapshots
+        # (record_wall defaults off), so the wall-clock read is safe.
+        t0 = time.perf_counter()  # repro: allow-RPR001
+        result = _RUNNERS[sc.kind](sc.params)
+        if record_wall:
+            result["wall"] = {"seconds": time.perf_counter() - t0}  # repro: allow-RPR001
+        return result
+
     with asan_scope(asan):
-        for sc in (scale_matrix() if scale else scenario_matrix(quick)):
-            if only and only not in sc.name:
-                continue
-            if progress:
-                progress(sc.name)
-            # Advisory host wall-clock only; never enters gated snapshots
-            # (record_wall defaults off), so the wall-clock read is safe.
-            t0 = time.perf_counter()  # repro: allow-RPR001
-            result = _RUNNERS[sc.kind](sc.params)
-            if record_wall:
-                result["wall"] = {"seconds": time.perf_counter() - t0}  # repro: allow-RPR001
-            doc["scenarios"][sc.name] = result
-    return doc
+        return snapshot.collect(
+            "bench", scale_matrix() if scale else scenario_matrix(quick), run,
+            only, progress, label=label,
+            mode="scale" if scale else ("quick" if quick else "full"))
 
 
-# -- serialization ----------------------------------------------------------
+# -- gate policy ---------------------------------------------------------------
 
-def dumps(doc: dict) -> str:
-    """Canonical serialization: sorted keys, fixed indent, trailing
-    newline — byte-identical across same-seed runs."""
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+_WALL = Gate(TIMING, worse=+1, soft=True)
 
 
-def write(doc: dict, path) -> None:
-    """Write a snapshot — canonical JSON, or a binary RPRT container
-    (with the numeric metrics additionally laid out columnar) when
-    ``path`` ends in ``.rprt``."""
-    if str(path).lower().endswith(".rprt"):
-        from repro.analysis.rprt import write_snapshot_rprt
-
-        write_snapshot_rprt(doc, path, kind="bench")
-        return
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))
-
-
-def load(path) -> dict:
-    from repro.analysis.rprt import is_rprt, read_snapshot_rprt
-
-    if is_rprt(path):
-        doc = read_snapshot_rprt(path)
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} unsupported "
-            f"(expected {SCHEMA_VERSION})")
-    return doc
-
-
-# -- comparison / regression gating -----------------------------------------
-
-@dataclass(frozen=True)
-class Drift:
-    """One metric that moved (or appeared/vanished) vs. the baseline."""
-
-    scenario: str
-    metric: str
-    baseline: Optional[float]
-    current: Optional[float]
-    advisory: bool = False
-
-    def describe(self) -> str:
-        tag = "advisory" if self.advisory else "DRIFT"
-        if self.baseline is None:
-            return f"[{tag}] {self.scenario}: {self.metric} missing from baseline"
-        if self.current is None:
-            return f"[{tag}] {self.scenario}: {self.metric} missing from current"
-        moved = f"{self.baseline!r} -> {self.current!r}"
-        if isinstance(self.baseline, str) or isinstance(self.current, str):
-            # header fields (mode, schema) drift as labels, not numbers
-            return f"[{tag}] {self.scenario}: {self.metric} {moved}"
-        delta = self.current - self.baseline
-        rel = 100.0 * delta / self.baseline if self.baseline else float("inf")
-        return f"[{tag}] {self.scenario}: {self.metric} {moved} ({rel:+.2f}%)"
-
-
-@dataclass
-class Comparison:
-    """Outcome of :func:`compare`."""
-
-    drifts: list[Drift] = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        """True when no *gating* drift exists (advisory ones allowed)."""
-        return not any(not d.advisory for d in self.drifts)
-
-    def report(self) -> str:
-        lines = [f"compared {self.checked} metrics: "
-                 + ("OK" if self.ok else
-                    f"{sum(not d.advisory for d in self.drifts)} drift(s)")]
-        lines += [f"  {d.describe()}" for d in self.drifts]
-        return "\n".join(lines)
-
-
-def _gated_sections(result: dict):
-    """(section, metric, value) triples that gate; wall is advisory."""
-    for section in ("metrics", "attribution", "counters"):
-        for key, value in (result.get(section) or {}).items():
-            yield section, key, value
-
-
-def compare(current: dict, baseline: dict) -> Comparison:
-    """Diff two snapshots.  Zero tolerance on every simulated metric —
-    the simulation is deterministic, so *any* movement is a real change
-    to the performance model or the protocol.  ``wall`` sections are
-    advisory: reported, never gating.  Scenarios present only in
-    ``current`` are new coverage and do not gate."""
-    cmp = Comparison()
-    for meta in ("schema_version", "mode"):
-        if current.get(meta) != baseline.get(meta):
-            cmp.drifts.append(Drift("<header>", meta,
-                                    baseline.get(meta), current.get(meta)))
-    for name, base in sorted(baseline.get("scenarios", {}).items()):
-        cur = current.get("scenarios", {}).get(name)
-        if cur is None:
-            cmp.drifts.append(Drift(name, "<scenario>", 1.0, None))
-            continue
-        for section, key, bval in _gated_sections(base):
-            cmp.checked += 1
-            cval = (cur.get(section) or {}).get(key)
-            if cval is None:
-                cmp.drifts.append(Drift(name, f"{section}.{key}", bval, None))
-            elif cval != bval:
-                cmp.drifts.append(Drift(name, f"{section}.{key}", bval, cval))
-        for section, key, cval in _gated_sections(cur):
-            if (base.get(section) or {}).get(key) is None:
-                cmp.drifts.append(Drift(name, f"{section}.{key}", None, cval,
-                                        advisory=True))
-        bwall = (base.get("wall") or {}).get("seconds")
-        cwall = (cur.get("wall") or {}).get("seconds")
-        if bwall and cwall and cwall > 1.5 * bwall:
-            cmp.drifts.append(Drift(name, "wall.seconds", _r(bwall, 3),
-                                    _r(cwall, 3), advisory=True))
-    return cmp
+def policy(entry: str, section: str, metric: str) -> Optional[Gate]:
+    """Zero tolerance on every simulated number — the simulation is
+    deterministic, so *any* movement is a real change to the performance
+    model or the protocol.  The opt-in wall clock is reported, never
+    gating; ``histograms`` and ``params`` are not compared."""
+    if section in ("metrics", "attribution", "counters"):
+        return Gate(EXACT)
+    if (section, metric) == ("wall", "seconds"):
+        return _WALL
+    return None

@@ -7,74 +7,23 @@ simulation is deterministic), while ``hostperf`` tracks how fast the
 *host* executes the hot paths — codec kernels, the event loop, span
 bookkeeping, and the end-to-end ``bench --quick`` run.  Host timing is
 inherently noisy, so comparisons use median-of-k timing and a
-configurable **relative** threshold instead of byte identity, and CI
-runs the comparison in advisory mode.
+**relative** threshold instead of byte identity, and CI runs the
+comparison in advisory mode.
 
-Every benchmark here exercises real code on deterministic data:
+Every benchmark exercises real code on deterministic data: codec
+kernels (``codec/*``), the bare and the traced event loop (``engine/*``,
+whose ``peak_heap_bytes`` is a tracemalloc peak taken in its own untimed
+pass), whole runs a developer waits on (``e2e/*``) and two deterministic
+counts (``msg/events_per_message``, ``coll/codec_decodes_per_message``).
+docs/performance.md, "The hostperf harness", says what each entry of
+:func:`benchmark_matrix` times and why; the runners below say how.
 
-* ``codec/*`` — encode/decode of each registry codec over two dataset
-  families and two sizes, reported in MB/s of raw input;
-* ``engine/events`` — raw event-loop throughput (timeout-chain
-  processes, no tracer);
-* ``engine/spans`` — the same loop with hierarchical span bookkeeping,
-  isolating tracer overhead; its ``trace_cost_ratio`` is its ``run_s``
-  over an untraced run timed back to back in the same benchmark;
-* ``engine/scale/*`` — collective-shaped event loops at 256 and 1024
-  ranks (lockstep rounds with same-instant wakeups, spawn churn,
-  fan-in gates and interrupt storms), the workload the calendar
-  scheduler and micro-event freelist exist for.  Events/sec divides
-  the simulator's own dispatched-event count by the timed run; a
-  separate pass records tracemalloc peak heap;
-* ``e2e/bench-quick`` — wall seconds of the full quick benchmark
-  matrix, the number a developer actually waits on;
-* ``e2e/scale-allgather-64`` — wall seconds of the 64-rank point of the
-  scale matrix, the same untraced eager-message path CI's scale-smoke
-  job budgets at 1024 ranks;
-* ``msg/events_per_message`` — scheduler events per point-to-point
-  message on that allgather, traced.  A deterministic count, not a
-  timing: the budget the eager message path is held to.
-* ``e2e/coll-relay-16`` — wall seconds of the three keep-compressed
-  collectives of perfbench's ``coll-relay-16`` workload (16 ranks,
-  ``mpc-opt``: allgather 512 KiB, ring allreduce 2 MiB, bcast 2 MiB of
-  ``msg_sppm``), untraced, cold codec cache;
-* ``e2e/codec-stream`` — wall seconds of perfbench's ``codec-stream``
-  workload (2 ranks, four distinct ``wave`` payloads of 256 KiB - 16 MiB
-  point to point, once each under ``mpc-opt``, ``zfp8`` and
-  ``zfp8-pipe``), untraced, cold codec cache: the large-message kernel
-  regime, which the quick codec matrix (<= 2 MiB) stops short of;
-* ``coll/codec_decodes_per_message`` — real ``decompress`` executions
-  per point-to-point message of an 8-rank ``mpc-opt`` ring allreduce.
-  A deterministic count: the data plane's budget is one decode per
-  arrival plus one per distinct final chunk, and none of a buffer the
-  rank already holds.
-
-Engine benchmarks also report ``peak_heap_bytes`` (tracemalloc peak,
-measured in its own untimed pass so instrumentation overhead never
-contaminates the timing) — ``*_bytes`` metrics gate like times: bigger
-is worse.
-
-Snapshot schema (``schema_version`` 1)::
-
-    {
-      "schema_version": 1,
-      "label": "<free-form>",
-      "mode": "quick" | "full",
-      "reps": <k>,
-      "benchmarks": {
-        "<name>": {
-          "kind": "codec" | "engine" | "engine-scale" | "e2e" | "msg"
-                  | "coll-relay" | "coll-decodes" | "codec-stream",
-          "params": {...},
-          "metrics": {"<metric>": <number>, ...}
-        }
-      }
-    }
-
-Metric naming carries the comparison direction: ``*_s`` metrics are
-times and ``*_ratio`` metrics cost ratios (bigger is worse), ``*_per_s``
-metrics are rates (smaller is worse), ``*_per_message`` metrics are
-exact counts (bigger is worse, at zero tolerance).  :func:`compare`
-uses exactly that convention.
+Each benchmark carries one ``metrics`` section whose names carry their
+gate (:func:`policy`): ``*_s`` / ``*_bytes`` costs and ``*_per_s`` rates
+are host timings, ``*_ratio`` a machine-independent cost ratio,
+``*_per_message`` an exact count.  Serialisation, loading and
+comparison are :mod:`repro.analysis.snapshot`'s; docs/performance.md,
+"Snapshots and gates", has the rules.
 
 Wall-clock reads below are pragma'd for the determinism linter: this
 module *is* the sanctioned wall-clock consumer — its measurements never
@@ -83,24 +32,20 @@ feed simulated results, only advisory host-speed tracking.
 
 from __future__ import annotations
 
-import json
 import time
 import zlib
-from dataclasses import dataclass, field
 from statistics import median
 from typing import Callable, Optional
 
 import numpy as np
 
+from repro.analysis import snapshot
+from repro.analysis.snapshot import (ADVISORY, DRIFT, EXACT, IMPROVEMENT,
+                                     RATIO, THRESHOLD, TIMING, Entry, Gate,
+                                     rounded as _r)
 from repro.utils.units import KiB, MiB
 
-__all__ = [
-    "SCHEMA_VERSION", "Microbench", "benchmark_matrix", "collect",
-    "dumps", "write", "load", "compare", "selftest",
-    "PerfDrift", "PerfComparison",
-]
-
-SCHEMA_VERSION = 1
+__all__ = ["benchmark_matrix", "collect", "policy", "selftest"]
 
 #: codec configurations tracked by the matrix — chosen to cover every
 #: bit-assembly path: byte-aligned and odd-rate ZFP 1-D, float64 ZFP,
@@ -122,50 +67,41 @@ QUICK_SIZES = (256 * KiB, 2 * MiB)
 FULL_SIZES = (256 * KiB, 2 * MiB, 16 * MiB)
 
 
-@dataclass(frozen=True)
-class Microbench:
-    """One entry of the host-performance matrix."""
-
-    name: str
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def benchmark_matrix(quick: bool = True) -> list[Microbench]:
+def benchmark_matrix(quick: bool = True) -> list[Entry]:
     sizes = QUICK_SIZES if quick else FULL_SIZES
     out = [
-        Microbench(f"codec/{cname}/{ds}/{nbytes // KiB}K", "codec",
-                   {"codec": codec, "codec_params": params, "dtype": dtype,
-                    "dataset": ds, "nbytes": nbytes})
+        Entry(f"codec/{cname}/{ds}/{nbytes // KiB}K", "codec",
+              {"codec": codec, "codec_params": params, "dtype": dtype,
+               "dataset": ds, "nbytes": nbytes})
         for (cname, codec, params, dtype) in CODEC_CONFIGS
         for ds in DATASETS
         for nbytes in sizes
     ]
     scale = 1 if quick else 4
-    out.append(Microbench("engine/events", "engine",
-                          {"procs": 100 * scale, "steps": 60, "traced": False}))
-    out.append(Microbench("engine/spans", "engine",
-                          {"procs": 100 * scale, "steps": 60, "traced": True}))
-    out.append(Microbench("engine/scale/256", "engine-scale",
-                          {"ranks": 256, "rounds": 16}))
-    out.append(Microbench("engine/scale/1024", "engine-scale",
-                          {"ranks": 1024, "rounds": 8}))
-    out.append(Microbench("e2e/bench-quick", "e2e", {"only": None}))
-    out.append(Microbench("e2e/scale-allgather-64", "e2e",
-                          {"only": "scale/allgather-64", "scale": True}))
-    out.append(Microbench("msg/events_per_message", "msg",
-                          {"machine": "fat-tree", "nodes": 16, "ppn": 4,
-                           "nbytes": 4096}))
-    out.append(Microbench("e2e/coll-relay-16", "coll-relay",
-                          {"machine": "frontera-liquid", "nodes": 8, "ppn": 2,
-                           "gather_nbytes": 512 * KiB,
-                           "reduce_nbytes": 2 * MiB, "bcast_nbytes": 2 * MiB}))
-    out.append(Microbench("e2e/codec-stream", "codec-stream",
-                          {"machine": "longhorn", "nodes": 2, "ppn": 1,
-                           "sizes": [256 * KiB, MiB, 4 * MiB, 16 * MiB]}))
-    out.append(Microbench("coll/codec_decodes_per_message", "coll-decodes",
-                          {"machine": "frontera-liquid", "nodes": 4, "ppn": 2,
-                           "nbytes": 1 * MiB}))
+    out.append(Entry("engine/events", "engine",
+                     {"procs": 100 * scale, "steps": 60, "traced": False}))
+    out.append(Entry("engine/spans", "engine",
+                     {"procs": 100 * scale, "steps": 60, "traced": True}))
+    out.append(Entry("engine/scale/256", "engine-scale",
+                     {"ranks": 256, "rounds": 16}))
+    out.append(Entry("engine/scale/1024", "engine-scale",
+                     {"ranks": 1024, "rounds": 8}))
+    out.append(Entry("e2e/bench-quick", "e2e", {"only": None}))
+    out.append(Entry("e2e/scale-allgather-64", "e2e",
+                     {"only": "scale/allgather-64", "scale": True}))
+    out.append(Entry("msg/events_per_message", "msg",
+                     {"machine": "fat-tree", "nodes": 16, "ppn": 4,
+                      "nbytes": 4096}))
+    out.append(Entry("e2e/coll-relay-16", "coll-relay",
+                     {"machine": "frontera-liquid", "nodes": 8, "ppn": 2,
+                      "gather_nbytes": 512 * KiB,
+                      "reduce_nbytes": 2 * MiB, "bcast_nbytes": 2 * MiB}))
+    out.append(Entry("e2e/codec-stream", "codec-stream",
+                     {"machine": "longhorn", "nodes": 2, "ppn": 1,
+                      "sizes": [256 * KiB, MiB, 4 * MiB, 16 * MiB]}))
+    out.append(Entry("coll/codec_decodes_per_message", "coll-decodes",
+                     {"machine": "frontera-liquid", "nodes": 4, "ppn": 2,
+                      "nbytes": 1 * MiB}))
     return out
 
 
@@ -206,10 +142,6 @@ def _time_median(fn: Callable[[], None], reps: int) -> float:
         fn()
         samples.append(time.perf_counter() - t0)  # repro: allow-RPR001 — see above
     return median(samples)
-
-
-def _r(x: float, places: int = 6) -> float:
-    return round(float(x), places)
 
 
 def _run_codec(params: dict, reps: int) -> dict:
@@ -473,224 +405,74 @@ def collect(quick: bool = True, label: str = "local", reps: int = 5,
             only: Optional[str] = None,
             progress: Optional[Callable[[str], None]] = None) -> dict:
     """Run the matrix and build a snapshot document."""
-    doc = {"schema_version": SCHEMA_VERSION, "label": label,
-           "mode": "quick" if quick else "full", "reps": int(reps),
-           "benchmarks": {}}
-    for mb in benchmark_matrix(quick):
-        if only and only not in mb.name:
-            continue
-        if progress:
-            progress(mb.name)
-        metrics = _RUNNERS[mb.kind](mb.params, reps)
-        doc["benchmarks"][mb.name] = {
-            "kind": mb.kind,
-            "params": {k: v for k, v in mb.params.items()
-                       if k != "codec_params"} | (
-                {"codec_params": mb.params["codec_params"]}
-                if "codec_params" in mb.params else {}),
-            "metrics": metrics,
-        }
-    return doc
+    return snapshot.collect(
+        "hostperf", benchmark_matrix(quick),
+        lambda mb: {"metrics": _RUNNERS[mb.kind](mb.params, reps)},
+        only, progress, label=label, mode="quick" if quick else "full",
+        reps=int(reps))
 
 
-# -- serialization -----------------------------------------------------------
+# -- gate policy ---------------------------------------------------------------
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
-
-def write(doc: dict, path) -> None:
-    """Write a snapshot — canonical JSON, or a binary RPRT container
-    when ``path`` ends in ``.rprt``."""
-    if str(path).lower().endswith(".rprt"):
-        from repro.analysis.rprt import write_snapshot_rprt
-
-        write_snapshot_rprt(doc, path, kind="hostperf")
-        return
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))
+#: metric suffix -> gate, first match wins ("_per_s" before "_s": a
+#: rate also ends in it).  Anything else — a codec's ``ratio``, raw
+#: event counts — is informational.
+_GATES = (
+    ("_per_message", Gate(EXACT, worse=+1)),   # counts the simulator reproduces
+    ("_ratio", Gate(RATIO, worse=+1)),         # two timings of one benchmark
+    ("_per_s", Gate(TIMING, worse=-1)),        # rates
+    ("_s", Gate(TIMING, worse=+1)),            # seconds
+    ("_bytes", Gate(TIMING, worse=+1)),        # peak heap
+)
 
 
-def load(path) -> dict:
-    from repro.analysis.rprt import is_rprt, read_snapshot_rprt
-
-    if is_rprt(path):
-        doc = read_snapshot_rprt(path)
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: schema_version {version!r} unsupported "
-            f"(expected {SCHEMA_VERSION})")
-    return doc
+def policy(entry: str, section: str, metric: str) -> Optional[Gate]:
+    """The gate of a ``metrics`` value, by its suffix (:data:`_GATES`)."""
+    if section != "metrics":
+        return None
+    return next((g for suffix, g in _GATES if metric.endswith(suffix)), None)
 
 
-# -- comparison --------------------------------------------------------------
+# -- selftest ------------------------------------------------------------------
 
-#: metrics with this suffix are counts the simulator reproduces exactly;
-#: they gate at zero tolerance instead of the timing threshold
-_EXACT_SUFFIX = "_per_message"
+_WORSE, _BETTER = 1.0 + 2 * THRESHOLD, 1.0 / (1.0 + 2 * THRESHOLD)
 
-
-#: metrics compared by :func:`compare`; others (ratio, raw seconds of
-#: the codec benches — redundant with the rates) are informational.
-def _direction(metric: str) -> Optional[int]:
-    """+1: bigger is worse (times, memory, cost ratios, counts); -1:
-    smaller is worse (rates); None: not compared."""
-    if metric.endswith("_per_s"):
-        return -1
-    if metric.endswith(("_s", "_bytes", "_ratio", _EXACT_SUFFIX)):
-        return +1
-    return None
-
-
-@dataclass(frozen=True)
-class PerfDrift:
-    """One metric that regressed (or improved) past the threshold."""
-
-    benchmark: str
-    metric: str
-    baseline: float
-    current: float
-    rel: float  # signed: positive == regression
-    regression: bool
-
-    def describe(self) -> str:
-        tag = "REGRESSION" if self.regression else "improvement"
-        return (f"[{tag}] {self.benchmark}: {self.metric} "
-                f"{self.baseline:g} -> {self.current:g} ({self.rel:+.1%})")
+#: (metric, baseline, current, advisory run?, verdict the comparison
+#: must reach: that of its one drift, or None for a clean pass)
+_SELFTEST = (
+    ("encode_s", 1.0, 1.0, False, None),
+    ("encode_s", 1.0, 1.0 + THRESHOLD / 2, False, None),
+    ("encode_s", 1.0, _WORSE, False, DRIFT),
+    ("encode_mb_per_s", 1.0, _BETTER, False, DRIFT),
+    ("peak_heap_bytes", 1.0, _WORSE, False, DRIFT),
+    ("trace_cost_ratio", 1.0, _WORSE, False, DRIFT),
+    ("events_per_message", 21 / 4, 22 / 4, False, DRIFT),
+    ("encode_s", 1.0, _BETTER, False, IMPROVEMENT),
+    # --advisory softens the host's timings, nothing else
+    ("encode_s", 1.0, _WORSE, True, ADVISORY),
+    ("events_per_s", 1.0, _BETTER, True, ADVISORY),
+    ("trace_cost_ratio", 1.0, _WORSE, True, DRIFT),
+    ("events_per_message", 21 / 4, 22 / 4, True, DRIFT),
+)
 
 
-@dataclass
-class PerfComparison:
-    """Outcome of :func:`compare`."""
+def selftest() -> list[str]:
+    """Prove the gate catches injected regressions: each :data:`_SELFTEST`
+    row moves one metric of a synthetic snapshot (no timing involved)
+    and names the verdict the shared comparator must reach.  Returns
+    the rows that did not (empty == the harness works), mirroring
+    ``repro check --selftest``."""
+    def doc(metric, value):
+        return {"benchmarks": {"b": {"metrics": {metric: value}}}}
 
-    threshold: float
-    drifts: list[PerfDrift] = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def regressions(self) -> list[PerfDrift]:
-        return [d for d in self.drifts if d.regression]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def report(self) -> str:
-        lines = [
-            f"compared {self.checked} host-perf metrics at "
-            f"±{self.threshold:.0%}: "
-            + ("OK" if self.ok else f"{len(self.regressions)} regression(s)")
-        ]
-        lines += [f"  {d.describe()}" for d in self.drifts]
-        return "\n".join(lines)
-
-
-def compare(current: dict, baseline: dict,
-            threshold: float = 0.30) -> PerfComparison:
-    """Diff two snapshots with a relative threshold.
-
-    A *regression* is a time metric that grew, or a rate metric that
-    shrank, by more than ``threshold`` relative to the baseline.
-    Symmetric improvements are reported (so speedups are visible in CI
-    logs) but never gate.  Benchmarks present in only one snapshot are
-    skipped — the matrix is allowed to grow.
-    """
-    cmp = PerfComparison(threshold=threshold)
-    for name, base in sorted(baseline.get("benchmarks", {}).items()):
-        cur = current.get("benchmarks", {}).get(name)
-        if cur is None:
-            continue
-        for metric, bval in sorted(base.get("metrics", {}).items()):
-            direction = _direction(metric)
-            cval = cur.get("metrics", {}).get(metric)
-            if direction is None or cval is None or not bval:
-                continue
-            cmp.checked += 1
-            rel = direction * (float(cval) - float(bval)) / abs(float(bval))
-            limit = 0.0 if metric.endswith(_EXACT_SUFFIX) else threshold
-            if abs(rel) > limit:
-                cmp.drifts.append(PerfDrift(
-                    benchmark=name, metric=metric, baseline=float(bval),
-                    current=float(cval), rel=rel, regression=rel > 0))
-    return cmp
-
-
-# -- selftest ---------------------------------------------------------------
-
-def _synthetic_snapshot() -> dict:
-    """A tiny fixed snapshot (no timing involved) for the selftest."""
-    return {
-        "schema_version": SCHEMA_VERSION, "label": "selftest",
-        "mode": "quick", "reps": 1,
-        "benchmarks": {
-            "codec/x/smooth/256K": {"kind": "codec", "params": {},
-                                    "metrics": {"encode_s": 0.010,
-                                                "encode_mb_per_s": 100.0}},
-            "engine/events": {"kind": "engine", "params": {},
-                              "metrics": {"run_s": 0.050,
-                                          "events_per_s": 200000.0,
-                                          "peak_heap_bytes": 1 << 20}},
-            "engine/spans": {"kind": "engine", "params": {},
-                             "metrics": {"run_s": 0.450,
-                                         "trace_cost_ratio": 9.0}},
-        },
-    }
-
-
-def selftest(threshold: float = 0.30) -> list[str]:
-    """Prove the comparison machinery catches an injected regression.
-
-    Mirrors ``repro check --selftest``: returns a list of failure
-    descriptions (empty == the harness works).  Checks that (1) a clean
-    self-comparison passes, (2) an injected slowdown on a time metric
-    gates, (3) an injected throughput drop gates, as do a memory bloat
-    and a grown ``trace_cost_ratio``, and (4) a symmetric *improvement*
-    is reported but does not gate.
-    """
     failures = []
-    base = _synthetic_snapshot()
-
-    clean = compare(_synthetic_snapshot(), base, threshold)
-    if not clean.ok or clean.checked == 0:
-        failures.append("clean self-comparison did not pass")
-
-    slow = _synthetic_snapshot()
-    slow["benchmarks"]["codec/x/smooth/256K"]["metrics"]["encode_s"] *= (
-        1.0 + 2 * threshold)
-    c = compare(slow, base, threshold)
-    if c.ok:
-        failures.append("injected time regression was not flagged")
-
-    drop = _synthetic_snapshot()
-    drop["benchmarks"]["engine/events"]["metrics"]["events_per_s"] *= (
-        1.0 - 2 * threshold)
-    c = compare(drop, base, threshold)
-    if c.ok:
-        failures.append("injected throughput regression was not flagged")
-
-    bloat = _synthetic_snapshot()
-    bloat["benchmarks"]["engine/events"]["metrics"]["peak_heap_bytes"] *= (
-        1.0 + 2 * threshold)
-    c = compare(bloat, base, threshold)
-    if c.ok:
-        failures.append("injected memory regression was not flagged")
-
-    costly = _synthetic_snapshot()
-    costly["benchmarks"]["engine/spans"]["metrics"]["trace_cost_ratio"] *= (
-        1.0 + 2 * threshold)
-    c = compare(costly, base, threshold)
-    if c.ok:
-        failures.append("injected tracing-cost regression was not flagged")
-
-    fast = _synthetic_snapshot()
-    fast["benchmarks"]["codec/x/smooth/256K"]["metrics"]["encode_s"] /= 4.0
-    c = compare(fast, base, threshold)
-    if not c.ok:
-        failures.append("an improvement incorrectly gated")
-    elif not c.drifts:
-        failures.append("an improvement was not reported")
+    for metric, base, cur, advisory, expected in _SELFTEST:
+        cmp = snapshot.compare(doc(metric, cur), doc(metric, base), policy,
+                               advisory=advisory)
+        got = [d.verdict for d in cmp.drifts]
+        want = [expected] if expected else []
+        if got != want or cmp.ok != (expected != DRIFT):
+            failures.append(f"{metric} {base:.3g} -> {cur:.3g} "
+                            f"(advisory={advisory}): expected {want}, "
+                            f"got {got}, ok={cmp.ok}")
     return failures

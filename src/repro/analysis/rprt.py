@@ -60,6 +60,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.analysis.snapshot import entries, kind_of
 from repro.sim.trace import SPAN_SCHEMA, records_from_columns
 
 __all__ = [
@@ -680,9 +681,10 @@ def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
 
 # -- bench / hostperf snapshot embedding ------------------------------------
 
-def write_snapshot_rprt(doc: dict, path, kind: str,
+def write_snapshot_rprt(doc: dict, path,
                         block_codec: str = DEFAULT_BLOCK_CODEC) -> dict:
-    """Store a bench/hostperf snapshot document in an RPRT container.
+    """Store a bench/hostperf snapshot document in an RPRT container
+    (``snapshot/kind`` is read off the document's own group key).
 
     The canonical JSON document rides along (compressed) as the
     authoritative ``snapshot/json`` block, and every numeric scalar
@@ -698,13 +700,13 @@ def write_snapshot_rprt(doc: dict, path, kind: str,
     distributions stream without JSON parsing either.
     """
     w = RprtWriter(block_codec=block_codec)
-    w.add_kv("snapshot/kind", kind)
+    w.add_kv("snapshot/kind", kind_of(doc))
     w.add_kv("snapshot/schema_version", int(doc.get("schema_version", 0)))
     strings = _StringTable()
     strings.add("")
     sections, metrics, values = [], [], []
     hsections, hmetrics, hbuckets, hcounts = [], [], [], []
-    groups = doc.get("scenarios") or doc.get("benchmarks") or {}
+    groups = entries(doc)
     for name in sorted(groups):
         entry = groups[name]
         numeric = {}

@@ -18,12 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.analysis.report import reduction_pct
 from repro.core import CompressionConfig
 from repro.utils.tables import format_table
 from repro.utils.units import MiB
 
-__all__ = ["Claim", "ClaimResult", "CLAIMS", "run_scorecard", "render_scorecard"]
+__all__ = ["Claim", "ClaimResult", "CLAIMS", "reduction_pct", "run_scorecard",
+           "render_scorecard"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,13 @@ class ClaimResult:
 
 
 # -- measurement helpers -------------------------------------------------------
+
+def reduction_pct(baseline: float, value: float) -> float:
+    """Percent latency reduction vs. baseline (positive = faster)."""
+    if baseline == 0:
+        return 0.0
+    return 100.0 * (1.0 - value / baseline)
+
 
 def _pt2pt_reduction(machine: str, config, nbytes: int, inter_node: bool = True,
                      payload: str = "omb") -> float:

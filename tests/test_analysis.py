@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import ExperimentRecord, comparison_table, reduction_pct
+from repro.analysis.scorecard import reduction_pct
 
 
 def test_reduction_pct():
@@ -10,25 +10,3 @@ def test_reduction_pct():
     assert reduction_pct(100.0, 100.0) == 0.0
     assert reduction_pct(100.0, 150.0) == pytest.approx(-50.0)
     assert reduction_pct(0.0, 5.0) == 0.0
-
-
-def test_record_row():
-    r = ExperimentRecord("fig9a", "32M/MPC-OPT", "reduction%", 55.0, 62.5, "shape ok")
-    row = r.row()
-    assert row[0] == "fig9a"
-    assert row[3] == 55.0 and row[4] == 62.5
-
-
-def test_record_without_paper_value():
-    r = ExperimentRecord("ext", "alltoall", "us", 12.0)
-    assert r.row()[4] == "-"
-
-
-def test_comparison_table_renders():
-    recs = [
-        ExperimentRecord("table3", "msg_bt", "CR-MPC", 1.333, 1.339),
-        ExperimentRecord("fig14", "8 workers", "speedup", 1.2, 1.18),
-    ]
-    text = comparison_table(recs, title="check")
-    assert "msg_bt" in text and "1.339" in text
-    assert text.splitlines()[0] == "check"

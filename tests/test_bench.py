@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from repro.analysis import bench
+from repro.analysis import bench, snapshot
 from repro.analysis.metrics import HistogramStat
 from repro.gpu.spec import DeviceSpec
 
@@ -76,11 +76,11 @@ def quick_doc():
 def test_collect_byte_identical(quick_doc):
     again = bench.collect(quick=True, label="test",
                           only="pt2pt/naive-mpc")
-    assert bench.dumps(quick_doc) == bench.dumps(again)
+    assert snapshot.dumps(quick_doc) == snapshot.dumps(again)
 
 
 def test_snapshot_schema(quick_doc):
-    assert quick_doc["schema_version"] == bench.SCHEMA_VERSION
+    assert quick_doc["schema_version"] == snapshot.SCHEMA_VERSION
     sc = quick_doc["scenarios"]["pt2pt/naive-mpc"]
     assert sc["kind"] == "pt2pt"
     assert all(k.startswith("latency_us[") for k in sc["metrics"])
@@ -94,7 +94,7 @@ def test_snapshot_schema(quick_doc):
 
 
 def test_self_compare_ok(quick_doc):
-    cmp = bench.compare(quick_doc, quick_doc)
+    cmp = snapshot.compare(quick_doc, quick_doc, bench.policy)
     assert cmp.ok and cmp.checked > 0
     assert "OK" in cmp.report()
 
@@ -108,41 +108,39 @@ def test_synthetic_slowdown_detected(quick_doc, monkeypatch):
                         lambda self, nbytes: 2.0 * orig(self, nbytes))
     slowed = bench.collect(quick=True, label="test",
                            only="pt2pt/naive-mpc")
-    cmp = bench.compare(slowed, quick_doc)
+    cmp = snapshot.compare(slowed, quick_doc, bench.policy)
     assert not cmp.ok
-    assert any("latency_us" in d.metric and not d.advisory
-               for d in cmp.drifts)
+    assert any("latency_us" in d.metric and d.gating for d in cmp.drifts)
     assert "DRIFT" in cmp.report()
 
 
 def test_compare_missing_scenario_gates(quick_doc):
-    empty = {"schema_version": bench.SCHEMA_VERSION, "label": "x",
-             "mode": "quick", "scenarios": {}}
-    assert not bench.compare(empty, quick_doc).ok      # scenario vanished
-    assert bench.compare(quick_doc, empty).ok          # new coverage only
+    more = json.loads(snapshot.dumps(quick_doc))
+    more["scenarios"]["pt2pt/new"] = more["scenarios"]["pt2pt/naive-mpc"]
+    vanished = snapshot.compare(quick_doc, more, bench.policy)
+    assert not vanished.ok and "<entry> missing from current" in vanished.report()
+    # a run collected under --scenario is compared on what it collected
+    assert snapshot.compare(quick_doc, more, bench.policy, partial=True).ok
+    grown = snapshot.compare(more, quick_doc, bench.policy)
+    assert grown.ok  # new coverage is reported, never gating
+    assert [d.verdict for d in grown.drifts] == ["advisory"]
 
 
 def test_compare_wall_is_advisory(quick_doc):
-    base = json.loads(bench.dumps(quick_doc))
-    cur = json.loads(bench.dumps(quick_doc))
+    base = json.loads(snapshot.dumps(quick_doc))
+    cur = json.loads(snapshot.dumps(quick_doc))
     base["scenarios"]["pt2pt/naive-mpc"]["wall"] = {"seconds": 1.0}
     cur["scenarios"]["pt2pt/naive-mpc"]["wall"] = {"seconds": 10.0}
-    cmp = bench.compare(cur, base)
+    cmp = snapshot.compare(cur, base, bench.policy)
     assert cmp.ok  # wall drift never gates
-    assert any(d.advisory and d.metric == "wall.seconds" for d in cmp.drifts)
+    assert [(d.section, d.metric, d.verdict) for d in cmp.drifts] == [
+        ("wall", "seconds", "advisory")]
 
 
 def test_label_excluded_from_comparison(quick_doc):
-    relabeled = json.loads(bench.dumps(quick_doc))
+    relabeled = json.loads(snapshot.dumps(quick_doc))
     relabeled["label"] = "other"
-    assert bench.compare(relabeled, quick_doc).ok
-
-
-def test_load_rejects_wrong_schema(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(ValueError):
-        bench.load(p)
+    assert snapshot.compare(relabeled, quick_doc, bench.policy).ok
 
 
 # -- CLI round trip ---------------------------------------------------------
@@ -158,7 +156,7 @@ def test_cli_bench_out_and_self_compare(tmp_path, capsys):
     rc = _main(["bench", "--quick", "--label", "pr3",
                 "--scenario", "pt2pt/naive-mpc", "--out", str(out)])
     assert rc == 0 and out.exists()
-    doc = bench.load(out)
+    doc = snapshot.load(out, "bench")
     assert doc["scenarios"]
     # --against + --compare on its own output: exit 0, no re-run
     rc = _main(["bench", "--against", str(out), "--compare", str(out)])
@@ -188,11 +186,12 @@ def test_mode_mismatch_is_a_drift_line_not_a_traceback(tmp_path, capsys):
     quick = tmp_path / "BENCH_quick.json"
     assert _main(["bench", "--quick", "--scenario", "pt2pt/naive-mpc",
                   "--out", str(quick)]) == 0
-    doc = bench.load(quick)
+    doc = snapshot.load(quick, "bench")
     doc["mode"] = "full"  # what a run without --quick records
     full = tmp_path / "BENCH_full.json"
-    bench.write(doc, full)
-    cmp = bench.compare(bench.load(full), bench.load(quick))
+    snapshot.write(doc, full)
+    cmp = snapshot.compare(snapshot.load(full, "bench"),
+                           snapshot.load(quick, "bench"), bench.policy)
     assert not cmp.ok
     assert "[DRIFT] <header>: mode 'quick' -> 'full'" in cmp.report()
     capsys.readouterr()
@@ -209,11 +208,11 @@ def test_committed_baseline_matches(capsys):
     baseline --out tests/data/BENCH_baseline.json)."""
     path = os.path.join(os.path.dirname(__file__), "data",
                         "BENCH_baseline.json")
-    baseline = bench.load(path)
+    baseline = snapshot.load(path, "bench")
     current = bench.collect(quick=True, label="baseline")
-    cmp = bench.compare(current, baseline)
+    cmp = snapshot.compare(current, baseline, bench.policy)
     assert cmp.ok, cmp.report()
-    assert bench.dumps(current) == open(path).read()
+    assert snapshot.dumps(current) == open(path).read()
 
 
 # -- scale matrix (1k+-rank hierarchical runs) -------------------------------
@@ -240,15 +239,15 @@ def test_scale_collect_deterministic_and_marked():
     b = bench.collect(scale=True, label="t", only="allgather-64")
     assert a["mode"] == "scale"
     assert list(a["scenarios"]) == ["scale/allgather-64/fat-tree"]
-    assert bench.dumps(a) == bench.dumps(b)
+    assert snapshot.dumps(a) == snapshot.dumps(b)
 
 
 def test_scale_mode_mismatch_gates(tmp_path):
-    quick = {"schema_version": bench.SCHEMA_VERSION, "label": "x",
+    quick = {"schema_version": snapshot.SCHEMA_VERSION, "label": "x",
              "mode": "quick", "scenarios": {}}
-    scale = {"schema_version": bench.SCHEMA_VERSION, "label": "x",
+    scale = {"schema_version": snapshot.SCHEMA_VERSION, "label": "x",
              "mode": "scale", "scenarios": {}}
-    assert not bench.compare(quick, scale).ok
+    assert not snapshot.compare(quick, scale, bench.policy).ok
 
 
 def test_committed_scale_baseline_64_point_matches():
@@ -259,7 +258,7 @@ def test_committed_scale_baseline_64_point_matches():
     points are exercised by CI's scale-smoke job, not here."""
     path = os.path.join(os.path.dirname(__file__), "data",
                         "BENCH_scale_baseline.json")
-    baseline = bench.load(path)
+    baseline = snapshot.load(path, "bench")
     assert baseline["mode"] == "scale"
     assert set(baseline["scenarios"]) == {
         "scale/allgather-64/fat-tree", "scale/allgather-1024/fat-tree",

@@ -1,17 +1,16 @@
-"""Host-performance harness: schema, collection, comparison gating.
+"""Host-performance harness: the microbench matrix, collection, and
+the gate policy (which suffix is which gate kind, in which direction).
 
 These tests never assert absolute wall-clock numbers — host speed is
-machine-dependent.  They pin the *machinery*: the snapshot schema, the
-metric direction convention (``*_per_s`` is a rate even though it also
-ends in ``_s``), the relative-threshold gate, and the selftest that
-proves the gate catches injected regressions.
+machine-dependent.  The snapshot lifecycle itself (serialise, load,
+compare, missing entries, ``--advisory``) is ``tests/test_snapshot.py``.
 """
 
 import json
 
 import pytest
 
-from repro.analysis import hostperf
+from repro.analysis import hostperf, snapshot
 
 
 def _tiny_collect(**kw):
@@ -22,7 +21,7 @@ def _tiny_collect(**kw):
 
 def test_collect_produces_schema_valid_snapshot():
     doc = _tiny_collect(label="t")
-    assert doc["schema_version"] == hostperf.SCHEMA_VERSION
+    assert doc["schema_version"] == snapshot.SCHEMA_VERSION
     assert doc["label"] == "t"
     assert doc["mode"] == "quick"
     assert doc["reps"] == 1
@@ -68,73 +67,73 @@ def test_matrix_covers_every_kind():
 def test_write_load_roundtrip(tmp_path):
     doc = _tiny_collect(label="rt")
     path = tmp_path / "HOSTPERF_rt.json"
-    hostperf.write(doc, path)
-    assert hostperf.load(path) == doc
+    snapshot.write(doc, path)
+    assert snapshot.load(path, "hostperf") == doc
     # dumps is deterministic and newline-terminated (clean git diffs).
     text = path.read_text()
-    assert text == hostperf.dumps(doc)
+    assert text == snapshot.dumps(doc)
     assert text.endswith("\n")
     assert json.loads(text) == doc
 
 
-def test_load_rejects_wrong_schema_version(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"schema_version": 999, "benchmarks": {}}))
-    with pytest.raises(ValueError, match="schema_version"):
-        hostperf.load(path)
-
-
 # -- comparison direction semantics ------------------------------------------
 
+def _compare(current, baseline, **kw):
+    return snapshot.compare(current, baseline, hostperf.policy, **kw)
+
+
 def _snap(**metrics):
-    return {"schema_version": hostperf.SCHEMA_VERSION, "label": "x",
+    return {"schema_version": snapshot.SCHEMA_VERSION, "label": "x",
             "mode": "quick", "reps": 1,
             "benchmarks": {"b": {"kind": "codec", "params": {},
                                  "metrics": metrics}}}
 
 
 def test_compare_time_growth_is_a_regression():
-    cmp = hostperf.compare(_snap(encode_s=0.02), _snap(encode_s=0.01),
-                           threshold=0.30)
+    cmp = _compare(_snap(encode_s=0.02), _snap(encode_s=0.01))
     assert not cmp.ok
-    (d,) = cmp.regressions
-    assert d.metric == "encode_s" and d.rel == pytest.approx(1.0)
-    assert "REGRESSION" in cmp.report()
+    (d,) = cmp.gating
+    assert (d.metric, d.baseline, d.current) == ("encode_s", 0.01, 0.02)
+    assert "[DRIFT] b: metrics.encode_s 0.01 -> 0.02 (+100%)" in cmp.report()
 
 
 def test_compare_rate_shrink_is_a_regression():
     # encode_mb_per_s ends in "_s" too — the _per_s rule must win.
-    cmp = hostperf.compare(_snap(encode_mb_per_s=50.0),
-                           _snap(encode_mb_per_s=100.0), threshold=0.30)
+    cmp = _compare(_snap(encode_mb_per_s=50.0), _snap(encode_mb_per_s=100.0))
     assert not cmp.ok
-    (d,) = cmp.regressions
-    assert d.metric == "encode_mb_per_s" and d.rel == pytest.approx(0.5)
+    (d,) = cmp.gating
+    assert d.metric == "encode_mb_per_s"
 
 
 def test_compare_improvements_report_but_never_gate():
     cur = _snap(encode_s=0.002, encode_mb_per_s=500.0)
     base = _snap(encode_s=0.010, encode_mb_per_s=100.0)
-    cmp = hostperf.compare(cur, base, threshold=0.30)
+    cmp = _compare(cur, base)
     assert cmp.ok
-    assert len(cmp.drifts) == 2 and not cmp.regressions
+    assert len(cmp.drifts) == 2 and not cmp.gating
     assert "improvement" in cmp.report()
 
 
 def test_compare_within_threshold_is_clean():
-    cmp = hostperf.compare(_snap(encode_s=0.011), _snap(encode_s=0.010),
-                           threshold=0.30)
+    cmp = _compare(_snap(encode_s=0.011), _snap(encode_s=0.010))
     assert cmp.ok and not cmp.drifts and cmp.checked == 1
 
 
 def test_compare_skips_uncompared_metrics_and_new_benchmarks():
-    # "ratio" carries no direction suffix: informational only.
-    cmp = hostperf.compare(_snap(ratio=1.0), _snap(ratio=4.0))
-    assert cmp.ok and cmp.checked == 0
-    # A benchmark present only in the baseline (or only in current) is
-    # skipped — the matrix is allowed to grow or shrink.
-    empty = {"schema_version": hostperf.SCHEMA_VERSION, "benchmarks": {}}
-    assert hostperf.compare(empty, _snap(encode_s=0.01)).ok
-    assert hostperf.compare(_snap(encode_s=0.01), empty).ok
+    # "ratio" carries no direction suffix: informational only — and a
+    # comparison that checked nothing is not a pass.
+    cmp = _compare(_snap(ratio=1.0), _snap(ratio=4.0))
+    assert cmp.checked == 0 and not cmp.drifts and not cmp.ok
+    assert _compare(_snap(ratio=1.0, encode_s=0.01),
+                    _snap(ratio=4.0, encode_s=0.01)).ok
+    # The matrix may grow (new coverage is advisory); a benchmark that
+    # vanished from an unfiltered run is a drift, as for ``bench``.
+    both = _snap(encode_s=0.01)
+    both["benchmarks"]["new"] = both["benchmarks"]["b"]
+    grown = _compare(both, _snap(encode_s=0.01))
+    assert grown.ok and [d.verdict for d in grown.drifts] == ["advisory"]
+    assert not _compare(_snap(encode_s=0.01), both).ok
+    assert _compare(_snap(encode_s=0.01), both, partial=True).ok
 
 
 def test_selftest_passes():
@@ -142,10 +141,10 @@ def test_selftest_passes():
 
 
 def test_committed_baseline_loads_and_self_compares():
-    doc = hostperf.load("tests/data/HOSTPERF_baseline.json")
-    assert doc["schema_version"] == hostperf.SCHEMA_VERSION
+    doc = snapshot.load("tests/data/HOSTPERF_baseline.json", "hostperf")
+    assert doc["schema_version"] == snapshot.SCHEMA_VERSION
     assert "e2e/bench-quick" in doc["benchmarks"]
-    cmp = hostperf.compare(doc, doc)
+    cmp = _compare(doc, doc)
     assert cmp.ok and cmp.checked > 0 and not cmp.drifts
 
 
@@ -165,17 +164,17 @@ def test_cli_perf_compare_gates_on_injected_regression(tmp_path, capsys):
     cur = tmp_path / "cur.json"
     base = tmp_path / "base.json"
     doc = _snap(encode_s=0.010)
-    hostperf.write(doc, base)
+    snapshot.write(doc, base)
     slow = _snap(encode_s=0.030)
-    hostperf.write(slow, cur)
+    snapshot.write(slow, cur)
     with pytest.raises(SystemExit) as exc:
         _main(["perf", "--against", str(cur), "--compare", str(base)])
     assert exc.value.code == 1
-    assert "REGRESSION" in capsys.readouterr().out
-    # --advisory reports but exits cleanly.
+    assert "[DRIFT] b: metrics.encode_s" in capsys.readouterr().out
+    # --advisory reports a timing drift but exits cleanly.
     _main(["perf", "--against", str(cur), "--compare", str(base),
            "--advisory"])
-    assert "REGRESSION" in capsys.readouterr().out
+    assert "[advisory] b: metrics.encode_s" in capsys.readouterr().out
     # No regression -> clean pass.
     _main(["perf", "--against", str(base), "--compare", str(base)])
     assert "OK" in capsys.readouterr().out
@@ -213,12 +212,12 @@ def test_cost_ratio_gates_as_bigger_is_worse():
             "kind": "engine", "params": {},
             "metrics": {"trace_cost_ratio": ratio}}}}
 
-    worse = hostperf.compare(snap(12.0), snap(8.0), threshold=0.30)
-    assert [d.metric for d in worse.regressions] == ["trace_cost_ratio"]
-    better = hostperf.compare(snap(4.0), snap(8.0), threshold=0.30)
+    worse = _compare(snap(12.0), snap(8.0))
+    assert [d.metric for d in worse.gating] == ["trace_cost_ratio"]
+    better = _compare(snap(4.0), snap(8.0))
     assert better.ok and better.drifts
     # a codec's compression ``ratio`` stays informational
-    assert hostperf.compare(
+    assert _compare(
         {"benchmarks": {"c": {"metrics": {"ratio": 1.0}}}},
         {"benchmarks": {"c": {"metrics": {"ratio": 9.0}}}}).checked == 0
 
@@ -232,14 +231,14 @@ def test_scale_bench_collects():
 
 
 def test_compare_heap_growth_is_a_regression():
-    cmp = hostperf.compare(_snap(peak_heap_bytes=4 << 20),
-                           _snap(peak_heap_bytes=1 << 20), threshold=0.30)
+    cmp = _compare(_snap(peak_heap_bytes=4 << 20),
+                           _snap(peak_heap_bytes=1 << 20))
     assert not cmp.ok
-    (d,) = cmp.regressions
+    (d,) = cmp.gating
     assert d.metric == "peak_heap_bytes"
     # Shrinking heap is an improvement, never gates.
-    cmp = hostperf.compare(_snap(peak_heap_bytes=1 << 20),
-                           _snap(peak_heap_bytes=4 << 20), threshold=0.30)
+    cmp = _compare(_snap(peak_heap_bytes=1 << 20),
+                           _snap(peak_heap_bytes=4 << 20))
     assert cmp.ok
 
 
@@ -268,10 +267,10 @@ def test_scale_allgather_point_collects():
 
 def test_compare_gates_exact_counts_at_zero_tolerance():
     base = _snap(events_per_message=5.0)
-    assert hostperf.compare(_snap(events_per_message=5.0), base).ok
-    worse = hostperf.compare(_snap(events_per_message=5.01), base)
+    assert _compare(_snap(events_per_message=5.0), base).ok
+    worse = _compare(_snap(events_per_message=5.01), base)
     assert not worse.ok  # far inside the 30% timing threshold, still gated
-    better = hostperf.compare(_snap(events_per_message=4.0), base)
+    better = _compare(_snap(events_per_message=4.0), base)
     assert better.ok and len(better.drifts) == 1
 
 
@@ -295,12 +294,12 @@ def test_codec_decodes_per_message_point_is_exact_and_on_budget():
     assert m["n_messages"] == 112
     assert m["n_decodes"] == 8 * 7 + 8
     # ...and the committed baseline gates exactly that, at zero tolerance
-    base = hostperf.load("tests/data/HOSTPERF_baseline.json")
+    base = snapshot.load("tests/data/HOSTPERF_baseline.json", "hostperf")
     assert base["benchmarks"]["coll/codec_decodes_per_message"]["metrics"] == m
-    worse = {"schema_version": hostperf.SCHEMA_VERSION, "benchmarks": {
+    worse = {"schema_version": snapshot.SCHEMA_VERSION, "benchmarks": {
         "coll/codec_decodes_per_message": {"metrics": {
             "codec_decodes_per_message": m["codec_decodes_per_message"] + 0.01}}}}
-    assert not hostperf.compare(worse, base).ok
+    assert not _compare(worse, base).ok
 
 
 def test_coll_relay_point_collects():
@@ -311,5 +310,5 @@ def test_coll_relay_point_collects():
 def test_codec_stream_point_collects():
     doc = hostperf.collect(quick=True, reps=1, only="e2e/codec-stream")
     assert doc["benchmarks"]["e2e/codec-stream"]["metrics"]["run_s"] > 0
-    base = hostperf.load("tests/data/HOSTPERF_baseline.json")
+    base = snapshot.load("tests/data/HOSTPERF_baseline.json", "hostperf")
     assert "e2e/codec-stream" in base["benchmarks"]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import bench, hostperf
+from repro.analysis import snapshot
 from repro.analysis.critpath import CritPathAnalyzer
 from repro.analysis.export import write_chrome_json
 from repro.analysis.rprt import (RPRT_MAGIC, RprtError, RprtReader,
@@ -436,7 +436,7 @@ def test_commprofile_surfaces_telemetry(tmp_path):
 # -- bench / hostperf snapshots ----------------------------------------------
 
 def _fake_bench_doc():
-    return {"schema_version": bench.SCHEMA_VERSION, "label": "t",
+    return {"schema_version": snapshot.SCHEMA_VERSION, "label": "t",
             "mode": "quick", "seed": 1,
             "scenarios": {"pt2pt/x": {"kind": "pt2pt", "params": {},
                                       "metrics": {"latency_us[1024]": 12.5},
@@ -444,7 +444,7 @@ def _fake_bench_doc():
 
 
 def _fake_hostperf_doc():
-    return {"schema_version": hostperf.SCHEMA_VERSION, "label": "t",
+    return {"schema_version": snapshot.SCHEMA_VERSION, "label": "t",
             "mode": "quick", "reps": 1,
             "benchmarks": {"codec/x": {"kind": "codec", "params": {},
                                        "metrics": {"encode_s": 0.01,
@@ -453,24 +453,26 @@ def _fake_hostperf_doc():
 
 def test_bench_snapshot_rprt_roundtrip(tmp_path):
     doc = _fake_bench_doc()
-    bench.write(doc, tmp_path / "B.rprt")
+    snapshot.write(doc, tmp_path / "B.rprt")
     assert is_rprt(tmp_path / "B.rprt")
-    assert bench.load(tmp_path / "B.rprt") == doc
+    assert snapshot.load(tmp_path / "B.rprt", "bench") == doc
     # JSON path untouched.
-    bench.write(doc, tmp_path / "B.json")
-    assert bench.load(tmp_path / "B.json") == doc
+    snapshot.write(doc, tmp_path / "B.json")
+    assert snapshot.load(tmp_path / "B.json", "bench") == doc
 
 
 def test_hostperf_snapshot_rprt_roundtrip(tmp_path):
     doc = _fake_hostperf_doc()
-    hostperf.write(doc, tmp_path / "H.rprt")
-    assert hostperf.load(tmp_path / "H.rprt") == doc
+    snapshot.write(doc, tmp_path / "H.rprt")
+    assert snapshot.load(tmp_path / "H.rprt", "hostperf") == doc
+    with RprtReader(tmp_path / "H.rprt") as r:
+        assert r.kv("snapshot/kind") == "hostperf"
 
 
 def test_snapshot_columnar_blocks(tmp_path):
-    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt", kind="bench")
+    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt")
     with RprtReader(tmp_path / "B.rprt") as r:
-        assert r.kv("snapshot/kind") == "bench"
+        assert r.kv("snapshot/kind") == "bench"  # read off the document
         # Raw blocks are zero-copy views into the mmap: copy before the
         # reader closes.
         values = r.read("snapshot/value").copy()
@@ -494,7 +496,7 @@ def test_snapshot_histogram_columnar_blocks(tmp_path):
             "buckets": {"2": 1}},
     }
     path = tmp_path / "H.rprt"
-    write_snapshot_rprt(doc, path, kind="bench")
+    write_snapshot_rprt(doc, path)
     # snapshot/json stays authoritative: full round-trip equality,
     # histogram section included.
     assert read_snapshot_rprt(path) == doc
@@ -513,7 +515,7 @@ def test_snapshot_histogram_columnar_blocks(tmp_path):
 
 
 def test_snapshot_without_histograms_omits_hist_blocks(tmp_path):
-    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt", kind="bench")
+    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt")
     with RprtReader(tmp_path / "B.rprt") as r:
         with pytest.raises(RprtError):
             r.read("snapshot/hist_bucket")
@@ -526,6 +528,6 @@ def test_snapshot_reader_rejects_trace_container():
 
 def test_snapshot_schema_gate_still_applies(tmp_path):
     doc = dict(_fake_bench_doc(), schema_version=0)
-    write_snapshot_rprt(doc, tmp_path / "old.rprt", kind="bench")
+    write_snapshot_rprt(doc, tmp_path / "old.rprt")
     with pytest.raises(ValueError):
-        bench.load(tmp_path / "old.rprt")
+        snapshot.load(tmp_path / "old.rprt", "bench")
