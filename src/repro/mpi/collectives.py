@@ -14,7 +14,11 @@ consumer.  Reduction collectives additionally use the hZCCL-style
 :meth:`~repro.compression.base.Compressor.reduce_compressed` hook to
 sum in the partially-decoded domain when the codec supports it.
 
-Algorithms (classic MPICH choices for large messages on small ranks):
+Algorithms (classic MPICH choices for large messages on small ranks),
+each written once: *who talks to whom* is a schedule — a pure function
+of ``(size, rank, root)`` returning a tree or exchange steps as data —
+and *what travels* is a plane, raw arrays or wire images, chosen in
+:func:`_plane` and driven by :func:`_exchange`:
 
 * ``bcast`` — binomial tree (keep-compressed relays on interior ranks).
 * ``gather``/``scatter`` — linear rooted (scatter packs per chunk).
@@ -35,6 +39,7 @@ Internal messages use a high tag base to stay clear of user tags.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -64,8 +69,57 @@ _T_RING_AG = COLL_TAG_BASE + 9   # ring allreduce, allgather phase
 ALLREDUCE_ALGORITHMS = ("ring", "recursive_doubling", "reduce_bcast")
 
 
-def _default_op(op: Optional[Callable]) -> Callable:
-    return np.add if op is None else op
+#: What travels.  ``isend``/``irecv`` return requests; ``pack``,
+#: ``unpack`` and ``reduce`` are generator subroutines: user data to the
+#: plane's currency, back, and a held block combined with an arrival.
+_Plane = namedtuple("_Plane", "isend irecv pack unpack reduce")
+
+
+def _same(data):
+    """Raw-plane ``pack``/``unpack``; no yield — zero events, zero spans."""
+    return data
+    yield
+
+
+def _raw_reduce(held, local, arrived, op):
+    """Raw-plane ``reduce`` (``comm.reduce_wires``' contract); no yield."""
+    out = op(held, arrived)
+    return out, out
+    yield
+
+
+def _plane(comm, data=None, op=None) -> _Plane:
+    """The plane of one call, chosen here and nowhere else: wire images
+    when the config keeps data compressed across hops (and ``data``, if
+    given, is compressible) — for a reduction only with a codec that
+    combines images directly, else every hop would decode and re-encode
+    anyway — or raw arrays, each hop compressing (or not) by itself."""
+    if comm.keep_compressed_active(data) \
+            and (op is None or comm.wire_reduce_capable(op)):
+        return _Plane(comm.isend_wire, comm.irecv_wire, comm.pack_wire,
+                      comm.unpack_wire, comm.reduce_wires)
+    return _Plane(comm.isend, comm.irecv, _same, _same, _raw_reduce)
+
+
+def _rel(comm, root: int, what: str) -> int:
+    """This rank's position relative to ``root``, validated here: the
+    tree arithmetic would wrap a bad root onto another rank, silently."""
+    if not (0 <= root < comm.size):
+        raise MpiError(f"{what} root {root} out of range [0, {comm.size})")
+    return (comm.rank - root) % comm.size
+
+
+def _binomial(size: int, rel: int) -> tuple:
+    """``(parent, children)`` of root-relative rank ``rel``: the parent
+    owns our lowest set bit (``None`` at the root), the children are
+    ``rel`` plus each bit below it, highest first — the order ``bcast``
+    forwards in; ``reduce`` combines in the mirror order."""
+    children, mask = [], 1
+    while mask < size and not rel & mask:
+        if rel + mask < size:
+            children.append(rel | mask)
+        mask <<= 1
+    return (rel & ~mask if rel else None), children[::-1]
 
 
 #: communicator size above which ring schedules are precomputed with
@@ -83,6 +137,55 @@ def _ring_schedule(size: int, start: int) -> list[int]:
     if size < _RING_VECTOR_MIN:
         return [(start - s) % size for s in range(size)]
     return ((start - np.arange(size)) % size).tolist()
+
+
+def _ring_steps(size: int, rank: int, start: int, tag: int):
+    """One pass around the ring: send right, receive from the left, the
+    block received at one step is the block sent at the next.  Generated
+    on demand: as lists, a 1,024-rank pass is ~1M tuples job-wide."""
+    right, left = (rank + 1) % size, (rank - 1) % size
+    walk = _ring_schedule(size, start)
+    for s in range(size - 1):
+        yield walk[s], right, walk[s + 1], left, tag
+
+
+def _rdouble_steps(size: int, rank: int):
+    """Recursive doubling: log2(size) exchanges of the one block."""
+    for k in range((size - 1).bit_length()):
+        yield 0, rank ^ (1 << k), 0, rank ^ (1 << k), _T_REDUCE
+
+
+def _pairwise_steps(size: int, rank: int):
+    """Pairwise: step ``k`` sends to ``rank + k``, receives from ``rank - k``."""
+    for k in range(1, size):
+        dst, src = (rank + k) % size, (rank - k) % size
+        yield dst, dst, src, src, _T_ALLTOALL + k
+
+
+def _dissemination_steps(size: int, rank: int):
+    """Dissemination barrier: round ``k`` signals ``2**k`` ranks ahead
+    with the token in block 0; what arrives lands in block 1."""
+    for k in range((size - 1).bit_length()):
+        dist = 1 << k
+        yield 0, (rank + dist) % size, 1, (rank - dist) % size, _T_BARRIER + k
+
+
+def _exchange(plane: _Plane, blocks: list, steps, local=None, op=None):
+    """Run ``(send_block, dst, recv_block, src, tag)`` steps over
+    ``blocks``.  Per step: start the send and the receive, wait for the
+    arrival, then for the send, then store the arrival in its block —
+    or, with ``op``, reduce it onto the block held there; ``local[i]``
+    is the raw array ``blocks[i]`` encodes here (``comm.reduce_wires``)."""
+    for send_block, dst, recv_block, src, tag in steps:
+        sreq = plane.isend(blocks[send_block], dst, tag)
+        rreq = plane.irecv(src, tag)
+        arrived = yield from rreq.wait()
+        yield from sreq.wait()
+        if op is None:
+            blocks[recv_block] = arrived
+        else:
+            blocks[recv_block], local[recv_block] = yield from plane.reduce(
+                blocks[recv_block], local[recv_block], arrived, op)
 
 
 def _traced(fn):
@@ -150,78 +253,34 @@ def bcast(comm, data: Any, root: int = 0):
     Keep-compressed mode: the root packs once, interior ranks relay the
     wire image to their subtrees before (and while) decoding their own
     copy."""
-    size, rank = comm.size, comm.rank
-    if not (0 <= root < size):
-        raise MpiError(f"bcast root {root} out of range")
+    size = comm.size
+    parent, children = _binomial(size, _rel(comm, root, "bcast"))
     if size == 1:
         return data
-    if comm.keep_compressed_active():
-        result = yield from _bcast_wire(comm, data, root)
-        return result
-    rel = (rank - root) % size
-
-    # Receive from the parent (the peer that owns our highest set bit).
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            parent = ((rel & ~mask) + root) % size
-            data = yield from comm.recv(parent, _T_BCAST)
-            break
-        mask <<= 1
-    # Forward to children below that bit.
-    mask >>= 1
-    reqs = []
-    while mask > 0:
-        if rel + mask < size and not (rel & mask):
-            child = ((rel | mask) + root) % size
-            reqs.append(comm.isend(data, child, _T_BCAST))
-        mask >>= 1
+    plane = _plane(comm)
+    if parent is None:
+        held = yield from plane.pack(data)
+    else:
+        held = yield from plane.irecv((parent + root) % size, _T_BCAST).wait()
+    reqs = [plane.isend(held, (child + root) % size, _T_BCAST)
+            for child in children]
+    # Decode the local copy while the relays to the subtree are in
+    # flight — the single decompression of the keep-compressed path.
+    if parent is not None:
+        data = yield from plane.unpack(held)
     for r in reqs:
         yield from r.wait()
     return data
-
-
-def _bcast_wire(comm, data: Any, root: int):
-    """Binomial tree over wire images: pack once at the root, relay."""
-    size, rank = comm.size, comm.rank
-    rel = (rank - root) % size
-    if rank == root:
-        wire = yield from comm.pack_wire(data)
-        mask = 1
-        while mask < size:
-            mask <<= 1
-    else:
-        wire = None
-        mask = 1
-        while mask < size:
-            if rel & mask:
-                parent = ((rel & ~mask) + root) % size
-                wire = yield from comm.recv_wire(parent, _T_BCAST)
-                break
-            mask <<= 1
-    mask >>= 1
-    reqs = []
-    while mask > 0:
-        if rel + mask < size and not (rel & mask):
-            child = ((rel | mask) + root) % size
-            reqs.append(comm.isend_wire(wire, child, _T_BCAST))
-        mask >>= 1
-    # Decode the local copy while the relays to the subtree are in
-    # flight — the single decompression of the keep-compressed path.
-    out = data if rank == root else (yield from comm.unpack_wire(wire))
-    for r in reqs:
-        yield from r.wait()
-    return out
 
 
 @_traced
 def gather(comm, data: Any, root: int = 0):
     """Linear gather; returns the list of contributions at the root,
     ``None`` elsewhere."""
-    size, rank = comm.size, comm.rank
-    if rank == root:
+    size = comm.size
+    if _rel(comm, root, "gather") == 0:
         out: list = [None] * size
-        out[rank] = data
+        out[root] = data
         reqs = {src: comm.irecv(src, _T_GATHER) for src in range(size) if src != root}
         for src, req in reqs.items():
             out[src] = yield from req.wait()
@@ -233,30 +292,23 @@ def gather(comm, data: Any, root: int = 0):
 @_traced
 def scatter(comm, chunks, root: int = 0):
     """Linear scatter of ``chunks`` (a list of ``size`` items at the
-    root); returns this rank's chunk."""
-    size, rank = comm.size, comm.rank
-    if rank == root:
+    root); returns this rank's chunk.  Keep-compressed mode packs each
+    chunk once and ships the wire image directly."""
+    size = comm.size
+    plane = _plane(comm)
+    if _rel(comm, root, "scatter") == 0:
         if chunks is None or len(chunks) != size:
             raise MpiError(f"scatter needs exactly {size} chunks at the root")
-        if comm.keep_compressed_active():
-            reqs = []
-            for dst in range(size):
-                if dst == root:
-                    continue
-                wire = yield from comm.pack_wire(chunks[dst])
-                reqs.append(comm.isend_wire(wire, dst, _T_SCATTER))
-        else:
-            reqs = [comm.isend(chunks[dst], dst, _T_SCATTER)
-                    for dst in range(size) if dst != root]
+        reqs = []
+        for dst in range(size):
+            if dst != root:
+                held = yield from plane.pack(chunks[dst])
+                reqs.append(plane.isend(held, dst, _T_SCATTER))
         for r in reqs:
             yield from r.wait()
-        return chunks[rank]
-    if comm.keep_compressed_active():
-        wire = yield from comm.recv_wire(root, _T_SCATTER)
-        data = yield from comm.unpack_wire(wire)
-        return data
-    data = yield from comm.recv(root, _T_SCATTER)
-    return data
+        return chunks[root]
+    held = yield from plane.irecv(root, _T_SCATTER).wait()
+    return (yield from plane.unpack(held))
 
 
 @_traced
@@ -268,54 +320,34 @@ def allgather(comm, data: Any):
     hops but is compressed exactly once and decompressed once per
     consumer."""
     size, rank = comm.size, comm.rank
-    out: list = [None] * size
-    out[rank] = data
-    if size == 1:
-        return out
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    walk = _ring_schedule(size, rank)
-    if comm.keep_compressed_active():
-        wires: list = [None] * size
-        wires[rank] = yield from comm.pack_wire(data)
-        for s in range(size - 1):
-            recv_block = walk[s + 1]
-            wires[recv_block] = yield from comm.sendrecv_wire(
-                wires[walk[s]], right, left, _T_ALLGATHER, _T_ALLGATHER
-            )
+    blocks: list = [None] * size
+    if size > 1:
+        plane = _plane(comm)
+        blocks[rank] = yield from plane.pack(data)
+        yield from _exchange(plane, blocks,
+                             _ring_steps(size, rank, rank, _T_ALLGATHER))
         for i in range(size):
             if i != rank:
-                out[i] = yield from comm.unpack_wire(wires[i])
-        return out
-    for s in range(size - 1):
-        recv_block = walk[s + 1]
-        received = yield from comm.sendrecv(
-            out[walk[s]], right, left, _T_ALLGATHER, _T_ALLGATHER
-        )
-        out[recv_block] = received
-    return out
+                blocks[i] = yield from plane.unpack(blocks[i])
+    blocks[rank] = data
+    return blocks
 
 
 @_traced
 def reduce(comm, data: Any, root: int = 0, op: Optional[Callable] = None):
     """Binomial-tree reduction; returns the result at the root,
     ``None`` elsewhere."""
-    size, rank = comm.size, comm.rank
-    op = _default_op(op)
-    rel = (rank - root) % size
+    size = comm.size
+    op = np.add if op is None else op
+    parent, children = _binomial(size, _rel(comm, root, "reduce"))
     result = data
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            parent = ((rel & ~mask) + root) % size
-            yield from comm.send(result, parent, _T_REDUCE)
-            return None
-        peer_rel = rel | mask
-        if peer_rel < size:
-            contrib = yield from comm.recv(((peer_rel) + root) % size, _T_REDUCE)
-            result = op(result, contrib)
-        mask <<= 1
-    return result
+    for child in reversed(children):
+        contrib = yield from comm.recv((child + root) % size, _T_REDUCE)
+        result = op(result, contrib)
+    if parent is None:
+        return result
+    yield from comm.send(result, (parent + root) % size, _T_REDUCE)
+    return None
 
 
 def _normalize_algorithm(algorithm: Optional[str], size: int) -> str:
@@ -336,125 +368,54 @@ def _normalize_algorithm(algorithm: Optional[str], size: int) -> str:
 def allreduce(comm, data: Any, op: Optional[Callable] = None,
               algorithm: Optional[str] = None):
     """Allreduce with a selectable algorithm (see
-    :data:`ALLREDUCE_ALGORITHMS`); defaults to recursive doubling on
-    power-of-two communicator sizes and the ring elsewhere."""
-    size = comm.size
-    op = _default_op(op)
+    :data:`ALLREDUCE_ALGORITHMS`); defaults to recursive doubling —
+    log2(size) exchanges of the full vector — on power-of-two
+    communicator sizes and elsewhere to the ring: reduce-scatter then
+    allgather, ``2 * (size - 1)`` steps over ``1/size``-sized chunks
+    (the bandwidth-optimal large-message algorithm; SNIPPETS.md snippet
+    1's ``mpiAllReduceCompressed`` follows the same shape).
+
+    When the codec supports compressed-domain reduction, the blocks are
+    packed once, every reduce step combines wire images with one fused
+    kernel instead of a decompress + add + recompress sequence, and the
+    ring's allgather phase relays the final chunks keep-compressed.
+    Otherwise the steps run on raw blocks (each hop compressing via the
+    ordinary rendezvous path)."""
+    size, rank = comm.size, comm.rank
+    op = np.add if op is None else op
     algo = _normalize_algorithm(algorithm, size)
     if size == 1:
         return data
     if algo == "reduce_bcast":
         result = yield from reduce(comm, data, 0, op)
-        result = yield from bcast(comm, result, 0)
-        return result
-    if algo == "recursive_doubling":
-        if size & (size - 1):
-            raise MpiError(
-                f"recursive_doubling needs a power-of-two size, got {size}"
-            )
-        result = yield from _allreduce_rdouble(comm, data, op)
-        return result
-    result = yield from _allreduce_ring(comm, data, op)
-    return result
-
-
-def _allreduce_rdouble(comm, data: Any, op: Callable):
-    """Recursive doubling: log2(size) exchanges of the full vector.
-
-    When the codec supports compressed-domain reduction, the vector is
-    packed once and every step combines wire images with one fused
-    kernel instead of a decompress + add + recompress sequence."""
-    size, rank = comm.size, comm.rank
-    if comm.keep_compressed_active(data) and comm.wire_reduce_capable(op):
-        total = np.asarray(data).reshape(-1)
-        acc = yield from comm.pack_wire(total)
-        mask = 1
-        while mask < size:
-            peer = rank ^ mask
-            received = yield from comm.sendrecv_wire(
-                acc, peer, peer, _T_REDUCE, _T_REDUCE
-            )
-            # ``total`` is the running sum ``acc`` encodes: only the
-            # arrival is decoded.
-            acc, total = yield from comm.reduce_wires(acc, total, received, op)
-            mask <<= 1
-        result = yield from comm.unpack_wire(acc)
-        return result.reshape(np.asarray(data).shape)
-    result = data
-    mask = 1
-    while mask < size:
-        peer = rank ^ mask
-        received = yield from comm.sendrecv(
-            result, peer, peer, _T_REDUCE, _T_REDUCE
-        )
-        result = op(result, received)
-        mask <<= 1
-    return result
-
-
-def _allreduce_ring(comm, data: Any, op: Callable):
-    """Ring allreduce: reduce-scatter then allgather, ``2 * (size - 1)``
-    steps over ``1/size``-sized chunks (the bandwidth-optimal large-
-    message algorithm; SNIPPETS.md snippet 1's ``mpiAllReduceCompressed``
-    follows the same shape).
-
-    Both phases run over wire images when the codec supports
-    compressed-domain reduction: the reduce-scatter combines incoming
-    chunks with fused kernels and the allgather phase relays the final
-    chunks keep-compressed.  Otherwise the reduce-scatter runs on raw
-    chunks (each hop compressing via the ordinary rendezvous path).
-    """
-    size, rank = comm.size, comm.rank
+        return (yield from bcast(comm, result, 0))
+    ring = algo == "ring"
+    if not ring and size & (size - 1):
+        raise MpiError(
+            f"recursive_doubling needs a power-of-two size, got {size}")
+    plane = _plane(comm, data, op)
     arr = np.asarray(data)
-    flat = arr.reshape(-1)
-    chunks = np.array_split(flat, size)
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-
-    # Precomputed descending walks for both phases: the reduce-scatter
-    # starts at ``rank``, the allgather at ``rank + 1`` (rank r owns
-    # the fully-reduced chunk (r + 1) % size after the first phase).
-    rs_walk = _ring_schedule(size, rank)
-    ag_walk = _ring_schedule(size, (rank + 1) % size)
-
-    if comm.keep_compressed_active(data) and comm.wire_reduce_capable(op):
-        state: list = []
-        for c in chunks:
-            wire = yield from comm.pack_wire(c)
-            state.append(wire)
-        for s in range(size - 1):
-            recv_idx = rs_walk[s + 1]
-            received = yield from comm.sendrecv_wire(
-                state[rs_walk[s]], right, left, _T_RING_RS, _T_RING_RS
-            )
-            # Each index is reduced once per rank, onto the chunk this
-            # rank packed itself — it holds that operand raw.
-            state[recv_idx], _ = yield from comm.reduce_wires(
-                state[recv_idx], chunks[recv_idx], received, op
-            )
-        # Walk the reduced chunks around the ring keep-compressed.
-        for s in range(size - 1):
-            state[ag_walk[s + 1]] = yield from comm.sendrecv_wire(
-                state[ag_walk[s]], right, left, _T_RING_AG, _T_RING_AG
-            )
-        parts = []
-        for wire in state:
-            part = yield from comm.unpack_wire(wire)
-            parts.append(part)
-        return np.concatenate(parts).reshape(arr.shape)
-
-    acc = [np.array(c) for c in chunks]
-    for s in range(size - 1):
-        recv_idx = rs_walk[s + 1]
-        received = yield from comm.sendrecv(
-            acc[rs_walk[s]], right, left, _T_RING_RS, _T_RING_RS
-        )
-        acc[recv_idx] = op(acc[recv_idx], received)
-    for s in range(size - 1):
-        acc[ag_walk[s + 1]] = yield from comm.sendrecv(
-            acc[ag_walk[s]], right, left, _T_RING_AG, _T_RING_AG
-        )
-    return np.concatenate(acc).reshape(arr.shape)
+    # ``local[i]`` stays the raw running value of block ``i`` on this
+    # rank: a fused reduce step decodes only the arrival.
+    local = np.array_split(arr.reshape(-1), size if ring else 1)
+    blocks = list(local)
+    for i, block in enumerate(local):
+        blocks[i] = yield from plane.pack(block)
+    if ring:
+        # Each index is reduced once per rank, so the raw totals are dead
+        # weight afterwards (a vector per rank); the reduce-scatter leaves
+        # rank r owning chunk (r + 1) % size, where the allgather starts.
+        yield from _exchange(plane, blocks, _ring_steps(
+            size, rank, rank, _T_RING_RS), local, op)
+        del local
+        yield from _exchange(plane, blocks, _ring_steps(
+            size, rank, (rank + 1) % size, _T_RING_AG))
+    else:
+        yield from _exchange(plane, blocks, _rdouble_steps(size, rank),
+                             local, op)
+    for i, held in enumerate(blocks):
+        blocks[i] = yield from plane.unpack(held)
+    return np.concatenate(blocks).reshape(arr.shape)
 
 
 @_traced
@@ -467,20 +428,13 @@ def alltoall(comm, chunks):
         raise MpiError(f"alltoall needs exactly {size} chunks")
     out: list = [None] * size
     out[rank] = chunks[rank]
-    use_wires = comm.keep_compressed_active()
-    for step in range(1, size):
-        dst = (rank + step) % size
-        src = (rank - step) % size
-        if use_wires:
-            wire = yield from comm.pack_wire(chunks[dst])
-            received = yield from comm.sendrecv_wire(
-                wire, dst, src, _T_ALLTOALL + step, _T_ALLTOALL + step
-            )
-            out[src] = yield from comm.unpack_wire(received)
-        else:
-            out[src] = yield from comm.sendrecv(
-                chunks[dst], dst, src, _T_ALLTOALL + step, _T_ALLTOALL + step
-            )
+    plane = _plane(comm)
+    held: list = [None] * size  # in flight: block dst out, block src in
+    for step in _pairwise_steps(size, rank):
+        dst, src = step[0], step[2]
+        held[dst] = yield from plane.pack(chunks[dst])
+        yield from _exchange(plane, held, (step,))
+        out[src] = yield from plane.unpack(held[src])
     return out
 
 
@@ -490,14 +444,6 @@ _BARRIER_TOKEN = np.zeros(1, dtype=np.uint8)
 @_traced
 def barrier(comm):
     """Dissemination barrier (log2(size) rounds of tiny messages)."""
-    size, rank = comm.size, comm.rank
-    k = 0
-    dist = 1
-    while dist < size:
-        dst = (rank + dist) % size
-        src = (rank - dist) % size
-        yield from comm.sendrecv(
-            _BARRIER_TOKEN, dst, src, _T_BARRIER + k, _T_BARRIER + k
-        )
-        dist <<= 1
-        k += 1
+    # A one-byte token is not compressible data: the raw plane.
+    yield from _exchange(_plane(comm, _BARRIER_TOKEN), [_BARRIER_TOKEN, None],
+                         _dissemination_steps(comm.size, comm.rank))

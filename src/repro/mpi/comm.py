@@ -868,23 +868,10 @@ class Communicator:
         the :class:`WireImage` (not decoded — pass it on or unpack)."""
         return self._start_recv(source, tag, _RECV_WIRE)
 
-    def send_wire(self, wire: WireImage, dest: int, tag: int = 0):
-        req = self.isend_wire(wire, dest, tag)
-        yield from req.wait()
-
     def recv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         req = self.irecv_wire(source, tag)
         wire = yield from req.wait()
         return wire
-
-    def sendrecv_wire(self, wire: WireImage, dest: int,
-                      source: int = ANY_SOURCE, sendtag: int = 0,
-                      recvtag: int = ANY_TAG):
-        sreq = self.isend_wire(wire, dest, sendtag)
-        rreq = self.irecv_wire(source, recvtag)
-        received = yield from rreq.wait()
-        yield from sreq.wait()
-        return received
 
     def keep_compressed_active(self, data=None) -> bool:
         """True when collectives should route ``data`` through the
@@ -1057,40 +1044,13 @@ class Communicator:
         return bool(n) and (step + 1) % n == 0
 
     # -- collectives --------------------------------------------------------------
-    def bcast(self, data, root: int = 0):
-        """Binomial-tree broadcast (generator subroutine).  Returns the
-        broadcast data on every rank."""
-        result = yield from _coll.bcast(self, data, root)
-        return result
-
-    def allgather(self, data):
-        """Ring allgather; returns a list of every rank's contribution."""
-        result = yield from _coll.allgather(self, data)
-        return result
-
-    def gather(self, data, root: int = 0):
-        result = yield from _coll.gather(self, data, root)
-        return result
-
-    def scatter(self, chunks, root: int = 0):
-        result = yield from _coll.scatter(self, chunks, root)
-        return result
-
-    def reduce(self, data, root: int = 0, op=None):
-        result = yield from _coll.reduce(self, data, root, op)
-        return result
-
-    def allreduce(self, data, op=None, algorithm=None):
-        """Allreduce via ``algorithm``: ``"ring"`` (reduce-scatter +
-        allgather, any size), ``"recursive_doubling"`` (power-of-two
-        sizes) or ``"reduce_bcast"``; ``None`` picks recursive doubling
-        for power-of-two sizes and the ring otherwise."""
-        result = yield from _coll.allreduce(self, data, op, algorithm)
-        return result
-
-    def alltoall(self, chunks):
-        result = yield from _coll.alltoall(self, chunks)
-        return result
-
-    def barrier(self):
-        yield from _coll.barrier(self)
+    # The module functions themselves (generator subroutines taking the
+    # communicator first): a call adds no generator frame of its own.
+    bcast = _coll.bcast
+    allgather = _coll.allgather
+    gather = _coll.gather
+    scatter = _coll.scatter
+    reduce = _coll.reduce
+    allreduce = _coll.allreduce
+    alltoall = _coll.alltoall
+    barrier = _coll.barrier

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import CompressionConfig
 from repro.errors import MpiError
+from repro.mpi import collectives
 from repro.mpi.cluster import Cluster
+from repro.mpi.comm import Communicator
 from repro.network.presets import machine_preset
 
 
@@ -45,6 +47,28 @@ def test_bcast_bad_root():
 
     with pytest.raises(MpiError):
         run_collective(2, rank_fn)
+
+
+@pytest.mark.parametrize("name,root", [
+    ("bcast", 9), ("gather", 7), ("scatter", 9), ("reduce", 5),
+    ("reduce", -1), ("bcast", 4), ("gather", -4),
+])
+def test_rooted_collectives_reject_a_bad_root_on_every_rank(name, root):
+    """``reduce(root=5)`` on 4 ranks used to deliver the sum at rank 1
+    (the tree takes the root modulo the size), and ``gather(root=7)``
+    to fail inside point-to-point as "destination rank 7 out of range"."""
+    def rank_fn(comm):
+        arg = np.ones(8, np.float32)
+        if name == "scatter":
+            arg = [arg] * comm.size
+        try:
+            yield from getattr(comm, name)(arg, root=root)
+        except MpiError as exc:
+            return str(exc)
+        return None
+
+    res = run_collective(4, rank_fn)
+    assert res.values == [f"{name} root {root} out of range [0, 4)"] * 4
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4, 5, 8])
@@ -201,3 +225,13 @@ def test_allgather_with_compression_faster_on_compressible():
     base = run_collective(8, rank_fn, config=CompressionConfig.disabled(), ppn=2)
     comp = run_collective(8, rank_fn, config=CompressionConfig.mpc_opt(), ppn=2)
     assert comp.elapsed < base.elapsed
+
+
+def test_collective_methods_are_the_module_functions():
+    """No generator frame between ``comm.allgather(...)`` and the
+    algorithm, and no blocking wire helpers nothing calls."""
+    for name in ("bcast", "gather", "scatter", "allgather", "reduce",
+                 "allreduce", "alltoall", "barrier"):
+        assert getattr(Communicator, name) is getattr(collectives, name)
+    assert not hasattr(Communicator, "send_wire")
+    assert not hasattr(Communicator, "sendrecv_wire")
