@@ -278,26 +278,25 @@ def cmd_explain(args) -> None:
         from repro.analysis.traceio import load_trace_records
 
         try:
-            records = load_trace_records(args.trace)
+            trace = load_trace_records(args.trace)
         except (OSError, RprtError, ValueError) as exc:
             raise SystemExit(f"cannot read {args.trace}: {exc}")
-        print(CritPathAnalyzer(records).explain(n=args.top))
-        return
+    else:
+        config = _config(_CODECS.get(args.codec, args.codec))
+        nbytes = parse_size(args.size)
+        data = make_payload(args.payload, nbytes, seed=1)
+        cluster = Cluster(machine_preset(args.machine), nodes=2,
+                          gpus_per_node=1)
 
-    config = _config(_CODECS.get(args.codec, args.codec))
-    nbytes = parse_size(args.size)
-    data = make_payload(args.payload, nbytes, seed=1)
-    cluster = Cluster(machine_preset(args.machine), nodes=2, gpus_per_node=1)
+        def rank_fn(comm):
+            if comm.rank == 0:
+                yield from comm.send(data, dest=1, tag=7)
+                return nbytes
+            received = yield from comm.recv(source=0, tag=7)
+            return received.nbytes
 
-    def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, dest=1, tag=7)
-            return nbytes
-        received = yield from comm.recv(source=0, tag=7)
-        return received.nbytes
-
-    res = cluster.run(rank_fn, config=config)
-    print(CritPathAnalyzer(res.tracer).explain(n=args.top))
+        trace = cluster.run(rank_fn, config=config).tracer
+    print(CritPathAnalyzer(trace).explain(n=args.top))
 
 
 def _snapshot_command(args, kind: str, module, advisory: bool,

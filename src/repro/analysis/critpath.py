@@ -38,8 +38,10 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
+from repro.sim.trace import Trace
 from repro.utils.tables import format_table
 from repro.utils.units import fmt_bytes
 
@@ -113,17 +115,13 @@ def _sweep(spans, t0: float, t1: float) -> list[Segment]:
     return segments
 
 
-def _with_steps(segments: list[Segment], by_id: dict) -> list[Segment]:
+def _with_steps(segments: list[Segment], trace: Trace) -> list[Segment]:
     """Annotate each segment with its enclosing ``pipeline`` step."""
     out = []
     for seg in segments:
-        rec = seg.span
-        step = None
-        while rec is not None:
-            if rec.category == "pipeline":
-                step = rec.label
-                break
-            rec = by_id.get(rec.parent_id)
+        step = next((r.label
+                     for r in chain((seg.span,), trace.ancestors(seg.span))
+                     if r.category == "pipeline"), None)
         out.append(Segment(seg.t_start, seg.t_end, seg.kind, seg.span, step))
     return out
 
@@ -222,31 +220,19 @@ class CollectivePath(_Path):
 
 
 class CritPathAnalyzer:
-    """Walks a tracer's span DAG and attributes end-to-end latency."""
+    """Walks a trace's span DAG (any source
+    :meth:`~repro.sim.trace.Trace.of` accepts) and attributes
+    end-to-end latency."""
 
-    def __init__(self, tracer):
-        self._records = list(tracer.records)
-        self._by_id = {r.span_id: r for r in self._records}
-        self._children: dict = {}
-        for r in self._records:
-            self._children.setdefault(r.parent_id, []).append(r)
+    def __init__(self, source):
+        self.trace = Trace.of(source)
+
+    def _under(self, roots) -> list:
+        """``roots`` plus everything nested beneath them."""
+        return [r for root in roots
+                for r in (root, *self.trace.descendants(root.span_id))]
 
     # -- message stitching --------------------------------------------------
-    def _message_spans(self) -> dict[int, list]:
-        """seq -> the message's pipeline spans plus their descendants."""
-        out: dict[int, list] = {}
-        for rec in self._records:
-            if rec.category != "pipeline" or "seq" not in rec.meta:
-                continue
-            group = out.setdefault(int(rec.meta["seq"]), [])
-            group.append(rec)
-            stack = list(self._children.get(rec.span_id, []))
-            while stack:
-                child = stack.pop()
-                group.append(child)
-                stack.extend(self._children.get(child.span_id, []))
-        return out
-
     def messages(self) -> list[MessagePath]:
         """One :class:`MessagePath` per rendezvous message, by ``seq``.
 
@@ -256,17 +242,17 @@ class CritPathAnalyzer:
         post-delivery cleanup (``sender_release``) is off the path.
         """
         out = []
-        for seq, spans in sorted(self._message_spans().items()):
-            steps = {r.label: r for r in spans if r.category == "pipeline"}
+        for seq, msg in sorted(self.trace.messages.items()):
+            spans = self._under(msg.spans)
             t0 = min(r.t_start for r in spans)
-            done = [r for r in spans if r.category == "pipeline"
-                    and r.label == "receiver_complete"]
-            t1 = max(r.t_end for r in done) if done else max(r.t_end for r in spans)
-            sender = steps.get("sender_prepare")
-            receiver = steps.get("receiver_prepare") or steps.get("receiver_complete")
-            segments = _with_steps(_sweep(spans, t0, t1), self._by_id)
-            wire = [r for r in spans if r.category == "pipeline"
-                    and r.label == "wire_transfer" and "nbytes" in r.meta]
+            done = msg.steps.get("receiver_complete")
+            t1 = max(r.t_end for r in done or spans)
+            sender = msg.first("sender_prepare")
+            receiver = (msg.first("receiver_prepare")
+                        or msg.first("receiver_complete"))
+            segments = _with_steps(_sweep(spans, t0, t1), self.trace)
+            wire = [r for r in msg.steps.get("wire_transfer", ())
+                    if "nbytes" in r.meta]
             out.append(MessagePath(
                 seq=seq,
                 src=sender.rank if sender else None,
@@ -282,17 +268,11 @@ class CritPathAnalyzer:
         """One :class:`CollectivePath` per ``collective`` span (i.e. per
         rank per collective call), swept over that span's descendants."""
         out = []
-        for rec in self._records:
-            if rec.category != "collective" or rec.duration <= 0:
+        for rec in self.trace.collectives:
+            if rec.duration <= 0:
                 continue
-            spans = [rec]
-            stack = list(self._children.get(rec.span_id, []))
-            while stack:
-                child = stack.pop()
-                spans.append(child)
-                stack.extend(self._children.get(child.span_id, []))
             segments = _with_steps(
-                _sweep(spans, rec.t_start, rec.t_end), self._by_id)
+                _sweep(self._under([rec]), rec.t_start, rec.t_end), self.trace)
             out.append(CollectivePath(
                 label=rec.label, rank=rec.rank,
                 t_start=rec.t_start, t_end=rec.t_end,

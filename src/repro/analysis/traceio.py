@@ -32,21 +32,12 @@ import numpy as np
 
 from repro.analysis.rprt import (DEFAULT_BLOCK_CODEC, RprtError, RprtReader,
                                  _trace_writer, is_rprt)
+from repro.sim.trace import Trace
 
 __all__ = ["trace_format", "iter_chrome_file_events", "iter_trace_records",
-           "open_trace", "load_trace_records", "read_otherdata", "convert",
-           "RecordSet"]
+           "open_trace", "load_trace_records", "read_otherdata", "convert"]
 
 _CHUNK = 1 << 16
-
-
-class RecordSet:
-    """Minimal tracer shim: analysis passes that only read ``.records``
-    (CritPathAnalyzer, TraceSanitizer) accept this in place of a live
-    tracer."""
-
-    def __init__(self, records):
-        self.records = list(records)
 
 
 def trace_format(path) -> str:
@@ -214,12 +205,10 @@ def open_trace(path):
         yield read_otherdata(path), iter_trace_records(path)
 
 
-def load_trace_records(path) -> RecordSet:
-    """Materialize a trace file as a :class:`RecordSet` (records sorted
-    the way live tracers are consumed)."""
-    records = list(iter_trace_records(path))
-    records.sort(key=lambda r: (r.t_start, r.t_end, r.span_id))
-    return RecordSet(records)
+def load_trace_records(path) -> Trace:
+    """Materialize a trace file as the :class:`~repro.sim.trace.Trace`
+    every index-building analysis reads."""
+    return Trace(iter_trace_records(path))
 
 
 # -- conversion --------------------------------------------------------------

@@ -48,49 +48,38 @@ SMOKE_COLLECTIVES = ("bcast", "allreduce")
 _SMOKE_BYTES = 1 << 20
 
 
-def _smoke_run(config_name: str, asan: bool):
-    """One 2-rank pingpong under ``config_name``; returns the result."""
+def _smoke_run(name: str, asan):
+    """One in-process smoke under sanitizer mode ``asan``: a 2-rank
+    pingpong under config ``name`` or, for a :data:`SMOKE_COLLECTIVES`
+    name, that 4-rank keep-compressed collective under mpc-opt;
+    returns the result."""
     from repro.analysis.bench import named_config
     from repro.mpi.cluster import Cluster
     from repro.network.presets import machine_preset
     from repro.omb.payload import make_payload
 
-    data = make_payload("omb", _SMOKE_BYTES, seed=1)
+    collective = name in SMOKE_COLLECTIVES
+    data = make_payload("dataset:msg_sppm" if collective else "omb",
+                        _SMOKE_BYTES, seed=1)
 
     def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, dest=1, tag=7)
-            received = yield from comm.recv(source=1, tag=8)
-        else:
-            received = yield from comm.recv(source=0, tag=7)
-            yield from comm.send(received, dest=0, tag=8)
-        return received.nbytes
-
-    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
-    return cluster.run(rank_fn, config=named_config(config_name),
-                       args=(), asan=asan)
-
-
-def _smoke_collective(op: str, asan: bool):
-    """One 4-rank keep-compressed collective under mpc-opt."""
-    from repro.analysis.bench import named_config
-    from repro.mpi.cluster import Cluster
-    from repro.network.presets import machine_preset
-    from repro.omb.payload import make_payload
-
-    data = make_payload("dataset:msg_sppm", _SMOKE_BYTES, seed=1)
-
-    def rank_fn(comm):
-        if op == "bcast":
+        if name == "bcast":
             out = yield from comm.bcast(data if comm.rank == 0 else None,
                                         root=0)
-        else:
+        elif name == "allreduce":
             out = yield from comm.allreduce(data)
+        elif comm.rank == 0:
+            yield from comm.send(data, dest=1, tag=7)
+            out = yield from comm.recv(source=1, tag=8)
+        else:
+            out = yield from comm.recv(source=0, tag=7)
+            yield from comm.send(out, dest=0, tag=8)
         return out.nbytes
 
-    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=2)
-    return cluster.run(rank_fn, config=named_config("mpc-opt"),
-                       args=(), asan=asan)
+    cluster = Cluster(machine_preset("longhorn"), nodes=2,
+                      gpus_per_node=2 if collective else 1)
+    return cluster.run(rank_fn, args=(), asan=asan,
+                       config=named_config("mpc-opt" if collective else name))
 
 
 def _pass_lint(paths) -> dict:
@@ -107,95 +96,75 @@ def _pass_lint(paths) -> dict:
     }
 
 
-def _pass_trace(trace_files) -> dict:
+def _check_trace(trace, result):
     from repro.check.sanitize import TraceSanitizer
 
-    findings, lines, checked = [], [], []
-    if trace_files:
-        for f in trace_files:
-            checked.append(str(f))
-            for v in TraceSanitizer.from_trace_file(f).check_all():
-                findings.append(dict(v.as_dict(), **{"pass": "trace"},
-                                     trace=str(f)))
-                lines.append(f"{f}: {v.describe()}")
-    else:
-        for name in SMOKE_CONFIGS:
-            checked.append(f"in-process pt2pt [{name}]")
-            res = _smoke_run(name, asan=False)
-            for v in TraceSanitizer.from_tracer(res.tracer).check_all():
-                findings.append(dict(v.as_dict(), **{"pass": "trace"},
-                                     trace=name))
-                lines.append(f"[{name}] {v.describe()}")
-        for op in SMOKE_COLLECTIVES:
-            checked.append(f"in-process {op} [mpc-opt]")
-            res = _smoke_collective(op, asan=False)
-            for v in TraceSanitizer.from_tracer(res.tracer).check_all():
-                findings.append(dict(v.as_dict(), **{"pass": "trace"},
-                                     trace=op))
-                lines.append(f"[{op}] {v.describe()}")
-    return {"pass": "trace", "ok": not findings, "checked": checked,
-            "findings": findings, "lines": lines}
+    return TraceSanitizer(trace).check_all(), None
 
 
-def _pass_hb(trace_files) -> dict:
+def _check_hb(trace, result):
     from repro.check.hb import HBChecker
 
-    findings, lines, checked = [], [], []
-    if trace_files:
-        for f in trace_files:
-            checked.append(str(f))
-            for v in HBChecker.from_trace_file(f).check_all():
-                findings.append(dict(v.as_dict(), **{"pass": "hb"},
-                                     trace=str(f)))
-                lines.append(f"{f}: {v.describe()}")
-    else:
-        # In-process smokes run with access recording so the
-        # buffer-race detector sees real input, not just span meta.
-        runs = [(f"in-process pt2pt [{name}]", name,
-                 lambda name=name: _smoke_run(name, asan="record"))
-                for name in SMOKE_CONFIGS]
-        runs += [(f"in-process {op} [mpc-opt]", op,
-                  lambda op=op: _smoke_collective(op, asan="record"))
-                 for op in SMOKE_COLLECTIVES]
-        for desc, name, fn in runs:
-            checked.append(desc)
-            res = fn()
-            checker = HBChecker.from_result(res)
-            for v in checker.check_all():
-                findings.append(dict(v.as_dict(), **{"pass": "hb"},
-                                     trace=name))
-                lines.append(f"[{name}] {v.describe()}")
-            lines.append(f"[{name}] hb: {len(checker.records)} spans, "
-                         f"{len(checker.access_log)} recorded accesses")
-    return {"pass": "hb", "ok": not findings, "checked": checked,
-            "findings": findings, "lines": lines}
+    if result is None:  # an exported trace carries no access log
+        return HBChecker(trace).check_all(), None
+    checker = HBChecker.from_result(result)
+    return checker.check_all(), (f"hb: {len(checker.records)} spans, "
+                                 f"{len(checker.access_log)} recorded accesses")
 
 
-def _pass_asan() -> dict:
+def _check_asan(trace, result):
+    # the run itself was the check: a lifecycle crime raises out of it
+    stats = result.asan.stats()
+    return [], (f"clean: {stats['buffers']} buffers, "
+                f"{stats['events']} lifecycle events")
+
+
+#: pass name -> (its checker, the ``asan=`` mode of its in-process runs).
+#: A checker takes ``(trace, result)`` — a loaded file (``result`` is
+#: None) or a finished smoke run (``trace`` is its tracer) — and returns
+#: its violations plus an optional summary line.  ``hb`` runs with
+#: access recording so the buffer-race detector sees real input, not
+#: just span meta.
+_TRACE_PASSES = {
+    "trace": (_check_trace, False),
+    "hb": (_check_hb, "record"),
+    "asan": (_check_asan, True),
+}
+
+
+def _pass_over_traces(name: str, traces) -> dict:
+    """Run pass ``name`` over ``traces`` — ``(file, loaded Trace)``
+    pairs, shared by every pass of this invocation — or, given none,
+    over the in-process smokes."""
     from repro.errors import BufferSanitizerError
 
-    checked, lines, ok = [], [], True
-    runs = [(f"in-process pt2pt [{name}]", name,
-             lambda name=name: _smoke_run(name, asan=True))
-            for name in SMOKE_CONFIGS]
-    runs += [(f"in-process {op} [mpc-opt]", op,
-              lambda op=op: _smoke_collective(op, asan=True))
-             for op in SMOKE_COLLECTIVES]
-    findings = []
-    for desc, name, fn in runs:
+    check, asan = _TRACE_PASSES[name]
+    findings, lines, checked = [], [], []
+    # (description, provenance, line prefix, loaded trace)
+    sources = [(str(f), str(f), f"{f}: ", trace) for f, trace in traces] or (
+        [(f"in-process pt2pt [{n}]", n, f"[{n}] ", None)
+         for n in SMOKE_CONFIGS]
+        + [(f"in-process {op} [mpc-opt]", op, f"[{op}] ", None)
+           for op in SMOKE_COLLECTIVES])
+    for desc, origin, prefix, trace in sources:
         checked.append(desc)
-        try:
-            res = fn()
-        except BufferSanitizerError as exc:
-            ok = False
-            findings.append({"pass": "asan", "fixture": name,
-                             "message": str(exc)})
-            lines.append(f"[{name}] {exc}")
-            continue
-        stats = res.asan.stats()
-        lines.append(f"[{name}] clean: {stats['buffers']} buffers, "
-                     f"{stats['events']} lifecycle events")
-    return {"pass": "asan", "ok": ok, "checked": checked,
+        result = None
+        if trace is None:
+            try:
+                result = _smoke_run(origin, asan)
+            except BufferSanitizerError as exc:
+                findings.append({"pass": name, "fixture": origin,
+                                 "message": str(exc)})
+                lines.append(f"{prefix}{exc}")
+                continue
+            trace = result.tracer
+        violations, summary = check(trace, result)
+        for v in violations:
+            findings.append(dict(v.as_dict(), **{"pass": name}, trace=origin))
+            lines.append(f"{prefix}{v.describe()}")
+        if summary:
+            lines.append(f"{prefix}{summary}")
+    return {"pass": name, "ok": not findings, "checked": checked,
             "findings": findings, "lines": lines}
 
 
@@ -222,6 +191,11 @@ def _pass_selftest() -> dict:
     if not TraceSanitizer(fixtures.acausal_records()).check_causality():
         failures.append(("acausal_records",
                          "causality check missed a backwards handshake"))
+    retry = TraceSanitizer(fixtures.early_retry_records()).check_causality()
+    if len(retry) != 1:
+        failures.append(("early_retry_records",
+                         "causality check paired a retried completion with "
+                         f"another attempt's transfer (found {len(retry)}/1)"))
     coll = TraceSanitizer(fixtures.bad_collective_records()).check_collectives()
     if len(coll) < 3:
         failures.append(("bad_collective_records",
@@ -282,15 +256,21 @@ def run_check(lint: bool = False, trace: bool = False, asan: bool = False,
 
         paths = [Path(repro.__file__).parent]
 
+    traces = []
+    if trace or hb:
+        from repro.analysis.traceio import load_trace_records
+
+        traces = [(f, load_trace_records(f)) for f in trace_files]
+
     results = []
     if lint:
         results.append(_pass_lint(list(paths)))
     if trace:
-        results.append(_pass_trace(list(trace_files)))
+        results.append(_pass_over_traces("trace", traces))
     if asan:
-        results.append(_pass_asan())
+        results.append(_pass_over_traces("asan", ()))
     if hb:
-        results.append(_pass_hb(list(trace_files)))
+        results.append(_pass_over_traces("hb", traces))
     if selftest:
         results.append(_pass_selftest())
 

@@ -12,6 +12,9 @@ catch and asserts it is reported:
 * :func:`acausal_records` — a rendezvous message whose ``cts`` precedes
   its ``rts`` and whose wire transfer starts before the ``cts``
   completes;
+* :func:`early_retry_records` — a retransmitted message whose second
+  ``receiver_complete`` starts before the retransmission landed: only
+  pairing each completion with the transfer of its own attempt sees it;
 * :func:`bad_collective_records` — keep-compressed collective hops
   committing all three collective-causality crimes: a relayed hop that
   dropped the originating seq, a wire span outside any collective span
@@ -46,7 +49,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecord
 
 __all__ = ["BAD_LINT_SOURCE", "overlap_records", "acausal_records",
-           "bad_collective_records", "bad_liveness_records",
+           "early_retry_records", "bad_collective_records", "bad_liveness_records",
            "run_double_release", "run_use_after_free", "run_leak",
            "run_buffer_race", "message_race_records", "deadlock_records",
            "bad_wire_records"]
@@ -103,6 +106,26 @@ def acausal_records() -> list[TraceRecord]:
              dict(seq, nbytes=64), span_id=4),
         _rec(6e-6, 7e-6, "pipeline", "receiver_complete", dict(seq),
              rank=1, span_id=5),
+    ]
+
+
+def early_retry_records() -> list[TraceRecord]:
+    """A message delivered twice (the first attempt arrived corrupted):
+    the retry's ``receiver_complete`` begins at 5us, after the *first*
+    transfer landed (3us) but before its own did (7us)."""
+    seq = {"seq": 4}
+    retry = dict(seq, attempt=1)
+    return [
+        _rec(0.0, 1e-6, "pipeline", "rts", dict(seq), span_id=1),
+        _rec(1e-6, 2e-6, "pipeline", "cts", dict(seq), rank=1, span_id=2),
+        _rec(2e-6, 3e-6, "pipeline", "wire_transfer",
+             dict(seq, nbytes=64), span_id=3),
+        _rec(3e-6, 4e-6, "pipeline", "receiver_complete", dict(seq),
+             rank=1, span_id=4),
+        _rec(6e-6, 7e-6, "pipeline", "wire_transfer",
+             dict(retry, nbytes=64), span_id=5),
+        _rec(5e-6, 8e-6, "pipeline", "receiver_complete", dict(retry),
+             rank=1, span_id=6),
     ]
 
 
@@ -219,7 +242,7 @@ def run_buffer_race() -> None:
         yield from pool.release(buf)
 
     sim.run_process(proc())
-    checker = HBChecker.from_tracer(tracer, access_log=sim.asan.access_log)
+    checker = HBChecker(tracer, access_log=sim.asan.access_log)
     checker.assert_race_free()
 
 

@@ -26,8 +26,10 @@ Every span contributes two nodes, ``S`` (start) and ``E`` (end), with
 ``rendezvous``
     Per-``seq`` handshake edges: ``sender_prepare -> rts ->
     {receiver_prepare, cts} -> wire_transfer -> receiver_complete``
-    (part-matched) and ``wire -> sender_release``.  The wire-to-
-    complete edge is the cross-rank send->recv edge.
+    (matched by part and attempt,
+    :meth:`repro.sim.trace.Message.wire_for`), each retransmission
+    after the attempt it repeats, and ``wire -> sender_release``.  The
+    wire-to-complete edge is the cross-rank send->recv edge.
 
 ``collective``
     Participation barriers: spans of one collective instance — grouped
@@ -88,11 +90,12 @@ Detectors (each returns :class:`~repro.check.sanitize.TraceViolation`):
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Optional
 
 from repro.check.sanitize import EPS, SERIAL_LANE_PREFIXES, TraceViolation
 from repro.errors import BufferRaceError
-from repro.sim.trace import TraceRecord, group_by_seq, group_lanes
+from repro.sim.trace import Trace, TraceRecord
 
 __all__ = ["HappensBefore", "HBChecker", "SYMMETRIC_COLLECTIVES"]
 
@@ -108,11 +111,12 @@ _ANY = -1
 
 
 class HappensBefore:
-    """Vector-clock happens-before relation over a list of spans."""
+    """Vector-clock happens-before relation over one trace (any source
+    :meth:`~repro.sim.trace.Trace.of` accepts)."""
 
-    def __init__(self, records: Iterable[TraceRecord]):
-        self.records = sorted(records,
-                              key=lambda r: (r.t_start, r.t_end, r.span_id))
+    def __init__(self, source):
+        self.trace = Trace.of(source)
+        self.records = self.trace.records
         n = 2 * len(self.records)
         self._idx = {r.span_id: i for i, r in enumerate(self.records)}
         self._succs: list[list[int]] = [[] for _ in range(n)]
@@ -158,7 +162,7 @@ class HappensBefore:
         self._failstop_edges()
 
     def _lane_edges(self) -> None:
-        for (rank, track), spans in group_lanes(self.records).items():
+        for (rank, track), spans in self.trace.lanes.items():
             if not track.startswith(SERIAL_LANE_PREFIXES):
                 continue
             prev = None
@@ -168,7 +172,7 @@ class HappensBefore:
                 prev = rec
 
     def _tree_edges(self) -> None:
-        by_id = {r.span_id: r for r in self.records}
+        by_id = self.trace.by_id
         for rec in self.records:
             parent = by_id.get(rec.parent_id)
             if parent is None:
@@ -179,13 +183,10 @@ class HappensBefore:
             self._edge(self._e(rec), self._e(parent))
 
     def _rendezvous_edges(self) -> None:
-        for _seq, spans in sorted(group_by_seq(self.records).items()):
-            steps: dict[str, list[TraceRecord]] = {}
-            for r in spans:
-                steps.setdefault(r.label, []).append(r)
+        for _seq, msg in sorted(self.trace.messages.items()):
 
             def firsts(label):
-                return steps.get(label, ())
+                return msg.steps.get(label, ())
 
             for prep in firsts("sender_prepare"):
                 for rts in firsts("rts"):
@@ -201,11 +202,15 @@ class HappensBefore:
             for cts in firsts("cts"):
                 for w in wires:
                     self._edge(self._e(cts), self._s(w))
-            wire_by_part = {w.meta.get("part"): w for w in wires}
+            # a retransmission is sent after the attempt it repeats
+            latest: dict = {}  # part -> its latest attempt so far
+            for w in wires:
+                part = w.meta.get("part")
+                if part in latest:
+                    self._edge(self._e(latest[part]), self._s(w))
+                latest[part] = w
             for rc in firsts("receiver_complete"):
-                w = wire_by_part.get(rc.meta.get("part"))
-                if w is None and wires:
-                    w = min(wires, key=lambda r: (r.t_end, r.span_id))
+                w = msg.wire_for(rc)
                 if w is not None:
                     self._edge(self._e(w), self._s(rc))
             for rel in firsts("sender_release"):
@@ -213,15 +218,8 @@ class HappensBefore:
                     self._edge(self._e(w), self._s(rel))
 
     def _collective_edges(self) -> None:
-        groups: dict[tuple, list[TraceRecord]] = {}
-        for r in self.records:
-            if r.category != "collective":
-                continue
-            if "comm" not in r.meta or "coll_seq" not in r.meta:
-                continue  # pre-PR-9 trace: no instance identity, no barrier
-            key = (r.meta["comm"], r.meta["coll_seq"], r.label)
-            groups.setdefault(key, []).append(r)
-        for key, members in sorted(groups.items()):
+        # a span with no instance identity joins none: no barrier
+        for key, members in sorted(self.trace.collective_instances.items()):
             if key[2] not in SYMMETRIC_COLLECTIVES or len(members) < 2:
                 continue
             for a in members:
@@ -230,10 +228,7 @@ class HappensBefore:
                         self._edge(self._s(a), self._e(b))
 
     def _failstop_edges(self) -> None:
-        kills: dict[int, list[TraceRecord]] = {}
-        for r in self.records:
-            if r.label == "rank_kill" and r.rank is not None:
-                kills.setdefault(r.rank, []).append(r)
+        kills = self.trace.kills
         if not kills:
             return
         for r in self.records:
@@ -331,22 +326,19 @@ class HBChecker:
     """The four HB detectors over one trace (plus an optional sanitizer
     access log for the buffer-race pass)."""
 
-    def __init__(self, records: Iterable[TraceRecord], access_log=None):
-        self.hb = HappensBefore(records)
-        self.records = self.hb.records
+    def __init__(self, source, access_log=None):
+        self.hb = HappensBefore(source)
+        self.trace = self.hb.trace
+        self.records = self.trace.records
         self.access_log = list(access_log) if access_log else []
 
     # -- construction --------------------------------------------------------
-    @classmethod
-    def from_tracer(cls, tracer, access_log=None) -> "HBChecker":
-        return cls(tracer.records, access_log=access_log)
-
     @classmethod
     def from_result(cls, result) -> "HBChecker":
         """From a :class:`~repro.mpi.cluster.ClusterResult`: spans from
         the tracer, accesses from the run's sanitizer (if recording)."""
         log = getattr(result.asan, "access_log", None) if result.asan else None
-        return cls(result.tracer.records, access_log=log)
+        return cls(result.tracer, access_log=log)
 
     @classmethod
     def from_trace_file(cls, path) -> "HBChecker":
@@ -354,32 +346,30 @@ class HBChecker:
         every detector except ``buffer-race`` applies."""
         from repro.analysis.traceio import load_trace_records
 
-        return cls(load_trace_records(path).records)
+        return cls(load_trace_records(path))
 
     # -- buffer races --------------------------------------------------------
-    def _by_id(self) -> dict[int, TraceRecord]:
-        return {r.span_id: r for r in self.records}
-
-    def _spans_related(self, a: int, b: int, by_id: dict) -> bool:
+    def _spans_related(self, a: int, b: int) -> bool:
         """Ancestor-or-equal in the span tree: an access made under an
         enclosing span is program-ordered with the spawn points of work
-        nested (or inherited) beneath it."""
+        nested (or inherited) beneath it.  (Parent *ids* are compared:
+        the enclosing span may still be open, hence not in the trace.)"""
         if a == b:
             return True
         for lo, hi in ((a, b), (b, a)):
-            cur = by_id.get(hi)
-            while cur is not None and cur.parent_id is not None:
-                if cur.parent_id == lo:
-                    return True
-                cur = by_id.get(cur.parent_id)
+            rec = self.trace.by_id.get(hi)
+            if rec is not None and any(
+                    r.parent_id == lo
+                    for r in chain((rec,), self.trace.ancestors(rec))):
+                return True
         return False
 
-    def _accesses_ordered(self, a, b, by_id: dict) -> bool:
+    def _accesses_ordered(self, a, b) -> bool:
         if a.proc == b.proc:
             return True  # same simulated process: program order
         if a.span_id is None or b.span_id is None:
             return False
-        if self._spans_related(a.span_id, b.span_id, by_id):
+        if self._spans_related(a.span_id, b.span_id):
             return True
         return (self.hb.hb_span(a.span_id, b.span_id)
                 or self.hb.hb_span(b.span_id, a.span_id))
@@ -388,7 +378,6 @@ class HBChecker:
         """Concurrent conflicting accesses to one buffer checkout."""
         if not self.access_log:
             return []
-        by_id = self._by_id()
         groups: dict[tuple, list] = {}
         for acc in self.access_log:
             groups.setdefault((acc.shadow_id, acc.epoch), []).append(acc)
@@ -402,7 +391,7 @@ class HBChecker:
                         continue
                     if a.lo >= b.hi or b.lo >= a.hi:
                         continue  # disjoint byte ranges
-                    if self._accesses_ordered(a, b, by_id):
+                    if self._accesses_ordered(a, b):
                         continue
                     key = (shadow, epoch, min(a.proc, b.proc),
                            max(a.proc, b.proc))
@@ -433,16 +422,13 @@ class HBChecker:
         """Wildcard matches racing against a concurrent rival send."""
         rts_spans = [r for r in self.records
                      if r.category == "pipeline" and r.label == "rts"]
-        first_rts: dict[int, TraceRecord] = {}
-        for r in rts_spans:
-            seq = r.meta.get("seq")
-            if seq is not None and seq not in first_rts:
-                first_rts[seq] = r
+        messages = self.trace.messages
         out = []
         for w in self.records:
             if w.category != "matching" or w.label != "wildcard_match":
                 continue
-            matched = first_rts.get(w.meta.get("seq"))
+            msg = messages.get(w.meta.get("seq"))
+            matched = msg.first("rts") if msg is not None else None
             if matched is None:
                 continue  # eager send: no rts span to race against
             posted_tag = w.meta.get("posted_tag", _ANY)
@@ -472,11 +458,8 @@ class HBChecker:
     def check_deadlock(self) -> list[TraceViolation]:
         """Explain stalls: cycles in the rank wait-for graph."""
         waits: dict[int, list[tuple]] = {}  # waiter -> [(peer, why, span)]
-        for seq, spans in sorted(group_by_seq(self.records).items()):
-            steps: dict[str, TraceRecord] = {}
-            for r in spans:
-                steps.setdefault(r.label, r)
-            rts, cts = steps.get("rts"), steps.get("cts")
+        for seq, msg in sorted(self.trace.messages.items()):
+            rts, cts = msg.first("rts"), msg.first("cts")
             if rts is not None and cts is None \
                     and rts.rank is not None and "dst" in rts.meta:
                 waits.setdefault(rts.rank, []).append((
@@ -484,7 +467,7 @@ class HBChecker:
                     f"seq {seq}: rank {rts.rank} sent rts and blocks on "
                     f"rank {rts.meta['dst']} for cts (no matching recv "
                     f"posted)", rts))
-            if cts is not None and "receiver_complete" not in steps \
+            if cts is not None and "receiver_complete" not in msg.steps \
                     and cts.rank is not None and "dst" in cts.meta:
                 waits.setdefault(cts.rank, []).append((
                     cts.meta["dst"],
@@ -524,10 +507,8 @@ class HBChecker:
                             f"ranks wait in a cycle [{arrows}]: "
                             + "; ".join(reasons),
                             span_ids=tuple(span_ids),
-                            t=min(self.records[0].t_start, 0.0)
-                            if not span_ids else
-                            min(s.t_start for s in self.records
-                                if s.span_id in span_ids)))
+                            t=min(self.trace.by_id[s].t_start
+                                  for s in span_ids)))
                     elif peer not in visited:
                         visited.add(peer)
                         stack.append((peer, path + [peer]))
@@ -538,11 +519,7 @@ class HBChecker:
         """pack -> relay* -> unpack (at most once per consumer), and no
         collective work on a revoked communicator."""
         out = []
-        minters: dict[int, list[TraceRecord]] = {}
-        for r in self.records:
-            if r.label in ("pack_wire", "reduce_wire") \
-                    and "origin_seq" in r.meta:
-                minters.setdefault(r.meta["origin_seq"], []).append(r)
+        minters = self.trace.origins
         for origin, spans in sorted(minters.items()):
             if len(spans) > 1:
                 out.append(TraceViolation(
@@ -587,8 +564,8 @@ class HBChecker:
         # revoked-communicator usage
         revokes = [(r.meta.get("comm_id"), r) for r in self.records
                    if r.label == "comm_revoke" and r.track == "faults"]
-        for r in self.records:
-            if r.category != "collective" or "comm" not in r.meta:
+        for r in self.trace.collectives:
+            if "comm" not in r.meta:
                 continue
             for cid, rev in revokes:
                 if cid == r.meta["comm"] and r.t_start > rev.t_start + EPS:

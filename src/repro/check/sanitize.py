@@ -4,11 +4,11 @@ A run's trace is not just a visualization artifact — the critical-path
 analyzer, the latency breakdowns and the paper figures are all computed
 from it, so a malformed trace silently corrupts every downstream
 number.  This module re-validates the invariants the simulator is
-supposed to enforce, either over a live :class:`~repro.sim.trace.Tracer`
-(:meth:`TraceSanitizer.from_tracer`) or over an exported trace file —
-Chrome-trace JSON or a binary RPRT container, streamed via
-:meth:`TraceSanitizer.from_trace_file` — so CI can check golden traces
-without re-running the scenario.
+supposed to enforce, over anything :meth:`repro.sim.trace.Trace.of`
+reads — a live :class:`~repro.sim.trace.Tracer`, a record list — or
+over an exported trace file — Chrome-trace JSON or a binary RPRT
+container, streamed via :meth:`TraceSanitizer.from_trace_file` — so CI
+can check golden traces without re-running the scenario.
 
 Checks (each returns a list of :class:`TraceViolation`):
 
@@ -33,7 +33,8 @@ Checks (each returns a list of :class:`TraceViolation`):
     Per-message rendezvous ordering by ``seq``: ``sender_prepare``
     before ``rts``, ``rts`` before ``cts`` and ``receiver_prepare``,
     every ``wire_transfer`` after the first ``cts`` completes, every
-    ``receiver_complete`` after its (part-matched) wire transfer lands.
+    ``receiver_complete`` after its wire transfer — the one of the same
+    part and attempt — lands.
 
 ``tiling``
     The critical-path sweep's contract: for every rendezvous message,
@@ -69,10 +70,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.sim.trace import TraceRecord, group_by_seq, group_lanes
+from repro.sim.trace import Trace, TraceRecord
 
 __all__ = ["TraceSanitizer", "TraceViolation", "EPS", "SERIAL_LANE_PREFIXES"]
 
@@ -105,25 +105,17 @@ class TraceViolation:
                 "span_ids": list(self.span_ids), "t": self.t}
 
 
-class _RecordView:
-    """Minimal tracer shim so :class:`CritPathAnalyzer` accepts a bare
-    record list (it only reads ``.records``)."""
-
-    def __init__(self, records):
-        self.records = records
-
-
 class TraceSanitizer:
-    """Runs the four structural checks over a list of spans."""
+    """Runs the six structural checks over one trace (any source
+    :meth:`~repro.sim.trace.Trace.of` accepts)."""
 
-    def __init__(self, records: Iterable[TraceRecord]):
-        self.records = list(records)
+    def __init__(self, source):
+        self.trace = Trace.of(source)
+        #: the per-span checks walk the spans as the source listed
+        #: them, so their findings keep that order
+        self.records = self.trace.listed
 
     # -- construction --------------------------------------------------------
-    @classmethod
-    def from_tracer(cls, tracer) -> "TraceSanitizer":
-        return cls(tracer.records)
-
     @classmethod
     def from_trace_file(cls, path) -> "TraceSanitizer":
         """Rebuild spans from an exported trace file — Chrome-trace JSON
@@ -132,19 +124,15 @@ class TraceSanitizer:
         compact record list, never the serialized document."""
         from repro.analysis.traceio import load_trace_records
 
-        return cls(load_trace_records(path).records)
+        return cls(load_trace_records(path))
 
     @classmethod
     def from_chrome_trace(cls, doc) -> "TraceSanitizer":
-        """Rebuild spans from a Chrome-trace document produced by
-        :func:`repro.analysis.export.to_chrome_trace` (a dict, a JSON
-        string, or a path to a file in either supported format — paths
-        stream via :meth:`from_trace_file`)."""
+        """Rebuild spans from an in-memory Chrome-trace document
+        produced by :func:`repro.analysis.export.to_chrome_trace` (a
+        dict or a JSON string; a file goes to :meth:`from_trace_file`)."""
         from repro.analysis.traceio import _ChromeEventParser
 
-        if isinstance(doc, (str, Path)) and not (
-                isinstance(doc, str) and doc.lstrip().startswith("{")):
-            return cls.from_trace_file(doc)
         if isinstance(doc, str):
             doc = json.loads(doc)
 
@@ -155,23 +143,15 @@ class TraceSanitizer:
         for ev in events:
             if ev.get("ph") == "M":
                 parser.feed(ev)
-        records = [rec for ev in events
-                   if (rec := parser.feed(ev)) is not None]
-        records.sort(key=lambda r: (r.t_start, r.t_end, r.span_id))
-        return cls(records)
-
-    # -- lane helpers --------------------------------------------------------
-    def lanes(self) -> dict[tuple, list[TraceRecord]]:
-        """(rank, track) -> spans on that lane, sorted by time (see
-        :func:`repro.sim.trace.group_lanes`)."""
-        return group_lanes(self.records)
+        return cls(rec for ev in events
+                   if (rec := parser.feed(ev)) is not None)
 
     # -- checks --------------------------------------------------------------
     def check_serial_lanes(self) -> list[TraceViolation]:
         """No two spans may overlap on a stream or link lane."""
         out = []
         for (rank, track), spans in sorted(
-                self.lanes().items(),
+                self.trace.lanes.items(),
                 key=lambda kv: (kv[0][0] if kv[0][0] is not None else -1, kv[0][1])):
             if not track.startswith(SERIAL_LANE_PREFIXES):
                 continue
@@ -197,7 +177,7 @@ class TraceSanitizer:
     def check_containment(self) -> list[TraceViolation]:
         """Every parent_id resolves; children never start before their
         parent (children may outlive an inherited parent)."""
-        by_id = {r.span_id: r for r in self.records}
+        by_id = self.trace.by_id
         out = []
         for rec in self.records:
             if rec.parent_id is None:
@@ -220,53 +200,36 @@ class TraceSanitizer:
                     span_ids=(rec.span_id, parent.span_id), t=rec.t_start))
         return out
 
-    def by_seq(self) -> dict[int, list[TraceRecord]]:
-        """seq -> that message's pipeline spans, sorted by time (see
-        :func:`repro.sim.trace.group_by_seq`)."""
-        return group_by_seq(self.records)
-
     def check_causality(self) -> list[TraceViolation]:
         """Rendezvous handshake ordering, per message ``seq``."""
         out = []
-        for seq, spans in sorted(self.by_seq().items()):
-            steps: dict[str, list[TraceRecord]] = {}
-            for r in spans:
-                steps.setdefault(r.label, []).append(r)
+        for seq, msg in sorted(self.trace.messages.items()):
 
-            def first(label):
-                group = steps.get(label)
-                return group[0] if group else None
-
-            def bad(msg, *recs):
+            def bad(why, *recs):
                 out.append(TraceViolation(
-                    "causality", f"seq {seq}: {msg}",
+                    "causality", f"seq {seq}: {why}",
                     span_ids=tuple(r.span_id for r in recs),
                     t=min(r.t_start for r in recs)))
 
-            prep, rts, cts = (first("sender_prepare"), first("rts"),
-                              first("cts"))
+            prep, rts, cts = (msg.first("sender_prepare"), msg.first("rts"),
+                              msg.first("cts"))
             if rts is not None and prep is not None \
                     and rts.t_start < prep.t_start - EPS:
                 bad("rts sent before sender_prepare began", rts, prep)
             if cts is not None and rts is not None \
                     and cts.t_start < rts.t_start - EPS:
                 bad("cts sent before rts", cts, rts)
-            rprep = first("receiver_prepare")
+            rprep = msg.first("receiver_prepare")
             if rprep is not None and rts is not None \
                     and rprep.t_start < rts.t_start - EPS:
                 bad("receiver_prepare began before rts arrived", rprep, rts)
-            wires = steps.get("wire_transfer", [])
             if cts is not None:
-                for w in wires:
+                for w in msg.steps.get("wire_transfer", ()):
                     if w.t_start < cts.t_end - EPS:
                         bad("wire_transfer started before cts completed",
                             w, cts)
-            wire_by_part = {r.meta.get("part"): r for r in wires
-                            if "part" in r.meta}
-            for rc in steps.get("receiver_complete", []):
-                wire = wire_by_part.get(rc.meta.get("part"))
-                if wire is None and wires:
-                    wire = min(wires, key=lambda r: (r.t_end, r.span_id))
+            for rc in msg.steps.get("receiver_complete", ()):
+                wire = msg.wire_for(rc)
                 if wire is not None and rc.t_start < wire.t_end - EPS:
                     bad("receiver_complete began before its wire transfer "
                         "landed", rc, wire)
@@ -278,7 +241,7 @@ class TraceSanitizer:
         from repro.analysis.critpath import CritPathAnalyzer
 
         out = []
-        cp = CritPathAnalyzer(_RecordView(self.records))
+        cp = CritPathAnalyzer(self.trace)
         for msg in cp.messages():
             covered = sum(s.duration for s in msg.segments)
             if abs(covered - msg.latency) > _TILING_TOL:
@@ -301,15 +264,9 @@ class TraceSanitizer:
     def check_collectives(self) -> list[TraceViolation]:
         """Keep-compressed collective causality (see module docstring)."""
         out = []
-        # collective-category spans, per rank
-        coll_spans: dict[int, list[TraceRecord]] = {}
-        for r in self.records:
-            if r.category == "collective" and r.rank is not None:
-                coll_spans.setdefault(r.rank, []).append(r)
         # origin_seqs minted by a pack or a compressed-domain reduction
-        origins = {r.meta["origin_seq"] for r in self.records
-                   if r.label in ("pack_wire", "reduce_wire")
-                   and "origin_seq" in r.meta}
+        origins = self.trace.origins
+        coll_spans = self.trace.rank_collectives
 
         def contained(rec) -> bool:
             return any(c.t_start - EPS <= rec.t_start <= c.t_end + EPS
@@ -336,13 +293,12 @@ class TraceSanitizer:
                     span_ids=(rec.span_id,), t=rec.t_start))
 
         # relayed hops must stamp the originating seq on every wire span
-        for seq, spans in sorted(self.by_seq().items()):
-            labels = {r.label for r in spans}
-            if "sender_prepare" in labels:
+        for seq, msg in sorted(self.trace.messages.items()):
+            if "sender_prepare" in msg.steps:
                 continue  # plain rendezvous, not a relayed wire image
-            if not any("origin_seq" in r.meta for r in spans):
+            if not any("origin_seq" in r.meta for r in msg.spans):
                 continue  # not a wire hop at all (e.g. eager control)
-            for r in spans:
+            for r in msg.spans:
                 if r.label in ("rts", "wire_transfer", "receiver_complete") \
                         and "origin_seq" not in r.meta:
                     out.append(TraceViolation(
@@ -355,18 +311,14 @@ class TraceSanitizer:
     def check_liveness(self) -> list[TraceViolation]:
         """No span may be attributed to a rank after its fail-stop kill
         (see module docstring).  Trivially empty for kill-free traces."""
-        kills: dict[int, float] = {}
-        for r in self.records:
-            if r.label == "rank_kill" and r.rank is not None:
-                t = kills.get(r.rank)
-                kills[r.rank] = r.t_start if t is None else min(t, r.t_start)
+        kills = self.trace.kills
         if not kills:
             return []
         out = []
         for rec in self.records:
-            killed_at = kills.get(rec.rank)
-            if killed_at is None or rec.track == "faults":
+            if rec.rank not in kills or rec.track == "faults":
                 continue
+            killed_at = kills[rec.rank][0].t_start
             if rec.t_start > killed_at + EPS:
                 out.append(TraceViolation(
                     "liveness",

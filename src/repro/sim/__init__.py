@@ -12,7 +12,7 @@ every experiment bit-for-bit deterministic and independent of host speed.
 
 from repro.sim.engine import Simulator, Event, Timeout, Process, AllOf, AnyOf, Interrupt
 from repro.sim.resources import Resource, Store, TokenPool
-from repro.sim.trace import SpanHandle, Tracer, TraceRecord, trace_scope
+from repro.sim.trace import SpanHandle, Trace, Tracer, TraceRecord, trace_scope
 
 __all__ = [
     "Simulator",
@@ -26,6 +26,7 @@ __all__ = [
     "Store",
     "TokenPool",
     "Tracer",
+    "Trace",
     "TraceRecord",
     "SpanHandle",
     "trace_scope",

@@ -39,6 +39,11 @@ Closed spans are held as **columns** (:class:`SpanColumns`), the layout
 the RPRT container stores: recording a span appends nine numbers, and
 :class:`TraceRecord` objects exist only once somebody reads
 ``tracer.records``.
+
+Reading is a separate object: :class:`Trace` (``Trace.of(tracer)``, or
+:func:`repro.analysis.traceio.load_trace_records` for a file) holds the
+records in one order plus the views the sanitizer, the happens-before
+engine and the critical-path analyzer share, each derived in one place.
 """
 
 from __future__ import annotations
@@ -48,10 +53,11 @@ import marshal
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Iterator, Optional
 
 __all__ = ["TraceRecord", "SpanColumns", "Tracer", "SpanHandle",
-           "trace_scope", "group_lanes", "group_by_seq", "CURRENT",
+           "trace_scope", "Trace", "Message", "CURRENT",
            "SPAN_SCHEMA", "SPAN_COLUMNS", "records_from_columns"]
 
 #: default ``parent=`` of :meth:`Tracer.span`: the innermost span open
@@ -489,63 +495,6 @@ class Tracer:
             out[r.category] = out.get(r.category, 0.0) + r.duration
         return out
 
-    def by_id(self) -> dict[int, TraceRecord]:
-        """span_id -> record, for walking the hierarchy."""
-        return {r.span_id: r for r in self.records}
-
-    def children_of(self, span_id: int) -> list[TraceRecord]:
-        return [r for r in self.records if r.parent_id == span_id]
-
-    # -- DAG accessors (used by repro.analysis.critpath) --------------------
-    def children_index(self) -> dict[Optional[int], list[TraceRecord]]:
-        """parent_id -> children, one pass over the records.  Roots are
-        keyed under ``None``.  O(n) versus O(n) *per call* for
-        :meth:`children_of` — the critical-path analyzer walks the whole
-        forest and needs the index form."""
-        out: dict[Optional[int], list[TraceRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.parent_id, []).append(r)
-        return out
-
-    def roots(self) -> list[TraceRecord]:
-        """Records with no parent (top of each per-rank span tree)."""
-        return [r for r in self.records if r.parent_id is None]
-
-    def descendants_of(self, span_id: int,
-                       index: Optional[dict] = None) -> list[TraceRecord]:
-        """Transitive closure of :meth:`children_of` (excluding the span
-        itself), in deterministic preorder.  Pass a prebuilt
-        :meth:`children_index` when calling repeatedly."""
-        index = index if index is not None else self.children_index()
-        out: list[TraceRecord] = []
-        stack = list(reversed(index.get(span_id, [])))
-        while stack:
-            rec = stack.pop()
-            out.append(rec)
-            stack.extend(reversed(index.get(rec.span_id, [])))
-        return out
-
-    def ancestors_of(self, span_id: int,
-                     by_id: Optional[dict] = None) -> list[TraceRecord]:
-        """Chain of enclosing spans, innermost first."""
-        by_id = by_id if by_id is not None else self.by_id()
-        out: list[TraceRecord] = []
-        rec = by_id.get(span_id)
-        while rec is not None and rec.parent_id is not None:
-            rec = by_id.get(rec.parent_id)
-            if rec is None:
-                break
-            out.append(rec)
-        return out
-
-    def lanes(self) -> dict:
-        """(rank, track) -> spans on that lane (see :func:`group_lanes`)."""
-        return group_lanes(self.records)
-
-    def by_seq(self) -> dict:
-        """seq -> that message's pipeline spans (see :func:`group_by_seq`)."""
-        return group_by_seq(self.records)
-
     def clear(self) -> None:
         # A new store, not an emptied one: a record :meth:`span` or
         # :meth:`end` returned earlier keeps reading the rows it named.
@@ -583,34 +532,178 @@ class _SpanCtx:
         return False
 
 
-def group_lanes(records) -> dict:
-    """``(rank, track) -> spans`` on that lane, each list time-sorted.
+class Message:
+    """One rendezvous message in a trace: the ``pipeline`` spans that
+    carry its ``seq`` — both protocol sides of the seven-step handshake,
+    every pipelined part and every retry attempt — in trace order."""
 
-    A *lane* is one timeline in the trace UI: a rank's ``main``/``gpu``/
-    ``stream<k>`` thread, or a fabric link.  Link lanes are shared
-    across ranks and key as ``(None, "link:<label>")``.  The trace
-    sanitizer's serial-lane check consumes exactly this grouping.
+    __slots__ = ("seq", "spans", "steps")
+
+    def __init__(self, seq: int, spans: list):
+        self.seq = seq
+        self.spans: list[TraceRecord] = spans
+        #: step label -> its spans, in trace order
+        self.steps: dict[str, list[TraceRecord]] = {}
+        for r in spans:
+            self.steps.setdefault(r.label, []).append(r)
+
+    def first(self, label: str) -> Optional[TraceRecord]:
+        """The earliest span of one step, if the trace has any."""
+        group = self.steps.get(label)
+        return group[0] if group else None
+
+    def wire_for(self, complete: TraceRecord) -> Optional[TraceRecord]:
+        """The ``wire_transfer`` a ``receiver_complete`` span consumed:
+        the one of the same ``(part, attempt)`` — a pipelined message
+        lands part by part and a retransmission lands again — or, when
+        the trace names no such span, the earliest-ending transfer (the
+        weakest claim: nothing completes before any data arrived)."""
+        wires = self.steps.get("wire_transfer", ())
+        key = (complete.meta.get("part"), complete.meta.get("attempt"))
+        for w in wires:
+            if (w.meta.get("part"), w.meta.get("attempt")) == key:
+                return w
+        return min(wires, key=lambda r: (r.t_end, r.span_id), default=None)
+
+
+class Trace:
+    """The read side of a trace: the spans in one order, and every view
+    the analyses share — each defined here once, built at first use and
+    kept.
+
+    ``records`` are in ``(t_start, t_end, span_id)`` order (*trace
+    order*); every view is built from them and lists spans in that
+    order.  A ``Trace`` is a snapshot: spans a live tracer records
+    afterwards are not in it.
     """
-    out: dict = {}
-    for r in records:
-        track = r.track or "main"
-        key = (None, track) if track.startswith("link:") else (r.rank, track)
-        out.setdefault(key, []).append(r)
-    for spans in out.values():
-        spans.sort(key=lambda r: (r.t_start, r.t_end, r.span_id))
-    return out
 
+    def __init__(self, records):
+        #: the spans in the order the source listed them (recording
+        #: order for a live tracer) — the order the sanitizer reports
+        #: per-span findings in; nothing else may depend on it
+        self.listed: list[TraceRecord] = list(records)
+        self.records: list[TraceRecord] = sorted(
+            self.listed, key=lambda r: (r.t_start, r.t_end, r.span_id))
 
-def group_by_seq(records) -> dict:
-    """``seq -> pipeline spans`` of that rendezvous message, each list
-    time-sorted — both protocol sides of the seven-step handshake."""
-    out: dict = {}
-    for r in records:
-        if r.category == "pipeline" and "seq" in r.meta:
-            out.setdefault(int(r.meta["seq"]), []).append(r)
-    for spans in out.values():
-        spans.sort(key=lambda r: (r.t_start, r.t_end, r.span_id))
-    return out
+    @classmethod
+    def of(cls, source) -> "Trace":
+        """``source`` as a :class:`Trace`: itself if it is one, else
+        built from its ``.records`` (a :class:`Tracer`, a
+        ``ClusterResult.tracer``) or from a bare iterable of records."""
+        if isinstance(source, cls):
+            return source
+        return cls(getattr(source, "records", source))
+
+    # -- the span tree -------------------------------------------------------
+    @cached_property
+    def by_id(self) -> dict[int, TraceRecord]:
+        """span_id -> record."""
+        return {r.span_id: r for r in self.records}
+
+    @cached_property
+    def children(self) -> dict[Optional[int], list[TraceRecord]]:
+        """parent_id -> the spans recorded under it; roots key as
+        ``None``."""
+        out: dict[Optional[int], list[TraceRecord]] = {}
+        for r in self.records:
+            out.setdefault(r.parent_id, []).append(r)
+        return out
+
+    def descendants(self, span_id: int) -> list[TraceRecord]:
+        """Everything nested under a span (itself excluded), in
+        preorder."""
+        children = self.children
+        out: list[TraceRecord] = []
+        stack = list(reversed(children.get(span_id, ())))
+        while stack:
+            rec = stack.pop()
+            out.append(rec)
+            stack.extend(reversed(children.get(rec.span_id, ())))
+        return out
+
+    def ancestors(self, rec: TraceRecord) -> Iterator[TraceRecord]:
+        """The spans enclosing ``rec``, innermost first."""
+        by_id = self.by_id
+        rec = by_id.get(rec.parent_id)
+        while rec is not None:
+            yield rec
+            rec = by_id.get(rec.parent_id)
+
+    # -- timelines -----------------------------------------------------------
+    @cached_property
+    def lanes(self) -> dict[tuple, list[TraceRecord]]:
+        """``(rank, track)`` -> the spans on that lane.
+
+        A *lane* is one timeline in the trace UI: a rank's ``main``/
+        ``gpu``/``stream<k>`` thread (a ``None`` track is ``main``), or
+        a fabric link.  Link lanes are shared across ranks and key as
+        ``(None, "link:<label>")``.
+        """
+        out: dict[tuple, list[TraceRecord]] = {}
+        for r in self.records:
+            track = r.track or "main"
+            key = (None, track) if track.startswith("link:") else (r.rank, track)
+            out.setdefault(key, []).append(r)
+        return out
+
+    # -- protocol objects ----------------------------------------------------
+    @cached_property
+    def messages(self) -> dict[int, Message]:
+        """``seq`` -> that rendezvous :class:`Message`.  Spans carrying
+        only an ``origin_seq`` (pack/unpack/reduce of a wire image)
+        belong to no message."""
+        groups: dict[int, list[TraceRecord]] = {}
+        for r in self.records:
+            if r.category == "pipeline" and "seq" in r.meta:
+                groups.setdefault(int(r.meta["seq"]), []).append(r)
+        return {seq: Message(seq, spans) for seq, spans in groups.items()}
+
+    @cached_property
+    def collectives(self) -> list[TraceRecord]:
+        """Every ``collective``-category span: one per rank per call."""
+        return [r for r in self.records if r.category == "collective"]
+
+    @cached_property
+    def rank_collectives(self) -> dict[int, list[TraceRecord]]:
+        """rank -> the collective spans attributed to it."""
+        out: dict[int, list[TraceRecord]] = {}
+        for r in self.collectives:
+            if r.rank is not None:
+                out.setdefault(r.rank, []).append(r)
+        return out
+
+    @cached_property
+    def collective_instances(self) -> dict[tuple, list[TraceRecord]]:
+        """``(comm, coll_seq, label)`` -> the member spans of that one
+        collective call.  A span without both keys has no instance
+        identity and joins none."""
+        out: dict[tuple, list[TraceRecord]] = {}
+        for r in self.collectives:
+            if "comm" in r.meta and "coll_seq" in r.meta:
+                key = (r.meta["comm"], r.meta["coll_seq"], r.label)
+                out.setdefault(key, []).append(r)
+        return out
+
+    @cached_property
+    def origins(self) -> dict[int, list[TraceRecord]]:
+        """``origin_seq`` -> the ``pack_wire``/``reduce_wire`` spans
+        that minted that wire image (one, in a well-formed trace)."""
+        out: dict[int, list[TraceRecord]] = {}
+        for r in self.records:
+            if r.label in ("pack_wire", "reduce_wire") \
+                    and "origin_seq" in r.meta:
+                out.setdefault(r.meta["origin_seq"], []).append(r)
+        return out
+
+    @cached_property
+    def kills(self) -> dict[int, list[TraceRecord]]:
+        """rank -> its ``rank_kill`` spans, the earliest first: the
+        fail-stop ground truth of when that rank died."""
+        out: dict[int, list[TraceRecord]] = {}
+        for r in self.records:
+            if r.label == "rank_kill" and r.rank is not None:
+                out.setdefault(r.rank, []).append(r)
+        return out
 
 
 def trace_scope(sim, category: str, label: str = "", **kw):

@@ -193,7 +193,7 @@ def test_same_process_writes_are_program_ordered():
         yield from pool.release(buf)
 
     sim.run_process(proc())
-    checker = HBChecker.from_tracer(tracer, access_log=sim.asan.access_log)
+    checker = HBChecker(tracer, access_log=sim.asan.access_log)
     assert checker.check_races() == []
     checker.assert_race_free()  # must not raise
 
@@ -341,6 +341,39 @@ def test_clean_pt2pt_smoke_has_no_findings():
     checker = HBChecker.from_result(res)
     assert checker.access_log  # the sanitizer really recorded accesses
     assert checker.check_all() == []
+
+
+def test_retransmitted_message_keeps_its_first_send_recv_edge():
+    """Each receiver_complete follows the wire transfer of its own
+    attempt: the first attempt's send->recv edge must not be drawn from
+    the retransmission (where the time guard drops it)."""
+    from repro.core import CompressionConfig
+    from repro.faults import FaultPlan
+    from repro.mpi.cluster import Cluster
+    from repro.omb.payload import make_payload
+
+    data = make_payload("omb", 1 << 20, seed=1)
+
+    def rank_fn(comm):
+        for tag in range(6):
+            if comm.rank == 0:
+                yield from comm.send(data, dest=1, tag=tag)
+            else:
+                yield from comm.recv(source=0, tag=tag)
+
+    res = Cluster("longhorn", 2, 1).run(
+        rank_fn, config=CompressionConfig.mpc_opt(),
+        faults=FaultPlan(seed=3, corrupt_rate=0.4))
+    hb = HappensBefore(res.tracer)
+    msg = hb.trace.messages[1]
+    wires, completes = (msg.steps["wire_transfer"],
+                        msg.steps["receiver_complete"])
+    assert [r.meta.get("attempt") for r in wires] == [None, 1]
+    assert [r.meta.get("attempt") for r in completes] == [None, 1]
+    assert hb.hb_span(wires[0].span_id, completes[0].span_id)
+    assert hb.hb_span(wires[0].span_id, completes[1].span_id)
+    assert hb.hb_span(wires[1].span_id, completes[1].span_id)
+    assert HBChecker(hb.trace).check_all() == []
 
 
 def test_golden_traces_clean_and_identical_across_formats():

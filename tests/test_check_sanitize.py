@@ -8,12 +8,12 @@ import pytest
 from repro.analysis.bench import named_config
 from repro.analysis.export import to_chrome_trace
 from repro.check.fixtures import (acausal_records, bad_collective_records,
-                                  overlap_records)
+                                  early_retry_records, overlap_records)
 from repro.check.sanitize import TraceSanitizer, TraceViolation
 from repro.mpi.cluster import Cluster
 from repro.network.presets import machine_preset
 from repro.omb.payload import make_payload
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import Trace, TraceRecord
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_mpc.json"
 
@@ -46,7 +46,7 @@ def _pingpong_result(config_name, nbytes=1 << 20):
                          ["baseline", "mpc-opt", "zfp8", "zfp8-pipe"])
 def test_real_traces_pass_all_checks(config_name):
     res = _pingpong_result(config_name)
-    assert TraceSanitizer.from_tracer(res.tracer).check_all() == []
+    assert TraceSanitizer(res.tracer).check_all() == []
 
 
 def test_chrome_roundtrip_is_clean():
@@ -58,7 +58,7 @@ def test_chrome_roundtrip_is_clean():
 
 
 def test_golden_trace_is_clean():
-    ts = TraceSanitizer.from_chrome_trace(GOLDEN)
+    ts = TraceSanitizer.from_trace_file(GOLDEN)
     assert ts.records, "golden trace should contain spans"
     assert ts.check_all() == []
 
@@ -159,6 +159,15 @@ def test_receiver_complete_before_wire_detected():
     assert "receiver_complete" in vs[0].message
 
 
+def test_retried_completion_is_checked_against_its_own_attempt():
+    # the retry's receiver_complete starts after the first transfer
+    # landed but before the retransmission did
+    (v,) = TraceSanitizer(early_retry_records()).check_causality()
+    assert "receiver_complete began before its wire transfer landed" \
+        in v.message
+    assert v.span_ids == (6, 5)
+
+
 def test_part_matched_wires():
     # receiver_complete of part 1 may start before part 0's (longer)
     # wire finishes; it only has to follow its *own* part.
@@ -178,8 +187,8 @@ def test_part_matched_wires():
 
 def test_tiling_holds_on_real_messages():
     res = _pingpong_result("mpc-opt")
-    ts = TraceSanitizer.from_tracer(res.tracer)
-    assert ts.by_seq(), "expected rendezvous messages"
+    ts = TraceSanitizer(res.tracer)
+    assert ts.trace.messages, "expected rendezvous messages"
     assert ts.check_tiling() == []
 
 
@@ -208,7 +217,7 @@ def _collective_result(op, config_name="mpc-opt", faults=None):
                                 "recursive_doubling"])
 def test_collective_traces_pass_all_checks(op):
     res = _collective_result(op)
-    assert TraceSanitizer.from_tracer(res.tracer).check_all() == []
+    assert TraceSanitizer(res.tracer).check_all() == []
 
 
 def test_faulty_collective_trace_is_clean():
@@ -219,7 +228,7 @@ def test_faulty_collective_trace_is_clean():
     res = _collective_result(
         "bcast", faults=FaultPlan(seed=3, corrupt_rate=0.25, drop_rate=0.1))
     assert res.tracer.metrics.counter_total("resilience.retransmit") > 0
-    assert TraceSanitizer.from_tracer(res.tracer).check_all() == []
+    assert TraceSanitizer(res.tracer).check_all() == []
 
 
 def test_bad_collective_fixture_detected():
@@ -234,7 +243,7 @@ def test_bad_collective_fixture_detected():
 
 def test_collective_check_ignores_pt2pt_traces():
     res = _pingpong_result("mpc-opt")
-    assert TraceSanitizer.from_tracer(res.tracer).check_collectives() == []
+    assert TraceSanitizer(res.tracer).check_collectives() == []
 
 
 def test_violation_shapes():
@@ -244,11 +253,9 @@ def test_violation_shapes():
 
 
 def test_lanes_and_by_seq_accessors():
-    res = _pingpong_result("mpc-opt")
-    lanes = res.tracer.lanes()
-    assert any(track == "main" for _, track in lanes)
-    assert any(track.startswith("link:") for _, track in lanes)
-    by_seq = res.tracer.by_seq()
-    assert by_seq
-    for spans in by_seq.values():
-        assert {r.category for r in spans} == {"pipeline"}
+    trace = Trace.of(_pingpong_result("mpc-opt").tracer)
+    assert any(track == "main" for _, track in trace.lanes)
+    assert any(track.startswith("link:") for _, track in trace.lanes)
+    assert trace.messages
+    for msg in trace.messages.values():
+        assert {r.category for r in msg.spans} == {"pipeline"}

@@ -243,6 +243,32 @@ def test_check_trace_accepts_rprt(capsys):
     assert doc["ok"] is True
 
 
+def test_check_loads_each_trace_file_once(monkeypatch, capsys):
+    import json
+    from collections import Counter
+
+    from repro.analysis import traceio
+    from repro.check import run_check
+
+    golden = Path(__file__).parent / "data" / "golden_trace_mpc.json"
+    loads = Counter()
+    stream = traceio.iter_trace_records
+
+    def counting(path):
+        loads[str(path)] += 1
+        return stream(path)
+
+    monkeypatch.setattr(traceio, "iter_trace_records", counting)
+    # (the command line maps ``--trace F --hb`` to the hb pass alone)
+    assert run_check(trace=True, hb=True, fmt="json",
+                     trace_files=[golden, GOLDEN_RPRT]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # both passes read both files, off one load each
+    assert [p["checked"] for p in doc["passes"]] == \
+        [[str(golden), str(GOLDEN_RPRT)]] * 2
+    assert loads == {str(golden): 1, str(GOLDEN_RPRT): 1}
+
+
 def test_explain_trace_file_parity(capsys):
     golden = Path(__file__).parent / "data" / "golden_trace_mpc.json"
     assert main(["explain", "--trace", str(GOLDEN_RPRT)]) == 0

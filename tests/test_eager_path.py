@@ -26,7 +26,7 @@ from repro.mpi.resilience import ResilienceConfig
 from repro.mpi.wire import WireImage
 from repro.sim import Interrupt, Process, Timeout
 from repro.sim.resources import _Request
-from repro.sim.trace import trace_scope
+from repro.sim.trace import Trace, trace_scope
 
 
 def block(rank, n=1024):
@@ -186,7 +186,7 @@ def test_kill_with_eager_sends_queued_on_a_shared_hca():
             req.test()
         assert isinstance(err.value.cause, KillCause) and err.value.cause.rank == 1
     assert all(r.test() for r in requests[0] + requests[2] + requests[3])
-    assert TraceSanitizer.from_tracer(res.tracer).check_liveness() == []
+    assert TraceSanitizer(res.tracer).check_liveness() == []
     assert fingerprint(res.tracer) == "f675feff474679f5"
 
 
@@ -283,7 +283,7 @@ def test_self_send_wildcard_and_early_envelope(use_wire):
     assert m.counter("mpi.sends", protocol="eager") == (16 if use_wire else 20)
     assert m.counter("mpi.sends", protocol="wire_eager") == (4 if use_wire else 0)
     assert m.counter_total("matching.unexpected") == 7
-    by_id = res.tracer.by_id()
+    by_id = Trace.of(res.tracer).by_id
     wild = [r for r in res.tracer.records if r.label == "wildcard_match"]
     assert [(r.rank, r.meta["src"], r.t_start) for r in wild] == [
         (0, 1, 1.30156e-05), (0, 3, 1.519744e-05), (0, 2, 1.828448e-05)]
@@ -311,7 +311,7 @@ def test_network_span_nests_under_the_span_open_at_isend_time():
             yield from comm.recv(0)
 
     res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(fn)
-    by_id = res.tracer.by_id()
+    by_id = Trace.of(res.tracer).by_id
     net = [r for r in res.tracer.records if r.category == "network"]
     assert [by_id[r.parent_id].label if r.parent_id else None
             for r in net] == ["phase", None]

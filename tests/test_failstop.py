@@ -311,7 +311,7 @@ def test_kill_trace_passes_liveness_check():
 
     res = cluster.run(rank_fn, config=MPC, faults=_kill(2, at=3e-5))
     assert [k.rank for k in res.killed] == [2]
-    violations = TraceSanitizer.from_tracer(res.tracer).check_liveness()
+    violations = TraceSanitizer(res.tracer).check_liveness()
     assert violations == []
     # the kill itself is on the trace, pinned to the victim
     kills = [r for r in res.tracer.records if r.label == "rank_kill"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core import CompressionConfig
 from repro.mpi.cluster import Cluster
 from repro.network.presets import machine_preset
-from repro.sim import Simulator
+from repro.sim import Simulator, Trace
 
 
 # -- simulator determinism over random process graphs --------------------------
@@ -159,7 +159,7 @@ def test_trace_spans_well_formed(n, algo, seed):
     duration, children lie within their parents, and merged occupancy
     never exceeds the raw per-category sum."""
     tracer = _run_traced(n, algo, seed).tracer
-    by_id = tracer.by_id()
+    by_id = Trace.of(tracer).by_id
     eps = 1e-12
     for rec in tracer.records:
         assert rec.duration >= 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator, Trace, Tracer
 
 
 def test_span_recording():
@@ -124,9 +124,9 @@ def test_retroactive_span_nests_under_open():
     tr.end(outer, t=1.0)
     assert leaf.parent_id == outer.span_id
     assert leaf2.parent_id == inner.span_id
-    by_id = tr.by_id()
-    assert by_id[inner.span_id].parent_id == outer.span_id
-    assert {r.span_id for r in tr.children_of(outer.span_id)} == {
+    trace = Trace.of(tr)
+    assert trace.by_id[inner.span_id].parent_id == outer.span_id
+    assert {r.span_id for r in trace.children[outer.span_id]} == {
         leaf.span_id, inner.span_id}
 
 
@@ -166,31 +166,6 @@ def test_clear_resets_hierarchy_and_metrics():
     assert tr.records == []
     assert tr.current_span() is None
     assert tr.metrics.counter_total("wire.bytes") == 0
-
-
-def test_dag_accessors():
-    """children_index / roots / descendants_of / ancestors_of agree
-    with the per-call children_of view."""
-    tr = Tracer()
-    a = tr.begin("pipeline", "a", t=0.0)
-    b = tr.begin("kernel", "b", t=0.1)
-    tr.span(0.2, 0.3, "memory", "leaf")
-    tr.end(b, t=0.4)
-    tr.end(a, t=0.5)
-    tr.span(0.6, 0.7, "network", "root2")
-
-    recs = {r.label: r for r in tr.records}
-    index = tr.children_index()
-    assert {r.label for r in index[None]} == {"a", "root2"}  # roots key
-    assert {r.label for r in tr.roots()} == {"a", "root2"}
-    assert index[recs["a"].span_id] == tr.children_of(recs["a"].span_id)
-
-    desc = tr.descendants_of(recs["a"].span_id)
-    assert {r.label for r in desc} == {"b", "leaf"}
-    assert tr.descendants_of(recs["a"].span_id, index) == desc
-    anc = tr.ancestors_of(recs["leaf"].span_id)
-    assert [r.label for r in anc] == ["b", "a"]  # innermost first
-    assert tr.ancestors_of(recs["root2"].span_id) == []
 
 
 def test_span_explicit_parent_outside_any_process():
