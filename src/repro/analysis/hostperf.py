@@ -63,6 +63,10 @@ CODEC_CONFIGS = (
 )
 
 DATASETS = ("smooth", "rough")
+#: ``msg_sppm``: long runs of one value, so most of MPC's w-word blocks
+#: hold no residual — the property its kernels' time depends on and
+#: neither dataset above has (both leave every block live).
+MPC_DATASETS = DATASETS + ("runs",)
 QUICK_SIZES = (256 * KiB, 2 * MiB)
 FULL_SIZES = (256 * KiB, 2 * MiB, 16 * MiB)
 
@@ -74,7 +78,7 @@ def benchmark_matrix(quick: bool = True) -> list[Entry]:
               {"codec": codec, "codec_params": params, "dtype": dtype,
                "dataset": ds, "nbytes": nbytes})
         for (cname, codec, params, dtype) in CODEC_CONFIGS
-        for ds in DATASETS
+        for ds in (MPC_DATASETS if codec == "mpc" else DATASETS)
         for nbytes in sizes
     ]
     scale = 1 if quick else 4
@@ -114,6 +118,10 @@ def _make_data(dataset: str, nbytes: int, dtype: str, codec: str) -> np.ndarray:
     if dataset == "smooth":
         x = np.arange(n)
         data = (np.sin(x / 17.0) * 3.0 + x / 500.0).astype(dtype)
+    elif dataset == "runs":
+        from repro.omb.payload import make_payload
+
+        data = make_payload("dataset:msg_sppm", n * 4, seed).astype(dtype)
     else:
         data = (rng.standard_normal(n) * 1e4).astype(dtype)
     if codec == "zfp2d":

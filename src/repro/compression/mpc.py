@@ -31,10 +31,27 @@ each tile's bitmap bytes and surviving words straight into a payload
 allocated at the worst-case size and shrunk in place at the end; the
 decoder reads each tile's words from a running offset and carries the
 LNV prefix sums across tiles through the output itself.  Nothing
-message-sized exists besides the input and the output.
+message-sized exists besides the input and the output (the decoder
+sizes the stream by a popcount over the bitmap, a tile at a time).
 :func:`bit_transpose` tiles the same way behind its whole-array
 signature — the butterfly passes of a whole 16 MiB message run at
 memory speed, those of a tile at cache speed (docs/performance.md).
+
+**Block sparsity.**  A block whose w residuals are all zero — most
+blocks of the data MPC compresses well — zigzags and transposes to
+itself and leaves w zero bitmap bits and no words, so only *live*
+blocks go through zigzag, transposition and zero elimination.  The
+bitmap has one w-bit word per block: the encoder packs one bit per LNV
+residual into such words, the decoder reads the stream's own, and a
+zero word is a dead block either way.  A tile's live blocks are
+gathered side by side (the butterflies stay full-width contiguous
+passes), zigzagged, transposed and zero-eliminated, or expanded,
+transposed, un-zigzagged and scattered back; dead blocks cost one fill
+of their bitmap bytes or output words.  What still runs over every
+word is the LNV subtraction and its inverse cumsum.  A tile with every
+block live is its own gather — the same statements over the whole
+tile, no copy — so there is one path, chosen by nothing but the tile's
+own data.
 
 Payload layout (little-endian):
 
@@ -78,6 +95,31 @@ def _tile_scratch(udtype, tile: int, count: int) -> np.ndarray:
     trim threshold, and the next call then page-faults its scratch back
     in; one block is one hole the next call reuses."""
     return np.empty((count, tile * np.dtype(udtype).itemsize * 8), dtype=udtype)
+
+
+def _popcount(bits: np.ndarray) -> int:
+    """Set bits of a uint8 array, unpacked a tile at a time."""
+    step = _TILE_BYTES // 8
+    return sum(int(np.count_nonzero(np.unpackbits(bits[i:i + step])))
+               for i in range(0, bits.size, step))
+
+
+def _gather_blocks(blocks: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """``out`` <- rows ``idx`` of ``blocks``, side by side."""
+    # mode="raise" would gather into a temporary and copy that to
+    # ``out``; ``idx`` comes from ``flatnonzero`` and is in range.
+    np.take(blocks, idx, axis=0, out=out, mode="clip")
+
+
+def _scatter_blocks(blocks: np.ndarray, idx: np.ndarray, dst: np.ndarray) -> None:
+    """Rows of ``blocks`` -> blocks ``idx`` (ascending) of the flat
+    ``dst``, whose last block may be cut short by the message's end."""
+    w = blocks.shape[1]
+    whole = dst.size // w
+    m = idx.size - (idx[-1] == whole)
+    dst[: whole * w].reshape(whole, w)[idx[:m]] = blocks[:m]
+    if m < idx.size:
+        dst[whole * w:] = blocks[m, : dst.size - whole * w]
 
 
 def _transpose_tile(src: np.ndarray, dst: np.ndarray,
@@ -206,7 +248,6 @@ class MpcCompressor(Compressor):
         kept_words = payload[bitmap_bytes:].view(f"<u{word_bytes}")
         n_kept = 0
         tile = _tile_blocks(udtype, nblocks)
-        # trans: the residuals' sign words, then their transpose
         resid, trans, rows, tmp = _tile_scratch(udtype, tile, 4)
         nonzero = np.empty(tile * w, dtype=np.bool_)
         for s in range(0, nblocks, tile):
@@ -222,21 +263,42 @@ class MpcCompressor(Compressor):
             np.subtract(words[lo:last], words[lo - d: last - d],
                         out=r[lo - first: count])
             r[count:] = 0
+            # A block of zero residuals zigzags and transposes to
+            # itself: w zero bitmap bits and no words.  One bit per
+            # residual packs to one w-bit word per block, so liveness
+            # is a contiguous pass, and only live blocks go further.
+            live = np.packbits(
+                np.not_equal(r, 0, out=nonzero[: nb * w])).view(udtype) != 0
+            k = int(np.count_nonzero(live))
+            tile_bitmap = payload[s * word_bytes: e * word_bytes]
+            if k == nb:
+                z, t = r, trans[: nb * w]
+            else:
+                tile_bitmap.fill(0)
+                if k == 0:
+                    continue
+                # Gathered, so the passes below stay contiguous; the
+                # residual scratch is free once the live blocks left it.
+                z, t = trans[: k * w], resid[: k * w]
+                idx = np.flatnonzero(live)
+                _gather_blocks(r.reshape(nb, w), idx, z.reshape(k, w))
             # zigzag = (r << 1) ^ (r >> (w-1) arithmetic): small signed
             # residuals become small unsigned ones.  The arithmetic
             # shift through a signed view yields the all-ones/zero
             # extension in one pass.
-            t = trans[: nb * w]
-            np.right_shift(r.view(sdtype), w - 1, out=t.view(sdtype))
-            r <<= udtype(1)
-            r ^= t
+            np.right_shift(z.view(sdtype), w - 1, out=t.view(sdtype))
+            z <<= udtype(1)
+            z ^= t
 
-            _transpose_tile(r.reshape(nb, w), t.reshape(nb, w), rows, tmp)
+            _transpose_tile(z.reshape(k, w), t.reshape(k, w), rows, tmp)
 
             # Zero elimination: a bitmap of the non-zero transposed
             # words, then only those words.
-            nz = np.not_equal(t, 0, out=nonzero[: nb * w])
-            payload[s * word_bytes: e * word_bytes] = np.packbits(nz)
+            nz = np.not_equal(t, 0, out=nonzero[: k * w])
+            if k == nb:
+                tile_bitmap[...] = np.packbits(nz)
+            else:
+                tile_bitmap.view(udtype)[idx] = np.packbits(nz).view(udtype)
             kept = t[nz]
             kept_words[n_kept: n_kept + kept.size] = kept
             n_kept += kept.size
@@ -270,7 +332,7 @@ class MpcCompressor(Compressor):
                 f"mpc payload truncated: need >= {bitmap_bytes} bitmap bytes, have {payload.size}"
             )
         bitmap = payload[:bitmap_bytes]
-        expect = bitmap_bytes + int(np.count_nonzero(np.unpackbits(bitmap))) * word_bytes
+        expect = bitmap_bytes + _popcount(bitmap) * word_bytes
         if payload.size != expect:
             raise CompressionError(
                 f"mpc payload size mismatch: expected {expect} bytes, have {payload.size}"
@@ -286,25 +348,41 @@ class MpcCompressor(Compressor):
             nb = e - s
             first, last = s * w, min(e * w, n)
             count = last - first
-            # Undo zero elimination, then the transpose (an involution).
-            nz = np.unpackbits(bitmap[s * word_bytes: e * word_bytes]).view(np.bool_)
-            k = int(np.count_nonzero(nz))
-            t = trans[: nb * w]
-            t.fill(0)
-            t[nz] = kept_words[n_taken: n_taken + k]
-            n_taken += k
-            blocks = t.reshape(nb, w)
-            _transpose_tile(blocks, blocks, rows, tmp)
+            r = words[first:last]
+            # The bitmap is one w-bit word per block, and a zero word
+            # is a dead block: w zero residuals, nothing to decode.
+            live_bits = bitmap[s * word_bytes: e * word_bytes]
+            live = live_bits.view(udtype) != 0
+            k = int(np.count_nonzero(live))
+            if k < nb:
+                r.fill(0)
+                idx = np.flatnonzero(live)
+                live_bits = live_bits.view(udtype)[idx].view(np.uint8)
+            if k:
+                # Undo zero elimination, then the transpose (an
+                # involution), on the live blocks side by side.
+                nz = np.unpackbits(live_bits).view(np.bool_)
+                n_words = int(np.count_nonzero(nz))
+                t = trans[: k * w]
+                t.fill(0)
+                t[nz] = kept_words[n_taken: n_taken + n_words]
+                n_taken += n_words
+                blocks = t.reshape(k, w)
+                _transpose_tile(blocks, blocks, rows, tmp)
 
-            # un-zigzag = (x >> 1) ^ -(x & 1), straight into the output;
-            # the sign extension comes from parking the low bit in the
-            # sign position and arithmetic-shifting it back down.
-            z = t[:count]
-            ext = np.left_shift(z, udtype(w - 1), out=sign[:count])
-            sext = ext.view(sdtype)
-            sext >>= w - 1
-            r = np.right_shift(z, udtype(1), out=words[first:last])
-            r ^= ext
+                # un-zigzag = (x >> 1) ^ -(x & 1); the sign extension
+                # comes from parking the low bit in the sign position
+                # and arithmetic-shifting it back down.  A tile of live
+                # blocks lands straight in the output (less the
+                # message's padding), a sparse one is scattered there.
+                z, dest = (t[:count], r) if k == nb else (t, t)
+                ext = np.left_shift(z, udtype(w - 1), out=sign[: z.size])
+                sext = ext.view(sdtype)
+                sext >>= w - 1
+                np.right_shift(z, udtype(1), out=dest)
+                dest ^= ext
+                if k < nb:
+                    _scatter_blocks(blocks, idx, r)
 
             # Undo the LNV subtraction: a modular cumsum per phase
             # (i mod d).  The tile's first d residuals take the sums

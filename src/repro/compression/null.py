@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedData, Compressor
+from repro.errors import CompressionError
 
 __all__ = ["NullCompressor"]
 
@@ -36,4 +37,10 @@ class NullCompressor(Compressor):
 
     def decompress(self, comp: CompressedData) -> np.ndarray:
         self._check_payload(comp)
+        need = comp.n_elements * comp.dtype.itemsize
+        if comp.payload.size != need:
+            raise CompressionError(
+                f"null payload size mismatch: expected {need} bytes, "
+                f"have {comp.payload.size}"
+            )
         return comp.payload.view(comp.dtype).copy()

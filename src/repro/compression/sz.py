@@ -166,35 +166,52 @@ class SzCompressor(Compressor):
         eb = float(comp.params.get("error_bound", self.error_bound))
         n = comp.n_elements
         dtype = comp.dtype
-        if n == 0:
-            return np.empty(0, dtype=dtype)
         itemsize = dtype.itemsize
         nblocks = -(-n // _BLOCK)
         payload = comp.payload
-        pos = 0
-
         nib_len = -(-nblocks // 2)
-        nib_bytes = payload[pos:pos + nib_len]
-        pos += nib_len
-        widths = np.empty(nib_len * 2, dtype=np.uint8)
-        widths[0::2] = nib_bytes >> 4
-        widths[1::2] = nib_bytes & 0x0F
-        widths = widths[:nblocks]
+        bm_len = -(-n // 8)
+        # The size is data-dependent twice over, so it is settled in
+        # steps that each read only what the step before proved
+        # present: the width nibbles size the code groups, which place
+        # the outlier bitmap, which counts the outlier values.  (Cut
+        # short, ``need`` is a lower bound — still more than there is.)
+        need = nib_len + nblocks * 2 * itemsize + bm_len
+        if payload.size >= need:
+            nib_bytes = payload[:nib_len]
+            widths = np.empty(nib_len * 2, dtype=np.uint8)
+            widths[0::2] = nib_bytes >> 4
+            widths[1::2] = nib_bytes & 0x0F
+            widths = widths[:nblocks]
+            per_width = np.bincount(widths, minlength=_MAX_WIDTH + 1)
+            group_bytes = [-(-int(m) * _BLOCK * w // 8)
+                           for w, m in enumerate(per_width)]
+            need += sum(group_bytes)
+            if payload.size >= need:
+                out_bitmap = np.unpackbits(
+                    payload[need - bm_len: need])[:n].view(np.bool_)
+                need += int(np.count_nonzero(out_bitmap)) * itemsize
+        if payload.size != need:
+            raise CompressionError(
+                f"sz payload size mismatch: expected {need} bytes, "
+                f"have {payload.size}"
+            )
+        if n == 0:
+            return np.empty(0, dtype=dtype)
 
+        pos = nib_len
         endpoints = payload[pos:pos + nblocks * 2 * itemsize].view(dtype).reshape(nblocks, 2)
         pos += nblocks * 2 * itemsize
 
         zz = np.zeros((nblocks, _BLOCK), dtype=np.uint64)
         for w in range(1, _MAX_WIDTH + 1):
-            sel = widths == w
-            m = int(sel.sum())
+            m = int(per_width[w])
             if not m:
                 continue
-            nbytes_w = -(-m * _BLOCK * w // 8)
-            raw = payload[pos:pos + nbytes_w]
-            pos += nbytes_w
+            raw = payload[pos:pos + group_bytes[w]]
+            pos += group_bytes[w]
             vals = unpack_block_fields(raw, [w], w, m * _BLOCK)[0]
-            zz[sel] = vals.reshape(m, _BLOCK)
+            zz[widths == w] = vals.reshape(m, _BLOCK)
         q = ((zz >> np.uint64(1)).astype(np.int64)) ^ -(zz & np.uint64(1)).astype(np.int64)
 
         # A corrupted stream can carry NaN/inf endpoints and absurd
@@ -207,14 +224,7 @@ class SzCompressor(Compressor):
             line = first[:, None] + (last - first)[:, None] * t[None, :]
             vals = (line + q.astype(np.float64) * 2.0 * eb).reshape(-1)[:n].astype(dtype)
 
-        bm_len = -(-n // 8)
-        out_bitmap = np.unpackbits(payload[pos:pos + bm_len])[:n].astype(bool)
-        pos += bm_len
-        n_out = int(out_bitmap.sum())
-        raw = payload[pos:pos + n_out * itemsize]
-        if raw.size != n_out * itemsize:
-            raise CompressionError("sz payload truncated (outliers)")
-        vals[out_bitmap] = raw.view(dtype)
+        vals[out_bitmap] = payload[pos + bm_len:].view(dtype)
         return vals
 
     def max_abs_error(self) -> float:

@@ -180,15 +180,18 @@ class Zfp2dCompressor(Compressor):
         rate = int(comp.params.get("rate", self.rate))
         rows = int(comp.params["rows"])
         cols = int(comp.params["cols"])
-        if rows == 0 or cols == 0:
-            return np.empty((rows, cols), dtype=np.float32)
         br, bc = self._blocks(rows, cols)
         nblocks = br * bc
         block_bits = 16 * rate
         total_bits = nblocks * block_bits
         need = -(-total_bits // 8)
-        if comp.payload.size < need:
-            raise CompressionError("zfp2d payload truncated")
+        if comp.payload.size != need:
+            raise CompressionError(
+                f"zfp2d payload size mismatch: expected {need} bytes, "
+                f"have {comp.payload.size}"
+            )
+        if nblocks == 0:
+            return np.empty((rows, cols), dtype=np.float32)
         kept = plan_bit_allocation_2d(rate)
         widths = [_EXP_BITS] + [int(k) for k in kept]
         decoded = unpack_block_fields(comp.payload, widths, block_bits, nblocks)

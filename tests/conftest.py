@@ -61,3 +61,15 @@ def smooth_f32(n: int, seed: int = 0) -> np.ndarray:
 @pytest.fixture
 def smooth_signal():
     return smooth_f32(100_000)
+
+
+@pytest.fixture(params=["production-tile", "tiny-tile"])
+def tile(request, monkeypatch):
+    """Run a codec test at the production tile size and at one of a few
+    blocks, so that small arrays cross many tile boundaries."""
+    from repro.compression import mpc, zfp
+
+    if request.param == "tiny-tile":
+        monkeypatch.setattr(zfp, "_TILE_BYTES", 256)    # 16 f32 / 8 f64 blocks
+        monkeypatch.setattr(mpc, "_TILE_BYTES", 1024)   # 8 u32 / 2 u64 blocks
+    return request.param

@@ -3,7 +3,7 @@ oracles (``tests/codec_oracles.py``), their memory footprint, and the
 decoder-side input validation every codec shares.
 
 The differential tests run at the production tile size and again with
-``_TILE_BYTES`` shrunk so that small adversarial arrays cross many tile
+``_TILE_BYTES`` shrunk (the ``tile`` fixture of ``conftest.py``) so that small adversarial arrays cross many tile
 boundaries, including a ragged last tile and a ragged last block.
 """
 
@@ -11,8 +11,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compression import available, get_compressor, mpc, zfp
+from repro.compression import available, get_compressor, mpc
 from repro.compression.base import CompressedData
 from repro.compression.mpc import MpcCompressor, bit_transpose
 from repro.compression.zfp import ZfpCompressor
@@ -24,15 +26,6 @@ from tests.codec_oracles import (
     bit_transpose_oracle, mpc_compress_oracle, mpc_decompress_oracle,
     zfp_compress_oracle, zfp_decompress_oracle,
 )
-
-
-@pytest.fixture(params=["production-tile", "tiny-tile"])
-def tile(request, monkeypatch):
-    """Run a test at the production tile size and at one of a few blocks."""
-    if request.param == "tiny-tile":
-        monkeypatch.setattr(zfp, "_TILE_BYTES", 256)    # 16 f32 / 8 f64 blocks
-        monkeypatch.setattr(mpc, "_TILE_BYTES", 1024)   # 8 u32 / 2 u64 blocks
-    return request.param
 
 
 # -- adversarial inputs --------------------------------------------------------
@@ -195,6 +188,167 @@ def test_kernels_match_oracles_across_production_tiles():
             comp = MpcCompressor(dim).compress(data)
             assert comp.payload.tobytes() == mpc_compress_oracle(data, dim).tobytes()
             assert MpcCompressor(dim).decompress(comp).tobytes() == data.tobytes()
+
+
+# -- block sparsity --------------------------------------------------------------
+#
+# A block of w words is *live* when one of its LNV residuals is non-zero.
+# The kernels run zigzag, transpose and zero elimination on live blocks
+# only; the oracles know nothing of that.
+
+def _udtype(dtype):
+    return np.uint32 if np.dtype(dtype).itemsize == 4 else np.uint64
+
+
+def _with_liveness(dtype, dim: int, live, n: int, seed: int = 0) -> np.ndarray:
+    """``n`` values whose block ``b`` has non-zero residuals at stride
+    ``dim`` exactly when ``live[b]``: the residuals are drawn (full-range
+    words, so NaN and inf patterns occur) and integrated per phase."""
+    udtype = _udtype(dtype)
+    w = np.dtype(dtype).itemsize * 8
+    live = np.asarray(live, dtype=bool)
+    assert live.size == -(-n // w)
+    rng = np.random.default_rng([seed, n, dim])
+    resid = rng.integers(0, 1 << 64, live.size * w, dtype=np.uint64).astype(udtype)
+    resid[rng.random(resid.size) < 0.5] = 0  # live blocks hold zero words too
+    resid[::w] |= udtype(1)                  # ... and at least one non-zero
+    resid[~np.repeat(live, w)] = 0
+    resid = resid[:n]
+    m = -(-n // dim)
+    buf = np.zeros(m * dim, dtype=udtype)
+    buf[:n] = resid
+    return np.cumsum(buf.reshape(m, dim), axis=0,
+                     dtype=udtype).reshape(-1)[:n].view(dtype)
+
+
+def _assert_matches_oracles(data: np.ndarray, dim: int) -> None:
+    codec = MpcCompressor(dim)
+    comp = codec.compress(data)
+    want = mpc_compress_oracle(data, dim)
+    assert comp.payload.tobytes() == want.tobytes()
+    out = codec.decompress(comp)
+    assert out.tobytes() == data.tobytes()
+    assert out.tobytes() == mpc_decompress_oracle(
+        want, data.size, data.dtype, dim).tobytes()
+
+
+def _liveness_patterns(nblocks: int):
+    rng = np.random.default_rng(nblocks)
+    one = np.eye(nblocks, dtype=bool)
+    yield "all dead", np.zeros(nblocks, dtype=bool)
+    yield "first only", one[0]
+    yield "middle only", one[nblocks // 2]
+    yield "last only", one[-1]
+    yield "alternating", np.arange(nblocks) % 2 == 0
+    yield "alternating, odd", np.arange(nblocks) % 2 == 1
+    for share in (0.13, 0.5):
+        yield f"{share:.0%} live", rng.random(nblocks) < share
+    yield "all live", np.ones(nblocks, dtype=bool)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mpc_matches_oracle_on_every_liveness_pattern(dtype, dim, tile):
+    w = np.dtype(dtype).itemsize * 8
+    # whole tiles; a ragged last tile; a ragged (padded) last block, which
+    # "last only" and "all live" make live and the other patterns mostly dead
+    for n in (16 * w, 21 * w, 21 * w + 5, 8 * w - 1, 2 * w + 1):
+        for name, live in _liveness_patterns(-(-n // w)):
+            data = _with_liveness(dtype, dim, live, n)
+            try:
+                _assert_matches_oracles(data, dim)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}, n={n}") from exc
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [0.0, 1.5, -0.0, np.nan])
+def test_mpc_matches_oracle_on_constant_arrays(dtype, fill, tile):
+    """A constant array is dead but for the first word (which has no
+    predecessor); zeros are dead throughout."""
+    for n in (1, 63, 64, 65, 1000, 4099):
+        for dim in (1, 2, 3):
+            _assert_matches_oracles(np.full(n, fill, dtype=dtype), dim)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mpc_matches_oracle_on_special_values_in_dead_and_live_blocks(dtype, tile):
+    """Runs of one NaN / -0.0 / denormal pattern span dead blocks; the
+    same patterns mixed make live ones."""
+    info = np.finfo(dtype)
+    specials = np.array([np.nan, -np.nan, -0.0, 0.0, info.smallest_subnormal,
+                         -info.smallest_subnormal, np.inf, -np.inf, info.max],
+                        dtype=dtype)
+    rng = np.random.default_rng(5)
+    runs = [np.full(int(rng.integers(70, 400)), v, dtype=dtype) for v in specials]
+    mixed = rng.choice(specials, 333)
+    data = np.concatenate(runs[:5] + [mixed] + runs[5:] + [mixed[:77]])
+    for dim in (1, 2, 3):
+        _assert_matches_oracles(data, dim)
+
+
+def test_mpc_matches_oracle_on_msg_sppm(tile):
+    """The catalog dataset the sparsity comes from (about one block in
+    eight live), as float32 and widened to float64, ragged."""
+    data = make_payload("dataset:msg_sppm", 96 * 1024, 7)[:-3]
+    _assert_matches_oracles(data, 1)
+    _assert_matches_oracles(data, 2)
+    _assert_matches_oracles(data[:6001].astype(np.float64), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(live=st.lists(st.booleans(), min_size=1, max_size=40),
+       cut=st.integers(min_value=0, max_value=31),
+       dim=st.sampled_from([1, 2, 3]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       tile_bytes=st.sampled_from([1024, mpc._TILE_BYTES]))
+def test_property_mpc_matches_oracle_for_any_liveness_mask(
+        live, cut, dim, dtype, tile_bytes):
+    w = np.dtype(dtype).itemsize * 8
+    n = len(live) * w - cut  # cut < w: the last block is padded, not dropped
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "_TILE_BYTES", tile_bytes)
+        _assert_matches_oracles(_with_liveness(dtype, dim, live, n), dim)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the positional arguments of every call of ``mpc.<name>``."""
+    calls = []
+    real = getattr(mpc, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mpc, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mpc_dead_tiles_run_no_butterflies_and_live_tiles_no_gather(
+        dtype, monkeypatch):
+    """Tiles of 8 (f32) / 2 (f64) blocks: all live, all dead, half
+    live.  Only live blocks are ever transposed; only the mixed tile is
+    gathered (encode) and scattered (decode)."""
+    monkeypatch.setattr(mpc, "_TILE_BYTES", 1024)
+    w = np.dtype(dtype).itemsize * 8
+    tile = 1024 * 8 // (w * w)
+    live = np.r_[np.ones(tile, bool), np.zeros(tile, bool),
+                 np.arange(tile) % 2 == 0]
+    data = _with_liveness(dtype, 1, live, live.size * w)
+    codec = MpcCompressor(1)
+    transposed = _spy(monkeypatch, "_transpose_tile")
+    gathered = _spy(monkeypatch, "_gather_blocks")
+    scattered = _spy(monkeypatch, "_scatter_blocks")
+
+    comp = codec.compress(data)
+    assert [args[0].shape for args in transposed] == [(tile, w), (tile // 2, w)]
+    assert len(gathered) == 1 and len(scattered) == 0
+    del transposed[:], gathered[:]
+
+    assert codec.decompress(comp).tobytes() == data.tobytes()
+    assert [args[0].shape for args in transposed] == [(tile, w), (tile // 2, w)]
+    assert len(gathered) == 0 and len(scattered) == 1
 
 
 # -- footprint -----------------------------------------------------------------
