@@ -15,6 +15,12 @@ ISSUE 16 (one send-plan builder) re-captured ten ``*-pipe4`` rows, and
 only their span digest / span count: event count, simulated time,
 outcome and counters are still the parent's.  The comments above those
 rows say why.
+
+ISSUE 22 (codec faults through ``sim.faults``) added the ``mixed`` plan,
+``compress-fail`` / ``mixed`` on collectives and the ``rehop``
+(``keep_compressed=False``) collective rows, captured on *its* parent —
+the ``FlakyCompressor`` proxy — before any ``src/`` edit.  Those rows
+also pin the injector's final RNG state.
 """
 
 import hashlib
@@ -43,7 +49,8 @@ SZ = CompressionConfig(enabled=True, algorithm="sz")
 
 PT2PT_CONFIGS = {"mpc-opt": MPC, "mpc-pipe4": MPC_PIPE, "zfp8-pipe4": ZFP_PIPE,
                  "off": OFF, "sz": SZ}
-COLL_CONFIGS = {"mpc-opt": MPC, "off": OFF, "zfp8-pipe4": ZFP_PIPE}
+COLL_CONFIGS = {"mpc-opt": MPC, "off": OFF, "zfp8-pipe4": ZFP_PIPE,
+                "rehop": MPC.with_(keep_compressed=False)}
 
 PLANS = {
     "clean": None,
@@ -52,11 +59,24 @@ PLANS = {
     "silent": FaultPlan(seed=13, decompress_corrupt_rate=0.3),
     "oom+pool": FaultPlan(seed=14, oom_rate=0.3, pool_fail_rate=0.3),
     "compress-fail": FaultPlan(seed=15, compress_fail_rate=0.5),
+    "mixed": FaultPlan(seed=20, corrupt_rate=0.1, compress_fail_rate=0.1,
+                       decompress_corrupt_rate=0.2),
 }
 COLL_PLANS = ("clean", "drop", "drop+corrupt", "silent")
+#: codec-fault plans on collectives (ISSUE 22); ``rehop`` (decode and
+#: recompress at every hop) runs under these only
+CODEC_PLANS = ("silent", "compress-fail", "mixed")
 
-SCENARIOS = [("pt2pt", c, p) for c in PT2PT_CONFIGS for p in PLANS] \
-    + [("coll", c, p) for c in COLL_CONFIGS for p in COLL_PLANS]
+SCENARIOS = [("pt2pt", c, p) for c in PT2PT_CONFIGS for p in PLANS
+             if p != "mixed"] \
+    + [("coll", c, p) for c in COLL_CONFIGS if c != "rehop" for p in COLL_PLANS]
+#: added by ISSUE 22, captured on its parent: these also observe the
+#: injector's final RNG state, so a missing or extra draw fails even
+#: when no later fault depends on it
+RNG_SCENARIOS = [("pt2pt", c, "mixed") for c in PT2PT_CONFIGS] \
+    + [("coll", c, p) for c in COLL_CONFIGS for p in CODEC_PLANS
+       if c == "rehop" or p not in COLL_PLANS]
+SCENARIOS += RNG_SCENARIOS
 
 
 def _crc(arr) -> int:
@@ -133,7 +153,8 @@ def _run(cluster, fn, **kw):
 
 
 def _observe(kind: str, config: str, plan: str) -> tuple:
-    """``(spans, events, elapsed, span hash, outcome, counters)``."""
+    """``(spans, events, elapsed, span hash, outcome, counters)``, plus a
+    CRC of the injector's final RNG state for ``RNG_SCENARIOS``."""
     if kind == "pt2pt":
         cluster, fn, cfg = Cluster("longhorn", 2, 1), _pt2pt, PT2PT_CONFIGS[config]
     else:
@@ -143,8 +164,12 @@ def _observe(kind: str, config: str, plan: str) -> tuple:
         outcome = f"{type(out).__name__}: {out}"
     else:
         outcome = zlib.crc32(repr(out.values).encode())
-    return (len(t.records), t.event_count, elapsed, _span_hash(t), outcome,
-            _counters(t))
+    observed = (len(t.records), t.event_count, elapsed, _span_hash(t), outcome,
+                _counters(t))
+    if (kind, config, plan) in RNG_SCENARIOS:
+        rng = t._sim.faults._rng.bit_generator.state
+        observed += (zlib.crc32(repr(rng).encode()),)
+    return observed
 
 
 PINS = {
@@ -400,6 +425,132 @@ PINS = {
          'IntegrityError: rank 2: wire image origin_seq=1 failed its '
          'post-decode CRC',
          {'sends.rndv_wire': 30}),
+    # ISSUE 22, captured on its parent (FlakyCompressor behind the
+    # registry hook), with the injector's final RNG state as a 7th field.
+    ('pt2pt', 'mpc-opt', 'mixed'):
+        (154, 237, 0.0009290672308174861, 'dd729c7ae48a52e3', 3998601823,
+         {'sends.rndv': 4,
+          'breaker_transitions.closed': 1,
+          'breaker_transitions.open': 1,
+          'breaker_trips.trip': 1,
+          'crc_mismatch': 5,
+          'fallback': 1,
+          'recovered': 3,
+          'retransmit': 5},
+         223277422),
+    ('pt2pt', 'mpc-pipe4', 'mixed'):
+        (179, 317, 0.000988743594901313, '310c4a410b397046', 3998601823,
+         {'sends.rndv': 2,
+          'sends.rndv_pipelined': 2,
+          'breaker_transitions.closed': 2,
+          'breaker_transitions.open': 2,
+          'breaker_trips.trip': 2,
+          'crc_mismatch': 5,
+          'fallback': 2,
+          'recovered': 2,
+          'retransmit': 5},
+         2368955343),
+    ('pt2pt', 'zfp8-pipe4', 'mixed'):
+        (116, 208, 0.00043000562406328403, 'dabc3beca21f0efa', 4252611019,
+         {'sends.rndv': 2,
+          'sends.rndv_pipelined': 2,
+          'breaker_transitions.closed': 1,
+          'breaker_transitions.open': 1,
+          'breaker_trips.trip': 1,
+          'crc_mismatch': 2,
+          'fallback': 2,
+          'recovered': 1,
+          'retransmit': 2},
+         2629832951),
+    ('pt2pt', 'off', 'mixed'):
+        (32, 42, 0.00027073471999999996, 'e6c309029dcab6f7', 3998601823,
+         {'sends.rndv': 4},
+         1865705432),
+    ('pt2pt', 'sz', 'mixed'):
+        (83, 97, 0.00034669787167232685, '607d8912e1c24849', 277160888,
+         {'sends.rndv': 4,
+          'crc_mismatch': 2,
+          'fallback': 1,
+          'recovered': 2,
+          'retransmit': 2},
+         1692495230),
+    ('coll', 'mpc-opt', 'compress-fail'):
+        (1155, 1400, 0.0009044788786933273, 'f150367c0c7782d0', 3400292418,
+         {'sends.rndv_wire': 95, 'fallback': 25},
+         3504245553),
+    ('coll', 'mpc-opt', 'mixed'):
+        (555, 798, 0.0006535406763395543, 'bbf3cb73e2746bea',
+         'IntegrityError: rank 4: wire image origin_seq=1 failed its '
+         'post-decode CRC',
+         {'sends.rndv_wire': 31,
+          'fallback': 2,
+          'recovered': 4,
+          'retransmit': 5,
+          'wire_crc_mismatch': 5},
+         1299050851),
+    ('coll', 'off', 'compress-fail'):
+        (778, 911, 0.0005004954400000002, '14c2db81dd243040', 3400292418,
+         {'sends.rndv': 95},
+         1075060812),
+    ('coll', 'off', 'mixed'):
+        (876, 965, 0.0006488489092859104, '7b0f09e887b47878', 3400292418,
+         {'sends.rndv': 95,
+          'crc_mismatch': 11,
+          'recovered': 10,
+          'retransmit': 11},
+         3291092658),
+    ('coll', 'zfp8-pipe4', 'compress-fail'):
+        (984, 1118, 0.0005442126115799089, '71bf4cdedfe61dee', 2081813251,
+         {'sends.rndv': 59,
+          'sends.rndv_pipelined': 1,
+          'sends.rndv_wire': 35,
+          'breaker_transitions.open': 6,
+          'breaker_trips.trip': 6,
+          'breaker_veto': 40,
+          'fallback': 23},
+         3215567613),
+    ('coll', 'zfp8-pipe4', 'mixed'):
+        (403, 502, 0.0002866959352836451, 'f157a6951babb7a7',
+         'IntegrityError: rank 1: wire image origin_seq=1 failed its '
+         'post-decode CRC',
+         {'sends.rndv_wire': 30,
+          'fallback': 1,
+          'recovered': 5,
+          'retransmit': 5,
+          'wire_crc_mismatch': 5},
+         1067147131),
+    ('coll', 'rehop', 'silent'):
+        (2785, 3859, 0.0035246120270231844, '13b19bc50364e451', 3400292418,
+         {'sends.rndv': 95,
+          'breaker_transitions.closed': 7,
+          'breaker_transitions.open': 7,
+          'breaker_trips.trip': 7,
+          'crc_mismatch': 56,
+          'recovered': 33,
+          'retransmit': 56},
+         2965308053),
+    ('coll', 'rehop', 'compress-fail'):
+        (1251, 1412, 0.0008869333141609899, '2b98f7c32d3a76a3', 3400292418,
+         {'sends.rndv': 95,
+          'breaker_transitions.closed': 2,
+          'breaker_transitions.open': 6,
+          'breaker_trips.trip': 6,
+          'breaker_veto': 42,
+          'fallback': 35},
+         72046568),
+    ('coll', 'rehop', 'mixed'):
+        (2523, 3426, 0.0034452672190552844, '891c2795e980d9a0', 3400292418,
+         {'sends.rndv': 95,
+          'breaker_transitions.closed': 3,
+          'breaker_transitions.open': 3,
+          'breaker_trips.trip': 3,
+          'breaker_veto': 1,
+          'crc_mismatch': 43,
+          'decode_error': 1,
+          'fallback': 10,
+          'recovered': 30,
+          'retransmit': 44},
+         3836175584),
 }
 
 
