@@ -32,11 +32,13 @@ computes anyway.  :meth:`CodecCache.decompress` is the one-partition
 case of the same memo, so a sender-side expected-value decode and the
 receiver's decode of the same bytes share an entry.
 
-Fault-wrapped codecs (``cache_unsafe``) bypass every memo: they decode
-for real and their output is hashed for real on every call.
+The cache knows nothing about faults.  A run whose plan has codec
+faults bypasses every memo one level up: the engine
+(:meth:`~repro.core.engine.CompressionEngine._compress` / ``_decode``)
+then calls :meth:`CodecCache.run_compress` /
+:meth:`CodecCache.run_decompress` itself and hashes the output for real.
 
-Every real codec execution of the data plane goes through
-:meth:`CodecCache.run_compress` / :meth:`CodecCache.run_decompress`
+Every real codec execution of the data plane goes through those two
 (the memoized paths call them on a miss), which is where the
 ``compress_execs`` / ``decompress_execs`` counters of :meth:`stats`
 are taken.
@@ -135,11 +137,6 @@ class CodecCache:
     # -- memoized paths -----------------------------------------------------
     def compress(self, codec: Compressor, data: np.ndarray) -> CompressedData:
         """Memoized ``codec.compress(data)``."""
-        if getattr(codec, "cache_unsafe", False):
-            # Fault-wrapped codecs are intentionally non-deterministic
-            # per call; memoizing them would both skip injected faults
-            # and poison the cache for clean codecs of the same name.
-            return self.run_compress(codec, data)
         raw = _raw_view(data)
         crc = zlib.crc32(raw)
         key = self._key("c", codec, (data.dtype.char,), crc, raw.nbytes)
@@ -171,9 +168,6 @@ class CodecCache:
         ``crc`` the CRC-32 of its bytes when ``want_crc`` (memoized
         with the entry, so only the first request hashes).
         """
-        if getattr(codec, "cache_unsafe", False):
-            out = self._decode_parts(codec, comps)
-            return out, (zlib.crc32(_raw_view(out)) if want_crc else None)
         raw = _raw_view(payload)
         if fingerprint is None:
             fingerprint = zlib.crc32(raw)

@@ -24,16 +24,12 @@ from repro.errors import CompressionError
 
 __all__ = ["register", "get_compressor", "codec_class", "available",
            "WIRE_CODES", "WIRE_NAMES", "feature_table",
-           "TABLE1_ROWS", "install_fault_wrapper", "uninstall_fault_wrapper"]
+           "TABLE1_ROWS"]
 
 _REGISTRY: Dict[str, Callable[..., Compressor]] = {}
 #: registry name <-> header u8 of the codecs admitted as transport
 WIRE_CODES: Dict[str, int] = {}
 WIRE_NAMES: Dict[int, str] = {}
-
-#: optional hook applied to every constructed codec — the fault plane
-#: installs :class:`repro.faults.codec.FlakyCompressor` through this
-_FAULT_WRAPPER: Callable[[Compressor], Compressor] | None = None
 
 
 def register(name: str, factory: Callable[..., Compressor],
@@ -60,20 +56,6 @@ def register(name: str, factory: Callable[..., Compressor],
     _REGISTRY[name] = factory
 
 
-def install_fault_wrapper(wrapper: Callable[[Compressor], Compressor]) -> None:
-    """Wrap every codec built by :func:`get_compressor` until
-    :func:`uninstall_fault_wrapper`.  Used by the fault-injection plane;
-    installers must uninstall in a ``finally`` so one chaotic run cannot
-    leak faults into the next."""
-    global _FAULT_WRAPPER
-    _FAULT_WRAPPER = wrapper
-
-
-def uninstall_fault_wrapper() -> None:
-    global _FAULT_WRAPPER
-    _FAULT_WRAPPER = None
-
-
 def codec_class(name: str) -> Callable[..., Compressor]:
     """The factory registered under ``name``."""
     try:
@@ -86,10 +68,7 @@ def codec_class(name: str) -> Callable[..., Compressor]:
 
 def get_compressor(name: str, **params) -> Compressor:
     """Instantiate a registered codec, passing ``params`` through."""
-    codec = codec_class(name)(**params)
-    if _FAULT_WRAPPER is not None:
-        codec = _FAULT_WRAPPER(codec)
-    return codec
+    return codec_class(name)(**params)
 
 
 def available() -> list[str]:

@@ -23,9 +23,14 @@ generator subroutines the MPI protocol layer calls:
 The framework is codec-agnostic: what a codec costs around its kernel
 it declares as *capabilities* on its
 :class:`~repro.compression.base.Compressor` class, and both ends read
-those — on the real codec behind any fault wrapper — never the codec's
-name, so :func:`repro.compression.register` alone admits a codec.
-``docs/protocol.md`` tabulates codec x capability and the step order.
+those, never the codec's name, so :func:`repro.compression.register`
+alone admits a codec.  ``docs/protocol.md`` tabulates codec x
+capability and the step order.
+
+Codec faults are injected here and nowhere else: the three sites that
+run a codec on live traffic go through ``_compress`` / ``_decode``,
+which consult ``sim.faults``.  The expected-value decode of
+``_plan_crc`` and the fused reduction are never faulted.
 
 Real numpy codecs run on the actual payload (compression ratios are
 measured, not assumed); kernel durations come from the calibrated
@@ -137,23 +142,48 @@ class CompressionEngine:
         return self._codec(self.config.algorithm, **self.config.codec_params())
 
     def _header_codec(self, header: CompressionHeader):
-        """``(codec, caps)`` for a received header: the codec to run and
-        the real codec behind any fault wrapper, whose class carries the
-        transport capabilities (the wrapper has the base defaults)."""
-        codec = self._codec(header.algorithm, **header.codec_params())
-        return codec, getattr(codec, "inner", codec)
+        """The codec a received header names."""
+        return self._codec(header.algorithm, **header.codec_params())
+
+    # The two codec calls on live traffic.  Under a plan with codec
+    # faults they run for real, past every memo: a hit would skip a
+    # draw, and a corrupted result stored under the codec's key would
+    # poison later clean runs in the same process.
+    def _compress(self, codec, data: np.ndarray) -> CompressedData:
+        """One partition's compression on the send path (memoized
+        host-side; kernel time is charged regardless)."""
+        faults = self.sim.faults
+        if faults is None or not faults.codec_faults:
+            return GLOBAL_CODEC_CACHE.compress(codec, data)
+        if faults.should_fail_compress(codec.name):
+            raise CompressionError(
+                f"injected {codec.name} compression-kernel failure")
+        return GLOBAL_CODEC_CACHE.run_compress(codec, data)
+
+    def _decode(self, codec, payload, comps, fingerprint: Optional[int] = None,
+                want_crc: bool = False) -> tuple:
+        """:meth:`CodecCache.decode` of one received message (or one
+        streamed part) on the receive path."""
+        faults = self.sim.faults
+        if faults is None or not faults.codec_faults:
+            return GLOBAL_CODEC_CACHE.decode(codec, payload, comps,
+                                             fingerprint, want_crc)
+        outs = [faults.maybe_corrupt_decompressed(
+                    codec.name, GLOBAL_CODEC_CACHE.run_decompress(codec, c))
+                for c in comps]
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+        return out, (payload_crc32(out) if want_crc else None)
 
     def _plan_crc(self, codec, data, comps) -> int:
         """CRC32 of what the receiver must reconstruct.
 
         Lossless codecs round-trip to the original bytes, so the raw
         CRC suffices.  Lossy codecs (zfp/sz) are checked against the
-        *clean* decompression of the wire bytes — computed with the
-        unwrapped codec so an installed fault wrapper can neither
-        corrupt nor draw RNG for the expected value.
+        *clean* decompression of the wire bytes — straight through the
+        codec cache, so a fault plane can neither corrupt nor draw RNG
+        for the expected value.
         """
-        clean = getattr(codec, "inner", codec)
-        if clean.lossless:
+        if codec.lossless:
             if len(comps) == 1 and comps[0].n_elements == data.size:
                 # The codec cache already CRC'd exactly these bytes as
                 # its lookup fingerprint; recomputing would hash the
@@ -168,12 +198,12 @@ class CompressionEngine:
                 # Hashed once, inside the decode memo: the receiver's
                 # lookup of these wire bytes finds the CRC with the entry.
                 _, crc = GLOBAL_CODEC_CACHE.decode(
-                    clean, comps[0].payload, comps, want_crc=True)
+                    codec, comps[0].payload, comps, want_crc=True)
                 # Decompression is deterministic, so the expected-value
                 # CRC can ride on the (cache-shared) comp for re-sends.
                 comps[0].meta["out_crc32"] = crc
             return crc
-        outs = [GLOBAL_CODEC_CACHE.decompress(clean, c) for c in comps]
+        outs = [GLOBAL_CODEC_CACHE.decompress(codec, c) for c in comps]
         return payload_crc32(np.concatenate(outs))
 
     def _acquire(self, pool, nbytes: int, label: str):
@@ -308,50 +338,46 @@ class CompressionEngine:
                 or data.nbytes < cfg.threshold):
             return self._raw_plan(data)
         codec = self._transport_codec()
-        # Capabilities live on the real codec's class; a fault wrapper
-        # inherits the base-class defaults before its __getattr__ runs.
-        caps = getattr(codec, "inner", codec)
-        if data.dtype.type not in caps.supported_dtypes:
+        if data.dtype.type not in codec.supported_dtypes:
             return self._raw_plan(data)
         spec = self.device.spec
         name = cfg.algorithm
         nbytes = data.nbytes
 
         def compress(parts: int) -> list:
-            # Real compression, one partition at a time (memoized
-            # host-side; kernel time is charged regardless).
-            return [GLOBAL_CODEC_CACHE.compress(codec, p)
+            # Real compression, one partition at a time.
+            return [self._compress(codec, p)
                     for p in np.array_split(data, parts)]
 
         parts = cfg.partitions or partitions_for_message(nbytes)
         # Never partition below one SM per kernel or 64 elements each.
         parts = max(1, min(parts, spec.sm_count, data.size // 64 or 1))
         comps = None
-        streamed = stream and cfg.pipeline and caps.streamable and parts >= 2
+        streamed = stream and cfg.pipeline and codec.streamable and parts >= 2
         if streamed:
             # A stream's partition sizes ride the RTS ahead of its
             # kernels, and data that does not compress is not worth
             # streaming: it takes the whole-message plan below.
             comps = compress(parts)
             streamed = sum(c.nbytes for c in comps) < nbytes
-        if not (streamed or caps.multi_kernel):
+        if not (streamed or codec.multi_kernel):
             parts, comps = 1, None
 
         itemsize = data.dtype.itemsize
-        expected = [caps.expected_compressed_bytes(n, itemsize)
+        expected = [codec.expected_compressed_bytes(n, itemsize)
                     for n in _partition_counts(data.size, parts)]
         fixed_rate = expected[0] is not None
         resources = []
         kernel_run = None
         try:
-            if caps.host_setup:
+            if codec.host_setup:
                 yield from self._host_setup()
             comp_buf = yield from self._acquire(
                 self.data_pool,
-                sum(expected) if fixed_rate else caps.staging_bytes(nbytes),
+                sum(expected) if fixed_rate else codec.staging_bytes(nbytes),
                 f"{name}_compressed")
             resources.append(comp_buf)
-            if caps.needs_offsets:
+            if codec.needs_offsets:
                 resources.append((yield from self._acquire_doff()))
             if comps is None:
                 comps = compress(parts)
@@ -381,7 +407,7 @@ class CompressionEngine:
                 # the codec, as its traces always were)
                 yield from self._run_partition_kernels(
                     durations, blocks, "compression_kernel",
-                    "p0" if caps.multi_kernel else name)
+                    "p0" if codec.multi_kernel else name)
                 if not fixed_rate:
                     yield from self._size_copy(4 * parts)
                 # Merge partition outputs into one contiguous buffer
@@ -399,7 +425,7 @@ class CompressionEngine:
             return self._raw_plan(data)
         plan = SendPlan(
             header=CompressionHeader.for_message(
-                name, data.dtype, data.size, caps.header_param(), sizes,
+                name, data.dtype, data.size, codec.header_param(), sizes,
                 pipelined=streamed),
             payload=None, wire_nbytes=wire_nbytes, resources=resources,
             crc=self._plan_crc(codec, data, comps),
@@ -414,7 +440,7 @@ class CompressionEngine:
 
     def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
         """Decompress one arrived partition (generator subroutine)."""
-        codec, _ = self._header_codec(header)
+        codec = self._header_codec(header)
         dtype = np.dtype(header.dtype_name)
         counts = _partition_counts(header.n_elements, header.n_partitions)
         # Half-device kernels: arrivals are already staggered by the
@@ -430,7 +456,7 @@ class CompressionEngine:
             payload=np.ascontiguousarray(payload, dtype=np.uint8),
             n_elements=counts[part], dtype=dtype, params=header.codec_params(),
         )
-        return GLOBAL_CODEC_CACHE.decompress(codec, comp)
+        return self._decode(codec, comp.payload, (comp,))[0]
 
     # -- compressed-domain reduction (hZCCL-style) ---------------------------
     def reduce_capable(self, op) -> bool:
@@ -441,8 +467,7 @@ class CompressionEngine:
         :attr:`~repro.compression.base.Compressor.reduce_supported`."""
         if not self.config.enabled or op is not np.add:
             return False
-        codec = self._transport_codec()
-        return bool(getattr(codec, "inner", codec).reduce_supported)
+        return bool(self._transport_codec().reduce_supported)
 
     def reduce_wire_payload(self, header: CompressionHeader, local: np.ndarray,
                             other_header: CompressionHeader, other_payload,
@@ -485,7 +510,7 @@ class CompressionEngine:
             raise CompressionError(
                 f"local operand {local.shape}x{local.dtype} does not match {header!r}"
             )
-        _, clean = self._header_codec(header)
+        codec = self._header_codec(header)
         parts = header.n_partitions
 
         # Fused kernels, one per partition, like the decode path.
@@ -502,9 +527,9 @@ class CompressionEngine:
         for comp in self._partition_comps(other_header, other_payload):
             stop = start + comp.n_elements
             np.add(local[start:stop],
-                   GLOBAL_CODEC_CACHE.run_decompress(clean, comp),
+                   GLOBAL_CODEC_CACHE.run_decompress(codec, comp),
                    out=total[start:stop])
-            reduced.append(GLOBAL_CODEC_CACHE.run_compress(clean, total[start:stop]))
+            reduced.append(GLOBAL_CODEC_CACHE.run_compress(codec, total[start:stop]))
             start = stop
         sizes = [c.nbytes for c in reduced]
         crc = payload_crc32(total) if want_crc else None
@@ -532,7 +557,7 @@ class CompressionEngine:
         try:
             resources.append((yield from self._acquire(
                 self.data_pool, header.wire_bytes, "recv_compressed")))
-            if self._header_codec(header)[1].needs_offsets:
+            if self._header_codec(header).needs_offsets:
                 resources.append((yield from self._acquire_doff()))
         except BaseException:
             yield from self._release(resources)
@@ -575,8 +600,8 @@ class CompressionEngine:
         """
         if not header.compressed:
             return payload, (payload_crc32(payload) if want_crc else None)
-        codec, caps = self._header_codec(header)
-        if caps.host_setup:
+        codec = self._header_codec(header)
+        if codec.host_setup:
             yield from self._host_setup()
 
         parts = header.n_partitions
@@ -590,7 +615,7 @@ class CompressionEngine:
 
         # Real decompression: one memo lookup for the whole message,
         # partition by partition on a miss.
-        result, crc = GLOBAL_CODEC_CACHE.decode(
+        result, crc = self._decode(
             codec, payload, self._partition_comps(header, payload),
             fingerprint=fingerprint, want_crc=want_crc,
         )

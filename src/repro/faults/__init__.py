@@ -1,14 +1,14 @@
 """Deterministic fault injection for the simulated cluster.
 
-The fault plane has three pieces:
+The fault plane has two pieces:
 
 * :class:`~repro.faults.plan.FaultPlan` — a frozen, validated
   description of fault rates, link schedules, and the RNG seed;
 * :class:`~repro.faults.injector.FaultInjector` — the live decision
   engine a run attaches as ``sim.faults``; instrumented sites in the
-  network, GPU, and compression layers consult it;
-* :class:`~repro.faults.codec.FlakyCompressor` — the codec proxy
-  installed through the compression registry's fault-wrapper hook.
+  network, GPU, and compression layers consult it at the point of
+  action (codec faults: :class:`~repro.core.engine.CompressionEngine`'s
+  compress and decode calls on live traffic).
 
 Pass a plan to :meth:`repro.mpi.cluster.Cluster.run(faults=...)
 <repro.mpi.cluster.Cluster.run>` to run any workload under faults; the

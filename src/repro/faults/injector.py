@@ -2,8 +2,8 @@
 
 A :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan`
 to a :class:`~repro.sim.Simulator` (``sim.faults``).  Instrumented
-sites — links, topology, device allocator, buffer pools, codecs — ask
-it whether to fail, and every fired fault emits a zero-duration span on
+sites — links, topology, device allocator, buffer pools, the
+compression engine's codec calls — ask it whether to fail, and every fired fault emits a zero-duration span on
 the ``faults`` track plus a ``faults.injected`` counter, so a chaos run
 is fully auditable from its trace.
 
@@ -38,6 +38,10 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self._rng = np.random.Generator(np.random.PCG64(plan.seed))
+        #: the plan injects compression faults: the engine then runs
+        #: every codec on live traffic for real, past the codec cache
+        self.codec_faults = (plan.compress_fail_rate > 0.0
+                             or plan.decompress_corrupt_rate > 0.0)
         sim.faults = self
 
     # -- plumbing -------------------------------------------------------
@@ -131,16 +135,6 @@ class FaultInjector:
                       nbytes=int(getattr(out, "nbytes", len(out))))
             return self.corrupt_payload(out)
         return out
-
-    def wrap_codec(self, codec):
-        """Registry hook: wrap a freshly-built codec in the flaky proxy
-        (identity when this plan injects no compression faults)."""
-        from repro.faults.codec import FlakyCompressor
-
-        if self.plan.compress_fail_rate == 0.0 and \
-                self.plan.decompress_corrupt_rate == 0.0:
-            return codec
-        return FlakyCompressor(codec, self)
 
     def __repr__(self) -> str:
         return f"<FaultInjector {self.plan.describe()}>"

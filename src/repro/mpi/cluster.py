@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.compression.cache import GLOBAL_CODEC_CACHE
-from repro.compression.registry import install_fault_wrapper, uninstall_fault_wrapper
 from repro.core.config import CompressionConfig
 from repro.core.engine import CompressionEngine
 from repro.errors import DeadlockError, MpiError
@@ -505,14 +504,8 @@ class Cluster:
                 fs.adopt(r, p)
                 procs.append(p)
             fs.install(faults.rank_failures)
-        if injector is not None:
-            install_fault_wrapper(injector.wrap_codec)
         cache_before = GLOBAL_CODEC_CACHE.stats()
-        try:
-            sim.run(until=max_time)
-        finally:
-            if injector is not None:
-                uninstall_fault_wrapper()
+        sim.run(until=max_time)
         cache_after = GLOBAL_CODEC_CACHE.stats()
         cache_delta = {
             k: cache_after[k] - cache_before[k]

@@ -4,7 +4,7 @@
 costs around its kernel from the capabilities its class declares —
 never from its name — so a codec is admitted through
 ``repro.compression.register`` alone, every transport codec works under
-every config flag, and the fault wrapper cannot hide a capability.
+every config flag, and a fault plane cannot hide a capability.
 """
 
 import json
@@ -16,11 +16,8 @@ import pytest
 from repro.compression import (
     CompressedData, Compressor, get_compressor, perfmodel, register, registry,
 )
-from repro.compression.registry import (
-    install_fault_wrapper, uninstall_fault_wrapper)
 from repro.core import CompressionConfig, CompressionEngine, CompressionHeader
-from repro.faults import FaultPlan
-from repro.faults.codec import FlakyCompressor
+from repro.faults import FaultInjector, FaultPlan
 from repro.gpu.device import Device
 from repro.gpu.spec import V100
 from repro.mpi.cluster import Cluster
@@ -55,10 +52,13 @@ def _exchange(comm, data):
     return got
 
 
-def _prepare(config, data, stream=False):
-    """``(plan, spans)`` of one bare ``sender_prepare``."""
+def _prepare(config, data, stream=False, faults=None):
+    """``(plan, spans)`` of one bare ``sender_prepare``, under the fault
+    plan ``faults`` when given."""
     sim = Simulator()
     tracer = Tracer(sim)
+    if faults is not None:
+        FaultInjector(sim, faults)
     engine = CompressionEngine(sim, Device(sim, V100, 0), config)
     plan = sim.run_process(engine.sender_prepare(data, stream=stream))
     return plan, [(r.category, r.label) for r in tracer.records]
@@ -240,15 +240,16 @@ def test_staging_bound_covers_the_fixture_streams():
     assert set(registry.WIRE_CODES) - {"null"} <= seen
 
 
-# -- capabilities are read through the fault wrapper ---------------------------
+# -- capabilities are the codec's own under a codec-fault plan -----------------
 
 @pytest.mark.parametrize("algo,offsets,setup", [("mpc", True, False),
                                                 ("zfp", False, True)])
 def test_capabilities_survive_the_fault_wrapper(algo, offsets, setup):
-    """``FlakyCompressor`` inherits the base-class capability defaults
-    before its ``__getattr__`` runs; the engine must read the real
-    codec's.  Under a compress-fail plan the sends that do compress
-    still stream, take ``d_off`` (mpc) and do host set-up (zfp)."""
+    """A codec-fault plan used to swap the codec for a proxy that
+    inherited the base-class capability defaults; the engine now holds
+    the registered class whatever the plan.  Under a compress-fail plan
+    the sends that do compress still stream, take ``d_off`` (mpc) and
+    do host set-up (zfp)."""
     cfg = CompressionConfig(enabled=True, algorithm=algo, zfp_rate=8,
                             pipeline=True, partitions=4)
     data = make_payload("wave", 1 * MiB, seed=1)
@@ -278,21 +279,12 @@ def test_capabilities_survive_the_fault_wrapper(algo, offsets, setup):
     assert any(r.label == "compressed_size" for r in spans) == offsets
     assert any(r.category == "zfp_stream_field" for r in spans) == setup
 
-    # And directly: a wrapped codec's plan holds the same resources and
-    # header parameter as a clean one's.
-    class _Never:
-        def should_fail_compress(self, name):
-            return False
-
-        def maybe_corrupt_decompressed(self, name, out):
-            return out
-
+    # And directly: a plan built under a codec-fault injector that never
+    # fires (its window opens long after the send) holds the same
+    # resources, header parameter and CRC as a clean one's.
     clean, _ = _prepare(cfg, data, stream=True)
-    install_fault_wrapper(lambda codec: FlakyCompressor(codec, _Never()))
-    try:
-        wrapped, _ = _prepare(cfg, data, stream=True)
-    finally:
-        uninstall_fault_wrapper()
-    assert wrapped.header == clean.header and wrapped.header.pipelined
-    assert len(wrapped.resources) == len(clean.resources) == (2 if offsets else 1)
-    assert wrapped.crc == clean.crc
+    faulted, _ = _prepare(cfg, data, stream=True, faults=FaultPlan(
+        compress_fail_rate=0.5, decompress_corrupt_rate=0.5, active_after=1.0))
+    assert faulted.header == clean.header and faulted.header.pipelined
+    assert len(faulted.resources) == len(clean.resources) == (2 if offsets else 1)
+    assert faulted.crc == clean.crc

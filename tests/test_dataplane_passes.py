@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.compression import MpcCompressor
 from repro.compression.base import CompressedData
-from repro.compression.cache import GLOBAL_CODEC_CACHE, CodecCache
+from repro.compression.cache import GLOBAL_CODEC_CACHE
 from repro.core import CompressionConfig, CompressionEngine
 from repro.errors import CompressionError, IntegrityError
 from repro.faults import FaultPlan
-from repro.faults.codec import FlakyCompressor
 from repro.gpu.device import Device
 from repro.gpu.spec import V100
 from repro.mpi.cluster import Cluster
@@ -378,6 +377,8 @@ def test_silent_decompress_fault_in_rendezvous_recovers():
 class _AlwaysCorrupt:
     """Injector stub: every decode comes back with one bit flipped."""
 
+    codec_faults = True
+
     def should_fail_compress(self, name):
         return False
 
@@ -386,17 +387,22 @@ class _AlwaysCorrupt:
 
 
 def test_memo_hit_is_never_taken_for_a_cache_unsafe_codec():
-    cache = CodecCache()
+    """A run whose plan has codec faults decodes past the memo: the
+    engine's decode helper, with the stub as ``sim.faults``."""
+    cache = GLOBAL_CODEC_CACHE
+    sim = Simulator()
+    engine = CompressionEngine(sim, Device(sim, V100, 0), MPC)
     clean = MpcCompressor(1)
     x = np.linspace(0, 1, 5000, dtype=np.float32)
     comp = clean.compress(x)
-    good, good_crc = cache.decode(clean, comp.payload, (comp,), want_crc=True)
+    good, good_crc = engine._decode(clean, comp.payload, (comp,), want_crc=True)
     assert good_crc == payload_crc32(x)
     before = cache.stats()
-    flaky = FlakyCompressor(clean, _AlwaysCorrupt())
-    bad, bad_crc = cache.decode(flaky, comp.payload, (comp,),
-                                fingerprint=payload_crc32(comp.payload),
-                                want_crc=True)
+    sim.faults = _AlwaysCorrupt()
+    bad, bad_crc = engine._decode(clean, comp.payload, (comp,),
+                                  fingerprint=payload_crc32(comp.payload),
+                                  want_crc=True)
+    sim.faults = None
     after = cache.stats()
     # decoded for real, hashed for real, nothing looked up or stored
     assert after["decompress_execs"] == before["decompress_execs"] + 1
@@ -405,8 +411,9 @@ def test_memo_hit_is_never_taken_for_a_cache_unsafe_codec():
     assert bad.tobytes() != x.tobytes()
     assert bad_crc == payload_crc32(bad) != good_crc
     # and the clean entry is untouched by it
-    again, again_crc = cache.decode(clean, comp.payload, (comp,), want_crc=True)
+    again, again_crc = engine._decode(clean, comp.payload, (comp,), want_crc=True)
     assert again.tobytes() == x.tobytes() and again_crc == good_crc
+    assert cache.stats()["hits"] == after["hits"] + 1
 
 
 def test_sz_survives_a_fault_plan():

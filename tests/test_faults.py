@@ -242,6 +242,47 @@ def test_recovers_from_decompress_corruption():
     assert m.counter_total("resilience.crc_mismatch") > 0
 
 
+def test_codec_faults_reach_only_the_engine_of_the_run():
+    """Codec faults are drawn by the run's ``CompressionEngine`` from
+    ``sim.faults``.  They used to be a process-global registry hook that
+    handed *every* ``get_compressor`` caller a flaky proxy while a
+    faulted run was in progress (the RPRT writer's block codec
+    included)."""
+    from repro.compression import MpcCompressor, get_compressor
+
+    x = make_payload("wave", 256 * 1024, seed=1)
+
+    def rank_fn(comm):
+        codec = get_compressor("mpc")
+        comp = codec.compress(x)  # compress_fail_rate=1.0 is not ours to feel
+        yield from comm.barrier()
+        return type(codec), codec.decompress(comp).tobytes() == x.tobytes()
+
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rank_fn, config=MPC, faults=FaultPlan(seed=1, compress_fail_rate=1.0))
+    assert res.values == [(MpcCompressor, True)] * 2
+
+
+def test_registry_has_no_fault_hook_and_no_state_set_by_a_run():
+    from repro.compression import registry
+
+    assert not hasattr(registry, "install_fault_wrapper")
+    assert not hasattr(registry, "uninstall_fault_wrapper")
+    outside = dict(vars(registry))
+
+    def rank_fn(comm):
+        inside = vars(registry)
+        yield from comm.barrier()
+        return inside.keys() == outside.keys() and all(
+            inside[k] is v for k, v in outside.items())
+
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rank_fn, config=MPC,
+        faults=FaultPlan(seed=1, compress_fail_rate=0.5,
+                         decompress_corrupt_rate=0.5))
+    assert res.values == [True, True]
+
+
 def test_link_degradation_slows_but_delivers():
     clean, payloads = run_pt2pt(payloads=None)
     slow, _ = run_pt2pt(
