@@ -783,27 +783,46 @@ class Communicator:
         """Decode a received :class:`WireImage` into user data
         (generator subroutine) — the single decompression of the
         keep-compressed path, checked against the image's
-        post-decode CRC when integrity is on."""
+        post-decode CRC when integrity is on.
+
+        The image's wire bytes were verified when it arrived, so a
+        mismatch here is the decoder's (a transient kernel fault):
+        under a fault plane the rank backs off and decodes the bytes it
+        holds again, up to ``max_retries`` times — nothing is
+        retransmitted."""
         rt = self._rt
         engine = rt.engine_of(self._grank)
-        with trace_scope(self.sim, "pipeline", "unpack_wire", rank=self._grank,
-                         nbytes=wire.wire_nbytes, origin_seq=wire.origin_seq):
-            resources = yield from engine.receiver_prepare(wire.header)
-            try:
-                data, got_crc = yield from engine.receiver_complete(
-                    wire.header, wire.payload, resources,
-                    fingerprint=wire.wire_crc, want_crc=wire.crc is not None,
+        seq = wire.origin_seq
+        attempt = 0
+        while True:
+            extra = {"attempt": attempt} if attempt else {}
+            with trace_scope(self.sim, "pipeline", "unpack_wire",
+                             rank=self._grank, nbytes=wire.wire_nbytes,
+                             origin_seq=seq, **extra):
+                resources = yield from engine.receiver_prepare(wire.header)
+                try:
+                    data, got_crc = yield from engine.receiver_complete(
+                        wire.header, wire.payload, resources,
+                        fingerprint=wire.wire_crc, want_crc=wire.crc is not None,
+                    )
+                except BaseException:
+                    if resources:
+                        yield from engine._release(resources)
+                    raise
+            if got_crc == wire.crc:
+                if attempt:
+                    rt.resilience_event("recovered", rank=self._grank, seq=seq,
+                                        attempts=attempt)
+                return data
+            if rt.faults is None or attempt >= rt.resilience.max_retries:
+                raise IntegrityError(
+                    f"rank {self._grank}: wire image origin_seq={seq} "
+                    f"failed its post-decode CRC"
                 )
-            except BaseException:
-                if resources:
-                    yield from engine._release(resources)
-                raise
-        if got_crc != wire.crc:
-            raise IntegrityError(
-                f"rank {self._grank}: wire image origin_seq={wire.origin_seq} "
-                f"failed its post-decode CRC"
-            )
-        return data
+            attempt += 1
+            rt.resilience_event("crc_mismatch", rank=self._grank, seq=seq,
+                                attempt=attempt)
+            yield from self._backoff(rt, attempt, seq, "crc_mismatch")
 
     def reduce_wires(self, acc: WireImage, local, other: WireImage, op=None):
         """Combine the image this rank holds with one that arrived

@@ -26,6 +26,7 @@ from repro.gpu.device import Device
 from repro.gpu.spec import V100
 from repro.mpi.cluster import Cluster
 from repro.mpi.collectives import _T_RING_RS
+from repro.mpi.resilience import ResilienceConfig
 from repro.omb.payload import make_payload
 from repro.sim import Simulator, Tracer
 from repro.utils.integrity import flip_bit, payload_crc32
@@ -172,7 +173,7 @@ def test_fused_step_rejects_a_local_operand_of_the_wrong_shape():
 # -- (b) collectives pinned to the parent commit ------------------------------
 
 def _allreduce(algorithm, nprocs, nbytes, seed0, faults=None, config=MPC,
-               payloads=None):
+               payloads=None, resilience=None):
     if payloads is None:
         payloads = [make_payload("dataset:msg_sppm", nbytes, seed=seed0 + r)
                     for r in range(nprocs)]
@@ -183,7 +184,8 @@ def _allreduce(algorithm, nprocs, nbytes, seed0, faults=None, config=MPC,
 
     GLOBAL_CODEC_CACHE.clear()
     res = Cluster("frontera-liquid", nodes=nprocs // 2, gpus_per_node=2).run(
-        rank_fn, config=config, faults=faults, max_time=60.0)
+        rank_fn, config=config, faults=faults, resilience=resilience,
+        max_time=60.0)
     return res, payloads
 
 
@@ -329,12 +331,20 @@ def test_drop_in_the_middle_of_a_ring_step_recovers():
     (6, "rank 1: wire image origin_seq=37"),
 ])
 def test_silent_decompress_fault_in_unpack_wire_raises(seed, failing):
-    """The final unpack decodes through the fault-wrapped codec for
-    real and hashes what came out: the same image fails as on the
-    parent (same RNG draws, so same victim)."""
+    """The final unpack decodes for real under a codec-fault plan and
+    hashes what came out.  With no retry budget the same image fails as
+    on the commit before ISSUE 13 (same RNG draws, so same victim); with
+    the default budget (ISSUE 22) the rank decodes the bytes it holds
+    again and every result is the clean one."""
+    plan = FaultPlan(seed=seed, decompress_corrupt_rate=0.05)
     with pytest.raises(IntegrityError, match=failing):
-        _allreduce("ring", 4, 1 << 19, 20,
-                   faults=FaultPlan(seed=seed, decompress_corrupt_rate=0.05))
+        _allreduce("ring", 4, 1 << 19, 20, faults=plan,
+                   resilience=ResilienceConfig(max_retries=0))
+    res, _ = _allreduce("ring", 4, 1 << 19, 20, faults=plan)
+    assert [_crc(out) for _, out in res.values] == [_CLEAN_CRC] * 4
+    got = _resilience(res)
+    assert got["crc_mismatch"] > 0 and got["recovered"] > 0
+    assert got["retransmit"] == 0  # the wire bytes were never in doubt
 
 
 def test_silent_decompress_plan_leaves_reduce_steps_alone():

@@ -7,6 +7,8 @@ circuit-breaker mechanics, timeout/deadlock diagnostics, and the
 CR >= 1 uncompressed-fallback property across every registered codec.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -635,6 +637,47 @@ def test_chaos_harness_collective_workloads(workload):
                                       drop_rate=0.05))
     assert report.ok
     assert report.total_messages > 0
+
+
+@pytest.mark.parametrize("workload", ["bcast", "allgather", "allreduce"])
+def test_chaos_keep_compressed_collective_survives_silent_decode_faults(workload):
+    """The one consumer-side decompression of a keep-compressed
+    collective (``unpack_wire``) decodes again after a transient
+    post-decode CRC mismatch; it used to abort the whole run."""
+    report = run_chaos(sizes=(256 * 1024,), iterations=3, workload=workload,
+                       plan=FaultPlan(seed=2, decompress_corrupt_rate=0.3))
+    assert report.ok and report.total_messages > 0
+    r, = report.results
+    assert r.faults_injected.get("decompress_corrupt", 0) > 0
+    assert r.recovery_events.get("recovered", 0) > 0
+    assert r.recovery_events.get("retransmit", 0) == 0
+
+
+@pytest.mark.parametrize("faults,attempts", [
+    (None, 1),  # no fault plane: no retry
+    (FaultPlan(seed=1, decompress_corrupt_rate=1e-9), 3),  # budget of 2, spent
+])
+def test_unpack_wire_mismatch_that_is_not_transient_still_raises(faults, attempts):
+    x = make_payload("wave", 256 * 1024, seed=3)
+
+    def rank_fn(comm):
+        wire = yield from comm.pack_wire(x)
+        wrong = dataclasses.replace(wire, crc=wire.crc ^ 1)
+        try:
+            yield from comm.unpack_wire(wrong)
+        except IntegrityError as exc:
+            return str(exc)
+
+    res = Cluster("longhorn", nodes=1, gpus_per_node=1).run(
+        rank_fn, config=MPC, faults=faults,
+        resilience=ResilienceConfig(max_retries=2))
+    assert res.values == [
+        "rank 0: wire image origin_seq=1 failed its post-decode CRC"]
+    spans = [r for r in res.tracer.records if r.label == "unpack_wire"]
+    assert len(spans) == attempts
+    m = res.tracer.metrics
+    assert m.counter_total("resilience.crc_mismatch") == attempts - 1
+    assert m.counter_total("resilience.recovered") == 0
 
 
 def test_chaos_rejects_unknown_workload():

@@ -20,7 +20,10 @@ ISSUE 22 (codec faults through ``sim.faults``) added the ``mixed`` plan,
 ``compress-fail`` / ``mixed`` on collectives and the ``rehop``
 (``keep_compressed=False``) collective rows, captured on *its* parent —
 the ``FlakyCompressor`` proxy — before any ``src/`` edit.  Those rows
-also pin the injector's final RNG state.
+also pin the injector's final RNG state.  Its bugfix (``unpack_wire``
+decodes again after a transient post-decode CRC mismatch) re-captured
+the four rows that had recorded that abort: ``coll/mpc-opt`` and
+``coll/zfp8-pipe4`` under ``silent`` and ``mixed``.
 """
 
 import hashlib
@@ -364,11 +367,14 @@ PINS = {
           'recovered': 45,
           'retransmit': 65,
           'wire_crc_mismatch': 27}),
+    # Re-captured by ISSUE 22's bugfix: the row recorded the abort
+    # ("IntegrityError: rank 3: wire image origin_seq=1 failed its
+    # post-decode CRC" after 444 spans).  unpack_wire now decodes the
+    # verified bytes it holds again, so the run finishes with the clean
+    # result and no retransmission.
     ('coll', 'mpc-opt', 'silent'):
-        (444, 701, 0.0002918529419937013, 'cc287e364dba080a',
-         'IntegrityError: rank 3: wire image origin_seq=1 failed its '
-         'post-decode CRC',
-         {'sends.rndv_wire': 30}),
+        (2248, 3182, 0.0022794638214500944, '1fe3d84036e7b6f1', 3400292418,
+         {'sends.rndv_wire': 95, 'crc_mismatch': 43, 'recovered': 26}),
     ('coll', 'off', 'clean'):
         (778, 911, 0.0005004954400000002, '14c2db81dd243040', 3400292418,
          {'sends.rndv': 95}),
@@ -420,11 +426,25 @@ PINS = {
           'recovered': 62,
           'retransmit': 104,
           'wire_crc_mismatch': 6}),
+    # Re-captured by ISSUE 22's bugfix: the row recorded the unpack_wire
+    # abort ("rank 2: wire image origin_seq=1 failed its post-decode
+    # CRC" after 368 spans).  The allgather now recovers; the run gets
+    # as far as the ring allreduce, whose streamed sends decode four
+    # parts at 0.3 each (a whole message comes out clean one time in
+    # four) and one of them spends its NACK budget, as pt2pt would.
     ('coll', 'zfp8-pipe4', 'silent'):
-        (368, 495, 0.00021477184774429235, '5b9d81f30d81cc83',
-         'IntegrityError: rank 2: wire image origin_seq=1 failed its '
-         'post-decode CRC',
-         {'sends.rndv_wire': 30}),
+        (1251, 2034, 0.006335143573450465, 'fe977910218ef45c',
+         'IntegrityError: rank 3: message seq 40 from rank 2 failed '
+         '(crc_mismatch) after 8 retransmission(s)',
+         {'sends.rndv_pipelined': 12,
+          'sends.rndv_wire': 30,
+          'breaker_transitions.closed': 2,
+          'breaker_transitions.open': 3,
+          'breaker_trips.trip': 3,
+          'breaker_veto': 1,
+          'crc_mismatch': 34,
+          'recovered': 15,
+          'retransmit': 21}),
     # ISSUE 22, captured on its parent (FlakyCompressor behind the
     # registry hook), with the injector's final RNG state as a 7th field.
     ('pt2pt', 'mpc-opt', 'mixed'):
@@ -478,16 +498,18 @@ PINS = {
         (1155, 1400, 0.0009044788786933273, 'f150367c0c7782d0', 3400292418,
          {'sends.rndv_wire': 95, 'fallback': 25},
          3504245553),
+    # Re-captured by the bugfix, like coll/mpc-opt/silent: the parent
+    # recorded "IntegrityError: rank 4: wire image origin_seq=1 failed
+    # its post-decode CRC" (555 spans, RNG state 1299050851).
     ('coll', 'mpc-opt', 'mixed'):
-        (555, 798, 0.0006535406763395543, 'bbf3cb73e2746bea',
-         'IntegrityError: rank 4: wire image origin_seq=1 failed its '
-         'post-decode CRC',
-         {'sends.rndv_wire': 31,
-          'fallback': 2,
-          'recovered': 4,
-          'retransmit': 5,
-          'wire_crc_mismatch': 5},
-         1299050851),
+        (1885, 2533, 0.0018843211285362522, '72efd4dc8d91f6c5', 3400292418,
+         {'sends.rndv_wire': 95,
+          'crc_mismatch': 22,
+          'fallback': 5,
+          'recovered': 23,
+          'retransmit': 9,
+          'wire_crc_mismatch': 9},
+         1803811126),
     ('coll', 'off', 'compress-fail'):
         (778, 911, 0.0005004954400000002, '14c2db81dd243040', 3400292418,
          {'sends.rndv': 95},
@@ -509,16 +531,24 @@ PINS = {
           'breaker_veto': 40,
           'fallback': 23},
          3215567613),
+    # Re-captured by the bugfix: the parent recorded "IntegrityError:
+    # rank 1: wire image origin_seq=1 failed its post-decode CRC" (403
+    # spans, RNG state 1067147131).
     ('coll', 'zfp8-pipe4', 'mixed'):
-        (403, 502, 0.0002866959352836451, 'f157a6951babb7a7',
-         'IntegrityError: rank 1: wire image origin_seq=1 failed its '
-         'post-decode CRC',
-         {'sends.rndv_wire': 30,
-          'fallback': 1,
-          'recovered': 5,
-          'retransmit': 5,
-          'wire_crc_mismatch': 5},
-         1067147131),
+        (2777, 4762, 0.0053684825440802235, 'cd46ce2f76775075', 558355011,
+         {'sends.rndv': 22,
+          'sends.rndv_pipelined': 38,
+          'sends.rndv_wire': 35,
+          'breaker_transitions.closed': 9,
+          'breaker_transitions.open': 9,
+          'breaker_trips.trip': 9,
+          'breaker_veto': 2,
+          'crc_mismatch': 58,
+          'fallback': 21,
+          'recovered': 38,
+          'retransmit': 57,
+          'wire_crc_mismatch': 6},
+         3734286279),
     ('coll', 'rehop', 'silent'):
         (2785, 3859, 0.0035246120270231844, '13b19bc50364e451', 3400292418,
          {'sends.rndv': 95,
