@@ -3,9 +3,10 @@
 A :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan`
 to a :class:`~repro.sim.Simulator` (``sim.faults``).  Instrumented
 sites — links, topology, device allocator, buffer pools, the
-compression engine's codec calls — ask it whether to fail, and every fired fault emits a zero-duration span on
-the ``faults`` track plus a ``faults.injected`` counter, so a chaos run
-is fully auditable from its trace.
+compression engine's codec calls — ask it whether to fail, and every
+fired fault emits a zero-duration span on the ``faults`` track plus a
+``faults.injected`` counter, so a chaos run is fully auditable from its
+trace.
 
 Determinism: decisions come from one ``numpy`` PCG64 stream seeded by
 the plan, consulted in simulator callback order (which is itself
