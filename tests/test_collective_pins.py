@@ -3,11 +3,24 @@
 ISSUE 19 rewrote ``mpi/collectives.py`` as schedule tables run by one
 exchange driver over a raw/wire plane, claiming no change to any span,
 metric, event count or result bit.  ``PINS`` below was captured from
-the commit *before* that change (``python -m tests.test_collective_pins``
-prints the table) and nothing was regenerated after it: per cluster
-shape and config, one digest per collective call over ``[r.key() for r
-in tracer.records]``, ``tracer.metrics.as_dict()``, ``(elapsed,
-event_count)`` and every rank's returned bytes.
+the commit *before* that change and nothing was regenerated after it.
+
+Per cluster shape, config and collective call a cell pins two layers,
+so a change of mechanism alone (ROADMAP item 2: fewer scheduler events,
+nothing else) moves one integer per cell and leaves the digests green:
+
+``PINS`` (*observable*)
+    one digest over ``[r.key() for r in tracer.records]``,
+    ``tracer.metrics.as_dict()``, ``elapsed`` and every rank's returned
+    bytes;
+``EVENTS`` (*mechanism*)
+    ``tracer.event_count``.
+
+The split was captured on the commit before ISSUE 23 by a run that
+first reproduced all 450 one-layer digests (which folded ``(elapsed,
+event_count)`` together) and hashed the two layers from those same
+runs.  ``python -m tests.test_collective_pins`` prints both tables —
+after checking that every observable digest still equals its constant.
 """
 
 import hashlib
@@ -127,7 +140,8 @@ def _feed(h, value) -> None:
         h.update(np.ascontiguousarray(arr).tobytes())
 
 
-def _observe(shape: tuple, config: str, call: str) -> str:
+def _observe(shape: tuple, config: str, call: str) -> tuple:
+    """``(observable digest, event count)`` of one call."""
     GLOBAL_CODEC_CACHE.clear()
     res = Cluster("longhorn", *shape).run(CALLS[call][0],
                                           config=CONFIGS[config])
@@ -135,192 +149,308 @@ def _observe(shape: tuple, config: str, call: str) -> str:
     h = hashlib.sha256()
     h.update(repr([r.key() for r in tracer.records]).encode())
     h.update(json.dumps(tracer.metrics.as_dict(), sort_keys=True).encode())
-    h.update(repr((res.elapsed, tracer.event_count)).encode())
+    h.update(repr(res.elapsed).encode())
     _feed(h, res.values)
-    return h.hexdigest()[:16]
+    return h.hexdigest()[:16], tracer.event_count
 
 
-def _row(shape: tuple, config: str) -> tuple:
-    """One digest per call of :func:`_calls_for`, in that order."""
-    return tuple(_observe(shape, config, call)
-                 for call in _calls_for(shape[0] * shape[1]))
+def _row(shape: tuple, config: str) -> dict:
+    """``call -> (observable digest, event count)`` for every call of
+    :func:`_calls_for`, in that order."""
+    return {call: _observe(shape, config, call)
+            for call in _calls_for(shape[0] * shape[1])}
+
+
+def _moved(shape: tuple, config: str, row: dict) -> dict:
+    """``call -> the layers of its cell that differ from the pins``."""
+    key = f"{shape[0]}x{shape[1]}/{config}"
+    want = zip(PINS[key].split(), map(int, EVENTS[key].split()), strict=True)
+    moved = {}
+    for (call, got), pinned in zip(row.items(), want, strict=True):
+        layers = [name for name, g, w in zip(("observable", "events"),
+                                             got, pinned) if g != w]
+        if layers:
+            moved[call] = layers
+    return moved
 
 
 PINS = {
     '2x1/disabled':
-        'dc0c0898a220cd5b bf56d3ba1ac894f3 d0f32df07b3fb0a4 387149fb9798776e '
-        '8b957e9b85e67555 6841dc1efc19bbd2 eee1d87938c6e550 72b755744bd7ed3a '
-        '5ade90b5232ad0eb 1cf61e294ae364b0 9e29dab90a0e06e5 b09c92db2beeb920 '
-        'cf4183fb1366d061 9e29dab90a0e06e5 bc284118f347d010 c3f091f1dd846f68',
+        '16bea68164446c7e 2fc0815b7a4a9ddb 2ab72639de776b4e 9e88354dc5309905 '
+        '99d0cadcb7e33cce d11e3b5f84e34683 63972862680d72ba 483c0f244ee47c83 '
+        '27a12358b057703f 99dee616eb5d3247 460332394829bf21 2eff61ac3662c25c '
+        'cb9bd09d8629916f 460332394829bf21 2804587addc18047 57485b186e463535',
     '2x1/mpc-opt':
-        '8c661c5f0ddaebe2 22c0c13f9f25c864 2af77df417ea033e 9e62caec6e50e215 '
-        'ba1779ce0f7e0948 9973a55a5e807a01 c2fc5f70abc869ec fc000eb25b7dd510 '
-        'a11340822e5b4830 2517e00330d6f2bf b530d9187a4157e5 f5e15af9f55b0d9c '
-        '9e56b0fa00bde793 b530d9187a4157e5 c58906028e786800 c3f091f1dd846f68',
+        'cf5f24484d33de84 e69f2b2744feac2d a20a71f4505540e0 cea49482716b466c '
+        '5cb20eadc93659bc 928be2cb5ad3bea2 53c238b2dd4b8537 534cd978c96cecf6 '
+        '638cb668ecf60f53 bc49a2484ff2f720 eca360d5e5d336cf 4f3a82f58f26aa84 '
+        'dcd22f4ae8611c23 eca360d5e5d336cf 6851b75a334ec360 57485b186e463535',
     '2x1/mpc-opt-rehop':
-        '10c1d01e4b5ca9b9 aed140f9786a9ed0 d0f32df07b3fb0a4 9e62caec6e50e215 '
-        '0966ed7b2c34594a e0f7568a56a299ad eee1d87938c6e550 fc000eb25b7dd510 '
-        '103225e03dbfcf7b 2517e00330d6f2bf ac578059b6aa0d72 f5e15af9f55b0d9c '
-        'aa1aad5d4e4bc06d ac578059b6aa0d72 c100e113be3baf87 c3f091f1dd846f68',
+        '8d6d6e4cfdc56c14 88147366668d6f93 2ab72639de776b4e cea49482716b466c '
+        '751496ecaf55f12e 6321f3a3cd11e0f7 63972862680d72ba 534cd978c96cecf6 '
+        'da6e8f6d7ea85040 bc49a2484ff2f720 7c17feab14846237 4f3a82f58f26aa84 '
+        '37481ca4398dc89c 7c17feab14846237 4d9ddd049fbcb4ab 57485b186e463535',
     '2x1/zfp8':
-        '431052c006fa62c2 917b14d224270ad4 2af77df417ea033e 7945b957bbc89e53 '
-        '67cb6b23c0f5ea06 5157827eaef82260 c2fc5f70abc869ec a2df6fbd990cef8d '
-        'eb55d4a852148491 7534d44632883923 38a782e67e96c793 860a815f897faa18 '
-        '4c334765e088781f 38a782e67e96c793 b762a533f6b511bd c3f091f1dd846f68',
+        '92a9bf9a61f0f819 8dac34c819b515fa a20a71f4505540e0 115ca70d44bcd81f '
+        'eadd82a5c167d40b 28171745cba45337 53c238b2dd4b8537 7b8cfbcc6dddb483 '
+        '0dd1e6caf817b733 55155f7d5dd3c331 65cb195d0f972c85 963e0708e1e13f6e '
+        'bb6ff5007b91ea41 65cb195d0f972c85 01a7a181f3aa9c30 57485b186e463535',
     '2x1/naive-mpc':
-        'ea1d3e8cd9c8cedf 882307fd98db2cc9 2af77df417ea033e 1895a1f727fddc4b '
-        'bd88328fe42c1ad1 57cb07b0e9c109c3 c2fc5f70abc869ec 222f7920dd2fc3af '
-        '012f6e6bdb92f412 e94e5d79246684e2 07d7a6eeff5409df 8fdac54b91321d23 '
-        'dc58a452209217fc 07d7a6eeff5409df 02b96bd12ecfcd2a c3f091f1dd846f68',
+        'eb83473159364bc7 d009a24f81d9aa8d a20a71f4505540e0 9ddf021077d4132a '
+        'c55f7834a0251f00 e2a9741a20541aea 53c238b2dd4b8537 6e5ee50e28856196 '
+        'a5d03755a554aad8 ce109582eb5ac9bb 40248de9f656b543 c9a6b15106478cd3 '
+        '9ea0a22e407eb8e6 40248de9f656b543 6dd6b3e60f1edd8e 57485b186e463535',
     '3x1/disabled':
-        'b105fe9851ee0925 ea3e93f3e3719ff2 4d36ef9eafd02c98 687fc1c54a42f770 '
-        '50c14a54dc233d34 a15ad01ff2681d52 36f1d234b60642a2 61646dcf0e7f5c56 '
-        '32da42b8e4909e8e 5b0cbc11fb8e3a20 c98ae13784de285a 32da42b8e4909e8e '
-        'aaaffff48a8ed2b9 fce04b543c4126b1',
+        '58d18b8f1306c712 9d80a1bf56374a3c f09ce74f0c776d4e 6cf94e4565a2173f '
+        '26471a24f192d006 bfd3349f632ccfab 1c99c11396493a54 b18445e6a7d8542e '
+        'a4ded8dcb9e85ac8 5fe54635afe9f884 09264228b7197aa6 a4ded8dcb9e85ac8 '
+        '49a96af17fc15a34 d4492148a3e0d572',
     '3x1/mpc-opt':
-        '3dda0f792168e45d 08073c06261147de 976976c1d5b08c33 726c80e897429754 '
-        '9c71fae4fd67bbb6 5afa72a5608abdc3 ecee015132a5e222 63b09104e16305cc '
-        '290252aefb64dd1f 2f55125eb52f45ee 1e74462234597937 290252aefb64dd1f '
-        '66d8475ece8f4d98 fce04b543c4126b1',
+        '1ad44df7d7b4ca4c 8593a3c2d62984cc 6914de90c7ad5e70 933eff078b82204f '
+        '29278481363dd37d 956ea4dbd79fd350 eeca006be740c824 cf1b91ad48483744 '
+        '3cd7eec8f85d01a0 68a615f6d8c1c1cd 552d8b527b57919e 3cd7eec8f85d01a0 '
+        '90c1c114a9b40326 d4492148a3e0d572',
     '3x1/mpc-opt-rehop':
-        'baffeb9aa438b6d3 ad0eb4efa1baa731 4d36ef9eafd02c98 726c80e897429754 '
-        'ac4892d237ca5b53 a298de3777ee835e 36f1d234b60642a2 63b09104e16305cc '
-        '8c648be83b42c436 2f55125eb52f45ee ebdc94232fed76e7 8c648be83b42c436 '
-        '81a5391b2f8a1de2 fce04b543c4126b1',
+        '96cac0f457c37d10 b475422b7d5d0451 f09ce74f0c776d4e 933eff078b82204f '
+        '8d72a58921bf8094 b20befd6cfd3a75e 1c99c11396493a54 cf1b91ad48483744 '
+        'afc01b51bdf1fa4a 68a615f6d8c1c1cd d998e5b9ec3ffb99 afc01b51bdf1fa4a '
+        'bfe8ad559d0e822c d4492148a3e0d572',
     '3x1/zfp8':
-        '76f9071b939ad99c cd496ddf9b45ce8b 976976c1d5b08c33 3b58a4811e8550b5 '
-        'd819d50de8a9c6b4 44335cba43b3b2f5 ecee015132a5e222 760c585a2e9127d4 '
-        '078e3dcd44fd4d60 c9d650a567428a47 5a772a166476a664 078e3dcd44fd4d60 '
-        '0b79007505e1d0e4 fce04b543c4126b1',
+        '43cbc9123a46ec4a daa8b42891639cd6 6914de90c7ad5e70 4f16467a437eb33a '
+        'c7ecc1ff2d899105 3319d5bb426e0149 eeca006be740c824 b71219700b21bdc7 '
+        'da013472c210cdee 8064775a958a2e28 a3d40bede8a6a189 da013472c210cdee '
+        '127942298ffad377 d4492148a3e0d572',
     '3x1/naive-mpc':
-        '44faf13c6567f63a be8e5f541c79a30c 976976c1d5b08c33 a191471ff9c06e75 '
-        '40675199f68fac59 400b976b0c297622 ecee015132a5e222 3ff17fb96c9bc672 '
-        'c8a7c87f158ba034 0888cf9a3534db8c 1cae63a1b9d58b9a c8a7c87f158ba034 '
-        'b92837f393467338 fce04b543c4126b1',
+        '420f4ad588844f10 8250790b5d6e80a2 6914de90c7ad5e70 1208c69eed49461a '
+        '2527e35ac810a8bb e00698d16c9a4d0d eeca006be740c824 8b0fe1b0fb3133f6 '
+        'd075869c1c23c23e 4244c5e87bb64efe 9b8068f04cb39440 d075869c1c23c23e '
+        '627c591684958b44 d4492148a3e0d572',
     '2x2/disabled':
-        'e47908c08fb7ea8a ebb2adaa708883fd 3184638324b7f713 5d6a4818a516baec '
-        '79653b086ebaa504 33b3c4c688af8ffc 7cea1acd7fea01f7 cbbdba992b2c4e28 '
-        '220e7f2ff56dd313 6fc45d69a72efdee a076b7fff20d5690 d7b30682fcf1d7e7 '
-        'f5c64cf7e48d663e a076b7fff20d5690 309f50018dcc31de 98bc85dc0af10b1a',
+        'fd3ef2bec4aae2f0 dbf6dd4256885c4c b9beb068d4110805 7ee0c03d06f52c63 '
+        '7c58e6b9d7680b87 b57fb5b39453d0ca 58bde0959eaf74d6 f0d66cc8214cf587 '
+        '0f13eaa44c31ef21 1cc9362a46358a83 d65d08bb9fd72251 004585d16d401867 '
+        '1f72eba7a7df9807 d65d08bb9fd72251 3ac83b6c4a938652 28816b889558d10a',
     '2x2/mpc-opt':
-        '705081c255cf859b 595114a4b3c7d2d7 9e3e60a67bccea4a 3ac73d4599712329 '
-        '9b5155b6b5d6d7d7 2bed058da7772920 6539ccdafa6de0b1 ccb0a87f712ca1e7 '
-        '20498859352d7923 fd7722a1d3797ca7 7525202d7ff7efcf d49b4aee7b426058 '
-        '6d820faa0fafaa94 7525202d7ff7efcf 49689f8afe90279f 98bc85dc0af10b1a',
+        '7fa705943ff7c025 02acccc74d9a5dba cb5937af5a116f77 8c1f62ed7046a63e '
+        '6c2f862f1f6285c7 d02cbf4ed1ab1a94 a29a25504748941d 39073d0313ea6e7c '
+        'c931acc52f60d578 ed20682cb4e80eb1 9700747505566ff6 ce6fa8407f961320 '
+        'bdb5abe471ff9f7b 9700747505566ff6 f4009b5ede649ff8 28816b889558d10a',
     '2x2/mpc-opt-rehop':
-        'b681c4e22d4a439f 55315ad7cbdfbab9 3184638324b7f713 3ac73d4599712329 '
-        'f3c2770954b50dc2 3d0a25e3e23288f6 7cea1acd7fea01f7 ccb0a87f712ca1e7 '
-        'c658b3d92879d71f fd7722a1d3797ca7 6c21872212d050f6 d49b4aee7b426058 '
-        'c939340f24f01ed0 6c21872212d050f6 dff5ebb51bcf85a1 98bc85dc0af10b1a',
+        '0dbd497a4b18f19a 5cf15997476e9398 b9beb068d4110805 8c1f62ed7046a63e '
+        '1c5d9e8ab37c5585 533635fff7de9b15 58bde0959eaf74d6 39073d0313ea6e7c '
+        'ac49c2b57209dad3 ed20682cb4e80eb1 f9194fa78dd46926 ce6fa8407f961320 '
+        '2d0c597a64608bc6 f9194fa78dd46926 f4795386b0eefbb2 28816b889558d10a',
     '2x2/zfp8':
-        '947743e01b5334f3 97db0b3580abd4ca 9e3e60a67bccea4a 031f70c6e21f16b1 '
-        '11ac043689fc9941 2052f9fae10904ee 6539ccdafa6de0b1 49d1df685c5c8d25 '
-        '32f6e830bad74636 66bc8ab4857ec5d6 7976db83168ad9d2 de6923e8fdc962a1 '
-        '57cb001ee96442a3 7976db83168ad9d2 d3f544ec616f7999 98bc85dc0af10b1a',
+        '90df472026fd1a82 1ae8bdea174e308b cb5937af5a116f77 d70500e00f1cced0 '
+        '2243792072bd62b3 99b913ecddcb4152 a29a25504748941d 0e22256525e4f912 '
+        'b6b7b4e9a7acae3a d87a203168c1b559 fdb5d131068aedf1 1703a3e390a20a3e '
+        '2ae244c9d47fc2d0 fdb5d131068aedf1 62e7d6a12158f92f 28816b889558d10a',
     '2x2/naive-mpc':
-        'bec1f0140dc95b55 57dae62871737611 9e3e60a67bccea4a fb1f3444bfa21359 '
-        '6ae59738ec3a8c8c 44593e305ba53a78 6539ccdafa6de0b1 41500f0ea48dcd20 '
-        '1ef955b42c8c9c14 570a7ccd5b9818f8 9f27d6e993f1f4b4 a6b2da8676b3f70b '
-        '8511fad7f5d46e45 9f27d6e993f1f4b4 d400c71a3769cdad 98bc85dc0af10b1a',
+        '39b4eb7a5d4ee906 f71e2ae468eed984 cb5937af5a116f77 eb1c7531df527f70 '
+        'fe5763a19aab4933 19a14651a14dbdb0 a29a25504748941d bbaef45c1c32b52c '
+        'b0ee86e944fadca9 17b3c77f0dea24f7 bc0e53cb968d5ce3 f9d3696028966a6a '
+        '199f6b2ea7c67f7f bc0e53cb968d5ce3 3f2de2b1117bd6d8 28816b889558d10a',
     '5x1/disabled':
-        '9c1de2295d919af4 6f8b3b86b87dee04 dbe7875e5f570514 36b523f6a7e15efa '
-        '70e6882d69931540 920308c29e03d762 504f19f5a6e66cd4 6972c21987b8555a '
-        'b205da09d06ca1d1 d340b016fcb8ed05 79597b27b356b167 b205da09d06ca1d1 '
-        '5add8b24a7369967 007c38ade1e82ba2',
+        '8dd8b4af1e18b36b 74804abb58bef307 aaf0d115419cb5e1 262f0fb846ac55d6 '
+        '69fe1a8b743c8cbe de93b01876f887d9 3a713bf3cbebf581 1718648623ccdc10 '
+        '50c72bdab61df591 4be92aa08a548365 fb0eb6ecd046f02e 50c72bdab61df591 '
+        '09a7b8d286088dea 4970ce97dba1f3ae',
     '5x1/mpc-opt':
-        '78f24302d8cd32bc 499945a4a6744c3e 4eef5f6ebd92ff44 78f87d2ccbabc315 '
-        '365cd8d8fba9ed3b 6522e22537ee18d5 a359448cdb6150ff 06e7edeba71119aa '
-        '54cf3ace21ea250f 307e28f05e822466 db8a1c2f8a3b68af 54cf3ace21ea250f '
-        '7dcf3da2035137e0 007c38ade1e82ba2',
+        '35c4ac86b40f2e80 6305c9f908e7f810 e84829b0a9f13e4a be1eb628242a4b89 '
+        'c09cd5951e73376b 45cad74cd502e9e9 ea3724b4e45d928e ab7ed783df01fea9 '
+        '9f4e74034a8ed1f0 80408acddb3d9db6 d1416df9fe664a80 9f4e74034a8ed1f0 '
+        '7e3d9a3aea176feb 4970ce97dba1f3ae',
     '5x1/mpc-opt-rehop':
-        '5978a322945e2e95 266bc78a89ccf546 dbe7875e5f570514 78f87d2ccbabc315 '
-        '0baddb4004a1bfda 2561ce4cb2c4a8c2 504f19f5a6e66cd4 06e7edeba71119aa '
-        '303df94def2bb3cb 307e28f05e822466 04d3e9648bd1ad5d 303df94def2bb3cb '
-        '011dba11b4a0907d 007c38ade1e82ba2',
+        '262d614c41d7ecdd 0d97e9f5e56eae7b aaf0d115419cb5e1 be1eb628242a4b89 '
+        '9eb131ccab3ff57e 8e5376fafd1c45ac 3a713bf3cbebf581 ab7ed783df01fea9 '
+        '50a5acad80426f31 80408acddb3d9db6 107d0175cc2250d9 50a5acad80426f31 '
+        '41f825b0c77af6f2 4970ce97dba1f3ae',
     '5x1/zfp8':
-        'a0b6087b324295a7 2ad4d49faee418f5 4eef5f6ebd92ff44 81618b7c5677a251 '
-        'f960e690d124c363 30950fe2e45bf768 a359448cdb6150ff f59e77a7c43c7249 '
-        '5b0928c115d36c0f 7b27f452c76896c2 79433c20e6935e40 5b0928c115d36c0f '
-        '980ccd95ebe7150d 007c38ade1e82ba2',
+        'fba2d15b5ad5017d a82857b0ea3cd4c9 e84829b0a9f13e4a 2e1dc2be8fc93050 '
+        'bcce807266d627d4 32272eacec3bc106 ea3724b4e45d928e 6e7634d2e4839084 '
+        '416a8a9b4321f7c4 d589bddd10a1c81d 411281d4fd9a0158 416a8a9b4321f7c4 '
+        '8b891afcf976b60b 4970ce97dba1f3ae',
     '5x1/naive-mpc':
-        '22179bfdb92d08fd 69f28bfc1e06b14b 4eef5f6ebd92ff44 8484743ccd6dfe0c '
-        '46840deb8006c3df 56863e82d3d3f0a2 a359448cdb6150ff 48a784797d54d404 '
-        'e18e45c94d28202b 86364181aa81d1cc 45342eaa65ba52a0 e18e45c94d28202b '
-        '79842341a06fd202 007c38ade1e82ba2',
+        '5547d4485ae34a00 70536a57e41ad62a e84829b0a9f13e4a 5b2a52f55b213378 '
+        '38570765476952ee ff3dd2e6f26ab2fc ea3724b4e45d928e 55da4d90d4e46c1d '
+        '22db9880faa3feb7 7ecd58fb8d06ec36 009e1821cb895cb0 22db9880faa3feb7 '
+        'a2d173b3ffb0a43d 4970ce97dba1f3ae',
     '4x2/disabled':
-        'a639a9a68f575d71 20970b5fd723fe4e 2bd4c5318c7d5130 e2021bdc027163a2 '
-        'bb8340db969fa5fc 5187a9acba3f3045 87042efefa37f6ef 67a7276305faedfa '
-        '9a8b1f0257b3aa51 31b83fb14ceba775 fc2e84be13dc4ec6 e4a1008d22208ff3 '
-        '52b9b2bcad604a52 fc2e84be13dc4ec6 4956d49c76b27473 b80c0e3dcbcc733f',
+        '02c8001e0293ad56 ab82761462deba86 21b6d8d35e33b522 7812cb2ff07c313a '
+        '04e4efdb6c64a69e 66a96e963c5ea675 4a2dc0b0564eeb54 0c3f127a973c1715 '
+        '83aa5cbb161ab7aa ede7e5d10390f7c1 a11f5adf2f2e9a5e 72a9b6758dd48315 '
+        'e85600326ead03c8 a11f5adf2f2e9a5e 6545604ae084e5a7 901dd719544fb5e4',
     '4x2/mpc-opt':
-        '780da65de2db43c4 21eeb2935adc093f 154813a0f92fb23f ae3609cd4b00e3fe '
-        '313611e97c1ccb0f f01d5182c9111589 822d9e61bb6a59d6 712c8385129a84ca '
-        '5b0fba9a6125a2e1 9e46a9a2dbd22f52 df58f17b5a1d0317 8509378ca19c83e7 '
-        '0c53170d4b731122 df58f17b5a1d0317 d904e60071167be4 b80c0e3dcbcc733f',
+        '330f65bf639104a3 c06cf1374c50c27c 63da49a0463bcd89 7838d74e40415814 '
+        'a286f69386b12b79 99f15fbc1f49d888 110eccf0afb017fe c0246301e2d8febe '
+        '4bd6d0679314dfcb 8429d1cf86b4a13d 5b8bfa23a52101db 7bcd918497830369 '
+        '3e5329f70c1cc0dd 5b8bfa23a52101db 843d3103eb4b44a3 901dd719544fb5e4',
     '4x2/mpc-opt-rehop':
-        'fb3c165de88ba7a2 d04bdba823d86c8f 2bd4c5318c7d5130 ae3609cd4b00e3fe '
-        '252d650e3f6fcb1a accdbce48b5d14b9 87042efefa37f6ef 712c8385129a84ca '
-        '2c342af7df7b5d9e 9e46a9a2dbd22f52 9ca6a6456cf6f6bf 8509378ca19c83e7 '
-        '1e092a461f3d7a57 9ca6a6456cf6f6bf 14fd3672f8fd157b b80c0e3dcbcc733f',
+        'e740cb4d9309f9f5 702a3741c6db33dc 21b6d8d35e33b522 7838d74e40415814 '
+        '28a7fb8c92e01ffa 430a75ec0275e7fb 4a2dc0b0564eeb54 c0246301e2d8febe '
+        'c0e0a4c4ee721107 8429d1cf86b4a13d 7604e06529b4fb1c 7bcd918497830369 '
+        'd315806cb6737e27 7604e06529b4fb1c 9d5e29551ee87834 901dd719544fb5e4',
     '4x2/zfp8':
-        '93b80be7f904df03 517291f5c9db71dd 154813a0f92fb23f 6f3cb1fe4b7bd805 '
-        '28dac15ee553e7c7 8726e53e3ace4439 822d9e61bb6a59d6 422e7f75a6164d0a '
-        '1684190f79a0d1b1 11ffebc047b299f4 8b4003f5c90044d8 7e3e40ff2258b770 '
-        'ece1826c6333a7f8 8b4003f5c90044d8 efbf9d2123659a1e b80c0e3dcbcc733f',
+        '10fd280d8f1e8851 d69bfd887509970b 63da49a0463bcd89 de4d0fbea6a7350c '
+        '39402d67c3c5617e fa5d03480345d5a5 110eccf0afb017fe cb270c70efed6b86 '
+        'e073df8a8cf58882 874ce9a6b53ac1c3 0f32ddcfcb8edd5b bbc17db22f84eca6 '
+        '82799d56fac626a0 0f32ddcfcb8edd5b 262dbcf2f5098339 901dd719544fb5e4',
     '4x2/naive-mpc':
-        'af5f8da6cddd4218 b0576d215138cda6 154813a0f92fb23f ebc808cdb773e0d3 '
-        '4b96eecaeb1fb655 7ceb07cafe87c0e8 822d9e61bb6a59d6 552bf02e25b0ca91 '
-        '00e7dd58859be806 d733b3ec345dc3cc c8bff619c507f35c 27b8e1bd68c98469 '
-        'f9f4e4f15a29d90c c8bff619c507f35c 092bbfddd64b6887 b80c0e3dcbcc733f',
+        'f38ac1c783968ec5 bdbc5ea203a1a5c2 63da49a0463bcd89 63ca17f35612a757 '
+        'ea644167b8e29508 50585dd64dc5a33b 110eccf0afb017fe 0d57b0d20f19fca9 '
+        '0e4c24597b77bd31 510c5da7a4a5ed35 69f31bce687c34c8 4080454923bd6a10 '
+        'cbc6796b5615c740 69f31bce687c34c8 3b16158b3f1efe89 901dd719544fb5e4',
     '3x3/disabled':
-        '54766a152a008515 86e329c97223fb02 239ac774de65aa66 e6664ce707282a38 '
-        'd017e00aac84eaf0 98eda134dc067445 ca2badeb83c4d35f 75ea3d8d002f8fc9 '
-        'd69ad36f66d2cc9a fa447ebc60dee637 183085839e48b816 d69ad36f66d2cc9a '
-        '91dae04b8377994e ebf17e4bfda6e00f',
+        'ff7ed924f3ed7b0e 0a37c70d491e6b67 f9d3bb13e990cfc8 05dd062d61bab8ce '
+        '6e4175111f80d79f 7ceca7b35ae9a804 1e1d8053fd9d3a70 3c9511a3c57090b5 '
+        '04a74b1fbfc234bb 8b6c7f76acf1841c ebef14ae849fe175 04a74b1fbfc234bb '
+        '50dac1899f8f56df f2e5148c49137464',
     '3x3/mpc-opt':
-        'd408068b049a3b7c a1127c88ee5c9f7e 6e969f4f6f808c61 83f52fb175c27890 '
-        '0fe90b47b7782e15 a993d7a2b6b01bb1 34fe86cb31c599e8 df096f26273b49dc '
-        '8b79913a898a9f88 fa447ebc60dee637 fc3cf99a54693a46 8b79913a898a9f88 '
-        'b9972ac50b429d67 ebf17e4bfda6e00f',
+        '9923a0f2b2ca070d 3b83016346e24e94 335b2424873d564e a9d0d120eb80a3d4 '
+        '4a304daee3b75d3c e5d692b7f050a0b6 ad41f6e58c1e4c8d 57d1a2c46304dc70 '
+        'fd68fbb58ddf9184 8b6c7f76acf1841c 4e3b6e0bf0ef36df fd68fbb58ddf9184 '
+        'b878fc50f72decbc f2e5148c49137464',
     '3x3/mpc-opt-rehop':
-        '5f6e2864e44fb64b 43f3710629f8bed3 239ac774de65aa66 83f52fb175c27890 '
-        'cf7152d94d5230b6 0fe68da43ad0923d ca2badeb83c4d35f df096f26273b49dc '
-        'd69ad36f66d2cc9a fa447ebc60dee637 f778c89fc932dc1b d69ad36f66d2cc9a '
-        'dbd24175d1562ddf ebf17e4bfda6e00f',
+        '7343d8bd9c61aa8f 6c1f9487539c8916 f9d3bb13e990cfc8 a9d0d120eb80a3d4 '
+        '1d2ac3344b99f1e1 29d96c0eb7228db5 1e1d8053fd9d3a70 57d1a2c46304dc70 '
+        '04a74b1fbfc234bb 8b6c7f76acf1841c 9fac516ab95e726f 04a74b1fbfc234bb '
+        'df51afdac280c858 f2e5148c49137464',
     '3x3/zfp8':
-        'eb97aa767c7233ac 44efb9691feb62c1 6e969f4f6f808c61 14a961aabceedc6d '
-        '36c118c6b6b4cf25 0a9ffaef94a34814 34fe86cb31c599e8 b8019604ad45f368 '
-        'd69ad36f66d2cc9a fa447ebc60dee637 99992e1f7263c494 d69ad36f66d2cc9a '
-        'ca4ebd8817f316bf ebf17e4bfda6e00f',
+        '593e3cf0ddffab2a fbcbfdb32f9519a7 335b2424873d564e d5202186ce8afb77 '
+        '6b0046e94a2da4a6 3d4f0ad216255ffc ad41f6e58c1e4c8d 53fd721c18d33473 '
+        '04a74b1fbfc234bb 8b6c7f76acf1841c d52b74c0dcf66f7a 04a74b1fbfc234bb '
+        '0cbc2a22a97f98be f2e5148c49137464',
     '3x3/naive-mpc':
-        'ad24d498c213f14e 6f8ea94974dffb50 6e969f4f6f808c61 bb7ecec714637711 '
-        '09bff7af00f882bb 3b82ab417c13b08f 34fe86cb31c599e8 bdbc9875b6ea8a3c '
-        '8b79913a898a9f88 fa447ebc60dee637 25d7f82c97c34f40 8b79913a898a9f88 '
-        '228bc87aecea6975 ebf17e4bfda6e00f',
+        '4241ef188be4c085 504840df334db252 335b2424873d564e 0c34416f0377a516 '
+        '480e0116545828ca a67ab130cb3e0273 ad41f6e58c1e4c8d 9b2603a48bc0c91d '
+        'fd68fbb58ddf9184 8b6c7f76acf1841c 68a5e67d0462b0bc fd68fbb58ddf9184 '
+        'c3983124829a4bdb f2e5148c49137464',
+}
+
+EVENTS = {
+    '2x1/disabled':
+        '12 12 8 12 12 20 20 12 '
+        '38 38 20 20 22 20 20 12',
+    '2x1/mpc-opt':
+        '50 50 8 46 50 96 20 46 '
+        '214 174 120 88 94 120 96 12',
+    '2x1/mpc-opt-rehop':
+        '46 46 8 46 46 88 20 46 '
+        '174 174 88 88 90 88 88 12',
+    '2x1/zfp8':
+        '28 28 8 26 28 50 20 26 '
+        '88 88 46 46 50 46 50 12',
+    '2x1/naive-mpc':
+        '31 31 8 27 31 58 20 27 '
+        '120 98 64 50 56 64 58 12',
+    '3x1/disabled':
+        '24 24 16 24 24 57 57 23 '
+        '118 118 44 118 57 33',
+    '3x1/mpc-opt':
+        '82 82 16 92 98 231 57 91 '
+        '537 519 170 537 285 33',
+    '3x1/mpc-opt-rehop':
+        '91 91 16 92 91 261 57 91 '
+        '519 519 179 519 261 33',
+    '3x1/zfp8':
+        '49 49 16 51 53 126 57 50 '
+        '258 258 93 258 144 33',
+    '3x1/naive-mpc':
+        '54 54 16 53 60 147 57 53 '
+        '312 291 104 312 171 33',
+    '2x2/disabled':
+        '33 36 21 35 36 118 118 34 '
+        '232 232 80 80 63 80 120 50',
+    '2x2/mpc-opt':
+        '110 113 21 135 146 430 118 136 '
+        '1016 1036 346 352 242 346 576 50',
+    '2x2/mpc-opt-rehop':
+        '136 136 21 135 136 520 118 136 '
+        '1036 1036 352 352 268 352 524 50',
+    '2x2/zfp8':
+        '66 69 21 73 78 242 118 74 '
+        '512 512 180 180 132 180 292 50',
+    '2x2/naive-mpc':
+        '73 76 21 79 89 276 118 79 '
+        '592 580 196 200 148 196 344 50',
+    '5x1/disabled':
+        '47 47 31 48 48 185 185 45 '
+        '373 373 87 373 185 80',
+    '5x1/mpc-opt':
+        '144 144 31 183 194 675 185 181 '
+        '1615 1725 320 1615 945 80',
+    '5x1/mpc-opt-rehop':
+        '181 181 31 183 181 865 185 181 '
+        '1725 1725 357 1725 865 80',
+    '5x1/zfp8':
+        '89 89 31 100 103 380 185 98 '
+        '850 850 178 850 470 80',
+    '5x1/naive-mpc':
+        '98 98 31 105 118 445 185 105 '
+        '960 965 198 960 565 80',
+    '4x2/disabled':
+        '77 83 49 85 86 540 540 78 '
+        '1072 1072 248 248 147 248 568 156',
+    '4x2/mpc-opt':
+        '232 237 49 321 338 1804 540 316 '
+        '2648 2696 903 1054 540 903 2696 156',
+    '4x2/mpc-opt-rehop':
+        '316 316 49 321 316 2416 540 316 '
+        '2696 2696 1048 1054 624 1048 2436 156',
+    '4x2/zfp8':
+        '144 150 49 175 178 1044 540 170 '
+        '2368 2368 528 528 299 528 1360 156',
+    '4x2/naive-mpc':
+        '159 164 49 185 205 1192 540 183 '
+        '2592 2696 524 598 334 524 1604 156',
+    '3x3/disabled':
+        '89 92 57 96 97 681 681 89 '
+        '1353 1353 169 1353 759 237',
+    '3x3/mpc-opt':
+        '264 266 57 368 386 2283 681 361 '
+        '1353 1353 617 1353 3477 237',
+    '3x3/mpc-opt-rehop':
+        '361 361 57 368 361 3105 681 361 '
+        '1353 1353 713 1353 3140 237',
+    '3x3/zfp8':
+        '166 168 57 202 203 1320 681 194 '
+        '1353 1353 343 1353 1758 237',
+    '3x3/naive-mpc':
+        '180 184 57 211 234 1521 681 209 '
+        '1353 1353 380 1353 2073 237',
 }
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_collectives_reproduce_the_parent(shape, config):
-    calls = _calls_for(shape[0] * shape[1])
-    want = PINS[f"{shape[0]}x{shape[1]}/{config}"].split()
-    assert len(want) == len(calls)
-    got = dict(zip(calls, _row(shape, config)))
-    assert got == dict(zip(calls, want))  # the diff names the calls
+    # the diff names the calls and, per call, the layer that moved
+    assert _moved(shape, config, _row(shape, config)) == {}
 
 
 def test_pin_count():
     assert sum(len(row.split()) for row in PINS.values()) >= 400
+    assert {k: len(v.split()) for k, v in EVENTS.items()} \
+        == {k: len(v.split()) for k, v in PINS.items()}
 
 
 if __name__ == "__main__":
-    print("PINS = {")
-    for shape in SHAPES:
-        for config in CONFIGS:
-            row = _row(shape, config)
+    rows = {(shape, config): _row(shape, config)
+            for shape in SHAPES for config in CONFIGS}
+    moved = {}
+    for (shape, config), row in rows.items():
+        calls = [call for call, layers in _moved(shape, config, row).items()
+                 if "observable" in layers]
+        if calls:
+            moved[f"{shape[0]}x{shape[1]}/{config}"] = calls
+    if moved:
+        raise SystemExit(f"observable layer moved, no table printed: {moved}")
+    for name, layer, per_line in (("PINS", 0, 4), ("EVENTS", 1, 8)):
+        print(f"{name} = {{")
+        for (shape, config), row in rows.items():
+            cells = [str(cell[layer]) for cell in row.values()]
             print(f"    '{shape[0]}x{shape[1]}/{config}':")
-            for i in range(0, len(row), 4):
-                end = " '" if i + 4 < len(row) else "',"
-                print(f"        '{' '.join(row[i:i + 4])}{end}")
-    print("}")
+            for i in range(0, len(cells), per_line):
+                end = " '" if i + per_line < len(cells) else "',"
+                print(f"        '{' '.join(cells[i:i + per_line])}{end}")
+        print("}\n")
