@@ -470,8 +470,7 @@ class CompressionEngine:
         return bool(self._transport_codec().reduce_supported)
 
     def reduce_wire_payload(self, header: CompressionHeader, local: np.ndarray,
-                            other_header: CompressionHeader, other_payload,
-                            want_crc: bool = False):
+                            other_header: CompressionHeader, other_payload):
         """Add a received compressed image onto an operand this rank
         holds raw (generator subroutine).
 
@@ -494,9 +493,8 @@ class CompressionEngine:
         Returns ``(header, payload, crc, total)`` for the combined
         image — an uncompressed header with ``total`` as the payload
         when the partial sums stop compressing.  ``total`` is the raw
-        sum, for the caller to hold as its next ``local``; ``crc`` (the
-        post-decode stamp) is computed only when ``want_crc`` —
-        integrity checking is the only consumer.
+        sum, for the caller to hold as its next ``local``; ``crc`` is
+        its CRC32, the image's post-decode stamp.
         """
         if not (header.compressed and other_header.compressed):
             raise CompressionError("reduce_wire_payload needs two compressed operands")
@@ -532,7 +530,7 @@ class CompressionEngine:
             reduced.append(GLOBAL_CODEC_CACHE.run_compress(codec, total[start:stop]))
             start = stop
         sizes = [c.nbytes for c in reduced]
-        crc = payload_crc32(total) if want_crc else None
+        crc = payload_crc32(total)
 
         if not self._record_compression(header.algorithm, total.nbytes, sum(sizes)):
             # Partial sums stopped compressing: degrade this
@@ -586,20 +584,18 @@ class CompressionEngine:
         return comps
 
     def receiver_complete(self, header: CompressionHeader, payload, resources: list,
-                          fingerprint: Optional[int] = None,
-                          want_crc: bool = False):
+                          fingerprint: Optional[int] = None):
         """After the data lands: decompress and restore the original.
 
         Returns ``(data, crc)``; ``crc`` is the CRC32 of ``data``'s
-        bytes when ``want_crc`` (else ``None``) — served from the decode
-        memo when these wire bytes were decoded before, so the caller's
-        integrity check does not hash a buffer the cache already
-        vouches for.  ``fingerprint`` is the CRC32 of ``payload`` when
+        bytes — served from the decode memo when these wire bytes were
+        decoded before, so the caller's integrity check does not hash a
+        buffer the cache already vouches for.  ``fingerprint`` is the CRC32 of ``payload`` when
         the caller has already verified one (the relay check's wire
         CRC); it keys the memo lookup instead of a second hash.
         """
         if not header.compressed:
-            return payload, (payload_crc32(payload) if want_crc else None)
+            return payload, payload_crc32(payload)
         codec = self._header_codec(header)
         if codec.host_setup:
             yield from self._host_setup()
@@ -617,7 +613,7 @@ class CompressionEngine:
         # partition by partition on a miss.
         result, crc = self._decode(
             codec, payload, self._partition_comps(header, payload),
-            fingerprint=fingerprint, want_crc=want_crc,
+            fingerprint=fingerprint, want_crc=True,
         )
 
         yield from self._release(resources)

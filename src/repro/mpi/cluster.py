@@ -57,11 +57,10 @@ __all__ = ["Cluster", "ClusterResult", "Runtime"]
 @dataclass
 class _RetransmitEntry:
     """Sender-side state kept while a rendezvous message can still be
-    NACKed — everything needed to push the same wire bytes again."""
+    NACKed — the RTS that announced it and the image it announced:
+    everything needed to push the same wire bytes again."""
 
-    src: int
-    dst: int
-    tag: int
+    rts: Packet
     image: WireImage
 
 
@@ -234,14 +233,13 @@ class Runtime:
             self._breakers[key] = br
         return br
 
-    def register_retransmit(self, seq: int, src: int, dst: int, tag: int,
-                            image: WireImage) -> bool:
+    def register_retransmit(self, rts: Packet, image: WireImage) -> bool:
         """Retain the sender's wire image for possible retransmission.
         Only active under a fault plane — in a fault-free run nothing is
         retained and :meth:`retire` is a silent no-op."""
         if self.sim.faults is None or self.resilience.max_retries <= 0:
             return False
-        self._retransmit[seq] = _RetransmitEntry(src, dst, tag, image)
+        self._retransmit[rts.seq] = _RetransmitEntry(rts, image)
         return True
 
     def retransmit_entry(self, seq: int) -> Optional[_RetransmitEntry]:
@@ -254,7 +252,7 @@ class Runtime:
         if entry is None:
             return
         if entry.image.compressed:
-            br = self.breaker_of(entry.src, entry.dst)
+            br = self.breaker_of(entry.rts.src, entry.rts.dst)
             if success:
                 br.record_success(self.sim.now)
             else:
@@ -265,15 +263,17 @@ class Runtime:
         the rejected payload was compressed."""
         entry = self._retransmit.get(seq)
         if entry is not None and entry.image.compressed:
-            self.breaker_of(entry.src, entry.dst).record_failure(self.sim.now)
+            self.breaker_of(entry.rts.src,
+                            entry.rts.dst).record_failure(self.sim.now)
 
-    def _push_image(self, seq: int, src: int, dst: int, tag: int,
-                   image: WireImage, attempt: int = 0):
-        """Push ``image`` across the wire as message ``seq`` and hand
-        the receiver its DATA packet: attempt 0 inside the sender's
-        protocol process, attempt *k* as a retransmission.  The packet
-        is keyed by ``attempt`` so stale deliveries cannot satisfy a
-        retry's waiter."""
+    def _push_image(self, rts: Packet, image: WireImage, attempt: int = 0):
+        """Push ``image`` across the wire as the message ``rts``
+        announced and hand the receiver its DATA packet — the bytes
+        only, the RTS already described them: attempt 0 inside the
+        sender's protocol process, attempt *k* as a retransmission.
+        The packet is keyed by ``attempt`` so stale deliveries cannot
+        satisfy a retry's waiter."""
+        seq, src, dst = rts.seq, rts.src, rts.dst
         extra = {"attempt": attempt} if attempt else {}
         if image.origin_seq is not None:
             extra["origin_seq"] = image.origin_seq
@@ -290,10 +290,8 @@ class Runtime:
         if delivered is DROPPED:
             return  # the receiver's data timeout will fire (again)
         self.matching_of(dst).deliver_data(
-            Packet(PacketKind.DATA, src, dst, tag, seq, payload=delivered,
-                   wire_nbytes=image.wire_nbytes, crc=image.crc,
-                   attempt=attempt, wire_crc=image.wire_crc,
-                   origin_seq=image.origin_seq)
+            Packet(PacketKind.DATA, src, dst, rts.tag, seq, payload=delivered,
+                   wire_nbytes=image.wire_nbytes, attempt=attempt)
         )
 
     def spawn_retransmit(self, seq: int, attempt: int) -> bool:
@@ -302,13 +300,11 @@ class Runtime:
         entry = self._retransmit.get(seq)
         if entry is None:
             return False
-        if self.is_dead(entry.src):
+        if self.is_dead(entry.rts.src):
             return False  # dead senders retransmit nothing
-        p = self.sim.process(
-            self._push_image(seq, entry.src, entry.dst, entry.tag, entry.image,
-                            attempt),
-            name=f"retransmit{seq}.{attempt}")
-        self.adopt(entry.src, p)
+        p = self.sim.process(self._push_image(entry.rts, entry.image, attempt),
+                             name=f"retransmit{seq}.{attempt}")
+        self.adopt(entry.rts.src, p)
         return True
 
     def matching_report(self) -> str:

@@ -17,8 +17,9 @@ sum in the partially-decoded domain when the codec supports it.
 Algorithms (classic MPICH choices for large messages on small ranks),
 each written once: *who talks to whom* is a schedule — a pure function
 of ``(size, rank, root)`` returning a tree or exchange steps as data —
-and *what travels* is a plane, raw arrays or wire images, chosen in
-:func:`_plane` and driven by :func:`_exchange`:
+and *what travels* is a plane, raw arrays or wire images — whether the
+data was packed, nothing more: ``comm.isend``/``comm.irecv`` carry
+either — chosen in :func:`_plane` and driven by :func:`_exchange`:
 
 * ``bcast`` — binomial tree (keep-compressed relays on interior ranks).
 * ``gather``/``scatter`` — linear rooted (scatter packs per chunk).
@@ -69,10 +70,9 @@ _T_RING_AG = COLL_TAG_BASE + 9   # ring allreduce, allgather phase
 ALLREDUCE_ALGORITHMS = ("ring", "recursive_doubling", "reduce_bcast")
 
 
-#: What travels.  ``isend``/``irecv`` return requests; ``pack``,
-#: ``unpack`` and ``reduce`` are generator subroutines: user data to the
-#: plane's currency, back, and a held block combined with an arrival.
-_Plane = namedtuple("_Plane", "isend irecv pack unpack reduce")
+#: What travels, as generator subroutines: user data to the plane's
+#: currency, back, and a held block combined with an arrival.
+_Plane = namedtuple("_Plane", "pack unpack reduce")
 
 
 def _same(data):
@@ -96,9 +96,8 @@ def _plane(comm, data=None, op=None) -> _Plane:
     anyway — or raw arrays, each hop compressing (or not) by itself."""
     if comm.keep_compressed_active(data) \
             and (op is None or comm.wire_reduce_capable(op)):
-        return _Plane(comm.isend_wire, comm.irecv_wire, comm.pack_wire,
-                      comm.unpack_wire, comm.reduce_wires)
-    return _Plane(comm.isend, comm.irecv, _same, _same, _raw_reduce)
+        return _Plane(comm.pack_wire, comm.unpack_wire, comm.reduce_wires)
+    return _Plane(_same, _same, _raw_reduce)
 
 
 def _rel(comm, root: int, what: str) -> int:
@@ -170,21 +169,22 @@ def _dissemination_steps(size: int, rank: int):
         yield 0, (rank + dist) % size, 1, (rank - dist) % size, _T_BARRIER + k
 
 
-def _exchange(plane: _Plane, blocks: list, steps, local=None, op=None):
+def _exchange(comm, blocks: list, steps, combine=None, local=None, op=None):
     """Run ``(send_block, dst, recv_block, src, tag)`` steps over
     ``blocks``.  Per step: start the send and the receive, wait for the
     arrival, then for the send, then store the arrival in its block —
-    or, with ``op``, reduce it onto the block held there; ``local[i]``
-    is the raw array ``blocks[i]`` encodes here (``comm.reduce_wires``)."""
+    or, with a plane's ``reduce`` as ``combine``, reduce it by ``op``
+    onto the block held there; ``local[i]`` is the raw array
+    ``blocks[i]`` encodes here (``comm.reduce_wires``)."""
     for send_block, dst, recv_block, src, tag in steps:
-        sreq = plane.isend(blocks[send_block], dst, tag)
-        rreq = plane.irecv(src, tag)
+        sreq = comm.isend(blocks[send_block], dst, tag)
+        rreq = comm.irecv(src, tag)
         arrived = yield from rreq.wait()
         yield from sreq.wait()
-        if op is None:
+        if combine is None:
             blocks[recv_block] = arrived
         else:
-            blocks[recv_block], local[recv_block] = yield from plane.reduce(
+            blocks[recv_block], local[recv_block] = yield from combine(
                 blocks[recv_block], local[recv_block], arrived, op)
 
 
@@ -261,8 +261,8 @@ def bcast(comm, data: Any, root: int = 0):
     if parent is None:
         held = yield from plane.pack(data)
     else:
-        held = yield from plane.irecv((parent + root) % size, _T_BCAST).wait()
-    reqs = [plane.isend(held, (child + root) % size, _T_BCAST)
+        held = yield from comm.irecv((parent + root) % size, _T_BCAST).wait()
+    reqs = [comm.isend(held, (child + root) % size, _T_BCAST)
             for child in children]
     # Decode the local copy while the relays to the subtree are in
     # flight — the single decompression of the keep-compressed path.
@@ -303,11 +303,11 @@ def scatter(comm, chunks, root: int = 0):
         for dst in range(size):
             if dst != root:
                 held = yield from plane.pack(chunks[dst])
-                reqs.append(plane.isend(held, dst, _T_SCATTER))
+                reqs.append(comm.isend(held, dst, _T_SCATTER))
         for r in reqs:
             yield from r.wait()
         return chunks[root]
-    held = yield from plane.irecv(root, _T_SCATTER).wait()
+    held = yield from comm.irecv(root, _T_SCATTER).wait()
     return (yield from plane.unpack(held))
 
 
@@ -324,7 +324,7 @@ def allgather(comm, data: Any):
     if size > 1:
         plane = _plane(comm)
         blocks[rank] = yield from plane.pack(data)
-        yield from _exchange(plane, blocks,
+        yield from _exchange(comm, blocks,
                              _ring_steps(size, rank, rank, _T_ALLGATHER))
         for i in range(size):
             if i != rank:
@@ -405,14 +405,14 @@ def allreduce(comm, data: Any, op: Optional[Callable] = None,
         # Each index is reduced once per rank, so the raw totals are dead
         # weight afterwards (a vector per rank); the reduce-scatter leaves
         # rank r owning chunk (r + 1) % size, where the allgather starts.
-        yield from _exchange(plane, blocks, _ring_steps(
-            size, rank, rank, _T_RING_RS), local, op)
+        yield from _exchange(comm, blocks, _ring_steps(
+            size, rank, rank, _T_RING_RS), plane.reduce, local, op)
         del local
-        yield from _exchange(plane, blocks, _ring_steps(
+        yield from _exchange(comm, blocks, _ring_steps(
             size, rank, (rank + 1) % size, _T_RING_AG))
     else:
-        yield from _exchange(plane, blocks, _rdouble_steps(size, rank),
-                             local, op)
+        yield from _exchange(comm, blocks, _rdouble_steps(size, rank),
+                             plane.reduce, local, op)
     for i, held in enumerate(blocks):
         blocks[i] = yield from plane.unpack(held)
     return np.concatenate(blocks).reshape(arr.shape)
@@ -433,7 +433,7 @@ def alltoall(comm, chunks):
     for step in _pairwise_steps(size, rank):
         dst, src = step[0], step[2]
         held[dst] = yield from plane.pack(chunks[dst])
-        yield from _exchange(plane, held, (step,))
+        yield from _exchange(comm, held, (step,))
         out[src] = yield from plane.unpack(held[src])
     return out
 
@@ -444,6 +444,6 @@ _BARRIER_TOKEN = np.zeros(1, dtype=np.uint8)
 @_traced
 def barrier(comm):
     """Dissemination barrier (log2(size) rounds of tiny messages)."""
-    # A one-byte token is not compressible data: the raw plane.
-    yield from _exchange(_plane(comm, _BARRIER_TOKEN), [_BARRIER_TOKEN, None],
+    # The token is sent as it is: nothing to pack, so no plane.
+    yield from _exchange(comm, [_BARRIER_TOKEN, None],
                          _dissemination_steps(comm.size, comm.rank))

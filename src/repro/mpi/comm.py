@@ -18,11 +18,13 @@ compression threshold anyway) — and no simulator process either: see
 
 One path carries every rendezvous message, as a
 :class:`~repro.mpi.wire.WireImage`: a plain send packs one in step 1, a
-relay (``isend_wire``) enters with the image it holds and skips that
-step.  The receive flavour picks what step 5 verifies — decode and
-compare the post-decode CRC, or compare the wire CRC and hand the image
-on — inside the one NACK/retransmit loop.  Pipelining pushes more than
-one part, each decoded on arrival, between steps 3 and 5.
+relay — ``isend`` of the image it holds — skips that step.  The
+message, not the receive call, picks what step 5 verifies: an RTS
+carrying an ``origin_seq`` announces a relayed image, whose wire CRC is
+compared and which is handed on as it is; any other message is decoded
+and its post-decode CRC compared — inside the one NACK/retransmit loop.
+Pipelining pushes more than one part, each decoded on arrival, between
+steps 3 and 5.
 
 All primitives are generator subroutines (``yield from comm.send(...)``)
 except ``isend``/``irecv``, which start the operation — an eager state
@@ -98,14 +100,6 @@ PIPELINE_STEPS = (
     "receiver_complete",   # step 7: decompression kernels + restore
     "sender_release",      # post-send: return pooled buffers / temporaries
 )
-
-#: per point-to-point flavour (user data, or a packed wire image): the
-#: request kind, the protocol-process name and, for a send, its eager
-#: protocol label; for a receive, whether the arrived image is decoded
-_SEND_DATA = ("isend->", "isend", "eager")
-_SEND_WIRE = ("isend_wire->", "isendw", "wire_eager")
-_RECV_DATA = ("irecv<-", "irecv", True)
-_RECV_WIRE = ("irecv_wire<-", "irecvw", False)
 
 #: transient faults the resilience layer absorbs (retry/fallback); any
 #: other exception still propagates immediately
@@ -206,49 +200,41 @@ class Communicator:
 
     # -- nonblocking point-to-point ----------------------------------------------
     def isend(self, data: Any, dest: int, tag: int = 0) -> Request:
-        """Start a nonblocking send of ``data`` (a numpy array resident
-        on this rank's GPU) to local rank ``dest``."""
-        return self._start_send(data, self._payload_nbytes(data), dest, tag,
-                                _SEND_DATA)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Start a nonblocking receive.  The request's value is the
-        received array."""
-        return self._start_recv(source, tag, _RECV_DATA)
-
-    def _start_send(self, payload, nbytes: int, dest: int, tag: int,
-                    flavour: tuple) -> Request:
-        """Start a send of ``nbytes``: the eager state machine below the
-        threshold (and to self), else the rendezvous protocol process.
-        Either starts after the per-operation software overhead."""
+        """Start a nonblocking send to local rank ``dest`` of ``data``:
+        a numpy array resident on this rank's GPU, or a packed
+        :class:`WireImage` to relay as it is.  The eager state machine
+        below the threshold (and to self), else the rendezvous protocol
+        process; either starts after the per-operation software
+        overhead."""
         self._check_peer(dest, "destination")
         rt = self._rt
         rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
         gdest = self._group[dest]
-        kind, name, eager_protocol = flavour
-        req = Request(rt.sim, kind, gdest)
+        nbytes = self._payload_nbytes(data)
+        req = Request(rt.sim, "isend->", gdest)
         if tag != ANY_TAG:
             tag += self._tag_shift
         if gdest == self._grank or nbytes < EAGER_THRESHOLD:
-            op = EagerSend(self, payload, nbytes, gdest, tag, req,
-                           eager_protocol)
+            op = EagerSend(self, data, nbytes, gdest, tag, req)
         else:
-            op = rt.sim.process(self._send_proc(payload, gdest, tag, req),
-                                name=(name, self._grank, "->", gdest),
+            op = rt.sim.process(self._send_proc(data, gdest, tag, req),
+                                name=("isend", self._grank, "->", gdest),
                                 delay=SETUP_TIME)
         rt.adopt(self._grank, op)
         return req
 
-    def _start_recv(self, source: int, tag: int, flavour: tuple) -> Request:
-        """Start a receive: post after the software overhead, complete
-        on an EAGER envelope, continue as :meth:`_recv_proc` on an RTS."""
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """Start a nonblocking receive: post after the software
+        overhead, complete on an EAGER envelope, continue as
+        :meth:`_recv_proc` on an RTS.  The request's value is what was
+        sent: the array, or a relayed :class:`WireImage` (verified, not
+        decoded — pass it on or unpack)."""
         gsource = source
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
             gsource = self._group[source]
-        kind, name, decode = flavour
         rt = self._rt
-        req = Request(rt.sim, kind, gsource)
+        req = Request(rt.sim, "irecv<-", gsource)
         if tag != ANY_TAG:
             tag += self._tag_shift
         if rt.failstop is not None \
@@ -256,14 +242,14 @@ class Communicator:
             # The armed failure detector races the match against the
             # peer's death event; that wait takes a process.
             op = rt.sim.process(
-                self._watched_recv(gsource, tag, req, decode),
-                name=(name, self._grank, "<-", gsource), delay=SETUP_TIME)
+                self._watched_recv(gsource, tag, req),
+                name=("irecv", self._grank, "<-", gsource), delay=SETUP_TIME)
         else:
-            op = Recv(self, gsource, tag, req, decode, name)
+            op = Recv(self, gsource, tag, req)
         rt.adopt(self._grank, op)
         return req
 
-    def _watched_recv(self, source: int, tag: int, req: Request, decode):
+    def _watched_recv(self, source: int, tag: int, req: Request):
         """A receive's envelope wait under the failure detector."""
         rt = self._rt
         try:
@@ -276,7 +262,7 @@ class Communicator:
         if pkt.kind is PacketKind.EAGER:
             req.complete(pkt.payload)
         else:
-            yield from self._recv_proc(pkt, req, decode)
+            yield from self._recv_proc(pkt, req)
 
     # -- blocking wrappers ------------------------------------------------------
     def send(self, data: Any, dest: int, tag: int = 0):
@@ -303,6 +289,8 @@ class Communicator:
     def _payload_nbytes(self, data: Any) -> int:
         if isinstance(data, np.ndarray):
             return int(data.nbytes)
+        if isinstance(data, WireImage):
+            return data.wire_nbytes
         return len(data)
 
     def _count_send(self, protocol: str) -> None:
@@ -337,11 +325,11 @@ class Communicator:
                 cts_ev = rt.matching_of(self._grank).expect_cts(seq)
                 rt.matching_of(dest).deliver_envelope(rts)
             yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(seq, self._grank, dest, tag, image)
+            rt.register_retransmit(rts, image)
             if image.header.pipelined:
                 yield from self._push_parts(rt, dest, tag, seq, plan)
             else:
-                yield from rt._push_image(seq, self._grank, dest, tag, image)
+                yield from rt._push_image(rts, image)
             if plan is not None:
                 with trace_scope(self.sim, "pipeline", "sender_release",
                                  rank=self._grank, seq=seq, dst=dest):
@@ -383,8 +371,7 @@ class Communicator:
             # resent as one un-pipelined DATA packet (the header's
             # partition table still applies): needs a fault plane.
             payload = np.concatenate([c.payload for c in plan.comps])
-        return plan, WireImage(plan.header, payload, plan.wire_nbytes,
-                               plan.crc if rt.resilience.integrity else None)
+        return plan, WireImage(plan.header, payload, plan.wire_nbytes, plan.crc)
 
     def _compression_failed(self, rt, breaker, dest: int, seq: int, exc) -> None:
         """Host-side bookkeeping for a transient sender-side compression
@@ -544,16 +531,12 @@ class Communicator:
         if failures:
             return (None,) + failures[0]
         data = np.concatenate([results[i] for i in range(header.n_partitions)])
-        crc = pkt.crc if rt.resilience.integrity else None
-        if crc is not None and payload_crc32(data) != crc:
+        if payload_crc32(data) != pkt.crc:
             return None, "crc_mismatch", None
         return data, None, None
 
-    def _recv_proc(self, pkt, req: Request, decode: bool):
-        """Rendezvous receive, from the matched RTS ``pkt`` onwards.
-        ``decode`` is the receive flavour: the request completes with
-        the decoded user data, or with the arrived :class:`WireImage`
-        (verified, not decoded — pass it on or unpack)."""
+    def _recv_proc(self, pkt, req: Request):
+        """Rendezvous receive, from the matched RTS ``pkt`` onwards."""
         rt = self._rt
         try:
             if pkt.kind != PacketKind.RTS:
@@ -585,7 +568,7 @@ class Communicator:
                 data_pkt = yield from self._await_data(rt, data_evs[0],
                                                        src=pkt.src, seq=pkt.seq)
             value = yield from self._complete_with_retries(
-                rt, engine, pkt, data_pkt, resources, decode, failure, cause
+                rt, engine, pkt, data_pkt, resources, failure, cause
             )
             req.complete(value)
         except BaseException as exc:
@@ -634,18 +617,20 @@ class Communicator:
         return None if timed_out else pkt
 
     def _complete_with_retries(self, rt, engine, pkt, data_pkt, resources,
-                               decode: bool, failure: Optional[str] = None,
+                               failure: Optional[str] = None,
                                last_exc: Optional[BaseException] = None):
-        """Verify the arrived image, NACKing the immediate upstream for
-        retransmission on failure (CRC mismatch, decode error, delivery
-        timeout) until it survives or the retry budget is spent.  The
-        ``decode`` flavour decompresses and compares the post-decode
-        CRC; a relay compares the wire CRC *without decompressing* and
-        hands the image on.  ``failure``/``last_exc``: what the
-        pipelined arrival already found."""
+        """Verify the arrived image against the RTS ``pkt`` that
+        described it, NACKing the immediate upstream for retransmission
+        on failure (CRC mismatch, decode error, delivery timeout) until
+        it survives or the retry budget is spent.  A relayed image (the
+        RTS names its ``origin_seq``) has its wire CRC compared *without
+        decompressing* and is handed on; any other is decompressed and
+        its post-decode CRC compared.  ``failure``/``last_exc``: what
+        the pipelined arrival already found."""
         resil = rt.resilience
         header = pkt.header
         seq = pkt.seq
+        relayed = pkt.origin_seq is not None
         attempt = 0
         while True:
             if failure is None:
@@ -653,38 +638,27 @@ class Communicator:
                     failure = "data_timeout"
                 else:
                     extra = {"attempt": attempt} if attempt else {}
-                    if pkt.origin_seq is not None:
+                    if relayed:
                         extra["origin_seq"] = pkt.origin_seq
                     with trace_scope(self.sim, "pipeline", "receiver_complete",
                                      rank=self._grank, seq=seq, src=pkt.src,
-                                     wire_nbytes=data_pkt.wire_nbytes,
-                                     **extra):
-                        if decode:
-                            crc = data_pkt.crc if resil.integrity else None
+                                     wire_nbytes=pkt.wire_nbytes, **extra):
+                        if relayed:
+                            value = WireImage(header, data_pkt.payload,
+                                              pkt.wire_nbytes, pkt.crc,
+                                              pkt.wire_crc, pkt.origin_seq)
+                            if payload_crc32(value.payload) != pkt.wire_crc:
+                                failure = "wire_crc_mismatch"
+                        else:
                             try:
                                 value, got_crc = yield from engine.receiver_complete(
-                                    header, data_pkt.payload, resources,
-                                    want_crc=crc is not None,
-                                )
+                                    header, data_pkt.payload, resources)
                                 resources = []  # released by receiver_complete
-                                if got_crc != crc:
+                                if got_crc != pkt.crc:
                                     failure = "crc_mismatch"
                             except _DECODE_ERRORS as exc:
                                 failure = "decode_error"
                                 last_exc = exc
-                        else:
-                            crc = data_pkt.wire_crc if resil.integrity else None
-                            if crc is not None \
-                                    and payload_crc32(data_pkt.payload) != crc:
-                                failure = "wire_crc_mismatch"
-                            else:
-                                value = WireImage(
-                                    header=header, payload=data_pkt.payload,
-                                    wire_nbytes=data_pkt.wire_nbytes,
-                                    crc=data_pkt.crc,
-                                    wire_crc=data_pkt.wire_crc,
-                                    origin_seq=pkt.origin_seq,
-                                )
                     if failure is None:
                         if resources:  # a relay's, held until the check passed
                             yield from engine._release(resources)
@@ -709,7 +683,7 @@ class Communicator:
                 if resources:
                     yield from engine._release(resources)
                 retries = attempt - 1
-                what = "message" if decode else "wire image"
+                what = "wire image" if relayed else "message"
                 msg = (f"rank {self._grank}: {what} seq {seq} from rank "
                        f"{pkt.src} failed ({failure}) after {retries} "
                        f"retransmission(s)")
@@ -770,20 +744,17 @@ class Communicator:
                     data, force_uncompressed=True
                 )
             yield from engine.sender_release(plan)
-        integrity = rt.resilience.integrity
         return WireImage(
             header=plan.header, payload=plan.payload,
-            wire_nbytes=plan.wire_nbytes,
-            crc=plan.crc if integrity else None,
-            wire_crc=payload_crc32(plan.payload) if integrity else None,
-            origin_seq=origin_seq,
+            wire_nbytes=plan.wire_nbytes, crc=plan.crc,
+            wire_crc=payload_crc32(plan.payload), origin_seq=origin_seq,
         )
 
     def unpack_wire(self, wire: WireImage):
         """Decode a received :class:`WireImage` into user data
         (generator subroutine) — the single decompression of the
         keep-compressed path, checked against the image's
-        post-decode CRC when integrity is on.
+        post-decode CRC.
 
         The image's wire bytes were verified when it arrived, so a
         mismatch here is the decoder's (a transient kernel fault):
@@ -803,8 +774,7 @@ class Communicator:
                 try:
                     data, got_crc = yield from engine.receiver_complete(
                         wire.header, wire.payload, resources,
-                        fingerprint=wire.wire_crc, want_crc=wire.crc is not None,
-                    )
+                        fingerprint=wire.wire_crc)
                 except BaseException:
                     if resources:
                         yield from engine._release(resources)
@@ -840,7 +810,6 @@ class Communicator:
         rt = self._rt
         engine = rt.engine_of(self._grank)
         op = np.add if op is None else op
-        integrity = rt.resilience.integrity
         origin_seq = rt.next_seq()
         if acc.compressed and other.compressed \
                 and acc.header.algorithm == other.header.algorithm \
@@ -851,11 +820,9 @@ class Communicator:
                              rank=self._grank, nbytes=acc.wire_nbytes,
                              origin_seq=origin_seq, fused=True):
                 header, payload, crc, total = yield from engine.reduce_wire_payload(
-                    acc.header, local, other.header, other.payload,
-                    want_crc=integrity,
-                )
+                    acc.header, local, other.header, other.payload)
             wire_crc = crc  # raw image: the wire bytes are the data
-            if integrity and header.compressed:
+            if header.compressed:
                 wire_crc = payload_crc32(payload)
             return WireImage(
                 header=header, payload=payload,
@@ -871,26 +838,12 @@ class Communicator:
             b = other.payload if not other.compressed else (yield from self.unpack_wire(other))
             out = op(a, b)
             nbytes = self._payload_nbytes(out)
-        crc = payload_crc32(out) if integrity else None
+        crc = payload_crc32(out)
         return WireImage(
             header=CompressionHeader.uncompressed(nbytes), payload=out,
             wire_nbytes=nbytes, crc=crc, wire_crc=crc,
             origin_seq=origin_seq,
         ), out
-
-    def isend_wire(self, wire: WireImage, dest: int, tag: int = 0) -> Request:
-        """Nonblocking relay of an already-packed wire image."""
-        return self._start_send(wire, wire.wire_nbytes, dest, tag, _SEND_WIRE)
-
-    def irecv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive of a wire image; the request's value is
-        the :class:`WireImage` (not decoded — pass it on or unpack)."""
-        return self._start_recv(source, tag, _RECV_WIRE)
-
-    def recv_wire(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        req = self.irecv_wire(source, tag)
-        wire = yield from req.wait()
-        return wire
 
     def keep_compressed_active(self, data=None) -> bool:
         """True when collectives should route ``data`` through the

@@ -35,6 +35,7 @@ queued on a link and fails the request with the kill.
 from __future__ import annotations
 
 from repro.mpi.message import CONTROL_PACKET_BYTES, Packet, PacketKind
+from repro.mpi.wire import WireImage
 from repro.sim import Interrupt
 
 __all__ = ["EagerSend", "Recv", "SETUP_TIME"]
@@ -82,13 +83,14 @@ class EagerSend(_Operation):
 
     __slots__ = ("_payload", "_nbytes", "_dest", "_tag", "_protocol", "_pkt")
 
-    def __init__(self, comm, payload, nbytes: int, dest: int, tag: int, req,
-                 protocol: str):
+    def __init__(self, comm, payload, nbytes: int, dest: int, tag: int, req):
         self._payload = payload
         self._nbytes = nbytes
         self._dest = dest
         self._tag = tag
-        self._protocol = "self" if dest == comm._grank else protocol
+        self._protocol = ("self" if dest == comm._grank
+                          else "wire_eager" if isinstance(payload, WireImage)
+                          else "eager")
         super().__init__(comm, req, self._start)
 
     def _start(self, _event) -> None:
@@ -119,17 +121,13 @@ class EagerSend(_Operation):
 
 class Recv(_Operation):
     """One receive up to its envelope match;
-    ``comm._recv_proc(pkt, req, decode)`` takes a matched RTS from
-    there."""
+    ``comm._recv_proc(pkt, req)`` takes a matched RTS from there."""
 
-    __slots__ = ("_source", "_tag", "_decode", "_name")
+    __slots__ = ("_source", "_tag")
 
-    def __init__(self, comm, source: int, tag: int, req, decode: bool,
-                 name: str):
+    def __init__(self, comm, source: int, tag: int, req):
         self._source = source
         self._tag = tag
-        self._decode = decode
-        self._name = name
         super().__init__(comm, req, self._post)
 
     def _post(self, _event) -> None:
@@ -150,8 +148,8 @@ class Recv(_Operation):
             self._pending = sim.call_later(0.0, self._complete, pkt)
             return
         self._req = None  # the rendezvous process owns the request now
-        proc = sim.process(comm._recv_proc(pkt, req, self._decode),
-                           name=(self._name, comm._grank, "<-", self._source))
+        proc = sim.process(comm._recv_proc(pkt, req),
+                           name=("irecv", comm._grank, "<-", self._source))
         if sim.tracer is not None:
             sim.tracer.reparent(proc, self._parent)
         comm._rt.adopt(comm._grank, proc)

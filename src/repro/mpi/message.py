@@ -6,8 +6,12 @@ Four packet kinds implement the two MVAPICH2 protocols:
 * ``RTS`` — Request-To-Send, carrying the piggybacked compression
   header (paper Figure 3: "we piggyback the compression-related header
   information into the RTS packet to avoid extra message exchanges").
+  The RTS is the whole description of a rendezvous message — header,
+  wire size, both CRC stamps and, for a relayed image, ``origin_seq`` —
+  and the receiver reads it from there.
 * ``CTS`` — Clear-To-Send, from receiver once its buffers are ready.
-* ``DATA`` — the (possibly compressed) payload transfer.
+* ``DATA`` — the (possibly compressed) payload transfer: the bytes, the
+  part and the attempt they answer, nothing else.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class Packet:
     #: partition index for pipelined DATA packets (0 otherwise)
     part: int = 0
     #: CRC32 the delivered (decompressed) data must match, carried on
-    #: RTS/DATA packets when integrity checking is on.  Rides existing
-    #: control fields, so it does not change control_bytes()/wire time.
+    #: the RTS.  Rides existing control fields, so it does not change
+    #: control_bytes()/wire time.
     crc: Optional[int] = None
     #: retransmission attempt this DATA packet answers (0 = original)
     attempt: int = 0
@@ -55,8 +59,8 @@ class Packet:
     #: by keep-compressed relays to verify their own hop *without*
     #: decompressing.  Rides the same control fields as ``crc``.
     wire_crc: Optional[int] = None
-    #: for relayed (keep-compressed) hops: the seq assigned when the
-    #: wire image was originally packed at the root/leaf
+    #: on the RTS of a relayed (keep-compressed) hop: the seq assigned
+    #: when the wire image was packed (or reduced) at its origin
     origin_seq: Optional[int] = None
 
     def control_bytes(self) -> int:

@@ -7,7 +7,8 @@ plane (:mod:`repro.faults`) misbehaves:
 * **Integrity** — every rendezvous message carries a CRC32 of the data
   the receiver should end up with (the clean decompression round-trip
   for compressed sends, the raw bytes otherwise), verified after
-  decompression.
+  decompression.  Not a knob: the stamp rides control fields that exist
+  anyway and costs no simulated time.
 * **Retransmission** — on a CRC mismatch, a decode failure, or a data
   timeout the receiver NACKs and the sender retransmits, with
   exponential backoff + jitter drawn from a run-seeded RNG on the
@@ -57,8 +58,6 @@ DEFAULT_DETECT_TIMEOUT = 1e-3
 class ResilienceConfig:
     """Knobs of the resilient rendezvous pipeline."""
 
-    #: stamp + verify CRC32 integrity checksums on rendezvous messages
-    integrity: bool = True
     #: retransmissions allowed per message before giving up
     max_retries: int = 8
     #: exponential backoff: ``base * factor**(attempt-1)``, capped

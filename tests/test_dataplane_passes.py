@@ -105,7 +105,7 @@ def _pack(a, b, parts):
 def _check_fused(sim, eng, a, plan_a, plan_b):
     assert plan_a.header.n_partitions == plan_b.header.n_partitions
     header, payload, crc, total = sim.run_process(eng.reduce_wire_payload(
-        plan_a.header, a, plan_b.header, plan_b.payload, want_crc=True))
+        plan_a.header, a, plan_b.header, plan_b.payload))
     sizes, want_payload, want_decoded = _oracle(
         plan_a.header, plan_a.payload, plan_b.header, plan_b.payload)
     assert total.tobytes() == want_decoded.tobytes()

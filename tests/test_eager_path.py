@@ -8,25 +8,31 @@ decides who wins a shared link.  Event counts are the new path's own:
 they are what the change is for.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from repro.check.sanitize import TraceSanitizer
+from repro.core import CompressionConfig
 from repro.core.header import CompressionHeader
-from repro.errors import RankFailedError
+from repro.errors import IntegrityError, RankFailedError
 from repro.faults import FaultPlan
 from repro.faults.plan import RankFailure
 from repro.mpi import ANY_SOURCE
 from repro.mpi.cluster import Cluster
+from repro.mpi.comm import EAGER_THRESHOLD
 from repro.mpi.failstop import KillCause, KilledRank
 from repro.mpi.request import waitall
 from repro.mpi.resilience import ResilienceConfig
 from repro.mpi.wire import WireImage
+from repro.omb.payload import make_payload
 from repro.sim import Interrupt, Process, Timeout
 from repro.sim.resources import _Request
 from repro.sim.trace import Trace, trace_scope
+from repro.utils.integrity import payload_crc32
+from repro.utils.units import KiB
 
 
 def block(rank, n=1024):
@@ -229,9 +235,9 @@ def small_cases(comm, use_wire):
     x = block(comm.rank, 256)
     if use_wire:
         def isend(data, dest, tag):
-            return comm.isend_wire(wire_of(data), dest, tag)
+            return comm.isend(wire_of(data), dest, tag)
 
-        recv, unwrap = comm.recv_wire, (lambda w: w.payload)
+        recv, unwrap = comm.recv, (lambda w: w.payload)
     else:
         isend, recv, unwrap = comm.isend, comm.recv, (lambda a: a)
     log = []
@@ -294,6 +300,49 @@ def test_self_send_wildcard_and_early_envelope(use_wire):
             for r in wild] == ["drain", None, None]
     # the payload kind changes a counter label and nothing in the trace
     assert fingerprint(res.tracer) == "b174ad4a1b6011d6"
+
+
+def rendezvous_case(comm, use_wire, tamper):
+    """Above the eager threshold, same calls: what arrives is what was
+    sent — a packed image relayed as it is, an array decoded."""
+    x = make_payload("wave", 256 * KiB, seed=1)
+    if comm.rank == 0:
+        sent = (yield from comm.pack_wire(x)) if use_wire else x
+        if tamper:
+            sent = dataclasses.replace(sent, wire_crc=sent.wire_crc ^ 1)
+        yield from comm.isend(sent, 1, 4).wait()
+        return None
+    try:
+        got = yield from comm.irecv(0, 4).wait()
+    except IntegrityError as exc:
+        return str(exc)
+    if use_wire:
+        assert isinstance(got, WireImage) and got.compressed
+        assert got.origin_seq == 1 and got.wire_nbytes >= EAGER_THRESHOLD
+        assert got.wire_crc == payload_crc32(got.payload)
+        got = yield from comm.unpack_wire(got)
+    assert isinstance(got, np.ndarray) and (got == x).all()
+    return "ok"
+
+
+@pytest.mark.parametrize("use_wire", [False, True])
+def test_rendezvous_receive_completes_with_what_was_sent(use_wire):
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rendezvous_case, args=(use_wire, False),
+        config=CompressionConfig.mpc_opt())
+    assert res.values == [None, "ok"]
+    m = res.tracer.metrics
+    assert m.counter("mpi.sends", protocol="rndv_wire") == int(use_wire)
+    assert m.counter("mpi.sends", protocol="rndv") == int(not use_wire)
+    done, = [r for r in res.tracer.records if r.label == "receiver_complete"]
+    assert ("origin_seq" in done.meta) == use_wire
+
+
+def test_relayed_image_is_verified_by_its_wire_crc():
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        rendezvous_case, args=(True, True), config=CompressionConfig.mpc_opt())
+    assert res.values[1] == ("rank 1: wire image seq 2 from rank 0 failed "
+                             "(wire_crc_mismatch) after 0 retransmission(s)")
 
 
 def test_network_span_nests_under_the_span_open_at_isend_time():

@@ -130,6 +130,9 @@ def test_resilience_config_validation():
         ResilienceConfig(handshake_timeout=0.0)
     with pytest.raises(ConfigError):
         ResilienceConfig(backoff_factor=0.5)
+    # the CRC stamp is not a knob
+    assert "integrity" not in ResilienceConfig.__dataclass_fields__
+    assert len(ResilienceConfig.__dataclass_fields__) == 11
 
 
 def test_resilience_for_plan_arms_timeouts_only_on_loss():

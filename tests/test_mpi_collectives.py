@@ -235,3 +235,7 @@ def test_collective_methods_are_the_module_functions():
         assert getattr(Communicator, name) is getattr(collectives, name)
     assert not hasattr(Communicator, "send_wire")
     assert not hasattr(Communicator, "sendrecv_wire")
+    # one nonblocking pair: the message says what a receive completes with
+    for name in ("isend_wire", "irecv_wire", "recv_wire"):
+        assert not hasattr(Communicator, name)
+    assert collectives._Plane._fields == ("pack", "unpack", "reduce")
