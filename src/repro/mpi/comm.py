@@ -757,42 +757,56 @@ class Communicator:
         post-decode CRC.
 
         The image's wire bytes were verified when it arrived, so a
-        mismatch here is the decoder's (a transient kernel fault):
-        under a fault plane the rank backs off and decodes the bytes it
-        holds again, up to ``max_retries`` times — nothing is
-        retransmitted."""
+        mismatch here is the decoder's (a transient kernel fault), and
+        the staging buffer's allocation can fail transiently too: under
+        a fault plane the rank backs off and tries again on the bytes it
+        holds, up to ``max_retries`` times — nothing is retransmitted."""
         rt = self._rt
         engine = rt.engine_of(self._grank)
         seq = wire.origin_seq
         attempt = 0
         while True:
             extra = {"attempt": attempt} if attempt else {}
+            spent = rt.faults is None or attempt >= rt.resilience.max_retries
+            alloc_err = None
             with trace_scope(self.sim, "pipeline", "unpack_wire",
                              rank=self._grank, nbytes=wire.wire_nbytes,
                              origin_seq=seq, **extra):
-                resources = yield from engine.receiver_prepare(wire.header)
                 try:
-                    data, got_crc = yield from engine.receiver_complete(
-                        wire.header, wire.payload, resources,
-                        fingerprint=wire.wire_crc)
-                except BaseException:
-                    if resources:
-                        yield from engine._release(resources)
-                    raise
-            if got_crc == wire.crc:
+                    resources = yield from engine.receiver_prepare(wire.header)
+                except _TRANSIENT as exc:
+                    if spent:
+                        raise
+                    alloc_err = exc
+                else:
+                    try:
+                        data, got_crc = yield from engine.receiver_complete(
+                            wire.header, wire.payload, resources,
+                            fingerprint=wire.wire_crc)
+                    except BaseException:
+                        if resources:
+                            yield from engine._release(resources)
+                        raise
+            if alloc_err is None and got_crc == wire.crc:
                 if attempt:
                     rt.resilience_event("recovered", rank=self._grank, seq=seq,
                                         attempts=attempt)
                 return data
-            if rt.faults is None or attempt >= rt.resilience.max_retries:
+            if spent:
                 raise IntegrityError(
                     f"rank {self._grank}: wire image origin_seq={seq} "
                     f"failed its post-decode CRC"
                 )
             attempt += 1
-            rt.resilience_event("crc_mismatch", rank=self._grank, seq=seq,
-                                attempt=attempt)
-            yield from self._backoff(rt, attempt, seq, "crc_mismatch")
+            if alloc_err is None:
+                reason = "crc_mismatch"
+                rt.resilience_event(reason, rank=self._grank, seq=seq,
+                                    attempt=attempt)
+            else:
+                reason = "unpack_wire"
+                rt.resilience_event("retry", rank=self._grank, seq=seq,
+                                    stage=reason, error=type(alloc_err).__name__)
+            yield from self._backoff(rt, attempt, seq, reason)
 
     def reduce_wires(self, acc: WireImage, local, other: WireImage, op=None):
         """Combine the image this rank holds with one that arrived

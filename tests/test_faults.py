@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import CompressionConfig
 from repro.errors import (
+    BufferPoolExhaustedError,
     ConfigError,
     DeadlockError,
     IntegrityError,
@@ -680,6 +681,69 @@ def test_unpack_wire_mismatch_that_is_not_transient_still_raises(faults, attempt
     assert len(spans) == attempts
     m = res.tracer.metrics
     assert m.counter_total("resilience.crc_mismatch") == attempts - 1
+    assert m.counter_total("resilience.recovered") == 0
+
+
+def _three_keep_compressed_collectives(comm):
+    mine = make_payload("wave", 384 * 1024, seed=comm.rank)
+    blocks = yield from comm.allgather(mine)
+    total = yield from comm.allreduce(
+        make_payload("wave", 768 * 1024, seed=10 + comm.rank), algorithm="ring")
+    root = yield from comm.bcast(mine if comm.rank == 0 else None, root=0)
+    return blocks + [total, root]
+
+
+def test_keep_compressed_consumer_retries_a_transient_allocation_fault():
+    """``unpack_wire`` allocates its staging buffer inside its retry
+    loop: an injected OOM / pool exhaustion there is retried like the
+    same allocation of a point-to-point receive; it used to escape and
+    abort the run (6 of 6 seeds 14-19)."""
+    cluster = Cluster("longhorn", 3, 2)
+    clean = cluster.run(_three_keep_compressed_collectives, config=MPC)
+    faulty = cluster.run(_three_keep_compressed_collectives, config=MPC,
+                         faults=FaultPlan(seed=17, oom_rate=0.3,
+                                          pool_fail_rate=0.3))
+    for want, got in zip(clean.values, faulty.values):
+        assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
+    retries = [r for r in faulty.tracer.records if r.label == "retry"
+               and r.meta["stage"] == "unpack_wire"]
+    assert retries and {r.meta["error"] for r in retries} <= {
+        "OutOfDeviceMemoryError", "BufferPoolExhaustedError"}
+    assert faulty.tracer.metrics.counter_total("resilience.recovered") > 0
+    assert faulty.tracer.metrics.counter_total("resilience.retransmit") == 0
+    # and nothing but the retries: no span a fault-free run does not have
+    assert not [r for r in clean.tracer.records if r.track == "faults"]
+
+
+@pytest.mark.parametrize("faults,attempts", [
+    (None, 1),  # no fault plane: no retry
+    (FaultPlan(seed=1, decompress_corrupt_rate=1e-9), 3),  # budget of 2, spent
+])
+def test_unpack_wire_allocation_fault_that_is_not_transient_still_raises(
+        faults, attempts, monkeypatch):
+    x = make_payload("wave", 256 * 1024, seed=3)
+
+    def rank_fn(comm):
+        wire = yield from comm.pack_wire(x)
+
+        def exhausted(header):
+            raise BufferPoolExhaustedError("no buffer")
+            yield
+
+        monkeypatch.setattr(comm._rt.engine_of(0), "receiver_prepare", exhausted)
+        try:
+            yield from comm.unpack_wire(wire)
+        except BufferPoolExhaustedError as exc:
+            return str(exc)
+
+    res = Cluster("longhorn", nodes=1, gpus_per_node=1).run(
+        rank_fn, config=MPC, faults=faults,
+        resilience=ResilienceConfig(max_retries=2))
+    assert res.values == ["no buffer"]
+    spans = [r for r in res.tracer.records if r.label == "unpack_wire"]
+    assert len(spans) == attempts
+    m = res.tracer.metrics
+    assert m.counter_total("resilience.retry") == attempts - 1
     assert m.counter_total("resilience.recovered") == 0
 
 

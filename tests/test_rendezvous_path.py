@@ -24,6 +24,12 @@ also pin the injector's final RNG state.  Its bugfix (``unpack_wire``
 decodes again after a transient post-decode CRC mismatch) re-captured
 the four rows that had recorded that abort: ``coll/mpc-opt`` and
 ``coll/zfp8-pipe4`` under ``silent`` and ``mixed``.
+
+ISSUE 23 (one ``isend``/``irecv`` pair) moved none of the 56 rows.  Its
+bugfix (``unpack_wire`` retries a transient allocation fault) added the
+``alloc`` plan on every collective config, captured *after* the fix —
+its parent aborts the two keep-compressed rows with the injected
+``BufferPoolExhaustedError``.
 """
 
 import hashlib
@@ -64,6 +70,9 @@ PLANS = {
     "compress-fail": FaultPlan(seed=15, compress_fail_rate=0.5),
     "mixed": FaultPlan(seed=20, corrupt_rate=0.1, compress_fail_rate=0.1,
                        decompress_corrupt_rate=0.2),
+    # ``oom+pool``'s rates on collectives (ISSUE 23): every row completes,
+    # the keep-compressed ones with retries at ``unpack_wire``
+    "alloc": FaultPlan(seed=19, oom_rate=0.3, pool_fail_rate=0.3),
 }
 COLL_PLANS = ("clean", "drop", "drop+corrupt", "silent")
 #: codec-fault plans on collectives (ISSUE 22); ``rehop`` (decode and
@@ -71,14 +80,15 @@ COLL_PLANS = ("clean", "drop", "drop+corrupt", "silent")
 CODEC_PLANS = ("silent", "compress-fail", "mixed")
 
 SCENARIOS = [("pt2pt", c, p) for c in PT2PT_CONFIGS for p in PLANS
-             if p != "mixed"] \
+             if p not in ("mixed", "alloc")] \
     + [("coll", c, p) for c in COLL_CONFIGS if c != "rehop" for p in COLL_PLANS]
 #: added by ISSUE 22, captured on its parent: these also observe the
 #: injector's final RNG state, so a missing or extra draw fails even
 #: when no later fault depends on it
 RNG_SCENARIOS = [("pt2pt", c, "mixed") for c in PT2PT_CONFIGS] \
     + [("coll", c, p) for c in COLL_CONFIGS for p in CODEC_PLANS
-       if c == "rehop" or p not in COLL_PLANS]
+       if c == "rehop" or p not in COLL_PLANS] \
+    + [("coll", c, "alloc") for c in COLL_CONFIGS]
 SCENARIOS += RNG_SCENARIOS
 
 
@@ -581,6 +591,39 @@ PINS = {
           'recovered': 30,
           'retransmit': 44},
          3836175584),
+    ('coll', 'mpc-opt', 'alloc'):
+        (1597, 1859, 0.003956887469143109, '66b8232788158ad0', 3400292418,
+         {'sends.rndv_wire': 95,
+          'fallback': 23,
+          'recovered': 23,
+          'retry': 65},
+         989524747),
+    ('coll', 'off', 'alloc'):
+        (778, 911, 0.0005004954400000002, '14c2db81dd243040', 3400292418,
+         {'sends.rndv': 95},
+         2858089555),
+    ('coll', 'zfp8-pipe4', 'alloc'):
+        (1985, 3214, 0.0015151212950262197, '018c7aac77d7b799', 348920860,
+         {'sends.rndv': 22,
+          'sends.rndv_pipelined': 38,
+          'sends.rndv_wire': 35,
+          'breaker_transitions.open': 1,
+          'breaker_trips.trip': 1,
+          'breaker_veto': 3,
+          'fallback': 21,
+          'recovered': 8,
+          'retry': 37},
+         1310950883),
+    ('coll', 'rehop', 'alloc'):
+        (1468, 1820, 0.0021893111847976856, '545ebde76c355407', 3400292418,
+         {'sends.rndv': 95,
+          'breaker_transitions.closed': 1,
+          'breaker_transitions.open': 4,
+          'breaker_trips.trip': 4,
+          'breaker_veto': 23,
+          'fallback': 40,
+          'retry': 30},
+         3036953522),
 }
 
 
