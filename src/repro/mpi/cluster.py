@@ -57,8 +57,7 @@ __all__ = ["Cluster", "ClusterResult", "Runtime"]
 @dataclass
 class _RetransmitEntry:
     """Sender-side state kept while a rendezvous message can still be
-    NACKed — the RTS that announced it and the image it announced:
-    everything needed to push the same wire bytes again."""
+    NACKed — everything needed to push the same wire bytes again."""
 
     rts: Packet
     image: WireImage
@@ -268,11 +267,10 @@ class Runtime:
 
     def _push_image(self, rts: Packet, image: WireImage, attempt: int = 0):
         """Push ``image`` across the wire as the message ``rts``
-        announced and hand the receiver its DATA packet — the bytes
-        only, the RTS already described them: attempt 0 inside the
-        sender's protocol process, attempt *k* as a retransmission.
-        The packet is keyed by ``attempt`` so stale deliveries cannot
-        satisfy a retry's waiter."""
+        described and hand the receiver its DATA packet: attempt 0
+        inside the sender's protocol process, attempt *k* as a
+        retransmission.  The packet is keyed by ``attempt`` so stale
+        deliveries cannot satisfy a retry's waiter."""
         seq, src, dst = rts.seq, rts.src, rts.dst
         extra = {"attempt": attempt} if attempt else {}
         if image.origin_seq is not None:

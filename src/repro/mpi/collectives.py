@@ -17,9 +17,8 @@ sum in the partially-decoded domain when the codec supports it.
 Algorithms (classic MPICH choices for large messages on small ranks),
 each written once: *who talks to whom* is a schedule — a pure function
 of ``(size, rank, root)`` returning a tree or exchange steps as data —
-and *what travels* is a plane, raw arrays or wire images — whether the
-data was packed, nothing more: ``comm.isend``/``comm.irecv`` carry
-either — chosen in :func:`_plane` and driven by :func:`_exchange`:
+and *what travels* is a plane, raw arrays or packed wire images (the
+one ``isend``/``irecv`` pair carries either), chosen in :func:`_plane`:
 
 * ``bcast`` — binomial tree (keep-compressed relays on interior ranks).
 * ``gather``/``scatter`` — linear rooted (scatter packs per chunk).
@@ -173,9 +172,8 @@ def _exchange(comm, blocks: list, steps, combine=None, local=None, op=None):
     """Run ``(send_block, dst, recv_block, src, tag)`` steps over
     ``blocks``.  Per step: start the send and the receive, wait for the
     arrival, then for the send, then store the arrival in its block —
-    or, with a plane's ``reduce`` as ``combine``, reduce it by ``op``
-    onto the block held there; ``local[i]`` is the raw array
-    ``blocks[i]`` encodes here (``comm.reduce_wires``)."""
+    or ``combine`` it (a plane's ``reduce``) by ``op`` onto the block held
+    there; ``local[i]`` is the raw array ``blocks[i]`` encodes here."""
     for send_block, dst, recv_block, src, tag in steps:
         sreq = comm.isend(blocks[send_block], dst, tag)
         rreq = comm.irecv(src, tag)

@@ -18,13 +18,11 @@ compression threshold anyway) — and no simulator process either: see
 
 One path carries every rendezvous message, as a
 :class:`~repro.mpi.wire.WireImage`: a plain send packs one in step 1, a
-relay — ``isend`` of the image it holds — skips that step.  The
-message, not the receive call, picks what step 5 verifies: an RTS
-carrying an ``origin_seq`` announces a relayed image, whose wire CRC is
-compared and which is handed on as it is; any other message is decoded
-and its post-decode CRC compared — inside the one NACK/retransmit loop.
-Pipelining pushes more than one part, each decoded on arrival, between
-steps 3 and 5.
+relay — ``isend`` of the image it holds — skips that step.  The RTS
+picks what step 5 verifies: decode and compare the post-decode CRC, or,
+for a relayed image (it names an ``origin_seq``), compare the wire CRC
+and hand the image on — inside the one NACK/retransmit loop.  Pipelining
+pushes more than one part, each decoded on arrival, between steps 3 and 5.
 
 All primitives are generator subroutines (``yield from comm.send(...)``)
 except ``isend``/``irecv``, which start the operation — an eager state
@@ -200,12 +198,11 @@ class Communicator:
 
     # -- nonblocking point-to-point ----------------------------------------------
     def isend(self, data: Any, dest: int, tag: int = 0) -> Request:
-        """Start a nonblocking send to local rank ``dest`` of ``data``:
-        a numpy array resident on this rank's GPU, or a packed
-        :class:`WireImage` to relay as it is.  The eager state machine
-        below the threshold (and to self), else the rendezvous protocol
-        process; either starts after the per-operation software
-        overhead."""
+        """Start a nonblocking send of ``data`` (a numpy array resident
+        on this rank's GPU, or a packed :class:`WireImage` to relay as
+        it is) to local rank ``dest``: the eager state machine below the
+        threshold (and to self), else the rendezvous protocol process.
+        Either starts after the per-operation software overhead."""
         self._check_peer(dest, "destination")
         rt = self._rt
         rt.note_send(self._grank)  # may trip an after_sends kill (in-frame)
@@ -643,13 +640,7 @@ class Communicator:
                     with trace_scope(self.sim, "pipeline", "receiver_complete",
                                      rank=self._grank, seq=seq, src=pkt.src,
                                      wire_nbytes=pkt.wire_nbytes, **extra):
-                        if relayed:
-                            value = WireImage(header, data_pkt.payload,
-                                              pkt.wire_nbytes, pkt.crc,
-                                              pkt.wire_crc, pkt.origin_seq)
-                            if payload_crc32(value.payload) != pkt.wire_crc:
-                                failure = "wire_crc_mismatch"
-                        else:
+                        if not relayed:
                             try:
                                 value, got_crc = yield from engine.receiver_complete(
                                     header, data_pkt.payload, resources)
@@ -659,6 +650,12 @@ class Communicator:
                             except _DECODE_ERRORS as exc:
                                 failure = "decode_error"
                                 last_exc = exc
+                        elif payload_crc32(data_pkt.payload) != pkt.wire_crc:
+                            failure = "wire_crc_mismatch"
+                        else:
+                            value = WireImage(header, data_pkt.payload,
+                                              pkt.wire_nbytes, pkt.crc,
+                                              pkt.wire_crc, pkt.origin_seq)
                     if failure is None:
                         if resources:  # a relay's, held until the check passed
                             yield from engine._release(resources)

@@ -5,13 +5,11 @@ Four packet kinds implement the two MVAPICH2 protocols:
 * ``EAGER`` — header + payload in one shot, for small messages.
 * ``RTS`` — Request-To-Send, carrying the piggybacked compression
   header (paper Figure 3: "we piggyback the compression-related header
-  information into the RTS packet to avoid extra message exchanges").
-  The RTS is the whole description of a rendezvous message — header,
-  wire size, both CRC stamps and, for a relayed image, ``origin_seq`` —
-  and the receiver reads it from there.
+  information into the RTS packet to avoid extra message exchanges"),
+  the wire size, both CRC stamps and a relayed image's ``origin_seq``:
+  the whole description of the message, read by the receiver from here.
 * ``CTS`` — Clear-To-Send, from receiver once its buffers are ready.
-* ``DATA`` — the (possibly compressed) payload transfer: the bytes, the
-  part and the attempt they answer, nothing else.
+* ``DATA`` — the (possibly compressed) payload bytes, nothing else.
 """
 
 from __future__ import annotations

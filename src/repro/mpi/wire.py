@@ -25,12 +25,9 @@ A :class:`WireImage` is also the only thing the rendezvous protocol
 ships: a plain ``send`` packs its data into one for the length of that
 message.  Such an image is never relayed, so it has no ``wire_crc`` and
 its ``origin_seq`` is ``None`` — which is what keeps ``origin_seq`` out
-of a plain message's spans.  Only ``Communicator.pack_wire`` and
-``reduce_wires`` mint an ``origin_seq``, and that is all a receive
-needs to know: an RTS that carries one announces a relayed image, which
-``irecv`` verifies by its ``wire_crc`` and hands on as a
-:class:`WireImage`; any other message is decoded.  Pass an image to
-``isend`` to relay it.
+of a plain message's spans, and what tells ``irecv`` (from the RTS) to
+decode it: an image that has one is verified by its ``wire_crc`` and
+handed on as a :class:`WireImage`, for ``isend`` to relay as it is.
 """
 
 from __future__ import annotations
@@ -54,8 +51,7 @@ class WireImage:
     wire_nbytes: int
     #: CRC32 of the decoded (post-decompression) data
     crc: Optional[int] = None
-    #: CRC32 of ``payload``'s bytes as they ride the wire (``None`` for
-    #: the image of a plain send)
+    #: CRC32 of ``payload``'s bytes as they ride the wire
     wire_crc: Optional[int] = None
     #: seq assigned at pack time at the originating rank; ``None`` for
     #: the image of a plain send, which is never relayed
