@@ -104,9 +104,12 @@ def _sha(data) -> str:
 
 
 def _observe(name: str, tmp: Path) -> tuple:
-    """``(spans, keys sha, metrics sha, chrome JSON sha, rprt sha)``.
+    """``(spans, keys sha, metrics sha, chrome JSON sha, rprt sha,
+    convert(json -> rprt) sha, convert(rprt -> json) sha)``.
     The metrics are hashed before the RPRT export stamps its own
-    ``telemetry.*`` series into the registry."""
+    ``telemetry.*`` series into the registry.  The two converted files
+    (ISSUE 24) were captured from the commit before the converter
+    became decoder-then-encoder."""
     run, rprt_kw = SCENARIOS[name]
     res = run()
     tracer = res.tracer
@@ -114,30 +117,38 @@ def _observe(name: str, tmp: Path) -> tuple:
     metrics = _sha(json.dumps(tracer.metrics.as_dict(), sort_keys=True))
     write_chrome_trace(tracer, tmp / "t.json", elapsed=res.elapsed)
     write_trace_rprt(tracer, tmp / "t.rprt", elapsed=res.elapsed, **rprt_kw)
+    convert(tmp / "t.json", tmp / "c.rprt")
+    convert(tmp / "t.rprt", tmp / "c.json")
     return (len(tracer.records), keys, metrics,
-            _sha((tmp / "t.json").read_bytes()),
-            _sha((tmp / "t.rprt").read_bytes()))
+            *(_sha((tmp / f).read_bytes())
+              for f in ("t.json", "t.rprt", "c.rprt", "c.json")))
 
 
 PINS = {
     'golden-mpc':
         (22, 'a56750e430f4ecb31097bd6b', '804d445f01412d3d48c35d66',
-         '5250b1a79f2ea5ece2a1c607', '040be32b1257ac0dcd3d7d0f'),
+         '5250b1a79f2ea5ece2a1c607', '040be32b1257ac0dcd3d7d0f',
+         '681b2abab845b5fc91ece469', '46921ebdf0b7bc7524f5ecdf'),
     'zfp8-pipe4-pt2pt':
         (122, 'db6d584455cbfb2810a80105', 'e8a3ff5c6567e36a639efa73',
-         'c3c88b169813aeafad9d7c7a', '6970308fb69f5a7857af1b41'),
+         'c3c88b169813aeafad9d7c7a', '6970308fb69f5a7857af1b41',
+         'a2293975f43e8920c8a3e2fd', 'de48ccee510f0649041c97ef'),
     'allreduce16-ring-keep':
         (3648, '7f01e65ed51c5a3bd7e3e6d0', '038202658965cee774d5798a',
-         'b533418dae9dbe907e0693bb', '1267a2c2ba60888c84f3739f'),
+         'b533418dae9dbe907e0693bb', '1267a2c2ba60888c84f3739f',
+         '85089e9ed358caa2e134bded', '899e965143eea221de89a583'),
     'chaos-drop+corrupt':
         (143, '37b899a397cd70925ec98cef', '7d5583123a8c92570f959c92',
-         '9ec4cf8bfbac3597d86bb496', '191fb211a640b335b0e4b326'),
+         '9ec4cf8bfbac3597d86bb496', '191fb211a640b335b0e4b326',
+         '70ddf3c3a1079b1714bd5439', 'e64e566a8d6224ba29bd257e'),
     'two-groups':
         (4624, 'b4d5701d0426de7a9e43f099', '67a635b07fde9a7e866dbfd1',
-         '9374ad69982e8825532e3a38', '73c6b7ca225328055e11de6a'),
+         '9374ad69982e8825532e3a38', '73c6b7ca225328055e11de6a',
+         '43c8f50c851a50cdbcdb538a', '5657a9f9e9c290609e06111f'),
     'golden-mpc-block7':
         (22, 'a56750e430f4ecb31097bd6b', '804d445f01412d3d48c35d66',
-         '5250b1a79f2ea5ece2a1c607', 'bfa3563a510126d19d46d1f4'),
+         '5250b1a79f2ea5ece2a1c607', 'bfa3563a510126d19d46d1f4',
+         '681b2abab845b5fc91ece469', 'b01dc94a2024d629a116be35'),
 }
 
 
@@ -506,5 +517,6 @@ if __name__ == "__main__":
         for name in SCENARIOS:
             obs = _observe(name, Path(d))
             print(f"    {name!r}:\n        ({obs[0]}, {obs[1]!r}, {obs[2]!r},\n"
-                  f"         {obs[3]!r}, {obs[4]!r}),")
+                  f"         {obs[3]!r}, {obs[4]!r},\n"
+                  f"         {obs[5]!r}, {obs[6]!r}),")
         print("}")
