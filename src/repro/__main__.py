@@ -157,11 +157,9 @@ def cmd_profile(args) -> None:
     from repro.network.presets import machine_preset
 
     if args.trace:
-        from repro.analysis.rprt import RprtError
-
         try:
             profile = CommProfile.from_trace_file(args.trace)
-        except (OSError, RprtError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # RprtError is a ValueError
             raise SystemExit(f"cannot read {args.trace}: {exc}")
     else:
         cluster = Cluster(machine_preset(args.machine), nodes=args.nodes,
@@ -194,7 +192,6 @@ _CODECS = {"mpc": "mpc-opt", "zfp": "zfp8", "none": "baseline"}
 
 
 def _trace_convert(args) -> None:
-    from repro.analysis.rprt import RprtError
     from repro.analysis.traceio import convert
 
     if len(args.paths) != 2:
@@ -202,7 +199,7 @@ def _trace_convert(args) -> None:
     src, dst = args.paths
     try:
         stats = convert(src, dst, to=args.format)
-    except (OSError, RprtError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot convert {src}: {exc}")
     if stats["format"] == "rprt":
         print(f"wrote {dst} [rprt]: {stats['stored_bytes']} bytes stored "
@@ -274,12 +271,11 @@ def cmd_explain(args) -> None:
     from repro.omb.payload import make_payload
 
     if args.trace:
-        from repro.analysis.rprt import RprtError
         from repro.analysis.traceio import load_trace_records
 
         try:
             trace = load_trace_records(args.trace)
-        except (OSError, RprtError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read {args.trace}: {exc}")
     else:
         config = _config(_CODECS.get(args.codec, args.codec))

@@ -16,13 +16,16 @@ Span hierarchy (``span_id`` / ``parent_id``) and the raw meta ride along
 in each event's ``args``; the run's metrics registry is embedded under
 ``otherData.metrics``.
 
-:func:`write_chrome_trace` **streams**: events are generated and
-serialized one at a time straight to the file handle (the document dict
-is never materialized), yet the bytes are identical to
-``json.dump(to_chrome_trace(...), indent=1, sort_keys=True)`` — the
-golden-trace test pins this.  The pid/tid table and metadata-event
-helpers are shared with :mod:`repro.analysis.rprt`, whose binary
-container reconstructs the very same events.
+This module also owns the *exported form* of a trace, the currency of
+every trace file reader, writer and converter: span-column groups
+(:func:`span_group`) plus the ``otherData`` dict.  :func:`exported_form`
+is the one place a live tracer takes that form — the only export sort,
+the only :func:`chrome_time` rounding, the only ``otherData`` — and
+:func:`chrome_events` the one place it becomes Chrome events, for
+:func:`to_chrome_trace`, for the streaming :func:`write_chrome_trace`
+(the document is never materialized, yet the bytes are those of
+``json.dump(to_chrome_trace(...), indent=1, sort_keys=True)``) and for
+an RPRT container converted to JSON alike.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 __all__ = ["to_chrome_trace", "write_chrome_trace",
            "NETWORK_PID", "UNATTRIBUTED_PID",
            "pid_of", "chrome_metadata_events", "chrome_time",
-           "json_safe_meta", "iter_x_events", "write_chrome_json"]
+           "json_safe_meta", "span_group", "exported_form", "chrome_events",
+           "write_chrome_json", "write_chrome_groups"]
 
 #: pid hosting one thread per fabric link
 NETWORK_PID = 1_000_000
@@ -50,10 +56,6 @@ def pid_of(rank: Optional[int], track: Optional[str]) -> tuple[int, str]:
     if rank is not None:
         return int(rank), track
     return UNATTRIBUTED_PID, track
-
-
-def _pid_track(rec) -> tuple[int, str]:
-    return pid_of(rec.rank, rec.track)
 
 
 def _json_safe(value):
@@ -110,47 +112,88 @@ def chrome_metadata_events(pairs: Iterable[tuple[int, str]]):
     return tids, events
 
 
-def iter_x_events(records, tids: dict) -> Iterator[dict]:
-    """Generate the ``X`` event dicts for time-sorted records, one at a
-    time (nothing is accumulated)."""
-    for rec in records:
-        pid, tname = _pid_track(rec)
-        args = {"span_id": rec.span_id}
-        if rec.parent_id is not None:
-            args["parent_id"] = rec.parent_id
-        args.update(json_safe_meta(rec.meta))
-        yield {
-            "name": rec.label or rec.category,
-            "cat": rec.category,
-            "ph": "X",
-            "pid": pid,
-            "tid": tids[(pid, tname)],
-            "ts": chrome_time(rec.t_start),
-            "dur": chrome_time(rec.duration),
-            "args": args,
-        }
+def span_group(spans, ts_us, dur_us, order=slice(None)) -> tuple:
+    """Rows ``order`` of a :class:`~repro.sim.trace.SpanColumns` as one
+    span-column group in *exported form*, ``(columns, strings, metas)``
+    — what every decoder yields and every encoder consumes.
+
+    ``columns`` are the nine :data:`~repro.sim.trace.SPAN_SCHEMA`
+    columns as arrays, the two times being ``ts_us``/``dur_us`` (the
+    file's microseconds, already in row order); category, label and
+    track index ``strings``, meta indexes ``metas``, whose dicts are
+    JSON-safe.  A ``None`` track is ``main`` and a label equal to its
+    category is the empty label, the one the Chrome ``name`` spells as
+    the category."""
+    def column(name):
+        return np.asarray(getattr(spans, name))[order]
+
+    strings = ["main" if s is None else s for s in spans.strings] + [""]
+    category, label = column("category"), column("label")
+    columns = [np.asarray(ts_us, dtype="f8"), np.asarray(dur_us, dtype="f8"),
+               column("span_id"), column("parent_id"), column("rank"),
+               category, np.where(category == label, len(strings) - 1, label),
+               column("track"), column("meta")]
+    return columns, strings, [json_safe_meta(m) for m in spans.metas]
 
 
-def _sorted_records(tracer):
-    return sorted(tracer.records, key=lambda r: (r.t_start, r.t_end, r.span_id))
-
-
-def _other_data(metrics_dict: dict, elapsed: Optional[float]) -> dict:
-    other = {"metrics": metrics_dict}
+def exported_form(tracer, elapsed: Optional[float] = None) -> tuple:
+    """A live tracer as ``(otherData, groups)``, the pair a trace file
+    opens as: its spans are one :func:`span_group` in ``(t_start, t_end,
+    span_id)`` order with times rounded by :func:`chrome_time`, and
+    ``groups()`` starts a pass over it."""
+    spans = tracer.columns
+    t_start, t_end = np.asarray(spans.t_start), np.asarray(spans.t_end)
+    order = np.lexsort((np.asarray(spans.span_id), t_end, t_start))
+    # chrome_time is Python's round(); numpy's differs in the last bit.
+    starts, ends = t_start[order].tolist(), t_end[order].tolist()
+    group = span_group(spans, [chrome_time(t) for t in starts],
+                       [chrome_time(b - a) for a, b in zip(starts, ends)],
+                       order)
+    other = {"metrics": tracer.metrics.as_dict()}
     if elapsed is not None:
         other["elapsed_seconds"] = elapsed
-    return other
+    return other, lambda: (group,)
+
+
+def chrome_events(groups) -> Iterator[dict]:
+    """The Chrome-trace events of a trace's column groups, one at a
+    time: the ``M`` lane table, then an ``X`` event per row.  Two passes
+    of ``groups()``, the first to lay out the lanes."""
+    lanes = set()
+    for columns, strings, _ in groups():
+        pairs = set(zip(columns[4].tolist(), columns[7].tolist()))
+        lanes.update((r, strings[t]) for r, t in pairs)
+    lanes = {(r, t): pid_of(None if r < 0 else r, t) for r, t in lanes}
+    tids, meta_events = chrome_metadata_events(lanes.values())
+    yield from meta_events
+    for columns, strings, metas in groups():
+        rows = zip(*(col.tolist() for col in columns))
+        for ts, dur, span_id, parent, r, c, lb, tr, m in rows:
+            lane = lanes[(r, strings[tr])]
+            args = {"span_id": span_id}
+            if parent >= 0:
+                args["parent_id"] = parent
+            args.update(metas[m])
+            category = strings[c]
+            yield {
+                "name": strings[lb] or category,
+                "cat": category,
+                "ph": "X",
+                "pid": lane[0],
+                "tid": tids[lane],
+                "ts": ts,
+                "dur": dur,
+                "args": args,
+            }
 
 
 def to_chrome_trace(tracer, elapsed: Optional[float] = None) -> dict:
     """Build the Chrome-trace document (a plain dict) from a tracer."""
-    recs = _sorted_records(tracer)
-    tids, events = chrome_metadata_events(_pid_track(r) for r in recs)
-    events.extend(iter_x_events(recs, tids))
+    other, groups = exported_form(tracer, elapsed)
     return {
-        "traceEvents": events,
+        "traceEvents": list(chrome_events(groups)),
         "displayTimeUnit": "ms",
-        "otherData": _other_data(tracer.metrics.as_dict(), elapsed),
+        "otherData": other,
     }
 
 
@@ -178,6 +221,13 @@ def write_chrome_json(fh, other: dict, events: Iterable[dict]) -> int:
     return n
 
 
+def write_chrome_groups(path, other: dict, groups) -> dict:
+    """The JSON encoder: stream a trace (``groups`` as for
+    :func:`chrome_events`) to ``path`` as a Chrome-trace document."""
+    with open(path, "w") as fh:
+        return {"events": write_chrome_json(fh, other, chrome_events(groups))}
+
+
 def write_chrome_trace(tracer, path, elapsed: Optional[float] = None) -> None:
     """Stream the Chrome-trace JSON to ``path``.
 
@@ -185,13 +235,4 @@ def write_chrome_trace(tracer, path, elapsed: Optional[float] = None) -> None:
     the document) and the output is byte-identical to serializing
     :func:`to_chrome_trace` with ``indent=1, sort_keys=True``.
     """
-    recs = _sorted_records(tracer)
-    tids, meta_events = chrome_metadata_events(_pid_track(r) for r in recs)
-
-    def events():
-        yield from meta_events
-        yield from iter_x_events(recs, tids)
-
-    with open(path, "w") as fh:
-        write_chrome_json(fh, _other_data(tracer.metrics.as_dict(), elapsed),
-                          events())
+    write_chrome_groups(path, *exported_form(tracer, elapsed))

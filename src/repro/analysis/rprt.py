@@ -45,8 +45,14 @@ byte-identical and RPRT -> JSON -> RPRT is bit-stable.
 
 ``RprtReader`` memory-maps the file: raw blocks are zero-copy views
 into the map, compressed blocks decode one at a time, and
-:meth:`RprtReader.spans` streams :class:`~repro.sim.trace.TraceRecord`
-objects group by group — analysis never holds the whole file.
+:meth:`RprtReader.span_groups` — the RPRT decoder — yields one stored
+group at a time in the exported form every trace reader and writer
+trades in (:func:`repro.analysis.export.span_group`).
+:func:`span_records` turns such groups into
+:class:`~repro.sim.trace.TraceRecord` objects (:meth:`RprtReader.spans`)
+and :func:`write_span_groups` — the RPRT encoder — stores them, whether
+they come from a live tracer (:func:`write_trace_rprt`) or from the
+Chrome-JSON decoder; analysis never holds the whole file.
 """
 
 from __future__ import annotations
@@ -60,13 +66,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from repro.analysis.export import exported_form
 from repro.analysis.snapshot import entries, kind_of
 from repro.sim.trace import SPAN_SCHEMA, records_from_columns
 
 __all__ = [
     "RPRT_MAGIC", "RPRT_VERSION", "SPANS_PER_BLOCK", "RprtError",
-    "RprtWriter", "RprtReader", "is_rprt", "write_trace_rprt",
-    "write_snapshot_rprt", "read_snapshot_rprt", "DEFAULT_BLOCK_CODEC",
+    "RprtWriter", "RprtReader", "is_rprt", "span_records",
+    "write_span_groups", "write_trace_rprt", "write_snapshot_rprt",
+    "read_snapshot_rprt", "DEFAULT_BLOCK_CODEC",
 ]
 
 RPRT_MAGIC = b"RPRT"
@@ -252,12 +260,7 @@ class RprtWriter:
             for b in self._blocks:
                 fh.write(b.stored)
                 fh.write(b"\x00" * ((-len(b.stored)) % _ALIGN))
-            file_bytes = fh.tell()
-        raw = sum(b.raw_nbytes for b in self._blocks)
-        stored = sum(len(b.stored) for b in self._blocks)
-        return {"raw_bytes": raw, "stored_bytes": stored,
-                "ratio": raw / stored if stored else 1.0,
-                "file_bytes": file_bytes}
+            return dict(self.stats(), file_bytes=fh.tell())
 
     def stats(self) -> dict:
         """Block-level sizes known before serialization (used to stamp
@@ -404,12 +407,18 @@ class RprtReader:
         return out
 
     def close(self) -> None:
-        if getattr(self, "_mm", None) is not None:
-            self._mm.close()
-            self._mm = None
-        if getattr(self, "_fh", None) is not None:
+        if self._fh is not None:
             self._fh.close()
             self._fh = None
+        mm, self._mm = self._mm, None
+        if mm is not None:
+            try:
+                mm.close()
+            except BufferError:
+                # Block views are still alive — an error in flight holds
+                # them in its traceback — and the error is the news, not
+                # this: the map goes with the last of them.
+                pass
 
     def __enter__(self) -> "RprtReader":
         return self
@@ -446,98 +455,76 @@ class RprtReader:
     def elapsed(self) -> Optional[float]:
         return self.otherdata().get("elapsed_seconds")
 
-    def span_group(self, g: int) -> dict:
-        """All columns of span group ``g`` as numpy arrays."""
-        return {col: self.read(f"spans/{g}/{col}") for col in _SPAN_COLUMNS}
-
-    def _decode_group(self, columns) -> list[list]:
-        """The one group decoder: nine column arrays (``_SPAN_COLUMNS``
-        order) become nine lists of Python numbers, and every meta id
-        among them is parsed into ``self._metas`` — once per distinct
-        id, however many rows and groups carry it."""
-        lists = [col.tolist() for col in columns]
+    def span_groups(self, time_range: Optional[tuple] = None) -> Iterator:
+        """The RPRT decoder: each stored span group in exported form
+        (:func:`~repro.analysis.export.span_group`), its columns zero-
+        copy where the block is raw.  Groups entirely outside
+        ``time_range`` (simulated seconds) are skipped without touching
+        their bytes.  The meta column holds string ids; each distinct
+        one is parsed once per reader, however many rows and groups
+        carry it."""
         metas = self._metas
-        new = set(lists[-1]).difference(metas)
-        if new:
-            strings = self.strings()
-            for mi in new:
-                metas[mi] = json.loads(strings[mi]) if strings[mi] else {}
-        return lists
-
-    def spans(self, track: Optional[str] = None, rank: Optional[int] = None,
-              time_range: Optional[tuple] = None) -> Iterator:
-        """Stream :class:`~repro.sim.trace.TraceRecord` objects block by
-        block, optionally filtered by ``track`` name, ``rank``, and a
-        ``(t0, t1)`` window in simulated seconds.  Groups entirely
-        outside the window are skipped without touching their bytes.
-        Records with the same meta share one dict."""
-        track_ids = None
         for g in range(self.n_span_groups):
             if time_range is not None:
                 g_min = self.kv(f"spans/{g}/t_min_us", 0.0) / 1e6
                 g_max = self.kv(f"spans/{g}/t_max_us", 0.0) / 1e6
                 if g_max < time_range[0] or g_min > time_range[1]:
                     continue
-            cols = self.span_group(g)
-            t0 = cols["ts_us"] / 1e6
-            t1 = (cols["ts_us"] + cols["dur_us"]) / 1e6
-            columns = [t0, t1] + [cols[c] for c in _SPAN_COLUMNS[2:]]
-            keep = None
-            if rank is not None:
-                keep = cols["rank"] == int(rank)
-            if track is not None:
-                if track_ids is None:
-                    track_ids = [i for i, s in enumerate(self.strings())
-                                 if s == track]
-                hit = np.isin(cols["track"], track_ids)
-                keep = hit if keep is None else keep & hit
-            if time_range is not None:
-                hit = (t1 >= time_range[0]) & (t0 <= time_range[1])
-                keep = hit if keep is None else keep & hit
-            if keep is not None:
-                columns = [col[keep] for col in columns]
-            yield from records_from_columns(*self._decode_group(columns),
-                                            self.strings(), self._metas)
+            columns = [self.read(f"spans/{g}/{col}") for col in _SPAN_COLUMNS]
+            strings = self.strings()
+            if np.max(columns[5:], initial=0) >= len(strings):
+                raise RprtError(f"{self.path}: span group {g} points outside "
+                                f"the string table")
+            for mi in set(columns[8].tolist()).difference(metas):
+                try:
+                    meta = json.loads(strings[mi]) if strings[mi] else {}
+                except ValueError:
+                    meta = None
+                if not isinstance(meta, dict):
+                    raise RprtError(f"{self.path}: meta string {mi} is not a "
+                                    f"JSON object")
+                metas[mi] = meta
+            yield columns, strings, metas
 
-    def iter_chrome_events(self) -> Iterator[dict]:
-        """Yield Chrome-trace events (metadata first, then X events)
-        reconstructing the exporter's exact output: timestamps come
-        straight from the stored microsecond columns, so converting to
-        JSON is byte-identical to a direct export of the same spans."""
-        from repro.analysis.export import chrome_metadata_events, pid_of
+    def spans(self, track: Optional[str] = None, rank: Optional[int] = None,
+              time_range: Optional[tuple] = None) -> Iterator:
+        """Stream :class:`~repro.sim.trace.TraceRecord` objects block by
+        block, optionally filtered by ``track`` name, ``rank``, and a
+        ``(t0, t1)`` window in simulated seconds (see
+        :func:`span_records`)."""
+        return span_records(self.span_groups(time_range), track, rank,
+                            time_range)
 
-        pairs = set()
-        for g in range(self.n_span_groups):
-            ranks = self.read(f"spans/{g}/rank")
-            tracks = self.read(f"spans/{g}/track")
-            pairs.update(zip(ranks.tolist(), tracks.tolist()))
-        strings = self.strings() if pairs else []
-        pid_track = {}
-        for r, t in pairs:
-            pid_track[(r, t)] = pid_of(None if r < 0 else r, strings[t])
-        tids, meta_events = chrome_metadata_events(set(pid_track.values()))
-        yield from meta_events
-        metas = self._metas
-        for g in range(self.n_span_groups):
-            cols = self.span_group(g)
-            rows = zip(*self._decode_group([cols[c] for c in _SPAN_COLUMNS]))
-            for ts, dur, span_id, parent, r, c, lb, tr, m in rows:
-                pid, tname = pid_track[(r, tr)]
-                args = {"span_id": span_id}
-                if parent >= 0:
-                    args["parent_id"] = parent
-                args.update(metas[m])
-                category = strings[c]
-                yield {
-                    "name": strings[lb] or category,
-                    "cat": category,
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tids[(pid, tname)],
-                    "ts": ts,
-                    "dur": dur,
-                    "args": args,
-                }
+
+def span_records(groups, track: Optional[str] = None,
+                 rank: Optional[int] = None,
+                 time_range: Optional[tuple] = None) -> Iterator:
+    """The :class:`~repro.sim.trace.TraceRecord` objects of exported-
+    form column groups, whichever decoder they come from: times are the
+    file's microseconds / 1e6, and records with the same meta id share
+    one dict.  ``track``, ``rank`` and ``time_range`` keep the matching
+    rows only."""
+    tracks_of, track_ids = None, ()
+    for columns, strings, metas in groups:
+        ts, dur = columns[0], columns[1]
+        t0, t1 = ts / 1e6, (ts + dur) / 1e6
+        columns = [t0, t1, *columns[2:]]
+        keep = None
+        if rank is not None:
+            keep = columns[4] == int(rank)
+        if track is not None:
+            if strings is not tracks_of:
+                tracks_of = strings
+                track_ids = [i for i, s in enumerate(strings) if s == track]
+            hit = np.isin(columns[7], track_ids)
+            keep = hit if keep is None else keep & hit
+        if time_range is not None:
+            hit = (t1 >= time_range[0]) & (t0 <= time_range[1])
+            keep = hit if keep is None else keep & hit
+        if keep is not None:
+            columns = [col[keep] for col in columns]
+        yield from records_from_columns(*(col.tolist() for col in columns),
+                                        strings, metas)
 
 
 #: block name and on-disk dtype of each span column
@@ -576,77 +563,66 @@ def _add_span_group(w: RprtWriter, g: int, columns) -> None:
     w.add_kv(f"spans/{g}/t_max_us", float((ts + dur).max()))
 
 
-def _add_spans(w: RprtWriter, ts_us, dur_us, spans, order,
-               spans_per_block: int) -> None:
-    """Write rows ``order`` of a :class:`~repro.sim.trace.SpanColumns`
-    as span groups of ``spans_per_block`` rows plus the string table.
-    ``ts_us``/``dur_us`` are the exported times of those rows, already
-    in file order.
+def write_span_groups(path, otherdata: dict, groups,
+                      block_codec: str = DEFAULT_BLOCK_CODEC,
+                      spans_per_block: int = SPANS_PER_BLOCK,
+                      registry=None) -> dict:
+    """The RPRT encoder: store a trace's exported-form column groups
+    (one pass of ``groups()``; see
+    :func:`~repro.analysis.export.span_group`) as span groups of
+    ``spans_per_block`` rows plus the string table, then ``otherdata``.
 
     The string table lists each distinct string at its first
     appearance, row-major over ``category, label, track, meta`` of the
-    rows *as written* with ``""`` at index 0; ``spans``' own ids are in
-    recording order, so they are renumbered here through the strings'
-    content.  A label equal to its category is what the Chrome exporter
-    collapses the empty label to: it is stored in that canonical empty
-    form, so RPRT and ingested-JSON records are identical.  Each
-    distinct meta is JSON-encoded once."""
-    from repro.analysis.export import json_safe_meta
-
-    def column(name):
-        return np.asarray(getattr(spans, name))[order]
-
-    # Source ids: the store's strings, then one per meta.
-    texts = ["main" if s is None else s for s in spans.strings]
-    n_strings = len(texts)
-    texts += [_canonical_json(json_safe_meta(m)) if m else ""
-              for m in spans.metas]
-    category, label = column("category"), column("label")
-    source = np.stack([category, label, column("track"),
-                       column("meta") + n_strings], axis=1)
+    rows as written, with ``""`` at index 0; a group's own ids are in no
+    such order, so they are renumbered here through the strings'
+    content.  Each distinct meta is JSON-encoded once.  With a live
+    ``registry`` the container's write statistics are stamped into it
+    *and* into the embedded metrics dump before the metadata is
+    serialized.  Returns the writer statistics."""
+    w = RprtWriter(block_codec=block_codec)
     table = _StringTable()
-    final = np.zeros(len(texts), dtype="u4")
-    distinct, first = np.unique(source.ravel(), return_index=True)
-    empty = table.add("")
-    for i in distinct[np.argsort(first)].tolist():
-        final[i] = table.add(texts[i])
-    ids = final[source]
-    ids[category == label, 1] = empty
-    columns = [np.asarray(ts_us, dtype="f8"), np.asarray(dur_us, dtype="f8"),
-               column("span_id"), column("parent_id"), column("rank"),
-               *ids.T]
-    n = len(order)
-    groups = range(0, n, spans_per_block)
-    for g, lo in enumerate(groups):
-        _add_span_group(w, g, [c[lo:lo + spans_per_block] for c in columns])
+    table.add("")
+    rows = [np.empty(0, dtype=dt) for dt in _SPAN_DTYPES]
+    n = n_groups = 0
+    for columns, strings, metas in groups():
+        if not len(columns[0]):
+            continue
+        source = np.stack(columns[5:], axis=1)
+        source[:, 3] += len(strings)  # metas number on from the strings
+        distinct, first = np.unique(source.ravel(), return_index=True)
+        final = np.zeros(int(distinct[-1]) + 1, dtype="u4")
+        for i in distinct[np.argsort(first)].tolist():
+            if i < len(strings):
+                final[i] = table.add(strings[i])
+            else:
+                meta = metas[i - len(strings)]
+                final[i] = table.add(_canonical_json(meta) if meta else "")
+        rows = [np.concatenate(pair)
+                for pair in zip(rows, (*columns[:5], *final[source].T))]
+        n += len(columns[0])
+        while len(rows[0]) >= spans_per_block:
+            _add_span_group(w, n_groups, [c[:spans_per_block] for c in rows])
+            rows = [c[spans_per_block:] for c in rows]
+            n_groups += 1
+    if len(rows[0]):
+        _add_span_group(w, n_groups, rows)
+        n_groups += 1
     w.add_kv("spans/count", n)
-    w.add_kv("spans/groups", len(groups))
+    w.add_kv("spans/groups", n_groups)
     offsets, blob = table.blocks()
     w.add_block("strings/offsets", offsets)
     w.add_block("strings/blob", blob)
-
-
-def _trace_writer(ts_us, dur_us, spans, order, otherdata: dict,
-                  block_codec: str = DEFAULT_BLOCK_CODEC,
-                  spans_per_block: int = SPANS_PER_BLOCK,
-                  registry=None) -> tuple[RprtWriter, dict]:
-    """Shared body of the two trace-writing paths: store the span
-    columns (see :func:`_add_spans`), stamp telemetry metrics (into
-    ``registry`` *and* the embedded metrics dump when the registry is
-    the live one), then add the trailing metadata."""
-    w = RprtWriter(block_codec=block_codec)
-    _add_spans(w, ts_us, dur_us, spans, order, spans_per_block)
-    stats = w.stats()
     if registry is not None:
+        stats = w.stats()
         registry.inc("telemetry.rprt_bytes_written", stats["stored_bytes"])
         registry.set("telemetry.rprt_compress_ratio", stats["ratio"])
-        otherdata = dict(otherdata)
-        otherdata["metrics"] = registry.as_dict()
+        otherdata = dict(otherdata, metrics=registry.as_dict())
     w.add_kv("trace/otherdata", otherdata)
     w.add_kv("trace/display_time_unit", "ms")
     w.add_kv("producer", "repro")
     w.add_kv("block_codec", (block_codec or "none").lower())
-    return w, stats
+    return w.write(path)
 
 
 def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
@@ -660,23 +636,8 @@ def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
     serialization, so the file self-describes its compression win.
     Returns the writer statistics dict.
     """
-    from repro.analysis.export import chrome_time
-
-    spans = tracer.columns
-    t_start, t_end = np.asarray(spans.t_start), np.asarray(spans.t_end)
-    order = np.lexsort((np.asarray(spans.span_id), t_end, t_start))
-    # chrome_time is Python's round(); numpy's differs in the last bit.
-    starts, ends = t_start[order].tolist(), t_end[order].tolist()
-    ts_us = [chrome_time(t) for t in starts]
-    dur_us = [chrome_time(b - a) for a, b in zip(starts, ends)]
-
-    other: dict = {"metrics": tracer.metrics.as_dict()}
-    if elapsed is not None:
-        other["elapsed_seconds"] = elapsed
-    w, stats = _trace_writer(ts_us, dur_us, spans, order, other, block_codec,
+    return write_span_groups(path, *exported_form(tracer, elapsed), block_codec,
                              spans_per_block, registry=tracer.metrics)
-    stats.update(w.write(path))
-    return stats
 
 
 # -- bench / hostperf snapshot embedding ------------------------------------

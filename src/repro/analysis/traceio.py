@@ -3,39 +3,46 @@
 Every consumer of an on-disk trace — the sanitizer (``repro check
 --trace``), the critical-path explainer (``repro explain --trace``) and
 :class:`~repro.analysis.profile.CommProfile` — goes through this one
-module, so each of them accepts either format transparently:
+module, so each of them accepts either format transparently.  Format
+detection is by magic bytes, never file extension, and there is one
+decoder per format, both yielding the same thing, span-column groups in
+exported form (:func:`repro.analysis.export.span_group`):
 
 * **Chrome-trace JSON** (``repro trace --format json``, the default
-  export) — parsed *incrementally*: the ``traceEvents`` array is
-  decoded one event at a time from a bounded read buffer, never
-  ``json.loads``-ing the whole document, so peak memory on a
-  multi-gigabyte trace is the events you keep, not the text you read.
-* **RPRT** (``repro trace --format rprt``) — the binary container of
-  :mod:`repro.analysis.rprt`, streamed block by block off the mmap.
+  export) — :func:`chrome_groups` over :func:`iter_chrome_file_events`,
+  which decodes the ``traceEvents`` array one event at a time from a
+  bounded read buffer, never ``json.loads``-ing the whole document, so
+  peak memory on a multi-gigabyte trace is one group, not the text.  A
+  malformed event is a ``ValueError`` naming the file and the event.
+* **RPRT** (``repro trace --format rprt``) —
+  :meth:`RprtReader.span_groups <repro.analysis.rprt.RprtReader.span_groups>`,
+  block by block off the mmap.  A malformed container is an
+  :class:`~repro.analysis.rprt.RprtError`.
 
-Format detection is by magic bytes, never file extension.
-
-:func:`convert` translates between the two losslessly: JSON -> RPRT ->
-JSON is byte-identical for traces produced by this repository's
-exporter, and RPRT -> JSON -> RPRT is bit-stable (the round-trip tests
-pin both).
+:func:`~repro.analysis.rprt.span_records` turns either decoder's groups
+into records, and :func:`convert` hands them to the other format's
+encoder: JSON -> RPRT -> JSON is byte-identical for traces produced by
+this repository's exporter, and RPRT -> JSON -> RPRT is bit-stable (the
+round-trip tests pin both).
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Optional
 
-import numpy as np
+from repro.analysis.export import span_group, write_chrome_groups
+from repro.analysis.rprt import (DEFAULT_BLOCK_CODEC, SPANS_PER_BLOCK,
+                                 RprtError, RprtReader, is_rprt, span_records,
+                                 write_span_groups)
+from repro.sim.trace import SpanColumns, Trace
 
-from repro.analysis.rprt import (DEFAULT_BLOCK_CODEC, RprtError, RprtReader,
-                                 _trace_writer, is_rprt)
-from repro.sim.trace import Trace
-
-__all__ = ["trace_format", "iter_chrome_file_events", "iter_trace_records",
-           "open_trace", "load_trace_records", "read_otherdata", "convert"]
+__all__ = ["trace_format", "iter_chrome_file_events", "chrome_groups",
+           "iter_trace_records", "open_trace", "load_trace_records",
+           "read_otherdata", "convert"]
 
 _CHUNK = 1 << 16
 
@@ -132,77 +139,83 @@ def read_otherdata(path) -> dict:
             buf += chunk
 
 
-class _ChromeEventParser:
-    """Stateful M-event table + X-event -> TraceRecord conversion (the
-    logic the sanitizer historically applied to a whole document)."""
+def chrome_groups(events, where) -> Iterator[tuple]:
+    """The JSON decoder: Chrome-trace events (``M`` lane names before
+    the ``X`` events they name, as the exporter writes them) become
+    exported-form column groups of :data:`SPANS_PER_BLOCK` rows, in
+    file order, timestamps as the file spells them.  An event a span
+    cannot be read from is a ``ValueError`` naming ``where``, the
+    event's index and what is wrong with it."""
+    process_names: dict[int, str] = {}
+    thread_names: dict[tuple[int, int], str] = {}
+    spans = SpanColumns()
+    for i, ev in enumerate(events):
+        try:
+            ph = ev.get("ph")
+            if ph == "M":
+                if ev.get("name") == "process_name":
+                    process_names[ev["pid"]] = ev["args"]["name"]
+                elif ev.get("name") == "thread_name":
+                    thread_names[(ev["pid"], ev["tid"])] = ev["args"]["name"]
+            if ph != "X":
+                continue
+            pid = ev["pid"]
+            pname = process_names.get(pid, "")
+            tname = thread_names.get((pid, ev["tid"]), "main")
+            if pname == "network":
+                rank, track = None, f"link:{tname}"
+            elif pname.startswith("rank "):
+                rank, track = int(pname[5:]), tname
+            else:  # "sim" (unattributed)
+                rank, track = None, tname
+            args = dict(ev.get("args", {}))
+            span_id = int(args.pop("span_id", 0))
+            parent_id = args.pop("parent_id", None)
+            spans.append(ev["ts"], ev["dur"], ev.get("cat", ""), ev["name"],
+                         args, rank, track, span_id,
+                         None if parent_id is None else int(parent_id))
+        except KeyError as exc:
+            raise ValueError(f"{where}: event {i} has no {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"{where}: event {i}: {exc}") from None
+        if len(spans) == SPANS_PER_BLOCK:
+            yield span_group(spans, spans.t_start, spans.t_end)
+            spans = SpanColumns()
+    if len(spans):
+        yield span_group(spans, spans.t_start, spans.t_end)
 
-    def __init__(self):
-        self.process_names: dict[int, str] = {}
-        self.thread_names: dict[tuple[int, int], str] = {}
 
-    def feed(self, ev: dict):
-        """Returns a TraceRecord for an X event, None otherwise."""
-        from repro.sim.trace import TraceRecord
-
-        ph = ev.get("ph")
-        if ph == "M":
-            if ev.get("name") == "process_name":
-                self.process_names[ev["pid"]] = ev["args"]["name"]
-            elif ev.get("name") == "thread_name":
-                self.thread_names[(ev["pid"], ev["tid"])] = ev["args"]["name"]
-            return None
-        if ph != "X":
-            return None
-        pid = ev["pid"]
-        pname = self.process_names.get(pid, "")
-        tname = self.thread_names.get((pid, ev["tid"]), "main")
-        if pname == "network":
-            rank, track = None, f"link:{tname}"
-        elif pname.startswith("rank "):
-            rank, track = int(pname[5:]), tname
-        else:  # "sim" (unattributed)
-            rank, track = None, tname
-        args = dict(ev.get("args", {}))
-        span_id = int(args.pop("span_id", 0))
-        parent_id = args.pop("parent_id", None)
-        t0 = ev["ts"] / 1e6
-        t1 = (ev["ts"] + ev["dur"]) / 1e6
-        category = ev.get("cat", "")
-        label = ev["name"] if ev["name"] != category else ""
-        return TraceRecord(
-            t_start=t0, t_end=t1, category=category, label=label,
-            meta=args, rank=rank, track=track, span_id=span_id,
-            parent_id=int(parent_id) if parent_id is not None else None)
+@contextmanager
+def _open_groups(path):
+    """``with _open_groups(path) as (other, groups)``: a trace file's
+    ``otherData`` dict and its decoder — ``groups()`` starts a pass
+    over the file's column groups.  An RPRT container is opened, mapped
+    and header-checked once for both."""
+    if is_rprt(path):
+        with RprtReader(path) as r:
+            yield r.otherdata(), r.span_groups
+    else:
+        yield read_otherdata(path), lambda: chrome_groups(
+            iter_chrome_file_events(path), path)
 
 
 def iter_trace_records(path) -> Iterator:
     """Stream :class:`~repro.sim.trace.TraceRecord` objects from an
     exported trace in either format.  This is the shared iterator every
-    file-fed analysis consumes; both formats decode timestamps
-    identically (stored microseconds / 1e6), so downstream findings do
-    not depend on which container the trace came from."""
-    if is_rprt(path):
-        with RprtReader(path) as r:
-            yield from r.spans()
-        return
-    parser = _ChromeEventParser()
-    for ev in iter_chrome_file_events(path):
-        rec = parser.feed(ev)
-        if rec is not None:
-            yield rec
+    file-fed analysis consumes; both decoders yield the same column
+    groups, so downstream findings do not depend on which container the
+    trace came from."""
+    with _open_groups(path) as (_, groups):
+        yield from span_records(groups())
 
 
 @contextmanager
 def open_trace(path):
     """``with open_trace(path) as (other, records)``: a trace file's
     ``otherData`` dict and its record stream (as
-    :func:`iter_trace_records`) — an RPRT container is opened, mapped
-    and header-checked once for both."""
-    if is_rprt(path):
-        with RprtReader(path) as r:
-            yield r.otherdata(), r.spans()
-    else:
-        yield read_otherdata(path), iter_trace_records(path)
+    :func:`iter_trace_records`), off one open of the file."""
+    with _open_groups(path) as (other, groups):
+        yield other, span_records(groups())
 
 
 def load_trace_records(path) -> Trace:
@@ -213,45 +226,11 @@ def load_trace_records(path) -> Trace:
 
 # -- conversion --------------------------------------------------------------
 
-def _json_to_rprt(src, dst, block_codec: str) -> dict:
-    from repro.sim.trace import SpanColumns
-
-    parser = _ChromeEventParser()
-    spans = SpanColumns()
-    # Timestamps go in as the file spells them (already in the
-    # exporter's microsecond units) — no second rounding pass.
-    ts_us, dur_us = [], []
-    for ev in iter_chrome_file_events(src):
-        rec = parser.feed(ev)
-        if rec is None:
-            continue
-        ts_us.append(float(ev["ts"]))
-        dur_us.append(float(ev["dur"]))
-        spans.append(rec.t_start, rec.t_end, rec.category, rec.label,
-                     rec.meta, rec.rank, rec.track, rec.span_id,
-                     rec.parent_id)
-
-    # The converter preserves otherData verbatim (no re-stamping of
-    # telemetry metrics) so JSON -> RPRT -> JSON round-trips exactly.
-    other = read_otherdata(src)
-    w, stats = _trace_writer(ts_us, dur_us, spans, np.arange(len(spans)),
-                             other, block_codec=block_codec)
-    stats.update(w.write(dst))
-    return stats
-
-
-def _rprt_to_json(src, dst) -> dict:
-    from repro.analysis.export import write_chrome_json
-
-    with RprtReader(src) as r:
-        with open(dst, "w") as fh:
-            n = write_chrome_json(fh, r.otherdata(), r.iter_chrome_events())
-    return {"events": n}
-
-
 def convert(src, dst, to: Optional[str] = None,
             block_codec: str = DEFAULT_BLOCK_CODEC) -> dict:
-    """Convert a trace between Chrome JSON and RPRT.
+    """Convert a trace between Chrome JSON and RPRT: the source
+    format's decoder feeding the target format's encoder, ``otherData``
+    carried over verbatim (no re-stamping of telemetry metrics).
 
     The target format is ``to`` ("json"/"rprt"), or inferred from the
     ``dst`` extension, defaulting to the opposite of the source format.
@@ -270,6 +249,7 @@ def convert(src, dst, to: Optional[str] = None,
     if to == src_fmt:
         raise RprtError(f"conversion target {to!r} equals the source "
                         f"format of {src}")
-    if to == "rprt":
-        return dict(_json_to_rprt(src, dst, block_codec), format="rprt")
-    return dict(_rprt_to_json(src, dst), format="json")
+    encode = {"json": write_chrome_groups,
+              "rprt": partial(write_span_groups, block_codec=block_codec)}[to]
+    with _open_groups(src) as (other, groups):
+        return dict(encode(dst, other, groups), format=to)

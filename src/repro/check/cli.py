@@ -260,7 +260,11 @@ def run_check(lint: bool = False, trace: bool = False, asan: bool = False,
     if trace or hb:
         from repro.analysis.traceio import load_trace_records
 
-        traces = [(f, load_trace_records(f)) for f in trace_files]
+        for f in trace_files:
+            try:
+                traces.append((f, load_trace_records(f)))
+            except (OSError, ValueError) as exc:  # RprtError is a ValueError
+                raise SystemExit(f"cannot read {f}: {exc}")
 
     results = []
     if lint:

@@ -131,20 +131,15 @@ class TraceSanitizer:
         """Rebuild spans from an in-memory Chrome-trace document
         produced by :func:`repro.analysis.export.to_chrome_trace` (a
         dict or a JSON string; a file goes to :meth:`from_trace_file`)."""
-        from repro.analysis.traceio import _ChromeEventParser
+        from repro.analysis.rprt import span_records
+        from repro.analysis.traceio import chrome_groups
 
         if isinstance(doc, str):
             doc = json.loads(doc)
-
-        parser = _ChromeEventParser()
-        events = doc["traceEvents"]
-        # Metadata first (the exporter emits M events up front, but a
-        # hand-built doc may not), then records.
-        for ev in events:
-            if ev.get("ph") == "M":
-                parser.feed(ev)
-        return cls(rec for ev in events
-                   if (rec := parser.feed(ev)) is not None)
+        # Lane names first: the exporter leads with its M events, a
+        # hand-built doc may not.
+        events = sorted(doc["traceEvents"], key=lambda ev: ev.get("ph") != "M")
+        return cls(span_records(chrome_groups(events, "chrome trace")))
 
     # -- checks --------------------------------------------------------------
     def check_serial_lanes(self) -> list[TraceViolation]:

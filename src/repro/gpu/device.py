@@ -116,11 +116,6 @@ class Device:
         yield self.sim.timeout(self.spec.memcpy_time(nbytes))
         self._trace(t0, "data_copy", label, nbytes=nbytes)
 
-    def memcpy_h2d(self, nbytes: int, label: str = "memcpy_h2d"):
-        t0 = self.sim.now
-        yield self.sim.timeout(self.spec.memcpy_time(nbytes))
-        self._trace(t0, "data_copy", label, nbytes=nbytes)
-
     def gdrcopy(self, nbytes: int, label: str = "gdrcopy"):
         """Low-latency mapped copy (GDRCopy), the optimized replacement
         for small cudaMemcpy transfers."""

@@ -160,6 +160,126 @@ def test_empty_file_rejected(tmp_path):
         RprtReader(p)
 
 
+# -- malformed trace files ---------------------------------------------------
+
+def _rewritten(tmp_path, kvs=(), blocks=(), strings=None):
+    """The golden container re-serialized (so every CRC is valid) with
+    some key-values, blocks or the string table replaced."""
+    kvs, blocks = dict(kvs), dict(blocks)
+    with RprtReader(GOLDEN_RPRT) as r:
+        if strings is not None:
+            items = [s.encode() for s in strings(r.strings())]
+            blocks["strings/offsets"] = np.cumsum(
+                [0] + [len(b) for b in items], dtype="u8")
+            blocks["strings/blob"] = b"".join(items)
+        w = RprtWriter(block_codec="none")
+        for key, value in r.kvs.items():
+            w.add_kv(key, kvs.get(key, value))
+        for name in r.block_names:
+            w.add_block(name, blocks.get(name, r.read(name).copy()))
+    w.write(tmp_path / "bad.rprt")
+    return tmp_path / "bad.rprt"
+
+
+def _flipped(tmp_path):
+    whole = bytearray(GOLDEN_RPRT.read_bytes())
+    with RprtReader(GOLDEN_RPRT) as r:
+        whole[r.block_info("spans/0/span_id").offset] ^= 0xFF
+    (tmp_path / "bad.rprt").write_bytes(bytes(whole))
+    return tmp_path / "bad.rprt"
+
+
+def _events(tmp_path, x=(), drop=(), process="rank 0"):
+    """A two-span Chrome trace whose second X event has ``x`` set and
+    ``drop`` removed."""
+    events = [{"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
+               "args": {"name": process}},
+              {"ph": "M", "name": "thread_name", "pid": 0, "tid": 0,
+               "args": {"name": "main"}}]
+    for i in range(2):
+        events.append({"name": "s", "cat": "k", "ph": "X", "pid": 0, "tid": 0,
+                       "ts": float(i), "dur": 1.0, "args": {"span_id": i + 1}})
+    events[-1].update(x)
+    for key in drop:
+        del events[-1][key]
+    with open(tmp_path / "bad.json", "w") as fh:
+        write_chrome_json(fh, {"metrics": {}}, events)
+    return tmp_path / "bad.json"
+
+
+#: name -> (build the file, the error, what its message says)
+MALFORMED = {
+    "rprt-corrupt-block": (_flipped, RprtError, "CRC mismatch on block "
+                           "'spans/0/span_id'"),
+    "rprt-missing-group": (lambda t: _rewritten(t, kvs={"spans/groups": 2}),
+                           RprtError, "no block 'spans/1/ts_us'"),
+    "rprt-id-outside-table": (
+        lambda t: _rewritten(t, blocks={
+            "spans/0/category": np.full(22, 10**6, dtype="u4")}),
+        RprtError, "span group 0 points outside the string table"),
+    "rprt-meta-not-an-object": (
+        lambda t: _rewritten(t, strings=lambda table: [
+            "[1]" if s.startswith("{") else s for s in table]),
+        RprtError, "is not a JSON object"),
+    "rprt-meta-not-json": (
+        lambda t: _rewritten(t, strings=lambda table: [
+            s[:-1] if s.startswith("{") else s for s in table]),
+        RprtError, "is not a JSON object"),
+    "json-no-pid": (lambda t: _events(t, drop=["pid"]), ValueError,
+                    "event 3 has no 'pid'"),
+    "json-no-tid": (lambda t: _events(t, drop=["tid"]), ValueError,
+                    "event 3 has no 'tid'"),
+    "json-no-ts": (lambda t: _events(t, drop=["ts"]), ValueError,
+                   "event 3 has no 'ts'"),
+    "json-no-dur": (lambda t: _events(t, drop=["dur"]), ValueError,
+                    "event 3 has no 'dur'"),
+    "json-text-ts": (lambda t: _events(t, x={"ts": "soon"}), ValueError,
+                     "event 3: "),
+    "json-args-not-an-object": (lambda t: _events(t, x={"args": 5}),
+                                ValueError, "event 3: "),
+    "json-rank-x": (lambda t: _events(t, process="rank x"), ValueError,
+                    "event 2: invalid literal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_trace_is_a_typed_error_everywhere(case, tmp_path):
+    """Every reader raises the decoder's error (never an ``IndexError``,
+    a ``KeyError`` or the ``BufferError`` of closing a map an error
+    still holds views of), and every CLI entry point reports it in one
+    line."""
+    from repro.__main__ import main
+    from repro.analysis import CommProfile
+
+    build, error, says = MALFORMED[case]
+    path = build(tmp_path)
+    out = str(tmp_path / "out")
+    for read in (load_trace_records, CommProfile.from_trace_file,
+                 lambda p: list(iter_trace_records(p)),
+                 lambda p: convert(p, out)):
+        with pytest.raises(error) as raised:
+            read(path)
+        assert type(raised.value) is error
+        assert str(path) in str(raised.value) and says in str(raised.value)
+    for argv in (["explain", "--trace", str(path)],
+                 ["check", "--trace", str(path)],
+                 ["check", "--hb", "--trace", str(path)],
+                 ["profile", "--trace", str(path)],
+                 ["trace", "convert", str(path), out]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        message = exit_.value.code
+        assert message.startswith(("cannot read ", "cannot convert "))
+        assert says in message and "\n" not in message
+
+
+def test_close_unmaps_on_the_clean_path():
+    with RprtReader(GOLDEN_RPRT) as r:
+        mm = r._mm
+        assert len(list(r.spans())) == r.n_spans
+    assert mm.closed and r._mm is None
+
+
 # -- determinism -------------------------------------------------------------
 
 def test_writer_and_reader_are_deterministic(tmp_path):
