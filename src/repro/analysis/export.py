@@ -159,11 +159,11 @@ def chrome_events(groups) -> Iterator[dict]:
     """The Chrome-trace events of a trace's column groups, one at a
     time: the ``M`` lane table, then an ``X`` event per row.  Two passes
     of ``groups()``, the first to lay out the lanes."""
-    lanes = set()
+    seen = set()
     for columns, strings, _ in groups():
-        pairs = set(zip(columns[4].tolist(), columns[7].tolist()))
-        lanes.update((r, strings[t]) for r, t in pairs)
-    lanes = {(r, t): pid_of(None if r < 0 else r, t) for r, t in lanes}
+        ids = set(zip(columns[4].tolist(), columns[7].tolist()))
+        seen.update((r, strings[t]) for r, t in ids)
+    lanes = {(r, t): pid_of(None if r < 0 else r, t) for r, t in seen}
     tids, meta_events = chrome_metadata_events(lanes.values())
     yield from meta_events
     for columns, strings, metas in groups():

@@ -148,7 +148,7 @@ def chrome_groups(events, where) -> Iterator[tuple]:
     event's index and what is wrong with it."""
     process_names: dict[int, str] = {}
     thread_names: dict[tuple[int, int], str] = {}
-    spans = SpanColumns()
+    spans = SpanColumns()  # its two time columns hold ``ts`` and ``dur``
     for i, ev in enumerate(events):
         try:
             ph = ev.get("ph")
@@ -199,23 +199,22 @@ def _open_groups(path):
             iter_chrome_file_events(path), path)
 
 
-def iter_trace_records(path) -> Iterator:
-    """Stream :class:`~repro.sim.trace.TraceRecord` objects from an
-    exported trace in either format.  This is the shared iterator every
-    file-fed analysis consumes; both decoders yield the same column
-    groups, so downstream findings do not depend on which container the
-    trace came from."""
-    with _open_groups(path) as (_, groups):
-        yield from span_records(groups())
-
-
 @contextmanager
 def open_trace(path):
     """``with open_trace(path) as (other, records)``: a trace file's
-    ``otherData`` dict and its record stream (as
-    :func:`iter_trace_records`), off one open of the file."""
+    ``otherData`` dict and its stream of
+    :class:`~repro.sim.trace.TraceRecord` objects.  Both decoders yield
+    the same column groups, so downstream findings do not depend on
+    which container the trace came from."""
     with _open_groups(path) as (other, groups):
         yield other, span_records(groups())
+
+
+def iter_trace_records(path) -> Iterator:
+    """Stream the records of an exported trace in either format: the
+    shared iterator every file-fed analysis consumes."""
+    with open_trace(path) as (_, records):
+        yield from records
 
 
 def load_trace_records(path) -> Trace:
