@@ -44,7 +44,7 @@ from repro.mpi.failstop import (FailStopManager, KillCause, KilledRank,
                                 RankKilled)
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import Packet, PacketKind
-from repro.mpi.resilience import CircuitBreaker, ResilienceConfig
+from repro.mpi.resilience import JITTER_SEED, CircuitBreaker, ResilienceConfig
 from repro.mpi.wire import WireImage
 from repro.network.presets import MachinePreset, machine_preset
 from repro.network.topology import Topology
@@ -75,7 +75,7 @@ class Runtime:
         self.devices = devices
         self.config = config
         self.resilience = resilience or ResilienceConfig()
-        self.resil_rng = random.Random(self.resilience.seed)
+        self.resil_rng = random.Random(JITTER_SEED)
         #: fail-stop manager (None unless the plan kills ranks)
         self.failstop = failstop
         #: application checkpoint cadence in steps (0 = never)

@@ -1,8 +1,9 @@
 """Rendezvous resilience: retry policy, timeouts, and circuit breakers.
 
 The protocol layer (:mod:`repro.mpi.comm`) consults a
-:class:`ResilienceConfig` for how hard to fight back when the fault
-plane (:mod:`repro.faults`) misbehaves:
+:class:`ResilienceConfig` — six fields: the retry budget, three
+timeouts, the breaker's threshold and cool-down — for how hard to fight
+back when the fault plane (:mod:`repro.faults`) misbehaves:
 
 * **Integrity** — every rendezvous message carries a CRC32 of the data
   the receiver should end up with (the clean decompression round-trip
@@ -10,9 +11,12 @@ plane (:mod:`repro.faults`) misbehaves:
   decompression.  Not a knob: the stamp rides control fields that exist
   anyway and costs no simulated time.
 * **Retransmission** — on a CRC mismatch, a decode failure, or a data
-  timeout the receiver NACKs and the sender retransmits, with
-  exponential backoff + jitter drawn from a run-seeded RNG on the
-  simulated clock.
+  timeout the receiver NACKs and the sender retransmits, up to
+  ``max_retries`` times.  A transient allocation fault, or a post-decode
+  CRC mismatch on bytes already verified, is retried in place on the
+  same budget.  Every retry first backs off on the simulated clock:
+  exponential, with jitter from a run-seeded RNG — a fixed curve
+  (``BACKOFF_*``, ``JITTER``, ``JITTER_SEED``), not a knob.
 * **Timeouts** — optional rendezvous handshake and data-delivery
   timeouts convert silent stalls into a diagnosable
   :class:`~repro.errors.RendezvousTimeoutError`.  They default to off so
@@ -53,6 +57,16 @@ DEFAULT_DATA_TIMEOUT = 0.25
 #: declaring it (models a heartbeat round-trip; simulated seconds)
 DEFAULT_DETECT_TIMEOUT = 1e-3
 
+#: backoff before retry ``attempt``: ``BACKOFF_BASE * BACKOFF_FACTOR **
+#: (attempt - 1)`` simulated seconds, capped at ``BACKOFF_MAX``, plus a
+#: uniform ``JITTER`` fraction of itself drawn from a run-seeded RNG
+BACKOFF_BASE = 20e-6
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5e-3
+JITTER = 0.25
+#: seed of every run's jitter RNG (``Runtime.resil_rng``)
+JITTER_SEED = 0
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -60,12 +74,6 @@ class ResilienceConfig:
 
     #: retransmissions allowed per message before giving up
     max_retries: int = 8
-    #: exponential backoff: ``base * factor**(attempt-1)``, capped
-    backoff_base: float = 20e-6
-    backoff_factor: float = 2.0
-    backoff_max: float = 5e-3
-    #: uniform jitter fraction added on top of the backoff (0..1)
-    jitter: float = 0.25
     #: RTS->CTS handshake timeout (None = wait forever)
     handshake_timeout: Optional[float] = None
     #: CTS->DATA delivery timeout (None = wait forever)
@@ -78,16 +86,10 @@ class ResilienceConfig:
     breaker_threshold: int = 3
     #: simulated seconds an open breaker waits before half-opening
     breaker_cooldown: float = 2e-3
-    #: seed of the jitter RNG
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base <= 0 or self.backoff_factor < 1.0 or self.backoff_max <= 0:
-            raise ConfigError("backoff parameters must be positive (factor >= 1)")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter must be in [0, 1], got {self.jitter}")
         for name in ("handshake_timeout", "data_timeout", "detect_timeout"):
             v = getattr(self, name)
             if v is not None and v <= 0:
@@ -110,11 +112,10 @@ class ResilienceConfig:
                    detect_timeout=detect)
 
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before retransmission ``attempt`` (1-based), with
-        jitter drawn from the run's dedicated RNG."""
-        base = min(self.backoff_max,
-                   self.backoff_base * self.backoff_factor ** (attempt - 1))
-        return base * (1.0 + self.jitter * rng.random())
+        """Backoff before retry ``attempt`` (1-based), with jitter drawn
+        from the run's dedicated RNG (seeded with :data:`JITTER_SEED`)."""
+        base = min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1))
+        return base * (1.0 + JITTER * rng.random())
 
 
 class CircuitBreaker:
