@@ -30,6 +30,15 @@ bugfix (``unpack_wire`` retries a transient allocation fault) added the
 ``alloc`` plan on every collective config, captured *after* the fix —
 its parent aborts the two keep-compressed rows with the injected
 ``BufferPoolExhaustedError``.
+
+ISSUE 25 (the recovery layer written once) moved none of the rows.  Its
+bugfix (a retried ``receiver_prepare`` records ``recovered``, like the
+other in-place retry) re-captured the five rows whose receives retried
+that allocation — ``pt2pt`` ``mpc-opt`` / ``mpc-pipe4`` under
+``oom+pool`` and ``coll`` ``mpc-opt`` / ``zfp8-pipe4`` / ``rehop`` under
+``alloc`` — and in them only the span count, the span digest and the
+``recovered`` counter: events, simulated time, outcome and the
+injector's RNG state are the parent's.
 """
 
 import hashlib
@@ -211,9 +220,12 @@ PINS = {
           'crc_mismatch': 5,
           'recovered': 3,
           'retransmit': 5}),
+    # Re-captured by ISSUE 25's bugfix: a retried receiver_prepare now
+    # records `recovered`, as unpack_wire always did (+2).  Span count,
+    # span digest and the recovered counter only.
     ('pt2pt', 'mpc-opt', 'oom+pool'):
-        (98, 182, 0.0004594584389402387, 'ec12212797f968af', 3998601823,
-         {'sends.rndv': 4, 'retry': 2}),
+        (100, 182, 0.0004594584389402387, 'ce2eed18f76e065e', 3998601823,
+         {'sends.rndv': 4, 'recovered': 2, 'retry': 2}),
     ('pt2pt', 'mpc-opt', 'compress-fail'):
         (64, 88, 0.0003251943087966016, 'ed091483260a8988', 3998601823,
          {'sends.rndv': 4, 'fallback': 3}),
@@ -245,9 +257,12 @@ PINS = {
           'crc_mismatch': 14,
           'recovered': 3,
           'retransmit': 14}),
+    # Re-captured by ISSUE 25's bugfix: a retried receiver_prepare now
+    # records `recovered`, as unpack_wire always did (+2).  Span count,
+    # span digest and the recovered counter only.
     ('pt2pt', 'mpc-pipe4', 'oom+pool'):
-        (158, 286, 0.0006331606673501117, '98ce92ade04a2463', 3998601823,
-         {'sends.rndv_pipelined': 4, 'retry': 2}),
+        (160, 286, 0.0006331606673501117, '2d997188dcfb4988', 3998601823,
+         {'sends.rndv_pipelined': 4, 'recovered': 2, 'retry': 2}),
     # Re-captured by ISSUE 16 (span digest; span count 45 -> 41): a
     # failed streamed attempt and its uncompressed fallback share the
     # message's one sender_prepare span, the empty duplicate is gone.
@@ -591,19 +606,25 @@ PINS = {
           'recovered': 30,
           'retransmit': 44},
          3836175584),
+    # Re-captured by ISSUE 25's bugfix: a retried receiver_prepare now
+    # records `recovered`, as unpack_wire always did (recovered 23 -> 34).  Span count,
+    # span digest and the recovered counter only.
     ('coll', 'mpc-opt', 'alloc'):
-        (1597, 1859, 0.003956887469143109, '66b8232788158ad0', 3400292418,
+        (1608, 1859, 0.003956887469143109, 'e6e73a040cb90ea5', 3400292418,
          {'sends.rndv_wire': 95,
           'fallback': 23,
-          'recovered': 23,
+          'recovered': 34,
           'retry': 65},
          989524747),
     ('coll', 'off', 'alloc'):
         (778, 911, 0.0005004954400000002, '14c2db81dd243040', 3400292418,
          {'sends.rndv': 95},
          2858089555),
+    # Re-captured by ISSUE 25's bugfix: a retried receiver_prepare now
+    # records `recovered`, as unpack_wire always did (recovered 8 -> 23).  Span count,
+    # span digest and the recovered counter only.
     ('coll', 'zfp8-pipe4', 'alloc'):
-        (1985, 3214, 0.0015151212950262197, '018c7aac77d7b799', 348920860,
+        (2000, 3214, 0.0015151212950262197, 'd624c1aaa8728122', 348920860,
          {'sends.rndv': 22,
           'sends.rndv_pipelined': 38,
           'sends.rndv_wire': 35,
@@ -611,17 +632,21 @@ PINS = {
           'breaker_trips.trip': 1,
           'breaker_veto': 3,
           'fallback': 21,
-          'recovered': 8,
+          'recovered': 23,
           'retry': 37},
          1310950883),
+    # Re-captured by ISSUE 25's bugfix: a retried receiver_prepare now
+    # records `recovered`, as unpack_wire always did (+14).  Span count,
+    # span digest and the recovered counter only.
     ('coll', 'rehop', 'alloc'):
-        (1468, 1820, 0.0021893111847976856, '545ebde76c355407', 3400292418,
+        (1482, 1820, 0.0021893111847976856, '0ca444baa7e978ca', 3400292418,
          {'sends.rndv': 95,
           'breaker_transitions.closed': 1,
           'breaker_transitions.open': 4,
           'breaker_trips.trip': 4,
           'breaker_veto': 23,
           'fallback': 40,
+          'recovered': 14,
           'retry': 30},
          3036953522),
 }
