@@ -209,6 +209,20 @@ def _trace_convert(args) -> None:
         print(f"wrote {dst} [json]: {stats['events']} events")
 
 
+def _one_way(data):
+    """The rank function of ``trace latency`` and ``explain``: rank 0
+    sends ``data`` to rank 1 (tag 7); each returns the bytes it moved."""
+
+    def rank_fn(comm):
+        if comm.rank == 0:
+            yield from comm.send(data, dest=1, tag=7)
+            return data.nbytes
+        received = yield from comm.recv(source=0, tag=7)
+        return received.nbytes
+
+    return rank_fn
+
+
 def cmd_trace(args) -> None:
     from repro.analysis import write_chrome_trace
     from repro.analysis.rprt import write_trace_rprt
@@ -223,18 +237,11 @@ def cmd_trace(args) -> None:
         raise SystemExit(f"unexpected arguments: {' '.join(args.paths)}")
 
     config = _config(_CODECS.get(args.codec, args.codec))
-    nbytes = parse_size(args.size)
-    data = make_payload(args.payload, nbytes, seed=1)
+    data = make_payload(args.payload, parse_size(args.size), seed=1)
 
     if args.workload == "latency":
         cluster = Cluster(machine_preset(args.machine), nodes=2, gpus_per_node=1)
-
-        def rank_fn(comm):
-            if comm.rank == 0:
-                yield from comm.send(data, dest=1, tag=7)
-                return nbytes
-            received = yield from comm.recv(source=0, tag=7)
-            return received.nbytes
+        rank_fn = _one_way(data)
     else:
         cluster = Cluster(machine_preset(args.machine), nodes=2, gpus_per_node=2)
 
@@ -279,19 +286,10 @@ def cmd_explain(args) -> None:
             raise SystemExit(f"cannot read {args.trace}: {exc}")
     else:
         config = _config(_CODECS.get(args.codec, args.codec))
-        nbytes = parse_size(args.size)
-        data = make_payload(args.payload, nbytes, seed=1)
+        data = make_payload(args.payload, parse_size(args.size), seed=1)
         cluster = Cluster(machine_preset(args.machine), nodes=2,
                           gpus_per_node=1)
-
-        def rank_fn(comm):
-            if comm.rank == 0:
-                yield from comm.send(data, dest=1, tag=7)
-                return nbytes
-            received = yield from comm.recv(source=0, tag=7)
-            return received.nbytes
-
-        trace = cluster.run(rank_fn, config=config).tracer
+        trace = cluster.run(_one_way(data), config=config).tracer
     print(CritPathAnalyzer(trace).explain(n=args.top))
 
 

@@ -144,14 +144,6 @@ class _Path:
     def wait_time(self) -> float:
         return sum(s.duration for s in self.segments if s.kind == "wait")
 
-    def by_category(self) -> dict[str, float]:
-        """category -> critical-path seconds (waits under ``wait``)."""
-        out: dict[str, float] = {}
-        for s in self.segments:
-            key = s.span.category if s.kind == "service" else "wait"
-            out[key] = out.get(key, 0.0) + s.duration
-        return out
-
     def by_step(self) -> dict[str, float]:
         """pipeline step -> critical-path seconds (waits attributed to
         the step they were waiting on; spans outside any step -> ``-``)."""

@@ -196,15 +196,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> HistogramStat:
         return self._hists.get(_key(name, labels), HistogramStat())
 
-    def labels_of(self, name: str) -> list[dict]:
-        """Every label set a metric has been emitted with."""
-        out = []
-        for store in (self._counters, self._gauges, self._hists):
-            for n, labels in store:
-                if n == name:
-                    out.append(dict(labels))
-        return sorted(out, key=lambda d: sorted(d.items()))
-
     def as_dict(self) -> dict:
         """Deterministically-ordered plain-dict dump (for export/tests)."""
 

@@ -451,10 +451,6 @@ class RprtReader:
     def metrics(self) -> dict:
         return dict(self.otherdata().get("metrics", {}))
 
-    @property
-    def elapsed(self) -> Optional[float]:
-        return self.otherdata().get("elapsed_seconds")
-
     def span_groups(self, time_range: Optional[tuple] = None) -> Iterator:
         """The RPRT decoder: each stored span group in exported form
         (:func:`~repro.analysis.export.span_group`), its columns zero-

@@ -71,11 +71,7 @@ class NetworkError(ReproError):
 
 
 class MpiError(ReproError):
-    """Raised for MPI-level misuse (bad rank, truncation, ...)."""
-
-
-class TruncationError(MpiError):
-    """Raised when a receive buffer is smaller than the incoming message."""
+    """Raised for MPI-level misuse (bad rank, unexpected envelope, ...)."""
 
 
 class CompressionError(ReproError):

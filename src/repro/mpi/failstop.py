@@ -234,10 +234,6 @@ class FailStopManager:
     def revoked_failures(self, comm_id: int) -> tuple:
         return self._revoked.get(comm_id, ())
 
-    def failed_set(self) -> tuple:
-        """The currently-known dead ranks, sorted (agreement input)."""
-        return tuple(sorted(self.dead))
-
     def __repr__(self) -> str:
         return (f"<FailStopManager dead={sorted(self.dead)} "
                 f"of {self.n_ranks} ranks>")

@@ -172,13 +172,6 @@ class MatchingEngine:
         return not (self._posted or self._unexpected or self._cts_waiters
                     or self._data_waiters or self._early)
 
-    def outstanding_seqs(self) -> dict[str, list]:
-        """Summary of in-flight handshake waiters, for liveness triage."""
-        return {
-            "cts": sorted(k[0] for k in self._cts_waiters),
-            "data": sorted(self._data_waiters),
-        }
-
     def diagnostics(self, last_heard=None) -> str:
         """Multi-line dump of the matching state, used to explain hangs
         (:class:`~repro.errors.DeadlockError`) and rendezvous timeouts.
