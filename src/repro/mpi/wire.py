@@ -23,11 +23,12 @@ trace sanitizer can tie the hop back to the originating compression.
 
 A :class:`WireImage` is also the only thing the rendezvous protocol
 ships: a plain ``send`` packs its data into one for the length of that
-message.  Such an image is never relayed, so it has no ``wire_crc`` and
-its ``origin_seq`` is ``None`` — which is what keeps ``origin_seq`` out
-of a plain message's spans, and what tells ``irecv`` (from the RTS) to
-decode it: an image that has one is verified by its ``wire_crc`` and
-handed on as a :class:`WireImage`, for ``isend`` to relay as it is.
+message (never relayed: no ``wire_crc``, no ``origin_seq``).  On the
+wire its description rides the RTS (:class:`~repro.mpi.message.Rts`)
+and DATA carries only ``payload``.  The RTS's ``relayed`` — the image
+has an ``origin_seq`` — keeps ``origin_seq`` out of a plain message's
+spans and tells ``irecv`` to verify the ``wire_crc`` and hand the image
+on as a :class:`WireImage`, for ``isend`` to relay, instead of decoding.
 """
 
 from __future__ import annotations
