@@ -322,21 +322,17 @@ _RUNNERS = {"pt2pt": _run_pt2pt, "collective": _run_collective,
 def collect(quick: bool = True, label: str = "local",
             only: Optional[str] = None, record_wall: bool = False,
             progress: Optional[Callable[[str], None]] = None,
-            asan: bool = False, scale: bool = False) -> dict:
+            scale: bool = False) -> dict:
     """Run the scenario matrix and build the snapshot document.
 
     ``only`` filters scenarios by substring.  ``record_wall`` adds an
     advisory per-scenario host wall-clock section (breaks byte-identity
-    between runs — leave off for gating snapshots).  ``asan`` runs
-    every scenario under the buffer sanitizer; it is pure bookkeeping,
-    so the snapshot stays byte-identical either way.  ``scale`` swaps
+    between runs — leave off for gating snapshots).  ``scale`` swaps
     in :func:`scale_matrix` (the 1k+-rank hierarchical-topology runs;
     gated against ``tests/data/BENCH_scale_baseline.json``) and stamps
     ``mode: "scale"`` so scale snapshots never compare against the
     quick/full baselines by accident.
     """
-    from repro.check.asan import asan_scope
-
     def run(sc: Entry) -> dict:
         # Advisory host wall-clock only; never enters gated snapshots
         # (record_wall defaults off), so the wall-clock read is safe.
@@ -346,11 +342,10 @@ def collect(quick: bool = True, label: str = "local",
             result["wall"] = {"seconds": time.perf_counter() - t0}  # repro: allow-RPR001
         return result
 
-    with asan_scope(asan):
-        return snapshot.collect(
-            "bench", scale_matrix() if scale else scenario_matrix(quick), run,
-            only, progress, label=label,
-            mode="scale" if scale else ("quick" if quick else "full"))
+    return snapshot.collect(
+        "bench", scale_matrix() if scale else scenario_matrix(quick), run,
+        only, progress, label=label,
+        mode="scale" if scale else ("quick" if quick else "full"))
 
 
 # -- gate policy ---------------------------------------------------------------

@@ -130,15 +130,6 @@ def _make_data(dataset: str, nbytes: int, dtype: str, codec: str) -> np.ndarray:
     return data
 
 
-def _codec_for(name: str, params: dict):
-    from repro.compression import get_compressor
-    from repro.compression.zfp2d import Zfp2dCompressor
-
-    if name == "zfp2d":
-        return Zfp2dCompressor(**params)
-    return get_compressor(name, **params)
-
-
 # -- timing core -------------------------------------------------------------
 
 def _time_median(fn: Callable[[], None], reps: int) -> float:
@@ -153,9 +144,11 @@ def _time_median(fn: Callable[[], None], reps: int) -> float:
 
 
 def _run_codec(params: dict, reps: int) -> dict:
+    from repro.compression import get_compressor
+
     data = _make_data(params["dataset"], params["nbytes"], params["dtype"],
                       params["codec"])
-    codec = _codec_for(params["codec"], params["codec_params"])
+    codec = get_compressor(params["codec"], **params["codec_params"])
     comp = codec.compress(data)
     enc_s = _time_median(lambda: codec.compress(data), reps)
     dec_s = _time_median(lambda: codec.decompress(comp), reps)

@@ -6,9 +6,8 @@ to read one lane, floats are spelled out in ASCII, and every span
 repeats its key names.  ``RPRT`` is the repository's binary telemetry
 container, GGUF-style: a magic/versioned header, typed metadata
 key-values, then 8-byte-aligned **columnar blocks** that numpy can map
-straight out of the file — span records split into per-field columns,
-a deduplicated string table, and (optionally) whole bench/hostperf
-snapshot documents.
+straight out of the file — span records split into per-field columns
+and a deduplicated string table.
 
 Dogfooding is the point: each block may be compressed through the
 existing codec registry (the lossless paths — MPC by default, which is
@@ -67,14 +66,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.analysis.export import exported_form
-from repro.analysis.snapshot import entries, kind_of
 from repro.sim.trace import SPAN_SCHEMA, records_from_columns
 
 __all__ = [
     "RPRT_MAGIC", "RPRT_VERSION", "SPANS_PER_BLOCK", "RprtError",
     "RprtWriter", "RprtReader", "is_rprt", "span_records",
-    "write_span_groups", "write_trace_rprt", "write_snapshot_rprt",
-    "read_snapshot_rprt", "DEFAULT_BLOCK_CODEC",
+    "write_span_groups", "write_trace_rprt", "DEFAULT_BLOCK_CODEC",
 ]
 
 RPRT_MAGIC = b"RPRT"
@@ -173,7 +170,7 @@ class RprtWriter:
             raise RprtError(f"unsupported KV type for {key!r}: {type(value)}")
 
     # -- blocks ------------------------------------------------------------
-    def add_block(self, name: str, data, compress: bool = True) -> None:
+    def add_block(self, name: str, data) -> None:
         """Add a columnar block from a 1-D numpy array (or raw bytes,
         stored as a ``u1`` column)."""
         if isinstance(data, (bytes, bytearray, memoryview)):
@@ -185,8 +182,7 @@ class RprtWriter:
             raise RprtError(f"block {name!r}: unsupported dtype {arr.dtype}")
         raw = arr.astype(dtype, copy=False).tobytes()
         codec_name, params, stored = "", {}, raw
-        if compress and self._codec is not None \
-                and len(raw) >= _MIN_COMPRESS_BYTES:
+        if self._codec is not None and len(raw) >= _MIN_COMPRESS_BYTES:
             packed = self._try_compress(raw)
             if packed is not None:
                 codec_name, params, stored = packed
@@ -634,73 +630,3 @@ def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
     """
     return write_span_groups(path, *exported_form(tracer, elapsed), block_codec,
                              spans_per_block, registry=tracer.metrics)
-
-
-# -- bench / hostperf snapshot embedding ------------------------------------
-
-def write_snapshot_rprt(doc: dict, path,
-                        block_codec: str = DEFAULT_BLOCK_CODEC) -> dict:
-    """Store a bench/hostperf snapshot document in an RPRT container
-    (``snapshot/kind`` is read off the document's own group key).
-
-    The canonical JSON document rides along (compressed) as the
-    authoritative ``snapshot/json`` block, and every numeric scalar
-    metric is *also* laid out columnar (``snapshot/section``,
-    ``snapshot/metric`` string indices + ``snapshot/value`` f8) so bulk
-    trajectory analysis can mmap the numbers without parsing JSON.
-
-    Histogram sections (per-rank power-of-two bucket counts collected
-    by :class:`~repro.analysis.metrics.HistogramStat`) get their own
-    columnar quartet — ``snapshot/hist_section`` / ``hist_metric``
-    string indices plus ``snapshot/hist_bucket`` / ``hist_count`` u4
-    rows, one row per occupied bucket — so depth/occupancy
-    distributions stream without JSON parsing either.
-    """
-    w = RprtWriter(block_codec=block_codec)
-    w.add_kv("snapshot/kind", kind_of(doc))
-    w.add_kv("snapshot/schema_version", int(doc.get("schema_version", 0)))
-    strings = _StringTable()
-    strings.add("")
-    sections, metrics, values = [], [], []
-    hsections, hmetrics, hbuckets, hcounts = [], [], [], []
-    groups = entries(doc)
-    for name in sorted(groups):
-        entry = groups[name]
-        numeric = {}
-        for sub in ("metrics", "counters"):
-            numeric.update(entry.get(sub) or {})
-        for mname, mval in sorted(numeric.items()):
-            if isinstance(mval, (int, float)) and not isinstance(mval, bool):
-                sections.append(strings.add(name))
-                metrics.append(strings.add(mname))
-                values.append(float(mval))
-        for hname, hist in sorted((entry.get("histograms") or {}).items()):
-            buckets = hist.get("buckets") or {}
-            for bucket in sorted(buckets, key=int):
-                hsections.append(strings.add(name))
-                hmetrics.append(strings.add(hname))
-                hbuckets.append(int(bucket))
-                hcounts.append(int(buckets[bucket]))
-    w.add_block("snapshot/section", np.asarray(sections, dtype="u4"))
-    w.add_block("snapshot/metric", np.asarray(metrics, dtype="u4"))
-    w.add_block("snapshot/value", np.asarray(values, dtype="f8"))
-    if hsections:
-        w.add_block("snapshot/hist_section", np.asarray(hsections, dtype="u4"))
-        w.add_block("snapshot/hist_metric", np.asarray(hmetrics, dtype="u4"))
-        w.add_block("snapshot/hist_bucket", np.asarray(hbuckets, dtype="u4"))
-        w.add_block("snapshot/hist_count", np.asarray(hcounts, dtype="u4"))
-    offsets, blob = strings.blocks()
-    w.add_block("strings/offsets", offsets)
-    w.add_block("strings/blob", blob)
-    w.add_block("snapshot/json",
-                _canonical_json(doc).encode("utf-8"))
-    w.add_kv("producer", "repro")
-    return w.write(path)
-
-
-def read_snapshot_rprt(path) -> dict:
-    """Load the snapshot document back from an RPRT container."""
-    with RprtReader(path) as r:
-        if "snapshot/json" not in r._blocks:
-            raise RprtError(f"{path}: container holds no snapshot document")
-        return json.loads(r.read("snapshot/json").tobytes().decode("utf-8"))

@@ -30,14 +30,14 @@ Four pass families, unified under ``python -m repro check``:
     WireImage-typestate detectors on top (``repro check --hb``).
 """
 
-from repro.check.asan import BufferSanitizer, asan_default, asan_scope
+from repro.check.asan import BufferSanitizer
 from repro.check.cli import run_check
 from repro.check.hb import HappensBefore, HBChecker
 from repro.check.lint import Violation, lint_paths, lint_source
 from repro.check.sanitize import TraceSanitizer, TraceViolation
 
 __all__ = [
-    "BufferSanitizer", "asan_default", "asan_scope",
+    "BufferSanitizer",
     "Violation", "lint_paths", "lint_source",
     "TraceSanitizer", "TraceViolation",
     "HappensBefore", "HBChecker",

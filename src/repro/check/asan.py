@@ -31,26 +31,24 @@ touches neither the tracer nor the metrics registry, so an enabled run
 is bit-identical (traces, snapshots) to a disabled one — the
 determinism tests rely on exactly that.
 
-Enabling it:
+A run enables it itself — there is no process-wide default:
 
-* ``Cluster.run(..., asan=True)`` for one run (asserted clean at
-  successful completion);
-* :func:`asan_scope` to flip the process default for a block — the
-  chaos harness and the benchmark collector use this;
+* ``Cluster.run(..., asan=True)`` (asserted clean at successful
+  completion; ``asan="record"`` also logs every access for
+  :mod:`repro.check.hb`);
+* :func:`repro.faults.chaos.run_chaos` (on by default);
 * ``python -m repro check --asan`` for the CLI smoke.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import BufferLeakError, DoubleReleaseError, UseAfterFreeError
 
-__all__ = ["AccessRecord", "BufferSanitizer", "ShadowState", "asan_default",
-           "asan_scope"]
+__all__ = ["AccessRecord", "BufferSanitizer", "ShadowState"]
 
 
 class ShadowState:
@@ -141,7 +139,7 @@ class BufferSanitizer:
     def _now(self, buf) -> float:
         return buf.device.sim.now
 
-    def on_alloc(self, buf, pool_owned: bool = False) -> None:
+    def on_alloc(self, buf) -> None:
         """A fresh buffer exists (cudaMalloc or pool pre-allocation)."""
         self.checks += 1
         shadow = _Shadow(
@@ -149,8 +147,8 @@ class BufferSanitizer:
             device_id=buf.device.device_id,
             capacity=buf.capacity,
             label=buf.label,
-            state=ShadowState.POOL_FREE if pool_owned else ShadowState.LIVE,
-            pooled=pool_owned,
+            state=ShadowState.LIVE,
+            pooled=False,
             t_last=self._now(buf),
         )
         buf._shadow_id = shadow.shadow_id
@@ -250,28 +248,3 @@ class BufferSanitizer:
             states[s.state] = states.get(s.state, 0) + 1
         return {"buffers": len(self._shadows), "events": self.checks,
                 "states": states}
-
-
-#: process-wide default consulted by ``Cluster.run(asan=None)``
-_DEFAULT_ENABLED = False
-
-
-def asan_default() -> bool:
-    """Whether runs enable the buffer sanitizer by default."""
-    return _DEFAULT_ENABLED
-
-
-@contextmanager
-def asan_scope(enabled: bool = True):
-    """Flip the process-wide sanitizer default for a block::
-
-        with asan_scope():
-            cluster.run(...)   # sanitized + leak-checked
-    """
-    global _DEFAULT_ENABLED
-    prev = _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = enabled
-    try:
-        yield
-    finally:
-        _DEFAULT_ENABLED = prev

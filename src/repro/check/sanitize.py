@@ -15,8 +15,9 @@ Checks (each returns a list of :class:`TraceViolation`):
 ``serial-lane``
     Mutual exclusion on lanes backed by capacity-1 resources: CUDA
     streams (``stream<k>`` tracks, one ``Resource(capacity=1)`` each)
-    and fabric links (``link:<label>`` tracks; every preset uses
-    ``lanes=1``).  Two overlapping X spans on one such lane mean two
+    and fabric links (``link:<label>`` tracks; every
+    :class:`~repro.network.links.Link` is one ``Resource(capacity=1)``).
+    Two overlapping X spans on one such lane mean two
     processes held the same serial resource at once — a race in the
     acquire/release protocol.  ``main``/``gpu`` lanes legitimately carry
     concurrent spans (overlapping isend/irecv, pipelined part senders)
@@ -68,7 +69,6 @@ to 1e-6 us (~1e-12 s), so true violations dwarf the tolerance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,21 +125,6 @@ class TraceSanitizer:
         from repro.analysis.traceio import load_trace_records
 
         return cls(load_trace_records(path))
-
-    @classmethod
-    def from_chrome_trace(cls, doc) -> "TraceSanitizer":
-        """Rebuild spans from an in-memory Chrome-trace document
-        produced by :func:`repro.analysis.export.to_chrome_trace` (a
-        dict or a JSON string; a file goes to :meth:`from_trace_file`)."""
-        from repro.analysis.rprt import span_records
-        from repro.analysis.traceio import chrome_groups
-
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        # Lane names first: the exporter leads with its M events, a
-        # hand-built doc may not.
-        events = sorted(doc["traceEvents"], key=lambda ev: ev.get("ph") != "M")
-        return cls(span_records(chrome_groups(events, "chrome trace")))
 
     # -- checks --------------------------------------------------------------
     def check_serial_lanes(self) -> list[TraceViolation]:

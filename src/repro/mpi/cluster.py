@@ -375,7 +375,7 @@ class Cluster:
         max_time: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceConfig] = None,
-        asan: bool | str | None = None,
+        asan: bool | str = False,
         checkpoint_every: int = 0,
         trace: bool = True,
     ) -> ClusterResult:
@@ -402,10 +402,9 @@ class Cluster:
         asan:
             Enable the buffer sanitizer (:mod:`repro.check.asan`) for
             this run; the run is leak-checked at successful completion.
-            ``None`` defers to the process default
-            (:func:`repro.check.asan.asan_default`).  The string
-            ``"record"`` additionally logs every buffer access for the
-            happens-before race detector (:mod:`repro.check.hb`).
+            The string ``"record"`` additionally logs every buffer
+            access for the happens-before race detector
+            (:mod:`repro.check.hb`).
         checkpoint_every:
             Checkpoint cadence hint exposed to ranks via
             ``comm.should_checkpoint(step)`` (0 = never); the
@@ -417,7 +416,7 @@ class Cluster:
             records).  The returned :attr:`ClusterResult.tracer` is
             then a detached, empty tracer.
         """
-        from repro.check.asan import BufferSanitizer, asan_default
+        from repro.check.asan import BufferSanitizer
 
         config = config or CompressionConfig.disabled()
         nprocs = nprocs or self.n_gpus
@@ -425,8 +424,6 @@ class Cluster:
             raise MpiError(f"{nprocs} ranks > {self.n_gpus} GPUs (one rank per GPU)")
         sim = Simulator()
         tracer = Tracer(sim) if trace else Tracer()
-        if asan is None:
-            asan = asan_default()
         sanitizer = (BufferSanitizer(record_accesses=(asan == "record"))
                      if asan else None)
         sim.asan = sanitizer

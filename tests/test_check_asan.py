@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.bench import named_config
-from repro.check.asan import BufferSanitizer, asan_default, asan_scope
+from repro.check.asan import BufferSanitizer
 from repro.check.fixtures import (run_double_release, run_leak,
                                   run_use_after_free)
 from repro.errors import (BufferLeakError, BufferSanitizerError,
@@ -121,15 +121,6 @@ def test_disabled_sanitizer_keeps_legacy_behavior():
 
 # -- enablement plumbing -----------------------------------------------------
 
-def test_asan_scope_flips_default():
-    assert asan_default() is False
-    with asan_scope():
-        assert asan_default() is True
-        with asan_scope(False):
-            assert asan_default() is False
-    assert asan_default() is False
-
-
 def _pingpong(comm, data):
     if comm.rank == 0:
         yield from comm.send(data, dest=1, tag=1)
@@ -152,11 +143,11 @@ def test_cluster_run_clean_under_asan(config_name):
 
 
 def test_cluster_run_respects_scope_default():
+    """The run's own ``asan`` argument decides; it defaults to off."""
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
     data = make_payload("omb", 1 << 20, seed=1)
-    with asan_scope():
-        res = cluster.run(_pingpong, config=named_config("mpc-opt"),
-                          args=(data,))
+    res = cluster.run(_pingpong, config=named_config("mpc-opt"),
+                      args=(data,), asan=True)
     assert res.asan is not None
     res2 = cluster.run(_pingpong, config=named_config("mpc-opt"),
                        args=(data,))

@@ -49,10 +49,12 @@ def test_real_traces_pass_all_checks(config_name):
     assert TraceSanitizer(res.tracer).check_all() == []
 
 
-def test_chrome_roundtrip_is_clean():
+def test_chrome_roundtrip_is_clean(tmp_path):
     res = _pingpong_result("zfp8-pipe")
-    doc = to_chrome_trace(res.tracer, elapsed=res.elapsed)
-    ts = TraceSanitizer.from_chrome_trace(json.dumps(doc))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(to_chrome_trace(res.tracer,
+                                               elapsed=res.elapsed)))
+    ts = TraceSanitizer.from_trace_file(path)
     assert len(ts.records) == len(res.tracer.records)
     assert ts.check_all() == []
 

@@ -39,8 +39,6 @@ def test_invalid_link_spec():
         LinkSpec("bad", latency=-1, bandwidth=1e9)
     with pytest.raises(ConfigError):
         LinkSpec("bad", latency=0, bandwidth=0)
-    with pytest.raises(ConfigError):
-        LinkSpec("bad", latency=0, bandwidth=1e9, lanes=0)
 
 
 def test_machine_presets_exist():

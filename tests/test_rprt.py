@@ -15,6 +15,7 @@ Covers the acceptance criteria of the self-describing binary container:
 """
 
 import json
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -26,8 +27,7 @@ from repro.analysis import snapshot
 from repro.analysis.critpath import CritPathAnalyzer
 from repro.analysis.export import write_chrome_json
 from repro.analysis.rprt import (RPRT_MAGIC, RprtError, RprtReader,
-                                 RprtWriter, is_rprt, read_snapshot_rprt,
-                                 write_snapshot_rprt, write_trace_rprt)
+                                 RprtWriter, is_rprt, write_trace_rprt)
 from repro.analysis.traceio import (convert, iter_chrome_file_events,
                                     iter_trace_records, load_trace_records,
                                     read_otherdata, trace_format)
@@ -553,101 +553,10 @@ def test_commprofile_surfaces_telemetry(tmp_path):
     assert prof.as_dict()["telemetry"]["rprt_compress_ratio"] > 1.0
 
 
-# -- bench / hostperf snapshots ----------------------------------------------
-
-def _fake_bench_doc():
-    return {"schema_version": snapshot.SCHEMA_VERSION, "label": "t",
-            "mode": "quick", "seed": 1,
-            "scenarios": {"pt2pt/x": {"kind": "pt2pt", "params": {},
-                                      "metrics": {"latency_us[1024]": 12.5},
-                                      "counters": {"mpi.sends": 4}}}}
-
-
-def _fake_hostperf_doc():
-    return {"schema_version": snapshot.SCHEMA_VERSION, "label": "t",
-            "mode": "quick", "reps": 1,
-            "benchmarks": {"codec/x": {"kind": "codec", "params": {},
-                                       "metrics": {"encode_s": 0.01,
-                                                   "ratio": 2.0}}}}
-
-
-def test_bench_snapshot_rprt_roundtrip(tmp_path):
-    doc = _fake_bench_doc()
-    snapshot.write(doc, tmp_path / "B.rprt")
-    assert is_rprt(tmp_path / "B.rprt")
-    assert snapshot.load(tmp_path / "B.rprt", "bench") == doc
-    # JSON path untouched.
-    snapshot.write(doc, tmp_path / "B.json")
-    assert snapshot.load(tmp_path / "B.json", "bench") == doc
-
-
-def test_hostperf_snapshot_rprt_roundtrip(tmp_path):
-    doc = _fake_hostperf_doc()
-    snapshot.write(doc, tmp_path / "H.rprt")
-    assert snapshot.load(tmp_path / "H.rprt", "hostperf") == doc
-    with RprtReader(tmp_path / "H.rprt") as r:
-        assert r.kv("snapshot/kind") == "hostperf"
-
-
-def test_snapshot_columnar_blocks(tmp_path):
-    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt")
-    with RprtReader(tmp_path / "B.rprt") as r:
-        assert r.kv("snapshot/kind") == "bench"  # read off the document
-        # Raw blocks are zero-copy views into the mmap: copy before the
-        # reader closes.
-        values = r.read("snapshot/value").copy()
-        strings = r.strings()
-        metrics = [strings[i] for i in r.read("snapshot/metric").copy()]
-    # Numeric scalars only, in deterministic order.
-    assert metrics == ["latency_us[1024]", "mpi.sends"]
-    assert values.tolist() == [12.5, 4.0]
-
-
-def test_snapshot_histogram_columnar_blocks(tmp_path):
-    doc = _fake_bench_doc()
-    doc["scenarios"]["pt2pt/x"]["histograms"] = {
-        "matching.posted_depth{rank=0}": {
-            "count": 3, "sum": 5.0, "min": 1.0, "max": 2.0,
-            "p50": 2.0, "p95": 2.0, "p99": 2.0,
-            "buckets": {"0": 1, "1": 2}},
-        "matching.posted_depth{rank=1}": {
-            "count": 1, "sum": 4.0, "min": 4.0, "max": 4.0,
-            "p50": 4.0, "p95": 4.0, "p99": 4.0,
-            "buckets": {"2": 1}},
-    }
-    path = tmp_path / "H.rprt"
-    write_snapshot_rprt(doc, path)
-    # snapshot/json stays authoritative: full round-trip equality,
-    # histogram section included.
-    assert read_snapshot_rprt(path) == doc
-    with RprtReader(path) as r:
-        strings = r.strings()
-        hsec = [strings[i] for i in r.read("snapshot/hist_section").copy()]
-        hmet = [strings[i] for i in r.read("snapshot/hist_metric").copy()]
-        hbuck = r.read("snapshot/hist_bucket").copy().tolist()
-        hcnt = r.read("snapshot/hist_count").copy().tolist()
-    # One columnar row per occupied bucket, per-rank series kept apart.
-    assert hsec == ["pt2pt/x"] * 3
-    assert hmet == ["matching.posted_depth{rank=0}"] * 2 + \
-                   ["matching.posted_depth{rank=1}"]
-    assert hbuck == [0, 1, 2]
-    assert hcnt == [1, 2, 1]
-
-
-def test_snapshot_without_histograms_omits_hist_blocks(tmp_path):
-    write_snapshot_rprt(_fake_bench_doc(), tmp_path / "B.rprt")
-    with RprtReader(tmp_path / "B.rprt") as r:
-        with pytest.raises(RprtError):
-            r.read("snapshot/hist_bucket")
-
+# -- snapshots are JSON ------------------------------------------------------
 
 def test_snapshot_reader_rejects_trace_container():
-    with pytest.raises(RprtError):
-        read_snapshot_rprt(GOLDEN_RPRT)
-
-
-def test_snapshot_schema_gate_still_applies(tmp_path):
-    doc = dict(_fake_bench_doc(), schema_version=0)
-    write_snapshot_rprt(doc, tmp_path / "old.rprt")
-    with pytest.raises(ValueError):
-        snapshot.load(tmp_path / "old.rprt", "bench")
+    """A trace container handed to ``--compare`` is one line naming it."""
+    for kind in ("bench", "hostperf"):
+        with pytest.raises(ValueError, match=re.escape(str(GOLDEN_RPRT))):
+            snapshot.load(GOLDEN_RPRT, kind)
