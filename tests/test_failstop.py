@@ -331,3 +331,55 @@ def test_killed_sentinel_shape():
     k = KilledRank(3, 1, 2.5e-4)
     assert (k.rank, k.incarnation, k.killed_at) == (3, 1, 2.5e-4)
     assert "rank=3" in repr(k)
+
+
+# ---------------------------------------------------------------------------
+# kills during a ring allgather's store-only exchange steps
+# ---------------------------------------------------------------------------
+
+def _ring_allgather_rank(comm):
+    data = np.full(256, float(comm.rank + 1), dtype=np.float32)
+    try:
+        out = yield from comm.allgather(data)
+    except CollectiveAbortedError as exc:
+        return exc.failed_ranks
+    return [float(b[0]) for b in out]
+
+
+#: (ranks, kill of rank 2) -> per-rank outcome (the aborting ranks'
+#: ``failed_ranks``, the gathered values, or ``"killed"``), the kill's
+#: time, sends, elapsed
+_RING_KILLS = {
+    (5, "after_sends=1"): (
+        [(2,), (2,), "killed", (2,), (2,)], 0.0, 10, 0.001001),
+    (5, "after_sends=2"): (
+        [(2,), [1.0, 2.0, 3.0, 4.0, 5.0], "killed", (2,), (2,)],
+        4.08704e-06, 14, 0.00100508704),
+    (6, "after_sends=3"): (
+        [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+         "killed", (2,), (2,), (2,)], 8.17408e-06, 24, 0.00100917408),
+    (5, "at_time=6e-06"): (
+        [(2,), [1.0, 2.0, 3.0, 4.0, 5.0], "killed", (2,), (2,)],
+        6e-06, 14, 0.001006),
+}
+
+
+@pytest.mark.parametrize("size,kill", list(_RING_KILLS))
+def test_kill_during_ring_allgather(size, kill):
+    """A kill lands between store-only ring steps: ``after_sends`` on a
+    send the ring issues after the first, ``at_time`` mid-ring.  The
+    victim ends as a ``KilledRank`` in its own process and every
+    survivor either completes or aborts over rank 2."""
+    name, value = kill.split("=")
+    spec = RankFailure(rank=2, **{name: (int(value) if name == "after_sends"
+                                         else float(value))})
+    res = Cluster(machine_preset("longhorn"), nodes=size,
+                  gpus_per_node=1).run(_ring_allgather_rank, config=DIS,
+                                       faults=FaultPlan(seed=1,
+                                                        rank_failures=(spec,)))
+    outcomes, killed_at, sends, elapsed = _RING_KILLS[(size, kill)]
+    assert ["killed" if isinstance(v, KilledRank) else v
+            for v in res.values] == outcomes
+    assert [(k.rank, k.killed_at) for k in res.killed] == [(2, killed_at)]
+    assert res.tracer.metrics.counter_total("mpi.sends") == sends
+    assert res.elapsed == elapsed
