@@ -13,10 +13,12 @@ codec identity — its name and *every* parameter it declares through
 instances that differ in any constructor argument never share an
 entry — then confirmed by an exact byte comparison against a reference
 copy stored with the entry, so a fingerprint collision can only ever
-cause a spurious miss — never a wrong result.  CRC-32 runs at memory
-speed (hardware CLMUL), which matters because the compress side hashes
-every outgoing send buffer.  Entries are LRU-bounded by total byte size
-(reference copies included).
+cause a spurious miss — never a wrong result.  CRC-32 is not free:
+zlib 1.2.13 computes it in software, at ~1.8 GiB/s on a 2-core VM where
+``ndarray.copy`` moves 3.5–5.4 GiB/s, so it is the dearest pass per
+byte — and the compress side hashes every outgoing send buffer (see
+``docs/performance.md``, "Data-plane passes").  Entries are LRU-bounded
+by total byte size (reference copies included).
 
 The decode memo works at **message granularity**: one entry per
 received wire payload — all its partitions — not one per partition.

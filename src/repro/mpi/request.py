@@ -2,7 +2,9 @@
 
 ``isend``/``irecv`` return a :class:`Request`; ``yield from
 request.wait()`` blocks the calling rank until completion.  Multiple
-processes may wait on the same request.
+processes may wait on the same request, and work that is one step per
+completion can be driven from the completion instead
+(:meth:`Request.notify`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ class Request:
     ``kind`` names the operation in diagnostics; with a ``peer`` it
     reads ``f"{kind}{peer}"`` (``"isend->3"``), formatted only when
     asked for — one request is made per message.
+
+    :meth:`complete` and :meth:`fail` trigger the waiters in the order
+    they were added, inside that call: an event that :meth:`wait`
+    yields (its process resumes one scheduler hop later), or a driver
+    given to :meth:`notify`, which schedules its next step at that same
+    hop instead of resuming a process (a collective's exchange steps,
+    see ``repro.mpi.collectives``).
     """
 
     __slots__ = ("sim", "_kind", "_peer", "data", "_done", "_failed",
@@ -86,6 +95,13 @@ class Request:
         self._waiters.append(ev)
         result = yield ev
         return result
+
+    def notify(self, waiter) -> None:
+        """Have the still-pending request call ``waiter.succeed(data)``
+        from :meth:`complete`, or ``waiter.fail(exc)`` then
+        ``waiter.defuse()`` from :meth:`fail` — what it does to the
+        event of a :meth:`wait`, in that event's place in the order."""
+        self._waiters.append(waiter)
 
     def completion_event(self):
         """An event that triggers when (or if already) the request
