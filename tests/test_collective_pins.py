@@ -330,94 +330,94 @@ PINS = {
 EVENTS = {
     '2x1/disabled':
         '12 12 8 12 12 20 20 12 '
-        '38 38 20 20 22 20 20 12',
+        '38 38 20 20 22 20 20 10',
     '2x1/mpc-opt':
         '50 50 8 46 50 96 20 46 '
-        '214 174 120 88 94 120 96 12',
+        '214 174 120 88 94 120 96 10',
     '2x1/mpc-opt-rehop':
         '46 46 8 46 46 88 20 46 '
-        '174 174 88 88 90 88 88 12',
+        '174 174 88 88 90 88 88 10',
     '2x1/zfp8':
         '28 28 8 26 28 50 20 26 '
-        '88 88 46 46 50 46 50 12',
+        '88 88 46 46 50 46 50 10',
     '2x1/naive-mpc':
         '31 31 8 27 31 58 20 27 '
-        '120 98 64 50 56 64 58 12',
+        '120 98 64 50 56 64 58 10',
     '3x1/disabled':
         '24 24 16 24 24 57 57 23 '
-        '118 118 44 118 57 33',
+        '118 118 44 118 57 27',
     '3x1/mpc-opt':
         '82 82 16 92 98 231 57 91 '
-        '537 519 170 537 285 33',
+        '537 519 170 537 285 27',
     '3x1/mpc-opt-rehop':
         '91 91 16 92 91 261 57 91 '
-        '519 519 179 519 261 33',
+        '519 519 179 519 261 27',
     '3x1/zfp8':
         '49 49 16 51 53 126 57 50 '
-        '258 258 93 258 144 33',
+        '258 258 93 258 144 27',
     '3x1/naive-mpc':
         '54 54 16 53 60 147 57 53 '
-        '312 291 104 312 171 33',
+        '312 291 104 312 171 27',
     '2x2/disabled':
         '33 36 21 35 36 118 118 34 '
-        '232 232 80 80 63 80 120 50',
+        '232 232 80 80 63 80 120 42',
     '2x2/mpc-opt':
         '110 113 21 135 146 430 118 136 '
-        '1016 1036 346 352 242 346 576 50',
+        '1016 1036 346 352 242 346 576 42',
     '2x2/mpc-opt-rehop':
         '136 136 21 135 136 520 118 136 '
-        '1036 1036 352 352 268 352 524 50',
+        '1036 1036 352 352 268 352 524 42',
     '2x2/zfp8':
         '66 69 21 73 78 242 118 74 '
-        '512 512 180 180 132 180 292 50',
+        '512 512 180 180 132 180 292 42',
     '2x2/naive-mpc':
         '73 76 21 79 89 276 118 79 '
-        '592 580 196 200 148 196 344 50',
+        '592 580 196 200 148 196 344 42',
     '5x1/disabled':
         '47 47 31 48 48 185 185 45 '
-        '373 373 87 373 185 80',
+        '373 373 87 373 185 65',
     '5x1/mpc-opt':
         '144 144 31 183 194 675 185 181 '
-        '1615 1725 320 1615 945 80',
+        '1615 1725 320 1615 945 65',
     '5x1/mpc-opt-rehop':
         '181 181 31 183 181 865 185 181 '
-        '1725 1725 357 1725 865 80',
+        '1725 1725 357 1725 865 65',
     '5x1/zfp8':
         '89 89 31 100 103 380 185 98 '
-        '850 850 178 850 470 80',
+        '850 850 178 850 470 65',
     '5x1/naive-mpc':
         '98 98 31 105 118 445 185 105 '
-        '960 965 198 960 565 80',
+        '960 965 198 960 565 65',
     '4x2/disabled':
         '77 83 49 85 86 540 540 78 '
-        '1072 1072 248 248 147 248 568 156',
+        '1072 1072 248 248 147 248 568 132',
     '4x2/mpc-opt':
         '232 237 49 321 338 1804 540 316 '
-        '2648 2696 903 1054 540 903 2696 156',
+        '2648 2696 903 1054 540 903 2696 132',
     '4x2/mpc-opt-rehop':
         '316 316 49 321 316 2416 540 316 '
-        '2696 2696 1048 1054 624 1048 2436 156',
+        '2696 2696 1048 1054 624 1048 2436 132',
     '4x2/zfp8':
         '144 150 49 175 178 1044 540 170 '
-        '2368 2368 528 528 299 528 1360 156',
+        '2368 2368 528 528 299 528 1360 132',
     '4x2/naive-mpc':
         '159 164 49 185 205 1192 540 183 '
-        '2592 2696 524 598 334 524 1604 156',
+        '2592 2696 524 598 334 524 1604 132',
     '3x3/disabled':
         '89 92 57 96 97 681 681 89 '
-        '1353 1353 169 1353 759 237',
+        '1353 1353 169 1353 759 201',
     '3x3/mpc-opt':
         '264 266 57 368 386 2283 681 361 '
-        '1353 1353 617 1353 3477 237',
+        '1353 1353 617 1353 3477 201',
     '3x3/mpc-opt-rehop':
         '361 361 57 368 361 3105 681 361 '
-        '1353 1353 713 1353 3140 237',
+        '1353 1353 713 1353 3140 201',
     '3x3/zfp8':
         '166 168 57 202 203 1320 681 194 '
-        '1353 1353 343 1353 1758 237',
+        '1353 1353 343 1353 1758 201',
     '3x3/naive-mpc':
         '180 184 57 211 234 1521 681 209 '
-        '1353 1353 380 1353 2073 237',
+        '1353 1353 380 1353 2073 201',
 }
 
 
