@@ -103,12 +103,6 @@ class Runtime:
         return self._seq
 
     # -- fail-stop plumbing ----------------------------------------------
-    def note_send(self, grank: int) -> None:
-        """Count a send against ``grank``'s ``after_sends`` bomb (may
-        raise :class:`~repro.mpi.failstop.RankKilled` in-frame)."""
-        if self.failstop is not None:
-            self.failstop.note_send(grank)
-
     def adopt(self, grank: int, proc) -> None:
         """Register a protocol/helper process (or an eager operation's
         handle) under its owning rank so a fail-stop kill can interrupt
