@@ -79,8 +79,7 @@ def cmd_codecs(args) -> None:
 def cmd_latency(args) -> None:
     from repro.omb import osu_latency
 
-    sizes = [parse_size(s) for s in args.sizes.split(",")]
-    rows = osu_latency(args.machine, sizes=sizes, config=_config(args.config),
+    rows = osu_latency(args.machine, sizes=args.sizes, config=_config(args.config),
                        payload=args.payload, inter_node=not args.intra)
     print(format_table(
         ["size", "latency_us"],
@@ -381,8 +380,7 @@ def cmd_chaos(args) -> None:
         decompress_corrupt_rate=args.decompress_corrupt_rate,
         rank_failures=tuple(rank_failures),
     )
-    sizes = tuple(parse_size(s) for s in args.sizes.split(","))
-    common = dict(machine=args.machine, sizes=sizes,
+    common = dict(machine=args.machine, sizes=tuple(args.sizes),
                   config=_config(args.config),
                   payload=args.payload, iterations=args.iters,
                   workload=args.workload, nodes=args.nodes,
@@ -416,6 +414,21 @@ def cmd_check(args) -> None:
         raise SystemExit(code)
 
 
+def _size(text: str) -> str:
+    """argparse type of ``--size``: the text once it parses (banners
+    print the size as given)."""
+    try:
+        parse_size(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return text
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type of ``--sizes``: a comma-separated list, in bytes."""
+    return [parse_size(_size(s)) for s in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -427,7 +440,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("latency")
     p.add_argument("--machine", default="longhorn")
     p.add_argument("--config", default="baseline")
-    p.add_argument("--sizes", default="256K,1M,4M")
+    p.add_argument("--sizes", default="256K,1M,4M", type=_sizes)
     p.add_argument("--payload", default="omb")
     p.add_argument("--intra", action="store_true")
 
@@ -436,7 +449,7 @@ def main(argv=None) -> int:
         p.add_argument("--machine", default="frontera-liquid")
         p.add_argument("--nodes", type=int, default=8)
         p.add_argument("--ppn", type=int, default=2)
-        p.add_argument("--size", default="4M")
+        p.add_argument("--size", default="4M", type=_size)
         p.add_argument("--dataset", default="msg_sppm")
         p.add_argument("--config", default="mpc-opt")
         p.add_argument("--rehop", action="store_true",
@@ -467,7 +480,7 @@ def main(argv=None) -> int:
     p.add_argument("--machine", default="longhorn")
     p.add_argument("--nodes", type=int, default=2)
     p.add_argument("--ppn", type=int, default=2)
-    p.add_argument("--size", default="2M")
+    p.add_argument("--size", default="2M", type=_size)
     p.add_argument("--config", default="mpc-opt")
     p.add_argument("--trace", default=None, metavar="TRACE",
                    help="profile an exported trace file (Chrome JSON or "
@@ -480,7 +493,7 @@ def main(argv=None) -> int:
     p.add_argument("--codec", default="mpc",
                    help="mpc | zfp | none, or any config name")
     p.add_argument("--machine", default="longhorn")
-    p.add_argument("--size", default="1M")
+    p.add_argument("--size", default="1M", type=_size)
     p.add_argument("--payload", default="omb")
     p.add_argument("--trace", default=None, metavar="TRACE",
                    help="explain an exported trace file (Chrome JSON or "
@@ -531,7 +544,7 @@ def main(argv=None) -> int:
     p.add_argument("--codec", default="mpc",
                    help="mpc | zfp | none, or any config name")
     p.add_argument("--machine", default="longhorn")
-    p.add_argument("--size", default="1M")
+    p.add_argument("--size", default="1M", type=_size)
     p.add_argument("--payload", default="omb")
     p.add_argument("--format", choices=("json", "rprt"), default=None,
                    help="export container (default: by --out extension, "
@@ -569,7 +582,7 @@ def main(argv=None) -> int:
     p.add_argument("--nodes", type=int, default=2)
     p.add_argument("--ppn", type=int, default=1,
                    help="ranks per node (collectives default to 2)")
-    p.add_argument("--sizes", default="256K,1M")
+    p.add_argument("--sizes", default="256K,1M", type=_sizes)
     p.add_argument("--payload", default="omb")
     p.add_argument("--iters", type=int, default=4)
     p.add_argument("--seed", type=int, default=1)

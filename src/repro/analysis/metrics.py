@@ -34,8 +34,7 @@ name                            kind     emitted by
 ``matching.unexpected_depth{rank}`` hist observed unexpected-queue depth
 ``faults.injected{kind}``       counter  :class:`repro.faults.FaultInjector` —
                                          one per fired fault (``corrupt``,
-                                         ``drop``, ``degrade``, ``flap_wait``,
-                                         ``oom``, ``pool_exhausted``,
+                                         ``drop``, ``oom``, ``pool_exhausted``,
                                          ``compress_fail``,
                                          ``decompress_corrupt``)
 ``resilience.<event>``          counter  :class:`repro.mpi.cluster.Runtime` —

@@ -2,7 +2,7 @@
 
 A :class:`FaultInjector` binds a :class:`~repro.faults.plan.FaultPlan`
 to a :class:`~repro.sim.Simulator` (``sim.faults``).  Instrumented
-sites — links, topology, device allocator, buffer pools, the
+sites — payload delivery, the device allocator, buffer pools, the
 compression engine's codec calls — ask it whether to fail, and every
 fired fault emits a zero-duration span on the ``faults`` track plus a
 ``faults.injected`` counter, so a chaos run is fully auditable from its
@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.sim.trace import CURRENT
 from repro.utils.integrity import flip_bit
 
 __all__ = ["FaultInjector", "DROPPED"]
@@ -52,14 +51,13 @@ class FaultInjector:
     def _draw(self, rate: float) -> bool:
         return rate > 0.0 and self._active() and self._rng.random() < rate
 
-    def emit(self, kind: str, rank: Optional[int] = None, parent=CURRENT,
-             **meta) -> None:
+    def emit(self, kind: str, rank: Optional[int] = None, **meta) -> None:
         """Record one fired fault: zero-duration span + counter."""
         tracer = self.sim.tracer
         if tracer is not None:
             now = self.sim.now
             tracer.span(now, now, "faults", kind, rank=rank, track="faults",
-                        parent=parent, **meta)
+                        **meta)
             tracer.metrics.inc("faults.injected", kind=kind)
 
     # -- wire faults ----------------------------------------------------
@@ -77,36 +75,6 @@ class FaultInjector:
     def corrupt_payload(self, payload):
         """A copy of ``payload`` with one RNG-chosen bit flipped."""
         return flip_bit(payload, int(self._rng.integers(0, 1 << 62)))
-
-    # -- link faults ----------------------------------------------------
-    def _targets(self, labels) -> bool:
-        if self.plan.link_targets is None:
-            return True
-        return any(lbl in self.plan.link_targets for lbl in labels)
-
-    def extra_wire_delay(self, labels, base_duration: float,
-                         parent=CURRENT) -> float:
-        """Additional seconds a transfer over ``labels`` must hold the
-        link(s): flap outage wait plus degradation stretch.  ``parent``
-        is the span the fault records nest under when the transfer is
-        not driven by a process."""
-        plan = self.plan
-        extra = 0.0
-        if not self._active() or not self._targets(labels):
-            return 0.0
-        if plan.flap_down > 0.0:
-            into_window = self.sim.now % plan.flap_period
-            if into_window < plan.flap_down:
-                wait = plan.flap_down - into_window
-                self.emit("flap_wait", parent=parent, links=tuple(labels),
-                          wait=wait)
-                extra += wait
-        if self._draw(plan.degrade_rate):
-            stretch = base_duration * (plan.degrade_factor - 1.0)
-            self.emit("degrade", parent=parent, links=tuple(labels),
-                      extra=stretch)
-            extra += stretch
-        return extra
 
     # -- gpu faults -----------------------------------------------------
     def should_fail_malloc(self, device_id: int, nbytes: int) -> bool:

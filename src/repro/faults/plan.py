@@ -13,11 +13,6 @@ wire
     ``corrupt_rate`` flips one bit of a DATA payload per fabric
     crossing; ``drop_rate`` loses the payload entirely (the bytes still
     burn wire time — the transfer happened, the packet didn't survive).
-link
-    ``degrade_rate``/``degrade_factor`` stretch a transfer's
-    serialization time (congestion, retraining); ``flap_period``/
-    ``flap_down`` take links down for the first ``flap_down`` seconds of
-    every ``flap_period`` window (transfers wait out the outage).
 gpu
     ``oom_rate`` fails ``cudaMalloc`` with a transient
     :class:`~repro.errors.OutOfDeviceMemoryError`; ``pool_fail_rate``
@@ -27,11 +22,6 @@ compression
     ``compress_fail_rate`` makes a compressor kernel raise;
     ``decompress_corrupt_rate`` silently flips a bit in decompressed
     output (a round-trip mismatch only an integrity check can catch).
-
-``link_targets`` restricts link faults to specific link labels, and
-``active_after``/``active_until`` bound the time window in which any
-fault can fire.
-
 fail-stop
     ``rank_failures`` is a tuple of :class:`RankFailure` specs, each
     killing one rank either at an absolute simulated time
@@ -39,6 +29,9 @@ fail-stop
     killed rank never runs again; survivors detect the death through
     the failure detector in :mod:`repro.mpi.comm` and recover with
     ULFM-style revoke/agree/shrink (see ``docs/resilience.md``).
+
+``active_after``/``active_until`` bound the time window in which any
+fault can fire.
 """
 
 from __future__ import annotations
@@ -52,7 +45,7 @@ from repro.errors import ConfigError
 __all__ = ["FaultPlan", "RankFailure"]
 
 _RATE_FIELDS = (
-    "corrupt_rate", "drop_rate", "degrade_rate",
+    "corrupt_rate", "drop_rate",
     "oom_rate", "pool_fail_rate",
     "compress_fail_rate", "decompress_corrupt_rate",
 )
@@ -110,12 +103,6 @@ class FaultPlan:
     # -- wire faults (DATA payloads only) -------------------------------
     corrupt_rate: float = 0.0
     drop_rate: float = 0.0
-    # -- link faults ----------------------------------------------------
-    degrade_rate: float = 0.0
-    degrade_factor: float = 4.0
-    flap_period: float = 0.0
-    flap_down: float = 0.0
-    link_targets: Optional[tuple] = None
     # -- gpu faults -----------------------------------------------------
     oom_rate: float = 0.0
     pool_fail_rate: float = 0.0
@@ -133,22 +120,9 @@ class FaultPlan:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.degrade_factor < 1.0:
-            raise ConfigError(
-                f"degrade_factor must be >= 1, got {self.degrade_factor}")
-        if self.flap_period < 0.0 or self.flap_down < 0.0:
-            raise ConfigError("flap_period and flap_down must be >= 0")
-        if self.flap_down > 0.0 and self.flap_period <= 0.0:
-            raise ConfigError("flap_down needs a positive flap_period")
-        if self.flap_down >= self.flap_period > 0.0:
-            raise ConfigError(
-                f"flap_down ({self.flap_down}) must be shorter than "
-                f"flap_period ({self.flap_period}) or the link never recovers")
         if self.active_after < 0.0 or self.active_until < self.active_after:
             raise ConfigError(
                 f"invalid active window [{self.active_after}, {self.active_until}]")
-        if self.link_targets is not None:
-            object.__setattr__(self, "link_targets", tuple(self.link_targets))
         if self.rank_failures is not None:
             kills = tuple(self.rank_failures)
             for k in kills:
@@ -160,14 +134,14 @@ class FaultPlan:
             if dupes:
                 raise ConfigError(
                     f"rank_failures: duplicate kill specs for rank(s) {dupes}")
-            object.__setattr__(self, "rank_failures", kills)
+            # An empty kill list is no kill list (describe() omits it).
+            object.__setattr__(self, "rank_failures", kills or None)
 
     @property
     def is_zero(self) -> bool:
         """True when no fault can ever fire (a zero-rate plan must be
         indistinguishable from having no fault plane installed)."""
         return (all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
-                and self.flap_down == 0.0
                 and not self.has_rank_failures)
 
     @property

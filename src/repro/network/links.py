@@ -87,10 +87,8 @@ class Transfer:
 
     A free link is taken on the spot; only a busy one queues a request
     event, so an uncontended transfer is a single scheduler entry.  Once
-    every link is held the fault plane is asked for extra hold time
-    (flap outages, degradation — which queue everything behind), the
-    wire timer runs, the links are released and the ``network`` span and
-    ``wire.*`` metrics are recorded.
+    every link is held the wire timer runs, the links are released and
+    the ``network`` span and ``wire.*`` metrics are recorded.
 
     Two drivers share those steps: :meth:`run` is the generator a
     protocol process delegates to, :meth:`start` drives them from
@@ -133,17 +131,6 @@ class Transfer:
                 reqs[i] = res.request()
         self._reqs = reqs
         return reqs
-
-    def _hold_time(self) -> float:
-        """Every link is held: stamp the span start, consult the fault
-        plane (one seeded draw per transfer, at grant time)."""
-        self.t0 = self.sim._now
-        duration = self.duration
-        faults = self.sim.faults
-        if faults is not None:
-            duration += faults.extra_wire_delay(
-                tuple(l.label for l in self.links), duration, self.parent)
-        return duration
 
     def _release(self) -> None:
         """Free held links and withdraw queued requests, so an unwound
@@ -190,7 +177,8 @@ class Transfer:
                 for req in reqs:
                     if req is not None:
                         yield req
-            yield self.sim.timeout(self._hold_time())
+            self.t0 = self.sim._now  # every link is held
+            yield self.sim.timeout(self.duration)
         finally:
             self._release()
         tracer = self.sim.tracer
@@ -217,7 +205,8 @@ class Transfer:
             self._begin()
 
     def _begin(self) -> None:
-        self._timer = self.sim.call_later(self._hold_time(), self._finish)
+        self.t0 = self.sim._now  # every link is held
+        self._timer = self.sim.call_later(self.duration, self._finish)
 
     def _finish(self, _event) -> None:
         self._timer = None

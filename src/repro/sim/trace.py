@@ -25,8 +25,10 @@ kernel launched on a worker process still nests under the
 
 Two APIs coexist:
 
-* ``begin()`` / ``end()`` (or the ``open_span()`` context manager) for
-  hierarchical steps that enclose other work across ``yield``\\ s;
+* ``begin()`` / ``end()`` for hierarchical steps that enclose other work
+  across ``yield``\\ s — the :class:`SpanHandle` ``begin()`` returns is
+  itself the context manager that ``open_span()`` / :func:`trace_scope`
+  hand to a ``with``;
 * ``span(t0, t1, ...)`` for retroactive leaf records — the pattern used
   throughout the device and network layers.
 
@@ -36,9 +38,9 @@ measurements, so metrics are provably consistent with the spans (the
 property tests assert exactly that).
 
 Closed spans are held as **columns** (:class:`SpanColumns`), the layout
-the RPRT container stores: recording a span appends nine numbers, and
-:class:`TraceRecord` objects exist only once somebody reads
-``tracer.records``.
+the RPRT container stores: recording a span appends nine numbers and
+returns nothing, and :class:`TraceRecord` objects exist only once
+somebody reads ``tracer.records``.
 
 Reading is a separate object: :class:`Trace` (``Trace.of(tracer)``, or
 :func:`repro.analysis.traceio.load_trace_records` for a file) holds the
@@ -245,35 +247,21 @@ class SpanColumns:
             self.strings, self.metas)
 
 
-class _RowRecord:
-    """What :meth:`Tracer.span`/:meth:`Tracer.end` return: the record of
-    the row just appended, decoded from the columns when a field is
-    first asked for — instrumentation sites discard it."""
-
-    __slots__ = ("_spans", "_row")
-
-    def __init__(self, spans: SpanColumns, row: int):
-        self._spans = spans
-        self._row = row
-
-    def _record(self) -> TraceRecord:
-        return self._spans.records(self._row, self._row + 1)[0]
-
-    def __getattr__(self, name: str):
-        return getattr(self._record(), name)
-
-    def __eq__(self, other) -> bool:
-        return self._record() == other
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(self._record())
-
-
 class SpanHandle:
-    """An open (not yet recorded) span returned by :meth:`Tracer.begin`."""
+    """An open (not yet recorded) span returned by :meth:`Tracer.begin`,
+    and the context manager that ends it: ``with tracer.open_span(...)``
+    leaves the span recorded unless the body already ended it."""
 
     __slots__ = ("span_id", "t_start", "category", "label", "rank", "track",
-                 "meta", "parent_id", "open", "_ctx")
+                 "meta", "parent_id", "open", "_ctx", "_tracer")
+
+    def __enter__(self) -> "SpanHandle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.open:
+            self._tracer.end(self)
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.open else "closed"
@@ -393,6 +381,7 @@ class Tracer:
         h.parent_id = parent.span_id if parent is not None else None
         h.open = True
         h._ctx = ctx
+        h._tracer = self
         stack = self._stacks.get(ctx)
         if stack is None:
             self._stacks[ctx] = [h]
@@ -401,14 +390,14 @@ class Tracer:
         return h
 
     def end(self, handle: Optional[SpanHandle], t: Optional[float] = None,
-            **extra_meta) -> Optional[_RowRecord]:
+            **extra_meta) -> None:
         """Close a span opened with :meth:`begin` and record it.
 
         ``None`` handles are accepted and ignored so call sites can stay
         unconditional when no tracer was attached at begin time.
         """
         if handle is None:
-            return None
+            return
         if not handle.open:
             raise ValueError(f"span {handle.span_id} already ended")
         t_end = self._time(t)
@@ -431,19 +420,18 @@ class Tracer:
         meta = handle.meta
         if extra_meta:
             meta.update(extra_meta)
-        spans = self.columns
-        spans.append(handle.t_start, t_end, handle.category, handle.label,
-                     meta, handle.rank, handle.track, handle.span_id,
-                     handle.parent_id)
-        return _RowRecord(spans, len(spans) - 1)
+        self.columns.append(handle.t_start, t_end, handle.category,
+                            handle.label, meta, handle.rank, handle.track,
+                            handle.span_id, handle.parent_id)
 
-    def open_span(self, category: str, label: str = "", **kw):
-        """``with tracer.open_span("pipeline", "rts", rank=0): ...``"""
-        return _SpanCtx(self, category, label, kw)
+    def open_span(self, category: str, label: str = "", **kw) -> SpanHandle:
+        """``with tracer.open_span("pipeline", "rts", rank=0): ...`` —
+        :meth:`begin` now; the handle ends the span on leaving."""
+        return self.begin(category, label, **kw)
 
     def span(self, t_start: float, t_end: float, category: str, label: str = "",
              *, rank: Optional[int] = None, track: Optional[str] = None,
-             parent: Any = CURRENT, **meta) -> _RowRecord:
+             parent: Any = CURRENT, **meta) -> None:
         """Record a closed interval (leaf span).  The parent is the
         innermost span still open in the current process, or the given
         ``parent`` handle if that is still open."""
@@ -453,10 +441,9 @@ class Tracer:
             parent = self.current_span()
         elif parent is not None and not parent.open:
             parent = None
-        spans = self.columns
-        spans.append(t_start, t_end, category, label, meta, rank, track,
-                     next(self._ids), parent.span_id if parent else None)
-        return _RowRecord(spans, len(spans) - 1)
+        self.columns.append(t_start, t_end, category, label, meta, rank,
+                            track, next(self._ids),
+                            parent.span_id if parent else None)
 
     # -- aggregation --------------------------------------------------------
     def total(self, category: Optional[str] = None) -> float:
@@ -496,8 +483,6 @@ class Tracer:
         return out
 
     def clear(self) -> None:
-        # A new store, not an emptied one: a record :meth:`span` or
-        # :meth:`end` returned earlier keeps reading the rows it named.
         self.columns = SpanColumns()
         self._records.clear()
         if self._sim is not None:
@@ -505,31 +490,6 @@ class Tracer:
         self._stacks.clear()
         self._inherited.clear()
         self.metrics.clear()
-
-
-class _SpanCtx:
-    """Lightweight context manager behind :meth:`Tracer.open_span` —
-    the generator-based ``@contextmanager`` costs a generator plus two
-    protocol calls per span, which adds up on the hot pipeline path."""
-
-    __slots__ = ("_tracer", "_category", "_label", "_kw", "handle")
-
-    def __init__(self, tracer: Tracer, category: str, label: str, kw: dict):
-        self._tracer = tracer
-        self._category = category
-        self._label = label
-        self._kw = kw
-        self.handle: Optional[SpanHandle] = None
-
-    def __enter__(self) -> SpanHandle:
-        self.handle = self._tracer.begin(self._category, self._label, **self._kw)
-        return self.handle
-
-    def __exit__(self, exc_type, exc, tb):
-        h = self.handle
-        if h is not None and h.open:
-            self._tracer.end(h)
-        return False
 
 
 class Message:
@@ -713,7 +673,7 @@ def trace_scope(sim, category: str, label: str = "", **kw):
     tracer = getattr(sim, "tracer", None)
     if tracer is None:
         return _NO_TRACER
-    return tracer.open_span(category, label, **kw)
+    return tracer.begin(category, label, **kw)
 
 
 #: shared no-op context for untraced sims (nullcontext is reentrant).

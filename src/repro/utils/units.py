@@ -47,37 +47,30 @@ def us(x: float) -> float:
     return x * 1e-6
 
 
-_SIZE_RE = re.compile(r"^\s*([\d.]+)\s*([KMG]i?)?B?\s*$", re.IGNORECASE)
-_SIZE_MULT = {
-    None: 1,
-    "K": KB, "M": MB, "G": GB,
-    "KI": KiB, "MI": MiB, "GI": GiB,
-}
+_SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d*)?|\.\d+)\s*([KMG]i?)?B?\s*$",
+                      re.IGNORECASE)
+_SIZE_MULT = {"K": KiB, "M": MiB, "G": GiB}
 
 
 def parse_size(text: str | int) -> int:
-    """Parse '4M', '256Ki', '512KiB', 4096 -> bytes.
+    """Parse '4M', '256Ki', '512KiB', '0.5M', 4096 -> bytes.
 
-    Bare K/M/G suffixes are interpreted as *binary* multiples to match
-    OSU-benchmark conventions ('4M' message = 4 MiB), while explicit
-    'KiB'/'MiB' are binary and digits-only strings are literal bytes.
+    K/M/G suffixes, bare or with 'i', are *binary* multiples to match
+    OSU-benchmark conventions ('4M' message = 4 MiB), and digits-only
+    strings are literal bytes.  Anything that is not a whole,
+    non-negative number of bytes ('1.5', '0.3K', -4) is a ValueError.
     """
     if isinstance(text, int):
-        return text
-    m = _SIZE_RE.match(text)
-    if not m:
-        raise ValueError(f"unparseable size: {text!r}")
-    num = float(m.group(1))
-    suffix = m.group(2)
-    if suffix is None:
-        return int(num)
-    suffix = suffix.upper()
-    if len(suffix) == 1:
-        # OSU convention: bare suffix means binary.
-        mult = {"K": KiB, "M": MiB, "G": GiB}[suffix]
+        n = text
     else:
-        mult = _SIZE_MULT[suffix]
-    return int(num * mult)
+        m = _SIZE_RE.match(text)
+        if not m:
+            raise ValueError(f"unparseable size: {text!r}")
+        suffix = m.group(2)
+        n = float(m.group(1)) * (_SIZE_MULT[suffix[0].upper()] if suffix else 1)
+    if n < 0 or n != int(n):
+        raise ValueError(f"not a whole number of bytes: {text!r}")
+    return int(n)
 
 
 def fmt_bytes(n: int) -> str:

@@ -127,6 +127,32 @@ def test_chaos(capsys):
     assert "chaos sweep" in out and "all payloads verified" in out
 
 
+def test_chaos_banner_names_only_the_plans_knobs(capsys):
+    """A run without --kill-rank has no kill list to print."""
+    assert main(["chaos", "--sizes", "256K", "--iters", "1"]) == 0
+    banner = capsys.readouterr().out.splitlines()[0]
+    assert banner == "chaos sweep under seed=1 corrupt_rate=0.05"
+
+
+@pytest.mark.parametrize("argv", [
+    ["latency", "--sizes", "4X"],
+    ["latency", "--sizes", "256K,1.2.3M"],
+    ["chaos", "--sizes", "1.5"],
+    ["allgather", "--size", "0.3K"],
+    ["profile", "--size", "-4"],
+    ["trace", "latency", "--size", "1.5"],
+    ["explain", "--size", "4X"],
+])
+def test_malformed_sizes_are_usage_errors(argv, capsys):
+    """Every size flag reports a bad value as a usage error (exit 2)
+    naming it, before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and repr(argv[-1].split(",")[-1]) in err
+
+
 def test_chaos_with_drops(capsys):
     assert main(["chaos", "--sizes", "256K", "--iters", "2", "--seed", "2",
                  "--corrupt-rate", "0.1", "--drop-rate", "0.1",

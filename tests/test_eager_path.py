@@ -129,32 +129,6 @@ def test_uncontended_eager_message_constructs_no_process_timeout_or_request(
     assert made == {Process: 2, Timeout: 0, _Request: 0}
 
 
-# -- link faults ------------------------------------------------------------------
-
-FLAKY_LINKS = FaultPlan(seed=7, degrade_rate=0.3, degrade_factor=3.0,
-                        flap_period=40e-6, flap_down=5e-6)
-
-#: per-rank completion times of the generator protocol under FLAKY_LINKS
-FLAKY_TIMES = [
-    0.000200838431372549, 0.00019019999999999993,
-    0.00018585333333333328, 0.00018585333333333328,
-    0.0001997733333333333, 0.00020411999999999996,
-    0.00021804000000000002, 0.00021804000000000002,
-]
-
-
-@pytest.mark.parametrize("trace", [False, True])
-def test_eager_under_link_faults_keeps_times_and_draw_sequence(trace):
-    """Degradation draws from the seeded injector at grant time; equal
-    times mean the draws still happen in the same order."""
-    res = shared_bus_cluster().run(barrier_then_allgather, trace=trace,
-                                   faults=FLAKY_LINKS)
-    assert res.values == FLAKY_TIMES
-    if trace:
-        assert len(res.tracer.records) == 129
-        assert fingerprint(res.tracer) == "cbd31db089160a64"
-
-
 # -- fail-stop ---------------------------------------------------------------------
 
 def test_kill_with_eager_sends_queued_on_a_shared_hca():

@@ -25,6 +25,8 @@ from repro.faults.chaos import run_chaos
 from repro.gpu.pool import BufferPool, SizeClassBufferPool
 from repro.gpu.spec import DeviceSpec
 from repro.mpi.cluster import Cluster
+from repro.mpi.matching import MatchingEngine
+from repro.mpi.message import Data
 from repro.mpi.resilience import (BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_MAX,
                                    JITTER, CircuitBreaker, ResilienceConfig)
 from repro.network.presets import machine_preset
@@ -76,15 +78,22 @@ def assert_bit_exact(res, payloads):
     dict(corrupt_rate=1.5),
     dict(drop_rate=-0.1),
     dict(decompress_corrupt_rate=2.0),
-    dict(degrade_factor=0.5),
-    dict(flap_down=1.0),                    # flap_down without a period
-    dict(flap_period=1.0, flap_down=1.0),   # down >= period: never recovers
+    dict(oom_rate=1.5),
+    dict(pool_fail_rate=-0.1),
+    dict(compress_fail_rate=2.0),
     dict(active_after=-1.0),
     dict(active_after=2.0, active_until=1.0),
 ])
 def test_fault_plan_validation(kwargs):
     with pytest.raises(ConfigError):
         FaultPlan(**kwargs)
+
+
+def test_empty_kill_list_is_no_kill_list():
+    plan = FaultPlan(seed=2, corrupt_rate=0.1, rank_failures=())
+    assert plan.rank_failures is None and plan.is_zero is False
+    assert plan.describe() == "seed=2 corrupt_rate=0.1"
+    assert FaultPlan(rank_failures=[]) == FaultPlan()
 
 
 def test_fault_plan_predicates():
@@ -226,8 +235,6 @@ def test_recovers_from_payload_drop():
                  id="mpc-opt-pipelined-drop"),
     pytest.param(CompressionConfig.disabled(),
                  FaultPlan(seed=3, drop_rate=0.3), id="disabled-drop"),
-    pytest.param(MPC, FaultPlan(seed=4, degrade_rate=0.5, degrade_factor=50.0),
-                 id="mpc-opt-degrade"),
 ])
 def test_retired_messages_leave_no_data_waiters(config, plan):
     """A DATA waiter whose attempt timed out is withdrawn when its
@@ -238,6 +245,17 @@ def test_retired_messages_leave_no_data_waiters(config, plan):
     res, payloads = run_pt2pt(config=config, faults=plan, payloads=[x] * 8)
     assert_bit_exact(res, payloads)
     assert res.runtime.matching_report() == "all ranks idle"
+
+
+def test_retired_retry_drops_its_late_delivery(sim):
+    """The DATA of a retry that arrives after its message retired (the
+    waiter was withdrawn) is dropped, not parked as an early packet."""
+    m = MatchingEngine(sim, 1)
+    m.expect_data(5, 0, 1)
+    m.withdraw_data(5)
+    m.deliver_data(Data(0, 5, 0, 1, np.zeros(4, np.float32)))
+    assert m.idle
+    assert "early" not in m.diagnostics()
 
 
 def test_recovers_from_transient_oom_and_pool_exhaustion():
@@ -305,23 +323,6 @@ def test_registry_has_no_fault_hook_and_no_state_set_by_a_run():
         faults=FaultPlan(seed=1, compress_fail_rate=0.5,
                          decompress_corrupt_rate=0.5))
     assert res.values == [True, True]
-
-
-def test_link_degradation_slows_but_delivers():
-    clean, payloads = run_pt2pt(payloads=None)
-    slow, _ = run_pt2pt(
-        payloads=payloads,
-        faults=FaultPlan(seed=7, degrade_rate=1.0, degrade_factor=8.0))
-    assert_bit_exact(slow, payloads)
-    assert slow.tracer.metrics.counter("faults.injected", kind="degrade") > 0
-    assert slow.elapsed > clean.elapsed
-
-
-def test_link_flapping_waits_out_outages():
-    res, payloads = run_pt2pt(
-        faults=FaultPlan(seed=8, flap_period=200e-6, flap_down=50e-6))
-    assert_bit_exact(res, payloads)
-    assert res.tracer.metrics.counter("faults.injected", kind="flap_wait") > 0
 
 
 def test_retry_exhaustion_raises_integrity_error():

@@ -79,7 +79,8 @@ def test_tracer_attaches_to_simulator():
 def test_begin_end_explicit_times():
     tr = Tracer()
     h = tr.begin("pipeline", "rts", rank=2, track="main", t=1.0, seq=5)
-    rec = tr.end(h, t=2.5, dst=1)
+    tr.end(h, t=2.5, dst=1)
+    rec = tr.records[-1]
     assert rec.duration == pytest.approx(1.5)
     assert rec.rank == 2 and rec.track == "main"
     assert rec.meta == {"seq": 5, "dst": 1}
@@ -117,9 +118,11 @@ def test_detached_tracer_needs_explicit_time():
 def test_retroactive_span_nests_under_open():
     tr = Tracer()
     outer = tr.begin("pipeline", "sender_prepare", t=0.0)
-    leaf = tr.span(0.2, 0.5, "kernel", "mpc")
+    tr.span(0.2, 0.5, "kernel", "mpc")
+    leaf = tr.records[-1]
     inner = tr.begin("pipeline", "inner", t=0.6)
-    leaf2 = tr.span(0.7, 0.8, "kernel", "mpc2")
+    tr.span(0.7, 0.8, "kernel", "mpc2")
+    leaf2 = tr.records[-1]
     tr.end(inner, t=0.9)
     tr.end(outer, t=1.0)
     assert leaf.parent_id == outer.span_id
@@ -139,7 +142,8 @@ def test_spans_parent_within_sim_processes():
 
     def child(sim):
         yield sim.timeout(0.5)
-        got["child_leaf"] = tr.span(sim.now - 0.1, sim.now, "kernel", "k")
+        tr.span(sim.now - 0.1, sim.now, "kernel", "k")
+        got["child_leaf"] = tr.records[-1]
 
     def parent(sim):
         with tr.open_span("pipeline", "outer", rank=0) as h:
@@ -149,7 +153,8 @@ def test_spans_parent_within_sim_processes():
 
     def bystander(sim):
         yield sim.timeout(1.0)
-        got["stranger"] = tr.span(sim.now - 0.1, sim.now, "kernel", "other")
+        tr.span(sim.now - 0.1, sim.now, "kernel", "other")
+        got["stranger"] = tr.records[-1]
 
     sim.process(parent(sim))
     sim.process(bystander(sim))
@@ -174,9 +179,10 @@ def test_span_explicit_parent_outside_any_process():
     outer = tr.begin("app", "outer")
     brief = tr.begin("app", "brief")
     tr.end(brief)
-    a = tr.span(0.0, 0.0, "network", "a", parent=outer)
-    b = tr.span(0.0, 0.0, "network", "b", parent=brief)  # closed by now
-    c = tr.span(0.0, 0.0, "network", "c", parent=None)
+    tr.span(0.0, 0.0, "network", "a", parent=outer)
+    tr.span(0.0, 0.0, "network", "b", parent=brief)  # closed by now
+    tr.span(0.0, 0.0, "network", "c", parent=None)
+    a, b, c = tr.records[-3:]
     assert (a.parent_id, b.parent_id, c.parent_id) == (outer.span_id, None, None)
 
 

@@ -415,22 +415,6 @@ def test_records_cache():
     assert [r.category for r in tr.records] == ["d"]
 
 
-def test_returned_record_reads_the_columns():
-    tr = Tracer()
-    outer = tr.begin("pipeline", "outer", rank=1, t=0.0, seq=4)
-    leaf = tr.span(0.25, 0.5, "kernel", "k", rank=1, track="stream0")
-    rec = tr.end(outer, t=1.0, dst=2)
-    assert (leaf.parent_id, leaf.track, leaf.duration) == \
-        (outer.span_id, "stream0", 0.25)
-    assert rec.meta == {"seq": 4, "dst": 2} and rec.span_id == outer.span_id
-    assert tr.records == [leaf, rec] and rec == tr.records[1]
-    # ... of the store it was appended to, whatever the tracer does next
-    tr.clear()
-    tr.span(7.0, 8.0, "other")
-    assert (leaf.category, leaf.t_start, rec.meta) == \
-        ("kernel", 0.25, {"seq": 4, "dst": 2})
-
-
 # -- the tracer lets go of finished processes --------------------------------
 
 def _three_message_kinds(comm):

@@ -1,5 +1,7 @@
 """Unit tests for units and table formatting."""
 
+import re
+
 import pytest
 
 from repro.utils import (
@@ -53,6 +55,20 @@ def test_parse_size(text, expected):
 def test_parse_size_invalid():
     with pytest.raises(ValueError):
         parse_size("4Q")
+
+
+@pytest.mark.parametrize("text", ["1.5", "0.3K", ".1K", -4, "1.2.3M", "-4K"])
+def test_parse_size_rejects_what_is_not_a_whole_byte_count(text):
+    """A fraction of a byte or a negative size is an error naming the
+    text, not a silently truncated count or float()'s own message."""
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_size(text)
+
+
+def test_parse_size_takes_whole_fractions_of_a_unit():
+    assert parse_size("0.5M") == 524288
+    assert parse_size("1.25KiB") == 1280
+    assert parse_size(0) == 0
 
 
 def test_fmt_bytes_osu_labels():
