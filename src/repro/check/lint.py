@@ -19,8 +19,8 @@ RPR003    builtin ``hash()`` — salted per process by PYTHONHASHSEED
 RPR004    ``id()`` feeding keys or ordering (dict keys, subscripts,
           ``sorted``/``min``/``max``/``.sort`` arguments) — address
           reuse makes these unstable across runs
-RPR005    ``os.environ`` / ``os.getenv`` reads outside the documented
-          config entry points (:mod:`repro.core.envconfig`)
+RPR005    ``os.environ`` / ``os.getenv`` reads: no run's outcome may
+          depend on ambient process state, so there is no gateway
 RPR006    iterating a set expression (set literal/comprehension,
           ``set()``/``frozenset()`` call) without ``sorted()`` — the
           iteration order feeds trace/snapshot output nondeterminism
@@ -61,7 +61,7 @@ RULES = {
     "RPR002": "unseeded module-level RNG call (random.* / np.random.*)",
     "RPR003": "builtin hash() is salted per process (PYTHONHASHSEED)",
     "RPR004": "id() used in keys/ordering is unstable across runs",
-    "RPR005": "os.environ read outside a documented config entry point",
+    "RPR005": "os.environ read (no environment reads in src)",
     "RPR006": "unordered set iteration (wrap in sorted())",
     "RPR007": "assert for runtime validation is stripped under -O (raise instead)",
     "RPR008": "unseeded numpy.random call through an import alias",

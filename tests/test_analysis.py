@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.scorecard import reduction_pct
+from repro.analysis.bench import reduction_pct
 
 
 def test_reduction_pct():

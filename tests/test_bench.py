@@ -43,20 +43,23 @@ def test_histogram_percentile_edges():
 # -- snapshot collection ----------------------------------------------------
 
 def test_scenario_matrix_shape():
-    names = [s.name for s in bench.scenario_matrix(quick=True)]
+    names = [s.name for s in bench.scenario_matrix()]
     assert len(names) == len(set(names))
-    kinds = {s.kind for s in bench.scenario_matrix(quick=True)}
+    kinds = {s.kind for s in bench.scenario_matrix()}
     assert kinds == {"pt2pt", "collective", "awp", "chaos"}
     for cfg in bench.PT2PT_CONFIGS:
         assert f"pt2pt/{cfg}" in names
+    assert set(bench.QUICK_SIZES) <= set(bench.SWEEP)
 
 
-def test_sweep_sizes_shared_with_benchmarks():
-    # benchmarks/_common.py must read its sweep from here (one source
-    # of truth); sanity-check the canonical values
-    assert bench.sweep_sizes(full=False)[0] == 256 * 1024
-    assert bench.sweep_sizes(full=True)[-1] == 32 * 1024 * 1024
-    assert set(bench.QUICK_SIZES) <= set(bench.sweep_sizes(full=False))
+def test_entry_config_applies_its_with_dict():
+    cfg = bench._config({"config": "mpc-opt", "with": {"use_gdrcopy": False}})
+    assert cfg == bench.named_config("mpc-opt").with_(use_gdrcopy=False)
+    quick = bench._config({"config": "mpc-opt", "keep_compressed": False})
+    assert not quick.keep_compressed
+    for entry in bench.paper_matrix():  # every variant is a valid config
+        if "config" in entry.params:
+            bench._config(entry.params)
 
 
 def test_named_config_vocabulary():

@@ -123,6 +123,9 @@ def test_feature_table_matches_table1():
     mpi_col = [r[7] for r in rows]
     assert mpi_col[-2:] == ["yes", "yes"]
     assert mpi_col[4:8] == ["no", "no", "no", "no"]  # GFC/MPC/SZ/ZFP
+    by_name = {r[0]: r for r in rows}
+    assert [by_name[n][7] for n in ("Proposed MPC-OPT", "Proposed ZFP-OPT",
+                                    "MPC", "ZFP")] == ["yes", "yes", "no", "no"]
 
 
 # -- perf models ---------------------------------------------------------------

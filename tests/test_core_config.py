@@ -1,8 +1,5 @@
 """Unit tests for CompressionConfig and the partition tuner."""
 
-import importlib
-from pathlib import Path
-
 import pytest
 
 from repro.compression.perfmodel import MPC_V100
@@ -87,19 +84,36 @@ def test_partition_schedule_boundaries():
     assert partitions_for_message(4 * MiB + 1) == 8
 
 
-@pytest.fixture
-def sweep_partitions(monkeypatch):
-    """The tuning sweep lives with its one caller, the partitions
-    ablation benchmark."""
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "benchmarks"))
-    return importlib.import_module("bench_ablation_partitions").sweep_partitions
+def sweep_partitions(model, nbytes: int, sm_count: int,
+                     candidates=(1, 2, 4, 8, 16)) -> dict:
+    """Model-predicted compression wall time per candidate partition
+    count: concurrent kernels of ``sm_count // p`` blocks each, launched
+    serially, then merged — so small messages prefer one kernel and
+    large ones many (the tuning behind the engine's schedule)."""
+    out = {}
+    for p in candidates:
+        blocks = max(1, sm_count // p)
+        per_kernel = model.compress_time(-(-nbytes // p), blocks, sm_count)
+        serial_launches = (p - 1) * model.launch_overhead
+        combine = 0.0 if p == 1 else model.launch_overhead + nbytes / 400e9
+        out[p] = serial_launches + per_kernel + combine
+    return out
 
 
-def test_sweep_prefers_more_partitions_for_big_messages(sweep_partitions):
+def test_sweep_prefers_more_partitions_for_big_messages():
     sweep = sweep_partitions(MPC_V100, 32 * MiB, 80)
     assert sweep[8] < sweep[1]
 
 
-def test_sweep_prefers_fewer_partitions_for_small_messages(sweep_partitions):
+def test_sweep_prefers_fewer_partitions_for_small_messages():
     sweep = sweep_partitions(MPC_V100, 64 * KiB, 80)
     assert sweep[1] < sweep[16]
+
+
+def test_sweep_optimum_shifts_with_message_size():
+    """On a V100 the best of 1/2/4/8 partitions is few at 256K, many at 32M."""
+    def best(nbytes):
+        sweep = sweep_partitions(MPC_V100, nbytes, 80, (1, 2, 4, 8))
+        return min(sweep, key=sweep.get)
+    assert best(256 * KiB) <= 2
+    assert best(32 * MiB) >= 4

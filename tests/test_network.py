@@ -234,6 +234,9 @@ def test_graph_structure():
     bw_gpu = topo.path_bandwidth(0, 1)
     bw_ib = topo.path_bandwidth(0, 2)
     assert bw_gpu / bw_ib == pytest.approx(6.0)
+    # ...exactly so on Fig 1's Sierra node (75 vs 12.5 GB/s)
+    _, sierra = _topo("sierra", nodes=2, gpn=4)
+    assert sierra.path_bandwidth(0, 1) / sierra.path_bandwidth(0, 4) == 6.0
 
 
 # -- hierarchical topologies -------------------------------------------------
