@@ -27,19 +27,20 @@ from repro.network.presets import machine_preset
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_mpc.json"
 
 
+def golden_rank_fn(comm):
+    """Rank 0 sends 256 KiB of float32 to rank 1 (rendezvous)."""
+    if comm.rank == 0:
+        yield from comm.send(np.linspace(0.0, 1.0, 65536, dtype=np.float32),
+                             1, tag=3)
+        return None
+    got = yield from comm.recv(0, tag=3)
+    return np.asarray(got).nbytes
+
+
 def run_golden_workload():
     """2-rank inter-node rendezvous send, 256 KiB float32, MPC-OPT."""
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
-    data = np.linspace(0.0, 1.0, 65536, dtype=np.float32)
-
-    def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, 1, tag=3)
-            return None
-        got = yield from comm.recv(0, tag=3)
-        return np.asarray(got).nbytes
-
-    return cluster.run(rank_fn, config=CompressionConfig.mpc_opt())
+    return cluster.run(golden_rank_fn, config=CompressionConfig.mpc_opt())
 
 
 def export_golden_doc():
