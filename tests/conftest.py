@@ -40,18 +40,6 @@ def two_node_cluster():
     return Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
 
 
-@pytest.fixture
-def intra_node_cluster():
-    """One node with two GPUs over NVLink."""
-    return Cluster(machine_preset("longhorn"), nodes=1, gpus_per_node=2)
-
-
-@pytest.fixture
-def small_grid_cluster():
-    """Four single-GPU Frontera-style nodes (FDR)."""
-    return Cluster(machine_preset("frontera-liquid"), nodes=4, gpus_per_node=1)
-
-
 def smooth_f32(n: int, seed: int = 0) -> np.ndarray:
     """A compressible float32 signal."""
     rng = np.random.default_rng(seed)

@@ -18,6 +18,8 @@ from repro.network.presets import machine_preset
 from repro.omb.payload import make_payload
 from repro.sim.engine import Simulator
 
+from tests import pins
+
 
 def make_device(asan=True):
     sim = Simulator()
@@ -158,10 +160,7 @@ def test_sanitized_run_is_bit_identical():
     """asan is pure bookkeeping: traces match span for span."""
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
     data = make_payload("omb", 1 << 20, seed=1)
-    plain = cluster.run(_pingpong, config=named_config("zfp8-pipe"),
-                        args=(data,), asan=False)
-    checked = cluster.run(_pingpong, config=named_config("zfp8-pipe"),
-                          args=(data,), asan=True)
-    assert plain.elapsed == checked.elapsed
-    assert ([r.key() for r in plain.tracer.records]
-            == [r.key() for r in checked.tracer.records])
+    plain, checked = (pins.run(cluster, _pingpong, args=(data,), asan=asan,
+                               config=named_config("zfp8-pipe"))
+                      for asan in (False, True))
+    assert pins.digests(plain) == pins.digests(checked)

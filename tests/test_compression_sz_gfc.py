@@ -10,8 +10,6 @@ from repro.compression.gfc import GfcCompressor
 from repro.compression.sz import SzCompressor
 from repro.errors import CompressionError
 
-from tests.conftest import smooth_f32
-
 
 # -- SZ ----------------------------------------------------------------------
 

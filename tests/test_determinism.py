@@ -3,112 +3,95 @@
 The simulator is advertised as deterministic (heap order with
 insertion-order tie-break, seeded payloads, no wall-clock anywhere).
 These tests pin that down at the observability layer: two identical
-runs must produce *bit-identical* structured traces, exported JSON and
-metrics — not merely the same final latency.
+runs must agree in every layer of ``tests/pins.py`` — result, time,
+spans, metrics, event count and exported bytes — not merely in the
+final latency.
 """
-
-import json
 
 import numpy as np
 
-from repro.analysis import to_chrome_trace
 from repro.core import CompressionConfig
-from repro.mpi.cluster import Cluster
-from repro.network.presets import machine_preset
+from repro.faults import FaultPlan
 from repro.omb.payload import make_payload
 
+from tests import pins
 
-def run_pt2pt(seed=7, faults=None):
+LAYERS = pins.BASE + ("exports",)
+
+
+def _send_1m(seed):
     """Figure 9-style pt2pt: one rendezvous MPC-OPT send across nodes."""
-    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
-    data = make_payload("omb", 1 << 20, seed=seed)
-
     def rank_fn(comm):
         if comm.rank == 0:
-            yield from comm.send(data, 1, tag=9)
+            yield from comm.send(make_payload("omb", 1 << 20, seed=seed), 1,
+                                 tag=9)
             return None
         got = yield from comm.recv(0, tag=9)
         return np.asarray(got).nbytes
-
-    return cluster.run(rank_fn, config=CompressionConfig.mpc_opt(),
-                       faults=faults)
+    return rank_fn
 
 
-def run_collective(seed=7):
-    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=2)
-    data = make_payload("omb", 512 * 1024, seed=seed)
-
-    def rank_fn(comm):
-        out = yield from comm.allgather(data)
-        return len(out)
-
-    return cluster.run(rank_fn, config=CompressionConfig.mpc_opt())
+def _allgather(comm):
+    out = yield from comm.allgather(make_payload("omb", 512 * 1024, seed=7))
+    return len(out)
 
 
-def _fingerprint(res):
-    doc = to_chrome_trace(res.tracer, elapsed=res.elapsed)
-    return (
-        tuple(r.key() for r in res.tracer.records),
-        json.dumps(doc, sort_keys=True),
-        res.tracer.metrics.as_dict(),
-        res.elapsed,
-    )
+def run_pt2pt(seed=7, faults=None) -> pins.Run:
+    return pins.Scenario(_send_1m(seed), CompressionConfig.mpc_opt(),
+                         faults=faults).observe()
+
+
+def run_collective() -> pins.Run:
+    return pins.Scenario(_allgather, CompressionConfig.mpc_opt(),
+                         ("longhorn", 2, 2)).observe()
+
+
+def _fingerprint(run):
+    return pins.digests(run, LAYERS)
 
 
 def test_pt2pt_trace_deterministic():
-    a, b = _fingerprint(run_pt2pt()), _fingerprint(run_pt2pt())
-    assert a == b
+    assert _fingerprint(run_pt2pt()) == _fingerprint(run_pt2pt())
 
 
 def test_collective_trace_deterministic():
-    a, b = _fingerprint(run_collective()), _fingerprint(run_collective())
-    assert a == b
+    assert _fingerprint(run_collective()) == _fingerprint(run_collective())
 
 
 def test_zero_rate_fault_plan_is_trace_identical():
     """Installing the fault plane with a zero-rate plan must not perturb
-    the run at all: same spans, same exported JSON, same metrics, same
-    elapsed time as no fault plane whatsoever."""
-    from repro.faults import FaultPlan
-
-    without = _fingerprint(run_pt2pt())
-    with_zero = _fingerprint(run_pt2pt(faults=FaultPlan(seed=3)))
-    assert without == with_zero
+    the run at all: every layer equals the run without a fault plane."""
+    assert _fingerprint(run_pt2pt()) == \
+        _fingerprint(run_pt2pt(faults=FaultPlan(seed=3)))
 
 
 def test_faulted_run_trace_deterministic():
     """Same seed + same fault plan => bit-identical fault sequence,
     recovery actions, and Chrome-trace export."""
-    from repro.faults import FaultPlan
-
     plan = FaultPlan(seed=11, corrupt_rate=0.3, drop_rate=0.1,
                      compress_fail_rate=0.2)
-    a, b = _fingerprint(run_pt2pt(faults=plan)), _fingerprint(run_pt2pt(faults=plan))
-    assert a == b
+    a, b = run_pt2pt(faults=plan), run_pt2pt(faults=plan)
+    assert _fingerprint(a) == _fingerprint(b) and a.faults() == b.faults()
     # the plan actually fired (this is a chaotic run, not a no-op)
-    injected = sum(v for k, v in a[2]["counters"].items()
-                   if k.startswith("faults.injected"))
-    assert injected > 0
+    assert a.tracer.metrics.counter_total("faults.injected") > 0
 
 
 def test_different_fault_seed_changes_fault_sequence():
-    from repro.faults import FaultPlan
-
-    a = _fingerprint(run_pt2pt(faults=FaultPlan(seed=1, corrupt_rate=0.5)))
-    b = _fingerprint(run_pt2pt(faults=FaultPlan(seed=2, corrupt_rate=0.5)))
-    assert a != b
+    a = run_pt2pt(faults=FaultPlan(seed=1, corrupt_rate=0.5))
+    b = run_pt2pt(faults=FaultPlan(seed=2, corrupt_rate=0.5))
+    assert _fingerprint(a) != _fingerprint(b)
 
 
 def test_different_seed_changes_payload_not_structure():
     """Different payload contents change compressed sizes (and so
     timings) but never the span skeleton: same names, same nesting."""
 
-    def skeleton(res):
-        by_id = {r.span_id: r for r in res.tracer.records}
+    def skeleton(run):
+        by_id = {r.span_id: r for r in run.tracer.records}
         return sorted(
             (r.category, r.label, r.rank, r.track,
              by_id[r.parent_id].label if r.parent_id in by_id else None)
-            for r in res.tracer.records
+            for r in run.tracer.records
         )
 
     assert skeleton(run_pt2pt(seed=1)) == skeleton(run_pt2pt(seed=2))

@@ -25,6 +25,8 @@ from repro.mpi.cluster import Cluster
 from repro.mpi.failstop import KilledRank
 from repro.network.presets import machine_preset
 
+from tests import pins
+
 MPC = CompressionConfig.mpc_opt()
 DIS = CompressionConfig.disabled()
 
@@ -76,25 +78,17 @@ def test_duplicate_rank_failures_rejected():
 # zero-failure invariant: rank_failures=() perturbs nothing
 # ---------------------------------------------------------------------------
 
-def _trace_fingerprint(res):
-    return [(r.t_start, r.t_end, r.category, r.label, r.rank, r.track)
-            for r in res.tracer.records]
-
-
 def test_zero_rank_failures_trace_identical():
     def rank_fn(comm):
         data = np.full(1 << 14, float(comm.rank + 1), dtype=np.float32)
         out = yield from comm.allreduce(data)
         return float(out[0])
 
-    cluster = _cluster()
-    base = cluster.run(rank_fn, config=MPC,
-                       faults=FaultPlan(seed=1))
-    with_field = cluster.run(rank_fn, config=MPC,
-                             faults=FaultPlan(seed=1, rank_failures=()))
-    assert _trace_fingerprint(base) == _trace_fingerprint(with_field)
-    assert base.values == with_field.values
-    assert with_field.killed == ()
+    base, with_field = (
+        pins.run(_cluster(), rank_fn, config=MPC, faults=plan)
+        for plan in (FaultPlan(seed=1), FaultPlan(seed=1, rank_failures=())))
+    assert pins.digests(base) == pins.digests(with_field)
+    assert with_field.out.killed == ()
 
 
 # ---------------------------------------------------------------------------

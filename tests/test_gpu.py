@@ -14,12 +14,10 @@ from repro.gpu import (
     RTX5000,
     V100,
     BufferPool,
-    Device,
     DeviceBuffer,
     SizeClassBufferPool,
     device_preset,
 )
-from repro.sim import Simulator, Tracer
 from repro.utils.units import us
 
 

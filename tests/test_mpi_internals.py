@@ -11,8 +11,6 @@ from repro.mpi.matching import ANY, MatchingEngine
 from repro.mpi.message import CONTROL_PACKET_BYTES, Cts, Data, Eager, Rts
 from repro.mpi.request import Request, waitall
 from repro.mpi.wire import WireImage
-from repro.network.presets import machine_preset
-from repro.sim import Simulator
 
 
 def pkt(src=0, dst=1, tag=0, seq=1, header=None):

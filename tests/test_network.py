@@ -16,7 +16,7 @@ from repro.network import (
 )
 from repro.network.presets import MACHINES, MachinePreset
 from repro.sim import Simulator, Tracer
-from repro.utils.units import GBps, MiB, us
+from repro.utils.units import GBps, MiB
 
 
 # -- specs ---------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Simulator, Store, TokenPool
+from repro.sim import Resource, Store, TokenPool
 
 
 def test_resource_grants_up_to_capacity(sim):
