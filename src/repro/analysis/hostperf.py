@@ -13,8 +13,9 @@ comparison in advisory mode.
 Every benchmark exercises real code on deterministic data: codec
 kernels (``codec/*``), the bare and the traced event loop (``engine/*``,
 whose ``peak_heap_bytes`` is a tracemalloc peak taken in its own untimed
-pass), whole runs a developer waits on (``e2e/*``) and two deterministic
-counts (``msg/events_per_message``, ``coll/codec_decodes_per_message``).
+pass), whole runs a developer waits on (``e2e/*``) and three deterministic
+counts (``msg/events_per_message`` and ``msg/rndv_events_per_message``,
+the eager and the rendezvous path, and ``coll/codec_decodes_per_message``).
 docs/performance.md, "The hostperf harness", says what each entry of
 :func:`benchmark_matrix` times and why; the runners below say how.
 
@@ -96,6 +97,9 @@ def benchmark_matrix(quick: bool = True) -> list[Entry]:
     out.append(Entry("msg/events_per_message", "msg",
                      {"machine": "fat-tree", "nodes": 16, "ppn": 4,
                       "nbytes": 4096}))
+    out.append(Entry("msg/rndv_events_per_message", "msg",
+                     {"machine": "fat-tree", "nodes": 16, "ppn": 4,
+                      "nbytes": 64 * KiB}))
     out.append(Entry("e2e/coll-relay-16", "coll-relay",
                      {"machine": "frontera-liquid", "nodes": 8, "ppn": 2,
                       "gather_nbytes": 512 * KiB,

@@ -249,6 +249,7 @@ def test_matrix_includes_message_path_points():
         names = [mb.name for mb in hostperf.benchmark_matrix(quick=quick)]
         assert "e2e/scale-allgather-64" in names
         assert "msg/events_per_message" in names
+        assert "msg/rndv_events_per_message" in names
 
 
 def test_events_per_message_point_is_exact_and_within_budget():
@@ -258,6 +259,16 @@ def test_events_per_message_point_is_exact_and_within_budget():
     assert m == b["benchmarks"]["msg/events_per_message"]["metrics"]
     assert m["n_messages"] == 64 * 63
     assert m["events_per_message"] <= 6.5
+
+
+def test_rndv_events_per_message_point_is_exact_and_pinned():
+    """The same ring allgather with 64 KiB blocks: every message takes
+    the rendezvous path, and the baseline gates its count exactly."""
+    doc = hostperf.collect(quick=True, reps=1, only="msg/rndv")
+    m = doc["benchmarks"]["msg/rndv_events_per_message"]["metrics"]
+    assert m["n_messages"] == 64 * 63
+    base = snapshot.load("tests/data/HOSTPERF_baseline.json", "hostperf")
+    assert base["benchmarks"]["msg/rndv_events_per_message"]["metrics"] == m
 
 
 def test_scale_allgather_point_collects():
