@@ -73,10 +73,10 @@ class CompressionConfig:
         overlapping compression, transfer and decompression the way
         MVAPICH2-GDR pipelines large messages.  The paper's design
         combines partitions before sending; this flag implements the
-        natural next step and is benchmarked as an extension
-        (bench_ext_pipeline.py).  Only codecs that declare
-        ``streamable`` partitions (mpc, zfp) stream; any other codec
-        takes the whole-message plan.
+        natural next step and is benchmarked as an extension (the
+        paper matrix's ``ext/pipeline/*`` entries).  Only codecs that
+        declare ``streamable`` partitions (mpc, zfp) stream; any other
+        codec takes the whole-message plan.
     """
 
     enabled: bool = False

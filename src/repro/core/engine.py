@@ -67,9 +67,10 @@ _STREAM_FIELD_TIME = 9e-6
 #: (max message bytes, partitions) — first matching row wins.  Section
 #: IV fine-tunes the partition count per message size experimentally;
 #: this is that schedule for the modelled V100/RTX parts (tuned against
-#: bench_ablation_partitions.py): small messages cannot amortize extra
-#: kernel launches, large ones gain from more concurrent kernels with
-#: fewer thread blocks each (less busy-wait synchronization).
+#: the paper matrix's ``ablation/partitions/p*`` entries): small
+#: messages cannot amortize extra kernel launches, large ones gain from
+#: more concurrent kernels with fewer thread blocks each (less busy-wait
+#: synchronization).
 _SCHEDULE = ((128 * KiB, 1), (1 * MiB, 2), (4 * MiB, 4), (float("inf"), 8))
 
 

@@ -33,14 +33,5 @@ class Stream:
         finally:
             self._order.release(req)
 
-    def memcpy_d2d(self, nbytes: int, label: str = "combine"):
-        """Enqueue an in-stream device-to-device copy."""
-        req = self._order.request()
-        yield req
-        try:
-            yield from self.device.memcpy_d2d(nbytes, label)
-        finally:
-            self._order.release(req)
-
     def __repr__(self) -> str:
         return f"<Stream {self.stream_id} on device {self.device.device_id}>"
