@@ -19,18 +19,20 @@ from repro.network.presets import machine_preset
 from repro.omb.payload import make_payload
 
 
+def _one_way(comm, data):
+    """Rank 0 sends ``data`` to rank 1, which returns its byte count."""
+    if comm.rank == 0:
+        yield from comm.send(data, 1, tag=5)
+        return None
+    got = yield from comm.recv(0, tag=5)
+    return got.nbytes
+
+
 def run_pt2pt(config=None, nbytes=1 << 20, payload="omb"):
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
     data = make_payload(payload, nbytes, seed=3)
 
-    def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, 1, tag=5)
-            return None
-        got = yield from comm.recv(0, tag=5)
-        return got.nbytes
-
-    return cluster.run(rank_fn,
+    return cluster.run(_one_way, args=(data,),
                        config=config or CompressionConfig.mpc_opt())
 
 
@@ -145,14 +147,7 @@ def test_explain_empty_for_eager_sends():
     cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
     data = make_payload("omb", 1 << 10)  # far below the eager threshold
 
-    def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, 1, tag=5)
-            return None
-        got = yield from comm.recv(0, tag=5)
-        return got.nbytes
-
-    res = cluster.run(rank_fn, config=CompressionConfig.disabled())
+    res = cluster.run(_one_way, args=(data,), config=CompressionConfig.disabled())
     an = CritPathAnalyzer(res.tracer)
     assert an.messages() == []
     assert "no rendezvous messages" in an.explain()

@@ -58,15 +58,9 @@ def test_sim_clock_monotone(delays):
 
 # -- transport invariants ----------------------------------------------------------
 
-@settings(max_examples=8, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=200_000),
-    algo=st.sampled_from(["mpc", "none"]),
-    seed=st.integers(min_value=0, max_value=99),
-)
-def test_pt2pt_delivery_bit_exact(n, algo, seed):
-    """Whatever the size (eager/rendezvous/compressed), lossless
-    transport must deliver bit-exact data."""
+def _pt2pt(n, algo, seed):
+    """``(data, result)`` of ``n`` seeded float32 values sent from rank 0
+    to rank 1, MPC-compressed above 64 KiB or uncompressed."""
     rng = np.random.default_rng(seed)
     data = np.cumsum(rng.standard_normal(n)).astype(np.float32)
     cfg = (CompressionConfig.mpc_opt(threshold=64 * 1024)
@@ -77,10 +71,21 @@ def test_pt2pt_delivery_bit_exact(n, algo, seed):
         if comm.rank == 0:
             yield from comm.send(data, 1)
             return None
-        got = yield from comm.recv(0)
-        return got
+        return (yield from comm.recv(0))
 
-    res = cluster.run(rank_fn, config=cfg)
+    return data, cluster.run(rank_fn, config=cfg)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=200_000),
+    algo=st.sampled_from(["mpc", "none"]),
+    seed=st.integers(min_value=0, max_value=99),
+)
+def test_pt2pt_delivery_bit_exact(n, algo, seed):
+    """Whatever the size (eager/rendezvous/compressed), lossless
+    transport must deliver bit-exact data."""
+    data, res = _pt2pt(n, algo, seed)
     got = np.asarray(res.values[1])
     assert np.array_equal(got.view(np.uint32), data.view(np.uint32))
 
@@ -131,23 +136,6 @@ def test_allreduce_agrees_with_numpy(nprocs, seed):
 
 # -- observability invariants --------------------------------------------------
 
-def _run_traced(n, algo, seed):
-    rng = np.random.default_rng(seed)
-    data = np.cumsum(rng.standard_normal(n)).astype(np.float32)
-    cfg = (CompressionConfig.mpc_opt(threshold=64 * 1024)
-           if algo == "mpc" else CompressionConfig.disabled())
-    cluster = Cluster(machine_preset("longhorn"), nodes=2, gpus_per_node=1)
-
-    def rank_fn(comm):
-        if comm.rank == 0:
-            yield from comm.send(data, 1)
-            return None
-        got = yield from comm.recv(0)
-        return got
-
-    return cluster.run(rank_fn, config=cfg)
-
-
 @settings(max_examples=8, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=200_000),
@@ -158,7 +146,7 @@ def test_trace_spans_well_formed(n, algo, seed):
     """Whatever the protocol path taken, spans never have negative
     duration, children lie within their parents, and merged occupancy
     never exceeds the raw per-category sum."""
-    tracer = _run_traced(n, algo, seed).tracer
+    tracer = _pt2pt(n, algo, seed)[1].tracer
     by_id = Trace.of(tracer).by_id
     eps = 1e-12
     for rec in tracer.records:
@@ -180,7 +168,7 @@ def test_trace_spans_well_formed(n, algo, seed):
 def test_metrics_agree_with_spans(n, algo, seed):
     """Counters and spans are updated from the same measurements, so
     each must be derivable from the other."""
-    tracer = _run_traced(n, algo, seed).tracer
+    tracer = _pt2pt(n, algo, seed)[1].tracer
     m = tracer.metrics
 
     wire = [r for r in tracer.records if (r.track or "").startswith("link:")]
