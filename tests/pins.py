@@ -55,6 +55,7 @@ BASE = LAYERS[:5]
 
 #: family name -> the test module that defines its ``FAMILY``
 FAMILIES = {"collectives": "tests.test_collective_pins",
+            "dataplane": "tests.test_dataplane_passes",
             "rendezvous": "tests.test_rendezvous_path",
             "telemetry": "tests.test_telemetry_columns",
             "trace-model": "tests.test_trace_model_pins"}

@@ -31,6 +31,7 @@ from repro.omb.payload import make_payload
 from repro.sim import Simulator, Tracer
 from repro.utils.integrity import flip_bit, payload_crc32
 
+from tests import pins
 from tests.conftest import smooth_f32
 
 MPC = CompressionConfig.mpc_opt()
@@ -189,43 +190,39 @@ def _allreduce(algorithm, nprocs, nbytes, seed0, faults=None, config=MPC,
     return res, payloads
 
 
-#: (algorithm, ranks) -> per-rank completion times, CRC of every rank's
-#: result, traced event count, sends, spans — captured at commit 1da878c
-#: (1 MiB of msg_sppm per rank, seeds 10.., frontera-liquid n/2 x 2)
-_PARENT = {
-    ("ring", 4): (
-        [0.0004939697755339584, 0.0004929872559261154,
-         0.0004935279485031461, 0.0004930351347776559],
-        1631114163, 1006, 24, 536),
-    ("ring", 6): (
-        [0.0006860862427142705, 0.0006863833701652509, 0.0006863752731764553,
-         0.0006853888043389204, 0.0006861531747870996, 0.0006864600669439624],
-        3741818740, 2378, 60, 1272),
-    ("recursive_doubling", 4): (
-        [0.00043417244640355174, 0.00041135244640355163,
-         0.00043416839108142286, 0.000411349567552011],
-        3438108114, 348, 8, 172),
-    ("recursive_doubling", 8): (
-        [0.0005928345477490864, 0.000570027488925557, 0.0005890342536314393,
-         0.0005928429469087503, 0.0005918345477490864, 0.000569027488925557,
-         0.0005900342536314393, 0.0005918429469087503],
-        1678226092, 910, 24, 448),
-}
+def _pinned_allreduce(algorithm):
+    """1 MiB of msg_sppm per rank (seeds 10..): each rank returns its
+    completion time and its result."""
+    def call(comm):
+        data = make_payload("dataset:msg_sppm", 1 << 20, seed=10 + comm.rank)
+        out = yield from comm.allreduce(data, algorithm=algorithm)
+        return comm.now, out
+    return call
 
 
-@pytest.mark.parametrize("algorithm,nprocs", list(_PARENT))
+_PINNED = (("ring", 4), ("ring", 6), ("recursive_doubling", 4),
+           ("recursive_doubling", 8))
+
+#: the allreduce cells, pinned in the run layers of ``tests/pins.py``
+#: from runs that reproduced the times, CRCs, event counts, sends and
+#: span counts captured at commit 1da878c (frontera-liquid n/2 x 2)
+FAMILY = pins.Family("dataplane", {
+    f"{algorithm}-{n}": pins.Scenario(_pinned_allreduce(algorithm), MPC,
+                                      ("frontera-liquid", n // 2, 2))
+    for algorithm, n in _PINNED})
+
+
+@pytest.mark.parametrize("algorithm,nprocs", _PINNED)
 def test_allreduce_pinned_to_parent(algorithm, nprocs):
-    times, crc, events, sends, spans = _PARENT[(algorithm, nprocs)]
-    res, payloads = _allreduce(algorithm, nprocs, 1 << 20, 10)
-    assert [t for t, _ in res.values] == times
-    assert [_crc(out) for _, out in res.values] == [crc] * nprocs
-    assert res.tracer.event_count == events
-    assert res.tracer.metrics.counter_total("mpi.sends") == sends
-    assert len(res.tracer.records) == spans
+    cell = f"{algorithm}-{nprocs}"
+    scenario = FAMILY.cells[cell]
+    got = scenario.observe()
+    assert pins.digests(got, FAMILY.layers) == FAMILY.load()[cell]
     # and against a run that never compresses: same bits
-    ref, _ = _allreduce(algorithm, nprocs, 1 << 20, 10,
-                        config=CompressionConfig.disabled())
-    assert _crc(ref.values[0][1]) == crc
+    ref = pins.run(Cluster(*scenario.shape), scenario.fn,
+                   config=CompressionConfig.disabled())
+    assert ([_crc(out) for _, out in ref.out.values]
+            == [_crc(out) for _, out in got.out.values])
 
 
 # -- (c) the codec-execution budget --------------------------------------------
