@@ -24,14 +24,15 @@ class Stream:
     def run_kernel(self, duration: float, blocks: int, category: str, label: str = ""):
         """Enqueue a kernel: waits for this stream's previous work, then
         executes on the device (generator subroutine)."""
-        req = self._order.request()
-        yield req
+        req = self._order.acquire()
+        if req is not None:
+            yield req
         try:
             yield from self.device.run_kernel(
                 duration, blocks, category, label, track=f"stream{self.stream_id}"
             )
         finally:
-            self._order.release(req)
+            self._order.release()
 
     def __repr__(self) -> str:
         return f"<Stream {self.stream_id} on device {self.device.device_id}>"

@@ -283,17 +283,6 @@ def test_run_process_deadlock_detection(sim):
         sim.run_process(stuck(sim))
 
 
-def test_step_on_empty_schedule_raises(sim):
-    with pytest.raises(SimulationError):
-        sim.step()
-
-
-def test_peek(sim):
-    assert sim.peek() == float("inf")
-    sim.timeout(4.2)
-    assert sim.peek() == 4.2
-
-
 def test_nested_yield_from_subroutines(sim):
     def sub(sim, d):
         yield sim.timeout(d)
@@ -476,11 +465,15 @@ def test_micro_event_freelist_reuse():
 
 
 def test_step_peek_through_same_time_batch(sim):
+    """``run(until=t)`` sweeps the whole batch at ``t`` — what its
+    callbacks schedule at ``t`` included — and nothing after it."""
     hits = []
 
     def proc(sim, label):
         yield sim.timeout(1.0)
         hits.append(label)
+        yield sim.timeout(0)  # joins the t=1 batch being swept
+        hits.append(label + "'")
 
     sim.process(proc(sim, "a"))
     sim.process(proc(sim, "b"))
@@ -490,18 +483,14 @@ def test_step_peek_through_same_time_batch(sim):
         hits.append("late")
 
     sim.process(late(sim))
-    assert sim.peek() == 0.0  # init events
-    while sim.peek() == 0.0:
-        sim.step()
-    assert sim.peek() == 1.0
-    sim.step()
-    assert sim.peek() == 1.0  # second event of the t=1 batch still due
-    while sim.peek() == 1.0:
-        sim.step()
-    assert hits == ["a", "b"]
-    assert sim.peek() == 2.0
+    sim.run(until=0.0)  # the init events
+    assert hits == [] and sim.now == 0.0 and sim.event_count == 3
+    sim.run(until=1.0)
+    assert hits == ["a", "b", "a'", "b'"] and sim.now == 1.0
+    sim.run(until=1.5)
+    assert len(hits) == 4 and sim.now == 1.5
     sim.run()
-    assert hits == ["a", "b", "late"]
+    assert hits == ["a", "b", "a'", "b'", "late"]
     assert sim.now == 2.0
 
 
@@ -550,17 +539,21 @@ def test_storm_same_order_and_count_with_and_without_tracer():
 
 def test_event_count_skips_cancelled_events(sim):
     fired = []
-    sim.call_later(1.0, fired.append)
-    sim.call_later(1.0, fired.append).cancel()  # mid-batch
-    sim.call_later(1.0, fired.append)
-    sim.call_later(2.0, fired.append).cancel()  # a cancelled-only instant
-    sim.call_later(3.0, fired.append).cancel()  # leading, then a live one
-    sim.call_later(3.0, fired.append)
+
+    def fire(event):
+        fired.append(sim.now)
+
+    sim.call_later(1.0, fire)
+    sim.call_later(1.0, fire).cancel()  # mid-batch
+    sim.call_later(1.0, fire)
+    sim.call_later(2.0, fire).cancel()  # a cancelled-only instant
+    sim.call_later(3.0, fire).cancel()  # leading, then a live one
+    sim.call_later(3.0, fire)
+    sim.call_later(4.0, fire).cancel()  # a cancelled-only last instant
     sim.run(until=2.5)
-    assert (len(fired), sim.event_count) == (2, 2)
-    assert sim.now == 2.5 and sim.peek() == 3.0  # t=2.0 was never observed
-    sim.run()
-    assert (len(fired), sim.event_count, sim.now) == (3, 3, 3.0)
+    assert (fired, sim.event_count, sim.now) == ([1.0, 1.0], 2, 2.5)
+    sim.run()  # the clock never reads 4.0: that instant is dropped unseen
+    assert (fired, sim.event_count, sim.now) == ([1.0, 1.0, 3.0], 3, 3.0)
 
 
 def test_event_count_exact_when_a_callback_raises_mid_batch(sim):
@@ -585,12 +578,12 @@ def test_step_counts_one_and_tracer_rebases():
     from repro.sim.trace import Tracer
 
     sim = Simulator()
-    for _ in range(3):
-        sim.call_later(1.0, lambda e: None)
-    sim.step()
+    for t in (1.0, 2.0, 3.0):
+        sim.call_later(t, lambda e: None)
+    sim.run(until=1.0)
     assert sim.event_count == 1
     tracer = Tracer(sim)  # attached late: counts from here
-    sim.step()
+    sim.run(until=2.0)
     assert (sim.event_count, tracer.event_count) == (2, 1)
     tracer.clear()
     sim.run()
