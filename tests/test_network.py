@@ -415,7 +415,8 @@ def test_cancelled_transfer_frees_its_links_and_never_completes(when):
     sim.run()
     survivor = "first" if when == "queued" else "second"
     assert done == [survivor, "third"]
-    assert all(l._res.count == 0 and l.queued == 0 for l in topo.route(0, 2))
+    assert all(l._res.available == 1 and l._res.queued == 0
+               for l in topo.route(0, 2))
     one = 2 * IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth
     assert sim.now == pytest.approx(2 * one)
 
