@@ -94,6 +94,9 @@ def benchmark_matrix(quick: bool = True) -> list[Entry]:
     out.append(Entry("e2e/bench-quick", "e2e", {"only": None}))
     out.append(Entry("e2e/scale-allgather-64", "e2e",
                      {"only": "scale/allgather-64", "scale": True}))
+    out.append(Entry("e2e/scale-allgather-256", "e2e",
+                     {"machine": "fat-tree", "nodes": 64, "ppn": 4,
+                      "nbytes": 4096}))
     out.append(Entry("msg/events_per_message", "msg",
                      {"machine": "fat-tree", "nodes": 16, "ppn": 4,
                       "nbytes": 4096}))
@@ -276,15 +279,23 @@ def _run_engine_scale(params: dict, reps: int) -> dict:
 
 
 def _run_e2e(params: dict, reps: int) -> dict:
+    """A ``bench`` run (``only``), or one untraced, warm-up-free
+    allgather of a ``scale_matrix`` shape (``nodes``)."""
     from repro.analysis import bench
     from repro.compression.cache import GLOBAL_CODEC_CACHE
+    from repro.omb.collective import osu_allgather
 
     def one_run() -> None:
         # The codec cache would turn every repeat into pure hits; clear
         # it so each rep measures the same cold-cache work.
         GLOBAL_CODEC_CACHE.clear()
-        bench.collect(quick=True, label="hostperf", only=params.get("only"),
-                      scale=params.get("scale", False))
+        if "nodes" in params:
+            osu_allgather(params["machine"], params["nodes"], params["ppn"],
+                          params["nbytes"], warmup=0, trace=False)
+        else:
+            bench.collect(quick=True, label="hostperf",
+                          only=params.get("only"),
+                          scale=params.get("scale", False))
 
     t = _time_median(one_run, max(1, reps // 3))
     return {"run_s": _r(t)}

@@ -248,6 +248,7 @@ def test_matrix_includes_message_path_points():
     for quick in (True, False):
         names = [mb.name for mb in hostperf.benchmark_matrix(quick=quick)]
         assert "e2e/scale-allgather-64" in names
+        assert "e2e/scale-allgather-256" in names
         assert "msg/events_per_message" in names
         assert "msg/rndv_events_per_message" in names
 
@@ -274,6 +275,12 @@ def test_rndv_events_per_message_point_is_exact_and_pinned():
 def test_scale_allgather_point_collects():
     doc = hostperf.collect(quick=True, reps=1, only="e2e/scale-allgather-64")
     assert doc["benchmarks"]["e2e/scale-allgather-64"]["metrics"]["run_s"] > 0
+    # the 256-rank point (~2 s) is timed by `repro perf`, not here
+    base = snapshot.load("tests/data/HOSTPERF_baseline.json", "hostperf")
+    point = [mb for mb in hostperf.benchmark_matrix()
+             if mb.name == "e2e/scale-allgather-256"]
+    assert [base["benchmarks"][mb.name]["params"] for mb in point] == [
+        {"machine": "fat-tree", "nodes": 64, "ppn": 4, "nbytes": 4096}]
 
 
 def test_compare_gates_exact_counts_at_zero_tolerance():
