@@ -56,6 +56,7 @@ BASE = LAYERS[:5]
 #: family name -> the test module that defines its ``FAMILY``
 FAMILIES = {"collectives": "tests.test_collective_pins",
             "dataplane": "tests.test_dataplane_passes",
+            "eager": "tests.test_eager_path",
             "rendezvous": "tests.test_rendezvous_path",
             "telemetry": "tests.test_telemetry_columns",
             "trace-model": "tests.test_trace_model_pins"}

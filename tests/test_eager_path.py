@@ -9,6 +9,7 @@ they are what the change is for.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.sim.resources import _Request
 from repro.sim.trace import Trace, trace_scope
 from repro.utils.integrity import payload_crc32
 from repro.utils.units import KiB
+
+from tests import pins
 
 
 def block(rank, n=1024):
@@ -80,15 +83,14 @@ def test_contended_times_match_generator_protocol(trace):
 
 
 def test_contended_trace_is_span_for_span_the_generator_protocols():
-    res = shared_bus_cluster().run(barrier_then_allgather, trace=True)
-    assert len(res.tracer.records) == 96
+    got = FAMILY.cells["contended"].observe()
+    assert len(got.tracer.records) == 96
     # ids, parents (the collective span each rank had open at isend
-    # time), link tracks and metadata of all 96 spans
-    assert fingerprint(res.tracer) == "a5355723f71786f8"
-    # 882 events before the eager state machine, 514 before a step's
-    # send and receive started from one event: this is where a
-    # reordering would show first
-    assert res.tracer.event_count == 434
+    # time), link tracks and metadata of all 96 spans; and the event
+    # count (882 before the eager state machine, 514 before a step's
+    # send and receive started from one event): where a reordering
+    # would show first
+    assert pins.digests(got, FAMILY.layers) == FAMILY.load()["contended"]
 
 
 def test_events_per_message_budget():
@@ -248,10 +250,24 @@ def small_cases(comm, use_wire):
     return log
 
 
+#: the contended allgather and the small cases, pinned in the run layers
+#: of ``tests/pins.py`` from runs that reproduced the span fingerprints
+#: ``a5355723f71786f8`` and ``b174ad4a1b6011d6`` this file kept before
+FAMILY = pins.Family("eager", {
+    "contended": pins.Scenario(barrier_then_allgather,
+                               CompressionConfig.disabled(),
+                               ("frontera-liquid", 2, 4)),
+    **{f"small-cases/{kind}": pins.Scenario(
+        functools.partial(small_cases, use_wire=use_wire),
+        CompressionConfig.disabled(), ("longhorn", 2, 2))
+       for kind, use_wire in (("plain", False), ("wire", True))}})
+
+
 @pytest.mark.parametrize("use_wire", [False, True])
 def test_self_send_wildcard_and_early_envelope(use_wire):
-    res = Cluster("longhorn", nodes=2, gpus_per_node=2).run(
-        small_cases, args=(use_wire,))
+    cell = f"small-cases/{'wire' if use_wire else 'plain'}"
+    got = FAMILY.cells[cell].observe()
+    res = got.out
     # times of the generator protocol, identical for both payload kinds
     assert res.values == [
         [1e-06, [1, 3, 2], 1.828448e-05, 2.8295746666666666e-05],
@@ -274,8 +290,10 @@ def test_self_send_wildcard_and_early_envelope(use_wire):
     # sender's side, where no span was open
     assert [by_id[r.parent_id].label if r.parent_id else None
             for r in wild] == ["drain", None, None]
+    stored = FAMILY.load()
+    assert pins.digests(got, FAMILY.layers) == stored[cell]
     # the payload kind changes a counter label and nothing in the trace
-    assert fingerprint(res.tracer) == "b174ad4a1b6011d6"
+    assert stored["small-cases/plain"]["spans"] == stored["small-cases/wire"]["spans"]
 
 
 def rendezvous_case(comm, use_wire, tamper):
