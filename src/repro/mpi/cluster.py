@@ -71,14 +71,7 @@ class Runtime:
         #: application checkpoint cadence in steps (0 = never)
         self.checkpoint_every = checkpoint_every
         self._engines = [CompressionEngine(sim, dev, config) for dev in devices]
-        #: (listener grank, peer grank) -> sim time of the last packet
-        #: heard; host-side bookkeeping, always on (it costs no
-        #: simulated time and enriches every hang diagnostic)
-        self._last_heard: dict[tuple[int, int], float] = {}
-        self._matching = [
-            MatchingEngine(sim, r, on_deliver=self._heard_observer(r))
-            for r in range(len(devices))
-        ]
+        self._matching = [MatchingEngine(sim, r) for r in range(len(devices))]
         self._seq = 0
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
         #: seq -> ``(rts, payload)``, kept while the receiver can NACK
@@ -113,15 +106,10 @@ class Runtime:
     def is_dead(self, grank: int) -> bool:
         return self.failstop is not None and self.failstop.is_dead(grank)
 
-    def _heard_observer(self, listener: int):
-        def observe(pkt):
-            self._last_heard[(listener, pkt.src)] = self.sim.now
-        return observe
-
     def last_heard_of(self, listener: int, peer: int) -> Optional[float]:
         """Sim time ``listener`` last received any packet from ``peer``
         (None = never)."""
-        return self._last_heard.get((listener, peer))
+        return self._matching[listener].last_heard.get(peer)
 
     def heard_map(self, listener: int) -> dict:
         """``peer -> last-heard time`` for one listener; dead peers the
@@ -132,9 +120,7 @@ class Runtime:
             for peer in fs.dead:
                 if peer != listener:
                     out[peer] = None
-        for (l, p), t in self._last_heard.items():
-            if l == listener:
-                out[p] = t
+        out.update(self._matching[listener].last_heard)
         return out
 
     # -- communicator derivation / agreement -----------------------------

@@ -11,7 +11,9 @@
 * :class:`Data` — the (possibly compressed) payload bytes, nothing else.
 
 Eager, CTS and DATA packets are built per message, so they are plain
-slotted dataclasses: a frozen one costs twice as much to build.
+slotted dataclasses: a frozen one costs twice as much to build.  An
+eager send is itself its envelope (:class:`repro.mpi.eager.EagerSend`
+subclasses :class:`Eager`), so the eager path builds no packet at all.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ CONTROL_PACKET_BYTES = 64
 
 
 class _Addressed:
-    """The matching report's text for a packet with a full address."""
+    """The matching report's text for a packet with a full address,
+    named by its packet type (a subclass, such as the eager send that
+    is its own envelope, keeps its packet type's name)."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
-        return (f"<Packet {type(self).__name__.lower()} {self.src}->{self.dst} "
+        kind = next(cls for cls in type(self).__mro__
+                    if _Addressed in cls.__bases__)
+        return (f"<Packet {kind.__name__.lower()} {self.src}->{self.dst} "
                 f"tag={self.tag} seq={self.seq}>")
 
 

@@ -186,8 +186,10 @@ class Transfer:
     def start(self, on_done) -> None:
         self._on_done = on_done
         reqs = self._acquire()
-        if reqs is None:
-            self._begin()
+        if reqs is None:  # every link was free: :meth:`_begin`, inline
+            sim = self.sim
+            self.t0 = sim._now
+            self._timer = sim.call_later(self.duration, self._finish)
             return
         waiting = [req for req in reqs if req is not None]
         self._waiting = len(waiting)

@@ -18,10 +18,12 @@ objects from a :class:`~repro.network.presets.MachinePreset`:
 charging end-to-end latency plus serialization at the bottleneck while
 holding every traversed link.
 
-Route resolution is cached: ``node_of`` is a precomputed array lookup
-and ``route()``/``path_*()`` memoize per ``(src, dst)`` pair, so the
-per-message cost at 1k+ ranks is two dict probes instead of repeated
-division and list building.  Caches are bounded and cleared wholesale
+Route resolution is cached: ``node_of`` is a precomputed array lookup,
+and one record per ``(src, dst)`` pair — the route's links, its total
+latency and its bottleneck bandwidth — serves ``route()``,
+``path_latency()``, ``path_bandwidth()`` and every transfer, so the
+per-message cost at 1k+ ranks is one dict probe instead of repeated
+division and list building.  The cache is bounded and cleared wholesale
 on overflow, which keeps behaviour deterministic.
 """
 
@@ -38,8 +40,8 @@ from repro.sim.trace import CURRENT
 
 __all__ = ["Topology"]
 
-# Bound on the memoization caches; on overflow the cache is cleared
-# wholesale (deterministic, O(1) amortized) rather than LRU-evicted.
+# Bound on the route cache; on overflow it is cleared wholesale
+# (deterministic, O(1) amortized) rather than LRU-evicted.
 _CACHE_MAX = 1 << 17
 
 
@@ -104,8 +106,8 @@ class Topology:
             # Dedicated ordered-pair links, created lazily.
             pass
 
-        self._route_cache: dict = {}
-        self._path_cache: dict = {}
+        #: (src, dst) -> (links, latency, bandwidth), see :meth:`_route`
+        self._routes: dict = {}
 
     # -- structure ---------------------------------------------------------
     @property
@@ -167,39 +169,34 @@ class Topology:
                         self._downlink[dst_node]]
         return [self._uplink[src_node], self._downlink[dst_node]]
 
-    def route(self, src: int, dst: int) -> list[Link]:
-        """The ordered links a message from ``src`` to ``dst`` crosses.
-
-        Memoized per (src, dst); callers must treat the list as
-        read-only."""
+    def _route(self, src: int, dst: int) -> tuple:
+        """``(links, latency, bandwidth)`` of the route from ``src`` to
+        ``dst``: its ordered links, their total latency and the
+        bottleneck bandwidth (``inf`` with no link).  Memoized."""
         key = (src, dst)
-        links = self._route_cache.get(key)
-        if links is None:
-            if len(self._route_cache) >= _CACHE_MAX:
-                self._route_cache.clear()
-            links = self._route_cache[key] = self._compute_route(src, dst)
-        return links
-
-    def _path(self, src: int, dst: int) -> tuple[float, float]:
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            links = self.route(src, dst)
+        rec = self._routes.get(key)
+        if rec is None:
+            links = self._compute_route(src, dst)
             if links:
                 bw = min(l.spec.bandwidth for l in links)
                 lat = sum(l.spec.latency for l in links)
             else:
                 bw, lat = float("inf"), 0.0
-            if len(self._path_cache) >= _CACHE_MAX:
-                self._path_cache.clear()
-            cached = self._path_cache[key] = (bw, lat)
-        return cached
+            if len(self._routes) >= _CACHE_MAX:
+                self._routes.clear()
+            rec = self._routes[key] = (links, lat, bw)
+        return rec
+
+    def route(self, src: int, dst: int) -> list[Link]:
+        """The ordered links a message from ``src`` to ``dst`` crosses;
+        callers must treat the list as read-only."""
+        return self._route(src, dst)[0]
 
     def path_bandwidth(self, src: int, dst: int) -> float:
-        return self._path(src, dst)[0]
+        return self._route(src, dst)[2]
 
     def path_latency(self, src: int, dst: int) -> float:
-        return self._path(src, dst)[1]
+        return self._route(src, dst)[1]
 
     # -- data movement ------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: int, label: str = "",
@@ -220,9 +217,12 @@ class Topology:
         the bytes were sent, they just did not survive).  Without a
         payload the return value is ``None``.
         """
-        links = self.route(src, dst)
+        links, lat, bw = self._route(src, dst)
         if links:
-            yield from self._new_transfer(links, src, dst, nbytes, label).run()
+            # Cut-through across the whole route: hold every link together
+            # for total-latency + bottleneck-serialization.
+            yield from Transfer(self.sim, links, nbytes, lat + nbytes / bw,
+                                label, src, dst).run()
         return self._deliver(src, dst, nbytes, payload)
 
     def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
@@ -233,18 +233,12 @@ class Topology:
         so nothing is dropped or corrupted (the eager protocol's
         messages).  ``parent`` is the span the ``network`` span nests
         under; the returned transfer has a ``cancel()``."""
-        xfer = self._new_transfer(self.route(src, dst), src, dst, nbytes,
-                                  label, parent)
+        rec = self._routes.get((src, dst))
+        links, lat, bw = rec if rec is not None else self._route(src, dst)
+        xfer = Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
+                        src, dst, parent)
         xfer.start(on_done)
         return xfer
-
-    def _new_transfer(self, links, src: int, dst: int, nbytes: int,
-                      label: str, parent=CURRENT) -> Transfer:
-        # Cut-through across the whole route: hold every link together
-        # for total-latency + bottleneck-serialization.
-        bw, lat = self._path(src, dst)
-        return Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
-                        src, dst, parent)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):
         """Apply wire faults to a payload at its delivery point."""

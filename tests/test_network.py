@@ -1,8 +1,10 @@
 """Unit tests for links, presets and topology."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NetworkError
+from repro.mpi.cluster import Cluster
 from repro.network import (
     IB_EDR,
     IB_FDR,
@@ -14,6 +16,7 @@ from repro.network import (
     Topology,
     machine_preset,
 )
+from repro.network import topology
 from repro.network.presets import MACHINES, MachinePreset
 from repro.sim import Simulator, Tracer
 from repro.utils.units import GBps, MiB
@@ -265,6 +268,23 @@ def test_route_matches_uncached_on_all_presets():
             for b in range(topo.n_gpus):
                 assert topo.route(a, b) == topo._compute_route(a, b), (name, a, b)
                 assert topo.route(a, b) is topo.route(a, b)  # cached object
+
+
+def test_a_tiny_route_cache_leaves_every_rank_time_alone(monkeypatch):
+    """The one route record cache is cleared wholesale when full: a cap
+    that clears it every few transfers moves no rank's allgather time,
+    and the cache never holds more than the cap."""
+    def allgather(comm):
+        yield from comm.allgather(np.full(1024, comm.rank, np.float32))
+        return comm.now
+
+    cluster = Cluster("fat-tree", nodes=18, gpus_per_node=2)  # two groups
+    uncapped = cluster.run(allgather, trace=False)
+    assert len(uncapped.runtime.topology._routes) > 3
+    monkeypatch.setattr(topology, "_CACHE_MAX", 3)
+    capped = cluster.run(allgather, trace=False)
+    assert capped.values == uncapped.values
+    assert len(capped.runtime.topology._routes) <= 3
 
 
 def test_fat_tree_route_shapes():
