@@ -7,7 +7,9 @@ from repro.core import CompressionConfig
 from repro.core.header import CompressionHeader
 from repro.errors import MpiError
 from repro.mpi import Cluster
-from repro.mpi.matching import ANY, MatchingEngine
+from repro.mpi.collectives import COLL_TAG_BASE
+from repro.mpi.comm import TAG_STRIDE
+from repro.mpi.matching import ANY, P2P_TAGS, MatchingEngine
 from repro.mpi.message import CONTROL_PACKET_BYTES, Cts, Data, Eager, Rts
 from repro.mpi.request import Request, waitall
 from repro.mpi.wire import WireImage
@@ -105,6 +107,29 @@ def test_wildcards(sim):
     m = MatchingEngine(sim, 1)
     m.deliver_envelope(pkt(src=3, tag=9))
     assert m.post_recv(ANY, ANY).triggered
+
+
+@pytest.mark.parametrize("post_first", [False, True])
+def test_a_wildcard_tag_stays_in_its_communicators_point_to_point_tags(
+        sim, post_first):
+    """``~base`` is the wildcard tag of the block starting at ``base``:
+    the world's is ``ANY``.  Both sides of the match agree."""
+    base = 2 * TAG_STRIDE
+    outside = (P2P_TAGS, COLL_TAG_BASE + 4,               # agreement, collective
+               base - 1, base + P2P_TAGS, TAG_STRIDE + 4)  # other blocks
+    for tag in outside + (base + P2P_TAGS - 1,):
+        m = MatchingEngine(sim, 1)
+        if post_first:
+            ev = m.post_recv(ANY, ~base)
+            m.deliver_envelope(pkt(tag=tag))
+        else:
+            m.deliver_envelope(pkt(tag=tag))
+            ev = m.post_recv(ANY, ~base)
+        assert ev.triggered == (tag not in outside), tag
+    m = MatchingEngine(sim, 1)
+    m.deliver_envelope(pkt(tag=P2P_TAGS))
+    m.deliver_envelope(pkt(tag=P2P_TAGS - 1, seq=2))
+    assert m.post_recv(ANY, ANY).value.seq == 2
 
 
 def test_no_match_on_wrong_tag(sim):
