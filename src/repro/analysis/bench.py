@@ -293,10 +293,10 @@ def scale_matrix() -> list[Entry]:
     metric drift (gated, zero tolerance) or a budget blowout.
 
     Scale scenarios run untraced with zero warm-up — at 1024 ranks a
-    ring allgather is ~1M rendezvous messages, and span recording plus
-    a second warm-up invocation are what separate minutes from hours
-    of host time.  The small 64-rank point exists so the tier-1 tests
-    can exercise the same code path in milliseconds.
+    ring allgather of 4 KiB blocks is ~1M eager messages, and span
+    recording plus a second warm-up invocation are what separate
+    minutes from hours of host time.  The small 64-rank point exists so
+    the tier-1 tests can exercise the same code path in milliseconds.
     """
     return [
         Entry(

@@ -103,9 +103,9 @@ def osu_allgather(machine: str = "frontera-liquid", nodes: int = 8, ppn: int = 2
     """MPI_Allgather latency (Figure 11b).
 
     ``warmup=0, trace=False`` is the scale-run mode: a 1024-rank ring
-    allgather is ~1M rendezvous messages, so the extra warm-up
-    invocation and span recording are what separate minutes from
-    hours of host time."""
+    allgather of 4 KiB blocks is ~1M eager messages, so the extra
+    warm-up invocation and span recording are what separate minutes
+    from hours of host time."""
     return _run_collective("allgather", machine, nodes, ppn, nbytes, payload,
                            config, warmup=warmup, trace=trace)
 
