@@ -351,25 +351,10 @@ def cmd_perf(args) -> None:
 
 
 def cmd_chaos(args) -> None:
-    from repro.errors import ConfigError, ResilienceError
+    from repro.errors import ResilienceError
     from repro.faults import FaultPlan
     from repro.faults.chaos import run_chaos, run_chaos_sweep
-    from repro.faults.plan import RankFailure
 
-    rank_failures = []
-    for i, rank in enumerate(args.kill_rank):
-        at = args.kill_at[i] if i < len(args.kill_at) else None
-        after = (args.kill_after_sends[i]
-                 if i < len(args.kill_after_sends) else None)
-        if at is None and after is None:
-            raise SystemExit(
-                f"--kill-rank {rank} needs a paired --kill-at or "
-                f"--kill-after-sends")
-        try:
-            rank_failures.append(RankFailure(rank=rank, at_time=at,
-                                             after_sends=after))
-        except ConfigError as exc:
-            raise SystemExit(str(exc))
     plan = FaultPlan(
         seed=args.seed,
         corrupt_rate=args.corrupt_rate,
@@ -378,14 +363,12 @@ def cmd_chaos(args) -> None:
         pool_fail_rate=args.pool_fail_rate,
         compress_fail_rate=args.compress_fail_rate,
         decompress_corrupt_rate=args.decompress_corrupt_rate,
-        rank_failures=tuple(rank_failures),
     )
     common = dict(machine=args.machine, sizes=tuple(args.sizes),
                   config=_config(args.config),
                   payload=args.payload, iterations=args.iters,
                   workload=args.workload, nodes=args.nodes,
-                  gpus_per_node=args.ppn,
-                  checkpoint_every=args.checkpoint_every)
+                  gpus_per_node=args.ppn)
     try:
         if args.seed_sweep > 0:
             report = run_chaos_sweep(n_seeds=args.seed_sweep,
@@ -575,10 +558,9 @@ def main(argv=None) -> int:
     p.add_argument("--machine", default="longhorn")
     p.add_argument("--config", default="mpc-opt")
     p.add_argument("--workload", default="pt2pt",
-                   choices=("pt2pt", "bcast", "allgather", "allreduce", "awp"),
+                   choices=("pt2pt", "bcast", "allgather", "allreduce"),
                    help="collective workloads fault the relayed "
-                        "keep-compressed hops too; bcast/allreduce/awp "
-                        "support fail-stop rank kills")
+                        "keep-compressed hops too")
     p.add_argument("--nodes", type=int, default=2)
     p.add_argument("--ppn", type=int, default=1,
                    help="ranks per node (collectives default to 2)")
@@ -592,16 +574,6 @@ def main(argv=None) -> int:
     p.add_argument("--pool-fail-rate", type=float, default=0.0)
     p.add_argument("--compress-fail-rate", type=float, default=0.0)
     p.add_argument("--decompress-corrupt-rate", type=float, default=0.0)
-    p.add_argument("--kill-rank", type=int, action="append", default=[],
-                   help="fail-stop this global rank mid-run (repeatable); "
-                        "pairs positionally with --kill-at/--kill-after-sends")
-    p.add_argument("--kill-at", type=float, action="append", default=[],
-                   help="sim time (s) at which the paired --kill-rank dies")
-    p.add_argument("--kill-after-sends", type=int, action="append",
-                   default=[],
-                   help="kill the paired --kill-rank on its Nth message send")
-    p.add_argument("--checkpoint-every", type=int, default=2,
-                   help="checkpoint cadence (steps) for fail-stop workloads")
     p.add_argument("--seed-sweep", type=int, default=0, metavar="N",
                    help="repeat the run across N seeds and print aggregate "
                         "recovery statistics")

@@ -19,8 +19,6 @@ catch and asserts it is reported:
   committing all three collective-causality crimes: a relayed hop that
   dropped the originating seq, a wire span outside any collective span
   on its rank, and an ``origin_seq`` no pack/reduce span minted;
-* :func:`bad_liveness_records` — a rank doing pipeline work after its
-  own ``rank_kill``, the fail-stop use-after-free;
 * :func:`run_double_release` / :func:`run_use_after_free` /
   :func:`run_leak` — minimal simulations committing each buffer
   lifecycle crime under an enabled :class:`BufferSanitizer`; callers
@@ -33,8 +31,7 @@ catch and asserts it is reported:
 * :func:`deadlock_records` — three ranks blocked in an rts cycle, the
   wait-for graph the HB deadlock analyzer must explain;
 * :func:`bad_wire_records` — WireImage typestate crimes (double
-  unpack, unpack of an unminted image) plus a collective issued on a
-  revoked communicator.
+  unpack, unpack of an unminted image).
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecord
 
 __all__ = ["BAD_LINT_SOURCE", "overlap_records", "acausal_records",
-           "early_retry_records", "bad_collective_records", "bad_liveness_records",
+           "early_retry_records", "bad_collective_records",
            "run_double_release", "run_use_after_free", "run_leak",
            "run_buffer_race", "message_race_records", "deadlock_records",
            "bad_wire_records"]
@@ -152,23 +149,6 @@ def bad_collective_records() -> list[TraceRecord]:
         # an origin nobody minted
         _rec(2.5e-6, 3e-6, "pipeline", "rts",
              {"seq": 8, "origin_seq": 99}, span_id=7),
-    ]
-
-
-def bad_liveness_records() -> list[TraceRecord]:
-    """Rank 1 is fail-stopped at t=2us yet a kernel span starts on it
-    at t=3us — work attributed to a dead rank."""
-    return [
-        _rec(0.0, 1e-6, "pipeline", "sender_prepare", {"seq": 1},
-             rank=1, span_id=1),
-        _rec(2e-6, 2e-6, "faults", "rank_kill", {"incarnation": 0},
-             rank=1, track="faults", span_id=2),
-        # legitimate: a survivor detecting the death (faults track)
-        _rec(3e-6, 3e-6, "resilience", "rank_failed", {"peer": 1},
-             rank=0, track="faults", span_id=3),
-        # the violation: the dead rank runs a kernel after its kill
-        _rec(3e-6, 4e-6, "compression_kernel", "mpc_part0", {},
-             rank=1, track="stream0", span_id=4),
     ]
 
 
@@ -275,9 +255,8 @@ def deadlock_records() -> list[TraceRecord]:
 
 
 def bad_wire_records() -> list[TraceRecord]:
-    """WireImage typestate crimes: rank 1 unpacks one image twice, an
-    unpack names an origin nobody minted, and a collective starts on a
-    communicator after its revocation."""
+    """WireImage typestate crimes: rank 1 unpacks one image twice, and
+    an unpack names an origin nobody minted."""
     return [
         _rec(0.0, 2e-6, "collective", "allreduce",
              {"comm": 7, "coll_seq": 0, "size": 2}, span_id=1),
@@ -291,10 +270,4 @@ def bad_wire_records() -> list[TraceRecord]:
         # an origin nobody packed
         _rec(1.8e-6, 1.9e-6, "pipeline", "unpack_wire",
              {"origin_seq": 99, "nbytes": 64}, span_id=5),
-        # the communicator is revoked ... and used again anyway
-        _rec(3e-6, 3e-6, "faults", "comm_revoke",
-             {"comm_id": 7, "failed": [1]}, rank=None, track="faults",
-             span_id=6),
-        _rec(4e-6, 5e-6, "collective", "allreduce",
-             {"comm": 7, "coll_seq": 1, "size": 2}, span_id=7),
     ]

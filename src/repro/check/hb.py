@@ -39,11 +39,6 @@ Every span contributes two nodes, ``S`` (start) and ``E`` (end), with
     collectives (bcast, reduce, ...) are ordered by their real
     point-to-point edges instead.
 
-``fail-stop``
-    A ``rank_kill`` faults span happens-before every survivor span that
-    *names* the victim (``peer`` meta — failure detection, revocation,
-    shrink bookkeeping).
-
 Every edge is **time-guarded**: an edge whose source is later than its
 target (beyond ``EPS``) is dropped, so the graph is forward-in-time and
 acyclic by construction for any trace the simulator can actually emit.
@@ -79,12 +74,10 @@ Detectors (each returns :class:`~repro.check.sanitize.TraceViolation`):
     of ranks explains *why* the engine's empty-queue
     :class:`~repro.errors.DeadlockError` fired.
 
-``wire-typestate`` / ``revoked-comm``
+``wire-typestate``
     WireImage lifecycle: every ``unpack_wire`` names an ``origin_seq``
     some ``pack_wire``/``reduce_wire`` minted, after the mint, at most
-    once per consuming rank; no collective span may start on a
-    communicator after a ``comm_revoke`` faults span revoked it
-    (post-shrink communicators have fresh ids and are exempt).
+    once per consuming rank.
 """
 
 from __future__ import annotations
@@ -159,7 +152,6 @@ class HappensBefore:
         self._tree_edges()
         self._rendezvous_edges()
         self._collective_edges()
-        self._failstop_edges()
 
     def _lane_edges(self) -> None:
         for (rank, track), spans in self.trace.lanes.items():
@@ -226,15 +218,6 @@ class HappensBefore:
                 for b in members:
                     if a is not b:
                         self._edge(self._s(a), self._e(b))
-
-    def _failstop_edges(self) -> None:
-        kills = self.trace.kills
-        if not kills:
-            return
-        for r in self.records:
-            peer = r.meta.get("peer")
-            for kill in kills.get(peer, ()):
-                self._edge(self._e(kill), self._s(r))
 
     # -- order + clocks ------------------------------------------------------
     def _key(self, node: int) -> tuple:
@@ -514,10 +497,9 @@ class HBChecker:
                         stack.append((peer, path + [peer]))
         return out
 
-    # -- WireImage + communicator typestate ----------------------------------
+    # -- WireImage typestate -------------------------------------------------
     def check_typestate(self) -> list[TraceViolation]:
-        """pack -> relay* -> unpack (at most once per consumer), and no
-        collective work on a revoked communicator."""
+        """pack -> relay* -> unpack (at most once per consumer)."""
         out = []
         minters = self.trace.origins
         for origin, spans in sorted(minters.items()):
@@ -561,22 +543,6 @@ class HBChecker:
                     f"once",
                     span_ids=tuple(s.span_id for s in spans),
                     t=spans[0].t_start))
-        # revoked-communicator usage
-        revokes = [(r.meta.get("comm_id"), r) for r in self.records
-                   if r.label == "comm_revoke" and r.track == "faults"]
-        for r in self.trace.collectives:
-            if "comm" not in r.meta:
-                continue
-            for cid, rev in revokes:
-                if cid == r.meta["comm"] and r.t_start > rev.t_start + EPS:
-                    out.append(TraceViolation(
-                        "revoked-comm",
-                        f"collective span {r.span_id} ({r.label}, rank "
-                        f"{r.rank}) starts at {r.t_start:.9f} on "
-                        f"communicator {cid}, revoked at "
-                        f"{rev.t_start:.9f} — survivors must shrink "
-                        f"before collectives resume",
-                        span_ids=(r.span_id, rev.span_id), t=r.t_start))
         return out
 
     def check_all(self) -> list[TraceViolation]:

@@ -54,15 +54,6 @@ Checks (each returns a list of :class:`TraceViolation`):
     Retransmissions (spans with an ``attempt``) legitimately outlive
     the collective and are exempt from containment.
 
-``liveness``
-    Fail-stop ground truth: a ``rank_kill`` span on the ``faults``
-    track pins the sim time a rank died; no span may be *attributed* to
-    that rank (``rank=<victim>``) with a start time after its kill.  A
-    span open at the kill ends then (the kill interrupts it), so a
-    later start means the simulator let a dead rank do work — the
-    fail-stop equivalent of a use-after-free.  ``faults``-track spans
-    themselves are exempt (they *describe* the failure).
-
 Timestamps compare with ``EPS`` = 1 ns slack: the Chrome export rounds
 to 1e-6 us (~1e-12 s), so true violations dwarf the tolerance.
 """
@@ -90,7 +81,7 @@ _TILING_TOL = 5e-9
 class TraceViolation:
     """One invariant violation, pinned to the offending spans."""
 
-    check: str        #: "serial-lane" | "containment" | "causality" | "tiling" | "collective" | "liveness"
+    check: str        #: "serial-lane" | "containment" | "causality" | "tiling" | "collective"
     message: str
     span_ids: tuple = ()
     t: float = 0.0    #: sim-time where the violation manifests
@@ -288,28 +279,8 @@ class TraceSanitizer:
                         span_ids=(r.span_id,), t=r.t_start))
         return out
 
-    def check_liveness(self) -> list[TraceViolation]:
-        """No span may be attributed to a rank after its fail-stop kill
-        (see module docstring).  Trivially empty for kill-free traces."""
-        kills = self.trace.kills
-        if not kills:
-            return []
-        out = []
-        for rec in self.records:
-            if rec.rank not in kills or rec.track == "faults":
-                continue
-            killed_at = kills[rec.rank][0].t_start
-            if rec.t_start > killed_at + EPS:
-                out.append(TraceViolation(
-                    "liveness",
-                    f"span {rec.span_id} ({rec.category}/{rec.label}) is "
-                    f"attributed to rank {rec.rank} at {rec.t_start:.9f}, "
-                    f"after its fail-stop kill at {killed_at:.9f}",
-                    span_ids=(rec.span_id,), t=rec.t_start))
-        return out
-
     def check_all(self) -> list[TraceViolation]:
-        """All six checks, in a stable order."""
+        """All five checks, in a stable order."""
         return (self.check_serial_lanes() + self.check_containment()
                 + self.check_causality() + self.check_tiling()
-                + self.check_collectives() + self.check_liveness())
+                + self.check_collectives())

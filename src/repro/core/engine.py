@@ -292,20 +292,14 @@ class CompressionEngine:
                                                   solo_label)
             return
         submit = self.device.spec.kernel_launch
-        failstop = getattr(self.sim, "failstop", None)
         procs = []
         for i, d in enumerate(durations):
             if i:
                 yield self.sim.timeout(submit)
-            p = self.sim.process(
+            procs.append(self.sim.process(
                 self.streams[i % _MAX_STREAMS].run_kernel(d, blocks, category, f"p{i}"),
                 name=f"{category}-p{i}",
-            )
-            if failstop is not None:
-                # Partition kernels belong to this device's rank (ranks
-                # map 1:1 onto GPUs) so a fail-stop kill sweeps them up.
-                failstop.adopt(self.device.device_id, p)
-            procs.append(p)
+            ))
         yield self.sim.all_of(procs)
 
     # -- sender ---------------------------------------------------------------

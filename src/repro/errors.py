@@ -109,40 +109,3 @@ class IntegrityError(ResilienceError):
 class RetryExhaustedError(ResilienceError):
     """Raised when a message could not be delivered intact within the
     configured retransmission budget."""
-
-
-class RankFailedError(ResilienceError):
-    """Raised when a communication cannot complete because the peer
-    rank suffered a fail-stop failure.
-
-    Carries the failed (global) rank, its incarnation number, and the
-    last simulated time anything was heard from it, so dead-peer triage
-    does not require trace archaeology.
-    """
-
-    def __init__(self, message: str, failed_rank: int, incarnation: int = 0,
-                 last_heard: float | None = None, diagnostic: str = ""):
-        super().__init__(message if not diagnostic
-                         else f"{message}\n{diagnostic}")
-        self.failed_rank = failed_rank
-        self.incarnation = incarnation
-        self.last_heard = last_heard
-        self.diagnostic = diagnostic
-
-
-class CollectiveAbortedError(ResilienceError):
-    """Raised when an in-flight collective is torn down (revoked)
-    because one or more participants suffered fail-stop failures.
-
-    ULFM semantics: every surviving participant of the revoked
-    communicator epoch raises this deterministically; recovery is
-    ``agree_failures()`` + ``shrink()`` + re-issuing the collective on
-    the shrunk communicator.
-    """
-
-    def __init__(self, message: str, failed_ranks: tuple = (),
-                 collective: str = "", epoch: int = 0):
-        super().__init__(message)
-        self.failed_ranks = tuple(failed_ranks)
-        self.collective = collective
-        self.epoch = epoch

@@ -18,6 +18,6 @@ chaos`` subcommand) wraps the whole loop into a verified OMB sweep.
 """
 
 from repro.faults.injector import DROPPED, FaultInjector
-from repro.faults.plan import FaultPlan, RankFailure
+from repro.faults.plan import FaultPlan
 
-__all__ = ["FaultPlan", "RankFailure", "FaultInjector", "DROPPED"]
+__all__ = ["FaultPlan", "FaultInjector", "DROPPED"]

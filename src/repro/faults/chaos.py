@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import CompressionConfig
-from repro.errors import CollectiveAbortedError
 from repro.faults.plan import FaultPlan
 from repro.mpi.resilience import ResilienceConfig
 from repro.utils.units import fmt_bytes
@@ -44,10 +43,6 @@ class ChaosSizeResult:
     faulty_elapsed: float  #: simulated seconds, under the fault plan
     faults_injected: dict = field(default_factory=dict)   # kind -> count
     recovery_events: dict = field(default_factory=dict)   # event -> count
-    #: global ranks the plan fail-stopped mid-run
-    killed: tuple = ()
-    #: shrink-and-rollback cycles the survivors executed
-    recoveries: int = 0
 
     @property
     def overhead(self) -> float:
@@ -81,15 +76,11 @@ class ChaosReport:
             injected = sum(r.faults_injected.values())
             retrans = r.recovery_events.get("retransmit", 0)
             fallbacks = r.recovery_events.get("fallback", 0)
-            extra = ""
-            if r.killed:
-                extra = (f", killed ranks {list(r.killed)}, "
-                         f"{r.recoveries} shrink+rollback recoveries")
             lines.append(
                 f"  {fmt_bytes(r.nbytes):>8}: {r.messages} msgs, "
                 f"{r.mismatches} mismatches, {injected} faults, "
                 f"{retrans} retransmits, {fallbacks} fallbacks, "
-                f"+{r.overhead * 1e6:.1f} us recovery{extra}"
+                f"+{r.overhead * 1e6:.1f} us recovery"
             )
         verdict = "all payloads verified" if self.ok else \
             f"{self.total_mismatches}/{self.total_messages} PAYLOAD MISMATCHES"
@@ -149,126 +140,7 @@ def _collective_rank_fn(op, payloads):
     return rank_fn
 
 
-def _failstop_init(n: int, grank: int) -> np.ndarray:
-    """Per-rank initial field: integer-valued float32 so fixed-order
-    reductions stay exact and any bit flip is attributable."""
-    return np.full(n, np.float32(grank % 5 + 1), dtype=np.float32)
-
-
-def _failstop_step(cur, op, state, step):
-    """One application step of the fail-stop workloads (generator).
-
-    Each step is a pure deterministic function of (communicator group,
-    state, step), so a rolled-back-and-replayed step reproduces the
-    original bits and the shrunk-reference run is exactly comparable.
-    """
-    if op == "allreduce":
-        contrib = np.full_like(state, np.float32((cur.grank + 1) * (step % 7 + 1)))
-        total = yield from cur.allreduce(contrib)
-        return (state + np.asarray(total)).astype(np.float32)
-    if op == "bcast":
-        msg = (state + np.float32(step + 1)) if cur.rank == 0 else None
-        out = yield from cur.bcast(msg, root=0)
-        return (np.asarray(out) + np.float32(cur.grank % 3)).astype(np.float32)
-    if op == "awp":
-        # AWP-style neighbour coupling on a ring: exchange faces, fold
-        # in both neighbours' fields.  After a shrink the ring re-knits
-        # over the survivors, like re-decomposing the AWP process grid.
-        faces = yield from cur.allgather(state)
-        left = np.asarray(faces[(cur.rank - 1) % cur.size])
-        right = np.asarray(faces[(cur.rank + 1) % cur.size])
-        return (state + left + right).astype(np.float32)
-    raise ValueError(op)  # pragma: no cover - validated by run_chaos
-
-
-def _failstop_rank_fn(op, n, steps):
-    """Stepping workload with checkpoint/rollback + shrink recovery.
-
-    On :class:`~repro.errors.CollectiveAbortedError` the rank shrinks
-    the communicator, allgathers every survivor's latest checkpoint
-    step, restores the newest checkpoint common to all of them (ranks
-    can be a step apart when the victim died between their collectives)
-    and resumes on the shrunk communicator.  No checkpoint yet means a
-    cold restart from the initial field.
-    """
-    def rank_fn(comm):
-        state = _failstop_init(n, comm.grank)
-        cur = comm
-        step = 0
-        restarts = []  # (resume step, shrunk group) per completed recovery
-        recovering = False
-        while True:
-            try:
-                if recovering:
-                    # The whole recovery is itself abortable (a second
-                    # failure mid-recovery just restarts it); restarts
-                    # is appended only once a recovery completes.
-                    cur = yield from cur.shrink()
-                    latest = cur.restore()
-                    mine = latest[0] if latest is not None else -1
-                    if cur.size > 1:
-                        gathered = yield from cur.allgather(
-                            np.asarray([mine], dtype=np.float32))
-                        common = int(min(float(np.asarray(g)[0])
-                                         for g in gathered))
-                    else:
-                        common = int(mine)
-                    if common >= 0:
-                        _, saved = cur.restore(step=common)
-                        state = np.array(saved, dtype=np.float32, copy=True)
-                        step = common + 1
-                    else:
-                        state = _failstop_init(n, comm.grank)
-                        step = 0
-                    restarts.append((step, tuple(cur.group)))
-                    recovering = False
-                if step < steps:
-                    state = yield from _failstop_step(cur, op, state, step)
-                    if cur.should_checkpoint(step):
-                        cur.checkpoint(step, state.copy())
-                    step += 1
-                    continue
-                # Completion fence: a peer may still abort behind us
-                # (collectives complete non-uniformly), in which case we
-                # must rejoin the recovery rather than exit and strand
-                # its shrink agreement.
-                yield from cur.barrier()
-                return {"state": state, "group": tuple(cur.group),
-                        "restarts": tuple(restarts)}
-            except CollectiveAbortedError:
-                recovering = True
-    return rank_fn
-
-
-def _failstop_replay_fn(op, n, steps, restarts):
-    """Fault-free replay of a recovered run's final composition.
-
-    ``restarts`` is the chronological ``(resume_step, group)`` history
-    one survivor reported.  The group in effect at step ``t`` is the
-    *latest* restart whose resume step is <= t (a later rollback can
-    rewind past an earlier one), else the full communicator.  Ranks
-    outside the group in effect return once they stop participating.
-    """
-    def rank_fn(comm):
-        state = _failstop_init(n, comm.grank)
-        cur = comm
-        for step in range(steps):
-            grp = None
-            for s, g in restarts:
-                if s <= step:
-                    grp = g
-            if grp is not None and tuple(cur.group) != tuple(grp):
-                if comm.grank not in grp:
-                    return None
-                cur = comm.subset(grp)
-            state = yield from _failstop_step(cur, op, state, step)
-        return {"state": state, "group": tuple(cur.group)}
-    return rank_fn
-
-
-WORKLOADS = ("pt2pt", "bcast", "allgather", "allreduce", "awp")
-#: workloads that support fail-stop recovery (stepping + checkpoint)
-FAILSTOP_WORKLOADS = ("bcast", "allreduce", "awp")
+WORKLOADS = ("pt2pt", "bcast", "allgather", "allreduce")
 
 
 def run_chaos(
@@ -284,7 +156,6 @@ def run_chaos(
     max_time: float = 60.0,
     asan: bool = True,
     workload: str = "pt2pt",
-    checkpoint_every: int = 2,
 ) -> ChaosReport:
     """OMB-style sweep under a fault plan, with bit-exactness checks.
 
@@ -301,14 +172,6 @@ def run_chaos(
     buffer sanitizer — the recovery paths are exactly where a stray
     double-release or leaked pool buffer would hide, and the sanitizer
     is pure bookkeeping so the bit-exactness comparison is unaffected.
-
-    Plans with ``rank_failures`` (and the ``"awp"`` workload always)
-    run the *stepping* variant instead: ``iterations`` application
-    steps with a checkpoint every ``checkpoint_every`` steps.  On a
-    fail-stop abort the survivors shrink the communicator, agree on the
-    newest common checkpoint, roll back and continue; the faulty run's
-    surviving states are then compared bit-for-bit against a fault-free
-    replay of the same full-comm-prefix + shrunk-suffix composition.
     """
     from repro.mpi.cluster import Cluster
     from repro.omb.payload import make_payload
@@ -317,21 +180,11 @@ def run_chaos(
         raise ValueError(f"unknown workload {workload!r}; known: {WORKLOADS}")
     config = config or CompressionConfig.mpc_opt()
     plan = plan or FaultPlan(seed=1, corrupt_rate=0.05)
-    failstop = plan.has_rank_failures or workload == "awp"
-    if failstop and workload not in FAILSTOP_WORKLOADS:
-        raise ValueError(
-            f"rank-failure plans need a fail-stop workload "
-            f"{FAILSTOP_WORKLOADS}, not {workload!r}")
     if workload != "pt2pt" and gpus_per_node == 1 and nodes == 2:
         gpus_per_node = 2  # default to a 4-rank, multi-hop communicator
     cluster = Cluster(machine, nodes=nodes, gpus_per_node=gpus_per_node)
     results = []
     for nbytes in sizes:
-        if failstop:
-            results.append(_run_failstop_size(
-                cluster, workload, nbytes, iterations, config, plan,
-                resilience, max_time, asan, checkpoint_every))
-            continue
         payloads = [make_payload(payload, nbytes, seed=i)
                     for i in range(iterations)]
         if workload == "pt2pt":
@@ -369,43 +222,6 @@ def run_chaos(
     return ChaosReport(plan=plan, results=results)
 
 
-def _run_failstop_size(cluster, workload, nbytes, steps, config, plan,
-                       resilience, max_time, asan, checkpoint_every):
-    """One size of the fail-stop stepping comparison (see run_chaos)."""
-    n = max(1, nbytes // 4)  # float32 field elements
-    rank_fn = _failstop_rank_fn(workload, n, steps)
-    faulty = cluster.run(rank_fn, config=config, faults=plan,
-                         resilience=resilience, max_time=max_time,
-                         asan=asan, checkpoint_every=checkpoint_every)
-    survivors = {r: v for r, v in enumerate(faulty.values)
-                 if isinstance(v, dict)}
-    restarts = next(iter(survivors.values()))["restarts"] if survivors else ()
-    ref_fn = _failstop_replay_fn(workload, n, steps, restarts)
-    clean = cluster.run(ref_fn, config=config, max_time=max_time, asan=asan,
-                        checkpoint_every=checkpoint_every)
-    mismatches = 0
-    for r, v in survivors.items():
-        expect = clean.values[r]
-        ok = (isinstance(expect, dict)
-              and tuple(expect["group"]) == tuple(v["group"])
-              and expect["state"].dtype == v["state"].dtype
-              and expect["state"].shape == v["state"].shape
-              and np.array_equal(expect["state"], v["state"]))
-        mismatches += 0 if ok else 1
-    m = faulty.tracer.metrics
-    return ChaosSizeResult(
-        nbytes=nbytes,
-        messages=len(survivors),
-        mismatches=mismatches,
-        clean_elapsed=clean.elapsed,
-        faulty_elapsed=faulty.elapsed,
-        faults_injected=_counters_with_prefix(m, "faults.injected"),
-        recovery_events=_counters_with_prefix(m, "resilience."),
-        killed=tuple(k.rank for k in faulty.killed),
-        recoveries=len(restarts),
-    )
-
-
 @dataclass
 class ChaosSweepReport:
     """Aggregate of :func:`run_chaos_sweep` — one chaos run per seed."""
@@ -418,10 +234,6 @@ class ChaosSweepReport:
         return all(r.ok for r in self.reports)
 
     def summary(self) -> str:
-        total_kills = sum(len(sr.killed) for r in self.reports
-                          for sr in r.results)
-        total_recov = sum(sr.recoveries for r in self.reports
-                          for sr in r.results)
         total_msgs = sum(r.total_messages for r in self.reports)
         total_bad = sum(r.total_mismatches for r in self.reports)
         overheads = [sr.overhead for r in self.reports for sr in r.results]
@@ -430,9 +242,7 @@ class ChaosSweepReport:
                  f"{list(self.seeds)}"]
         lines.append(f"  {total_msgs} payloads verified, "
                      f"{total_bad} mismatches")
-        lines.append(f"  {total_kills} rank kills, {total_recov} "
-                     f"shrink+rollback recoveries, mean recovery overhead "
-                     f"+{mean_over * 1e6:.1f} us")
+        lines.append(f"  mean recovery overhead +{mean_over * 1e6:.1f} us")
         failed = [s for s, r in zip(self.seeds, self.reports) if not r.ok]
         lines.append("  => all seeds recovered bit-exactly" if self.ok
                      else f"  => FAILING SEEDS: {failed}")
@@ -443,9 +253,9 @@ def run_chaos_sweep(n_seeds: int = 3, base_seed: int = 1,
                     **kwargs) -> ChaosSweepReport:
     """Run :func:`run_chaos` across ``n_seeds`` derived fault plans
     (``seed = base_seed + i``) and aggregate recovery statistics.
-    Every other keyword is forwarded to :func:`run_chaos`; the plan's
-    rank-failure specs are kept identical across seeds so the sweep
-    varies message-fault timing around the same kill schedule."""
+    Every other keyword is forwarded to :func:`run_chaos`; only the
+    seed changes, so the sweep varies where the plan's message faults
+    land."""
     plan = kwargs.pop("plan", None) or FaultPlan(seed=base_seed)
     seeds = tuple(base_seed + i for i in range(n_seeds))
     reports = [run_chaos(plan=replace(plan, seed=s), **kwargs)

@@ -40,14 +40,12 @@ from repro.errors import DeadlockError, MpiError
 from repro.faults import DROPPED, FaultInjector, FaultPlan
 from repro.gpu.device import Device
 from repro.mpi.comm import Communicator
-from repro.mpi.failstop import (FailStopManager, KillCause, KilledRank,
-                                RankKilled)
 from repro.mpi.matching import MatchingEngine
 from repro.mpi.message import Cts, Data, Rts
 from repro.mpi.resilience import JITTER_SEED, CircuitBreaker, ResilienceConfig
 from repro.network.presets import MachinePreset, machine_preset
 from repro.network.topology import Topology
-from repro.sim import Interrupt, Simulator, Tracer
+from repro.sim import Simulator, Tracer
 from repro.sim.trace import trace_scope
 
 __all__ = ["Cluster", "ClusterResult", "Runtime"]
@@ -58,18 +56,13 @@ class Runtime:
 
     def __init__(self, sim: Simulator, topology: Topology, devices: list[Device],
                  config: CompressionConfig,
-                 resilience: Optional[ResilienceConfig] = None,
-                 failstop=None, checkpoint_every: int = 0):
+                 resilience: Optional[ResilienceConfig] = None):
         self.sim = sim
         self.topology = topology
         self.devices = devices
         self.config = config
         self.resilience = resilience or ResilienceConfig()
         self.resil_rng = random.Random(JITTER_SEED)
-        #: fail-stop manager (None unless the plan kills ranks)
-        self.failstop = failstop
-        #: application checkpoint cadence in steps (0 = never)
-        self.checkpoint_every = checkpoint_every
         self._engines = [CompressionEngine(sim, dev, config) for dev in devices]
         self._matching = [MatchingEngine(sim, r) for r in range(len(devices))]
         self._seq = 0
@@ -81,10 +74,6 @@ class Runtime:
         #: without communication (id 0 is the implicit world group).
         self._comm_ids: dict[tuple, int] = {}
         self._next_comm_id = 1
-        #: comm id -> decided failure set (the agreement board)
-        self._agreements: dict[int, tuple] = {}
-        #: global rank -> {step -> checkpointed state}
-        self._checkpoints: dict[int, dict[int, Any]] = {}
 
     @property
     def faults(self):
@@ -95,35 +84,7 @@ class Runtime:
         self._seq += 1
         return self._seq
 
-    # -- fail-stop plumbing ----------------------------------------------
-    def adopt(self, grank: int, proc) -> None:
-        """Register a protocol/helper process (or an eager operation's
-        handle) under its owning rank so a fail-stop kill can interrupt
-        it."""
-        if self.failstop is not None:
-            self.failstop.adopt(grank, proc)
-
-    def is_dead(self, grank: int) -> bool:
-        return self.failstop is not None and self.failstop.is_dead(grank)
-
-    def last_heard_of(self, listener: int, peer: int) -> Optional[float]:
-        """Sim time ``listener`` last received any packet from ``peer``
-        (None = never)."""
-        return self._matching[listener].last_heard.get(peer)
-
-    def heard_map(self, listener: int) -> dict:
-        """``peer -> last-heard time`` for one listener; dead peers the
-        listener never heard from appear with ``None``."""
-        out: dict = {}
-        fs = self.failstop
-        if fs is not None:
-            for peer in fs.dead:
-                if peer != listener:
-                    out[peer] = None
-        out.update(self._matching[listener].last_heard)
-        return out
-
-    # -- communicator derivation / agreement -----------------------------
+    # -- communicator derivation -----------------------------------------
     def comm_id_for(self, group) -> int:
         """Stable communicator id for a global-rank group — identical
         on every rank because the registry is keyed by the group
@@ -141,30 +102,6 @@ class Runtime:
         group = tuple(group)
         return Communicator(self, group.index(grank), len(group),
                             group=group, comm_id=self.comm_id_for(group))
-
-    def record_agreement(self, comm_id: int, decided: tuple) -> None:
-        """Post a decided failure set to the agreement board (first
-        decision per communicator wins; see ``Comm.agree_failures``)."""
-        self._agreements.setdefault(comm_id, tuple(decided))
-
-    def agreed_failures(self, comm_id: int) -> Optional[tuple]:
-        return self._agreements.get(comm_id)
-
-    # -- application checkpoints -----------------------------------------
-    def store_checkpoint(self, grank: int, step: int, state) -> None:
-        self._checkpoints.setdefault(grank, {})[step] = state
-
-    def load_checkpoint(self, grank: int, step: Optional[int] = None):
-        """``(step, state)`` of the requested (default: latest)
-        checkpoint for ``grank``, or None."""
-        ckpts = self._checkpoints.get(grank)
-        if not ckpts:
-            return None
-        if step is None:
-            step = max(ckpts)
-        elif step not in ckpts:
-            return None
-        return step, ckpts[step]
 
     # -- resilience ------------------------------------------------------
     def resilience_event(self, kind: str, rank: Optional[int] = None, **meta):
@@ -255,19 +192,16 @@ class Runtime:
         """A NACK for the retained message ``rts`` reached its sender:
         count it against the breaker when the rejected payload was
         compressed, and push the bytes again as ``attempt`` (async
-        sender-side process) — dead senders retransmit nothing."""
+        sender-side process)."""
         if rts.compressed:
             self.breaker_of(rts.src, rts.dst).record_failure(self.sim.now)
-        if not self.is_dead(rts.src):
-            _, payload = self._retransmit[rts.seq]
-            p = self.sim.process(self._push_image(rts, payload, attempt),
-                                 name=f"retransmit{rts.seq}.{attempt}")
-            self.adopt(rts.src, p)
+        _, payload = self._retransmit[rts.seq]
+        self.sim.process(self._push_image(rts, payload, attempt),
+                         name=f"retransmit{rts.seq}.{attempt}")
 
     def matching_report(self) -> str:
         """Per-rank matching diagnostics for deadlock/timeout errors."""
-        parts = [m.diagnostics(last_heard=self.heard_map(m.rank))
-                 for m in self._matching if not m.idle]
+        parts = [m.diagnostics() for m in self._matching if not m.idle]
         return "\n".join(parts) if parts else "all ranks idle"
 
     # Ranks map 1:1 onto GPUs, block-assigned to nodes.
@@ -306,30 +240,10 @@ class ClusterResult:
     #: cached, so it is deliberately kept out of the tracer metrics
     #: that the determinism suite fingerprints.
     codec_cache: dict = field(repr=False, default_factory=dict)
-    #: :class:`~repro.mpi.failstop.KilledRank` sentinels for ranks the
-    #: fault plan fail-stopped mid-run (empty for fault-free runs)
-    killed: tuple = ()
 
     def breakdown(self) -> dict[str, float]:
         """Summed tracer spans per category (see Figs 6/8/10)."""
         return self.tracer.breakdown()
-
-
-def _supervised(gen, rank: int, fs: FailStopManager):
-    """Wrap a rank's main generator so its *own* fail-stop death ends
-    the process normally with a :class:`KilledRank` sentinel — the run
-    then completes on the survivors instead of re-raising the kill."""
-    try:
-        value = yield from gen
-        return value
-    except RankKilled:
-        inc, t = fs.dead[rank]
-        return KilledRank(rank, inc, t)
-    except Interrupt as intr:
-        if isinstance(intr.cause, KillCause) and intr.cause.rank == rank:
-            inc, t = fs.dead[rank]
-            return KilledRank(rank, inc, t)
-        raise
 
 
 class Cluster:
@@ -356,7 +270,6 @@ class Cluster:
         faults: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceConfig] = None,
         asan: bool | str = False,
-        checkpoint_every: int = 0,
         trace: bool = True,
     ) -> ClusterResult:
         """Run ``rank_fn(comm, *args)`` as an SPMD job.
@@ -385,10 +298,6 @@ class Cluster:
             The string ``"record"`` additionally logs every buffer
             access for the happens-before race detector
             (:mod:`repro.check.hb`).
-        checkpoint_every:
-            Checkpoint cadence hint exposed to ranks via
-            ``comm.should_checkpoint(step)`` (0 = never); the
-            checkpoint store itself lives on the :class:`Runtime`.
         trace:
             Record spans/metrics (default).  ``trace=False`` attaches
             no tracer — the mode that makes 1k+ rank runs affordable (a
@@ -407,30 +316,17 @@ class Cluster:
         sanitizer = (BufferSanitizer(record_accesses=(asan == "record"))
                      if asan else None)
         sim.asan = sanitizer
-        injector = FaultInjector(sim, faults) if faults is not None else None
+        if faults is not None:
+            FaultInjector(sim, faults)  # attaches itself as sim.faults
         resilience = resilience or ResilienceConfig.for_plan(faults)
         topology = Topology(sim, self.preset, self.nodes, self.gpus_per_node)
         devices = [Device(sim, self.preset.device, i) for i in range(self.n_gpus)]
-        fs = None
-        if faults is not None and faults.has_rank_failures:
-            fs = FailStopManager(sim, nprocs, injector=injector)
-            sim.failstop = fs
-        runtime = Runtime(sim, topology, devices, config, resilience=resilience,
-                          failstop=fs, checkpoint_every=checkpoint_every)
-        comms = [Communicator(runtime, r, nprocs) for r in range(nprocs)]
-        if fs is None:
-            procs = [
-                sim.process(rank_fn(comms[r], *args), name=f"rank{r}")
-                for r in range(nprocs)
-            ]
-        else:
-            procs = []
-            for r in range(nprocs):
-                p = sim.process(_supervised(rank_fn(comms[r], *args), r, fs),
-                                name=f"rank{r}")
-                fs.adopt(r, p)
-                procs.append(p)
-            fs.install(faults.rank_failures)
+        runtime = Runtime(sim, topology, devices, config, resilience=resilience)
+        procs = [
+            sim.process(rank_fn(Communicator(runtime, r, nprocs), *args),
+                        name=f"rank{r}")
+            for r in range(nprocs)
+        ]
         cache_before = GLOBAL_CODEC_CACHE.stats()
         sim.run(until=max_time)
         cache_after = GLOBAL_CODEC_CACHE.stats()
@@ -448,17 +344,12 @@ class Cluster:
                 f"or a collective not entered by every rank",
                 diagnostic=runtime.matching_report(),
             )
-        values = [p.value for p in procs]
-        killed = tuple(v for v in values if isinstance(v, KilledRank))
-        if sanitizer is not None and not killed:
+        if sanitizer is not None:
             # Every rank completed: all checked-out buffers must be home.
-            # (A fail-stopped rank abandons its in-flight buffers by
-            # design, so leak-checking a kill run would be a false
-            # positive on the victim's strandings.)
             sanitizer.assert_clean()
-        return ClusterResult(values=values, elapsed=sim.now, tracer=tracer,
-                             runtime=runtime, asan=sanitizer,
-                             codec_cache=cache_delta, killed=killed)
+        return ClusterResult(values=[p.value for p in procs], elapsed=sim.now,
+                             tracer=tracer, runtime=runtime, asan=sanitizer,
+                             codec_cache=cache_delta)
 
     def __repr__(self) -> str:
         return f"<Cluster {self.preset.name} {self.nodes}x{self.gpus_per_node}>"

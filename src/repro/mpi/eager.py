@@ -28,18 +28,12 @@ wire event and the receiver's waiter two hops after it (wire -> match ->
 waiter).  Completing the receive straight from the wire callback would
 wake the receiver first and moves contended runs by a microsecond; the
 match hop stays.  See ``docs/performance.md``, "Message path".
-
-Both are what :meth:`FailStopManager.adopt
-<repro.mpi.failstop.FailStopManager.adopt>` calls a handle: ``is_alive``
-and ``interrupt(cause)``, which withdraws whatever is scheduled or
-queued on a link and fails the request with the kill.
 """
 
 from __future__ import annotations
 
 from repro.mpi.message import CONTROL_PACKET_BYTES, Eager
 from repro.mpi.wire import WireImage
-from repro.sim import Interrupt
 
 __all__ = ["EagerSend", "Recv", "SETUP_TIME"]
 
@@ -55,7 +49,7 @@ class EagerSend(Eager):
     ``payload`` is user data or a :class:`~repro.mpi.wire.WireImage`,
     delivered as it is."""
 
-    __slots__ = ("_comm", "_req", "_parent", "_pending", "_nbytes", "_then")
+    __slots__ = ("_comm", "_req", "_parent", "_nbytes", "_then")
 
     def __init__(self, comm, payload, nbytes: int, dest: int, tag: int, req,
                  parent):
@@ -72,19 +66,7 @@ class EagerSend(Eager):
         self._nbytes = nbytes
         #: the first step of an operation issued right after this one
         self._then = None
-        #: the one thing scheduled or in flight — a micro-event or a
-        #: transfer, either way with ``cancel()`` — for a kill to withdraw
-        self._pending = comm._rt.sim.call_later(SETUP_TIME, self._start)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._req.done
-
-    def interrupt(self, cause) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.cancel()
-        self._req.fail(Interrupt(cause))
+        comm._rt.sim.call_later(SETUP_TIME, self._start)
 
     def _start(self, event) -> None:
         rt = self._comm._rt
@@ -94,14 +76,13 @@ class EagerSend(Eager):
             self._arrived()  # no wire: deliver the envelope directly
         else:
             # An EAGER packet piggybacks no compression header.
-            self._pending = rt.topology.start_transfer(
+            rt.topology.start_transfer(
                 self.src, self.dst, self._nbytes + CONTROL_PACKET_BYTES,
                 "eager", self._arrived, self._parent)
         if self._then is not None:
             self._then(event)
 
     def _arrived(self) -> None:
-        self._pending = None
         comm = self._comm
         rt = comm._rt
         rt._matching[self.dst].deliver_envelope(self, self._parent)
@@ -119,11 +100,10 @@ class Recv:
     """One receive up to its envelope match;
     ``comm._recv_proc(pkt, req)`` takes a matched RTS from there."""
 
-    __slots__ = ("_comm", "_req", "_parent", "_pending", "_source", "_tag")
+    __slots__ = ("_comm", "_req", "_parent", "_source", "_tag")
 
     def __init__(self, comm, source: int, tag: int, req, parent, after=None):
         self._comm = comm
-        #: ``None`` once the rendezvous process owns the request
         self._req = req
         #: as :class:`EagerSend`'s
         self._parent = parent
@@ -133,47 +113,26 @@ class Recv:
             # Issued right after ``after`` (an EagerSend not yet started):
             # its start event would be followed by ours in the same
             # bucket, so it runs our first step too — same order, one
-            # event fewer.  A kill interrupts both, and cancels that event.
+            # event fewer.
             after._then = self._post
-            self._pending = None
         else:
-            #: as :class:`EagerSend`'s
-            self._pending = comm._rt.sim.call_later(SETUP_TIME, self._post)
-
-    @property
-    def is_alive(self) -> bool:
-        return self._req is not None and not self._req.done
-
-    def interrupt(self, cause) -> None:
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.cancel()
-        self._req.fail(Interrupt(cause))
+            comm._rt.sim.call_later(SETUP_TIME, self._post)
 
     def _post(self, _event) -> None:
-        self._pending = None
         comm = self._comm
         comm._rt._matching[comm._grank].post(self._source, self._tag,
                                              self._matched, self._parent)
 
     def _matched(self, pkt) -> None:
-        req = self._req
-        if req is None or req.done:
-            # Killed while posted: the post stays in the queue and
-            # swallows the envelope, as a dead rank's receive does.
-            return
         comm = self._comm
         sim = comm._rt.sim
         if isinstance(pkt, Eager):
-            self._pending = sim.call_later(0.0, self._complete, pkt)
+            sim.call_later(0.0, self._complete, pkt)
             return
-        self._req = None  # the rendezvous process owns the request now
-        proc = sim.process(comm._recv_proc(pkt, req),
+        proc = sim.process(comm._recv_proc(pkt, self._req),
                            name=("irecv", comm._grank, "<-", self._source))
         if sim.tracer is not None:
             sim.tracer.reparent(proc, self._parent)
-        comm._rt.adopt(comm._grank, proc)
 
     def _complete(self, event) -> None:
-        self._pending = None
         self._req.complete(event._value.payload)

@@ -9,10 +9,10 @@ to the operation that is waiting for them.
 Tags arrive here already shifted into their communicator's block (see
 ``repro.mpi.comm.TAG_STRIDE``).  A wildcard tag must not reach outside
 the point-to-point tags of its own communicator — not into another
-communicator's block, nor into the collective and agreement tags above
-``P2P_TAGS`` — so a wildcard-tag post for the block starting at
-``base`` carries the negative tag ``~base`` (:data:`ANY` itself for the
-world communicator) and matches ``base <= tag < base + P2P_TAGS``.
+communicator's block, nor into the collective tags above ``P2P_TAGS`` —
+so a wildcard-tag post for the block starting at ``base`` carries the
+negative tag ``~base`` (:data:`ANY` itself for the world communicator)
+and matches ``base <= tag < base + P2P_TAGS``.
 """
 
 from __future__ import annotations
@@ -183,14 +183,10 @@ class MatchingEngine:
         return not (self._posted or self._unexpected or self._cts_waiters
                     or self._data_waiters or self._early)
 
-    def diagnostics(self, last_heard=None) -> str:
+    def diagnostics(self) -> str:
         """Multi-line dump of the matching state, used to explain hangs
-        (:class:`~repro.errors.DeadlockError`) and rendezvous timeouts.
-
-        ``last_heard`` optionally maps ``peer rank -> sim time`` of the
-        last packet this rank received from that peer (the failure
-        detector's table), so a dead peer is visible in the dump.
-        """
+        (:class:`~repro.errors.DeadlockError`) and rendezvous timeouts,
+        ending with when this rank last heard from each peer."""
         def name(v: int) -> str:
             return "ANY" if v < 0 else str(v)
 
@@ -212,9 +208,7 @@ class MatchingEngine:
                 f"  early packets never claimed: {sorted(self._early)}")
         if not lines:
             lines.append("  idle (no posted receives or pending packets)")
-        if last_heard:
-            for peer in sorted(last_heard):
-                t = last_heard[peer]
-                heard = "never" if t is None else f"t={t:.9f}"
-                lines.append(f"  last heard from rank {peer}: {heard}")
+        for peer in sorted(self.last_heard):
+            lines.append(f"  last heard from rank {peer}: "
+                         f"t={self.last_heard[peer]:.9f}")
         return f"rank {self.rank}:\n" + "\n".join(lines)

@@ -1,7 +1,7 @@
 """Rendezvous resilience: retry policy, timeouts, and circuit breakers.
 
 The protocol layer (:mod:`repro.mpi.comm`) consults a
-:class:`ResilienceConfig` — six fields: the retry budget, three
+:class:`ResilienceConfig` — five fields: the retry budget, two
 timeouts, the breaker's threshold and cool-down — for how hard to fight
 back when the fault plane (:mod:`repro.faults`) misbehaves:
 
@@ -53,9 +53,6 @@ __all__ = ["ResilienceConfig", "CircuitBreaker"]
 #: simulated seconds cost nothing to wait through.
 DEFAULT_HANDSHAKE_TIMEOUT = 10.0
 DEFAULT_DATA_TIMEOUT = 0.25
-#: grace period between a peer's death event firing and the detector
-#: declaring it (models a heartbeat round-trip; simulated seconds)
-DEFAULT_DETECT_TIMEOUT = 1e-3
 
 #: backoff before retry ``attempt``: ``BACKOFF_BASE * BACKOFF_FACTOR **
 #: (attempt - 1)`` simulated seconds, capped at ``BACKOFF_MAX``, plus a
@@ -78,9 +75,6 @@ class ResilienceConfig:
     handshake_timeout: Optional[float] = None
     #: CTS->DATA delivery timeout (None = wait forever)
     data_timeout: Optional[float] = None
-    #: grace period before declaring a dead peer failed (fail-stop
-    #: detection latency; None = failure detector disabled)
-    detect_timeout: Optional[float] = None
     #: consecutive failures that trip a peer's compression breaker
     #: (0 disables the breaker)
     breaker_threshold: int = 3
@@ -90,7 +84,7 @@ class ResilienceConfig:
     def __post_init__(self):
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        for name in ("handshake_timeout", "data_timeout", "detect_timeout"):
+        for name in ("handshake_timeout", "data_timeout"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ConfigError(f"{name} must be positive or None, got {v}")
@@ -102,14 +96,10 @@ class ResilienceConfig:
         """The policy matching a fault plan: timeouts are armed only
         when the plan can actually lose data, so fault-free (and
         zero-rate) runs keep their exact deadlock semantics."""
-        if plan is None or plan.is_zero:
+        if plan is None or not plan.can_lose_data:
             return cls()
-        detect = DEFAULT_DETECT_TIMEOUT if plan.has_rank_failures else None
-        if not plan.can_lose_data:
-            return cls(detect_timeout=detect)
         return cls(handshake_timeout=DEFAULT_HANDSHAKE_TIMEOUT,
-                   data_timeout=DEFAULT_DATA_TIMEOUT,
-                   detect_timeout=detect)
+                   data_timeout=DEFAULT_DATA_TIMEOUT)
 
     def backoff_delay(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry ``attempt`` (1-based), with jitter drawn

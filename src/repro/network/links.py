@@ -96,7 +96,7 @@ class Transfer:
     """
 
     __slots__ = ("sim", "links", "nbytes", "duration", "label", "src", "dst",
-                 "parent", "t0", "_reqs", "_waiting", "_timer", "_on_done")
+                 "parent", "t0", "_reqs", "_waiting", "_on_done")
 
     def __init__(self, sim: Simulator, links, nbytes: int, duration: float,
                  label: str = "", src=None, dst=None, parent=CURRENT):
@@ -111,7 +111,6 @@ class Transfer:
         self.dst = dst
         self.parent = parent
         self._reqs = None
-        self._timer = None
         self._on_done = None
 
     # -- shared steps ---------------------------------------------------
@@ -130,8 +129,9 @@ class Transfer:
         return reqs
 
     def _release(self) -> None:
-        """Free held links and withdraw queued requests, so an unwound
-        (killed) sender cannot strand a link survivors share."""
+        """Free held links and withdraw queued requests: :meth:`run`
+        releases from a ``finally``, so a process that unwinds while
+        still queued for a link leaves no request behind it."""
         reqs = self._reqs
         if reqs is None:
             for link in self.links:
@@ -189,7 +189,7 @@ class Transfer:
         if reqs is None:  # every link was free: :meth:`_begin`, inline
             sim = self.sim
             self.t0 = sim._now
-            self._timer = sim.call_later(self.duration, self._finish)
+            sim.call_later(self.duration, self._finish)
             return
         waiting = [req for req in reqs if req is not None]
         self._waiting = len(waiting)
@@ -197,30 +197,17 @@ class Transfer:
             req.add_callback(self._granted)
 
     def _granted(self, _event) -> None:
-        if self._on_done is None:
-            return  # cancelled while this grant was in the schedule
         self._waiting -= 1
         if not self._waiting:
             self._begin()
 
     def _begin(self) -> None:
         self.t0 = self.sim._now  # every link is held
-        self._timer = self.sim.call_later(self.duration, self._finish)
+        self.sim.call_later(self.duration, self._finish)
 
     def _finish(self, _event) -> None:
-        self._timer = None
         self._release()
         tracer = self.sim.tracer
         if tracer is not None:
             self._record(tracer)
-        on_done, self._on_done = self._on_done, None
-        on_done()
-
-    def cancel(self) -> None:
-        """Abandon a started transfer: ``on_done`` is never called, the
-        links are freed now."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._on_done = None
-        self._release()
+        self._on_done()

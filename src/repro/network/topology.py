@@ -226,19 +226,17 @@ class Topology:
         return self._deliver(src, dst, nbytes, payload)
 
     def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
-                       on_done, parent=CURRENT) -> Transfer:
+                       on_done, parent=CURRENT) -> None:
         """:meth:`transfer` without a process: same route, same time,
         same span and metrics, driven by scheduler callbacks; calls
         ``on_done()`` when the bytes have arrived.  Carries no payload,
         so nothing is dropped or corrupted (the eager protocol's
         messages).  ``parent`` is the span the ``network`` span nests
-        under; the returned transfer has a ``cancel()``."""
+        under."""
         rec = self._routes.get((src, dst))
         links, lat, bw = rec if rec is not None else self._route(src, dst)
-        xfer = Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
-                        src, dst, parent)
-        xfer.start(on_done)
-        return xfer
+        Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
+                 src, dst, parent).start(on_done)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):
         """Apply wire faults to a payload at its delivery point."""

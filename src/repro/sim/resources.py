@@ -84,11 +84,12 @@ class Resource:
 
     def cancel(self, req: _Request) -> None:
         """Withdraw a request whose owner will never consume it (the
-        owning process was interrupted, e.g. by a fail-stop rank kill).
+        owning process unwound — an interrupt or an exception — while
+        it waited).
 
         A still-queued request leaves the admission queue; a granted one
-        returns its tokens — either way they cannot leak to a dead
-        waiter and stall survivors sharing the resource.
+        returns its tokens — either way they cannot leak to a waiter
+        that is gone and stall the others sharing the resource.
         """
         if req in self._queue:
             self._queue.remove(req)

@@ -655,16 +655,6 @@ class Trace:
                 out.setdefault(r.meta["origin_seq"], []).append(r)
         return out
 
-    @cached_property
-    def kills(self) -> dict[int, list[TraceRecord]]:
-        """rank -> its ``rank_kill`` spans, the earliest first: the
-        fail-stop ground truth of when that rank died."""
-        out: dict[int, list[TraceRecord]] = {}
-        for r in self.records:
-            if r.label == "rank_kill" and r.rank is not None:
-                out.setdefault(r.rank, []).append(r)
-        return out
-
 
 def trace_scope(sim, category: str, label: str = "", **kw):
     """Context manager opening a span on ``sim``'s tracer, or a no-op

@@ -140,19 +140,6 @@ def test_rooted_collectives_get_no_barrier():
     assert not hb.hb_node(hb._s(a1), hb._e(a0))
 
 
-def test_failstop_orders_kill_before_detection():
-    hb = HappensBefore([
-        _rec(2e-6, 2e-6, "faults", "rank_kill", {"incarnation": 0},
-             rank=1, track="faults", span_id=1),
-        _rec(3e-6, 3e-6, "resilience", "rank_failed", {"peer": 1},
-             rank=0, track="faults", span_id=2),
-        _rec(3e-6, 3e-6, "resilience", "rank_failed", {"peer": 2},
-             rank=0, track="faults", span_id=3),
-    ])
-    assert hb.hb_span(1, 2)       # names the victim: ordered after kill
-    assert hb.concurrent_spans(1, 3)  # names somebody else: unrelated
-
-
 def test_parent_child_tree_edges():
     hb = HappensBefore([
         _rec(0.0, 5e-6, "compute", "parent", span_id=1),
@@ -282,9 +269,7 @@ def test_two_rank_mutual_rts_cycle():
 
 def test_wire_typestate_fixture_detected():
     vs = HBChecker(fixtures.bad_wire_records()).check_typestate()
-    checks = {v.check for v in vs}
-    assert {"wire-typestate", "revoked-comm"} <= checks
-    assert len(vs) >= 3
+    assert [v.check for v in vs] == ["wire-typestate"] * 2
 
 
 def test_clean_wire_lifecycle_passes():
@@ -318,18 +303,6 @@ def test_double_mint_detected():
     ]
     (v,) = HBChecker(recs).check_typestate()
     assert "minted 2 times" in v.message
-
-
-def test_post_shrink_communicator_is_exempt():
-    recs = [
-        _rec(3e-6, 3e-6, "faults", "comm_revoke",
-             {"comm_id": 7, "failed": [1]}, rank=None, track="faults",
-             span_id=1),
-        # the shrunk communicator has a fresh id: not a violation
-        _rec(4e-6, 5e-6, "collective", "allreduce",
-             {"comm": 8, "coll_seq": 0, "size": 1}, span_id=2),
-    ]
-    assert HBChecker(recs).check_typestate() == []
 
 
 # -- end to end --------------------------------------------------------------

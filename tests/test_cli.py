@@ -128,7 +128,7 @@ def test_chaos(capsys):
 
 
 def test_chaos_banner_names_only_the_plans_knobs(capsys):
-    """A run without --kill-rank has no kill list to print."""
+    """The banner names the seed and the knobs the flags changed."""
     assert main(["chaos", "--sizes", "256K", "--iters", "1"]) == 0
     banner = capsys.readouterr().out.splitlines()[0]
     assert banner == "chaos sweep under seed=1 corrupt_rate=0.05"

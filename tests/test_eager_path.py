@@ -10,26 +10,19 @@ they are what the change is for.
 
 import dataclasses
 import functools
-import hashlib
 
 import numpy as np
 import pytest
 
-from repro.check.sanitize import TraceSanitizer
 from repro.core import CompressionConfig
 from repro.core.header import CompressionHeader
-from repro.errors import IntegrityError, RankFailedError
-from repro.faults import FaultPlan
-from repro.faults.plan import RankFailure
+from repro.errors import IntegrityError
 from repro.mpi import ANY_SOURCE
 from repro.mpi.cluster import Cluster
 from repro.mpi.comm import EAGER_THRESHOLD
-from repro.mpi.failstop import KillCause, KilledRank
-from repro.mpi.request import waitall
-from repro.mpi.resilience import ResilienceConfig
 from repro.mpi.wire import WireImage
 from repro.omb.payload import make_payload
-from repro.sim import Interrupt, Process, Timeout
+from repro.sim import Process, Timeout
 from repro.sim.resources import _Request
 from repro.sim.trace import Trace, trace_scope
 from repro.utils.integrity import payload_crc32
@@ -41,14 +34,6 @@ from tests import pins
 def block(rank, n=1024):
     """A 4 KiB (by default) eager payload naming its sender."""
     return np.full(n, rank, dtype=np.float32)
-
-
-def fingerprint(tracer) -> str:
-    """Digest of every span's full identity: times, ids, parents, meta."""
-    h = hashlib.sha256()
-    for r in tracer.records:
-        h.update(repr(r.key()).encode())
-    return h.hexdigest()[:16]
 
 
 def shared_bus_cluster():
@@ -129,77 +114,6 @@ def test_uncontended_eager_message_constructs_no_process_timeout_or_request(
     Cluster("longhorn", nodes=2, gpus_per_node=1).run(pingpong, trace=False)
     # the two rank processes are all there is: 40 messages made nothing
     assert made == {Process: 2, Timeout: 0, _Request: 0}
-
-
-# -- fail-stop ---------------------------------------------------------------------
-
-def test_kill_with_eager_sends_queued_on_a_shared_hca():
-    """Ranks 0-3 each queue six eager sends on node 0's uplink; rank 1
-    dies with all six of its own still waiting for the link."""
-    requests = {}
-
-    def storm(comm):
-        peer = (comm.rank + 4) % 8
-        if comm.rank < 4:
-            reqs = requests[comm.rank] = [
-                comm.isend(block(comm.rank), peer, tag=i) for i in range(6)]
-            yield from waitall(reqs)
-        else:
-            try:
-                for i in range(6):
-                    yield from comm.recv(peer, tag=i)
-            except RankFailedError as exc:
-                return exc.failed_rank
-        return comm.now
-
-    plan = FaultPlan(seed=1, rank_failures=(RankFailure(rank=1, at_time=4e-6),))
-    res = shared_bus_cluster().run(storm, faults=plan)
-
-    # the survivors' later transfers over that uplink complete, at the
-    # generator protocol's times: nothing of rank 1's holds a slot
-    assert [res.values[r] for r in (0, 2, 3)] == [
-        2.7470588235294116e-05, 5.394117647058823e-05, 8.041176470588234e-05]
-    assert [res.values[r] for r in (4, 6, 7)] == [
-        2.7470588235294116e-05, 5.394117647058823e-05, 8.041176470588234e-05]
-    assert isinstance(res.values[1], KilledRank)
-    assert res.values[5] == 1  # rank 5 detected its dead peer
-    # the victim's requests failed with the kill
-    for req in requests[1]:
-        assert req.done
-        with pytest.raises(Interrupt) as err:
-            req.test()
-        assert isinstance(err.value.cause, KillCause) and err.value.cause.rank == 1
-    assert all(r.test() for r in requests[0] + requests[2] + requests[3])
-    assert TraceSanitizer(res.tracer).check_liveness() == []
-    assert fingerprint(res.tracer) == "f675feff474679f5"
-
-
-def test_kill_withdraws_a_posted_receive_without_the_detector():
-    """Fail-stop plan, failure detector off: receives stay on the
-    callback path and are adopted as handles.  The dead rank's posted
-    receive swallows a late envelope, as its generator's post did."""
-    requests = {}
-
-    def fn(comm):
-        if comm.rank == 1:
-            requests["recv"] = comm.irecv(0, tag=5)
-            yield from requests["recv"].wait()
-        elif comm.rank == 0:
-            yield comm.sim.timeout(20e-6)
-            requests["send"] = comm.isend(block(0), 1, tag=5)
-            yield from requests["send"].wait()
-        return comm.now
-
-    plan = FaultPlan(seed=1, rank_failures=(RankFailure(rank=1, at_time=10e-6),))
-    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
-        fn, faults=plan, resilience=ResilienceConfig())
-    assert isinstance(res.values[1], KilledRank)
-    with pytest.raises(Interrupt):
-        requests["recv"].test()
-    assert requests["send"].test()
-    assert res.values[0] == pytest.approx(20e-6 + 1e-6 + 2 * 1.5e-6
-                                          + (4096 + 64) / 12.5e9)
-    assert res.runtime.matching_of(1).unexpected_count == 0
 
 
 # -- self-send, wildcard match, envelope before post: plain and wire payloads ---------

@@ -21,7 +21,7 @@ from repro.errors import (
     RendezvousTimeoutError,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.chaos import run_chaos
+from repro.faults.chaos import run_chaos, run_chaos_sweep
 from repro.gpu.pool import BufferPool, SizeClassBufferPool
 from repro.gpu.spec import DeviceSpec
 from repro.mpi.cluster import Cluster
@@ -89,13 +89,6 @@ def test_fault_plan_validation(kwargs):
         FaultPlan(**kwargs)
 
 
-def test_empty_kill_list_is_no_kill_list():
-    plan = FaultPlan(seed=2, corrupt_rate=0.1, rank_failures=())
-    assert plan.rank_failures is None and plan.is_zero is False
-    assert plan.describe() == "seed=2 corrupt_rate=0.1"
-    assert FaultPlan(rank_failures=[]) == FaultPlan()
-
-
 def test_fault_plan_predicates():
     assert FaultPlan().is_zero
     assert not FaultPlan().can_lose_data
@@ -140,7 +133,7 @@ def test_resilience_config_validation():
     # the CRC stamp is not a knob, nor is the backoff curve
     assert "integrity" not in ResilienceConfig.__dataclass_fields__
     assert list(ResilienceConfig.__dataclass_fields__) == [
-        "max_retries", "handshake_timeout", "data_timeout", "detect_timeout",
+        "max_retries", "handshake_timeout", "data_timeout",
         "breaker_threshold", "breaker_cooldown"]
 
 
@@ -785,6 +778,23 @@ def test_retried_receiver_prepare_records_recovered():
     retried = {faults[i].meta["seq"] for i in retries}
     recovered = res.tracer.metrics.counter_total("resilience.recovered")
     assert recovered >= len(retried)
+
+
+def test_chaos_seed_sweep_aggregates():
+    """The sweep reruns one message-fault plan under consecutive seeds."""
+    plan = FaultPlan(seed=1, corrupt_rate=0.15, drop_rate=0.05)
+    sweep = run_chaos_sweep(n_seeds=2, base_seed=1, plan=plan,
+                            workload="allreduce", sizes=(1 << 15,),
+                            iterations=4)
+    assert sweep.ok
+    assert sweep.seeds == (1, 2)
+    assert [r.plan.seed for r in sweep.reports] == [1, 2]
+    assert all(r.plan.corrupt_rate == 0.15 for r in sweep.reports)
+    injected = [sum(sum(sr.faults_injected.values()) for sr in r.results)
+                for r in sweep.reports]
+    assert all(injected)
+    text = sweep.summary()
+    assert "2 seeds" in text and "recovered bit-exactly" in text
 
 
 def test_chaos_rejects_unknown_workload():

@@ -424,23 +424,6 @@ def test_start_transfer_queues_behind_a_busy_link_in_request_order():
     assert [t for _, t in done] == pytest.approx([one, 2 * one, 3 * one])
 
 
-@pytest.mark.parametrize("when", ["queued", "on the wire"])
-def test_cancelled_transfer_frees_its_links_and_never_completes(when):
-    sim, topo = _topo()
-    done = []
-    first = topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("first"))
-    second = topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("second"))
-    (second if when == "queued" else first).cancel()
-    topo.start_transfer(0, 2, 1 * MiB, "eager", lambda: done.append("third"))
-    sim.run()
-    survivor = "first" if when == "queued" else "second"
-    assert done == [survivor, "third"]
-    assert all(l._res.available == 1 and l._res.queued == 0
-               for l in topo.route(0, 2))
-    one = 2 * IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth
-    assert sim.now == pytest.approx(2 * one)
-
-
 def test_declared_dependencies_are_the_third_party_imports():
     """pyproject.toml's ``dependencies`` name exactly the top-level
     modules outside the standard library that ``src/repro`` imports."""

@@ -162,7 +162,7 @@ def test_wire_for_matches_part_and_attempt():
     assert Message(1, []).wire_for(complete()) is None
 
 
-# -- collectives, origins, kills ----------------------------------------------
+# -- collectives, origins ----------------------------------------------------
 
 def test_collective_views():
     def coll(span_id, rank, label, **meta):
@@ -200,17 +200,3 @@ def test_origins_list_the_minting_spans():
     ])
     assert {k: _ids(v) for k, v in trace.origins.items()} == {
         4: [1, 3], 8: [2]}
-
-
-def test_kills_list_each_ranks_kills_earliest_first():
-    def kill(span_id, t, rank):
-        return _rec(t, t, "faults", "rank_kill", {"incarnation": 0},
-                    rank=rank, track="faults", span_id=span_id)
-
-    trace = Trace([kill(1, 5.0, 2), kill(2, 3.0, 2), kill(3, 4.0, 0),
-                   kill(4, 1.0, None),
-                   _rec(6.0, 6.0, "resilience", "rank_failed", {"peer": 2},
-                        rank=1, track="faults", span_id=5)])
-    assert {k: _ids(v) for k, v in trace.kills.items()} == {2: [2, 1], 0: [3]}
-    assert trace.kills[2][0].t_start == 3.0
-    assert Trace([]).kills == {}

@@ -11,15 +11,12 @@ reproduced the reports captured before the read model existed.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis.bench import named_config
 from repro.check import fixtures
 from repro.core import CompressionConfig
-from repro.errors import CollectiveAbortedError
 from repro.faults import FaultPlan
-from repro.faults.plan import RankFailure
 from repro.omb.payload import make_payload
 from repro.utils.units import KiB, MiB
 
@@ -55,16 +52,6 @@ def _collective(op):
     return rank_fn
 
 
-def _kill_and_shrink(comm):
-    data = np.full(1 << 14, 1.0, dtype=np.float32)
-    try:
-        for _ in range(4):
-            data = yield from comm.allreduce(data)
-    except CollectiveAbortedError:
-        small = yield from comm.shrink()
-        data = yield from small.allreduce(data)
-
-
 def _allgather_64(comm):
     """The traced run of perfbench's ``trace-pipeline`` workload."""
     yield from comm.allgather(make_payload("random", 4 * KiB, seed=comm.rank))
@@ -85,16 +72,12 @@ LIVE = {
     "chaos-bcast": pins.Scenario(
         _collective("bcast"), MPC, QUAD,
         FaultPlan(seed=3, corrupt_rate=0.25, drop_rate=0.1)),
-    "kill-shrink": pins.Scenario(
-        _kill_and_shrink, MPC, QUAD,
-        FaultPlan(seed=1, rank_failures=(RankFailure(rank=2, at_time=3e-5),))),
     "allgather-64": pins.Scenario(_allgather_64, CompressionConfig.disabled(),
                                   ("fat-tree", 16, 4)),
 }
 
 FIXTURES = ("overlap_records", "acausal_records", "bad_collective_records",
-            "bad_liveness_records", "message_race_records",
-            "deadlock_records", "bad_wire_records")
+            "message_race_records", "deadlock_records", "bad_wire_records")
 
 FAMILY = pins.Family("trace-model", {
     **{name: pins.Recorded(path) for name, path in GOLDENS.items()},
