@@ -19,7 +19,8 @@ from repro.mpi.request import waitall
 
 __all__ = ["transpose_sum", "elementwise_add"]
 
-_TAG_BASE = 7_000_000
+#: chunk tags sit inside the point-to-point block, ``[0, P2P_TAGS)``
+_TAG_BASE = 7_000
 
 
 def _chunk_tag(grid, i: int, j: int) -> int:
