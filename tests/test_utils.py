@@ -1,8 +1,11 @@
-"""Unit tests for units and table formatting."""
+"""Unit tests for units, table formatting and CRC combination."""
 
 import re
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import (
     GB,
@@ -17,6 +20,7 @@ from repro.utils import (
     format_table,
     parse_size,
 )
+from repro.utils.integrity import crc32_of_parts
 
 
 def test_unit_constants():
@@ -106,3 +110,41 @@ def test_format_table_title():
 def test_format_table_empty_rows():
     out = format_table(["a", "b"], [])
     assert len(out.splitlines()) == 2
+
+
+# -- crc32_of_parts: the CRC of a concatenation from its pieces' CRCs ----------
+
+def _pieces(data, cuts):
+    """``data`` cut at ``cuts`` (clipped, sorted; a repeated cut or one
+    at either end makes an empty piece)."""
+    bounds = [0, *sorted(min(c, len(data)) for c in cuts), len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=4096),
+       cuts=st.lists(st.integers(0, 4096), max_size=8))
+def test_crc32_of_parts_is_the_crc_of_the_concatenation(data, cuts):
+    pieces = _pieces(data, cuts)
+    assert b"".join(pieces) == data
+    assert (crc32_of_parts((zlib.crc32(p), len(p)) for p in pieces)
+            == zlib.crc32(data))
+
+
+def test_crc32_of_parts_of_nothing_and_of_empty_pieces():
+    assert crc32_of_parts([]) == zlib.crc32(b"") == 0
+    assert crc32_of_parts([(0, 0), (0, 0)]) == 0
+    crc = zlib.crc32(b"abc")
+    assert crc32_of_parts([(0, 0), (crc, 3), (0, 0)]) == crc
+
+
+@settings(max_examples=6, deadline=None)
+@given(total=st.integers(16 * MiB + 1, 40 * MiB),
+       cuts=st.lists(st.integers(0, 40 * MiB), min_size=1, max_size=3))
+def test_crc32_of_parts_past_16_mib(total, cuts):
+    """Lengths past 16 MiB (the largest message the benchmarks send),
+    built from zero-filled pieces."""
+    bounds = [0, *sorted(min(c, total) for c in cuts), total]
+    lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+    assert (crc32_of_parts((zlib.crc32(bytes(n)), n) for n in lengths)
+            == zlib.crc32(bytes(total)))
