@@ -22,17 +22,21 @@ by total byte size (reference copies included).
 
 The decode memo works at **message granularity**: one entry per
 received wire payload — all its partitions — not one per partition.
-:meth:`CodecCache.decode` takes the fingerprint the receive path has
-already computed (the wire CRC it just verified) instead of hashing the
-bytes again, does one byte compare and hands out one fresh copy
-(callers are allowed to mutate received arrays; entries are never
-handed out by reference).  Each entry also memoizes the CRC-32 of its
-*decoded* bytes, so the integrity check of a hit compares two integers
-instead of rehashing the buffer; a miss stores the array it decoded
-(the caller gets the copy) together with the CRC the integrity check
-computes anyway.  :meth:`CodecCache.decompress` is the one-partition
-case of the same memo, so a sender-side expected-value decode and the
-receiver's decode of the same bytes share an entry.
+An entry holds the decoded partitions, read-only, and the CRC-32 of
+their concatenation once a check has asked for it (folded from the
+per-partition CRCs, :func:`~repro.utils.integrity.crc32_of_parts`), so
+the integrity check of a hit compares two integers instead of rehashing
+the buffer.  Lookups take the fingerprint the receive path has already
+computed (the wire CRC it just verified) instead of hashing the bytes
+again, and do one byte compare.  Three ways in, one entry:
+:meth:`CodecCache.decode` hands the caller a fresh array it may mutate
+(the partitions' concatenation: one copy); :meth:`CodecCache.decoded_crc`
+answers a check that only wants the CRC (the sender's expected-value
+decode of a lossy codec), with no copy at all;
+:meth:`CodecCache.decode_parts` lends the read-only partitions to a
+caller that concatenates them itself (a streamed receive).  The
+sender's expected-value decode and the receiver's decode of the same
+bytes share an entry.
 
 The cache knows nothing about faults.  A run whose plan has codec
 faults bypasses every memo one level up: the engine
@@ -55,8 +59,19 @@ from typing import Optional
 import numpy as np
 
 from repro.compression.base import CompressedData, Compressor
+from repro.utils.integrity import crc32_of_parts
 
-__all__ = ["CodecCache", "GLOBAL_CODEC_CACHE"]
+__all__ = ["CodecCache", "GLOBAL_CODEC_CACHE", "handout"]
+
+
+def handout(parts) -> np.ndarray:
+    """One array the caller owns, holding ``parts`` in order: their
+    concatenation (one copy), or a lone part as is when it is writable
+    — a real decode nobody else holds, since every memoized partition
+    is read-only."""
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts[0].flags.writeable else parts[0].copy()
 
 
 def _raw_view(payload: np.ndarray) -> np.ndarray:
@@ -67,10 +82,10 @@ def _raw_view(payload: np.ndarray) -> np.ndarray:
 
 class _Entry:
     """One memoized result with its LRU weight and the reference byte
-    image a lookup is confirmed against.  ``crc`` (decode entries) is
-    the CRC-32 of ``value``'s bytes, filled in the first time an
-    integrity check asks for it — a pure function of ``value``, which
-    never leaves the cache by reference."""
+    image a lookup is confirmed against.  A decode entry's ``value`` is
+    its tuple of read-only partitions and ``crc`` the CRC-32 of their
+    concatenation, filled in the first time an integrity check asks for
+    it — a pure function of ``value``, which nothing can write."""
 
     __slots__ = ("value", "nbytes", "ref", "crc")
 
@@ -132,10 +147,6 @@ class CodecCache:
         self.decompress_execs += 1
         return codec.decompress(comp)
 
-    def _decode_parts(self, codec: Compressor, comps) -> np.ndarray:
-        outs = [self.run_decompress(codec, c) for c in comps]
-        return outs[0] if len(outs) == 1 else np.concatenate(outs)
-
     # -- memoized paths -----------------------------------------------------
     def compress(self, codec: Compressor, data: np.ndarray) -> CompressedData:
         """Memoized ``codec.compress(data)``."""
@@ -157,18 +168,20 @@ class CodecCache:
         self._put(key, comp, comp.nbytes + raw.nbytes + 64, raw.copy())
         return comp
 
-    def decode(self, codec: Compressor, payload: np.ndarray, comps,
-               fingerprint: Optional[int] = None,
-               want_crc: bool = False) -> tuple:
-        """Memoized decode of one received message.
+    def decode_parts(self, codec: Compressor, payload: np.ndarray, comps,
+                     fingerprint: Optional[int] = None,
+                     want_crc: bool = False) -> tuple:
+        """Memoized decode of one received message, lent read-only.
 
         ``payload`` is the message's wire bytes and ``comps`` its
         partitions in order (views into ``payload``).  ``fingerprint``
         is the CRC-32 of ``payload`` when the caller already has it (a
         wire CRC it verified); otherwise it is computed here.  Returns
-        ``(data, crc)``: ``data`` is a fresh array the caller owns,
-        ``crc`` the CRC-32 of its bytes when ``want_crc`` (memoized
-        with the entry, so only the first request hashes).
+        ``(parts, crc)``: ``parts`` the decoded partitions in order —
+        the entry's own read-only arrays, to be concatenated or copied,
+        never handed out — and ``crc`` the CRC-32 of their concatenation
+        when ``want_crc`` (memoized with the entry, so only the first
+        request hashes).
         """
         raw = _raw_view(payload)
         if fingerprint is None:
@@ -178,20 +191,33 @@ class CodecCache:
         key = self._key("d", codec, shape, fingerprint, raw.nbytes)
         entry = self._get(key, raw)
         if entry is None:
-            # Keep the decoded array itself and hand the caller the
-            # copy: a miss costs no pass a hit would not also cost.
-            out = self._decode_parts(codec, comps)
-            out.flags.writeable = False
-            entry = self._put(key, out, out.nbytes + raw.nbytes + 64,
+            # Keep the decoded partitions themselves: a miss costs no
+            # pass a hit would not also cost.
+            parts = tuple(self.run_decompress(codec, c) for c in comps)
+            for part in parts:
+                part.flags.writeable = False
+            entry = self._put(key, parts,
+                              sum(p.nbytes for p in parts) + raw.nbytes + 64,
                               raw.copy())
         if want_crc and entry.crc is None:
-            entry.crc = zlib.crc32(_raw_view(entry.value))
-        return entry.value.copy(), entry.crc
+            entry.crc = crc32_of_parts(
+                (zlib.crc32(_raw_view(p)), p.nbytes) for p in entry.value)
+        return entry.value, entry.crc
 
-    def decompress(self, codec: Compressor, comp: CompressedData) -> np.ndarray:
-        """Memoized ``codec.decompress(comp)`` (returns a fresh copy):
-        the one-partition case of :meth:`decode`."""
-        return self.decode(codec, comp.payload, (comp,))[0]
+    def decode(self, codec: Compressor, payload: np.ndarray, comps,
+               fingerprint: Optional[int] = None,
+               want_crc: bool = False) -> tuple:
+        """:meth:`decode_parts`, handed out: returns ``(data, crc)``,
+        ``data`` a fresh array the caller owns."""
+        parts, crc = self.decode_parts(codec, payload, comps, fingerprint,
+                                       want_crc)
+        return handout(parts), crc
+
+    def decoded_crc(self, codec: Compressor, payload: np.ndarray,
+                    comps) -> int:
+        """CRC-32 of the decode of one message (:meth:`decode_parts`),
+        for a check that keeps no data: nothing is copied."""
+        return self.decode_parts(codec, payload, comps, want_crc=True)[1]
 
     def stats(self) -> dict:
         """Counter snapshot: cache effectiveness for profiling reports,

@@ -49,13 +49,13 @@ import numpy as np
 
 from repro.compression import get_compressor, kernel_cost_model_for
 from repro.compression.base import CompressedData
-from repro.compression.cache import GLOBAL_CODEC_CACHE
+from repro.compression.cache import GLOBAL_CODEC_CACHE, handout
 from repro.core.config import CompressionConfig
 from repro.core.header import CompressionHeader
 from repro.errors import CompressionError
 from repro.gpu.device import Device
 from repro.gpu.pool import BufferPool, SizeClassBufferPool
-from repro.utils.integrity import payload_crc32
+from repro.utils.integrity import crc32_of_parts, payload_crc32
 from repro.utils.units import KiB, MiB
 
 __all__ = ["CompressionEngine", "SendPlan", "partitions_for_message"]
@@ -161,51 +161,56 @@ class CompressionEngine:
                 f"injected {codec.name} compression-kernel failure")
         return GLOBAL_CODEC_CACHE.run_compress(codec, data)
 
-    def _decode(self, codec, payload, comps, fingerprint: Optional[int] = None,
-                want_crc: bool = False) -> tuple:
-        """:meth:`CodecCache.decode` of one received message (or one
-        streamed part) on the receive path."""
+    def _decode(self, codec, payload, comps,
+                fingerprint: Optional[int] = None) -> tuple:
+        """Decode one received message (or one streamed part) on the
+        receive path: ``(parts, crc)``, the decoded partitions in order
+        and the CRC-32 of their concatenation.  The parts are the decode
+        memo's read-only arrays (:meth:`CodecCache.decode_parts`: hand
+        them out through :func:`~repro.compression.cache.handout`), or
+        under a plan with codec faults real decodes, each hashed for
+        real."""
         faults = self.sim.faults
         if faults is None or not faults.codec_faults:
-            return GLOBAL_CODEC_CACHE.decode(codec, payload, comps,
-                                             fingerprint, want_crc)
+            return GLOBAL_CODEC_CACHE.decode_parts(codec, payload, comps,
+                                                   fingerprint, want_crc=True)
         outs = [faults.maybe_corrupt_decompressed(
                     codec.name, GLOBAL_CODEC_CACHE.run_decompress(codec, c))
                 for c in comps]
-        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
-        return out, (payload_crc32(out) if want_crc else None)
+        return outs, crc32_of_parts((payload_crc32(o), o.nbytes) for o in outs)
 
     def _plan_crc(self, codec, data, comps) -> int:
-        """CRC32 of what the receiver must reconstruct.
+        """CRC32 of what the receiver must reconstruct, folded from the
+        partitions' CRCs (no partition is hashed twice).
 
         Lossless codecs round-trip to the original bytes, so the raw
-        CRC suffices.  Lossy codecs (zfp/sz) are checked against the
-        *clean* decompression of the wire bytes — straight through the
-        codec cache, so a fault plane can neither corrupt nor draw RNG
-        for the expected value.
+        CRC suffices: the codec cache already hashed each partition as
+        its lookup fingerprint (``src_crc32``); a partition compressed
+        past the memo (a plan with codec faults) has none, and the
+        source is hashed for real.  Lossy codecs (zfp/sz) are checked
+        against the *clean* decompression of the wire bytes — straight
+        through the decode memo, so a fault plane can neither corrupt
+        nor draw RNG for the expected value, and the receiver's lookup
+        of the same bytes finds the CRC with the entry.
         """
         if codec.lossless:
-            if len(comps) == 1 and comps[0].n_elements == data.size:
-                # The codec cache already CRC'd exactly these bytes as
-                # its lookup fingerprint; recomputing would hash the
-                # full source buffer a second time per send.
-                crc = comps[0].meta.get("src_crc32")
-                if crc is not None:
-                    return crc
-            return payload_crc32(data)
+            crcs = [c.meta.get("src_crc32") for c in comps]
+            if None in crcs:
+                return payload_crc32(data)
+            return crc32_of_parts(
+                zip(crcs, (c.original_nbytes for c in comps)))
         if len(comps) == 1:
             crc = comps[0].meta.get("out_crc32")
             if crc is None:
-                # Hashed once, inside the decode memo: the receiver's
-                # lookup of these wire bytes finds the CRC with the entry.
-                _, crc = GLOBAL_CODEC_CACHE.decode(
-                    codec, comps[0].payload, comps, want_crc=True)
+                crc = GLOBAL_CODEC_CACHE.decoded_crc(
+                    codec, comps[0].payload, comps)
                 # Decompression is deterministic, so the expected-value
                 # CRC can ride on the (cache-shared) comp for re-sends.
                 comps[0].meta["out_crc32"] = crc
             return crc
-        outs = [GLOBAL_CODEC_CACHE.decompress(codec, c) for c in comps]
-        return payload_crc32(np.concatenate(outs))
+        return crc32_of_parts(
+            (GLOBAL_CODEC_CACHE.decoded_crc(codec, c.payload, (c,)),
+             c.original_nbytes) for c in comps)
 
     def _acquire(self, pool, nbytes: int, label: str):
         """Pool hit (cheap) or cudaMalloc (the naive path's cost)."""
@@ -434,7 +439,11 @@ class CompressionEngine:
         return plan
 
     def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
-        """Decompress one arrived partition (generator subroutine)."""
+        """Decompress one arrived partition (generator subroutine).
+
+        Returns ``(data, crc)``, ``crc`` the CRC-32 of ``data``'s bytes.
+        ``data`` may be the decode memo's read-only array: the caller
+        concatenates the parts into the message it hands out."""
         codec = self._header_codec(header)
         dtype = np.dtype(header.dtype_name)
         counts = _partition_counts(header.n_elements, header.n_partitions)
@@ -451,7 +460,8 @@ class CompressionEngine:
             payload=np.ascontiguousarray(payload, dtype=np.uint8),
             n_elements=counts[part], dtype=dtype, params=header.codec_params(),
         )
-        return self._decode(codec, comp.payload, (comp,))[0]
+        (out,), crc = self._decode(codec, comp.payload, (comp,))
+        return out, crc
 
     # -- compressed-domain reduction (hZCCL-style) ---------------------------
     def reduce_capable(self, op) -> bool:
@@ -606,10 +616,10 @@ class CompressionEngine:
 
         # Real decompression: one memo lookup for the whole message,
         # partition by partition on a miss.
-        result, crc = self._decode(
+        parts, crc = self._decode(
             codec, payload, self._partition_comps(header, payload),
-            fingerprint=fingerprint, want_crc=True,
+            fingerprint=fingerprint,
         )
 
         yield from self._release(resources)
-        return result, crc
+        return handout(parts), crc

@@ -65,7 +65,7 @@ from repro.mpi.message import Cts, Data, Rts
 from repro.mpi.request import Request
 from repro.mpi.wire import WireImage
 from repro.sim.trace import trace_scope
-from repro.utils.integrity import payload_crc32
+from repro.utils.integrity import crc32_of_parts, payload_crc32
 from repro.utils.units import KiB
 
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG", "EAGER_THRESHOLD",
@@ -429,9 +429,10 @@ class Communicator:
     def _arrive_parts(self, rt, engine, rts, data_evs):
         """The streamed arrival: decompress each partition as it
         lands.  Returns ``(data, failure, cause)``; a failed partition
-        (timeout, decode error) or a whole-message CRC mismatch is left
-        to the recovery loop: one NACK, one full retransmission of the
-        concatenated wire image."""
+        (timeout, decode error) or a whole-message CRC mismatch — the
+        stamp against the parts' CRCs, folded — is left to the recovery
+        loop: one NACK, one full retransmission of the concatenated wire
+        image."""
         failures: list = []
 
         def part_receiver(i):
@@ -457,10 +458,10 @@ class Communicator:
         ])
         if failures:
             return (None,) + failures[0]
-        data = np.concatenate([results[i] for i in range(rts.n_parts)])
-        if payload_crc32(data) != rts.crc:
+        parts = [results[i] for i in range(rts.n_parts)]
+        if crc32_of_parts((crc, out.nbytes) for out, crc in parts) != rts.crc:
             return None, "crc_mismatch", None
-        return data, None, None
+        return np.concatenate([out for out, _ in parts]), None, None
 
     def _recv_proc(self, rts, req: Request):
         """Rendezvous receive, from the matched RTS onwards: prepare,

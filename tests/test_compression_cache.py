@@ -45,12 +45,12 @@ def test_decompress_returns_fresh_copy(rng):
     codec = MpcCompressor(1)
     a = rng.standard_normal(1000).astype(np.float32)
     comp = codec.compress(a)
-    d1 = cache.decompress(codec, comp)
-    d2 = cache.decompress(codec, comp)
+    d1 = cache.decode(codec, comp.payload, (comp,))[0]
+    d2 = cache.decode(codec, comp.payload, (comp,))[0]
     assert cache.hits == 1
     assert np.array_equal(d1, d2)
     d1[0] = 999.0  # mutating one must not poison the other
-    d3 = cache.decompress(codec, comp)
+    d3 = cache.decode(codec, comp.payload, (comp,))[0]
     assert d3[0] != 999.0
 
 
@@ -78,7 +78,7 @@ def test_cache_correctness_under_mpc_roundtrip(rng):
     codec = MpcCompressor(2)
     x = np.cumsum(rng.standard_normal(5000)).astype(np.float32)
     comp = cache.compress(codec, x)
-    y = cache.decompress(codec, comp)
+    y = cache.decode(codec, comp.payload, (comp,))[0]
     assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
 
@@ -119,9 +119,9 @@ def test_instances_differing_in_a_parameter_never_share_entries(
     assert (cache.hits, cache.misses) == (0, 2)
     assert comp_b.payload.tobytes() == b.compress(x).payload.tobytes()
     # the same wire bytes, decoded by a differently-built codec: a miss
-    cache.decompress(a, comp_a)
+    cache.decode(a, comp_a.payload, (comp_a,))
     try:
-        cache.decompress(b, comp_a)
+        cache.decode(b, comp_a.payload, (comp_a,))
     except CompressionError:
         pass  # a rate the stream was not written at; still no hit
     assert cache.hits == 0
@@ -203,6 +203,38 @@ def test_mutating_a_hit_does_not_change_the_next_one(rng):
     assert crc == crc3 == zlib.crc32(x.view(np.uint8))
 
 
+def test_multi_part_hand_outs_are_fresh_and_the_stored_parts_read_only(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)            # three partitions
+    miss, _ = cache.decode(codec, payload, comps)
+    hit, _ = cache.decode(codec, payload, comps)
+    stored, _ = cache.decode_parts(codec, payload, comps)
+    assert (cache.hits, cache.misses) == (2, 1)
+    assert len(stored) == len(comps)
+    assert b"".join(p.tobytes() for p in stored) == x.tobytes()
+    assert not any(p.flags.writeable for p in stored)
+    with pytest.raises(ValueError):
+        stored[0][0] = 0.0
+    for out in (miss, hit):
+        assert out.flags.writeable and out.flags.owndata
+        assert not any(np.shares_memory(out, p) for p in stored)
+    miss[:] = -1.0
+    hit[:] = -2.0
+    again, crc = cache.decode(codec, payload, comps, want_crc=True)
+    assert again.tobytes() == x.tobytes()
+    assert crc == zlib.crc32(x.view(np.uint8))
+
+
+def test_decoded_crc_is_the_decode_entry_crc(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    crc = cache.decoded_crc(codec, payload, comps)
+    assert crc == zlib.crc32(x.view(np.uint8))
+    out, crc2 = cache.decode(codec, payload, comps, want_crc=True)
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert crc2 == crc and out.tobytes() == x.tobytes()
+
+
 def test_fingerprint_collision_with_different_bytes_is_a_miss(rng):
     cache = CodecCache()
     codec = get_compressor("null")  # equal-length streams for any input
@@ -223,7 +255,7 @@ def test_lru_accounting_equals_the_live_entries(rng):
         r = np.random.default_rng(seed)
         x = np.cumsum(r.standard_normal(1500)).astype(np.float32)
         comp = cache.compress(codec, x)
-        cache.decompress(codec, comp)
+        cache.decode(codec, comp.payload, (comp,))
         _, _, payload, comps = _message(r, parts=2, n=1999)
         cache.decode(codec, payload, comps, want_crc=seed % 2 == 0)
         cache.decode(codec, payload, comps)
@@ -239,7 +271,7 @@ def test_stats_keeps_its_keys_and_adds_execution_counts(rng):
     x = np.cumsum(rng.standard_normal(1000)).astype(np.float32)
     comp = cache.compress(codec, x)
     cache.compress(codec, x)
-    cache.decompress(codec, comp)
+    cache.decode(codec, comp.payload, (comp,))
     cache.run_decompress(codec, comp)  # counted, not memoized
     assert cache.stats() == {
         "hits": 1, "misses": 2, "bytes_saved": x.nbytes,
