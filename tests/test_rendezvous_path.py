@@ -10,7 +10,7 @@ under a config and a fault plan) is pinned in the run layers of
 import pytest
 
 from repro.core import CompressionConfig
-from repro.errors import CompressionError
+from repro.errors import CompressionError, RetryExhaustedError
 from repro.faults import FaultPlan
 from repro.mpi.cluster import Cluster
 from repro.mpi.comm import ANY_TAG
@@ -98,13 +98,19 @@ def _pools_home(runtime) -> bool:
     return all(p.free_count == p.total for p in pools)
 
 
-@pytest.mark.parametrize("config", [MPC_PIPE, MPC_PIPE.with_(pipeline=False)],
-                         ids=["pipelined", "unpipelined"])
+@pytest.mark.parametrize(
+    "config,max_retries,error",
+    [(MPC_PIPE, 0, CompressionError),
+     (MPC_PIPE.with_(pipeline=False), 0, CompressionError),
+     (MPC_PIPE, 2, RetryExhaustedError)],
+    ids=["pipelined", "unpipelined", "pipelined-retried"])
 @pytest.mark.parametrize("seed", range(3))
-def test_failed_receive_returns_its_buffers(config, seed):
-    """Every partition is corrupted and nothing may be retransmitted:
-    the receive fails with the decoder's own error — and with every
-    pooled buffer of both ranks back home, pipelined or not."""
+def test_failed_receive_returns_its_buffers(config, max_retries, error, seed):
+    """Every partition is corrupted: the receive fails — with the
+    decoder's own error when nothing may be retransmitted, with the
+    exhausted budget's when the streamed attempt 0 is followed by two
+    whole-image retransmissions — and with every pooled buffer of both
+    ranks back home."""
     payload = make_payload("omb", 1 * MiB)
 
     def rank_fn(comm):
@@ -113,16 +119,17 @@ def test_failed_receive_returns_its_buffers(config, seed):
             return None
         try:
             yield from comm.recv(0)
-        except CompressionError:
+        except error:
             yield comm.sim.timeout(1e-3)  # let the other parts drain
             return "failed"
 
     res = Cluster("longhorn", 2, 1).run(
         rank_fn, config=config, faults=FaultPlan(seed=seed, corrupt_rate=1.0),
-        resilience=ResilienceConfig(max_retries=0))
+        resilience=ResilienceConfig(max_retries=max_retries))
     assert res.values[1] == "failed"
     assert _pools_home(res.runtime)
-    assert res.tracer.metrics.counter_total("resilience.decode_error") == 1
+    assert res.tracer.metrics.counter_total("resilience.decode_error") \
+        == 1 + max_retries
 
 
 # -- the posted tag never reaches the handshake --------------------------------
