@@ -17,8 +17,9 @@ generator subroutines the MPI protocol layer calls:
     Step between RTS and CTS: allocate the temporary device buffer for
     the incoming compressed payload.
 ``receiver_complete``
-    Steps 6-7: launch the decompression kernel(s) and restore the
-    original data.
+    Steps 6-7, once per DATA part: launch the decompression kernel(s)
+    of the partitions the part carries — all of them, or one streamed
+    partition — and restore the original data.
 
 The framework is codec-agnostic: what a codec costs around its kernel
 it declares as *capabilities* on its
@@ -27,9 +28,10 @@ those, never the codec's name, so :func:`repro.compression.register`
 alone admits a codec.  ``docs/protocol.md`` tabulates codec x
 capability and the step order.
 
-Codec faults are injected here and nowhere else: the three sites that
-run a codec on live traffic go through ``_compress`` / ``_decode``,
-which consult ``sim.faults``.  The expected-value decode of
+Codec faults are injected here and nowhere else: the two sites that
+run a codec on live traffic — ``sender_prepare`` and
+``receiver_complete`` — go through ``_compress`` / ``_decode``, which
+consult ``sim.faults``.  The expected-value decode of
 ``_plan_crc`` and the fused reduction are never faulted.
 
 Real numpy codecs run on the actual payload (compression ratios are
@@ -163,8 +165,8 @@ class CompressionEngine:
 
     def _decode(self, codec, payload, comps,
                 fingerprint: Optional[int] = None) -> tuple:
-        """Decode one received message (or one streamed part) on the
-        receive path: ``(parts, crc)``, the decoded partitions in order
+        """Decode the partitions one DATA part carries on the receive
+        path: ``(parts, crc)``, the decoded partitions in order
         and the CRC-32 of their concatenation.  The parts are the decode
         memo's read-only arrays (:meth:`CodecCache.decode_parts`: hand
         them out through :func:`~repro.compression.cache.handout`), or
@@ -284,8 +286,10 @@ class CompressionEngine:
         return durations
 
     def _run_partition_kernels(self, durations: list[float], blocks: int,
-                               category: str, solo_label: str = "p0"):
-        """Launch one kernel per partition on separate CUDA streams.
+                               category: str, solo_label: str = "p0",
+                               solo_stream: int = 0):
+        """Launch one kernel per partition on separate CUDA streams (a
+        lone kernel on stream ``solo_stream``, labelled ``solo_label``).
 
         Kernels overlap on the device (bounded by the SM pool), but
         their *submissions* serialize on the CPU — one enqueue per
@@ -293,8 +297,8 @@ class CompressionEngine:
         loss and motivates the tuned schedule.
         """
         if len(durations) == 1:
-            yield from self.streams[0].run_kernel(durations[0], blocks, category,
-                                                  solo_label)
+            yield from self.streams[solo_stream].run_kernel(
+                durations[0], blocks, category, solo_label)
             return
         submit = self.device.spec.kernel_launch
         procs = []
@@ -438,31 +442,6 @@ class CompressionEngine:
             comp_buf.write(plan.payload)
         return plan
 
-    def pipelined_receive_part(self, header: CompressionHeader, part: int, payload):
-        """Decompress one arrived partition (generator subroutine).
-
-        Returns ``(data, crc)``, ``crc`` the CRC-32 of ``data``'s bytes.
-        ``data`` may be the decode memo's read-only array: the caller
-        concatenates the parts into the message it hands out."""
-        codec = self._header_codec(header)
-        dtype = np.dtype(header.dtype_name)
-        counts = _partition_counts(header.n_elements, header.n_partitions)
-        # Half-device kernels: arrivals are already staggered by the
-        # wire, adjacent parts may overlap pairwise.
-        blocks = max(1, self.device.spec.sm_count // 2)
-        duration, = self._kernel_times(
-            "decompress", header.algorithm, [counts[part] * dtype.itemsize], blocks)
-        yield from self.streams[part % _MAX_STREAMS].run_kernel(
-            duration, blocks, "decompression_kernel", f"pipe{part}"
-        )
-        comp = CompressedData(
-            algorithm=header.algorithm,
-            payload=np.ascontiguousarray(payload, dtype=np.uint8),
-            n_elements=counts[part], dtype=dtype, params=header.codec_params(),
-        )
-        (out,), crc = self._decode(codec, comp.payload, (comp,))
-        return out, crc
-
     # -- compressed-domain reduction (hZCCL-style) ---------------------------
     def reduce_capable(self, op) -> bool:
         """True when reduction collectives may combine *compressed* wire
@@ -568,18 +547,21 @@ class CompressionEngine:
         return resources
 
     @staticmethod
-    def _partition_comps(header: CompressionHeader, payload) -> list:
-        """The partitions of a compressed wire payload, in order, as
-        :class:`CompressedData` views into it."""
+    def _partition_comps(header: CompressionHeader, payload,
+                         index=None) -> list:
+        """Partitions ``index`` (default: all) of a compressed message,
+        in order, as :class:`CompressedData` views into ``payload``,
+        which holds exactly their bytes."""
         payload = np.ascontiguousarray(payload, dtype=np.uint8)
         dtype = np.dtype(header.dtype_name)
         params = header.codec_params()
         counts = _partition_counts(header.n_elements, header.n_partitions)
         comps, offset = [], 0
-        for count, size in zip(counts, header.partition_sizes):
+        for i in range(header.n_partitions) if index is None else index:
+            size = header.partition_sizes[i]
             comps.append(CompressedData(
                 algorithm=header.algorithm, payload=payload[offset:offset + size],
-                n_elements=count, dtype=dtype, params=params,
+                n_elements=counts[i], dtype=dtype, params=params,
             ))
             offset += size
         if offset != payload.nbytes:
@@ -589,37 +571,57 @@ class CompressionEngine:
         return comps
 
     def receiver_complete(self, header: CompressionHeader, payload, resources: list,
+                          part: Optional[int] = None,
                           fingerprint: Optional[int] = None):
-        """After the data lands: decompress and restore the original.
+        """After a DATA part lands: decode the partitions it carries.
+
+        A part carries every partition (``part`` None: the whole image)
+        or, in the original push of a streamed message, partition
+        ``part`` alone.  The part sets the kernel geometry: the whole
+        image pays the codec's host set-up and runs one kernel per
+        partition at ``sm/P`` blocks; a streamed partition runs one
+        half-device kernel on its own stream, with no host set-up —
+        arrivals are already staggered by the wire, and adjacent parts
+        may overlap pairwise.
 
         Returns ``(data, crc)``; ``crc`` is the CRC32 of ``data``'s
         bytes — served from the decode memo when these wire bytes were
         decoded before, so the caller's integrity check does not hash a
-        buffer the cache already vouches for.  ``fingerprint`` is the CRC32 of ``payload`` when
+        buffer the cache already vouches for.  ``data`` is the message,
+        handed out, for the whole image, and the partition lent
+        read-only (the caller concatenates the parts) for one streamed
+        partition.  ``resources`` are released once decoded and the
+        list emptied.  ``fingerprint`` is the CRC32 of ``payload`` when
         the caller has already verified one (the relay check's wire
         CRC); it keys the memo lookup instead of a second hash.
         """
         if not header.compressed:
             return payload, payload_crc32(payload)
         codec = self._header_codec(header)
-        if codec.host_setup:
-            yield from self._host_setup()
-
-        parts = header.n_partitions
+        sm = self.device.spec.sm_count
+        if part is None:
+            if codec.host_setup:
+                yield from self._host_setup()
+            index = range(header.n_partitions)
+            blocks, stream, label = max(1, sm // len(index)), 0, "p0"
+        else:
+            index = (part,)
+            blocks, stream, label = max(1, sm // 2), part % _MAX_STREAMS, f"pipe{part}"
+        counts = _partition_counts(header.n_elements, header.n_partitions)
         itemsize = np.dtype(header.dtype_name).itemsize
-        blocks = max(1, self.device.spec.sm_count // parts)
         durations = self._kernel_times(
-            "decompress", header.algorithm,
-            [c * itemsize for c in _partition_counts(header.n_elements, parts)],
+            "decompress", header.algorithm, [counts[i] * itemsize for i in index],
             blocks)
-        yield from self._run_partition_kernels(durations, blocks, "decompression_kernel")
+        yield from self._run_partition_kernels(
+            durations, blocks, "decompression_kernel", label, stream)
 
-        # Real decompression: one memo lookup for the whole message,
-        # partition by partition on a miss.
+        # Real decompression: one memo lookup for the part, partition by
+        # partition on a miss.
         parts, crc = self._decode(
-            codec, payload, self._partition_comps(header, payload),
+            codec, payload, self._partition_comps(header, payload, index),
             fingerprint=fingerprint,
         )
 
         yield from self._release(resources)
-        return handout(parts), crc
+        resources.clear()
+        return (handout(parts) if part is None else parts[0]), crc

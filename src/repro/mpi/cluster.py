@@ -166,37 +166,46 @@ class Runtime:
         else:
             br.record_failure(self.sim.now)
 
-    def _push_image(self, rts: Rts, payload, attempt: int = 0):
-        """Push the wire bytes ``payload`` of the message ``rts``
-        describes and hand the receiver its DATA packet: attempt 0
-        inside the sender's protocol process, attempt *k* as a
-        retransmission.  The packet is keyed by ``attempt`` so stale
-        deliveries cannot satisfy a retry's waiter."""
+    def push(self, rts: Rts, part: int, payload, attempt: int = 0,
+             kernel_run=None):
+        """Put DATA part ``part`` of attempt ``attempt`` of the message
+        ``rts`` describes on the wire — after its compression kernel,
+        when the plan streams (``kernel_run``) — and hand the receiver
+        its ``Data`` packet, keyed by ``(part, attempt)`` so stale
+        deliveries cannot satisfy a retry's waiter.  The original push
+        of a streamed message has one part per partition (``pipe_data``,
+        each in its own process); any other attempt is one part, the
+        whole image ``payload`` (``rndv_data``, inside the sender's
+        protocol process, or a retransmission's ``rndv_retry``)."""
         seq, src, dst = rts.seq, rts.src, rts.dst
+        if kernel_run is not None:
+            yield from kernel_run(part)
+        if attempt == 0 and rts.streamed:
+            nbytes, label, ids = payload.nbytes, "pipe_data", {"part": part}
+        else:
+            nbytes, ids = rts.wire_nbytes, {}
+            label = "rndv_retry" if attempt else "rndv_data"
         with trace_scope(self.sim, "pipeline", "wire_transfer", rank=src,
-                         seq=seq, nbytes=rts.wire_nbytes, dst=dst,
+                         seq=seq, **ids, nbytes=nbytes, dst=dst,
                          **rts.meta(attempt)):
             delivered = yield from self.topology.transfer(
-                src, dst, rts.wire_nbytes,
-                label="rndv_retry" if attempt else "rndv_data",
-                payload=payload,
-            )
+                src, dst, nbytes, label=label, payload=payload)
         if attempt:
             self.resilience_event("retransmit", rank=src, seq=seq, dst=dst,
                                   attempt=attempt)
         if delivered is DROPPED:
             return  # the receiver's data timeout will fire (again)
-        self.matching_of(dst).deliver_data(Data(src, seq, 0, attempt, delivered))
+        self.matching_of(dst).deliver_data(Data(src, seq, part, attempt, delivered))
 
     def nack(self, rts: Rts, attempt: int) -> None:
         """A NACK for the retained message ``rts`` reached its sender:
         count it against the breaker when the rejected payload was
-        compressed, and push the bytes again as ``attempt`` (async
-        sender-side process)."""
+        compressed, and push the whole image again as ``attempt``
+        (async sender-side process)."""
         if rts.compressed:
             self.breaker_of(rts.src, rts.dst).record_failure(self.sim.now)
         _, payload = self._retransmit[rts.seq]
-        self.sim.process(self._push_image(rts, payload, attempt),
+        self.sim.process(self.push(rts, 0, payload, attempt),
                          name=f"retransmit{rts.seq}.{attempt}")
 
     def matching_report(self) -> str:

@@ -19,19 +19,23 @@ compression threshold anyway) — and no simulator process either: see
 One path carries every rendezvous message, as a
 :class:`~repro.mpi.wire.WireImage`: a plain send packs one in step 1, a
 relay — ``isend`` of the image it holds — skips that step.  Both sides
-ask the RTS (the image's description) what a step does: step 5 decodes
-and compares the post-decode CRC or, if ``rts.relayed``, compares the
-wire CRC and hands the image on — inside the one NACK/retransmit loop.
-Pipelining pushes more than one part, each decoded on arrival, between
-steps 3 and 5.
+ask the RTS (the image's description) what a step does.  Steps 4-5 are
+one data plan: every attempt is a list of DATA parts — the original
+push of a pipelined message one per partition, any other attempt (a
+whole image, a relayed image, a retransmission) one part carrying all
+of them.  One push puts a part on the wire (:meth:`Runtime.push`), one
+arrival awaits and decodes each part (:meth:`Communicator._arrive`,
+:meth:`CompressionEngine.receiver_complete`) and compares the fold of
+the parts' post-decode CRCs with the RTS — or, if ``rts.relayed``,
+compares the wire CRC and hands the image on.  A lone part runs inline,
+several run in a process each.
 
 Each recovery rule exists once.  A transient fault while packing falls
 back to an uncompressed plan (:meth:`Communicator._prepare_or_fall_back`);
 a transient fault allocating staging buffers, or a post-decode CRC
 mismatch on bytes the rank already holds, is retried in place
-(:meth:`Communicator._retry_in_place`); an image that arrived wrong is
-NACKed and retransmitted by one loop whose attempts — the streamed
-parts, or the whole image — return the same ``(value, failure, cause)``
+(:meth:`Communicator._retry_in_place`); an attempt that arrived wrong
+is NACKed and the whole image retransmitted by one loop
 (:meth:`Communicator._complete_with_retries`).
 
 All primitives are generator subroutines (``yield from comm.send(...)``)
@@ -57,11 +61,10 @@ from repro.errors import (
 )
 from repro.analysis.metrics import MetricsRegistry
 from repro.core.header import CompressionHeader
-from repro.faults import DROPPED
 from repro.mpi import collectives as _coll
 from repro.mpi.eager import SETUP_TIME, EagerSend, Recv
 from repro.mpi.matching import ANY, P2P_TAGS
-from repro.mpi.message import Cts, Data, Rts
+from repro.mpi.message import Cts, Rts
 from repro.mpi.request import Request
 from repro.mpi.wire import WireImage
 from repro.sim.trace import trace_scope
@@ -310,10 +313,12 @@ class Communicator:
                 rt.matching_of(dest).deliver_envelope(rts)
             yield from self._await_cts(rt, cts_ev, dest, seq)
             rt.register_retransmit(rts, image.payload)
-            if rts.streamed:
-                yield from self._push_parts(rt, rts, plan)
-            else:
-                yield from rt._push_image(rts, image.payload)
+            parts = ([c.payload for c in plan.comps] if rts.streamed
+                     else [image.payload])
+            kernel_run = plan.kernel_run if plan is not None else None
+            yield from self._each_part(
+                lambda i: rt.push(rts, i, parts[i], kernel_run=kernel_run),
+                len(parts), "pipe-send")
             if plan is not None:
                 with trace_scope(self.sim, "pipeline", "sender_release",
                                  rank=self._grank, seq=seq, dst=dest):
@@ -401,67 +406,17 @@ class Communicator:
                 diagnostic=rt.matching_report(),
             )
 
-    def _push_parts(self, rt, rts, pplan):
-        """The streamed push: put each partition on the wire as its
-        compression kernel completes."""
-        seq, dest = rts.seq, rts.dst
-
-        def part_sender(i):
-            yield from pplan.kernel_run(i)
-            comp = pplan.comps[i]
-            with trace_scope(self.sim, "pipeline", "wire_transfer",
-                             rank=self._grank, seq=seq, part=i,
-                             nbytes=comp.nbytes, dst=dest):
-                delivered = yield from rt.topology.transfer(
-                    self._grank, dest, comp.nbytes,
-                    label="pipe_data", payload=comp.payload,
-                )
-            if delivered is DROPPED:
-                return
-            rt.matching_of(dest).deliver_data(
-                Data(self._grank, seq, i, 0, delivered))
-
-        yield self.sim.all_of([
-            self.sim.process(part_sender(i), name=f"pipe-send{i}")
-            for i in range(rts.n_parts)
-        ])
-
-    def _arrive_parts(self, rt, engine, rts, data_evs):
-        """The streamed arrival: decompress each partition as it
-        lands.  Returns ``(data, failure, cause)``; a failed partition
-        (timeout, decode error) or a whole-message CRC mismatch — the
-        stamp against the parts' CRCs, folded — is left to the recovery
-        loop: one NACK, one full retransmission of the concatenated wire
-        image."""
-        failures: list = []
-
-        def part_receiver(i):
-            data = yield from self._await_data(rt, data_evs[i], rts)
-            if data is None:
-                failures.append(("data_timeout", None))
-                return None
-            with trace_scope(self.sim, "pipeline", "receiver_complete",
-                             rank=self._grank, seq=rts.seq, src=rts.src,
-                             part=i):
-                try:
-                    out = yield from engine.pipelined_receive_part(
-                        rts.header, i, data.payload
-                    )
-                except _DECODE_ERRORS as exc:
-                    failures.append(("decode_error", exc))
-                    return None
-            return out
-
-        results = yield self.sim.all_of([
-            self.sim.process(part_receiver(i), name=f"pipe-recv{i}")
-            for i in range(rts.n_parts)
-        ])
-        if failures:
-            return (None,) + failures[0]
-        parts = [results[i] for i in range(rts.n_parts)]
-        if crc32_of_parts((crc, out.nbytes) for out, crc in parts) != rts.crc:
-            return None, "crc_mismatch", None
-        return np.concatenate([out for out, _ in parts]), None, None
+    def _each_part(self, step, n: int, name: str):
+        """Run ``step(i)`` for the ``n`` DATA parts of one attempt and
+        return their results in order: one part inline, in the caller's
+        process; more, each in a process of its own (``name`` + index),
+        so no part waits for another's wire or kernel."""
+        if n == 1:
+            return [(yield from step(0))]
+        sim = self.sim
+        results = yield sim.all_of([sim.process(step(i), name=f"{name}{i}")
+                                    for i in range(n)])
+        return [results[i] for i in range(n)]
 
     def _recv_proc(self, rts, req: Request):
         """Rendezvous receive, from the matched RTS onwards: prepare,
@@ -544,61 +499,68 @@ class Communicator:
                          reason=reason):
             yield self.sim.timeout(delay)
 
-    def _await_data(self, rt, data_ev, rts):
-        """Wait for a DATA packet of the message ``rts`` describes;
-        ``None`` signals a delivery timeout (only possible when the
-        resilience config arms one)."""
-        data, timed_out = yield from self._guarded_wait(
-            data_ev, rt.resilience.data_timeout)
-        return None if timed_out else data
+    def _arrive(self, rt, engine, rts, data_evs, resources, attempt: int):
+        """Attempt ``attempt`` of the message ``rts`` describes, one DATA
+        part per waiter in ``data_evs``: the original push of a streamed
+        message has one per partition, any other attempt one part, the
+        whole image.  Each part is decoded as it lands — the whole
+        image's decode takes the staging ``resources`` and releases
+        them — or, relayed, has its wire CRC compared without decoding
+        and is handed on.  The fold of the parts' CRCs is checked
+        against the RTS.  Returns ``(value, failure, cause)``, the first
+        failing part's (delivery timeout, decode error, wire CRC
+        mismatch) or the fold's."""
+        streamed = len(data_evs) > 1
+        failures: list = []
 
-    def _arrive_whole(self, rt, engine, rts, data_ev, resources, attempt: int):
-        """One whole-image arrival — attempt 0 of an un-pipelined
-        message, or retransmission ``attempt`` of any — checked against
-        the RTS that described it.  A relayed image has its wire CRC
-        compared *without decompressing* and is handed on; any other is
-        decompressed — ``resources`` emptied once ``receiver_complete``
-        released them — and its post-decode CRC compared.  Returns
-        ``(value, failure, cause)``, as :meth:`_arrive_parts` does."""
-        data = yield from self._await_data(rt, data_ev, rts)
-        if data is None:
-            return None, "data_timeout", None
-        with trace_scope(self.sim, "pipeline", "receiver_complete",
-                         rank=self._grank, seq=rts.seq, src=rts.src,
-                         wire_nbytes=rts.wire_nbytes, **rts.meta(attempt)):
-            if rts.relayed:
-                if payload_crc32(data.payload) != rts.wire_crc:
-                    return None, "wire_crc_mismatch", None
-                return rts.image(data.payload), None, None
-            try:
-                value, got_crc = yield from engine.receiver_complete(
-                    rts.header, data.payload, resources)
-            except _DECODE_ERRORS as exc:
-                return None, "decode_error", exc
-            resources.clear()  # released by receiver_complete
-            if got_crc != rts.crc:
-                return None, "crc_mismatch", None
-            return value, None, None
+        def arrive_part(i):
+            data, timed_out = yield from self._guarded_wait(
+                data_evs[i], rt.resilience.data_timeout)
+            if timed_out:
+                failures.append(("data_timeout", None))
+                return None
+            ids = {"part": i} if streamed else {"wire_nbytes": rts.wire_nbytes}
+            with trace_scope(self.sim, "pipeline", "receiver_complete",
+                             rank=self._grank, seq=rts.seq, src=rts.src,
+                             **ids, **rts.meta(attempt)):
+                if rts.relayed:  # intact wire bytes decode to ``rts.crc``
+                    if payload_crc32(data.payload) != rts.wire_crc:
+                        failures.append(("wire_crc_mismatch", None))
+                        return None
+                    return rts.image(data.payload), rts.crc
+                try:
+                    return (yield from engine.receiver_complete(
+                        rts.header, data.payload, [] if streamed else resources,
+                        i if streamed else None))
+                except _DECODE_ERRORS as exc:
+                    failures.append(("decode_error", exc))
+                    return None
+
+        outs = yield from self._each_part(arrive_part, len(data_evs), "pipe-recv")
+        if failures:
+            return (None,) + failures[0]
+        crc = outs[0][1] if not streamed else crc32_of_parts(
+            (crc, out.nbytes) for out, crc in outs)
+        if crc != rts.crc:
+            return None, "crc_mismatch", None
+        if not streamed:
+            return outs[0][0], None, None
+        return np.concatenate([out for out, _ in outs]), None, None
 
     def _complete_with_retries(self, rt, engine, rts, resources, data_evs):
         """The one NACK/retransmit loop, entered with the staging
         ``resources`` and the DATA waiters ``data_evs`` registered before
-        the CTS left.  Attempt 0 is the streamed arrival
-        (:meth:`_arrive_parts`) or the whole image
-        (:meth:`_arrive_whole`), each retransmission the whole image
-        again; every attempt returns ``(value, failure, cause)``.  A
-        failure (CRC mismatch, decode error, delivery timeout) NACKs the
-        immediate upstream until an attempt survives or the retry budget
-        is spent."""
+        the CTS left.  Every attempt is one :meth:`_arrive` — attempt 0
+        of its ``rts.n_parts`` parts, each retransmission of one, the
+        whole image.  A failure (CRC mismatch, decode error, delivery
+        timeout) NACKs the immediate upstream until an attempt survives
+        or the retry budget is spent; staging buffers no decode took
+        are released after the verdict."""
         seq = rts.seq
         attempt = 0
         while True:
-            if attempt == 0 and rts.streamed:
-                value, failure, cause = yield from self._arrive_parts(
-                    rt, engine, rts, data_evs)
-            else:
-                value, failure, cause = yield from self._arrive_whole(
-                    rt, engine, rts, data_evs[0], resources, attempt)
+            value, failure, cause = yield from self._arrive(
+                rt, engine, rts, data_evs, resources, attempt)
             if failure is None:
                 if resources:  # not consumed by a decode
                     yield from engine._release(resources)

@@ -308,8 +308,8 @@ def test_bytes_hashed_per_side_of_one_message(monkeypatch, name):
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        side = ("sender" if names & {"_send_proc", "part_sender"} else
-                "receiver" if names & {"_recv_proc", "part_receiver"} else
+        side = ("sender" if names & {"_send_proc", "push"} else
+                "receiver" if names & {"_recv_proc", "arrive_part"} else
                 "elsewhere")
         hashed[side] = hashed.get(side, 0) + memoryview(data).nbytes
         return real(data, *args)
