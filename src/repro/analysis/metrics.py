@@ -70,7 +70,7 @@ def _series_key(series, labels: dict) -> tuple:
     return series if type(series) is tuple else _key(series, labels)
 
 
-@dataclass
+@dataclass(slots=True)
 class HistogramStat:
     """Streaming summary of observed values (count/sum/min/max plus
     power-of-two bucket counts)."""
@@ -82,12 +82,18 @@ class HistogramStat:
     buckets: dict = field(default_factory=dict)  # log2 bucket -> count
 
     def observe(self, value: float) -> None:
+        # The comparisons ``min``/``max`` make, spelled out: a value
+        # replaces the extreme only when strictly beyond it, and values
+        # below 1 (``int`` of the clamp would be 1) land in bucket 0.
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        bucket = max(0, (int(max(value, 1)) - 1).bit_length())
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        bucket = 0 if 1 > value else (int(value) - 1).bit_length()
+        buckets = self.buckets
+        buckets[bucket] = buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -144,7 +150,10 @@ class MetricsRegistry:
     A series is named by ``name`` plus ``**labels``.  A site that
     updates the same series over and over builds the value :meth:`key`
     returns for them once and passes it to :meth:`inc`, :meth:`observe`
-    or :meth:`set_max` in place of the name."""
+    or :meth:`set_max` in place of the name.  The per-message sites (a
+    wire transfer's ``wire.*``, a send's ``mpi.sends``) add to
+    ``_counters[key]`` directly, as :meth:`inc` would, increments they
+    know are not negative."""
 
     def __init__(self):
         self._counters: dict[tuple, float] = {}
@@ -176,10 +185,11 @@ class MetricsRegistry:
 
     def observe(self, series, value: float, **labels) -> None:
         """Record one observation into a histogram."""
-        k = _series_key(series, labels)
-        if k not in self._hists:
-            self._hists[k] = HistogramStat()
-        self._hists[k].observe(value)
+        k = series if type(series) is tuple else _key(series, labels)
+        hist = self._hists.get(k)
+        if hist is None:
+            hist = self._hists[k] = HistogramStat()
+        hist.observe(value)
 
     # -- read side -------------------------------------------------------
     def counter(self, name: str, **labels) -> float:

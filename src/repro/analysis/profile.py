@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.utils.tables import format_table
 from repro.utils.units import fmt_bytes, fmt_time
 
@@ -131,28 +133,82 @@ class CommProfile:
     @classmethod
     def from_trace_file(cls, path) -> "CommProfile":
         """Ingest an exported trace file — Chrome-trace JSON or a binary
-        RPRT container — streaming events without loading the file.
-        Elapsed time and the telemetry metrics come from the trace's
-        embedded ``otherData``."""
-        from repro.analysis.traceio import open_trace
+        RPRT container — one column group at a time, without loading
+        the file or building a record.  Elapsed time and the telemetry
+        metrics come from the trace's embedded ``otherData``."""
+        from repro.analysis.traceio import _open_groups
 
         horizon = 0.0
-
-        def tracked(records):
-            nonlocal horizon
-            for rec in records:
-                if rec.t_end > horizon:
-                    horizon = rec.t_end
-                yield rec
-
-        with open_trace(path) as (other, records):
-            elapsed = float(other.get("elapsed_seconds") or 0.0)
-            prof = cls.from_records(tracked(records), elapsed)
+        with _open_groups(path) as (other, groups):
+            prof = cls(elapsed=float(other.get("elapsed_seconds") or 0.0))
+            for group in groups():
+                latest = prof._add_group(*group)
+                if latest > horizon:
+                    horizon = float(latest)
         if not prof.elapsed:
             # No recorded elapsed: fall back to the span horizon.
             prof.elapsed = horizon
         prof.telemetry = _telemetry_slice(other.get("metrics", {}))
         return prof
+
+    def _add_group(self, columns, strings, metas) -> float:
+        """Fold one exported-form column group
+        (:func:`~repro.analysis.export.span_group`) into the profile
+        exactly as :meth:`from_records` folds its records, row by row
+        from the columns' lists.  Whether a row is a wire transfer, its
+        links and its size are resolved once per distinct (meta, track,
+        label) ids, and its counts are added once per distinct ids
+        after the rows, in order of first appearance.  Returns the latest span end (NaN ends ignored;
+        ``-inf`` for an empty group)."""
+        ts, dur_us = columns[0], columns[1]
+        t_end = (ts + dur_us) / 1e6
+        times, pipeline = self.category_time, self.rank_pipeline_time
+        kinds: dict = {}  # ids -> [stats of its links, nbytes, rows] or None
+        for r, c, lb, tr, m, t0, t1 in zip(*(col.tolist() for col in columns[4:]),
+                                          (ts / 1e6).tolist(), t_end.tolist()):
+            d = t1 - t0
+            category = strings[c]
+            times[category] = times.get(category, 0.0) + d
+            if category == "pipeline" and r >= 0:
+                pipeline[r] = pipeline.get(r, 0.0) + d
+            key = (m, tr, lb)
+            kind = kinds.get(key, False)
+            if kind is False:
+                kind = kinds[key] = self._wire_kind(metas[m], strings[tr],
+                                                    strings[lb])
+            if kind is not None:
+                for st in kind[0]:
+                    st.busy_time += d
+                kind[2] += 1
+        for kind in kinds.values():
+            if kind is not None:
+                stats, nbytes, n = kind
+                for st in stats:
+                    st.bytes_moved += nbytes * n
+                    st.transfers += n
+                self.total_wire_bytes += nbytes * n
+                self.n_messages += n
+                bucket = max(0, (max(nbytes, 1) - 1).bit_length())
+                self.size_histogram[bucket] = self.size_histogram.get(bucket, 0) + n
+        return np.fmax.reduce(t_end, initial=-np.inf)
+
+    def _wire_kind(self, meta: dict, track: str, label: str):
+        """``[stats of its links, nbytes, 0]`` for a wire span's ids, or
+        ``None``; its links join the profile now, in the order the
+        records would bring them."""
+        link_track = (track or "").startswith("link:")
+        if not (link_track or "links" in meta):
+            return None
+        links = meta.get("links")
+        links = (tuple(links) if links else (track[5:],) if link_track
+                 else (meta.get("link", label),))
+        stats = []
+        for link in links:
+            st = self.links.get(link)
+            if st is None:
+                st = self.links[link] = LinkStats(link)
+            stats.append(st)
+        return [stats, int(meta.get("nbytes", 0)), 0]
 
     def as_dict(self) -> dict:
         """JSON-ready form (``python -m repro profile --format json``).

@@ -292,7 +292,9 @@ class Communicator:
     def _count_send(self, protocol: str) -> None:
         tracer = self.sim.tracer
         if tracer is not None:
-            tracer.metrics.inc(_SENDS_KEY[protocol])
+            counters = tracer.metrics._counters
+            key = _SENDS_KEY[protocol]
+            counters[key] = counters.get(key, 0) + 1
 
     def _send_proc(self, payload: Any, dest: int, tag: int, req: Request):
         """Rendezvous send: pack -> send the image -> release.  An

@@ -15,7 +15,7 @@ from repro.errors import ConfigError, NetworkError
 from repro.sim import Resource, Simulator
 from repro.sim.trace import CURRENT
 
-__all__ = ["LinkSpec", "Link", "Transfer"]
+__all__ = ["LinkSpec", "Link", "Route", "Transfer"]
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,9 @@ class Link:
         self._wire_keys = tuple(
             MetricsRegistry.key(name, link=self.label)
             for name in ("wire.bytes", "wire.transfers", "wire.busy_seconds"))
+        #: the one-link route of this link's transfers (and of every
+        #: topology route that crosses this link alone)
+        self.route = Route([self])
 
     def transfer(self, nbytes: int, label: str = ""):
         """Move ``nbytes`` across the link (generator subroutine).
@@ -71,11 +74,50 @@ class Link:
         Queues behind in-flight transfers, then holds the link for the
         serialization time.
         """
-        yield from Transfer(self.sim, (self,), nbytes,
+        yield from Transfer(self.sim, self.route, nbytes,
                             self.spec.serialization_time(nbytes), label).run()
 
     def __repr__(self) -> str:
         return f"<Link {self.label} {self.spec.bandwidth / 1e9:.1f}GB/s>"
+
+
+class Route:
+    """A route's links and what every ``network`` span and ``wire.*``
+    update over it repeat, built once: the default span label, the
+    ``link:`` track, the meta fields other than ``nbytes`` and each
+    link's metric keys.
+
+    A one-link route's span names its link; a longer one's also names
+    its ``src``/``dst`` (the GPUs it joins) and is labelled
+    ``"src->dst"`` by default."""
+
+    __slots__ = ("links", "src", "dst", "labels", "link", "label", "track",
+                 "wire_keys")
+
+    def __init__(self, links: list, src=None, dst=None):
+        self.links = links
+        self.src = src
+        self.dst = dst
+        self.labels = tuple(l.label for l in links)
+        if len(links) == 1:
+            self.link = self.label = self.labels[0]
+        else:
+            self.link = "+".join(self.labels)
+            self.label = f"{src}->{dst}"
+        self.track = f"link:{self.link}"
+        self.wire_keys = tuple(l._wire_keys for l in links)
+
+    def span_fields(self, key: tuple) -> tuple:
+        """The ``network`` span of ``key = (route, label, nbytes, type
+        of nbytes)``, as :meth:`~repro.sim.trace.Tracer.keyed_span`
+        builds it at a key's first sight."""
+        _, label, nbytes, _ = key
+        if len(self.links) == 1:
+            meta = {"nbytes": nbytes, "link": self.link, "links": self.labels}
+        else:
+            meta = {"nbytes": nbytes, "src": self.src, "dst": self.dst,
+                    "link": self.link, "links": self.labels}
+        return "network", label, meta, None, self.track
 
 
 class Transfer:
@@ -91,24 +133,21 @@ class Transfer:
     protocol process delegates to, :meth:`start` drives them from
     scheduler callbacks and calls ``on_done()`` — no process, no
     generator frame.  ``duration`` is the route's total latency plus
-    serialization at its bottleneck; ``src``/``dst`` label a multi-link
-    route's span.
+    serialization at its bottleneck.
     """
 
-    __slots__ = ("sim", "links", "nbytes", "duration", "label", "src", "dst",
-                 "parent", "t0", "_reqs", "_waiting", "_on_done")
+    __slots__ = ("sim", "route", "nbytes", "duration", "label", "parent",
+                 "t0", "_reqs", "_waiting", "_on_done")
 
-    def __init__(self, sim: Simulator, links, nbytes: int, duration: float,
-                 label: str = "", src=None, dst=None, parent=CURRENT):
+    def __init__(self, sim: Simulator, route: Route, nbytes: int,
+                 duration: float, label: str = "", parent=CURRENT):
         if nbytes < 0:
             raise NetworkError(f"negative transfer size: {nbytes}")
         self.sim = sim
-        self.links = links
+        self.route = route
         self.nbytes = nbytes
         self.duration = duration
         self.label = label
-        self.src = src
-        self.dst = dst
         self.parent = parent
         self._reqs = None
         self._on_done = None
@@ -118,12 +157,13 @@ class Transfer:
         """Take every free link now and queue for the busy ones; the
         requests still to wait for, per link (``None`` = held), or
         ``None`` when the whole route is held."""
+        links = self.route.links
         reqs = None
-        for i, link in enumerate(self.links):
+        for i, link in enumerate(links):
             req = link._res.acquire()
             if req is not None:
                 if reqs is None:
-                    reqs = [None] * len(self.links)
+                    reqs = [None] * len(links)
                 reqs[i] = req
         self._reqs = reqs
         return reqs
@@ -132,39 +172,35 @@ class Transfer:
         """Free held links and withdraw queued requests: :meth:`run`
         releases from a ``finally``, so a process that unwinds while
         still queued for a link leaves no request behind it."""
+        links = self.route.links
         reqs = self._reqs
         if reqs is None:
-            for link in self.links:
+            for link in links:
                 link._res.release()
             return
-        for link, req in zip(self.links, reqs):
+        for link, req in zip(links, reqs):
             if req is None:
                 link._res.release()
             else:
                 link._res.cancel(req)
 
     def _record(self, tracer) -> None:
+        """The ``network`` span — a repeat of an earlier (label, size)
+        on this route reuses its row's ids — and each link's ``wire.*``
+        counters, added by key in link order (``nbytes`` and ``busy``
+        are never negative)."""
         now = self.sim._now
-        labels = tuple(l.label for l in self.links)
-        if len(labels) == 1:
-            name = labels[0]
-            tracer.span(self.t0, now, "network", self.label or name,
-                        track=f"link:{name}", parent=self.parent,
-                        nbytes=self.nbytes, link=name, links=labels)
-        else:
-            route = "+".join(labels)
-            tracer.span(self.t0, now, "network",
-                        self.label or f"{self.src}->{self.dst}",
-                        track=f"link:{route}", parent=self.parent,
-                        nbytes=self.nbytes, src=self.src, dst=self.dst,
-                        link=route, links=labels)
-        m = tracer.metrics
+        route = self.route
+        nbytes = self.nbytes
+        tracer.keyed_span((route, self.label or route.label, nbytes,
+                           type(nbytes)),
+                          route.span_fields, self.t0, now, self.parent)
+        counters = tracer.metrics._counters
         busy = now - self.t0
-        for link in self.links:
-            k_bytes, k_transfers, k_busy = link._wire_keys
-            m.inc(k_bytes, self.nbytes)
-            m.inc(k_transfers, 1)
-            m.inc(k_busy, busy)
+        for k_bytes, k_transfers, k_busy in route.wire_keys:
+            counters[k_bytes] = counters.get(k_bytes, 0) + nbytes
+            counters[k_transfers] = counters.get(k_transfers, 0) + 1
+            counters[k_busy] = counters.get(k_busy, 0) + busy
 
     # -- generator driver -----------------------------------------------
     def run(self):

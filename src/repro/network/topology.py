@@ -19,8 +19,9 @@ charging end-to-end latency plus serialization at the bottleneck while
 holding every traversed link.
 
 Route resolution is cached: ``node_of`` is a precomputed array lookup,
-and one record per ``(src, dst)`` pair — the route's links, its total
-latency and its bottleneck bandwidth — serves ``route()``,
+and one record per ``(src, dst)`` pair — the route's links with the
+constants of its spans and metrics, its total latency and its
+bottleneck bandwidth — serves ``route()``,
 ``path_latency()``, ``path_bandwidth()`` and every transfer, so the
 per-message cost at 1k+ ranks is one dict probe instead of repeated
 division and list building.  The cache is bounded and cleared wholesale
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.errors import NetworkError
 from repro.faults.injector import DROPPED
-from repro.network.links import Link, Transfer
+from repro.network.links import Link, Route, Transfer
 from repro.network.presets import MachinePreset
 from repro.sim import Simulator
 from repro.sim.trace import CURRENT
@@ -106,7 +107,7 @@ class Topology:
             # Dedicated ordered-pair links, created lazily.
             pass
 
-        #: (src, dst) -> (links, latency, bandwidth), see :meth:`_route`
+        #: (src, dst) -> (route, latency, bandwidth), see :meth:`_route`
         self._routes: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -170,8 +171,9 @@ class Topology:
         return [self._uplink[src_node], self._downlink[dst_node]]
 
     def _route(self, src: int, dst: int) -> tuple:
-        """``(links, latency, bandwidth)`` of the route from ``src`` to
-        ``dst``: its ordered links, their total latency and the
+        """``(route, latency, bandwidth)`` from ``src`` to ``dst``: the
+        :class:`~repro.network.links.Route` of its ordered links (a
+        one-link route is that link's own), their total latency and the
         bottleneck bandwidth (``inf`` with no link).  Memoized."""
         key = (src, dst)
         rec = self._routes.get(key)
@@ -182,15 +184,16 @@ class Topology:
                 lat = sum(l.spec.latency for l in links)
             else:
                 bw, lat = float("inf"), 0.0
+            route = links[0].route if len(links) == 1 else Route(links, src, dst)
             if len(self._routes) >= _CACHE_MAX:
                 self._routes.clear()
-            rec = self._routes[key] = (links, lat, bw)
+            rec = self._routes[key] = (route, lat, bw)
         return rec
 
     def route(self, src: int, dst: int) -> list[Link]:
         """The ordered links a message from ``src`` to ``dst`` crosses;
         callers must treat the list as read-only."""
-        return self._route(src, dst)[0]
+        return self._route(src, dst)[0].links
 
     def path_bandwidth(self, src: int, dst: int) -> float:
         return self._route(src, dst)[2]
@@ -217,12 +220,12 @@ class Topology:
         the bytes were sent, they just did not survive).  Without a
         payload the return value is ``None``.
         """
-        links, lat, bw = self._route(src, dst)
-        if links:
+        route, lat, bw = self._route(src, dst)
+        if route.links:
             # Cut-through across the whole route: hold every link together
             # for total-latency + bottleneck-serialization.
-            yield from Transfer(self.sim, links, nbytes, lat + nbytes / bw,
-                                label, src, dst).run()
+            yield from Transfer(self.sim, route, nbytes, lat + nbytes / bw,
+                                label).run()
         return self._deliver(src, dst, nbytes, payload)
 
     def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
@@ -234,9 +237,9 @@ class Topology:
         messages).  ``parent`` is the span the ``network`` span nests
         under."""
         rec = self._routes.get((src, dst))
-        links, lat, bw = rec if rec is not None else self._route(src, dst)
-        Transfer(self.sim, links, nbytes, lat + nbytes / bw, label,
-                 src, dst, parent).start(on_done)
+        route, lat, bw = rec if rec is not None else self._route(src, dst)
+        Transfer(self.sim, route, nbytes, lat + nbytes / bw, label,
+                 parent).start(on_done)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):
         """Apply wire faults to a payload at its delivery point."""

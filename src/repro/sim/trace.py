@@ -197,7 +197,7 @@ class SpanColumns:
     :func:`_meta_key`) and entry 0 is the empty meta.
     """
 
-    __slots__ = SPAN_COLUMNS + ("_string_id", "_meta_id", "metas")
+    __slots__ = SPAN_COLUMNS + ("_string_id", "_meta_id", "metas", "_row_ids")
 
     def __init__(self):
         for name, _, typecode, _ in SPAN_SCHEMA:
@@ -205,6 +205,9 @@ class SpanColumns:
         self._string_id = _Interned()
         self._meta_id: dict[tuple, int] = {}
         self.metas: list[dict] = [{}]
+        #: key -> the ``(rank, category, label, track, meta)`` ids of
+        #: the row :meth:`append_keyed` first appended for it
+        self._row_ids: dict = {}
 
     def __len__(self) -> int:
         return len(self.span_id)
@@ -238,6 +241,38 @@ class SpanColumns:
         self.label.append(ids[label])
         self.track.append(ids[track])
         self.meta.append(m)
+
+    def append_keyed(self, key, fields, t_start: float, t_end: float,
+                     span_id: int, parent_id: Optional[int]) -> None:
+        """Add one span whose strings and meta are a function of
+        ``key``: at the key's first sight in this table ``fields(key)``
+        builds ``(category, label, meta, rank, track)`` and the row goes
+        through :meth:`append`; later rows reuse the ids it resolved —
+        no meta key, no string lookup.  Equal keys must build identical
+        fields.  A meta that :func:`_meta_key` does not share is never
+        reused, so every row of such a key is a first sight."""
+        ids = self._row_ids.get(key)
+        if ids is None:
+            category, label, meta, rank, track = fields(key)
+            n_metas, n_keyed = len(self.metas), len(self._meta_id)
+            self.append(t_start, t_end, category, label, meta, rank, track,
+                        span_id, parent_id)
+            # a new entry that no meta key names is a meta of its own
+            if len(self.metas) == n_metas or len(self._meta_id) > n_keyed:
+                self._row_ids[key] = (self.rank[-1], self.category[-1],
+                                      self.label[-1], self.track[-1],
+                                      self.meta[-1])
+            return
+        rank, category, label, track, meta = ids
+        self.t_start.append(t_start)
+        self.t_end.append(t_end)
+        self.span_id.append(span_id)
+        self.parent_id.append(-1 if parent_id is None else parent_id)
+        self.rank.append(rank)
+        self.category.append(category)
+        self.label.append(label)
+        self.track.append(track)
+        self.meta.append(meta)
 
     def records(self, start: int = 0, stop: Optional[int] = None) -> list:
         """Rows ``start:stop`` as :class:`TraceRecord` objects."""
@@ -444,6 +479,22 @@ class Tracer:
         self.columns.append(t_start, t_end, category, label, meta, rank,
                             track, next(self._ids),
                             parent.span_id if parent else None)
+
+    def keyed_span(self, key, fields, t_start: float, t_end: float,
+                   parent: Any = CURRENT) -> None:
+        """:meth:`span` for a leaf whose category, label, meta, rank and
+        track are a function of ``key`` (``fields(key)`` builds them,
+        see :meth:`SpanColumns.append_keyed`): a repeat key costs one
+        dict probe and nine appends.  The memo belongs to
+        :attr:`columns`, so :meth:`clear` drops it."""
+        if t_end < t_start:
+            raise ValueError(f"span ends before it starts: [{t_start}, {t_end}]")
+        if parent is CURRENT:
+            parent = self.current_span()
+        elif parent is not None and not parent.open:
+            parent = None
+        self.columns.append_keyed(key, fields, t_start, t_end, next(self._ids),
+                                  parent.span_id if parent else None)
 
     # -- aggregation --------------------------------------------------------
     def total(self, category: Optional[str] = None) -> float:
