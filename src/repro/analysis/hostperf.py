@@ -139,15 +139,17 @@ def _make_data(dataset: str, nbytes: int, dtype: str, codec: str) -> np.ndarray:
 
 # -- timing core -------------------------------------------------------------
 
+def _timed(fn: Callable[[], None]) -> float:
+    """Wall seconds of one ``fn()`` run."""
+    t0 = time.perf_counter()  # repro: allow-RPR001 — host-perf timing is the measured quantity here, never a simulated result
+    fn()
+    return time.perf_counter() - t0  # repro: allow-RPR001 — see above
+
+
 def _time_median(fn: Callable[[], None], reps: int) -> float:
     """Median wall seconds of ``reps`` runs (after one warmup)."""
     fn()  # warmup: page in, JIT numpy ufunc caches
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter()  # repro: allow-RPR001 — host-perf timing is the measured quantity here, never a simulated result
-        fn()
-        samples.append(time.perf_counter() - t0)  # repro: allow-RPR001 — see above
-    return median(samples)
+    return median(_timed(fn) for _ in range(reps))
 
 
 def _run_codec(params: dict, reps: int) -> dict:
@@ -207,15 +209,22 @@ def _run_engine(params: dict, reps: int) -> dict:
             sim.process(worker(sim))
         sim.run()
 
-    t = _time_median(one_run, reps)
+    if traced:
+        # Traced and untraced runs alternate in back-to-back pairs, and
+        # the ratio is the median of the per-pair quotients: background
+        # load then lands on both sides of a quotient, not on one batch.
+        one_run()
+        one_run(False)
+        pairs = [(_timed(one_run), _timed(lambda: one_run(False)))
+                 for _ in range(reps)]
+        t = median(a for a, _ in pairs)
+    else:
+        t = _time_median(one_run, reps)
     n_events = procs * (steps + 1)  # one init event + one per timeout
     out = {"run_s": _r(t), "events_per_s": _r(n_events / t, 0),
            "peak_heap_bytes": _peak_heap(one_run)}
     if traced:
-        # The untraced loop timed back to back, so box drift between
-        # this entry and engine/events cancels out of the ratio.
-        out["trace_cost_ratio"] = _r(
-            t / _time_median(lambda: one_run(False), reps), 3)
+        out["trace_cost_ratio"] = _r(median(a / b for a, b in pairs), 3)
     return out
 
 
