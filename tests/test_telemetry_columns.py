@@ -9,10 +9,17 @@ bytes, the ``.rprt`` bytes and both conversions between them.
 The trap tests further down cover what a column store can silently get
 wrong: meta interning must never merge two metas whose canonical JSON
 differs, the string table keeps its first-appearance order over the
-*sorted* rows, and ``chrome_time`` keeps Python's rounding.
+*sorted* rows, and ``chrome_time`` keeps Python's rounding.  The last
+sections cover the cheap paths: a network span's memoized ids never
+outlive their table and are resolved once per key, the direct metric
+writes fold as ``inc``/``observe`` do, and the profile folded from a
+file's columns equals the one folded from its records.
 """
 
+import hashlib
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,17 +28,22 @@ from hypothesis import strategies as st
 
 from repro.analysis import rprt as rprt_mod
 from repro.analysis.export import (chrome_time, json_safe_meta,
-                                   to_chrome_trace, write_chrome_json)
-from repro.analysis.metrics import MetricsRegistry
+                                   to_chrome_trace, write_chrome_json,
+                                   write_chrome_trace)
+from repro.analysis.metrics import HistogramStat, MetricsRegistry
 from repro.analysis.profile import CommProfile
 from repro.analysis.rprt import RprtReader, write_trace_rprt
-from repro.analysis.traceio import convert
+from repro.analysis.traceio import convert, iter_trace_records, read_otherdata
 from repro.core import CompressionConfig
 from repro.faults import FaultPlan
 from repro.mpi.cluster import Cluster
+from repro.network import topology as topology_mod
+from repro.network.links import Link, LinkSpec
 from repro.omb.payload import make_payload
-from repro.sim import Tracer
-from repro.utils.units import KiB
+from repro.sim import Simulator, Tracer
+from repro.sim import trace as trace_mod
+from repro.sim.trace import SPAN_COLUMNS
+from repro.utils.units import KiB, MiB
 
 from tests import pins
 from tests.test_trace_export import golden_rank_fn, run_golden_workload
@@ -407,3 +419,339 @@ def test_skipped_groups_decode_no_strings(tmp_path, monkeypatch):
     assert n_string_reads == 2  # offsets + blob, once per reader
     assert sum(a[0].startswith("strings/") for a in reads) == 2
 
+
+# -- cached span ids never outlive their table -------------------------------
+#
+# A network span's string and meta ids are memoized in the tracer's
+# ``SpanColumns``, keyed by its route's constants, label and size.  Each
+# case below must record what a run that never hits that memo records —
+# columns, string table, metas, ``.rprt`` bytes and metrics — and what
+# the code before the memo recorded (the digests in ``_CACHE_PINS``).
+
+def _two_allgathers_clearing_between(comm):
+    yield from comm.allgather(make_payload("wave", 4 * KiB, seed=comm.rank))
+    if comm.rank == 0:
+        comm.sim.tracer.clear()
+    yield from comm.allgather(make_payload("wave", 4 * KiB, seed=comm.rank + 40))
+
+
+def _rendezvous_sizes(comm):
+    """Five rendezvous messages on one route, two sizes repeated."""
+    sizes = (256 * KiB, 1 * MiB, 256 * KiB, 512 * KiB, 1 * MiB)
+    for i, n in enumerate(sizes):
+        data = make_payload("wave", n, seed=i % 2)
+        if comm.rank == 0:
+            yield from comm.send(data, 1, tag=i)
+        else:
+            yield from comm.recv(0, tag=i)
+
+
+#: 34 ranks on two fat-tree groups: one-, two- and four-link routes
+_FAT_TREE = ("fat-tree", 17, 2)
+_DISABLED = CompressionConfig.disabled()
+
+
+def _traced(*results) -> list:
+    return [(res.tracer, res.elapsed) for res in results]
+
+
+def _clear_mid_run():
+    return _traced(Cluster(*_FAT_TREE).run(
+        _two_allgathers_clearing_between, config=_DISABLED))
+
+
+def _route_cache_cleared():
+    topology_mod._CACHE_MAX = 3  # cache_case_digests restores it
+    return _traced(Cluster(*_FAT_TREE).run(_small_allgather, config=_DISABLED))
+
+
+def _two_runs_one_cluster():
+    cluster = Cluster(*_FAT_TREE)
+    return _traced(cluster.run(_small_allgather, config=_DISABLED),
+                   cluster.run(_small_allgather, config=_DISABLED))
+
+
+def _link_transfers():
+    sim = Simulator()
+    tracer = Tracer(sim)
+    spec = LinkSpec("IB", 1e-6, 1e10)
+    named, unnamed = Link(sim, spec, "hca0"), Link(sim, spec)
+
+    def proc(sim, link, sizes, label):
+        for n in sizes:
+            yield from link.transfer(n, label)
+
+    # a repeat, a second label, and sizes equal to 100 but of other types
+    sim.process(proc(sim, named, [100, 200, 100, 100, 100.0, np.int64(100),
+                                  np.int64(100), 100], ""))
+    sim.process(proc(sim, named, [100, 300, 100], "x"))
+    sim.process(proc(sim, unnamed, [100, 100, 0], ""))
+    sim.run()
+    return [(tracer, sim.now)]
+
+
+def _rendezvous_one_route():
+    return _traced(Cluster("longhorn", 2, 1).run(_rendezvous_sizes,
+                                                 config=MPC))
+
+
+def _fault_plan():
+    return _traced(Cluster("longhorn", 2, 1).run(
+        pins.pt2pt, config=MPC,
+        faults=FaultPlan(seed=12, drop_rate=0.2, corrupt_rate=0.2)))
+
+
+CACHE_CASES = {"clear-mid-run": _clear_mid_run,
+               "route-cache-cleared": _route_cache_cleared,
+               "two-runs-one-cluster": _two_runs_one_cluster,
+               "link-transfer": _link_transfers,
+               "rendezvous-sizes": _rendezvous_one_route,
+               "fault-plan": _fault_plan}
+
+#: the digests of each case, captured before span ids were memoized
+_CACHE_PINS = {
+    "clear-mid-run": ["3989ea8772a277a8"],
+    "route-cache-cleared": ["5cfbe47177d8798b"],
+    "two-runs-one-cluster": ["5cfbe47177d8798b", "5cfbe47177d8798b"],
+    "link-transfer": ["978b27a177085b79"],
+    "rendezvous-sizes": ["cd27e51f409b2db5"],
+    "fault-plan": ["21902eb1b462d262"],
+}
+
+
+def _table_digest(tracer, elapsed, tmp: Path) -> str:
+    """Columns, string table, metas (with their value types), metrics
+    and ``.rprt`` bytes of one tracer (writing the file stamps the
+    ``telemetry.*`` metrics, so they are read first)."""
+    h = hashlib.sha256()
+    cols = tracer.columns
+    for name in SPAN_COLUMNS:
+        h.update(getattr(cols, name).tobytes())
+    h.update(repr(cols.strings).encode())
+    h.update(repr([[(k, type(v).__name__, repr(v)) for k, v in m.items()]
+                   for m in cols.metas]).encode())
+    h.update(json.dumps(tracer.metrics.as_dict(), sort_keys=True).encode())
+    write_trace_rprt(tracer, tmp / "t.rprt", elapsed=elapsed)
+    h.update((tmp / "t.rprt").read_bytes())
+    return h.hexdigest()[:16]
+
+
+def cache_case_digests(name: str, tmp: Path) -> list:
+    saved = topology_mod._CACHE_MAX
+    try:
+        return [_table_digest(tracer, elapsed, tmp)
+                for tracer, elapsed in CACHE_CASES[name]()]
+    finally:
+        topology_mod._CACHE_MAX = saved
+
+
+def _append_uncached(self, key, fields, t_start, t_end, span_id, parent_id):
+    """``SpanColumns.append_keyed`` that never hits: every row is a
+    first sight."""
+    category, label, meta, rank, track = fields(key)
+    self.append(t_start, t_end, category, label, meta, rank, track, span_id,
+                parent_id)
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_CASES))
+def test_cached_span_ids_never_outlive_their_table(name, tmp_path,
+                                                   monkeypatch):
+    cached = cache_case_digests(name, tmp_path)
+    monkeypatch.setattr(trace_mod.SpanColumns, "append_keyed",
+                        _append_uncached)
+    assert cached == cache_case_digests(name, tmp_path)
+    assert cached == _CACHE_PINS[name]
+
+
+def test_a_cleared_tracer_starts_an_empty_memo():
+    tracer = _clear_mid_run()[0][0]
+    assert tracer.columns._row_ids  # the run after the clear filled it
+    tracer.clear()
+    assert tracer.columns._row_ids == {}
+
+
+# -- a repeat network span resolves nothing ----------------------------------
+
+def test_network_spans_resolve_ids_once_per_key(monkeypatch):
+    """Over a traced 16-rank allgather, the meta keys computed and the
+    string ids looked up for ``network`` rows are bounded by the
+    distinct (route, label, size) keys — one meta key and three string
+    lookups each — not by the messages."""
+    counts = {"meta_key": 0, "strings": 0}
+    network = []  # is the row being appended a network span?
+
+    real_append = trace_mod.SpanColumns.append
+
+    def append(self, t_start, t_end, category, *rest):
+        network.append(category == "network")
+        try:
+            real_append(self, t_start, t_end, category, *rest)
+        finally:
+            network.pop()
+
+    real_meta_key = trace_mod._meta_key
+
+    def meta_key(meta):
+        counts["meta_key"] += bool(network and network[-1])
+        return real_meta_key(meta)
+
+    def lookup(self, value):
+        counts["strings"] += bool(network and network[-1])
+        return dict.__getitem__(self, value)
+
+    monkeypatch.setattr(trace_mod.SpanColumns, "append", append)
+    monkeypatch.setattr(trace_mod, "_meta_key", meta_key)
+    monkeypatch.setattr(trace_mod._Interned, "__getitem__", lookup)
+    res = Cluster("fat-tree", 4, 4).run(_small_allgather, config=_DISABLED)
+    wire = [r for r in res.tracer.records if r.category == "network"]
+    keys = {(r.track, r.label, r.meta["nbytes"]) for r in wire}
+    assert len(wire) == 16 * 15 > 2 * len(keys)
+    assert 0 < counts["meta_key"] <= len(keys)
+    assert 0 < counts["strings"] <= 3 * len(keys)
+
+
+# -- the metric write path ---------------------------------------------------
+
+def _reference_histogram(values) -> dict:
+    """The histogram fold as first written: ``min``/``max`` builtins and
+    the clamped bucket formula."""
+    h = HistogramStat()
+    count, total, lo, hi, buckets = 0, 0.0, float("inf"), float("-inf"), {}
+    for v in values:
+        count += 1
+        total += v
+        lo = min(lo, v)
+        hi = max(hi, v)
+        bucket = max(0, (int(max(v, 1)) - 1).bit_length())
+        buckets[bucket] = buckets.get(bucket, 0) + 1
+    h.count, h.total, h.min, h.max, h.buckets = count, total, lo, hi, buckets
+    return h.as_dict()
+
+
+_OBSERVED = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 0.25, 0.999, 1, 1.0, 1.5, 2, 3, 2**40,
+                     2**70 + 1, 10**25, -1, -2.5]),
+    st.integers(min_value=-10**6, max_value=10**25),
+    st.floats(min_value=-1e12, max_value=1e300, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OBSERVED, max_size=30))
+def test_histogram_matches_the_builtin_fold(values):
+    registry = MetricsRegistry()
+    key = MetricsRegistry.key("matching.posted_depth", rank=3)
+    for v in values:
+        registry.observe(key, v)
+    got = registry.histogram("matching.posted_depth", rank=3).as_dict()
+    # repr: == would not tell -0.0 from 0.0, nor 1 from 1.0
+    assert repr(got) == repr(_reference_histogram(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["name", "key", "direct"]),
+                          st.one_of(st.integers(0, 10**6),
+                                    st.floats(0.0, 1e-3))), max_size=40))
+def test_counter_writes_by_name_key_and_direct_add_agree(updates):
+    """``inc`` by name, ``inc`` by key and the hot path's direct add to
+    ``_counters`` on one series are one fold."""
+    mixed, by_name = MetricsRegistry(), MetricsRegistry()
+    key = MetricsRegistry.key("wire.busy_seconds", link="node0-up")
+    for how, value in updates:
+        by_name.inc("wire.busy_seconds", value, link="node0-up")
+        if how == "name":
+            mixed.inc("wire.busy_seconds", value, link="node0-up")
+        elif how == "key":
+            mixed.inc(key, value)
+        else:
+            mixed._counters[key] = mixed._counters.get(key, 0) + value
+    assert repr(mixed.as_dict()) == repr(by_name.as_dict())
+
+
+# -- the columnar profile equals the record profile --------------------------
+
+def _record_profile(path) -> CommProfile:
+    """The profile of a trace file folded record by record: its
+    records, its ``otherData`` metrics, its elapsed time or else its
+    last span end.  (A live tracer's profile differs from its file's in
+    the last bits: the export rounds times to the microsecond.)"""
+    records = list(iter_trace_records(path))
+    other = read_otherdata(path)
+    elapsed = float(other.get("elapsed_seconds") or 0.0) or max(
+        (r.t_end for r in records if r.t_end > 0), default=0.0)
+    tracer = SimpleNamespace(records=records, metrics=SimpleNamespace(
+        as_dict=lambda: other.get("metrics", {})))
+    return CommProfile.from_tracer(tracer, elapsed)
+
+
+def _assert_same_profile(path) -> dict:
+    """The columnar fold of ``path`` equals the record fold, float for
+    float (``repr``: ``==`` would not tell -0.0 from 0.0), and in the
+    order of first appearance that ``report()`` and ``busiest_link``
+    break ties by."""
+    got, want = CommProfile.from_trace_file(path), _record_profile(path)
+    assert repr(got.as_dict()) == repr(want.as_dict()), path
+    assert got.report() == want.report(), path
+    for table in ("category_time", "links", "size_histogram",
+                  "rank_pipeline_time"):
+        assert list(getattr(got, table)) == list(getattr(want, table)), path
+    return got.as_dict()
+
+
+def _odd_wire_spans():
+    """Wire spans of every shape ``from_records`` tells apart."""
+    tr = Tracer()
+    tr.span(0.0, 1.0, "network", "a", track="link:a", nbytes=10)
+    tr.span(1.0, 3.0, "network", "b", track="main", links=("p", "q"),
+            nbytes=5.0)
+    tr.span(2.0, 2.5, "x", "c", rank=1, track="gpu", links=(), link="L")
+    tr.span(2.0, 2.25, "x", "by-label", rank=1, links=[])
+    tr.span(3.0, 3.5, "x", "other-label", rank=1, links=[])
+    tr.span(3.0, 4.0, "network", "d", track="link:p+p", links=("p", "p"))
+    tr.span(0.5, 0.75, "pipeline", "pipeline", rank=2, seq=1)
+    tr.span(0.5, 0.625, "pipeline", "rts", seq=1)
+    tr.span(0.75, 1.0, "pipeline", "rts", rank=0, seq=1)
+    tr.span(4.0, 4.0, "network", "", track="link:a", nbytes=0)
+    # one link, two kinds of row interleaved, and sums that depend on
+    # their order: (0.1 + 0.1) + 100 != (0.1 + 100) + 0.1 once read back
+    for t0, dur, label in ((0.0, 0.1, "x"), (1.1, 0.1, "y"), (2.2, 100.0, "x")):
+        tr.span(t0, t0 + dur, "network", label, track="link:r", nbytes=1)
+    return tr, None
+
+
+def _cluster_trace(shape, fn, config=_DISABLED, faults=None):
+    def make():
+        res = Cluster(*shape).run(fn, config=config, faults=faults)
+        return res.tracer, res.elapsed
+    return make
+
+
+_PROFILE_TRACES = {
+    "empty": lambda: (Tracer(), 0.0),
+    "odd-wire-spans": _odd_wire_spans,
+    "fat-tree-multi-link": _cluster_trace(_FAT_TREE, _small_allgather),
+    # 68 x 67 eager messages: more spans than one group holds
+    "two-groups": _cluster_trace(("longhorn", 17, 4), _small_allgather),
+    "chaos-faults-track": _cluster_trace(
+        ("longhorn", 2, 1), pins.pt2pt, MPC,
+        FaultPlan(seed=12, drop_rate=0.2, corrupt_rate=0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_TRACES))
+def test_columnar_profile_equals_the_record_profile(name, tmp_path):
+    tracer, elapsed = _PROFILE_TRACES[name]()
+    write_chrome_trace(tracer, tmp_path / "t.json", elapsed=elapsed)
+    write_trace_rprt(tracer, tmp_path / "t.rprt", elapsed=elapsed)
+    write_trace_rprt(tracer, tmp_path / "b7.rprt", elapsed=elapsed,
+                     spans_per_block=7)
+    if name == "chaos-faults-track":
+        assert any(r.track == "faults" for r in tracer.records)
+    for path in ("t.json", "t.rprt", "b7.rprt"):
+        _assert_same_profile(tmp_path / path)
+
+
+@pytest.mark.parametrize("path", ["golden_trace_mpc.json",
+                                  "golden_trace_mpc.rprt"])
+def test_columnar_profile_of_the_golden_trace(path):
+    got = _assert_same_profile(Path(__file__).parent / "data" / path)
+    assert got["n_messages"] > 0
