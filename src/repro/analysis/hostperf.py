@@ -233,7 +233,7 @@ def _scale_workload(sim, ranks: int, rounds: int) -> None:
     time: every rank runs ``rounds`` lockstep iterations of spawn a
     worker, join it with a same-instant timeout (AllOf), periodically
     interrupt a straggler, then block on a shared per-round gate a
-    coordinator fires — i.e. same-timestamp batches, micro-event churn,
+    coordinator fires — i.e. same-timestamp batches, spawn churn,
     tombstoned waiter lists and wide fan-in dispatch."""
     from repro.sim import Interrupt
 

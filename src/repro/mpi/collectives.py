@@ -187,7 +187,7 @@ class _Exchange:
     that only stores and has a step after it is driven from here:
     ``Request.complete()`` of its receive calls :meth:`succeed`, which —
     the send being complete — stores the arrival and issues the next
-    step from a pooled micro-event, where the rank's process used to
+    step from a ``call_later`` entry, where the rank's process used to
     resume through its generator chain.  Every other step resumes that
     process on :attr:`wake`, in the place ``Request.wait()`` put its
     event: one that combines (a plane's ``reduce`` runs kernels on the
@@ -197,7 +197,7 @@ class _Exchange:
     send and receive are issued back to back, so an eager send's start
     event also posts the receive (``Communicator._irecv``'s ``after``).
 
-    A hop issued from the micro-event runs in no process: it carries the
+    A hop issued from that entry runs in no process: it carries the
     collective's span as its parent explicitly."""
 
     __slots__ = ("_comm", "_blocks", "_steps", "_next", "_stores",
@@ -242,8 +242,8 @@ class _Exchange:
         else:
             self.wake.succeed(arrived)
 
-    def _advance(self, event) -> None:
-        self._blocks[self.recv_block] = event._value
+    def _advance(self, arrived) -> None:
+        self._blocks[self.recv_block] = arrived
         self._issue()
 
     def fail(self, exc) -> None:

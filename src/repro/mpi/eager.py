@@ -3,14 +3,20 @@ state machines.
 
 A message below the eager threshold (and any self-send) is untouched by
 the compression framework, so it must cost the host next to nothing:
-no :class:`~repro.sim.engine.Process`, no generator, no timeout or
-link-request object while its links are free.  Each operation is one
-small object whose methods are scheduled with
-:meth:`~repro.sim.engine.Simulator.call_later`:
+no :class:`~repro.sim.engine.Process`, no generator, no event object,
+no :class:`~repro.network.links.Transfer` and no link request while its
+links are free.  Each operation is one small object whose methods are
+scheduled with :meth:`~repro.sim.engine.Simulator.call_later`, which
+puts a ``(method, value)`` pair on the calendar:
 
-* :class:`EagerSend` — software overhead, then the wire
-  (:meth:`~repro.network.topology.Topology.start_transfer`), then the
-  send hands *itself* to the receiver's matching engine — it is the
+* :class:`EagerSend` — software overhead, then the wire, which the send
+  drives itself: it takes its route's links
+  (:meth:`~repro.network.links.Route.acquire`, queuing only on a busy
+  one), sets the wire timer once every link is held, and on landing
+  releases them and records the ``network`` span and ``wire.*``
+  counters (:meth:`~repro.network.links.Route.release` /
+  :meth:`~repro.network.links.Route.record`).  It then hands *itself*
+  to the receiver's matching engine — it is the
   :class:`~repro.mpi.message.Eager` envelope — and its request
   completes;
 * :class:`Recv` — software overhead, then the receive is posted with a
@@ -49,7 +55,8 @@ class EagerSend(Eager):
     ``payload`` is user data or a :class:`~repro.mpi.wire.WireImage`,
     delivered as it is."""
 
-    __slots__ = ("_comm", "_req", "_parent", "_nbytes", "_then")
+    __slots__ = ("_comm", "_req", "_parent", "_nbytes", "_then", "_route",
+                 "_reqs", "_waiting", "_duration", "_t0")
 
     def __init__(self, comm, payload, nbytes: int, dest: int, tag: int, req,
                  parent):
@@ -63,24 +70,57 @@ class EagerSend(Eager):
         #: the span the issuing rank has open: the parent of what the
         #: callbacks record later, outside any process
         self._parent = parent
-        self._nbytes = nbytes
+        #: what the wire carries: an EAGER packet piggybacks no
+        #: compression header
+        self._nbytes = nbytes + CONTROL_PACKET_BYTES
         #: the first step of an operation issued right after this one
         self._then = None
         comm._rt.sim.call_later(SETUP_TIME, self._start)
 
-    def _start(self, event) -> None:
+    def _start(self, _) -> None:
         rt = self._comm._rt
         rt._seq += 1
         self.seq = rt._seq
-        if self.dst == self.src:
+        src, dst = self.src, self.dst
+        if dst == src:
             self._arrived()  # no wire: deliver the envelope directly
         else:
-            # An EAGER packet piggybacks no compression header.
-            rt.topology.start_transfer(
-                self.src, self.dst, self._nbytes + CONTROL_PACKET_BYTES,
-                "eager", self._arrived, self._parent)
+            # Cut-through: every link of the route is held together for
+            # its total latency plus serialization at the bottleneck.
+            topo = rt.topology
+            rec = topo._routes.get((src, dst))
+            route, lat, bw = rec if rec is not None else topo._route(src, dst)
+            self._route = route
+            duration = lat + self._nbytes / bw
+            reqs = self._reqs = route.acquire()
+            if reqs is None:  # every link was free
+                sim = rt.sim
+                self._t0 = sim._now
+                sim.call_later(duration, self._landed)
+            else:
+                self._duration = duration
+                waiting = [req for req in reqs if req is not None]
+                self._waiting = len(waiting)
+                for req in waiting:
+                    req.add_callback(self._granted)
         if self._then is not None:
-            self._then(event)
+            self._then(None)
+
+    def _granted(self, _event) -> None:
+        self._waiting -= 1
+        if not self._waiting:  # every link is held
+            sim = self._comm._rt.sim
+            self._t0 = sim._now
+            sim.call_later(self._duration, self._landed)
+
+    def _landed(self, _) -> None:
+        route = self._route
+        route.release(self._reqs)
+        sim = self._comm._rt.sim
+        if sim.tracer is not None:
+            route.record(sim.tracer, "eager", self._nbytes, self._t0,
+                         sim._now, self._parent)
+        self._arrived()
 
     def _arrived(self) -> None:
         comm = self._comm
@@ -118,7 +158,7 @@ class Recv:
         else:
             comm._rt.sim.call_later(SETUP_TIME, self._post)
 
-    def _post(self, _event) -> None:
+    def _post(self, _) -> None:
         comm = self._comm
         comm._rt._matching[comm._grank].post(self._source, self._tag,
                                              self._matched, self._parent)
@@ -134,5 +174,5 @@ class Recv:
         if sim.tracer is not None:
             sim.tracer.reparent(proc, self._parent)
 
-    def _complete(self, event) -> None:
-        self._req.complete(event._value.payload)
+    def _complete(self, pkt) -> None:
+        self._req.complete(pkt.payload)

@@ -84,15 +84,21 @@ class Link:
 class Route:
     """A route's links and what every ``network`` span and ``wire.*``
     update over it repeat, built once: the default span label, the
-    ``link:`` track, the meta fields other than ``nbytes`` and each
-    link's metric keys.
+    ``link:`` track, the meta fields other than ``nbytes``, each link's
+    metric keys and :attr:`key`, the route's value in a span-row memo.
 
     A one-link route's span names its link; a longer one's also names
     its ``src``/``dst`` (the GPUs it joins) and is labelled
-    ``"src->dst"`` by default."""
+    ``"src->dst"`` by default.
+
+    The wire steps every message over the route takes are methods here:
+    :meth:`acquire` the links, hold them for the wire time,
+    :meth:`release` them, :meth:`record` the span and counters.
+    :class:`Transfer` drives them from a process; the eager send
+    (:class:`repro.mpi.eager.EagerSend`) from scheduler callbacks."""
 
     __slots__ = ("links", "src", "dst", "labels", "link", "label", "track",
-                 "wire_keys")
+                 "wire_keys", "key")
 
     def __init__(self, links: list, src=None, dst=None):
         self.links = links
@@ -106,10 +112,14 @@ class Route:
             self.label = f"{src}->{dst}"
         self.track = f"link:{self.link}"
         self.wire_keys = tuple(l._wire_keys for l in links)
+        #: what the span fields are a function of: equal routes (one
+        #: rebuilt after the topology's route cache was cleared) share
+        #: their memoized rows
+        self.key = (self.labels, src, dst)
 
     def span_fields(self, key: tuple) -> tuple:
-        """The ``network`` span of ``key = (route, label, nbytes, type
-        of nbytes)``, as :meth:`~repro.sim.trace.Tracer.keyed_span`
+        """The ``network`` span of ``key = (route key, label, nbytes,
+        type of nbytes)``, as :meth:`~repro.sim.trace.Tracer.keyed_span`
         builds it at a key's first sight."""
         _, label, nbytes, _ = key
         if len(self.links) == 1:
@@ -119,25 +129,62 @@ class Route:
                     "link": self.link, "links": self.labels}
         return "network", label, meta, None, self.track
 
+    def acquire(self):
+        """Take every free link now and queue for the busy ones: ``None``
+        when the whole route is held, else the request to wait for per
+        link (``None`` = held).  Only a busy link queues a request
+        event, so an uncontended message is one scheduler entry."""
+        links = self.links
+        reqs = None
+        for i, link in enumerate(links):
+            req = link._res.acquire()
+            if req is not None:
+                if reqs is None:
+                    reqs = [None] * len(links)
+                reqs[i] = req
+        return reqs
+
+    def release(self, reqs) -> None:
+        """Free the links :meth:`acquire` took (``reqs`` is what it
+        returned) and withdraw requests still queued, so a process that
+        unwinds while waiting for a link leaves no request behind."""
+        links = self.links
+        if reqs is None:
+            for link in links:
+                link._res.release()
+            return
+        for link, req in zip(links, reqs):
+            if req is None:
+                link._res.release()
+            else:
+                link._res.cancel(req)
+
+    def record(self, tracer, label: str, nbytes: int, t0: float, t1: float,
+               parent) -> None:
+        """The ``network`` span of a message that held the route from
+        ``t0`` to ``t1`` — a repeat of an earlier (label, size) over an
+        equal route reuses its row's ids — and each link's ``wire.*``
+        counters, added by key in link order (``nbytes`` and ``busy``
+        are never negative)."""
+        tracer.keyed_span((self.key, label or self.label, nbytes,
+                           type(nbytes)),
+                          self.span_fields, t0, t1, parent)
+        counters = tracer.metrics._counters
+        busy = t1 - t0
+        for k_bytes, k_transfers, k_busy in self.wire_keys:
+            counters[k_bytes] = counters.get(k_bytes, 0) + nbytes
+            counters[k_transfers] = counters.get(k_transfers, 0) + 1
+            counters[k_busy] = counters.get(k_busy, 0) + busy
+
 
 class Transfer:
-    """One message holding every link of a route for its wire time.
+    """One message holding every link of a route for its wire time, as
+    the generator a protocol process delegates to: :meth:`run` takes
+    the links, holds them for ``duration`` (the route's total latency
+    plus serialization at its bottleneck), releases them and records
+    the ``network`` span and ``wire.*`` metrics."""
 
-    Each link is taken with ``Resource.acquire``: a free one on the spot,
-    and only a busy one queues a request event, so an uncontended
-    transfer is a single scheduler entry.  Once
-    every link is held the wire timer runs, the links are released and
-    the ``network`` span and ``wire.*`` metrics are recorded.
-
-    Two drivers share those steps: :meth:`run` is the generator a
-    protocol process delegates to, :meth:`start` drives them from
-    scheduler callbacks and calls ``on_done()`` — no process, no
-    generator frame.  ``duration`` is the route's total latency plus
-    serialization at its bottleneck.
-    """
-
-    __slots__ = ("sim", "route", "nbytes", "duration", "label", "parent",
-                 "t0", "_reqs", "_waiting", "_on_done")
+    __slots__ = ("sim", "route", "nbytes", "duration", "label", "parent")
 
     def __init__(self, sim: Simulator, route: Route, nbytes: int,
                  duration: float, label: str = "", parent=CURRENT):
@@ -149,101 +196,22 @@ class Transfer:
         self.duration = duration
         self.label = label
         self.parent = parent
-        self._reqs = None
-        self._on_done = None
 
-    # -- shared steps ---------------------------------------------------
-    def _acquire(self):
-        """Take every free link now and queue for the busy ones; the
-        requests still to wait for, per link (``None`` = held), or
-        ``None`` when the whole route is held."""
-        links = self.route.links
-        reqs = None
-        for i, link in enumerate(links):
-            req = link._res.acquire()
-            if req is not None:
-                if reqs is None:
-                    reqs = [None] * len(links)
-                reqs[i] = req
-        self._reqs = reqs
-        return reqs
-
-    def _release(self) -> None:
-        """Free held links and withdraw queued requests: :meth:`run`
-        releases from a ``finally``, so a process that unwinds while
-        still queued for a link leaves no request behind it."""
-        links = self.route.links
-        reqs = self._reqs
-        if reqs is None:
-            for link in links:
-                link._res.release()
-            return
-        for link, req in zip(links, reqs):
-            if req is None:
-                link._res.release()
-            else:
-                link._res.cancel(req)
-
-    def _record(self, tracer) -> None:
-        """The ``network`` span — a repeat of an earlier (label, size)
-        on this route reuses its row's ids — and each link's ``wire.*``
-        counters, added by key in link order (``nbytes`` and ``busy``
-        are never negative)."""
-        now = self.sim._now
-        route = self.route
-        nbytes = self.nbytes
-        tracer.keyed_span((route, self.label or route.label, nbytes,
-                           type(nbytes)),
-                          route.span_fields, self.t0, now, self.parent)
-        counters = tracer.metrics._counters
-        busy = now - self.t0
-        for k_bytes, k_transfers, k_busy in route.wire_keys:
-            counters[k_bytes] = counters.get(k_bytes, 0) + nbytes
-            counters[k_transfers] = counters.get(k_transfers, 0) + 1
-            counters[k_busy] = counters.get(k_busy, 0) + busy
-
-    # -- generator driver -----------------------------------------------
     def run(self):
+        sim = self.sim
+        route = self.route
+        reqs = None
         try:
-            reqs = self._acquire()
+            reqs = route.acquire()
             if reqs is not None:
                 for req in reqs:
                     if req is not None:
                         yield req
-            self.t0 = self.sim._now  # every link is held
-            yield self.sim.timeout(self.duration)
+            t0 = sim._now  # every link is held
+            yield sim.timeout(self.duration)
         finally:
-            self._release()
-        tracer = self.sim.tracer
+            route.release(reqs)
+        tracer = sim.tracer
         if tracer is not None:
-            self._record(tracer)
-
-    # -- callback driver ------------------------------------------------
-    def start(self, on_done) -> None:
-        self._on_done = on_done
-        reqs = self._acquire()
-        if reqs is None:  # every link was free: :meth:`_begin`, inline
-            sim = self.sim
-            self.t0 = sim._now
-            sim.call_later(self.duration, self._finish)
-            return
-        waiting = [req for req in reqs if req is not None]
-        self._waiting = len(waiting)
-        for req in waiting:
-            req.add_callback(self._granted)
-
-    def _granted(self, _event) -> None:
-        self._waiting -= 1
-        if not self._waiting:
-            self._begin()
-
-    def _begin(self) -> None:
-        self.t0 = self.sim._now  # every link is held
-        self.sim.call_later(self.duration, self._finish)
-
-    def _finish(self, _event) -> None:
-        self._release()
-        tracer = self.sim.tracer
-        if tracer is not None:
-            self._record(tracer)
-        self._on_done()
+            route.record(tracer, self.label, self.nbytes, t0, sim._now,
+                         self.parent)

@@ -37,7 +37,6 @@ from repro.faults.injector import DROPPED
 from repro.network.links import Link, Route, Transfer
 from repro.network.presets import MachinePreset
 from repro.sim import Simulator
-from repro.sim.trace import CURRENT
 
 __all__ = ["Topology"]
 
@@ -227,19 +226,6 @@ class Topology:
             yield from Transfer(self.sim, route, nbytes, lat + nbytes / bw,
                                 label).run()
         return self._deliver(src, dst, nbytes, payload)
-
-    def start_transfer(self, src: int, dst: int, nbytes: int, label: str,
-                       on_done, parent=CURRENT) -> None:
-        """:meth:`transfer` without a process: same route, same time,
-        same span and metrics, driven by scheduler callbacks; calls
-        ``on_done()`` when the bytes have arrived.  Carries no payload,
-        so nothing is dropped or corrupted (the eager protocol's
-        messages).  ``parent`` is the span the ``network`` span nests
-        under."""
-        rec = self._routes.get((src, dst))
-        route, lat, bw = rec if rec is not None else self._route(src, dst)
-        Transfer(self.sim, route, nbytes, lat + nbytes / bw, label,
-                 parent).start(on_done)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):
         """Apply wire faults to a payload at its delivery point."""

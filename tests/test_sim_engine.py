@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Interrupt, Simulator, engine
+from repro.sim.engine import Event
 
 
 def test_clock_starts_at_zero(sim):
@@ -447,21 +448,24 @@ def test_interrupt_before_first_resume_defuses_stale_wakeup(sim):
     assert p.value == "died"
 
 
-def test_micro_event_freelist_reuse():
+def test_process_start_and_call_later_put_no_event_on_the_calendar():
     sim = Simulator()
 
     def noop(sim):
         return
         yield  # pragma: no cover
 
-    sim.process(noop(sim))
-    sim.run()
-    assert len(sim._micro_free) == 1
-    recycled = sim._micro_free[-1]
-    sim.process(noop(sim))
-    assert not sim._micro_free  # spawn took the pooled event back out
-    sim.run()
-    assert sim._micro_free[-1] is recycled
+    proc = sim.process(noop(sim))
+    noted = []
+    sim.call_later(1.0, noted.append, "v")
+    entries = [e for bucket in sim._buckets.values() for e in bucket]
+    assert entries == [(proc._resume, engine._START), (noted.append, "v")]
+    assert not any(isinstance(e, Event) for e in entries)
+    # the start carries a successful None, as the pooled event did
+    assert (engine._START._ok, engine._START._value) == (True, None)
+    sim.call_later(0.0, lambda v: None)  # counted like an event
+    sim.run(until=0.5)
+    assert proc.processed and sim.event_count == 2
 
 
 def test_step_peek_through_same_time_batch(sim):
@@ -537,19 +541,26 @@ def test_storm_same_order_and_count_with_and_without_tracer():
     assert tracer.event_count == s3.event_count
 
 
+def _timer(sim, delay, fn):
+    """A timer that runs ``fn(event)``: the cancellable kind of entry."""
+    ev = sim.timeout(delay)
+    ev.add_callback(fn)
+    return ev
+
+
 def test_event_count_skips_cancelled_events(sim):
     fired = []
 
-    def fire(event):
+    def fire(_):
         fired.append(sim.now)
 
     sim.call_later(1.0, fire)
-    sim.call_later(1.0, fire).cancel()  # mid-batch
-    sim.call_later(1.0, fire)
-    sim.call_later(2.0, fire).cancel()  # a cancelled-only instant
-    sim.call_later(3.0, fire).cancel()  # leading, then a live one
+    _timer(sim, 1.0, fire).cancel()  # mid-batch
+    _timer(sim, 1.0, fire)
+    _timer(sim, 2.0, fire).cancel()  # a cancelled-only instant
+    _timer(sim, 3.0, fire).cancel()  # leading, then a live one
     sim.call_later(3.0, fire)
-    sim.call_later(4.0, fire).cancel()  # a cancelled-only last instant
+    _timer(sim, 4.0, fire).cancel()  # a cancelled-only last instant
     sim.run(until=2.5)
     assert (fired, sim.event_count, sim.now) == ([1.0, 1.0], 2, 2.5)
     sim.run()  # the clock never reads 4.0: that instant is dropped unseen
@@ -559,13 +570,13 @@ def test_event_count_skips_cancelled_events(sim):
 def test_event_count_exact_when_a_callback_raises_mid_batch(sim):
     seen = []
 
-    def boom(event):
+    def boom(_):
         raise RuntimeError("boom")
 
     sim.call_later(1.0, seen.append)
-    sim.call_later(1.0, seen.append).cancel()
+    _timer(sim, 1.0, seen.append).cancel()
     sim.call_later(1.0, boom)
-    sim.call_later(1.0, seen.append)
+    _timer(sim, 1.0, seen.append)
     sim.call_later(2.0, seen.append)
     with pytest.raises(RuntimeError):
         sim.run()
@@ -593,20 +604,19 @@ def test_step_counts_one_and_tracer_rebases():
 
 # -- call_later, delayed spawn, silent finish, cycle-free processes ------------
 
-def test_call_later_runs_callback_with_value_and_recycles_the_event(sim):
+def test_call_later_runs_callback_with_its_value(sim):
     seen = []
-    ev = sim.call_later(2.0, lambda e: seen.append((sim.now, e.value)), "v")
-    sim.call_later(1.0, lambda e: seen.append((sim.now, e.value)))
+    assert sim.call_later(2.0, lambda v: seen.append((sim.now, v)), "v") is None
+    sim.call_later(1.0, lambda v: seen.append((sim.now, v)))
     sim.run()
     assert seen == [(1.0, None), (2.0, "v")]
-    assert ev in sim._micro_free  # pooled: the holder must have dropped it
     with pytest.raises(SimulationError):
         sim.call_later(-1.0, seen.append)
 
 
-def test_call_later_cancel_never_advances_the_clock(sim):
+def test_cancelled_timer_callback_never_advances_the_clock(sim):
     fired = []
-    sim.call_later(5.0, fired.append).cancel()
+    _timer(sim, 5.0, fired.append).cancel()
     sim.call_later(1.0, fired.append)
     sim.run()
     assert len(fired) == 1 and sim.now == 1.0
