@@ -38,7 +38,8 @@ import numpy as np
 __all__ = ["to_chrome_trace", "write_chrome_trace",
            "NETWORK_PID", "UNATTRIBUTED_PID",
            "pid_of", "chrome_metadata_events", "chrome_time",
-           "json_safe_meta", "span_group", "exported_form", "chrome_events",
+           "json_safe_meta", "span_group", "exported_form", "exported_spans",
+           "chrome_events",
            "write_chrome_json", "write_chrome_groups"]
 
 #: pid hosting one thread per fabric link
@@ -141,6 +142,15 @@ def exported_form(tracer, elapsed: Optional[float] = None) -> tuple:
     opens as: its spans are one :func:`span_group` in ``(t_start, t_end,
     span_id)`` order with times rounded by :func:`chrome_time`, and
     ``groups()`` starts a pass over it."""
+    other, groups = exported_spans(tracer, elapsed)
+    other["metrics"] = tracer.metrics.as_dict()
+    return other, groups
+
+
+def exported_spans(tracer, elapsed: Optional[float] = None) -> tuple:
+    """:func:`exported_form` without the metrics dump in ``otherData``,
+    for a writer that dumps the registry itself once it has stamped its
+    own statistics into it (:func:`~repro.analysis.rprt.write_trace_rprt`)."""
     spans = tracer.columns
     t_start, t_end = np.asarray(spans.t_start), np.asarray(spans.t_end)
     order = np.lexsort((np.asarray(spans.span_id), t_end, t_start))
@@ -149,9 +159,7 @@ def exported_form(tracer, elapsed: Optional[float] = None) -> tuple:
     group = span_group(spans, [chrome_time(t) for t in starts],
                        [chrome_time(b - a) for a, b in zip(starts, ends)],
                        order)
-    other = {"metrics": tracer.metrics.as_dict()}
-    if elapsed is not None:
-        other["elapsed_seconds"] = elapsed
+    other = {} if elapsed is None else {"elapsed_seconds": elapsed}
     return other, lambda: (group,)
 
 

@@ -65,7 +65,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.analysis.export import exported_form
+from repro.analysis.export import exported_spans
 from repro.sim.trace import SPAN_SCHEMA, records_from_columns
 
 __all__ = [
@@ -570,8 +570,8 @@ def write_span_groups(path, otherdata: dict, groups,
     such order, so they are renumbered here through the strings'
     content.  Each distinct meta is JSON-encoded once.  With a live
     ``registry`` the container's write statistics are stamped into it
-    *and* into the embedded metrics dump before the metadata is
-    serialized.  Returns the writer statistics."""
+    and its dump, built then, is ``otherdata``'s ``metrics``.  Returns
+    the writer statistics."""
     w = RprtWriter(block_codec=block_codec)
     table = _StringTable()
     table.add("")
@@ -628,5 +628,6 @@ def write_trace_rprt(tracer, path, elapsed: Optional[float] = None,
     serialization, so the file self-describes its compression win.
     Returns the writer statistics dict.
     """
-    return write_span_groups(path, *exported_form(tracer, elapsed), block_codec,
-                             spans_per_block, registry=tracer.metrics)
+    return write_span_groups(path, *exported_spans(tracer, elapsed),
+                             block_codec, spans_per_block,
+                             registry=tracer.metrics)

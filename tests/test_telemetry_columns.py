@@ -420,6 +420,15 @@ def test_skipped_groups_decode_no_strings(tmp_path, monkeypatch):
     assert sum(a[0].startswith("strings/") for a in reads) == 2
 
 
+def test_rprt_writer_dumps_the_metrics_registry_once(tmp_path, monkeypatch):
+    res = run_golden_workload()
+    dumps = _count_calls(monkeypatch, MetricsRegistry, "as_dict")
+    write_trace_rprt(res.tracer, tmp_path / "t.rprt", elapsed=res.elapsed)
+    assert len(dumps) == 1
+    other = read_otherdata(tmp_path / "t.rprt")
+    assert other["metrics"]["counters"]["telemetry.rprt_bytes_written"] > 0
+
+
 # -- cached span ids never outlive their table -------------------------------
 #
 # A network span's string and meta ids are memoized in the tracer's
@@ -568,6 +577,25 @@ def test_a_cleared_tracer_starts_an_empty_memo():
     assert tracer.columns._row_ids  # the run after the clear filled it
     tracer.clear()
     assert tracer.columns._row_ids == {}
+
+
+def test_routes_rebuilt_by_a_cache_clear_share_their_memo_rows(
+        tmp_path, monkeypatch):
+    """A route rebuilt after a wholesale clear of the route cache keys
+    its rows by value, as the one it replaces did: capped to 3, the
+    34-rank allgather ends with the uncapped run's memo (34 entries,
+    not one per rebuilt route object) and the same columns, string
+    table, metas and ``.rprt`` bytes."""
+    def run():
+        res = Cluster(*_FAT_TREE).run(_small_allgather, config=_DISABLED)
+        return res.tracer, res.elapsed
+
+    uncapped, elapsed = run()
+    monkeypatch.setattr(topology_mod, "_CACHE_MAX", 3)
+    capped, capped_elapsed = run()
+    assert len(capped.columns._row_ids) == len(uncapped.columns._row_ids) == 34
+    assert (_table_digest(capped, capped_elapsed, tmp_path)
+            == _table_digest(uncapped, elapsed, tmp_path))
 
 
 # -- a repeat network span resolves nothing ----------------------------------
