@@ -731,8 +731,12 @@ class Communicator:
         """Derive (non-collectively, host-side) a re-ranked communicator
         over global ranks ``granks``.  Every member that derives the
         same group gets the same ``comm_id``, so its traffic keeps to
-        its own tag block."""
+        its own tag block.  As for ``MPI_Comm_create_group``, the group
+        is distinct members of this communicator, the caller among them."""
         group = tuple(granks)
+        if len(set(group)) != len(group) or not set(group) <= set(self._group):
+            raise MpiError(f"subset group {group} is not distinct members "
+                           f"of {self._group}")
         if self._grank not in group:
             raise MpiError(
                 f"rank {self._grank} is not in subset group {group}")
