@@ -1,7 +1,7 @@
 """Snapshots and gates, metrics, trace containers and INAM-style profiling."""
 
 from repro.analysis.critpath import CollectivePath, CritPathAnalyzer, MessagePath
-from repro.analysis.export import to_chrome_trace, write_chrome_trace
+from repro.analysis.export import write_chrome_trace
 from repro.analysis.metrics import HistogramStat, MetricsRegistry
 from repro.analysis.profile import CommProfile, LinkStats
 from repro.analysis.rprt import (RprtError, RprtReader, RprtWriter, is_rprt,
@@ -16,7 +16,6 @@ __all__ = [
     "CritPathAnalyzer",
     "MessagePath",
     "CollectivePath",
-    "to_chrome_trace",
     "write_chrome_trace",
     "RprtError",
     "RprtReader",

@@ -21,11 +21,12 @@ every trace file reader, writer and converter: span-column groups
 (:func:`span_group`) plus the ``otherData`` dict.  :func:`exported_form`
 is the one place a live tracer takes that form — the only export sort,
 the only :func:`chrome_time` rounding, the only ``otherData`` — and
-:func:`chrome_events` the one place it becomes Chrome events, for
-:func:`to_chrome_trace`, for the streaming :func:`write_chrome_trace`
-(the document is never materialized, yet the bytes are those of
-``json.dump(to_chrome_trace(...), indent=1, sort_keys=True)``) and for
-an RPRT container converted to JSON alike.
+:func:`chrome_events` the one place it becomes Chrome events, for the
+streaming :func:`write_chrome_trace` (the document is never
+materialized, yet the bytes are those of ``json.dump`` of
+``{"displayTimeUnit": "ms", "otherData": ..., "traceEvents": [...]}``
+with ``indent=1, sort_keys=True``) and for an RPRT container converted
+to JSON alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-__all__ = ["to_chrome_trace", "write_chrome_trace",
+__all__ = ["write_chrome_trace",
            "NETWORK_PID", "UNATTRIBUTED_PID",
            "pid_of", "chrome_metadata_events", "chrome_time",
            "json_safe_meta", "span_group", "exported_form", "exported_spans",
@@ -195,16 +196,6 @@ def chrome_events(groups) -> Iterator[dict]:
             }
 
 
-def to_chrome_trace(tracer, elapsed: Optional[float] = None) -> dict:
-    """Build the Chrome-trace document (a plain dict) from a tracer."""
-    other, groups = exported_form(tracer, elapsed)
-    return {
-        "traceEvents": list(chrome_events(groups)),
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
 def write_chrome_json(fh, other: dict, events: Iterable[dict]) -> int:
     """Stream a Chrome-trace document to a text file handle, byte-for-
     byte what ``json.dump(doc, fh, indent=1, sort_keys=True)`` plus a
@@ -240,7 +231,6 @@ def write_chrome_trace(tracer, path, elapsed: Optional[float] = None) -> None:
     """Stream the Chrome-trace JSON to ``path``.
 
     Events are serialized one at a time (peak memory is one event, not
-    the document) and the output is byte-identical to serializing
-    :func:`to_chrome_trace` with ``indent=1, sort_keys=True``.
+    the document); :func:`write_chrome_json` says which bytes.
     """
     write_chrome_groups(path, *exported_form(tracer, elapsed))

@@ -188,7 +188,7 @@ def _peak_heap(fn: Callable[[], None]) -> int:
 
 
 def _run_engine(params: dict, reps: int) -> dict:
-    from repro.sim import Simulator, Tracer
+    from repro.sim import Simulator, Tracer, trace_scope
 
     procs, steps, traced = params["procs"], params["steps"], params["traced"]
 
@@ -199,7 +199,7 @@ def _run_engine(params: dict, reps: int) -> dict:
         def worker(sim):
             for i in range(steps):
                 if tracer is not None:
-                    with tracer.open_span("hostperf", "step", rank=0):
+                    with trace_scope(sim, "hostperf", "step", rank=0):
                         yield sim.timeout(1e-6)
                     tracer.span(sim.now, sim.now, "hostperf", "leaf", rank=0)
                 else:
@@ -231,30 +231,17 @@ def _run_engine(params: dict, reps: int) -> dict:
 def _scale_workload(sim, ranks: int, rounds: int) -> None:
     """Spawn the collective-shaped storm the ``engine/scale`` points
     time: every rank runs ``rounds`` lockstep iterations of spawn a
-    worker, join it with a same-instant timeout (AllOf), periodically
-    interrupt a straggler, then block on a shared per-round gate a
-    coordinator fires — i.e. same-timestamp batches, spawn churn,
-    tombstoned waiter lists and wide fan-in dispatch."""
-    from repro.sim import Interrupt
+    worker, join it with a same-instant timeout (AllOf), then block on
+    a shared per-round gate a coordinator fires — i.e. same-timestamp
+    batches, spawn churn and wide fan-in dispatch."""
 
     def worker(sim):
         yield sim.timeout(1e-6)
 
-    def straggler(sim):
-        yield sim.timeout(1.0)
-
-    def rank_proc(sim, gates, r):
-        for i, gate in enumerate(gates):
+    def rank_proc(sim, gates):
+        for gate in gates:
             w = sim.process(worker(sim))
             yield sim.all_of([w, sim.timeout(1e-6)])
-            if (i + r) % 8 == 0:
-                v = sim.process(straggler(sim))
-                yield sim.timeout(1e-6)
-                v.interrupt("scale")
-                try:
-                    yield v
-                except Interrupt:
-                    pass
             yield gate
 
     def coordinator(sim, gates):
@@ -263,8 +250,8 @@ def _scale_workload(sim, ranks: int, rounds: int) -> None:
             gate.succeed()
 
     gates = [sim.event() for _ in range(rounds)]
-    for r in range(ranks):
-        sim.process(rank_proc(sim, gates, r))
+    for _ in range(ranks):
+        sim.process(rank_proc(sim, gates))
     sim.process(coordinator(sim, gates))
 
 

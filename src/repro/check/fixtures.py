@@ -203,14 +203,14 @@ def run_buffer_race() -> None:
     happens-before edge between them; the HB race detector must raise
     :class:`~repro.errors.BufferRaceError`."""
     from repro.check.hb import HBChecker
-    from repro.sim.trace import Tracer
+    from repro.sim.trace import Tracer, trace_scope
 
     sim, pool = _pool_sim()
     sim.asan.record_accesses = True
     tracer = Tracer(sim)
 
     def writer(buf, label, delay):
-        with tracer.open_span("compute", label, rank=0, track="main"):
+        with trace_scope(sim, "compute", label, rank=0, track="main"):
             yield sim.timeout(delay)
             buf.write(np.arange(8, dtype=np.float32))
 

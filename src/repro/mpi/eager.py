@@ -3,9 +3,8 @@ state machines.
 
 A message below the eager threshold (and any self-send) is untouched by
 the compression framework, so it must cost the host next to nothing:
-no :class:`~repro.sim.engine.Process`, no generator, no event object,
-no :class:`~repro.network.links.Transfer` and no link request while its
-links are free.  Each operation is one small object whose methods are
+no :class:`~repro.sim.engine.Process`, no generator, no event object
+and no link request while its links are free.  Each operation is one small object whose methods are
 scheduled with :meth:`~repro.sim.engine.Simulator.call_later`, which
 puts a ``(method, value)`` pair on the calendar:
 

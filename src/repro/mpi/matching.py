@@ -74,13 +74,6 @@ class MatchingEngine:
                     tag=pkt.tag, posted_tag=ANY if post_tag < 0 else post_tag)
 
     # -- envelope path ------------------------------------------------------
-    def post_recv(self, source: int, tag: int) -> Event:
-        """Post a receive; the returned event fires with the matching
-        envelope (:class:`Eager` or :class:`Rts`)."""
-        ev = self.sim.event()
-        self.post(source, tag, ev.succeed)
-        return ev
-
     def post(self, source: int, tag: int, on_match: Callable[[Eager | Rts], None],
              parent=CURRENT) -> None:
         """Post a receive that calls ``on_match(envelope)`` at match

@@ -123,8 +123,8 @@ class Cts(_Addressed):
 
 @dataclass(slots=True)
 class Data:
-    """Payload bytes, routed by ``(seq, part, attempt)``; ``src`` is
-    for the failure detector's last-heard table."""
+    """Payload bytes, routed by ``(seq, part, attempt)``; ``src`` feeds
+    the receiver's last-heard table, which the hang diagnostics print."""
 
     src: int
     seq: int

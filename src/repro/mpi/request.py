@@ -103,22 +103,6 @@ class Request:
         event of a :meth:`wait`, in that event's place in the order."""
         self._waiters.append(waiter)
 
-    def completion_event(self):
-        """An event that triggers when (or if already) the request
-        completes — raced against peer-death events by the failure
-        detector, which needs ``any_of`` composition rather than the
-        blocking :meth:`wait`."""
-        ev = self.sim.event()
-        if self._done:
-            if self._failed is not None:
-                ev.fail(self._failed)
-                ev.defuse()
-            else:
-                ev.succeed(self.data)
-        else:
-            self._waiters.append(ev)
-        return ev
-
 
 def waitall(requests):
     """Generator subroutine: wait on every request, return their data

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.metrics import MetricsRegistry
-from repro.errors import ConfigError, NetworkError
+from repro.errors import ConfigError
 from repro.sim import Resource, Simulator
-from repro.sim.trace import CURRENT
 
-__all__ = ["LinkSpec", "Link", "Route", "Transfer"]
+__all__ = ["LinkSpec", "Link", "Route"]
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,8 @@ class Link:
         self._wire_keys = tuple(
             MetricsRegistry.key(name, link=self.label)
             for name in ("wire.bytes", "wire.transfers", "wire.busy_seconds"))
-        #: the one-link route of this link's transfers (and of every
-        #: topology route that crosses this link alone)
+        #: the route of every message that crosses this link alone
         self.route = Route([self])
-
-    def transfer(self, nbytes: int, label: str = ""):
-        """Move ``nbytes`` across the link (generator subroutine).
-
-        Queues behind in-flight transfers, then holds the link for the
-        serialization time.
-        """
-        yield from Transfer(self.sim, self.route, nbytes,
-                            self.spec.serialization_time(nbytes), label).run()
 
     def __repr__(self) -> str:
         return f"<Link {self.label} {self.spec.bandwidth / 1e9:.1f}GB/s>"
@@ -94,7 +83,8 @@ class Route:
     The wire steps every message over the route takes are methods here:
     :meth:`acquire` the links, hold them for the wire time,
     :meth:`release` them, :meth:`record` the span and counters.
-    :class:`Transfer` drives them from a process; the eager send
+    :meth:`Topology.transfer <repro.network.topology.Topology.transfer>`
+    drives them from a process; the eager send
     (:class:`repro.mpi.eager.EagerSend`) from scheduler callbacks."""
 
     __slots__ = ("links", "src", "dst", "labels", "link", "label", "track",
@@ -176,42 +166,3 @@ class Route:
             counters[k_transfers] = counters.get(k_transfers, 0) + 1
             counters[k_busy] = counters.get(k_busy, 0) + busy
 
-
-class Transfer:
-    """One message holding every link of a route for its wire time, as
-    the generator a protocol process delegates to: :meth:`run` takes
-    the links, holds them for ``duration`` (the route's total latency
-    plus serialization at its bottleneck), releases them and records
-    the ``network`` span and ``wire.*`` metrics."""
-
-    __slots__ = ("sim", "route", "nbytes", "duration", "label", "parent")
-
-    def __init__(self, sim: Simulator, route: Route, nbytes: int,
-                 duration: float, label: str = "", parent=CURRENT):
-        if nbytes < 0:
-            raise NetworkError(f"negative transfer size: {nbytes}")
-        self.sim = sim
-        self.route = route
-        self.nbytes = nbytes
-        self.duration = duration
-        self.label = label
-        self.parent = parent
-
-    def run(self):
-        sim = self.sim
-        route = self.route
-        reqs = None
-        try:
-            reqs = route.acquire()
-            if reqs is not None:
-                for req in reqs:
-                    if req is not None:
-                        yield req
-            t0 = sim._now  # every link is held
-            yield sim.timeout(self.duration)
-        finally:
-            route.release(reqs)
-        tracer = sim.tracer
-        if tracer is not None:
-            route.record(tracer, self.label, self.nbytes, t0, sim._now,
-                         self.parent)

@@ -34,9 +34,10 @@ import numpy as np
 
 from repro.errors import NetworkError
 from repro.faults.injector import DROPPED
-from repro.network.links import Link, Route, Transfer
+from repro.network.links import Link, Route
 from repro.network.presets import MachinePreset
 from repro.sim import Simulator
+from repro.sim.trace import CURRENT
 
 __all__ = ["Topology"]
 
@@ -221,10 +222,25 @@ class Topology:
         """
         route, lat, bw = self._route(src, dst)
         if route.links:
+            if nbytes < 0:
+                raise NetworkError(f"negative transfer size: {nbytes}")
             # Cut-through across the whole route: hold every link together
             # for total-latency + bottleneck-serialization.
-            yield from Transfer(self.sim, route, nbytes, lat + nbytes / bw,
-                                label).run()
+            sim = self.sim
+            reqs = None
+            try:
+                reqs = route.acquire()
+                if reqs is not None:
+                    for req in reqs:
+                        if req is not None:
+                            yield req
+                t0 = sim._now  # every link is held
+                yield sim.timeout(lat + nbytes / bw)
+            finally:
+                route.release(reqs)
+            tracer = sim.tracer
+            if tracer is not None:
+                route.record(tracer, label, nbytes, t0, sim._now, CURRENT)
         return self._deliver(src, dst, nbytes, payload)
 
     def _deliver(self, src: int, dst: int, nbytes: int, payload):

@@ -13,7 +13,7 @@ MPI protocol state machines — advances this single clock, which makes
 every experiment bit-for-bit deterministic and independent of host speed.
 """
 
-from repro.sim.engine import Simulator, Event, Timeout, Process, AllOf, AnyOf, Interrupt
+from repro.sim.engine import Simulator, Event, Timeout, Process, AllOf, AnyOf
 from repro.sim.resources import Resource
 from repro.sim.trace import SpanHandle, Trace, Tracer, TraceRecord, trace_scope
 
@@ -24,7 +24,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Resource",
     "Tracer",
     "Trace",

@@ -40,21 +40,9 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["Simulator", "Event", "Timeout", "Process", "AllOf", "AnyOf", "Interrupt"]
+__all__ = ["Simulator", "Event", "Timeout", "Process", "AllOf", "AnyOf"]
 
 _PENDING = object()
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process may catch it and continue; ``cause`` carries
-    an arbitrary payload describing why it was interrupted.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -75,7 +63,7 @@ class Event:
         # first callback lives in ``_cb1`` and the list is only
         # allocated when a second one arrives.
         self._cb1: Optional[Callable[["Event"], None]] = None
-        self.callbacks: Optional[list[Optional[Callable[["Event"], None]]]] = None
+        self.callbacks: Optional[list[Callable[["Event"], None]]] = None
         self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._defused = False
@@ -174,12 +162,6 @@ class Event:
             self.callbacks = [self._cb1, fn]
             self._cb1 = None
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending" if not self.triggered else ("ok" if self._ok else "failed")
         return f"<{type(self).__name__} {state} at t={self.sim.now:.9f}>"
@@ -234,7 +216,7 @@ class Process(Event):
     the generator fail the process event, propagating to any waiter.
     """
 
-    __slots__ = ("gen", "_name", "_target", "_resume_cb", "__weakref__")
+    __slots__ = ("gen", "_name", "_resume_cb")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: Any = "",
                  delay: float = 0.0):
@@ -259,7 +241,6 @@ class Process(Event):
         self._processed = False
         self.gen = gen
         self._name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
         # One bound method for the process's lifetime instead of a
         # fresh allocation at every yield.  It makes a reference cycle
         # with the process, which _finish() breaks.
@@ -280,49 +261,8 @@ class Process(Event):
         name = self._name
         return "".join(map(str, name)) if isinstance(name, tuple) else name
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        if self._target is not None and not self._processed:
-            # Detach from whatever it was waiting on.  The multi-waiter
-            # path tombstones the slot (dispatch skips None) instead of
-            # list.remove(), which would shift every later waiter and go
-            # quadratic under interrupt storms on popular events.
-            tgt = self._target
-            cbs = tgt.callbacks
-            if tgt._cb1 is self._resume_cb:
-                tgt._cb1 = None
-            elif cbs is not None:
-                try:
-                    cbs[cbs.index(self._resume_cb)] = None
-                except ValueError:
-                    pass
-            if tgt._cb1 is None and (cbs is None or not any(cbs)):
-                # Nobody is left to observe the target; if it later
-                # fails (e.g. a peer process crashing) the failure must
-                # not be re-raised at end of run on behalf of a waiter
-                # that was deliberately interrupted away from it.
-                tgt._defused = True
-        poke = Event(self.sim)
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        poke._defused = True
-        poke._cb1 = self._resume_cb
-        self.sim._schedule(poke)
-
     # -- internal ------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            # Stale wakeup: the process already finished.  This happens
-            # when it was interrupted to death before its first resume —
-            # the detach in interrupt() ran while no target was attached
-            # yet, so the target it picked up afterwards still points
-            # here.  The dead generator has nothing to resume, and a
-            # failed waker has no other observer, so defuse it.
-            if not event._ok:
-                event._defused = True
-            return
         sim = self.sim
         sim._active_process = self
         try:
@@ -356,17 +296,16 @@ class Process(Event):
             )
         if target.sim is not sim:
             raise SimulationError("yielded event belongs to a different Simulator")
-        self._target = target
         target.add_callback(self._resume_cb)
 
     def _finish(self) -> None:
-        """Drop the generator, the last target and the cached bound
-        method, so a finished process is freed by reference counting
-        instead of waiting for the cycle collector.  A stale wake-up
-        still reaches :meth:`_resume` through the waker's own
-        reference and returns at the guard.  The tracer drops what it
-        kept under this process for the same reason."""
-        self.gen = self._target = self._resume_cb = None
+        """Drop the generator and the cached bound method, so a
+        finished process is freed by reference counting instead of
+        waiting for the cycle collector.  Nothing wakes a finished
+        process: it returned from the last event it waited on.  The
+        tracer drops what it kept under this process for the same
+        reason."""
+        self.gen = self._resume_cb = None
         tracer = self.sim.tracer
         if tracer is not None:
             tracer._on_process_done(self)
@@ -630,8 +569,7 @@ class Simulator:
                     elif event.callbacks is not None:
                         callbacks, event.callbacks = event.callbacks, None
                         for cb in callbacks:
-                            if cb is not None:
-                                cb(event)
+                            cb(event)
                     # Callbacks may have scheduled at the current
                     # instant, growing the live batch.
                     n = len(batch)

@@ -84,8 +84,8 @@ class Resource:
 
     def cancel(self, req: _Request) -> None:
         """Withdraw a request whose owner will never consume it (the
-        owning process unwound — an interrupt or an exception — while
-        it waited).
+        owning generator unwound while it waited: an exception, or a
+        ``close()`` of a process the run left waiting).
 
         A still-queued request leaves the admission queue; a granted one
         returns its tokens — either way they cannot leak to a waiter

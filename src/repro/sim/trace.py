@@ -27,8 +27,7 @@ Two APIs coexist:
 
 * ``begin()`` / ``end()`` for hierarchical steps that enclose other work
   across ``yield``\\ s — the :class:`SpanHandle` ``begin()`` returns is
-  itself the context manager that ``open_span()`` / :func:`trace_scope`
-  hand to a ``with``;
+  itself the context manager :func:`trace_scope` hands to a ``with``;
 * ``span(t0, t1, ...)`` for retroactive leaf records — the pattern used
   throughout the device and network layers.
 
@@ -284,8 +283,9 @@ class SpanColumns:
 
 class SpanHandle:
     """An open (not yet recorded) span returned by :meth:`Tracer.begin`,
-    and the context manager that ends it: ``with tracer.open_span(...)``
-    leaves the span recorded unless the body already ended it."""
+    and the context manager that ends it: ``with tracer.begin(...)``
+    (or :func:`trace_scope`) leaves the span recorded unless the body
+    already ended it."""
 
     __slots__ = ("span_id", "t_start", "category", "label", "rank", "track",
                  "meta", "parent_id", "open", "_ctx", "_tracer")
@@ -459,11 +459,6 @@ class Tracer:
                             handle.label, meta, handle.rank, handle.track,
                             handle.span_id, handle.parent_id)
 
-    def open_span(self, category: str, label: str = "", **kw) -> SpanHandle:
-        """``with tracer.open_span("pipeline", "rts", rank=0): ...`` —
-        :meth:`begin` now; the handle ends the span on leaving."""
-        return self.begin(category, label, **kw)
-
     def span(self, t_start: float, t_end: float, category: str, label: str = "",
              *, rank: Optional[int] = None, track: Optional[str] = None,
              parent: Any = CURRENT, **meta) -> None:
@@ -497,12 +492,6 @@ class Tracer:
                                   parent.span_id if parent else None)
 
     # -- aggregation --------------------------------------------------------
-    def total(self, category: Optional[str] = None) -> float:
-        """Sum of span durations, optionally filtered by category."""
-        return sum(
-            r.duration for r in self.records if category is None or r.category == category
-        )
-
     def busy(self, category: str) -> float:
         """Wall-clock time during which >= 1 span of ``category`` was open."""
         spans = sorted(
@@ -522,9 +511,6 @@ class Tracer:
         if cur_s is not None:
             out += cur_e - cur_s
         return out
-
-    def categories(self) -> list[str]:
-        return sorted({r.category for r in self.records})
 
     def breakdown(self) -> dict[str, float]:
         """Category -> summed duration, for latency breakdown figures."""

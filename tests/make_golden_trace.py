@@ -5,18 +5,18 @@ Run after an *intentional* change to instrumentation::
     PYTHONPATH=src python tests/make_golden_trace.py
 """
 
-import json
 from pathlib import Path
 
-from test_trace_export import GOLDEN, export_golden_doc
+from test_trace_export import GOLDEN, run_golden_workload
+
+from repro.analysis import write_chrome_trace
 
 
 def main() -> None:
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    doc = export_golden_doc()
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    n = sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
-    print(f"wrote {GOLDEN} ({n} spans)")
+    res = run_golden_workload()
+    write_chrome_trace(res.tracer, GOLDEN, elapsed=res.elapsed)
+    print(f"wrote {GOLDEN} ({len(res.tracer.records)} spans)")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ def test_profile_totals_match_tracer():
     prof = CommProfile.from_result(res)
     assert prof.elapsed == res.elapsed
     assert prof.category_time["network"] == pytest.approx(
-        res.tracer.total("network"))
+        res.tracer.breakdown().get("network", 0.0))
     assert prof.n_messages > 0
     assert prof.total_wire_bytes > 0
 

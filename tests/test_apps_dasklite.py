@@ -128,7 +128,7 @@ def test_elementwise_add_no_comm():
     for total, single in res.values:
         assert total == pytest.approx(2 * single)
     # no network spans at all
-    assert res.tracer.total("network") == 0.0
+    assert res.tracer.breakdown().get("network", 0.0) == 0.0
 
 
 # -- benchmark harness -------------------------------------------------------------------

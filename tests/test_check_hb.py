@@ -173,9 +173,9 @@ def test_same_process_writes_are_program_ordered():
 
     def proc():
         buf = yield from pool.acquire(1024, label="mine")
-        with tracer.open_span("compute", "w1", rank=0, track="main"):
+        with tracer.begin("compute", "w1", rank=0, track="main"):
             buf.write(np.arange(8, dtype=np.float32))
-        with tracer.open_span("compute", "w2", rank=0, track="main"):
+        with tracer.begin("compute", "w2", rank=0, track="main"):
             buf.write(np.arange(8, dtype=np.float32))
         yield from pool.release(buf)
 

@@ -1,12 +1,11 @@
 """Trace sanitizer (repro.check.sanitize) tests."""
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.bench import named_config
-from repro.analysis.export import to_chrome_trace
+from repro.analysis.export import write_chrome_trace
 from repro.check.fixtures import (acausal_records, bad_collective_records,
                                   early_retry_records, overlap_records)
 from repro.check.sanitize import TraceSanitizer, TraceViolation
@@ -52,8 +51,7 @@ def test_real_traces_pass_all_checks(config_name):
 def test_chrome_roundtrip_is_clean(tmp_path):
     res = _pingpong_result("zfp8-pipe")
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(to_chrome_trace(res.tracer,
-                                               elapsed=res.elapsed)))
+    write_chrome_trace(res.tracer, path, elapsed=res.elapsed)
     ts = TraceSanitizer.from_trace_file(path)
     assert len(ts.records) == len(res.tracer.records)
     assert ts.check_all() == []

@@ -146,7 +146,7 @@ def test_naive_mpc_pays_cudamalloc():
     _, _, eng_naive = make_engine(CompressionConfig.naive_mpc(threshold=0))
     plan = run_send(eng_naive, data)
     t_naive = eng_naive.sim.now
-    malloc_time = eng_naive.sim.tracer.total("malloc")
+    malloc_time = eng_naive.sim.tracer.breakdown().get("malloc", 0.0)
     assert malloc_time > us(150)  # comp buffer + d_off
 
 
@@ -154,7 +154,7 @@ def test_opt_mpc_avoids_cudamalloc():
     data = smooth_f32(100_000)
     _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0))
     run_send(eng, data)
-    assert eng.sim.tracer.total("malloc") == 0.0
+    assert eng.sim.tracer.breakdown().get("malloc", 0.0) == 0.0
 
 
 def test_opt_faster_than_naive():
@@ -171,10 +171,10 @@ def test_gdrcopy_vs_memcpy_for_size():
     data = smooth_f32(100_000)
     _, _, naive = make_engine(CompressionConfig.naive_mpc(threshold=0))
     run_send(naive, data)
-    naive_copies = naive.sim.tracer.total("data_copy")
+    naive_copies = naive.sim.tracer.breakdown().get("data_copy", 0.0)
     _, _, opt = make_engine(CompressionConfig.mpc_opt(threshold=0))
     run_send(opt, data)
-    opt_copies = opt.sim.tracer.total("data_copy")
+    opt_copies = opt.sim.tracer.breakdown().get("data_copy", 0.0)
     assert naive_copies >= us(19)
     assert opt_copies < us(5)
 
@@ -183,7 +183,7 @@ def test_naive_zfp_pays_device_props():
     data = smooth_f32(100_000)
     _, _, eng = make_engine(CompressionConfig.naive_zfp(threshold=0))
     run_send(eng, data)
-    assert eng.sim.tracer.total("get_max_grid_dims") == pytest.approx(us(1840))
+    assert eng.sim.tracer.breakdown().get("get_max_grid_dims", 0.0) == pytest.approx(us(1840))
 
 
 def test_opt_zfp_caches_attrs():
@@ -196,7 +196,7 @@ def test_opt_zfp_caches_attrs():
 
     eng.sim.run_process(proc())
     # one ~1us query, second send free
-    assert eng.sim.tracer.total("get_max_grid_dims") <= us(1.5)
+    assert eng.sim.tracer.breakdown().get("get_max_grid_dims", 0.0) <= us(1.5)
 
 
 def test_zfp_no_size_copy():
@@ -204,7 +204,7 @@ def test_zfp_no_size_copy():
     data = smooth_f32(100_000)
     _, _, eng = make_engine(CompressionConfig.zfp_opt(threshold=0))
     run_send(eng, data)
-    assert eng.sim.tracer.total("data_copy") == 0.0
+    assert eng.sim.tracer.breakdown().get("data_copy", 0.0) == 0.0
 
 
 def test_partitioned_kernels_overlap():
@@ -214,21 +214,21 @@ def test_partitioned_kernels_overlap():
     _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0, partitions=4))
     run_send(eng, data)
     tr = eng.sim.tracer
-    assert tr.busy("compression_kernel") < 0.6 * tr.total("compression_kernel")
+    assert tr.busy("compression_kernel") < 0.6 * tr.breakdown().get("compression_kernel", 0.0)
 
 
 def test_partitioned_combine_charged():
     data = smooth_f32(2_000_000)
     _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0, partitions=4))
     run_send(eng, data)
-    assert eng.sim.tracer.total("combine") > 0
+    assert eng.sim.tracer.breakdown().get("combine", 0.0) > 0
 
 
 def test_single_partition_no_combine():
     data = smooth_f32(100_000)
     _, _, eng = make_engine(CompressionConfig.mpc_opt(threshold=0, partitions=1))
     run_send(eng, data)
-    assert eng.sim.tracer.total("combine") == 0
+    assert eng.sim.tracer.breakdown().get("combine", 0.0) == 0
 
 
 def test_sender_release_returns_buffers():

@@ -229,7 +229,7 @@ def test_kernel_traced(device):
         yield from device.run_kernel(us(50), 10, "compression_kernel", "t")
 
     sim.run_process(proc(sim, device))
-    assert sim.tracer.total("compression_kernel") == pytest.approx(us(50))
+    assert sim.tracer.breakdown().get("compression_kernel", 0.0) == pytest.approx(us(50))
 
 
 # -- streams ---------------------------------------------------------------------

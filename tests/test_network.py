@@ -1,5 +1,7 @@
 """Unit tests for links, presets and topology."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from repro.network import (
     IB_HDR,
     NVLINK3,
     PCIE3_X16,
-    Link,
     LinkSpec,
     Topology,
     machine_preset,
@@ -71,26 +72,35 @@ def test_longhorn_is_nvlink_edr_v100():
 
 # -- link contention -----------------------------------------------------------------
 
+def _one_link(sim, spec=IB_EDR):
+    """A topology whose GPU 0 -> 1 route is one ``spec`` link."""
+    preset = dataclasses.replace(machine_preset("longhorn"), intra_link=spec)
+    topo = Topology(sim, preset, 1, 2)
+    (link,) = topo.route(0, 1)
+    assert link.spec == spec
+    return topo
+
+
 def test_link_transfer_charges_time(sim):
-    link = Link(sim, IB_EDR)
+    topo = _one_link(sim)
 
-    def proc(sim, link):
-        yield from link.transfer(1 * MiB)
+    def proc(sim, topo):
+        yield from topo.transfer(0, 1, 1 * MiB)
 
-    sim.run_process(proc(sim, link))
+    sim.run_process(proc(sim, topo))
     assert sim.now == pytest.approx(IB_EDR.serialization_time(1 * MiB))
 
 
 def test_link_serializes_concurrent_transfers(sim):
-    link = Link(sim, IB_EDR)
+    topo = _one_link(sim)
     ends = []
 
-    def proc(sim, link):
-        yield from link.transfer(1 * MiB)
+    def proc(sim, topo):
+        yield from topo.transfer(0, 1, 1 * MiB)
         ends.append(sim.now)
 
-    sim.process(proc(sim, link))
-    sim.process(proc(sim, link))
+    sim.process(proc(sim, topo))
+    sim.process(proc(sim, topo))
     sim.run()
     one = IB_EDR.serialization_time(1 * MiB)
     assert ends[0] == pytest.approx(one)
@@ -98,13 +108,13 @@ def test_link_serializes_concurrent_transfers(sim):
 
 
 def test_link_negative_size(sim):
-    link = Link(sim, IB_EDR)
+    topo = _one_link(sim)
 
-    def proc(sim, link):
-        yield from link.transfer(-1)
+    def proc(sim, topo):
+        yield from topo.transfer(0, 1, -1)
 
     with pytest.raises(NetworkError):
-        sim.run_process(proc(sim, link))
+        sim.run_process(proc(sim, topo))
 
 
 # -- topology ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ def test_span_recording():
     tr = Tracer()
     tr.span(0.0, 1.0, "network", "msg1", nbytes=100)
     tr.span(2.0, 2.5, "network", "msg2")
-    assert tr.total("network") == pytest.approx(1.5)
+    assert tr.breakdown().get("network", 0.0) == pytest.approx(1.5)
     assert tr.records[0].meta["nbytes"] == 100
 
 
@@ -29,7 +29,7 @@ def test_total_all_categories():
     tr = Tracer()
     tr.span(0, 1, "a")
     tr.span(0, 2, "b")
-    assert tr.total() == pytest.approx(3.0)
+    assert sum(tr.breakdown().values()) == pytest.approx(3.0)
 
 
 def test_busy_merges_overlaps():
@@ -37,7 +37,7 @@ def test_busy_merges_overlaps():
     tr.span(0.0, 2.0, "kernel")
     tr.span(1.0, 3.0, "kernel")  # overlaps
     tr.span(5.0, 6.0, "kernel")  # disjoint
-    assert tr.total("kernel") == pytest.approx(5.0)  # raw sum
+    assert tr.breakdown().get("kernel", 0.0) == pytest.approx(5.0)  # raw sum
     assert tr.busy("kernel") == pytest.approx(4.0)   # merged occupancy
 
 
@@ -51,7 +51,7 @@ def test_breakdown_and_categories():
     tr.span(0, 1, "b")
     tr.span(0, 2, "a")
     tr.span(2, 3, "a")
-    assert tr.categories() == ["a", "b"]
+    assert sorted(tr.breakdown()) == ["a", "b"]
     assert tr.breakdown() == {"a": pytest.approx(3.0), "b": pytest.approx(1.0)}
 
 
@@ -146,7 +146,7 @@ def test_spans_parent_within_sim_processes():
         got["child_leaf"] = tr.records[-1]
 
     def parent(sim):
-        with tr.open_span("pipeline", "outer", rank=0) as h:
+        with tr.begin("pipeline", "outer", rank=0) as h:
             got["outer"] = h
             sim.process(child(sim))
             yield sim.timeout(2.0)
@@ -196,7 +196,7 @@ def test_reparent_overrides_the_spawners_open_span():
         tr.span(sim.now, sim.now, "pipeline", "cts", rank=1)
 
     def sender(sim):
-        with tr.open_span("pipeline", "rts", rank=0):
+        with tr.begin("pipeline", "rts", rank=0):
             proc = sim.process(rendezvous(sim))  # would inherit "rts"
             tr.reparent(proc, receiver_side)
             yield sim.timeout(2.0)

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import to_chrome_trace
-from repro.analysis.export import NETWORK_PID
+from repro.analysis.export import NETWORK_PID, chrome_events, exported_form
 from repro.core import CompressionConfig
 from repro.mpi.cluster import Cluster
 from repro.mpi.comm import PIPELINE_STEPS
@@ -43,9 +42,16 @@ def run_golden_workload():
     return cluster.run(golden_rank_fn, config=CompressionConfig.mpc_opt())
 
 
+def chrome_doc(tracer, elapsed=None):
+    """The Chrome-trace document as a dict, from the one event source."""
+    other, groups = exported_form(tracer, elapsed)
+    return {"displayTimeUnit": "ms", "otherData": other,
+            "traceEvents": list(chrome_events(groups))}
+
+
 def export_golden_doc():
     res = run_golden_workload()
-    return to_chrome_trace(res.tracer, elapsed=res.elapsed)
+    return chrome_doc(res.tracer, res.elapsed)
 
 
 def _threads(doc):
@@ -118,12 +124,12 @@ def test_streamed_writer_matches_committed_golden_bytes(tmp_path):
 def test_streamed_writer_matches_json_dump(tmp_path):
     """The streaming serializer and the document serializer agree byte
     for byte on the same tracer (including the empty-trace edge)."""
-    from repro.analysis import to_chrome_trace, write_chrome_trace
+    from repro.analysis import write_chrome_trace
     from repro.sim.trace import Tracer
 
     res = run_golden_workload()
     for tracer, elapsed in ((res.tracer, res.elapsed), (Tracer(), None)):
-        doc = to_chrome_trace(tracer, elapsed=elapsed)
+        doc = chrome_doc(tracer, elapsed)
         out = tmp_path / "stream.json"
         write_chrome_trace(tracer, out, elapsed=elapsed)
         assert out.read_text() == \
