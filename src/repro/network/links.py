@@ -46,10 +46,6 @@ class LinkSpec:
             raise ConfigError(
                 f"link {self.name!r}: latency must be >= 0, got {self.latency}")
 
-    def serialization_time(self, nbytes: int) -> float:
-        """Time for ``nbytes`` to cross the wire, excluding queueing."""
-        return self.latency + nbytes / self.bandwidth
-
 
 class Link:
     """A live (contended) instance of a :class:`LinkSpec`."""

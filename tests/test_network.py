@@ -35,11 +35,6 @@ def test_paper_bandwidths():
     assert NVLINK3.bandwidth / IB_EDR.bandwidth == pytest.approx(6.0)  # the disparity
 
 
-def test_serialization_time():
-    t = IB_EDR.serialization_time(32 * MiB)
-    assert t == pytest.approx(IB_EDR.latency + 32 * MiB / GBps(12.5))
-
-
 def test_invalid_link_spec():
     with pytest.raises(ConfigError):
         LinkSpec("bad", latency=-1, bandwidth=1e9)
@@ -88,7 +83,7 @@ def test_link_transfer_charges_time(sim):
         yield from topo.transfer(0, 1, 1 * MiB)
 
     sim.run_process(proc(sim, topo))
-    assert sim.now == pytest.approx(IB_EDR.serialization_time(1 * MiB))
+    assert sim.now == pytest.approx(IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth)
 
 
 def test_link_serializes_concurrent_transfers(sim):
@@ -102,7 +97,7 @@ def test_link_serializes_concurrent_transfers(sim):
     sim.process(proc(sim, topo))
     sim.process(proc(sim, topo))
     sim.run()
-    one = IB_EDR.serialization_time(1 * MiB)
+    one = IB_EDR.latency + 1 * MiB / IB_EDR.bandwidth
     assert ends[0] == pytest.approx(one)
     assert ends[1] == pytest.approx(2 * one)
 
@@ -188,7 +183,7 @@ def test_shared_pcie_contends():
     sim.process(proc(sim, topo, 0, 1))
     sim.process(proc(sim, topo, 2, 3))
     sim.run()
-    one = PCIE3_X16.serialization_time(4 * MiB)
+    one = PCIE3_X16.latency + 4 * MiB / PCIE3_X16.bandwidth
     assert max(ends) == pytest.approx(2 * one)
 
 
@@ -204,7 +199,7 @@ def test_nvlink_pairs_independent():
     sim.process(proc(sim, topo, 0, 1))
     sim.process(proc(sim, topo, 2, 3))
     sim.run()
-    one = NVLINK3.serialization_time(4 * MiB)
+    one = NVLINK3.latency + 4 * MiB / NVLINK3.bandwidth
     assert max(ends) == pytest.approx(one)
 
 
@@ -220,7 +215,7 @@ def test_hca_contention_inter_node():
     sim.process(proc(sim, topo, 0, 2))
     sim.process(proc(sim, topo, 1, 3))
     sim.run()
-    one = IB_EDR.serialization_time(0) + 4 * MiB / IB_EDR.bandwidth
+    one = IB_EDR.latency + 4 * MiB / IB_EDR.bandwidth
     assert max(ends) > 1.9 * (4 * MiB / IB_EDR.bandwidth)
 
 
