@@ -1,8 +1,9 @@
 """One harness for the pin families.
 
 A pin family (:class:`Family`) is a table of cells, each a
-:class:`Scenario` to run or a :class:`Recorded` trace to read, and the
-layers it pins.  A cell is observed once and digested per layer, one
+:class:`Scenario` to run, a :class:`Recorded` trace to read or a
+:class:`Tables` case that builds its own tracers, and the layers it
+pins.  A cell is observed once and digested per layer, one
 canonical form per layer (the methods of :class:`Run`; docs/performance.md,
 "Pins", says what each covers).  The digests live in
 ``tests/data/pins/<family>.json``, one line per cell, so a re-capture
@@ -44,13 +45,14 @@ from repro.mpi import cluster as cluster_mod
 from repro.mpi.cluster import Cluster
 from repro.omb.payload import make_payload
 from repro.sim import Tracer
+from repro.sim.trace import SPAN_COLUMNS
 from repro.utils.integrity import payload_crc32
 from repro.utils.units import KiB, MiB
 
 DATA = Path(__file__).parent / "data" / "pins"
 
 LAYERS = ("result", "time", "spans", "metrics", "mechanism",
-          "faults", "exports", "reports")
+          "faults", "exports", "reports", "tables")
 BASE = LAYERS[:5]
 
 #: family name -> the test module that defines its ``FAMILY``
@@ -260,6 +262,42 @@ class Recorded:
         return _sha(repr((_report(
             records, CritPathAnalyzer(SimpleNamespace(records=records)),
             CommProfile.from_records(records, elapsed=0.0)),)))
+
+
+def table_digest(tracer, elapsed) -> str:
+    """The ``tables`` form of one tracer: its span columns, string
+    table, metas (with their value types), metrics and ``.rprt`` bytes
+    (writing the file stamps the ``telemetry.*`` metrics, so they are
+    read first)."""
+    h = hashlib.sha256()
+    cols = tracer.columns
+    for name in SPAN_COLUMNS:
+        h.update(getattr(cols, name).tobytes())
+    h.update(repr(cols.strings).encode())
+    h.update(repr([[(k, type(v).__name__, repr(v)) for k, v in m.items()]
+                   for m in cols.metas]).encode())
+    h.update(json.dumps(tracer.metrics.as_dict(), sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.rprt"
+        write_trace_rprt(tracer, path, elapsed=elapsed)
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+@dataclass(frozen=True)
+class Tables:
+    """A cell that builds its own tracers: ``build`` runs from a cold
+    codec cache and returns ``(tracer, elapsed)`` pairs.  It has the
+    ``tables`` layer only, one :func:`table_digest` per tracer."""
+
+    build: Callable
+
+    def observe(self) -> Tables:
+        return self
+
+    def tables(self) -> list:
+        GLOBAL_CODEC_CACHE.clear()
+        return [table_digest(tracer, elapsed) for tracer, elapsed in self.build()]
 
 
 def digests(obs, layers=BASE) -> dict:

@@ -17,7 +17,6 @@ file's columns equals the one folded from its records.
 """
 
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,7 +43,6 @@ from repro.network.links import LinkSpec
 from repro.omb.payload import make_payload
 from repro.sim import Simulator, Tracer
 from repro.sim import trace as trace_mod
-from repro.sim.trace import SPAN_COLUMNS
 from repro.utils.units import KiB, MiB
 
 from tests import pins
@@ -63,7 +61,7 @@ def _small_allgather(comm):
 
 
 MPC = CompressionConfig.mpc_opt()
-FAMILY = pins.Family("telemetry", {
+SCENARIOS = {
     "golden-mpc": pins.Scenario(golden_rank_fn, MPC),
     "zfp8-pipe4-pt2pt": pins.Scenario(
         pins.pt2pt,
@@ -78,10 +76,10 @@ FAMILY = pins.Family("telemetry", {
                                 ("longhorn", 17, 4)),
     "golden-mpc-block7": pins.Scenario(golden_rank_fn, MPC,
                                        rprt=(("spans_per_block", 7),)),
-}, pins.BASE + ("exports",))
+}
 
 
-@pytest.mark.parametrize("name", sorted(FAMILY.cells))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_reproduces_the_parent(name):
     assert FAMILY.moved(name) == {}
 
@@ -437,7 +435,8 @@ def test_rprt_writer_dumps_the_metrics_registry_once(tmp_path, monkeypatch):
 # ``SpanColumns``, keyed by its route's constants, label and size.  Each
 # case below must record what a run that never hits that memo records —
 # columns, string table, metas, ``.rprt`` bytes and metrics — and what
-# the code before the memo recorded (the digests in ``_CACHE_PINS``).
+# the code before the memo recorded: the ``tables`` layer of its
+# ``cached-ids/`` cell in the family.
 
 def _two_allgathers_clearing_between(comm):
     yield from comm.allgather(make_payload("wave", 4 * KiB, seed=comm.rank))
@@ -472,8 +471,12 @@ def _clear_mid_run():
 
 
 def _route_cache_cleared():
-    topology_mod._CACHE_MAX = 3  # cache_case_digests restores it
-    return _traced(Cluster(*_FAT_TREE).run(_small_allgather, config=_DISABLED))
+    saved, topology_mod._CACHE_MAX = topology_mod._CACHE_MAX, 3
+    try:
+        return _traced(Cluster(*_FAT_TREE).run(_small_allgather,
+                                               config=_DISABLED))
+    finally:
+        topology_mod._CACHE_MAX = saved
 
 
 def _two_runs_one_cluster():
@@ -521,44 +524,15 @@ CACHE_CASES = {"clear-mid-run": _clear_mid_run,
                "rendezvous-sizes": _rendezvous_one_route,
                "fault-plan": _fault_plan}
 
-#: the digests of each case, captured before span ids were memoized
-_CACHE_PINS = {
-    "clear-mid-run": ["3989ea8772a277a8"],
-    "route-cache-cleared": ["5cfbe47177d8798b"],
-    "two-runs-one-cluster": ["5cfbe47177d8798b", "5cfbe47177d8798b"],
-    # driven through Topology.transfer over two one-link routes since
-    # Link.transfer went; the digest is the one the driver before it
-    # (Transfer.run) produced for the same case
-    "link-transfer": ["d8643cde5041a237"],
-    "rendezvous-sizes": ["cd27e51f409b2db5"],
-    "fault-plan": ["21902eb1b462d262"],
-}
-
-
-def _table_digest(tracer, elapsed, tmp: Path) -> str:
-    """Columns, string table, metas (with their value types), metrics
-    and ``.rprt`` bytes of one tracer (writing the file stamps the
-    ``telemetry.*`` metrics, so they are read first)."""
-    h = hashlib.sha256()
-    cols = tracer.columns
-    for name in SPAN_COLUMNS:
-        h.update(getattr(cols, name).tobytes())
-    h.update(repr(cols.strings).encode())
-    h.update(repr([[(k, type(v).__name__, repr(v)) for k, v in m.items()]
-                   for m in cols.metas]).encode())
-    h.update(json.dumps(tracer.metrics.as_dict(), sort_keys=True).encode())
-    write_trace_rprt(tracer, tmp / "t.rprt", elapsed=elapsed)
-    h.update((tmp / "t.rprt").read_bytes())
-    return h.hexdigest()[:16]
-
-
-def cache_case_digests(name: str, tmp: Path) -> list:
-    saved = topology_mod._CACHE_MAX
-    try:
-        return [_table_digest(tracer, elapsed, tmp)
-                for tracer, elapsed in CACHE_CASES[name]()]
-    finally:
-        topology_mod._CACHE_MAX = saved
+#: the six scenarios, and the cached-id cases, whose ``tables`` digests
+#: are the ones the code before span ids were memoized produced (the
+#: link-transfer case's is the one the driver before
+#: ``Topology.transfer``, ``Transfer.run``, produced for the same case)
+FAMILY = pins.Family("telemetry", {
+    **SCENARIOS,
+    **{f"cached-ids/{name}": pins.Tables(build)
+       for name, build in CACHE_CASES.items()},
+}, pins.BASE + ("exports", "tables"))
 
 
 def _append_uncached(self, key, fields, t_start, t_end, span_id, parent_id):
@@ -570,13 +544,13 @@ def _append_uncached(self, key, fields, t_start, t_end, span_id, parent_id):
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_CASES))
-def test_cached_span_ids_never_outlive_their_table(name, tmp_path,
-                                                   monkeypatch):
-    cached = cache_case_digests(name, tmp_path)
+def test_cached_span_ids_never_outlive_their_table(name, monkeypatch):
+    cell = f"cached-ids/{name}"
+    cached = pins.digests(FAMILY.cells[cell], FAMILY.layers)
     monkeypatch.setattr(trace_mod.SpanColumns, "append_keyed",
                         _append_uncached)
-    assert cached == cache_case_digests(name, tmp_path)
-    assert cached == _CACHE_PINS[name]
+    assert cached == pins.digests(FAMILY.cells[cell], FAMILY.layers)
+    assert cached == FAMILY.load()[cell]
 
 
 def test_a_cleared_tracer_starts_an_empty_memo():
@@ -586,8 +560,7 @@ def test_a_cleared_tracer_starts_an_empty_memo():
     assert tracer.columns._row_ids == {}
 
 
-def test_routes_rebuilt_by_a_cache_clear_share_their_memo_rows(
-        tmp_path, monkeypatch):
+def test_routes_rebuilt_by_a_cache_clear_share_their_memo_rows(monkeypatch):
     """A route rebuilt after a wholesale clear of the route cache keys
     its rows by value, as the one it replaces did: capped to 3, the
     34-rank allgather ends with the uncapped run's memo (34 entries,
@@ -601,8 +574,8 @@ def test_routes_rebuilt_by_a_cache_clear_share_their_memo_rows(
     monkeypatch.setattr(topology_mod, "_CACHE_MAX", 3)
     capped, capped_elapsed = run()
     assert len(capped.columns._row_ids) == len(uncapped.columns._row_ids) == 34
-    assert (_table_digest(capped, capped_elapsed, tmp_path)
-            == _table_digest(uncapped, elapsed, tmp_path))
+    assert (pins.table_digest(capped, capped_elapsed)
+            == pins.table_digest(uncapped, elapsed))
 
 
 # -- a repeat network span resolves nothing ----------------------------------
