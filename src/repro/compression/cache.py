@@ -12,13 +12,14 @@ codec identity — its name and *every* parameter it declares through
 :meth:`~repro.compression.base.Compressor.cache_params`, so two
 instances that differ in any constructor argument never share an
 entry — then confirmed by an exact byte comparison against a reference
-copy stored with the entry, so a fingerprint collision can only ever
-cause a spurious miss — never a wrong result.  CRC-32 is not free:
+stored with the entry (a copy, or bytes made read-only), so a
+fingerprint collision can only ever cause a spurious miss — never a
+wrong result.  CRC-32 is not free:
 zlib 1.2.13 computes it in software, at ~1.8 GiB/s on a 2-core VM where
 ``ndarray.copy`` moves 3.5–5.4 GiB/s, so it is the dearest pass per
 byte — and the compress side hashes every outgoing send buffer (see
 ``docs/performance.md``, "Data-plane passes").  Entries are LRU-bounded
-by total byte size (reference copies included).
+by total byte size (references included).
 
 The decode memo works at **message granularity**: one entry per
 received wire payload — all its partitions — not one per partition.
@@ -28,21 +29,26 @@ per-partition CRCs, :func:`~repro.utils.integrity.crc32_of_parts`), so
 the integrity check of a hit compares two integers instead of rehashing
 the buffer.  Lookups take the fingerprint the receive path has already
 computed (the wire CRC it just verified) instead of hashing the bytes
-again, and do one byte compare.  Three ways in, one entry:
+again, and do one byte compare.  Four ways in, one entry:
 :meth:`CodecCache.decode` hands the caller a fresh array it may mutate
 (the partitions' concatenation: one copy); :meth:`CodecCache.decoded_crc`
 answers a check that only wants the CRC (the sender's expected-value
 decode of a lossy codec), with no copy at all;
 :meth:`CodecCache.decode_parts` lends the read-only partitions to a
-caller that concatenates them itself (a streamed receive).  The
-sender's expected-value decode and the receiver's decode of the same
-bytes share an entry.
+caller that concatenates them itself (a streamed receive), or hands
+them over and forgets the entry (``keep=False``: a fused reduction, the
+one reader of a partial sum); and :meth:`CodecCache.learn_decode`
+records the decode of an image this process has just encoded with a
+lossless codec, which is its source, bit for bit — so a receiver of
+bytes encoded here never runs a decoder.  The sender's expected-value
+decode and the receiver's decode of the same bytes share an entry.
 
 The cache knows nothing about faults.  A run whose plan has codec
 faults bypasses every memo one level up: the engine
 (:meth:`~repro.core.engine.CompressionEngine._compress` / ``_decode``)
 then calls :meth:`CodecCache.run_compress` /
-:meth:`CodecCache.run_decompress` itself and hashes the output for real.
+:meth:`CodecCache.run_decompress` itself, hashes the output for real
+and records no decode.
 
 Every real codec execution of the data plane goes through those two
 (the memoized paths call them on a miss), which is where the
@@ -124,6 +130,14 @@ class CodecCache:
             self._bytes -= evicted.nbytes
         return entry
 
+    def _decode_key(self, codec: Compressor, comps, fingerprint: int,
+                    nbytes: int) -> tuple:
+        """The decode memo's key of one message: its partitions and the
+        CRC-32 and size of its wire bytes."""
+        shape = (comps[0].dtype.char,) + tuple(
+            (c.n_elements, c.nbytes) for c in comps)
+        return self._key("d", codec, shape, fingerprint, nbytes)
+
     def _get(self, key: tuple, raw: np.ndarray) -> Optional[_Entry]:
         hit = self._store.get(key)
         if hit is None or not np.array_equal(hit.ref, raw):
@@ -164,13 +178,32 @@ class CodecCache:
         # The reference must be a snapshot: the caller may mutate its
         # buffer in place and re-send, and a stale alias would then
         # confirm a hit against bytes the stored result was not
-        # computed from.
-        self._put(key, comp, comp.nbytes + raw.nbytes + 64, raw.copy())
+        # computed from.  Read-only, it doubles as the decode of a
+        # lossless ``comp`` (:meth:`learn_decode`).
+        ref = raw.copy()
+        ref.flags.writeable = False
+        self._put(key, comp, comp.nbytes + raw.nbytes + 64, ref)
         return comp
+
+    def _sources(self, codec: Compressor, comps) -> Optional[list]:
+        """The source of each of ``comps`` as a read-only array of its
+        dtype: the reference copy of the compress entry that produced
+        it, found by the fingerprint it carries (``src_crc32``) — no
+        copy, no hash.  None when one of them is not (or no longer)
+        such an entry's result."""
+        parts = []
+        for comp in comps:
+            crc = comp.meta.get("src_crc32")
+            entry = None if crc is None else self._store.get(self._key(
+                "c", codec, (comp.dtype.char,), crc, comp.original_nbytes))
+            if entry is None or entry.value is not comp:
+                return None
+            parts.append(entry.ref.view(comp.dtype))
+        return parts
 
     def decode_parts(self, codec: Compressor, payload: np.ndarray, comps,
                      fingerprint: Optional[int] = None,
-                     want_crc: bool = False) -> tuple:
+                     want_crc: bool = False, keep: bool = True) -> tuple:
         """Memoized decode of one received message, lent read-only.
 
         ``payload`` is the message's wire bytes and ``comps`` its
@@ -181,28 +214,62 @@ class CodecCache:
         the entry's own read-only arrays, to be concatenated or copied,
         never handed out — and ``crc`` the CRC-32 of their concatenation
         when ``want_crc`` (memoized with the entry, so only the first
-        request hashes).
+        request hashes).  ``keep=False`` hands the partitions over
+        instead: the entry leaves the memo (a miss stores none), for a
+        caller that is the message's only reader.
         """
         raw = _raw_view(payload)
         if fingerprint is None:
             fingerprint = zlib.crc32(raw)
-        shape = (comps[0].dtype.char,) + tuple(
-            (c.n_elements, c.nbytes) for c in comps)
-        key = self._key("d", codec, shape, fingerprint, raw.nbytes)
+        key = self._decode_key(codec, comps, fingerprint, raw.nbytes)
         entry = self._get(key, raw)
-        if entry is None:
+        if entry is not None and not keep:
+            self._bytes -= self._store.pop(key).nbytes
+        elif entry is None:
             # Keep the decoded partitions themselves: a miss costs no
             # pass a hit would not also cost.
             parts = tuple(self.run_decompress(codec, c) for c in comps)
             for part in parts:
                 part.flags.writeable = False
-            entry = self._put(key, parts,
-                              sum(p.nbytes for p in parts) + raw.nbytes + 64,
-                              raw.copy())
+            weight = sum(p.nbytes for p in parts) + raw.nbytes + 64
+            entry = (self._put(key, parts, weight, raw.copy()) if keep
+                     else _Entry(parts, weight, raw))
         if want_crc and entry.crc is None:
             entry.crc = crc32_of_parts(
                 (zlib.crc32(_raw_view(p)), p.nbytes) for p in entry.value)
         return entry.value, entry.crc
+
+    def learn_decode(self, codec: Compressor, payload: np.ndarray, comps,
+                     fingerprint: int, crc: int, parts=None) -> None:
+        """Record the decode of one message this process has just
+        encoded with a lossless codec: its source.
+
+        Keyed as :meth:`decode_parts` looks the message up — ``payload``
+        its wire bytes, ``comps`` its partitions in order, and
+        ``fingerprint`` the CRC-32 of ``payload`` — so a receiver of
+        these bytes hits.  ``crc`` is the CRC-32 of the source, the
+        stamp the sender already holds: a hit never hashes the decode.
+        ``parts`` are the source partitions, which the entry keeps and
+        makes read-only; by default the compress entries' reference
+        copies (:meth:`_sources`), and when one has left the memo nothing
+        is recorded — the receiver then decodes for real.  The reference
+        is ``payload`` itself, made read-only: the image holds those
+        bytes anyway, so nothing is copied and nothing can change them
+        under the entry.  The weight counts the partitions and the
+        reference even where another holder shares them.
+        """
+        if parts is None:
+            parts = self._sources(codec, comps)
+            if parts is None:
+                return
+        for part in parts:
+            part.flags.writeable = False
+        payload.flags.writeable = False
+        raw = _raw_view(payload)
+        entry = self._put(self._decode_key(codec, comps, fingerprint, raw.nbytes),
+                          tuple(parts),
+                          sum(p.nbytes for p in parts) + raw.nbytes + 64, raw)
+        entry.crc = crc
 
     def decode(self, codec: Compressor, payload: np.ndarray, comps,
                fingerprint: Optional[int] = None,

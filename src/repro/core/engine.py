@@ -103,6 +103,9 @@ class SendPlan:
     crc: Optional[int] = None
     comps: list = field(default_factory=list)  # streamed: the partitions
     kernel_run: object = None  # streamed: callable(i) -> generator
+    #: CRC32 of ``payload`` when the plan has it: the raw bytes' stamp,
+    #: or the key a lossless image's decode was recorded under
+    wire_crc: Optional[int] = None
 
     @property
     def compressed(self) -> bool:
@@ -152,11 +155,23 @@ class CompressionEngine:
     # faults they run for real, past every memo: a hit would skip a
     # draw, and a corrupted result stored under the codec's key would
     # poison later clean runs in the same process.
+    def _codec_faults(self):
+        """The fault injector when its plan has codec faults (every
+        memo is bypassed then), else None."""
+        faults = self.sim.faults
+        return faults if faults is not None and faults.codec_faults else None
+
+    def _learns(self, codec) -> bool:
+        """True when an image ``codec`` encodes here records its decode
+        (:meth:`CodecCache.learn_decode`): the codec is lossless, so the
+        decode is the source, and no codec fault bypasses the memo."""
+        return codec.lossless and self._codec_faults() is None
+
     def _compress(self, codec, data: np.ndarray) -> CompressedData:
         """One partition's compression on the send path (memoized
         host-side; kernel time is charged regardless)."""
-        faults = self.sim.faults
-        if faults is None or not faults.codec_faults:
+        faults = self._codec_faults()
+        if faults is None:
             return GLOBAL_CODEC_CACHE.compress(codec, data)
         if faults.should_fail_compress(codec.name):
             raise CompressionError(
@@ -172,8 +187,8 @@ class CompressionEngine:
         them out through :func:`~repro.compression.cache.handout`), or
         under a plan with codec faults real decodes, each hashed for
         real."""
-        faults = self.sim.faults
-        if faults is None or not faults.codec_faults:
+        faults = self._codec_faults()
+        if faults is None:
             return GLOBAL_CODEC_CACHE.decode_parts(codec, payload, comps,
                                                    fingerprint, want_crc=True)
         outs = [faults.maybe_corrupt_decompressed(
@@ -314,8 +329,9 @@ class CompressionEngine:
     # -- sender ---------------------------------------------------------------
     def _raw_plan(self, data) -> SendPlan:
         nbytes = int(data.nbytes) if isinstance(data, np.ndarray) else len(data)
+        crc = payload_crc32(data)
         return SendPlan(header=CompressionHeader.uncompressed(nbytes),
-                        payload=data, wire_nbytes=nbytes, crc=payload_crc32(data))
+                        payload=data, wire_nbytes=nbytes, crc=crc, wire_crc=crc)
 
     def sender_prepare(self, data, force_uncompressed: bool = False,
                        stream: bool = False):
@@ -334,6 +350,12 @@ class CompressionEngine:
         combine -> fallback / record / header / CRC.  The kernel
         schedule is the one fork: launch every partition now and
         combine, or hand the caller a ``kernel_run(i)`` closure.
+
+        A lossless codec then records the decode of every DATA part the
+        receiver will look up — the whole image, or each streamed
+        partition — as its source (:meth:`_learns`), so the receiver's
+        memo lookup hits; the whole image's wire CRC, the key, is kept
+        as ``plan.wire_crc``.
         """
         cfg = self.config
         if (force_uncompressed or not cfg.enabled
@@ -436,10 +458,19 @@ class CompressionEngine:
         )
         if streamed:
             plan.comps, plan.kernel_run = comps, kernel_run
+            if self._learns(codec):
+                for c in comps:
+                    GLOBAL_CODEC_CACHE.learn_decode(
+                        codec, c.payload, (c,), payload_crc32(c.payload),
+                        c.meta.get("src_crc32"))
         else:
             plan.payload = (np.concatenate([c.payload for c in comps])
                             if parts > 1 else comps[0].payload)
             comp_buf.write(plan.payload)
+            if self._learns(codec):
+                plan.wire_crc = payload_crc32(plan.payload)
+                GLOBAL_CODEC_CACHE.learn_decode(
+                    codec, plan.payload, comps, plan.wire_crc, plan.crc)
         return plan
 
     # -- compressed-domain reduction (hZCCL-style) ---------------------------
@@ -454,7 +485,8 @@ class CompressionEngine:
         return bool(self._transport_codec().reduce_supported)
 
     def reduce_wire_payload(self, header: CompressionHeader, local: np.ndarray,
-                            other_header: CompressionHeader, other_payload):
+                            other_header: CompressionHeader, other_payload,
+                            other_wire_crc: Optional[int] = None):
         """Add a received compressed image onto an operand this rank
         holds raw (generator subroutine).
 
@@ -472,13 +504,21 @@ class CompressionEngine:
         ``compress(add(decompress(a), decompress(b)))`` — the
         :meth:`~repro.compression.base.Compressor.reduce_compressed`
         contract, operand order preserved — and the post-decode stamp
-        of that result is the CRC of the sum itself.
+        of that result is the CRC of the sum itself.  The arrival is
+        decoded through the memo, keyed by ``other_wire_crc`` (the wire
+        CRC its relay check verified), and its entry leaves the memo:
+        this step is the one reader of a partial sum.  Its encoder
+        recorded that decode, so it is a hit unless the image came from
+        elsewhere; a plan with codec faults decodes for real, past the
+        memo.
 
-        Returns ``(header, payload, crc, total)`` for the combined
-        image — an uncompressed header with ``total`` as the payload
-        when the partial sums stop compressing.  ``total`` is the raw
-        sum, for the caller to hold as its next ``local``; ``crc`` is
-        its CRC32, the image's post-decode stamp.
+        Returns ``(header, payload, crc, wire_crc, total)`` for the
+        combined image — an uncompressed header with ``total`` as the
+        payload when the partial sums stop compressing.  ``total`` is
+        the raw sum, for the caller to hold as its next ``local``;
+        ``crc`` is its CRC32, the image's post-decode stamp, and
+        ``wire_crc`` the CRC32 of ``payload``.  A lossless codec records
+        the decode of the combined image: the sum.
         """
         if not (header.compressed and other_header.compressed):
             raise CompressionError("reduce_wire_payload needs two compressed operands")
@@ -503,15 +543,20 @@ class CompressionEngine:
             blocks)
         yield from self._run_partition_kernels(durations, blocks, "reduction_kernel")
 
+        comps = self._partition_comps(other_header, other_payload)
+        if self._codec_faults() is None:
+            arrived, _ = GLOBAL_CODEC_CACHE.decode_parts(
+                codec, other_payload, comps, other_wire_crc, keep=False)
+        else:
+            arrived = [GLOBAL_CODEC_CACHE.run_decompress(codec, c) for c in comps]
         total = np.empty(header.n_elements, dtype=dtype)
-        reduced = []
+        reduced, sums = [], []
         start = 0
-        for comp in self._partition_comps(other_header, other_payload):
+        for comp, part in zip(comps, arrived):
             stop = start + comp.n_elements
-            np.add(local[start:stop],
-                   GLOBAL_CODEC_CACHE.run_decompress(codec, comp),
-                   out=total[start:stop])
-            reduced.append(GLOBAL_CODEC_CACHE.run_compress(codec, total[start:stop]))
+            sums.append(total[start:stop])
+            np.add(local[start:stop], part, out=sums[-1])
+            reduced.append(GLOBAL_CODEC_CACHE.run_compress(codec, sums[-1]))
             start = stop
         sizes = [c.nbytes for c in reduced]
         crc = payload_crc32(total)
@@ -519,14 +564,23 @@ class CompressionEngine:
         if not self._record_compression(header.algorithm, total.nbytes, sum(sizes)):
             # Partial sums stopped compressing: degrade this
             # accumulator to a raw image.
-            return CompressionHeader.uncompressed(total.nbytes), total, crc, total
+            return CompressionHeader.uncompressed(total.nbytes), total, crc, crc, total
 
         payload = np.concatenate([c.payload for c in reduced]) \
             if parts > 1 else reduced[0].payload
+        wire_crc = payload_crc32(payload)
+        if self._learns(codec):
+            # A copy of each sum, not a view: ``total`` stays the
+            # caller's, freed with the collective's operands, while the
+            # memo keeps the final sums until they are read (views of
+            # ``total`` read 2.0% more peak RSS on ``coll-relay-16``,
+            # copies 0.9%: the pinned operands fragment the heap).
+            GLOBAL_CODEC_CACHE.learn_decode(codec, payload, reduced, wire_crc,
+                                            crc, parts=[s.copy() for s in sums])
         out_header = CompressionHeader.for_message(
             header.algorithm, dtype, header.n_elements, header.param, sizes,
         )
-        return out_header, payload, crc, total
+        return out_header, payload, crc, wire_crc, total
 
     # -- receiver -----------------------------------------------------------
     def receiver_prepare(self, header: CompressionHeader):

@@ -626,10 +626,13 @@ class Communicator:
             plan = yield from self._prepare_or_fall_back(rt, engine, data,
                                                          seq=origin_seq)
             yield from engine.sender_release(plan)
+        wire_crc = plan.wire_crc  # the raw stamp, or a lossless image's key
+        if wire_crc is None:
+            wire_crc = payload_crc32(plan.payload)
         return WireImage(
             header=plan.header, payload=plan.payload,
             wire_nbytes=plan.wire_nbytes, crc=plan.crc,
-            wire_crc=payload_crc32(plan.payload), origin_seq=origin_seq,
+            wire_crc=wire_crc, origin_seq=origin_seq,
         )
 
     def unpack_wire(self, wire: WireImage):
@@ -685,11 +688,10 @@ class Communicator:
             with trace_scope(self.sim, "pipeline", "reduce_wire",
                              rank=self._grank, nbytes=acc.wire_nbytes,
                              origin_seq=origin_seq, fused=True):
-                header, payload, crc, total = yield from engine.reduce_wire_payload(
-                    acc.header, local, other.header, other.payload)
-            wire_crc = crc  # raw image: the wire bytes are the data
-            if header.compressed:
-                wire_crc = payload_crc32(payload)
+                header, payload, crc, wire_crc, total = \
+                    yield from engine.reduce_wire_payload(
+                        acc.header, local, other.header, other.payload,
+                        other.wire_crc)
             return WireImage(
                 header=header, payload=payload,
                 wire_nbytes=int(header.wire_bytes), crc=crc,

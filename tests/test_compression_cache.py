@@ -278,3 +278,108 @@ def test_stats_keeps_its_keys_and_adds_execution_counts(rng):
         "entries": 2, "bytes": cache._bytes,
         "compress_execs": 1, "decompress_execs": 2,
     }
+
+
+# -- recorded decodes (learn_decode) -------------------------------------------
+
+#: float bit patterns a decode must restore exactly: quiet and
+#: signalling NaNs with payload bits, +-0, +-inf and denormals
+_SPECIAL_BITS = {
+    np.float32: np.array([0x7FC00001, 0xFFC00000, 0x7F800001, 0xFFBFFFFF,
+                          0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+                          0x00000001, 0x807FFFFF], dtype=np.uint32),
+    np.float64: np.array([0x7FF8000000000001, 0xFFF8000000000000,
+                          0x7FF0000000000001, 0xFFF7FFFFFFFFFFFF,
+                          0x0000000000000000, 0x8000000000000000,
+                          0x7FF0000000000000, 0xFFF0000000000000,
+                          0x0000000000000001, 0x800FFFFFFFFFFFFF],
+                         dtype=np.uint64),
+}
+
+_LOSSLESS = [(name, dtype) for name in available()
+             for dtype in (np.float32, np.float64)
+             if get_compressor(name).lossless
+             and dtype in get_compressor(name).supported_dtypes]
+
+
+def _salted(rng, n, dtype):
+    """Smooth data with every special bit pattern at random places."""
+    x = np.cumsum(rng.standard_normal(n) * 1e-2).astype(dtype)
+    specials = _SPECIAL_BITS[dtype].view(dtype)
+    at = rng.choice(n, size=min(n, 3 * specials.size), replace=False)
+    x[at] = np.resize(specials, at.size)
+    return x
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("name,dtype", _LOSSLESS,
+                         ids=[f"{n}-{np.dtype(d).name}" for n, d in _LOSSLESS])
+def test_a_recorded_decode_is_a_real_decode_bit_for_bit(name, dtype, parts):
+    rng = np.random.default_rng(44)
+    codec = get_compressor(name)
+    for n in (5, 33, 1001, 4099):                       # ragged lengths
+        cache = CodecCache()
+        x = _salted(rng, n, dtype)
+        comps = [cache.compress(codec, p) for p in np.array_split(x, parts)]
+        payload = np.concatenate([c.payload for c in comps])
+        cache.learn_decode(codec, payload, comps, zlib.crc32(payload),
+                           zlib.crc32(x.view(np.uint8)))
+        got, crc = cache.decode_parts(codec, payload.copy(), comps,
+                                      want_crc=True)
+        assert cache.stats()["decompress_execs"] == 0   # a hit
+        want = [codec.decompress(c) for c in comps]
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert crc == zlib.crc32(np.concatenate(want).view(np.uint8))
+        assert not any(g.flags.writeable for g in got)
+
+
+def test_a_recorded_decode_is_the_compress_entrys_snapshot(rng):
+    """The decoded partition is the compress entry's reference copy: no
+    new copy, and a later write to the sent buffer cannot reach it."""
+    cache = CodecCache()
+    codec = MpcCompressor(1)
+    x = np.cumsum(rng.standard_normal(3000)).astype(np.float32)
+    comp = cache.compress(codec, x)
+    cache.learn_decode(codec, comp.payload, (comp,),
+                       zlib.crc32(comp.payload), zlib.crc32(x.view(np.uint8)))
+    (part,), _ = cache.decode_parts(codec, comp.payload, (comp,))
+    refs = [e.ref for e in cache._store.values() if e.value is comp]
+    assert len(refs) == 1 and np.shares_memory(part, refs[0])
+    sent = x.copy()
+    x[:] = 0.0
+    assert part.tobytes() == sent.tobytes()
+    # the weight counts the shared partition, as a miss's entry would
+    assert cache.stats()["bytes"] == sum(e.nbytes for e in cache._store.values())
+    assert cache._store[next(reversed(cache._store))].nbytes \
+        == x.nbytes + comp.nbytes + 64
+
+
+def test_nothing_is_recorded_once_the_source_left_the_memo(rng):
+    cache = CodecCache()
+    codec = MpcCompressor(1)
+    x = np.cumsum(rng.standard_normal(3000)).astype(np.float32)
+    comp = cache.compress(codec, x)
+    cache.clear()
+    cache.learn_decode(codec, comp.payload, (comp,),
+                       zlib.crc32(comp.payload), zlib.crc32(x.view(np.uint8)))
+    assert cache.stats()["entries"] == 0
+    out, _ = cache.decode(codec, comp.payload, (comp,))  # a real decode
+    assert cache.stats()["decompress_execs"] == 1
+    assert out.tobytes() == x.tobytes()
+
+
+def test_a_lookup_that_does_not_keep_takes_the_entry_out(rng):
+    cache = CodecCache()
+    codec, x, payload, comps = _message(rng)
+    cache.decode(codec, payload, comps)                 # stored
+    entries, nbytes = cache.stats()["entries"], cache.stats()["bytes"]
+    parts, _ = cache.decode_parts(codec, payload, comps, keep=False)
+    assert b"".join(p.tobytes() for p in parts) == x.tobytes()
+    assert cache.stats()["entries"] == entries - 1
+    assert cache.stats()["bytes"] < nbytes
+    # a miss that does not keep stores nothing
+    parts, _ = cache.decode_parts(codec, payload, comps, keep=False)
+    assert b"".join(p.tobytes() for p in parts) == x.tobytes()
+    assert cache.stats()["entries"] == entries - 1
+    assert (cache.hits, cache.misses) == (1, 2)

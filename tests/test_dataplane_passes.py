@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.analysis.bench import named_config
 from repro.compression import MpcCompressor
 from repro.compression.base import CompressedData
-from repro.compression.cache import GLOBAL_CODEC_CACHE
+from repro.compression.cache import GLOBAL_CODEC_CACHE, CodecCache
 from repro.core import CompressionConfig, CompressionEngine
 from repro.errors import CompressionError, IntegrityError
 from repro.faults import FaultPlan
@@ -107,12 +107,13 @@ def _pack(a, b, parts):
 
 def _check_fused(sim, eng, a, plan_a, plan_b):
     assert plan_a.header.n_partitions == plan_b.header.n_partitions
-    header, payload, crc, total = sim.run_process(eng.reduce_wire_payload(
-        plan_a.header, a, plan_b.header, plan_b.payload))
+    header, payload, crc, wire_crc, total = sim.run_process(
+        eng.reduce_wire_payload(plan_a.header, a, plan_b.header, plan_b.payload))
     sizes, want_payload, want_decoded = _oracle(
         plan_a.header, plan_a.payload, plan_b.header, plan_b.payload)
     assert total.tobytes() == want_decoded.tobytes()
     assert crc == _crc(want_decoded)
+    assert wire_crc == _crc(payload)
     if sum(sizes) >= a.nbytes:  # the sums stopped compressing
         assert not header.compressed
         assert payload.tobytes() == want_decoded.tobytes()
@@ -123,6 +124,7 @@ def _check_fused(sim, eng, a, plan_a, plan_b):
     return header
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add")
 @settings(max_examples=60, deadline=None)
 @given(
     dtype=st.sampled_from([np.float32, np.float64]),
@@ -231,52 +233,179 @@ def test_allreduce_pinned_to_parent(algorithm, nprocs):
 
 class _KernelCounter:
     """Counts real MPC executions where the kernels are invoked (the
-    codec's own methods) and remembers what was decoded."""
+    codec's own methods), and whether each lookup of an arrival by a
+    fused reduction step (``decode_parts(..., keep=False)``) hit."""
 
     def __init__(self, monkeypatch):
-        self.decoded, self.compressed = [], 0
+        self.decoded = self.compressed = 0
+        self.arrival_hits = []
         real_dec, real_enc = MpcCompressor.decompress, MpcCompressor.compress
+        real_lookup = CodecCache.decode_parts
         counter = self
 
         def decompress(codec, comp):
-            counter.decoded.append(comp.payload.tobytes())
+            counter.decoded += 1
             return real_dec(codec, comp)
 
         def compress(codec, data):
             counter.compressed += 1
             return real_enc(codec, data)
 
+        def decode_parts(cache, *args, keep=True, **kwargs):
+            hits = cache.hits
+            out = real_lookup(cache, *args, keep=keep, **kwargs)
+            if not keep:
+                counter.arrival_hits.append(cache.hits == hits + 1)
+            return out
+
         monkeypatch.setattr(MpcCompressor, "decompress", decompress)
         monkeypatch.setattr(MpcCompressor, "compress", compress)
+        monkeypatch.setattr(CodecCache, "decode_parts", decode_parts)
 
 
 @pytest.mark.parametrize("nbytes,parts", [(1 << 19, 1), (1 << 20, 2)])
 def test_ring_allreduce_codec_budget(monkeypatch, nbytes, parts):
     size = 4
-    # distinct smooth data: no two chunks anywhere share their bytes,
-    # so a decode is attributable to the one image it came from
+    # distinct smooth data: no two chunks anywhere share their bytes
     payloads = [smooth_f32(nbytes // 4, seed=30 + r) for r in range(size)]
     counter = _KernelCounter(monkeypatch)
     _allreduce("ring", size, nbytes, 0, payloads=payloads)
-    arrivals = size * (size - 1) * parts      # one decode per partition that arrived
-    final_misses = size * parts               # each reduced chunk decoded once, by
-    #                                           whichever rank unpacks it first
-    assert len(counter.decoded) == arrivals + final_misses
+    # MPC is lossless: every image a rank receives was encoded in this
+    # process, which recorded its decode, so nothing is decoded for real
+    assert counter.decoded == 0
     # packs (size chunks per rank) + one re-encode per reduce step
     assert counter.compressed == (size * size + size * (size - 1)) * parts
     stats = GLOBAL_CODEC_CACHE.stats()
-    assert stats["decompress_execs"] == len(counter.decoded)
+    assert stats["decompress_execs"] == 0
     assert stats["compress_execs"] == counter.compressed
-    # Rank r sends the image of its chunk r (the neighbour decodes that
-    # arrival) and holds every other chunk it packed as the raw operand
-    # of exactly one reduce step: none of those images is ever decoded.
-    codec = MpcCompressor(MPC.mpc_dimensionality)
-    decoded = set(counter.decoded)
-    for rank, data in enumerate(payloads):
-        for i, chunk in enumerate(np.array_split(data, size)):
-            for piece in np.array_split(chunk, parts):
-                image = codec.compress(piece).payload.tobytes()
-                assert (image in decoded) == (i == rank)
+    # one fused step per arrival of the reduce-scatter, each a memo hit
+    assert counter.arrival_hits == [True] * (size * (size - 1))
+
+
+def _send_twice(x, mutate):
+    """Rank 0 sends ``x``, mutates it in place, and sends it again."""
+    def rank_fn(comm):
+        if comm.rank == 0:
+            yield from comm.send(x, 1, tag=0)
+            mutate(x)
+            yield from comm.send(x, 1, tag=1)
+            return None
+        first = yield from comm.recv(0, tag=0)
+        return first, (yield from comm.recv(0, tag=1))
+    return rank_fn
+
+
+@pytest.mark.parametrize("config", [MPC, MPC.with_(pipeline=True)],
+                         ids=["whole", "streamed"])
+def test_a_mutated_send_buffer_is_received_mutated(config):
+    """The second receive of a buffer mutated between two sends hands
+    out the mutated bytes: each send records the decode of what it
+    encoded, a snapshot, never the live buffer."""
+    x = smooth_f32(1 << 18)
+    before = x.copy()
+
+    def mutate(buf):
+        buf[::3] += 1.0
+
+    GLOBAL_CODEC_CACHE.clear()
+    res = Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+        _send_twice(x, mutate), config=config, max_time=10.0)
+    first, second = res.values[1]
+    assert first.tobytes() == before.tobytes()
+    assert second.tobytes() == x.tobytes() != before.tobytes()
+    assert GLOBAL_CODEC_CACHE.stats()["decompress_execs"] == 0
+
+
+def _pt2pt_outcome(res):
+    injector = res.tracer._sim.faults
+    return (res.elapsed, _resilience(res),
+            repr(injector._rng.bit_generator.state),
+            [payload_crc32(v) for v in res.values[1]])
+
+
+def test_a_corrupted_image_misses_its_recorded_decode(monkeypatch):
+    """Under wire corruption a damaged image misses the entry its sender
+    recorded — decoded for real, failing its check — and is NACKed as
+    when nothing was recorded: same RNG draws, same time, same counts."""
+    x = make_payload("dataset:msg_sppm", 1 << 18, seed=1)
+    plan = FaultPlan(seed=3, corrupt_rate=0.3)
+
+    def rank_fn(comm):
+        if comm.rank == 0:
+            for i in range(8):
+                yield from comm.send(x, 1, tag=i)
+            return None
+        got = []
+        for i in range(8):
+            got.append((yield from comm.recv(0, tag=i)))
+        return got
+
+    def run():
+        GLOBAL_CODEC_CACHE.clear()
+        return Cluster("longhorn", nodes=2, gpus_per_node=1).run(
+            rank_fn, config=MPC, faults=plan, max_time=60.0)
+
+    hits = []  # per decode lookup: did it hit?
+    real = CodecCache.decode_parts
+
+    def decode_parts(cache, *args, **kwargs):
+        before = cache.hits
+        try:
+            return real(cache, *args, **kwargs)
+        finally:
+            hits.append(cache.hits > before)
+
+    monkeypatch.setattr(CodecCache, "decode_parts", decode_parts)
+    res = run()
+    assert all(g.tobytes() == x.tobytes() for g in res.values[1])
+    counts = _resilience(res)
+    nacked = counts["crc_mismatch"] + res.tracer.metrics.counter_total(
+        "resilience.decode_error")
+    assert nacked > 0 and counts["retransmit"] == nacked
+    # every intact arrival hits, every corrupted one misses
+    assert hits.count(True) == 8 and hits.count(False) == nacked
+    monkeypatch.setattr(CodecCache, "learn_decode",
+                        lambda *args, **kwargs: None)
+    assert _pt2pt_outcome(run()) == _pt2pt_outcome(res)
+
+
+def _count_learns(monkeypatch) -> list:
+    calls = []
+    real = CodecCache.learn_decode
+
+    def learn_decode(cache, *args, **kwargs):
+        calls.append(args[0].name)
+        return real(cache, *args, **kwargs)
+
+    monkeypatch.setattr(CodecCache, "learn_decode", learn_decode)
+    return calls
+
+
+def _allgather_and_send(comm):
+    data = smooth_f32(1 << 17, seed=comm.rank)
+    yield from comm.allgather(data)
+    if comm.rank == 0:
+        yield from comm.send(data, 1)
+    elif comm.rank == 1:
+        yield from comm.recv(0)
+
+
+@pytest.mark.parametrize("name,faults,learns", [
+    ("mpc-opt", None, True),
+    ("zfp8", None, False),
+    ("zfp8-pipe", None, False),
+    ("mpc-opt", FaultPlan(seed=1, decompress_corrupt_rate=1e-9), False),
+    ("mpc-opt", FaultPlan(seed=1, compress_fail_rate=1e-9), False),
+])
+def test_only_a_lossless_codec_outside_codec_faults_records_decodes(
+        monkeypatch, name, faults, learns):
+    calls = _count_learns(monkeypatch)
+    GLOBAL_CODEC_CACHE.clear()
+    Cluster("longhorn", nodes=2, gpus_per_node=2).run(
+        _allgather_and_send, config=named_config(name), faults=faults,
+        max_time=60.0)
+    assert bool(calls) == learns
+    assert set(calls) <= {"mpc"}
 
 
 #: bytes through ``zlib.crc32`` per side for one cold-cache rendezvous
@@ -286,8 +415,9 @@ _HASHED = {
     # stamp the raw send; check the raw arrival
     "baseline": lambda r, c: (r, r),
     # sender: the cache's per-partition fingerprints, folded into the
-    # stamp; receiver: the memo key, then the post-decode check
-    "mpc-opt": lambda r, c: (r, c + r),
+    # stamp, then the key the decode is recorded under; receiver: the
+    # memo key, a hit that carries the stamp
+    "mpc-opt": lambda r, c: (r + c, c),
     # sender: fingerprint, then the expected-value decode's memo key and
     # CRC; receiver: the memo key, a hit that carries the CRC
     "zfp8": lambda r, c: (2 * r + c, c),
