@@ -573,8 +573,9 @@ class CompressionEngine:
             # A copy of each sum, not a view: ``total`` stays the
             # caller's, freed with the collective's operands, while the
             # memo keeps the final sums until they are read (views of
-            # ``total`` read 2.0% more peak RSS on ``coll-relay-16``,
-            # copies 0.9%: the pinned operands fragment the heap).
+            # ``total`` read 2.0% more peak RSS than no record on
+            # ``coll-relay-16``, copies 0.9%, on a 2-core VM: the pinned
+            # operands fragment the heap).
             GLOBAL_CODEC_CACHE.learn_decode(codec, payload, reduced, wire_crc,
                                             crc, parts=[s.copy() for s in sums])
         out_header = CompressionHeader.for_message(
