@@ -31,8 +31,12 @@ capability and the step order.
 Codec faults are injected here and nowhere else: the two sites that
 run a codec on live traffic — ``sender_prepare`` and
 ``receiver_complete`` — go through ``_compress`` / ``_decode``, which
-consult ``sim.faults``.  The expected-value decode of
-``_plan_crc`` and the fused reduction are never faulted.
+consult ``sim.faults`` and draw around the one memoized codec path: a
+compress draws before its memo lookup, a decode after it, corrupting a
+copy of the memo's partition.  A memo hit therefore never skips a
+draw, and every run, faulted or not, takes the same codec path.  The
+expected-value decode of ``_plan_crc`` and the fused reduction are
+never faulted.
 
 Real numpy codecs run on the actual payload (compression ratios are
 measured, not assumed); kernel durations come from the calibrated
@@ -151,32 +155,17 @@ class CompressionEngine:
         """The codec a received header names."""
         return self._codec(header.algorithm, **header.codec_params())
 
-    # The two codec calls on live traffic.  Under a plan with codec
-    # faults they run for real, past every memo: a hit would skip a
-    # draw, and a corrupted result stored under the codec's key would
-    # poison later clean runs in the same process.
-    def _codec_faults(self):
-        """The fault injector when its plan has codec faults (every
-        memo is bypassed then), else None."""
-        faults = self.sim.faults
-        return faults if faults is not None and faults.codec_faults else None
-
-    def _learns(self, codec) -> bool:
-        """True when an image ``codec`` encodes here records its decode
-        (:meth:`CodecCache.learn_decode`): the codec is lossless, so the
-        decode is the source, and no codec fault bypasses the memo."""
-        return codec.lossless and self._codec_faults() is None
-
+    # The two codec calls on live traffic, and the only two readers of
+    # ``sim.faults`` here: the fault plane draws around the memo.
     def _compress(self, codec, data: np.ndarray) -> CompressedData:
         """One partition's compression on the send path (memoized
-        host-side; kernel time is charged regardless)."""
-        faults = self._codec_faults()
-        if faults is None:
-            return GLOBAL_CODEC_CACHE.compress(codec, data)
-        if faults.should_fail_compress(codec.name):
+        host-side; kernel time is charged regardless), after its
+        ``compress_fail`` draw."""
+        faults = self.sim.faults
+        if faults is not None and faults.should_fail_compress(codec.name):
             raise CompressionError(
                 f"injected {codec.name} compression-kernel failure")
-        return GLOBAL_CODEC_CACHE.run_compress(codec, data)
+        return GLOBAL_CODEC_CACHE.compress(codec, data)
 
     def _decode(self, codec, payload, comps,
                 fingerprint: Optional[int] = None) -> tuple:
@@ -184,38 +173,35 @@ class CompressionEngine:
         path: ``(parts, crc)``, the decoded partitions in order
         and the CRC-32 of their concatenation.  The parts are the decode
         memo's read-only arrays (:meth:`CodecCache.decode_parts`: hand
-        them out through :func:`~repro.compression.cache.handout`), or
-        under a plan with codec faults real decodes, each hashed for
-        real."""
-        faults = self._codec_faults()
+        them out through :func:`~repro.compression.cache.handout`), each
+        then drawn for ``decompress_corrupt``: a corrupted partition is
+        a bit-flipped copy, so the memo keeps the clean decode, and only
+        then is the CRC computed again."""
+        parts, crc = GLOBAL_CODEC_CACHE.decode_parts(
+            codec, payload, comps, fingerprint, want_crc=True)
+        faults = self.sim.faults
         if faults is None:
-            return GLOBAL_CODEC_CACHE.decode_parts(codec, payload, comps,
-                                                   fingerprint, want_crc=True)
-        outs = [faults.maybe_corrupt_decompressed(
-                    codec.name, GLOBAL_CODEC_CACHE.run_decompress(codec, c))
-                for c in comps]
-        return outs, crc32_of_parts((payload_crc32(o), o.nbytes) for o in outs)
+            return parts, crc
+        outs = [faults.maybe_corrupt_decompressed(codec.name, p) for p in parts]
+        if any(o is not p for o, p in zip(outs, parts)):
+            crc = crc32_of_parts((payload_crc32(o), o.nbytes) for o in outs)
+        return outs, crc
 
-    def _plan_crc(self, codec, data, comps) -> int:
+    def _plan_crc(self, codec, comps) -> int:
         """CRC32 of what the receiver must reconstruct, folded from the
         partitions' CRCs (no partition is hashed twice).
 
         Lossless codecs round-trip to the original bytes, so the raw
         CRC suffices: the codec cache already hashed each partition as
-        its lookup fingerprint (``src_crc32``); a partition compressed
-        past the memo (a plan with codec faults) has none, and the
-        source is hashed for real.  Lossy codecs (zfp/sz) are checked
-        against the *clean* decompression of the wire bytes — straight
-        through the decode memo, so a fault plane can neither corrupt
-        nor draw RNG for the expected value, and the receiver's lookup
-        of the same bytes finds the CRC with the entry.
+        its lookup fingerprint (``src_crc32``).  Lossy codecs (zfp/sz)
+        are checked against the *clean* decompression of the wire bytes
+        — straight through the decode memo, so a fault plane can neither
+        corrupt nor draw RNG for the expected value, and the receiver's
+        lookup of the same bytes finds the CRC with the entry.
         """
         if codec.lossless:
-            crcs = [c.meta.get("src_crc32") for c in comps]
-            if None in crcs:
-                return payload_crc32(data)
             return crc32_of_parts(
-                zip(crcs, (c.original_nbytes for c in comps)))
+                (c.meta["src_crc32"], c.original_nbytes) for c in comps)
         if len(comps) == 1:
             crc = comps[0].meta.get("out_crc32")
             if crc is None:
@@ -353,9 +339,8 @@ class CompressionEngine:
 
         A lossless codec then records the decode of every DATA part the
         receiver will look up — the whole image, or each streamed
-        partition — as its source (:meth:`_learns`), so the receiver's
-        memo lookup hits; the whole image's wire CRC, the key, is kept
-        as ``plan.wire_crc``.
+        partition — as its source, so the receiver's memo lookup hits;
+        the whole image's wire CRC, the key, is kept as ``plan.wire_crc``.
         """
         cfg = self.config
         if (force_uncompressed or not cfg.enabled
@@ -454,11 +439,11 @@ class CompressionEngine:
                 name, data.dtype, data.size, codec.header_param(), sizes,
                 pipelined=streamed),
             payload=None, wire_nbytes=wire_nbytes, resources=resources,
-            crc=self._plan_crc(codec, data, comps),
+            crc=self._plan_crc(codec, comps),
         )
         if streamed:
             plan.comps, plan.kernel_run = comps, kernel_run
-            if self._learns(codec):
+            if codec.lossless:
                 for c in comps:
                     GLOBAL_CODEC_CACHE.learn_decode(
                         codec, c.payload, (c,), payload_crc32(c.payload),
@@ -467,7 +452,7 @@ class CompressionEngine:
             plan.payload = (np.concatenate([c.payload for c in comps])
                             if parts > 1 else comps[0].payload)
             comp_buf.write(plan.payload)
-            if self._learns(codec):
+            if codec.lossless:
                 plan.wire_crc = payload_crc32(plan.payload)
                 GLOBAL_CODEC_CACHE.learn_decode(
                     codec, plan.payload, comps, plan.wire_crc, plan.crc)
@@ -509,8 +494,7 @@ class CompressionEngine:
         CRC its relay check verified), and its entry leaves the memo:
         this step is the one reader of a partial sum.  Its encoder
         recorded that decode, so it is a hit unless the image came from
-        elsewhere; a plan with codec faults decodes for real, past the
-        memo.
+        elsewhere.
 
         Returns ``(header, payload, crc, wire_crc, total)`` for the
         combined image — an uncompressed header with ``total`` as the
@@ -544,11 +528,8 @@ class CompressionEngine:
         yield from self._run_partition_kernels(durations, blocks, "reduction_kernel")
 
         comps = self._partition_comps(other_header, other_payload)
-        if self._codec_faults() is None:
-            arrived, _ = GLOBAL_CODEC_CACHE.decode_parts(
-                codec, other_payload, comps, other_wire_crc, keep=False)
-        else:
-            arrived = [GLOBAL_CODEC_CACHE.run_decompress(codec, c) for c in comps]
+        arrived, _ = GLOBAL_CODEC_CACHE.decode_parts(
+            codec, other_payload, comps, other_wire_crc, keep=False)
         total = np.empty(header.n_elements, dtype=dtype)
         reduced, sums = [], []
         start = 0
@@ -569,7 +550,7 @@ class CompressionEngine:
         payload = np.concatenate([c.payload for c in reduced]) \
             if parts > 1 else reduced[0].payload
         wire_crc = payload_crc32(payload)
-        if self._learns(codec):
+        if codec.lossless:
             # A copy of each sum, not a view: ``total`` stays the
             # caller's, freed with the collective's operands, while the
             # memo keeps the final sums until they are read (views of

@@ -38,10 +38,6 @@ class FaultInjector:
         self.sim = sim
         self.plan = plan
         self._rng = np.random.Generator(np.random.PCG64(plan.seed))
-        #: the plan injects compression faults: the engine then runs
-        #: every codec on live traffic for real, past the codec cache
-        self.codec_faults = (plan.compress_fail_rate > 0.0
-                             or plan.decompress_corrupt_rate > 0.0)
         sim.faults = self
 
     # -- plumbing -------------------------------------------------------
