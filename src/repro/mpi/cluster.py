@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.compression.cache import GLOBAL_CODEC_CACHE
 from repro.core.config import CompressionConfig
@@ -67,8 +69,8 @@ class Runtime:
         self._matching = [MatchingEngine(sim, r) for r in range(len(devices))]
         self._seq = 0
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
-        #: seq -> ``(rts, payload)``, kept while the receiver can NACK
-        self._retransmit: dict[int, tuple[Rts, Any]] = {}
+        #: seq -> the message's DATA parts, kept while the receiver can NACK
+        self._retransmit: dict[int, list] = {}
         #: communicator-id registry: group tuple -> comm id.  Keyed by
         #: the group itself, so every rank derives identical ids
         #: without communication (id 0 is the implicit world group).
@@ -140,12 +142,14 @@ class Runtime:
             self._breakers[key] = br
         return br
 
-    def register_retransmit(self, rts: Rts, payload) -> None:
-        """Retain the sender's wire bytes for possible retransmission.
-        Only active under a fault plane — in a fault-free run nothing is
-        retained and :meth:`retire` is a silent no-op."""
+    def register_retransmit(self, rts: Rts, parts: list) -> None:
+        """Retain the DATA parts of the sender's original push — one
+        per streamed partition, else the whole image — for possible
+        retransmission.  Only active under a fault plane — in a
+        fault-free run nothing is retained and :meth:`retire` is a
+        silent no-op."""
         if self.sim.faults is not None and self.resilience.max_retries > 0:
-            self._retransmit[rts.seq] = (rts, payload)
+            self._retransmit[rts.seq] = parts
 
     def retains(self, seq: int) -> bool:
         """True while message ``seq`` can still be retransmitted."""
@@ -201,10 +205,12 @@ class Runtime:
         """A NACK for the retained message ``rts`` reached its sender:
         count it against the breaker when the rejected payload was
         compressed, and push the whole image again as ``attempt``
-        (async sender-side process)."""
+        (async sender-side process) — a streamed message's parts joined
+        into one, whose partition table the header still describes."""
         if rts.compressed:
             self.breaker_of(rts.src, rts.dst).record_failure(self.sim.now)
-        _, payload = self._retransmit[rts.seq]
+        parts = self._retransmit[rts.seq]
+        payload = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.sim.process(self.push(rts, 0, payload, attempt),
                          name=f"retransmit{rts.seq}.{attempt}")
 

@@ -314,9 +314,9 @@ class Communicator:
                 cts_ev = rt.matching_of(self._grank).expect_cts(seq)
                 rt.matching_of(dest).deliver_envelope(rts)
             yield from self._await_cts(rt, cts_ev, dest, seq)
-            rt.register_retransmit(rts, image.payload)
             parts = ([c.payload for c in plan.comps] if rts.streamed
                      else [image.payload])
+            rt.register_retransmit(rts, parts)
             kernel_run = plan.kernel_run if plan is not None else None
             yield from self._each_part(
                 lambda i: rt.push(rts, i, parts[i], kernel_run=kernel_run),
@@ -352,13 +352,8 @@ class Communicator:
             plan = yield from self._prepare_or_fall_back(
                 rt, engine, data, breaker, force_uncompressed, stream=True,
                 dst=dest, seq=seq)
-        payload = plan.payload
-        if plan.header.pipelined and rt.faults is not None:
-            # Kept whole for retransmission only — a NACKed message is
-            # resent as one un-pipelined DATA packet (the header's
-            # partition table still applies): needs a fault plane.
-            payload = np.concatenate([c.payload for c in plan.comps])
-        return plan, WireImage(plan.header, payload, plan.wire_nbytes, plan.crc)
+        return plan, WireImage(plan.header, plan.payload, plan.wire_nbytes,
+                               plan.crc)
 
     def _prepare_or_fall_back(self, rt, engine, data, breaker=None,
                               force_uncompressed: bool = False,
