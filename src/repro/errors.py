@@ -39,7 +39,8 @@ class OutOfDeviceMemoryError(GpuError):
 
 
 class BufferPoolExhaustedError(GpuError):
-    """Raised when a non-growable buffer pool has no free buffers."""
+    """Raised when a buffer pool cannot serve a request: larger than
+    its buffers, or an injected transient exhaustion."""
 
 
 class BufferSanitizerError(GpuError):

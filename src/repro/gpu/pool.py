@@ -7,7 +7,7 @@ allocated once at initialization (``MPI_Init``) and re-used, removing
 
 :class:`BufferPool`
     Fixed buffer size, as in the paper ("currently, the buffer size is
-    fixed in the memory pool"), optionally growing on demand.
+    fixed in the memory pool"), growing on demand.
 
 :class:`SizeClassBufferPool`
     The paper's suggested future enhancement — power-of-two size
@@ -41,14 +41,12 @@ class BufferPool:
         Capacity of each pooled buffer; requests larger than this fail.
     count:
         Number of buffers pre-allocated at construction (init time, so
-        untimed).
-    growable:
-        When True, an empty pool allocates a fresh buffer on demand —
+        untimed).  An empty pool allocates a fresh buffer on demand —
         paying ``cudaMalloc`` once, then keeping the buffer ("can be
         dynamically increased ... on demand").
     """
 
-    def __init__(self, device, buffer_bytes: int, count: int = 4, growable: bool = True):
+    def __init__(self, device, buffer_bytes: int, count: int = 4):
         if count < 0:
             raise GpuError(f"pool count must be >= 0, got {count}")
         if buffer_bytes <= 0:
@@ -56,7 +54,6 @@ class BufferPool:
                 f"pool buffer size must be positive, got {buffer_bytes}")
         self.device = device
         self.buffer_bytes = int(buffer_bytes)
-        self.growable = growable
         self._free: Deque[DeviceBuffer] = deque()
         self._total = 0
         #: this pool's metric series keys
@@ -116,10 +113,6 @@ class BufferPool:
                             nbytes=nbytes, capacity=self.buffer_bytes)
                 tracer.metrics.inc(self._k_hit)
             return buf
-        if not self.growable:
-            raise BufferPoolExhaustedError(
-                f"pool of {self._total} x {self.buffer_bytes}B buffers exhausted"
-            )
         # Grow: one cudaMalloc now, reused forever after.
         if tracer is not None:
             tracer.metrics.inc(self._k_miss)
@@ -158,7 +151,7 @@ class SizeClassBufferPool:
     """
 
     def __init__(self, device, min_bytes: int = 1 << 16, max_bytes: int = 1 << 25,
-                 count_per_class: int = 2, growable: bool = True):
+                 count_per_class: int = 2):
         if min_bytes <= 0:
             raise ConfigError(f"min_bytes must be positive, got {min_bytes}")
         if min_bytes > max_bytes:
@@ -169,7 +162,7 @@ class SizeClassBufferPool:
         while size < min_bytes:
             size <<= 1
         while size <= max_bytes:
-            self._classes.append(BufferPool(device, size, count_per_class, growable))
+            self._classes.append(BufferPool(device, size, count_per_class))
             size <<= 1
 
     @property

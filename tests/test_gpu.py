@@ -302,7 +302,7 @@ def test_pool_acquire_release_cheap(device):
 
 def test_pool_grows_on_demand(device):
     sim = device.sim
-    pool = BufferPool(device, 1024, count=0, growable=True)
+    pool = BufferPool(device, 1024, count=0)
 
     def proc(sim, pool):
         buf = yield from pool.acquire(512)
@@ -311,16 +311,6 @@ def test_pool_grows_on_demand(device):
     sim.run_process(proc(sim, pool))
     assert pool.total == 1
     assert sim.now >= V100.malloc_time(1024) * 0.99  # grow paid cudaMalloc
-
-
-def test_pool_exhausted_not_growable(device):
-    pool = BufferPool(device, 1024, count=0, growable=False)
-
-    def proc(sim, pool):
-        yield from pool.acquire(512)
-
-    with pytest.raises(BufferPoolExhaustedError):
-        device.sim.run_process(proc(device.sim, pool))
 
 
 def test_pool_request_too_large(device):
@@ -350,7 +340,7 @@ def test_pool_concurrent_acquires_no_double_grant(device):
     """Regression: two processes acquiring across the bookkeeping
     timeout must get different buffers."""
     sim = device.sim
-    pool = BufferPool(device, 1024, count=2, growable=False)
+    pool = BufferPool(device, 1024, count=2)
     got = []
 
     def proc(sim, pool):
