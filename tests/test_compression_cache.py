@@ -8,9 +8,17 @@ import pytest
 
 from repro.compression import MpcCompressor, ZfpCompressor, available, get_compressor
 from repro.compression.base import CompressedData
-from repro.compression.cache import CodecCache
+from repro.compression.cache import CodecCache, handout
 from repro.compression.registry import _REGISTRY
 from repro.errors import CompressionError
+
+
+def _decode(cache, codec, payload, comps, fingerprint=None, want_crc=False):
+    """:meth:`CodecCache.decode_parts`, handed out: ``(data, crc)``,
+    ``data`` a fresh array the caller owns."""
+    parts, crc = cache.decode_parts(codec, payload, comps, fingerprint,
+                                    want_crc)
+    return handout(parts), crc
 
 
 def test_compress_hit_on_equal_bytes(rng):
@@ -45,12 +53,12 @@ def test_decompress_returns_fresh_copy(rng):
     codec = MpcCompressor(1)
     a = rng.standard_normal(1000).astype(np.float32)
     comp = codec.compress(a)
-    d1 = cache.decode(codec, comp.payload, (comp,))[0]
-    d2 = cache.decode(codec, comp.payload, (comp,))[0]
+    d1 = _decode(cache, codec, comp.payload, (comp,))[0]
+    d2 = _decode(cache, codec, comp.payload, (comp,))[0]
     assert cache.hits == 1
     assert np.array_equal(d1, d2)
     d1[0] = 999.0  # mutating one must not poison the other
-    d3 = cache.decode(codec, comp.payload, (comp,))[0]
+    d3 = _decode(cache, codec, comp.payload, (comp,))[0]
     assert d3[0] != 999.0
 
 
@@ -78,7 +86,7 @@ def test_cache_correctness_under_mpc_roundtrip(rng):
     codec = MpcCompressor(2)
     x = np.cumsum(rng.standard_normal(5000)).astype(np.float32)
     comp = cache.compress(codec, x)
-    y = cache.decode(codec, comp.payload, (comp,))[0]
+    y = _decode(cache, codec, comp.payload, (comp,))[0]
     assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
 
@@ -119,9 +127,9 @@ def test_instances_differing_in_a_parameter_never_share_entries(
     assert (cache.hits, cache.misses) == (0, 2)
     assert comp_b.payload.tobytes() == b.compress(x).payload.tobytes()
     # the same wire bytes, decoded by a differently-built codec: a miss
-    cache.decode(a, comp_a.payload, (comp_a,))
+    _decode(cache, a, comp_a.payload, (comp_a,))
     try:
-        cache.decode(b, comp_a.payload, (comp_a,))
+        _decode(cache, b, comp_a.payload, (comp_a,))
     except CompressionError:
         pass  # a rate the stream was not written at; still no hit
     assert cache.hits == 0
@@ -158,11 +166,11 @@ def _message(rng, parts=3, n=3001):
 def test_decode_is_one_entry_per_message_with_a_memoized_crc(rng):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)
-    out, crc = cache.decode(codec, payload, comps, want_crc=True)
+    out, crc = _decode(cache, codec, payload, comps, want_crc=True)
     assert out.tobytes() == x.tobytes() and crc == zlib.crc32(x.view(np.uint8))
     assert cache.stats()["entries"] == 1
     assert cache.stats()["decompress_execs"] == len(comps)
-    again, crc2 = cache.decode(codec, payload.copy(), comps, want_crc=True,
+    again, crc2 = _decode(cache, codec, payload.copy(), comps, want_crc=True,
                                fingerprint=zlib.crc32(payload))
     assert (cache.hits, cache.misses) == (1, 1)
     assert again.tobytes() == x.tobytes() and crc2 == crc
@@ -173,12 +181,12 @@ def test_decode_hit_does_not_rehash(rng, monkeypatch):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)
     fingerprint = zlib.crc32(payload)
-    cache.decode(codec, payload, comps, fingerprint=fingerprint, want_crc=True)
+    _decode(cache, codec, payload, comps, fingerprint=fingerprint, want_crc=True)
     hashed = []
     real = zlib.crc32
     monkeypatch.setattr(zlib, "crc32",
                         lambda data, *a: hashed.append(len(data)) or real(data, *a))
-    _, crc = cache.decode(codec, payload, comps, fingerprint=fingerprint,
+    _, crc = _decode(cache, codec, payload, comps, fingerprint=fingerprint,
                           want_crc=True)
     assert hashed == [] and crc == real(x.view(np.uint8))
 
@@ -186,19 +194,19 @@ def test_decode_hit_does_not_rehash(rng, monkeypatch):
 def test_crc_is_filled_in_by_the_first_check_that_wants_it(rng):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)
-    assert cache.decode(codec, payload, comps)[1] is None
-    assert cache.decode(codec, payload, comps, want_crc=True)[1] \
+    assert _decode(cache, codec, payload, comps)[1] is None
+    assert _decode(cache, codec, payload, comps, want_crc=True)[1] \
         == zlib.crc32(x.view(np.uint8))
 
 
 def test_mutating_a_hit_does_not_change_the_next_one(rng):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)
-    first, _ = cache.decode(codec, payload, comps)      # the miss's copy
+    first, _ = _decode(cache, codec, payload, comps)      # the miss's copy
     first[:] = -1.0
-    second, crc = cache.decode(codec, payload, comps, want_crc=True)
+    second, crc = _decode(cache, codec, payload, comps, want_crc=True)
     second[:] = -2.0
-    third, crc3 = cache.decode(codec, payload, comps, want_crc=True)
+    third, crc3 = _decode(cache, codec, payload, comps, want_crc=True)
     assert third.tobytes() == x.tobytes()
     assert crc == crc3 == zlib.crc32(x.view(np.uint8))
 
@@ -206,8 +214,8 @@ def test_mutating_a_hit_does_not_change_the_next_one(rng):
 def test_multi_part_hand_outs_are_fresh_and_the_stored_parts_read_only(rng):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)            # three partitions
-    miss, _ = cache.decode(codec, payload, comps)
-    hit, _ = cache.decode(codec, payload, comps)
+    miss, _ = _decode(cache, codec, payload, comps)
+    hit, _ = _decode(cache, codec, payload, comps)
     stored, _ = cache.decode_parts(codec, payload, comps)
     assert (cache.hits, cache.misses) == (2, 1)
     assert len(stored) == len(comps)
@@ -220,7 +228,7 @@ def test_multi_part_hand_outs_are_fresh_and_the_stored_parts_read_only(rng):
         assert not any(np.shares_memory(out, p) for p in stored)
     miss[:] = -1.0
     hit[:] = -2.0
-    again, crc = cache.decode(codec, payload, comps, want_crc=True)
+    again, crc = _decode(cache, codec, payload, comps, want_crc=True)
     assert again.tobytes() == x.tobytes()
     assert crc == zlib.crc32(x.view(np.uint8))
 
@@ -230,7 +238,7 @@ def test_decoded_crc_is_the_decode_entry_crc(rng):
     codec, x, payload, comps = _message(rng)
     crc = cache.decoded_crc(codec, payload, comps)
     assert crc == zlib.crc32(x.view(np.uint8))
-    out, crc2 = cache.decode(codec, payload, comps, want_crc=True)
+    out, crc2 = _decode(cache, codec, payload, comps, want_crc=True)
     assert (cache.hits, cache.misses) == (1, 1)
     assert crc2 == crc and out.tobytes() == x.tobytes()
 
@@ -240,8 +248,8 @@ def test_fingerprint_collision_with_different_bytes_is_a_miss(rng):
     codec = get_compressor("null")  # equal-length streams for any input
     x, y = (rng.standard_normal(500).astype(np.float32) for _ in range(2))
     cx, cy = codec.compress(x), codec.compress(y)
-    cache.decode(codec, cx.payload, (cx,), fingerprint=7)
-    out, crc = cache.decode(codec, cy.payload, (cy,), fingerprint=7, want_crc=True)
+    _decode(cache, codec, cx.payload, (cx,), fingerprint=7)
+    out, crc = _decode(cache, codec, cy.payload, (cy,), fingerprint=7, want_crc=True)
     assert (cache.hits, cache.misses) == (0, 2)
     assert out.tobytes() == y.tobytes() and crc == zlib.crc32(y.view(np.uint8))
     # the colliding entry was replaced, not left beside the new one
@@ -255,10 +263,10 @@ def test_lru_accounting_equals_the_live_entries(rng):
         r = np.random.default_rng(seed)
         x = np.cumsum(r.standard_normal(1500)).astype(np.float32)
         comp = cache.compress(codec, x)
-        cache.decode(codec, comp.payload, (comp,))
+        _decode(cache, codec, comp.payload, (comp,))
         _, _, payload, comps = _message(r, parts=2, n=1999)
-        cache.decode(codec, payload, comps, want_crc=seed % 2 == 0)
-        cache.decode(codec, payload, comps)
+        _decode(cache, codec, payload, comps, want_crc=seed % 2 == 0)
+        _decode(cache, codec, payload, comps)
         live = sum(e.nbytes for e in cache._store.values())
         assert cache.stats()["bytes"] == live <= 60_000
         assert cache.stats()["entries"] == len(cache._store)
@@ -271,7 +279,7 @@ def test_stats_keeps_its_keys_and_adds_execution_counts(rng):
     x = np.cumsum(rng.standard_normal(1000)).astype(np.float32)
     comp = cache.compress(codec, x)
     cache.compress(codec, x)
-    cache.decode(codec, comp.payload, (comp,))
+    _decode(cache, codec, comp.payload, (comp,))
     cache.run_decompress(codec, comp)  # counted, not memoized
     assert cache.stats() == {
         "hits": 1, "misses": 2, "bytes_saved": x.nbytes,
@@ -364,7 +372,7 @@ def test_nothing_is_recorded_once_the_source_left_the_memo(rng):
     cache.learn_decode(codec, comp.payload, (comp,),
                        zlib.crc32(comp.payload), zlib.crc32(x.view(np.uint8)))
     assert cache.stats()["entries"] == 0
-    out, _ = cache.decode(codec, comp.payload, (comp,))  # a real decode
+    out, _ = _decode(cache, codec, comp.payload, (comp,))  # a real decode
     assert cache.stats()["decompress_execs"] == 1
     assert out.tobytes() == x.tobytes()
 
@@ -372,7 +380,7 @@ def test_nothing_is_recorded_once_the_source_left_the_memo(rng):
 def test_a_lookup_that_does_not_keep_takes_the_entry_out(rng):
     cache = CodecCache()
     codec, x, payload, comps = _message(rng)
-    cache.decode(codec, payload, comps)                 # stored
+    _decode(cache, codec, payload, comps)                 # stored
     entries, nbytes = cache.stats()["entries"], cache.stats()["bytes"]
     parts, _ = cache.decode_parts(codec, payload, comps, keep=False)
     assert b"".join(p.tobytes() for p in parts) == x.tobytes()
